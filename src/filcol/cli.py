@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -312,6 +313,7 @@ def _cmd_simulate(args) -> None:
             "outcome": traj.outcome.value,
             "n_points": len(traj.times),
             "rel_tol": cfg.rel_tol,
+            **dataclasses.asdict(traj.stats),
         },
         "drift": traj.drift,
         "events": [
@@ -602,9 +604,32 @@ def _find_config(argv: list[str]) -> str | None:
     return None
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative number to the option before it: --z1 -5.9e-05.
+
+    argparse takes a separate token that starts with '-' for an option
+    unless it looks like a negative number, and its pattern for those has
+    no exponent form.  --name=value is read as a value in every form.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if tok.startswith("-") and prev.startswith("--") and "=" not in prev:
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    argv = _attach_negative_values(argv)
     try:
         parser, commands = build_parser()
         config_path = _find_config(argv)

@@ -2,12 +2,17 @@
 
 A Dormand-Prince 5(4) pair (FSAL) advances the full, reduced, or hyperbolic
 system.  The error-per-step is controlled in a mixed max norm with
-per-component scale abs_tol + rel_tol*|y|; the step-size controller is the
-standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
-Events are located by bisection on a cubic-Hermite interpolant of each
-accepted step.  The conserved quantity of the chosen system (d for the full
-system, the energy for the planar charts) is recorded at every accepted
-point, so any run doubles as a conservation audit.
+per-component scale abs_tol + rel_tol*max(|y|, |y_new|); the step-size
+controller is the standard proportional rule with safety 0.9 and growth
+clamp [0.2, 5.0].
+Each attempt is straight-line scalar code for the state's fixed dimension:
+one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
+with the vector field called on scalars.  Events are located by bisection on
+a cubic-Hermite interpolant of each accepted step.  The conserved quantity of
+the chosen system (d for the full system, the energy for the planar charts)
+is recorded at every accepted point, so any run doubles as a conservation
+audit, and every run counts its attempts, rejections, field evaluations and
+event iterations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) manifests as step collapse:
 the controller drives the step below the floor and the run ends with
@@ -40,6 +45,7 @@ __all__ = [
     "EventHit",
     "IntegrationConfig",
     "Outcome",
+    "IntegrationStats",
     "Trajectory",
     "integrate",
     "SimStatus",
@@ -118,13 +124,31 @@ class Outcome(Enum):
     STEP_COLLAPSED = "step-collapsed"
 
 
+@dataclass(frozen=True)
+class IntegrationStats:
+    """Work counts of one integration run.
+
+    Every attempt is accepted or rejected.  f_evals is one evaluation at
+    the start plus six per attempt (FSAL); an attempt cut short by a field
+    that raises is counted in full.  event_iterations counts the bisection
+    steps spent locating events.
+    """
+
+    attempts: int = 0
+    rejections: int = 0
+    accepted: int = 0
+    f_evals: int = 0
+    event_iterations: int = 0
+
+
 @dataclass
 class Trajectory:
     """Dense record of one integration run.
 
     times/states hold every accepted point (strictly increasing times);
     events holds located crossings in time order; drift maps each monitored
-    invariant to its max absolute deviation from the initial value.
+    invariant to its max absolute deviation from the initial value; stats
+    counts the work the run took.
     """
 
     system: SystemKind
@@ -133,7 +157,7 @@ class Trajectory:
     events: list[EventHit]
     drift: dict[str, float]
     outcome: Outcome
-    accepted_steps: list[float] = field(default_factory=list)
+    stats: IntegrationStats = field(default_factory=IntegrationStats)
 
     @property
     def t_final(self) -> float:
@@ -145,24 +169,151 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau (FSAL: the seventh stage is f at the new point).
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# _Aij weights stage j in the argument of stage i, _Bj are the fifth-order
+# propagation weights (the argument of stage 7) and _Ej = b_j - bhat_j
+# weight the embedded error estimate.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B2, _B3, _B4, _B5, _B6 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    b - bh
+    for b, bh in zip(
+        (_B1, _B2, _B3, _B4, _B5, _B6, 0.0),
+        (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
+    )
 )
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_BHAT = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_E = tuple(b - bh for b, bh in zip(_B, _BHAT))
+
+# What a field or energy evaluation raises at a point it cannot take.
+_FIELD_ERRORS = (FilcolError, ValueError, ZeroDivisionError, OverflowError)
+
+
+# The fixed-dimension steppers make one Dormand-Prince attempt of size h
+# from state y with FSAL derivative k1.  Both tuples are unpacked to scalars
+# (a, b for (theta, W); a, b, c, d for (R1, z1, R2, z2)), the field is called
+# with scalars, and the result is (y_new, k7, err_norm): the fifth-order
+# state, the field there, and the max over components of the embedded error
+# estimate relative to abs_tol + rel_tol*max(|y|, |y_new|).  A field that
+# raises or a non-finite y_new or k7 gives err_norm = inf, so the controller
+# backs off instead of propagating a NaN state.  Every stage sum adds its
+# terms left to right in tableau order with the zero weights kept:
+# 0.0 * inf is nan, so a non-finite stage always reaches y_new.
+
+
+def _step_2d(f, h, y, k1, abs_tol, rel_tol):
+    a, b = y
+    k1a, k1b = k1
+    try:
+        k2a, k2b = f(
+            a + h * (_A21 * k1a),
+            b + h * (_A21 * k1b),
+        )
+        k3a, k3b = f(
+            a + h * (_A31 * k1a + _A32 * k2a),
+            b + h * (_A31 * k1b + _A32 * k2b),
+        )
+        k4a, k4b = f(
+            a + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
+            b + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b),
+        )
+        k5a, k5b = f(
+            a + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+            b + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+        )
+        k6a, k6b = f(
+            a + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+            b + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+        )
+        a1 = a + h * (_B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
+        b1 = b + h * (_B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
+        k7 = f(a1, b1)
+    except _FIELD_ERRORS:
+        return y, k1, math.inf
+    y_new = (a1, b1)
+    k7a, k7b = k7
+    finite = math.isfinite
+    if not (finite(a1) and finite(b1) and finite(k7a) and finite(k7b)):
+        return y_new, k7, math.inf
+    ea = abs(h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
+                 + _E5 * k5a + _E6 * k6a + _E7 * k7a))
+    ea /= abs_tol + rel_tol * max(abs(a), abs(a1))
+    eb = abs(h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
+                 + _E5 * k5b + _E6 * k6b + _E7 * k7b))
+    eb /= abs_tol + rel_tol * max(abs(b), abs(b1))
+    return y_new, k7, max(0.0, ea, eb)
+
+
+def _step_4d(f, h, y, k1, abs_tol, rel_tol):
+    a, b, c, d = y
+    k1a, k1b, k1c, k1d = k1
+    try:
+        k2a, k2b, k2c, k2d = f(
+            a + h * (_A21 * k1a),
+            b + h * (_A21 * k1b),
+            c + h * (_A21 * k1c),
+            d + h * (_A21 * k1d),
+        )
+        k3a, k3b, k3c, k3d = f(
+            a + h * (_A31 * k1a + _A32 * k2a),
+            b + h * (_A31 * k1b + _A32 * k2b),
+            c + h * (_A31 * k1c + _A32 * k2c),
+            d + h * (_A31 * k1d + _A32 * k2d),
+        )
+        k4a, k4b, k4c, k4d = f(
+            a + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
+            b + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b),
+            c + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c),
+            d + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d),
+        )
+        k5a, k5b, k5c, k5d = f(
+            a + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+            b + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+            c + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c),
+            d + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d),
+        )
+        k6a, k6b, k6c, k6d = f(
+            a + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+            b + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+            c + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c),
+            d + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d),
+        )
+        a1 = a + h * (_B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
+        b1 = b + h * (_B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
+        c1 = c + h * (_B1 * k1c + _B2 * k2c + _B3 * k3c + _B4 * k4c + _B5 * k5c + _B6 * k6c)
+        d1 = d + h * (_B1 * k1d + _B2 * k2d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
+        k7 = f(a1, b1, c1, d1)
+    except _FIELD_ERRORS:
+        return y, k1, math.inf
+    y_new = (a1, b1, c1, d1)
+    k7a, k7b, k7c, k7d = k7
+    finite = math.isfinite
+    if not (
+        finite(a1) and finite(b1) and finite(c1) and finite(d1)
+        and finite(k7a) and finite(k7b) and finite(k7c) and finite(k7d)
+    ):
+        return y_new, k7, math.inf
+    ea = abs(h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
+                 + _E5 * k5a + _E6 * k6a + _E7 * k7a))
+    ea /= abs_tol + rel_tol * max(abs(a), abs(a1))
+    eb = abs(h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
+                 + _E5 * k5b + _E6 * k6b + _E7 * k7b))
+    eb /= abs_tol + rel_tol * max(abs(b), abs(b1))
+    ec = abs(h * (_E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c
+                 + _E5 * k5c + _E6 * k6c + _E7 * k7c))
+    ec /= abs_tol + rel_tol * max(abs(c), abs(c1))
+    ed = abs(h * (_E1 * k1d + _E2 * k2d + _E3 * k3d + _E4 * k4d
+                 + _E5 * k5d + _E6 * k6d + _E7 * k7d))
+    ed /= abs_tol + rel_tol * max(abs(d), abs(d1))
+    return y_new, k7, max(0.0, ea, eb, ec, ed)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _state_tuple(system: SystemKind, y0) -> tuple[float, ...]:
+def _state_tuple(y0) -> tuple[float, ...]:
     if isinstance(y0, (ReducedState, HyperbolicState, FullState)):
         return y0.astuple()
     return tuple(float(v) for v in y0)
@@ -170,52 +321,31 @@ def _state_tuple(system: SystemKind, y0) -> tuple[float, ...]:
 
 def _make_field(system: SystemKind, p: Params, d: float | None):
     if system is SystemKind.FULL:
-        f = dynamics.full_field(p)
-        return lambda y: f(y[0], y[1], y[2], y[3])
+        return dynamics.full_field(p)
     if system is SystemKind.REDUCED:
-        f = dynamics.reduced_field(p)
-        return lambda y: f(y[0], y[1])
-    if d is None:
-        raise InvalidInitialState("hyperbolic system needs a HyperbolicState")
-    f = dynamics.hyperbolic_field(p, d)
-    return lambda y: f(y[0], y[1])
+        return dynamics.reduced_field(p)
+    return dynamics.hyperbolic_field(p, d)
 
 
 def _make_invariant(system: SystemKind, p: Params, d: float | None):
     if system is SystemKind.FULL:
         gamma = p.gamma
-        return "d", lambda y: gamma * y[0] * y[0] - y[2] * y[2]
+        return "d", lambda r1, z1, r2, z2: gamma * r1 * r1 - r2 * r2
     if system is SystemKind.REDUCED:
-        e = dynamics.reduced_energy(p)
-        return "H", lambda y: e(y[0], y[1])
-    e = dynamics.hyperbolic_energy(p, d)
-    return "H", lambda y: e(y[0], y[1])
+        return "H", dynamics.reduced_energy(p)
+    return "H", dynamics.hyperbolic_energy(p, d)
 
 
 def _event_value(spec: EventSpec, system: SystemKind):
-    if system is SystemKind.FULL:
-        w_of = lambda y: y[1] - y[3]
-        theta_of = lambda y: math.log(y[0])
-    else:
-        w_of = lambda y: y[1]
-        theta_of = lambda y: y[0]
+    full = system is SystemKind.FULL
+    thr = spec.threshold
     if spec.kind is EventKind.W_CROSSES_ZERO:
-        return w_of
+        return (lambda y: y[1] - y[3]) if full else (lambda y: y[1])
     if spec.kind is EventKind.W_BELOW:
-        thr = spec.threshold
-        return lambda y: abs(w_of(y)) - thr
+        return (lambda y: abs(y[1] - y[3]) - thr) if full else (lambda y: abs(y[1]) - thr)
     if spec.kind is EventKind.THETA_ESCAPES_BELOW:
-        thr = spec.threshold
-        return lambda y: theta_of(y) - thr
+        return (lambda y: math.log(y[0]) - thr) if full else (lambda y: y[0] - thr)
     return None  # STEP_COLLAPSE has no crossing function
-
-
-def _crossed(direction: Direction, g0: float, g1: float) -> bool:
-    if direction is Direction.DECREASING:
-        return g0 > 0.0 >= g1
-    if direction is Direction.INCREASING:
-        return g0 < 0.0 <= g1
-    return (g0 > 0.0 >= g1) or (g0 < 0.0 <= g1)
 
 
 def _hermite(y0, f0, y1, f1, h, tau):
@@ -252,48 +382,55 @@ def integrate(
     d = y0.d if isinstance(y0, HyperbolicState) else None
     if system is SystemKind.HYPERBOLIC and not isinstance(y0, HyperbolicState):
         raise InvalidInitialState("hyperbolic integration needs a HyperbolicState")
-    y = _state_tuple(system, y0)
+    y = _state_tuple(y0)
     if not all(math.isfinite(v) for v in y):
         raise InvalidInitialState(f"non-finite initial state {y}")
+    dim = 4 if system is SystemKind.FULL else 2
+    if len(y) != dim:
+        raise InvalidInitialState(f"{system.value} state needs {dim} components, got {y}")
+    step = _step_4d if dim == 4 else _step_2d
 
     f = _make_field(system, p, d)
     inv_name, inv = _make_invariant(system, p, d)
     try:
-        k1 = f(y)
-        inv0 = inv(y)
-    except (FilcolError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        k1 = f(*y)
+        inv0 = inv(*y)
+    except _FIELD_ERRORS as exc:
         raise InvalidInitialState(f"initial state rejected: {exc}") from exc
     if not all(math.isfinite(v) for v in k1):
         raise InvalidInitialState(f"vector field not finite at initial state {y}")
 
     crossing_specs = [s for s in events if s.kind is not EventKind.STEP_COLLAPSE]
     collapse_specs = [s for s in events if s.kind is EventKind.STEP_COLLAPSE]
-    event_fns = [_event_value(s, system) for s in crossing_specs]
+    # Each crossing event with its value function and the crossing
+    # directions it reports (downward, upward).
+    watched = [
+        (
+            s,
+            _event_value(s, system),
+            s.direction is not Direction.INCREASING,
+            s.direction is not Direction.DECREASING,
+        )
+        for s in crossing_specs
+    ]
+    # Event values at the current point, carried from one accepted step to
+    # the next so each function is evaluated once per accepted point.
+    g_prev = [g(y) for _, g, _, _ in watched]
 
-    n = len(y)
+    abs_tol, rel_tol, h_min = cfg.abs_tol, cfg.rel_tol, cfg.h_min
     times = [0.0]
     states = [y]
     hits: list[EventHit] = []
-    drift = {inv_name: 0.0}
-    steps: list[float] = []
+    drift = 0.0
     t = 0.0
     h = min(cfg.h_init, t_end)
     t_tol = 1e-12 * t_end
-    attempts = 0
+    attempts = rejections = event_iterations = 0
     outcome: Outcome | None = None
-
-    def update_drift(point) -> None:
-        try:
-            val = inv(point)
-        except (FilcolError, ValueError, ZeroDivisionError, OverflowError):
-            val = math.inf
-        dev = abs(val - inv0)
-        if dev > drift[inv_name]:
-            drift[inv_name] = dev
 
     while outcome is None:
         rem = t_end - t
-        floor = max(cfg.h_min, 4.0 * math.ulp(t))
+        floor = max(h_min, 4.0 * math.ulp(t))
         if rem <= floor:
             outcome = Outcome.REACHED_T_END
             break
@@ -306,38 +443,9 @@ def integrate(
         if attempts > cfg.max_steps:
             raise StepLimitExceeded(f"exceeded {cfg.max_steps} step attempts at t={t}")
 
-        # Stage sweep; any arithmetic failure is treated as an infinite
-        # error estimate so the controller backs off instead of propagating
-        # a NaN state.
-        err_norm = math.inf
-        y_new = y
-        k7 = k1
-        try:
-            ks = [k1]
-            ystage = y
-            for row in _A:
-                ystage = tuple(
-                    y[i] + h_step * sum(a * ks[j][i] for j, a in enumerate(row))
-                    for i in range(n)
-                )
-                ks.append(f(ystage))
-            y_new = ystage  # the last row of _A carries the propagation weights
-            k7 = ks[6]  # FSAL: the seventh stage is f at the new point
-            finite = all(math.isfinite(v) for v in y_new) and all(
-                math.isfinite(v) for v in k7
-            )
-            if finite:
-                err_norm = 0.0
-                for i in range(n):
-                    e = h_step * sum(_E[j] * ks[j][i] for j in range(7))
-                    scale = cfg.abs_tol + cfg.rel_tol * max(abs(y[i]), abs(y_new[i]))
-                    r = abs(e) / scale
-                    if r > err_norm:
-                        err_norm = r
-        except (FilcolError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-
+        y_new, k7, err_norm = step(f, h_step, y, k1, abs_tol, rel_tol)
         if err_norm > 1.0:
+            rejections += 1
             factor = _MIN_FACTOR
             if math.isfinite(err_norm) and err_norm > 0.0:
                 factor = max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
@@ -346,52 +454,49 @@ def integrate(
 
         # Accepted.
         t_new = t + h_step
-        terminal_hit: EventHit | None = None
-        step_hits: list[EventHit] = []
-        for spec, gfn in zip(crossing_specs, event_fns):
-            g0 = gfn(y)
-            g1 = gfn(y_new)
-            if not _crossed(spec.direction, g0, g1):
-                continue
-            decreasing = (
-                spec.direction is Direction.DECREASING
-                or (spec.direction is Direction.ANY and g0 > 0.0)
-            )
-            lo, hi = 0.0, 1.0
-            while (hi - lo) * h_step > t_tol:
-                mid = 0.5 * (lo + hi)
-                gm = gfn(_hermite(y, k1, y_new, k7, h_step, mid))
-                past = gm <= 0.0 if decreasing else gm >= 0.0
-                if past:
-                    hi = mid
-                else:
-                    lo = mid
-            t_ev = t + hi * h_step
-            if t_ev <= t:  # keep recorded times strictly increasing
-                t_ev = math.nextafter(t, math.inf)
-            y_ev = _hermite(y, k1, y_new, k7, h_step, hi)
-            step_hits.append(EventHit(t_ev, spec, y_ev))
-        step_hits.sort(key=lambda e: e.time)
-        for ev in step_hits:
-            if ev.spec.terminal:
-                terminal_hit = ev
-                break
+        point_t, point = t_new, y_new
+        if watched:
+            step_hits: list[EventHit] = []
+            for i, (spec, gfn, down, up) in enumerate(watched):
+                g0 = g_prev[i]
+                g1 = g_prev[i] = gfn(y_new)
+                if not ((down and g0 > 0.0 >= g1) or (up and g0 < 0.0 <= g1)):
+                    continue
+                decreasing = g0 > 0.0
+                lo, hi = 0.0, 1.0
+                while (hi - lo) * h_step > t_tol:
+                    event_iterations += 1
+                    mid = 0.5 * (lo + hi)
+                    gm = gfn(_hermite(y, k1, y_new, k7, h_step, mid))
+                    past = gm <= 0.0 if decreasing else gm >= 0.0
+                    if past:
+                        hi = mid
+                    else:
+                        lo = mid
+                t_ev = t + hi * h_step
+                if t_ev <= t:  # keep recorded times strictly increasing
+                    t_ev = math.nextafter(t, math.inf)
+                y_ev = _hermite(y, k1, y_new, k7, h_step, hi)
+                step_hits.append(EventHit(t_ev, spec, y_ev))
+            if step_hits:
+                step_hits.sort(key=lambda e: e.time)
+                terminal_hit = next((e for e in step_hits if e.spec.terminal), None)
+                if terminal_hit is not None:
+                    step_hits = [e for e in step_hits if e.time <= terminal_hit.time]
+                    point_t, point = terminal_hit.time, terminal_hit.state
+                    outcome = Outcome.EVENT_TERMINATED
+                hits.extend(step_hits)
 
-        if terminal_hit is not None:
-            kept = [e for e in step_hits if e.time <= terminal_hit.time]
-            hits.extend(kept)
-            times.append(terminal_hit.time)
-            states.append(terminal_hit.state)
-            steps.append(terminal_hit.time - t)
-            update_drift(terminal_hit.state)
-            outcome = Outcome.EVENT_TERMINATED
+        times.append(point_t)
+        states.append(point)
+        try:
+            dev = abs(inv(*point) - inv0)
+        except _FIELD_ERRORS:
+            dev = math.inf
+        if dev > drift:
+            drift = dev
+        if outcome is not None:
             break
-
-        hits.extend(step_hits)
-        times.append(t_new)
-        states.append(y_new)
-        steps.append(h_step)
-        update_drift(y_new)
         t = t_new
         y = y_new
         k1 = k7
@@ -410,9 +515,15 @@ def integrate(
         times=times,
         states=states,
         events=hits,
-        drift=drift,
+        drift={inv_name: drift},
         outcome=outcome,
-        accepted_steps=steps,
+        stats=IntegrationStats(
+            attempts=attempts,
+            rejections=rejections,
+            accepted=attempts - rejections,
+            f_evals=1 + 6 * attempts,
+            event_iterations=event_iterations,
+        ),
     )
 
 

@@ -189,7 +189,7 @@ def _check_gamma1_exact(cfg: IntegrationConfig) -> dict:
     rs = ReducedState(math.log(4.0), 1.0)
     derived = rs.w ** 2 / (2.0 * p.alpha)
     printed = 2.0 * rs.w ** 2 / p.alpha
-    detected = _detect_collision_time(rs, p, cfg, t_end=6.0 * printed)
+    detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * derived + 10.0)
     ok = detected is not None and abs(detected - derived) <= 1e-5 * derived
     return {
         "name": "gamma1-exact-time",

@@ -57,13 +57,19 @@ ALPHA = 0.2
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
 
 # Conservation probes registered by the criteria as they run; criterion 06
-# asserts over them together with its own designated battery.
+# asserts over them together with its own designated battery, and the
+# criteria that run after it check their own probes against its limits.
 _DRIFTS: list[tuple[str, str, float]] = []
+_DRIFT_LIMITS = {"H": 1e-8, "d": 1e-9}
 
 
-def _record_drift(label: str, traj) -> None:
+def _record_drift(label: str, traj) -> bool:
+    """Register traj's drift probes; True when each is under its limit."""
+    ok = True
     for name, value in traj.drift.items():
         _DRIFTS.append((label, name, value))
+        ok = ok and value < _DRIFT_LIMITS[name]
+    return ok
 
 
 def _line(num: int, ok: bool, detail: str) -> str:
@@ -325,7 +331,7 @@ def test_criterion_07_supercritical_corridor_rederived():
     rs = ReducedState(0.0, 1.0)
     cor = apriori_corridor(rs, p)
     traj = integrate(SystemKind.REDUCED, rs, p, 50.0, CFG)
-    _record_drift("corridor run", traj)
+    drift_ok = _record_drift("corridor run", traj)
     inside = all(
         cor.lower_bound(rs.w, t) - 1e-9 <= s[1] <= cor.upper_bound(rs.w, t) + 1e-9
         for t, s in zip(traj.times, traj.states)
@@ -333,9 +339,10 @@ def test_criterion_07_supercritical_corridor_rederived():
     f_hi = axis_energy(cor.theta_hi, p)
     w50 = traj.state_final[1]
     descent = w50 < rs.w - 50.0 * abs(f_hi)
-    ok = inside and descent and cor.lower_slope <= cor.upper_slope < 0.0
+    ok = inside and descent and cor.lower_slope <= cor.upper_slope < 0.0 and drift_ok
     msg = _line(7, ok, f"(re-derived) inside={inside}, W(50)={w50:.3f} < "
-                       f"{rs.w - 50.0 * abs(f_hi):.3f}: {descent}")
+                       f"{rs.w - 50.0 * abs(f_hi):.3f}: {descent}, "
+                       f"H drift={traj.drift['H']:.2e} (<1e-8)")
     assert ok, msg
 
 
@@ -353,13 +360,14 @@ def test_criterion_08_nonzero_d_no_collision_certificate():
         assert isinstance(hs, HyperbolicState)
         cert = no_collision_certificate(hs, p)
         traj = integrate(SystemKind.HYPERBOLIC, hs, p, 100.0, CFG)
-        _record_drift(f"certificate {label}", traj)
+        drift_ok = _record_drift(f"certificate {label}", traj)
         min_seen = min(
             hyperbolic_separation(s[0], s[1], hs.d, p.gamma) for s in traj.states
         )
         good = cert.min_separation > 0.0 and min_seen >= cert.min_separation * (1.0 - 1e-6)
-        ok = ok and good
-        details.append(f"{label}: cert={cert.min_separation:.4f} seen={min_seen:.4f}")
+        ok = ok and good and drift_ok
+        details.append(f"{label}: cert={cert.min_separation:.4f} seen={min_seen:.4f} "
+                       f"H drift={traj.drift['H']:.2e}")
     msg = _line(8, ok, "; ".join(details))
     assert ok, msg
 

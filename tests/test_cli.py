@@ -130,6 +130,36 @@ class TestSimulateCommand:
         assert payload["outcome"]["status"] == "reached-t-end"
         assert payload["drift"]["H"] < 1e-8
 
+    def test_integration_counts_in_payload(self, capsys, tmp_path):
+        payload = run_json(
+            capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
+            "--theta0", "1.3862944", "--w0", "1", "--t-end", "20",
+        )
+        counts = payload["integration"]
+        assert counts["accepted"] == len(payload["times"]) - 1
+        assert counts["attempts"] == counts["accepted"] + counts["rejections"]
+        assert counts["f_evals"] == 1 + 6 * counts["attempts"]
+        assert counts["event_iterations"] >= 0
+
+    @pytest.mark.parametrize("flag, value", [("--z1", "-5.9e-05"), ("--w0", "-1e-3")])
+    def test_separate_negative_exponent_value(self, capsys, tmp_path, flag, value):
+        # argparse's own negative-number pattern has no exponent form, so a
+        # separate "-5.9e-05" used to be taken for an option.
+        state = {
+            "--z1": ["--r1", "1", "--r2", "1.3", "--z2", "0.5", "--system", "full"],
+            "--w0": ["--theta0", "0.1"],
+        }[flag]
+        payload = run_json(
+            capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", "1.5",
+            *state, flag, value, "--t-end", "0.5",
+        )
+        joined = run_json(
+            capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", "1.5",
+            *state, f"{flag}={value}", "--t-end", "0.5", name="joined.json",
+        )
+        assert payload == joined
+        assert payload["states"][0][1] == float(value)  # z1, or W in (theta, W)
+
     def test_step_budget_exhaustion_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--alpha", "0.2", "--gamma", "2.0",

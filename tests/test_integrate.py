@@ -7,12 +7,15 @@ import math
 import pytest
 from scipy.integrate import solve_ivp
 
+import filcol.dynamics as dynamics
 from filcol import (
     ConfigInvalid,
     Direction,
+    DomainError,
     EmptyTrajectory,
     EventKind,
     EventSpec,
+    FilcolError,
     FullState,
     IntegrationConfig,
     InvalidInitialState,
@@ -27,9 +30,11 @@ from filcol import (
     drift_report,
     gamma_star,
     integrate,
+    reduce_state,
     simulate_until_collision,
 )
-from filcol.dynamics import reduced_field
+from filcol.dynamics import full_field, hyperbolic_field, reduced_field
+from filcol.integrate import _step_2d, _step_4d
 
 from conftest import log_slope, rel_err
 
@@ -149,7 +154,7 @@ class TestAdaptivity:
                 IntegrationConfig(rel_tol=tol, abs_tol=1e-14),
             )
             err = max(abs(a - b) for a, b in zip(traj.state_final, ref))
-            h_mean = t_end / len(traj.accepted_steps)
+            h_mean = t_end / traj.stats.accepted
             hs.append(h_mean)
             errs.append(max(err, 1e-16))
         assert log_slope(hs, errs) >= 4.0
@@ -179,7 +184,8 @@ class TestBlowUp:
         assert all(math.isfinite(v) for s in traj.states for v in s)
         assert abs(traj.t_final - T_BENCH) < 1e-8
         # Steps shrink into the singularity.
-        tail = traj.accepted_steps[-20:]
+        steps = [b - a for a, b in zip(traj.times, traj.times[1:])]
+        tail = steps[-20:]
         assert tail[-1] < 1e-10
         assert max(tail) < 1e-4
 
@@ -276,3 +282,223 @@ class TestFullReducedConsistency:
         th, w = traj_red.state_final
         assert abs((z1 - z2) - w) < 5e-8
         assert abs(math.log(r1) - th) < 5e-8
+
+
+class TestStats:
+    def test_counts_match_field_calls_and_record(self, monkeypatch):
+        calls = [0]
+
+        def counting_field(p):
+            f = reduced_field(p)
+
+            def counted(theta, w):
+                calls[0] += 1
+                return f(theta, w)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "reduced_field", counting_field)
+        spec = EventSpec(EventKind.W_BELOW, threshold=0.5, terminal=False)
+        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        stats = traj.stats
+        assert stats.f_evals == 1 + 6 * stats.attempts
+        assert stats.f_evals == calls[0]
+        assert stats.accepted == len(traj.times) - 1
+        assert stats.attempts == stats.accepted + stats.rejections
+        assert stats.rejections > 0  # the run ends in the blow-up's steep tail
+        assert len(traj.events) == 1 and stats.event_iterations > 0
+
+    def test_event_free_run_has_no_event_iterations(self):
+        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), Params(0.2, 2.0), 5.0, CFG)
+        assert traj.stats.event_iterations == 0
+        assert traj.stats.f_evals == 1 + 6 * traj.stats.attempts
+
+
+# The generic Dormand-Prince attempt that the fixed-dimension steppers
+# replaced: a loop over the tableau rows, each stage sum added left to right
+# from 0 (as sum() adds floats before Python 3.12), with its own copy of the
+# tableau so a mistyped coefficient in the unrolled code shows up.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_BHAT = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b - bh for b, bh in zip(_B, _BHAT))
+_ABS_TOL, _REL_TOL = 1e-12, 1e-10
+
+
+def _left_sum(terms):
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _reference_attempt(f, h, y, k1):
+    n = len(y)
+    err_norm = math.inf
+    y_new, k7 = y, k1
+    try:
+        ks = [k1]
+        ystage = y
+        for row in _A:
+            ystage = tuple(
+                y[i] + h * _left_sum(a * ks[j][i] for j, a in enumerate(row))
+                for i in range(n)
+            )
+            ks.append(f(*ystage))
+        y_new, k7 = ystage, ks[6]
+        if all(math.isfinite(v) for v in y_new + k7):
+            err_norm = 0.0
+            for i in range(n):
+                e = h * _left_sum(_E[j] * ks[j][i] for j in range(7))
+                scale = _ABS_TOL + _REL_TOL * max(abs(y[i]), abs(y_new[i]))
+                r = abs(e) / scale
+                if r > err_norm:
+                    err_norm = r
+    except (FilcolError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    return y_new, k7, err_norm
+
+
+def _bits(values):
+    return tuple(float.hex(v) for v in values)
+
+
+def _assert_same_attempt(f, h, y):
+    k1 = f(*y)
+    step = _step_4d if len(y) == 4 else _step_2d
+    got = step(f, h, y, k1, _ABS_TOL, _REL_TOL)
+    want = _reference_attempt(f, h, y, k1)
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits(got[1]) == _bits(want[1])
+    assert float.hex(got[2]) == float.hex(want[2])
+    return got
+
+
+def _hyperbolic(full):
+    hs = reduce_state(full, Params(0.2, 2.0))
+    return hyperbolic_field(Params(0.2, 2.0), hs.d), hs.astuple()
+
+
+_CASES = {
+    "reduced gamma=1": (reduced_field(P_BENCH), RS_BENCH.astuple()),
+    "reduced gamma>1": (reduced_field(Params(0.2, 1.1)), (0.3, -0.7)),
+    "reduced critical": (reduced_field(Params(0.2, gamma_star(0.2))), (-0.4, 1.2)),
+    "hyperbolic d>0": _hyperbolic(FullState(1.0, 0.6, 1.1, 0.0)),
+    "hyperbolic d<0": _hyperbolic(FullState(0.8, 0.6, 1.4, 0.0)),
+    "full": (full_field(Params(0.3, 1.3)), (1.0, 0.8, 1.2, 0.0)),
+    "full gamma=1": (full_field(P_BENCH), (4.0, 0.5, 4.0, -0.5)),
+}
+
+
+# Faulty fields for one attempt: evaluation number `call` of the wrapper
+# misbehaves, counting from the attempt's first evaluation (1 is k2, 6 is k7).
+
+
+def _raising_at(call, f, exc):
+    """f, except that evaluation number `call` raises exc."""
+    count = [0]
+
+    def field(*y):
+        count[0] += 1
+        if count[0] == call:
+            raise exc("field raised")
+        return f(*y)
+
+    return field
+
+
+def _infinite_at(call, f, component=None):
+    """f, except that evaluation number `call` returns +inf (in one component)."""
+    count = [0]
+
+    def field(*y):
+        count[0] += 1
+        out = f(*y)
+        if count[0] != call:
+            return out
+        return tuple(
+            math.inf if component in (None, j) else v for j, v in enumerate(out)
+        )
+
+    return field
+
+
+def _active_only(i, n, g):
+    """A field that moves component i alone, by g of that component.
+
+    The error norm is then that component's error, so each component's sums
+    are checked in turn.
+    """
+
+    def field(*y):
+        out = [0.0] * n
+        out[i] = g(y[i])
+        return tuple(out)
+
+    return field
+
+
+def _wiggle(v):
+    return math.exp(math.sin(3.0 * v)) - 0.7 * v * v
+
+
+def _decay(v):
+    # Finite at v = inf, so an infinite zero-weight stage reaches y_new only
+    # through 0.0 * inf.
+    return 1.0 / (1.0 + v * v) + 0.5 / (3.0 + v * v)
+
+
+class TestUnrolledSteppers:
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.05, 0.4])
+    def test_bit_identical_to_generic_sweep(self, case, h):
+        f, y = _CASES[case]
+        _, _, err_norm = _assert_same_attempt(f, h, y)
+        assert err_norm >= 0.0
+
+    @pytest.mark.parametrize("case", ["reduced gamma>1", "full"])
+    @pytest.mark.parametrize("call", [1, 3, 6])
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError, DomainError])
+    def test_raising_field_gives_infinite_error(self, case, call, exc):
+        f, y = _CASES[case]
+        k1 = f(*y)
+        step = _step_4d if len(y) == 4 else _step_2d
+        got = step(_raising_at(call, f, exc), 1e-3, y, k1, _ABS_TOL, _REL_TOL)
+        want = _reference_attempt(_raising_at(call, f, exc), 1e-3, y, k1)
+        assert got[2] == want[2] == math.inf
+        assert got[0] == want[0] == y and got[1] == want[1] == k1
+
+    @pytest.mark.parametrize("case", ["reduced gamma=1", "hyperbolic d<0", "full"])
+    @pytest.mark.parametrize("call", [1, 3, 6])
+    def test_non_finite_stage_gives_infinite_error(self, case, call):
+        # k2 (call 1) has propagation weight zero: 0.0 * inf is nan, so it
+        # still reaches y_new and the attempt is rejected.
+        f, y = _CASES[case]
+        k1 = f(*y)
+        step = _step_4d if len(y) == 4 else _step_2d
+        got = step(_infinite_at(call, f), 1e-3, y, k1, _ABS_TOL, _REL_TOL)
+        want = _reference_attempt(_infinite_at(call, f), 1e-3, y, k1)
+        assert got[2] == want[2] == math.inf
+        assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])
+        assert not all(math.isfinite(v) for v in got[0] + got[1])
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("h", [0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6])
+    def test_each_component_bit_identical(self, dim, h):
+        y = (0.3, -0.45, 0.8, -1.1)[:dim]
+        step = _step_4d if dim == 4 else _step_2d
+        for i in range(dim):
+            for g in (_wiggle, _decay):
+                _, _, err_norm = _assert_same_attempt(_active_only(i, dim, g), h, y)
+                assert err_norm > 0.0
+            # A non-finite zero-weight stage in this component alone.
+            f = _active_only(i, dim, _decay)
+            got = step(_infinite_at(1, f, i), h, y, f(*y), _ABS_TOL, _REL_TOL)
+            assert got[2] == math.inf and not math.isfinite(got[0][i])
