@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import dynamics
 from .dynamics import (
     HyperbolicState,
     Params,
     ReducedState,
-    hamiltonian,
-    hamiltonian_hyperbolic,
+    hyperbolic_kinetic,
     hyperbolic_separation,
 )
 from .errors import DomainError, NumericalFailure, OnSingularLine, RegimeError
@@ -274,14 +274,13 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
     th0, w0 = rs0.theta, rs0.w
     gs = gamma_star(p.alpha)
 
+    if p.gamma == 1.0 and w0 == 0.0:
+        raise OnSingularLine("W = 0 is excluded for gamma = 1")
+    h0 = dynamics.reduced_energy(p)(th0, w0)
+
     if p.gamma == 1.0:
-        if w0 == 0.0:
-            raise OnSingularLine("W = 0 is excluded for gamma = 1")
-        h0 = hamiltonian(rs0, p)
         verdict = Verdict.HEAD_ON_COLLISION if w0 > 0.0 else Verdict.NO_COLLISION_GAMMA1
         return MotionClass(verdict, h0, gs)
-
-    h0 = hamiltonian(rs0, p)
 
     if abs(p.gamma - gs) <= GAMMA_STAR_ATOL:
         if w0 > 0.0:
@@ -413,7 +412,7 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
             f"corridor needs gamma > gamma_star={gs}, got {p.gamma}"
         )
     mu = p.mu
-    h0 = hamiltonian(rs0, p)
+    h0 = dynamics.reduced_energy(p)(rs0.theta, rs0.w)
     c = -mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
     # c < 0 and h0 < 0 in this regime.
     theta_tilde = math.log(c / h0)
@@ -430,15 +429,6 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
 # d != 0 no-collision certificate
 # --------------------------------------------------------------------------
 
-def _kinetic_part(theta: float, d: float, gamma: float) -> float:
-    """Self-induction part of the d != 0 energy (strictly increasing in theta)."""
-    th2 = math.tanh(0.5 * theta)
-    g32 = gamma * math.sqrt(gamma)
-    if d > 0.0:
-        return (2.0 * g32 * math.atan(th2) + math.log(th2)) / math.sqrt(d)
-    return (g32 * math.log(th2) + 2.0 * math.atan(th2)) / math.sqrt(-d)
-
-
 def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCertificate:
     """Certify a d != 0 state collision-free with a separation lower bound.
 
@@ -451,7 +441,7 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     """
     gamma = p.gamma
     d = hs0.d
-    h0 = hamiltonian_hyperbolic(hs0, p)
+    h0 = dynamics.hyperbolic_energy(p, d)(hs0.theta, hs0.w)
     asq = p.alpha * p.sqrt_gamma
     theta0 = hs0.theta
 
@@ -460,10 +450,10 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
         sep = hyperbolic_separation(theta, 0.0, d, gamma)
         if sep == 0.0:
             return math.inf
-        return _kinetic_part(theta, d, gamma) + asq / sep - h0
+        return hyperbolic_kinetic(theta, d, gamma) + asq / sep - h0
 
     def sep_at(theta: float) -> float:
-        return asq / (h0 - _kinetic_part(theta, d, gamma))
+        return asq / (h0 - hyperbolic_kinetic(theta, d, gamma))
 
     if g0(theta0) <= 0.0:
         # W0 = 0 (up to round-off): the state itself sits on the boundary.

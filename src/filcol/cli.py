@@ -275,33 +275,22 @@ def _cmd_simulate(args) -> None:
         )
         outcome = {"status": result.status.value, "time": result.time * scale}
         state_header = ["t", "theta", "w"]
-    elif system == "hyperbolic":
+    else:  # full or hyperbolic: integrate the full state or its d != 0 chart
         if not _has_full(args):
-            raise ConfigInvalid("--system hyperbolic needs --r1/--z1/--r2/--z2")
-        p, full, scale, swapped = normalize_full(
+            raise ConfigInvalid(f"--system {system} needs --r1/--z1/--r2/--z2")
+        p, y0, scale, swapped = normalize_full(
             args.alpha, args.gamma, args.r1, args.z1, args.r2, args.z2
         )
-        reduced = dynamics.reduce_state(full, p)
-        if not isinstance(reduced, HyperbolicState):
-            raise ConfigInvalid(
-                "conserved d is zero within tolerance; use --system auto"
-            )
-        traj = integrate(SystemKind.HYPERBOLIC, reduced, p, args.t_end, cfg)
-        result = None
-        outcome = {"status": traj.outcome.value, "time": traj.t_final * scale}
-        state_header = ["t", "theta", "w"]
-    elif system == "full":
-        if not _has_full(args):
-            raise ConfigInvalid("--system full needs --r1/--z1/--r2/--z2")
-        p, full, scale, swapped = normalize_full(
-            args.alpha, args.gamma, args.r1, args.z1, args.r2, args.z2
-        )
-        traj = integrate(SystemKind.FULL, full, p, args.t_end, cfg)
-        result = None
-        outcome = {"status": traj.outcome.value, "time": traj.t_final * scale}
         state_header = ["t", "r1", "z1", "r2", "z2"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigInvalid(f"unknown system {system!r}")
+        if system == "hyperbolic":
+            y0 = dynamics.reduce_state(y0, p)
+            if not isinstance(y0, HyperbolicState):
+                raise ConfigInvalid(
+                    "conserved d is zero within tolerance; use --system auto"
+                )
+            state_header = ["t", "theta", "w"]
+        traj = integrate(SystemKind(system), y0, p, args.t_end, cfg)
+        outcome = {"status": traj.outcome.value, "time": traj.t_final * scale}
 
     payload = {
         "command": "simulate",
@@ -546,7 +535,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--alpha", type=float, default=0.2)
     sp.add_argument("--battery", default="all",
                     help="'all', 'none', or comma-separated check names "
-                    f"from: {', '.join(verify.CHECK_NAMES)}")
+                    f"from: {', '.join(verify.CHECKS)}")
     sp.add_argument("--samples", type=int, default=8)
     sp.add_argument("--grid", type=int, default=6)
     sp.add_argument("--rel-tol", type=float, default=1e-10)

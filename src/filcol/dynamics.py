@@ -40,15 +40,11 @@ __all__ = [
     "ReducedState",
     "HyperbolicState",
     "Derivative",
-    "rhs_full",
     "conserved_d",
     "reduce_state",
     "hyperbolic_radii",
     "hyperbolic_separation",
-    "rhs_reduced",
-    "rhs_hyperbolic",
-    "hamiltonian",
-    "hamiltonian_hyperbolic",
+    "hyperbolic_kinetic",
     "rhs_reduced_alt",
     "w_from_theta",
     "ansatz_residual",
@@ -212,11 +208,6 @@ def full_field(p: Params) -> Callable[[float, float, float, float], Derivative]:
     return field
 
 
-def rhs_full(s: FullState, p: Params) -> Derivative:
-    """Time derivatives (R1', z1', R2', z2') of the full system."""
-    return full_field(p)(s.r1, s.z1, s.r2, s.z2)
-
-
 def conserved_d(s: FullState, p: Params) -> float:
     """The conserved combination gamma*R1**2 - R2**2."""
     return p.gamma * s.r1 * s.r1 - s.r2 * s.r2
@@ -311,11 +302,6 @@ def reduced_field(p: Params) -> Callable[[float, float], Derivative]:
     return field
 
 
-def rhs_reduced(rs: ReducedState, p: Params) -> Derivative:
-    """Time derivatives (theta', W') of the d = 0 system."""
-    return reduced_field(p)(rs.theta, rs.w)
-
-
 def reduced_energy(p: Params) -> Callable[[float, float], float]:
     """Return the conserved energy of the d = 0 system as a callable."""
     alpha = p.alpha
@@ -339,9 +325,21 @@ def reduced_energy(p: Params) -> Callable[[float, float], float]:
     return energy
 
 
-def hamiltonian(rs: ReducedState, p: Params) -> float:
-    """Conserved energy of the d = 0 system at a state."""
-    return reduced_energy(p)(rs.theta, rs.w)
+def _level_bracket(theta: float, p: Params, h0: float) -> tuple[float, float, float]:
+    """(a, alpha**2*gamma, bracket) of level h0 at theta: W = sqrt(bracket)/a."""
+    a2g = p.alpha * p.alpha * p.gamma
+    a = h0 + p.mu * math.exp(-theta)
+    if a <= 0.0:
+        raise OffLevelSet(
+            f"h0 + mu*exp(-theta) = {a} is not positive; no state on this level"
+        )
+    bracket = a2g - p.offset2 * math.exp(2.0 * theta) * a * a
+    tol = 1e-10 * max(a2g, a2g - bracket)
+    if bracket < -tol:
+        raise OffLevelSet(f"level-set bracket is negative: {bracket}")
+    if bracket < 0.0:
+        bracket = 0.0
+    return a, a2g, bracket
 
 
 def rhs_reduced_alt(theta: float, p: Params, h0: float) -> Derivative:
@@ -351,41 +349,15 @@ def rhs_reduced_alt(theta: float, p: Params, h0: float) -> Derivative:
     the initial energy h0 alone.  Raises OffLevelSet when (theta, h0) is
     inconsistent with any real W.
     """
-    alpha, gamma = p.alpha, p.gamma
-    mu, c2 = p.mu, p.offset2
-    a2g = alpha * alpha * gamma
-    a = h0 + mu * math.exp(-theta)
-    if a <= 0.0:
-        raise OffLevelSet(
-            f"h0 + mu*exp(-theta) = {a} is not positive; no state on this level"
-        )
-    bracket = a2g - c2 * math.exp(2.0 * theta) * a * a
-    tol = 1e-10 * max(a2g, a2g - bracket)
-    if bracket < -tol:
-        raise OffLevelSet(f"level-set bracket is negative: {bracket}")
-    if bracket < 0.0:
-        bracket = 0.0
+    a, a2g, bracket = _level_bracket(theta, p, h0)
     dtheta = -(a * a / a2g) * math.sqrt(bracket)
-    dw = -mu * math.exp(-theta) + (c2 / a2g) * a ** 3 * math.exp(2.0 * theta)
+    dw = -p.mu * math.exp(-theta) + (p.offset2 / a2g) * a ** 3 * math.exp(2.0 * theta)
     return (dtheta, dw)
 
 
 def w_from_theta(theta: float, p: Params, h0: float) -> float:
     """Nonnegative W on the energy level h0 at angle theta (W > 0 branch)."""
-    alpha, gamma = p.alpha, p.gamma
-    mu, c2 = p.mu, p.offset2
-    a2g = alpha * alpha * gamma
-    a = h0 + mu * math.exp(-theta)
-    if a <= 0.0:
-        raise OffLevelSet(
-            f"h0 + mu*exp(-theta) = {a} is not positive; no state on this level"
-        )
-    bracket = a2g - c2 * math.exp(2.0 * theta) * a * a
-    tol = 1e-10 * max(a2g, a2g - bracket)
-    if bracket < -tol:
-        raise OffLevelSet(f"level-set bracket is negative: {bracket}")
-    if bracket < 0.0:
-        bracket = 0.0
+    a, _, bracket = _level_bracket(theta, p, h0)
     return math.sqrt(bracket) / a
 
 
@@ -435,9 +407,13 @@ def hyperbolic_field(p: Params, d: float) -> Callable[[float, float], Derivative
     return field_neg
 
 
-def rhs_hyperbolic(hs: HyperbolicState, p: Params) -> Derivative:
-    """Time derivatives (theta', W') of the d != 0 system."""
-    return hyperbolic_field(p, hs.d)(hs.theta, hs.w)
+def hyperbolic_kinetic(theta: float, d: float, gamma: float) -> float:
+    """Self-induction part of the d != 0 energy (strictly increasing in theta)."""
+    th2 = math.tanh(0.5 * theta)
+    g32 = gamma * math.sqrt(gamma)
+    if d > 0.0:
+        return (2.0 * g32 * math.atan(th2) + math.log(th2)) / math.sqrt(d)
+    return (g32 * math.log(th2) + 2.0 * math.atan(th2)) / math.sqrt(-d)
 
 
 def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
@@ -448,12 +424,10 @@ def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
     """
     if d == 0.0:
         raise DomainError("hyperbolic chart requires d != 0")
-    alpha = p.alpha
     gamma = p.gamma
     sqg = p.sqrt_gamma
-    ad = abs(d)
-    sqrt_ad = math.sqrt(ad)
-    g32 = gamma * sqg
+    asq = p.alpha * sqg
+    scale = math.sqrt(abs(d) / gamma)
     positive = d > 0.0
 
     def energy(theta: float, w: float) -> float:
@@ -461,24 +435,16 @@ def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
             raise DomainError(
                 f"hyperbolic energy needs theta > 0, got {theta}"
             )
-        th2 = math.tanh(0.5 * theta)
         if positive:
-            kin = (2.0 * g32 * math.atan(th2) + math.log(th2)) / sqrt_ad
             base = math.cosh(theta) - sqg * math.sinh(theta)
         else:
-            kin = (g32 * math.log(th2) + 2.0 * math.atan(th2)) / sqrt_ad
             base = math.sinh(theta) - sqg * math.cosh(theta)
-        s = math.hypot(math.sqrt(ad / gamma) * base, w)
+        s = math.hypot(scale * base, w)
         if s == 0.0:
             raise Divergent("energy diverges at the contact configuration")
-        return kin + alpha * sqg / s
+        return hyperbolic_kinetic(theta, d, gamma) + asq / s
 
     return energy
-
-
-def hamiltonian_hyperbolic(hs: HyperbolicState, p: Params) -> float:
-    """Conserved energy of the d != 0 system at a state."""
-    return hyperbolic_energy(p, hs.d)(hs.theta, hs.w)
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +475,7 @@ def ansatz_residual(
     alpha = p.alpha
     beta = -p.gamma
     r1, z1, r2, z2 = s.r1, s.z1, s.r2, s.z2
-    dr1, dz1, dr2, dz2 = rhs_full(s, p)
+    dr1, dz1, dr2, dz2 = full_field(p)(r1, z1, r2, z2)
 
     worst = 0.0
     for k in range(n_samples):

@@ -21,7 +21,6 @@ __all__ = [
     "RegimeError",
     "StepLimitExceeded",
     "InvalidInitialState",
-    "EmptyTrajectory",
     "ConfigInvalid",
     "NumericalFailure",
 ]
@@ -73,10 +72,6 @@ class StepLimitExceeded(NumericalError):
 
 class InvalidInitialState(ValidationError):
     """Initial state rejected by the integrator (non-finite or out of domain)."""
-
-
-class EmptyTrajectory(NumericalError):
-    """A trajectory with no recorded points was passed to an accessor."""
 
 
 class ConfigInvalid(ValidationError):

@@ -31,7 +31,6 @@ from . import dynamics
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
 from .errors import (
     ConfigInvalid,
-    EmptyTrajectory,
     FilcolError,
     InvalidInitialState,
     StepLimitExceeded,
@@ -51,7 +50,6 @@ __all__ = [
     "SimStatus",
     "CollisionResult",
     "simulate_until_collision",
-    "drift_report",
 ]
 
 
@@ -320,20 +318,13 @@ def _state_tuple(y0) -> tuple[float, ...]:
 
 
 def _make_field(system: SystemKind, p: Params, d: float | None):
-    if system is SystemKind.FULL:
-        return dynamics.full_field(p)
-    if system is SystemKind.REDUCED:
-        return dynamics.reduced_field(p)
-    return dynamics.hyperbolic_field(p, d)
-
-
-def _make_invariant(system: SystemKind, p: Params, d: float | None):
+    """The system's vector field, and its monitored invariant's name and function."""
     if system is SystemKind.FULL:
         gamma = p.gamma
-        return "d", lambda r1, z1, r2, z2: gamma * r1 * r1 - r2 * r2
+        return dynamics.full_field(p), "d", lambda r1, z1, r2, z2: gamma * r1 * r1 - r2 * r2
     if system is SystemKind.REDUCED:
-        return "H", dynamics.reduced_energy(p)
-    return "H", dynamics.hyperbolic_energy(p, d)
+        return dynamics.reduced_field(p), "H", dynamics.reduced_energy(p)
+    return dynamics.hyperbolic_field(p, d), "H", dynamics.hyperbolic_energy(p, d)
 
 
 def _event_value(spec: EventSpec, system: SystemKind):
@@ -390,8 +381,7 @@ def integrate(
         raise InvalidInitialState(f"{system.value} state needs {dim} components, got {y}")
     step = _step_4d if dim == 4 else _step_2d
 
-    f = _make_field(system, p, d)
-    inv_name, inv = _make_invariant(system, p, d)
+    f, inv_name, inv = _make_field(system, p, d)
     try:
         k1 = f(*y)
         inv0 = inv(*y)
@@ -615,10 +605,3 @@ def simulate_until_collision(
     if _collision_witness(traj, eps_w, eps_r):
         return CollisionResult(SimStatus.COLLIDED, traj.t_final), traj
     return CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj
-
-
-def drift_report(traj: Trajectory) -> dict[str, float]:
-    """Max absolute drift of each monitored invariant over a trajectory."""
-    if not traj.times:
-        raise EmptyTrajectory("trajectory has no recorded points")
-    return dict(traj.drift)

@@ -8,8 +8,10 @@ equation, the check reports both variants with the measured time so the
 discrepancy is visible rather than silently resolved (see README, "known
 discrepancies").
 
-The battery backs the ``filcol verify`` CLI command; the acceptance test
-suite runs heavier versions of the same checks.
+The battery backs the ``filcol verify`` CLI command.  ``CHECKS`` maps each
+check's name to its function, and every check takes (alpha, cfg, samples,
+grid); the acceptance test suite calls the same functions with heavier
+sizes and its own seeds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .integrate import (
 )
 
 __all__ = [
-    "CHECK_NAMES",
+    "CHECKS",
     "run_battery",
     "classifier_oracle_grid",
     "worker_count",
@@ -82,14 +84,13 @@ def sample_subcritical_negative(
     p: Params, n: int, rng: random.Random
 ) -> list[ReducedState]:
     """Colliding states with strictly negative energy, W0 > 0."""
+    energy = dynamics.reduced_energy(p)
     out: list[ReducedState] = []
     while len(out) < n:
         th0 = rng.uniform(-1.5, 1.5)
         w0 = rng.uniform(0.2, 2.5)
-        rs = ReducedState(th0, w0)
-        h0 = dynamics.hamiltonian(rs, p)
-        if h0 < -1e-6 * (1.0 + p.mu * math.exp(-th0)):
-            out.append(rs)
+        if energy(th0, w0) < -1e-6 * (1.0 + p.mu * math.exp(-th0)):
+            out.append(ReducedState(th0, w0))
     return out
 
 
@@ -172,7 +173,7 @@ def classifier_oracle_grid(
 # Individual checks
 # --------------------------------------------------------------------------
 
-def _check_gamma_star(alpha: float) -> dict:
+def _check_gamma_star(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     gs = gamma_star(alpha)
     eta = math.sqrt(gs)
     residual = abs(analysis.quartic(eta, alpha))
@@ -181,10 +182,10 @@ def _check_gamma_star(alpha: float) -> dict:
     if abs(alpha - 0.2) < 1e-12:
         measured["reference_value"] = 1.219
         ok = ok and abs(gs - 1.219) <= 1e-3
-    return {"name": "gamma-star", "passed": ok, "measured": measured}
+    return {"passed": ok, "measured": measured}
 
 
-def _check_gamma1_exact(cfg: IntegrationConfig) -> dict:
+def _check_gamma1_exact(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     p = Params(0.5, 1.0)
     rs = ReducedState(math.log(4.0), 1.0)
     derived = rs.w ** 2 / (2.0 * p.alpha)
@@ -192,7 +193,6 @@ def _check_gamma1_exact(cfg: IntegrationConfig) -> dict:
     detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * derived + 10.0)
     ok = detected is not None and abs(detected - derived) <= 1e-5 * derived
     return {
-        "name": "gamma1-exact-time",
         "passed": ok,
         "measured": {
             "detected": detected,
@@ -205,36 +205,36 @@ def _check_gamma1_exact(cfg: IntegrationConfig) -> dict:
     }
 
 
-def _check_gamma1_implicit(cfg: IntegrationConfig, n: int) -> dict:
+def _check_gamma1_implicit(
+    alpha: float, cfg: IntegrationConfig, samples: int, grid: int, seed: int = _SEED
+) -> dict:
     p = Params(0.5, 1.0)
-    rng = random.Random(_SEED)
+    energy = dynamics.reduced_energy(p)
+    rng = random.Random(seed)
     worst = 0.0
     used = 0
-    while used < n:
+    while used < samples:
         th0 = rng.uniform(-1.0, 1.5)
         w0 = rng.uniform(0.1, 2.0)
-        rs = ReducedState(th0, w0)
-        h0 = dynamics.hamiltonian(rs, p)
-        if abs(h0) < 1e-3:
-            continue
+        if abs(energy(th0, w0)) < 1e-3:
+            continue  # stay clear of the zero-energy branch boundary
         used += 1
+        rs = ReducedState(th0, w0)
         est = collision_time(rs, p)
         detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * est.value + 10.0)
-        if detected is None:
-            return {
-                "name": "gamma1-implicit-time",
-                "passed": False,
-                "measured": {"undetected_state": [th0, w0]},
-            }
+        if detected is None or est.kind is not analysis.EstimateKind.IMPLICIT_ROOT:
+            failed = {"failed_state": [th0, w0], "estimate_kind": est.kind.value}
+            return {"passed": False, "measured": {**failed, "detected": detected}}
         worst = max(worst, abs(detected - est.value) / est.value)
     return {
-        "name": "gamma1-implicit-time",
         "passed": worst <= 1e-5,
-        "measured": {"samples": n, "max_rel_error": worst},
+        "measured": {"samples": samples, "max_rel_error": worst},
     }
 
 
-def _check_subcritical_h0zero(alpha: float, cfg: IntegrationConfig) -> dict:
+def _check_subcritical_h0zero(
+    alpha: float, cfg: IntegrationConfig, samples: int, grid: int
+) -> dict:
     p = Params(alpha, mid_subcritical_gamma(alpha))
     th0 = 0.5
     rs = ReducedState(th0, h0_zero_w(p, th0))
@@ -248,7 +248,6 @@ def _check_subcritical_h0zero(alpha: float, cfg: IntegrationConfig) -> dict:
         and abs(detected - derived) <= 1e-5 * derived
     )
     return {
-        "name": "subcritical-h0zero-discrepancy",
         "passed": ok,
         "measured": {
             "gamma": p.gamma,
@@ -261,7 +260,7 @@ def _check_subcritical_h0zero(alpha: float, cfg: IntegrationConfig) -> dict:
     }
 
 
-def _check_critical_bound(alpha: float, cfg: IntegrationConfig) -> dict:
+def _check_critical_bound(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     p = Params(alpha, gamma_star(alpha))
     rs = ReducedState(0.3, 1.0)
     est = collision_time(rs, p)
@@ -272,7 +271,6 @@ def _check_critical_bound(alpha: float, cfg: IntegrationConfig) -> dict:
     derived_ok = detected is not None and detected <= bound_derived
     printed_ok = detected is not None and detected <= bound_printed
     return {
-        "name": "critical-bound-discrepancy",
         "passed": derived_ok,
         "measured": {
             "detected": detected,
@@ -284,14 +282,16 @@ def _check_critical_bound(alpha: float, cfg: IntegrationConfig) -> dict:
     }
 
 
-def _check_bound_domination(alpha: float, cfg: IntegrationConfig, n: int) -> dict:
-    rng = random.Random(_SEED + 1)
+def _check_bound_domination(
+    alpha: float, cfg: IntegrationConfig, samples: int, grid: int, seed: int = _SEED + 1
+) -> dict:
+    rng = random.Random(seed)
     p_mid = Params(alpha, mid_subcritical_gamma(alpha))
     p_crit = Params(alpha, gamma_star(alpha))
     branches = {
-        "h0-negative": (p_mid, sample_subcritical_negative(p_mid, n, rng)),
-        "h0-positive": (p_mid, sample_subcritical_positive(p_mid, n, rng)),
-        "critical": (p_crit, sample_critical(p_crit, n, rng)),
+        "h0-negative": (p_mid, sample_subcritical_negative(p_mid, samples, rng)),
+        "h0-positive": (p_mid, sample_subcritical_positive(p_mid, samples, rng)),
+        "critical": (p_crit, sample_critical(p_crit, samples, rng)),
     }
     failures: list[dict] = []
     margins: dict[str, float] = {}
@@ -300,22 +300,22 @@ def _check_bound_domination(alpha: float, cfg: IntegrationConfig, n: int) -> dic
         for rs in states:
             est = collision_time(rs, p)
             detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * est.value + 20.0)
-            if detected is None or detected > est.value:
+            bound = est.kind is analysis.EstimateKind.UPPER_BOUND
+            if detected is None or detected > est.value or not bound:
                 failures.append(
                     {"branch": label, "state": [rs.theta, rs.w], "detected": detected,
-                     "bound": est.value}
+                     "bound": est.value, "estimate_kind": est.kind.value}
                 )
             else:
                 worst = min(worst, est.value - detected)
         margins[label] = worst
     return {
-        "name": "bound-domination",
         "passed": not failures,
-        "measured": {"samples_per_branch": n, "min_margin": margins, "failures": failures},
+        "measured": {"samples_per_branch": samples, "min_margin": margins, "failures": failures},
     }
 
 
-def _check_corridor(alpha: float, cfg: IntegrationConfig) -> dict:
+def _check_corridor(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     gs = gamma_star(alpha)
     p = Params(alpha, max(2.0, gs + 0.5))
     rs = ReducedState(0.0, 1.0)
@@ -334,7 +334,6 @@ def _check_corridor(alpha: float, cfg: IntegrationConfig) -> dict:
     printed_lower_slope = -p.mu * math.exp(-corridor.theta_hi)
     printed_upper_slope = -abs(f_lo)
     return {
-        "name": "corridor",
         "passed": ok_inside and descent_ok and traj.outcome is Outcome.REACHED_T_END,
         "measured": {
             "gamma": p.gamma,
@@ -352,33 +351,36 @@ def _check_corridor(alpha: float, cfg: IntegrationConfig) -> dict:
     }
 
 
-def _check_classifier_oracle(alpha: float, cfg: IntegrationConfig, n: int) -> dict:
+def _check_classifier_oracle(
+    alpha: float, cfg: IntegrationConfig, samples: int, grid: int
+) -> dict:
     # Grid ranges chosen so that every colliding node reaches its blow-up
     # well inside the 200-unit horizon (collision times grow like
-    # exp(2*theta0) toward large radii).
+    # exp(2*theta0) toward large radii).  An even grid has no node on W = 0.
     gammas = [1.0, mid_subcritical_gamma(alpha), gamma_star(alpha), 2.0]
-    theta_vals = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
-    w_vals = [-2.0 + 4.0 * i / (n - 1) for i in range(n)]
+    nodes = [-2.0 + 4.0 * i / (grid - 1) for i in range(grid)]
     disagreements = []
+    complete = True
     for g in gammas:
-        rows = classifier_oracle_grid(Params(alpha, g), theta_vals, w_vals, cfg)
+        rows = classifier_oracle_grid(Params(alpha, g), nodes, nodes, cfg)
+        complete = complete and len(rows) == grid * grid
         disagreements.extend(
             {"gamma": g, "theta0": r[0], "w0": r[1], "verdict": r[2], "oracle": r[5]}
             for r in rows
             if not r[6]
         )
     return {
-        "name": "classifier-oracle",
-        "passed": not disagreements,
+        "passed": complete and not disagreements,
         "measured": {
-            "grid": f"{n}x{n} x 4 regimes",
+            "grid": f"{grid}x{grid} x 4 regimes",
             "disagreements": disagreements[:10],
             "n_disagreements": len(disagreements),
         },
     }
 
 
-def _check_conservation(alpha: float) -> dict:
+def _check_conservation(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
+    # Fixed tolerances: the drift limits below are set for them.
     cfg = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
     drifts: dict[str, float] = {}
     # Full system through a head-on collision approach.
@@ -400,10 +402,10 @@ def _check_conservation(alpha: float) -> dict:
         and drifts["H-reduced"] < 1e-8
         and drifts["H-hyperbolic"] < 1e-8
     )
-    return {"name": "conservation", "passed": ok, "measured": drifts}
+    return {"passed": ok, "measured": drifts}
 
 
-def _check_certificate(alpha: float, cfg: IntegrationConfig) -> dict:
+def _check_certificate(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     p = Params(alpha, 2.0)
     results = {}
     ok = True
@@ -426,12 +428,13 @@ def _check_certificate(alpha: float, cfg: IntegrationConfig) -> dict:
             "min_seen": min_seen,
             "holds": good,
         }
-    return {"name": "certificate", "passed": ok, "measured": results}
+    return {"passed": ok, "measured": results}
 
 
-def _check_ansatz(alpha: float, n: int) -> dict:
+def _check_ansatz(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     rng = random.Random(_SEED + 2)
     worst = 0.0
+    n = 3 * samples
     for _ in range(n):
         gamma = rng.choice([1.0, 1.0 + rng.random(), 1.0 + 3.0 * rng.random()])
         p = Params(alpha, gamma)
@@ -443,25 +446,25 @@ def _check_ansatz(alpha: float, n: int) -> dict:
         )
         worst = max(worst, dynamics.ansatz_residual(s, p, n_samples=16))
     return {
-        "name": "ansatz",
         "passed": worst < 1e-10,
         "measured": {"samples": n, "max_residual": worst},
     }
 
 
-CHECK_NAMES = (
-    "gamma-star",
-    "gamma1-exact-time",
-    "gamma1-implicit-time",
-    "subcritical-h0zero-discrepancy",
-    "critical-bound-discrepancy",
-    "bound-domination",
-    "corridor",
-    "classifier-oracle",
-    "conservation",
-    "certificate",
-    "ansatz",
-)
+#: Every check by name, in report order.
+CHECKS = {
+    "gamma-star": _check_gamma_star,
+    "gamma1-exact-time": _check_gamma1_exact,
+    "gamma1-implicit-time": _check_gamma1_implicit,
+    "subcritical-h0zero-discrepancy": _check_subcritical_h0zero,
+    "critical-bound-discrepancy": _check_critical_bound,
+    "bound-domination": _check_bound_domination,
+    "corridor": _check_corridor,
+    "classifier-oracle": _check_classifier_oracle,
+    "conservation": _check_conservation,
+    "certificate": _check_certificate,
+    "ansatz": _check_ansatz,
+}
 
 
 def run_battery(
@@ -473,35 +476,12 @@ def run_battery(
     grid: int = 6,
 ) -> dict:
     """Run the re-derivation battery and return a JSON-ready report."""
-    wanted = list(CHECK_NAMES) if selection is None else list(selection)
-    unknown = [n for n in wanted if n not in CHECK_NAMES]
+    wanted = list(CHECKS) if selection is None else list(selection)
+    unknown = [n for n in wanted if n not in CHECKS]
     if unknown:
-        raise ConfigInvalid(f"unknown verify checks: {unknown}; known: {list(CHECK_NAMES)}")
+        raise ConfigInvalid(f"unknown verify checks: {unknown}; known: {list(CHECKS)}")
     cfg = IntegrationConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-    checks: list[dict] = []
-    for name in wanted:
-        if name == "gamma-star":
-            checks.append(_check_gamma_star(alpha))
-        elif name == "gamma1-exact-time":
-            checks.append(_check_gamma1_exact(cfg))
-        elif name == "gamma1-implicit-time":
-            checks.append(_check_gamma1_implicit(cfg, samples))
-        elif name == "subcritical-h0zero-discrepancy":
-            checks.append(_check_subcritical_h0zero(alpha, cfg))
-        elif name == "critical-bound-discrepancy":
-            checks.append(_check_critical_bound(alpha, cfg))
-        elif name == "bound-domination":
-            checks.append(_check_bound_domination(alpha, cfg, samples))
-        elif name == "corridor":
-            checks.append(_check_corridor(alpha, cfg))
-        elif name == "classifier-oracle":
-            checks.append(_check_classifier_oracle(alpha, cfg, grid))
-        elif name == "conservation":
-            checks.append(_check_conservation(alpha))
-        elif name == "certificate":
-            checks.append(_check_certificate(alpha, cfg))
-        elif name == "ansatz":
-            checks.append(_check_ansatz(alpha, samples * 3))
+    checks = [{"name": name, **CHECKS[name](alpha, cfg, samples, grid)} for name in wanted]
     return {
         "alpha": alpha,
         "checks": checks,

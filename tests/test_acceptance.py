@@ -22,7 +22,6 @@ import time
 from scipy.integrate import solve_ivp
 
 from filcol import (
-    EstimateKind,
     FullState,
     HyperbolicState,
     IntegrationConfig,
@@ -42,16 +41,9 @@ from filcol import (
     simulate_until_collision,
 )
 from filcol.analysis import axis_energy, quartic
-from filcol.verify import (
-    classifier_oracle_grid,
-    h0_zero_w,
-    mid_subcritical_gamma,
-    sample_critical,
-    sample_subcritical_negative,
-    sample_subcritical_positive,
-)
+from filcol.verify import CHECKS, h0_zero_w, mid_subcritical_gamma
 
-from conftest import linspace, rel_err
+from conftest import rel_err
 
 ALPHA = 0.2
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -162,83 +154,44 @@ def test_criterion_02_exact_collision_time_rederived():
 
 
 def test_criterion_03_implicit_collision_time_50_states():
+    # Each state's estimate must be an implicit root and its oracle run
+    # must collide; the check fails on the first state that does not.
     t0 = time.perf_counter()
-    p = Params(0.5, 1.0)
-    rng = random.Random(314159)
-    worst = 0.0
-    n = 0
-    while n < 50:
-        th0 = rng.uniform(-1.0, 1.5)
-        w0 = rng.uniform(0.1, 2.0)
-        rs = ReducedState(th0, w0)
-        h0 = -2.0 * math.exp(-th0) + p.alpha / w0
-        if abs(h0) < 1e-3:
-            continue  # stay clear of the zero-energy branch boundary
-        n += 1
-        est = collision_time(rs, p)
-        assert est.kind is EstimateKind.IMPLICIT_ROOT
-        result, _ = simulate_until_collision(rs, p, CFG, t_end=2.0 * est.value + 10.0)
-        assert result.status is SimStatus.COLLIDED, (th0, w0)
-        worst = max(worst, rel_err(result.time, est.value))
+    check = CHECKS["gamma1-implicit-time"](ALPHA, CFG, samples=50, grid=None, seed=314159)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-5 and elapsed < 30.0
-    msg = _line(3, ok, f"50 states, max rel err={worst:.2e}, runtime={elapsed:.1f}s")
+    m = check["measured"]
+    ok = check["passed"] and elapsed < 30.0
+    msg = _line(3, ok, f"50 states, max rel err={m.get('max_rel_error', math.nan):.2e}, "
+                       f"runtime={elapsed:.1f}s" + ("" if check["passed"] else f", {m}"))
     assert ok, msg
 
 
 def test_criterion_04_classifier_oracle_agreement():
+    # The check runs 20x20 grids at gamma 1, mid-subcritical, critical and
+    # 2, and fails unless each grid returns all 400 rows in agreement.
     t0 = time.perf_counter()
-    gammas = {
-        "equal": 1.0,
-        "mid-subcritical": mid_subcritical_gamma(ALPHA),
-        "critical": gamma_star(ALPHA),
-        "supercritical": 2.0,
-    }
-    theta_vals = linspace(-2.0, 2.0, 20)
-    w_vals = linspace(-2.0, 2.0, 20)  # 20 points: no exact zero on the grid
-    disagreements = []
-    for label, g in gammas.items():
-        rows = classifier_oracle_grid(
-            Params(ALPHA, g), theta_vals, w_vals, CFG, t_end=200.0
-        )
-        assert len(rows) == 400
-        disagreements.extend(
-            (label, r[0], r[1], r[2], r[5]) for r in rows if not r[6]
-        )
+    check = CHECKS["classifier-oracle"](ALPHA, CFG, samples=None, grid=20)
     elapsed = time.perf_counter() - t0
-    ok = not disagreements and elapsed < 300.0
-    msg = _line(4, ok, f"4 x 20x20 grids, disagreements={len(disagreements)}, "
+    m = check["measured"]
+    ok = check["passed"] and elapsed < 300.0
+    msg = _line(4, ok, f"4 x 20x20 grids, disagreements={m['n_disagreements']}, "
                        f"runtime={elapsed:.1f}s"
-                       + (f", first={disagreements[:3]}" if disagreements else ""))
+                       + (f", first={m['disagreements'][:3]}" if m["n_disagreements"] else ""))
     assert ok, msg
 
 
 def test_criterion_05_bound_domination():
+    # A state fails when its estimate is not an upper bound, its oracle run
+    # does not collide, or it collides after the bound.
     t0 = time.perf_counter()
-    rng = random.Random(271828)
-    p_mid = Params(ALPHA, mid_subcritical_gamma(ALPHA))
-    p_crit = Params(ALPHA, gamma_star(ALPHA))
-    branches = [
-        ("h0<0 comparison bound", p_mid, sample_subcritical_negative(p_mid, 100, rng)),
-        ("h0>0 comparison bound", p_mid, sample_subcritical_positive(p_mid, 100, rng)),
-        ("critical comparison bound", p_crit, sample_critical(p_crit, 100, rng)),
-    ]
-    violations = []
-    min_margin = math.inf
-    for label, p, states in branches:
-        for rs in states:
-            est = collision_time(rs, p)
-            assert est.kind is EstimateKind.UPPER_BOUND
-            result, _ = simulate_until_collision(rs, p, CFG, t_end=2.0 * est.value + 20.0)
-            if result.status is not SimStatus.COLLIDED or result.time > est.value:
-                violations.append((label, rs.theta, rs.w, result.status.value,
-                                   result.time, est.value))
-            else:
-                min_margin = min(min_margin, (est.value - result.time) / est.value)
+    check = CHECKS["bound-domination"](ALPHA, CFG, samples=100, grid=None, seed=271828)
     elapsed = time.perf_counter() - t0
-    ok = not violations and elapsed < 300.0
+    m = check["measured"]
+    violations = m["failures"]
+    min_margin = min(m["min_margin"].values())
+    ok = check["passed"] and elapsed < 300.0
     msg = _line(5, ok, f"3 x 100 states, violations={len(violations)}, "
-                       f"min rel margin={min_margin:.3f}, runtime={elapsed:.1f}s"
+                       f"min margin={min_margin:.3f}, runtime={elapsed:.1f}s"
                        + (f", first={violations[:2]}" if violations else ""))
     assert ok, msg
 

@@ -28,12 +28,11 @@ from filcol import (
     collision_time,
     equilibria,
     gamma_star,
-    hamiltonian,
     hyperbolic_separation,
     integrate,
     no_collision_certificate,
     reduce_state,
-    rhs_reduced,
+    reduced_energy,
     rhs_reduced_alt,
     simulate_until_collision,
     theta_star,
@@ -109,7 +108,7 @@ class TestEquilibria:
         p = Params(0.2, 2.0)
         assert equilibria(p) is Equilibria.NONE_OFF_CRITICAL
         # Supercritical: the gap shrinks on the coplanar line.
-        assert rhs_reduced(ReducedState(0.0, 0.0), p)[1] < 0.0
+        assert reduced_field(p)(0.0, 0.0)[1] < 0.0
 
 
 class TestThetaStar:
@@ -175,7 +174,7 @@ class TestThetaStar:
         p = Params(0.2, 1.5)
         for th in (-1.0, 0.0, 2.0):
             assert math.isclose(
-                axis_energy(th, p), hamiltonian(ReducedState(th, 0.0), p), rel_tol=1e-14
+                axis_energy(th, p), reduced_energy(p)(th, 0.0), rel_tol=1e-14
             )
 
 

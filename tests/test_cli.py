@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import filcol.cli as cli
+import filcol.verify as verify
 from filcol import gamma_star
 from filcol.cli import main, normalize_full, normalize_reduced
 
@@ -263,6 +264,28 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--battery", "nope")
         assert code == 2
         assert "unknown" in err
+
+    def test_default_battery_runs_every_check_in_order(self, capsys, tmp_path):
+        payload = run_json(capsys, tmp_path, "verify")
+        names = [c["name"] for c in payload["checks"]]
+        assert names == [
+            "gamma-star",
+            "gamma1-exact-time",
+            "gamma1-implicit-time",
+            "subcritical-h0zero-discrepancy",
+            "critical-bound-discrepancy",
+            "bound-domination",
+            "corridor",
+            "classifier-oracle",
+            "conservation",
+            "certificate",
+            "ansatz",
+        ]
+        assert names == list(verify.CHECKS)
+        assert payload["n_checks"] == 11
+        failed = [c["name"] for c in payload["checks"] if c["passed"] is not True]
+        assert failed == []
+        assert payload["passed"] is True
 
 
 class TestConfigFile:

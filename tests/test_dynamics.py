@@ -22,20 +22,19 @@ from filcol import (
     SystemKind,
     ansatz_residual,
     conserved_d,
+    full_field,
     gamma_star,
-    hamiltonian,
-    hamiltonian_hyperbolic,
+    hyperbolic_energy,
+    hyperbolic_field,
     hyperbolic_radii,
     hyperbolic_separation,
     integrate,
     reduce_state,
-    rhs_full,
-    rhs_hyperbolic,
-    rhs_reduced,
+    reduced_energy,
+    reduced_field,
     rhs_reduced_alt,
     w_from_theta,
 )
-from filcol.dynamics import full_field, hyperbolic_energy
 
 from conftest import rel_err
 
@@ -61,7 +60,7 @@ class TestFullSystem:
         p = Params(0.2, 1.0)
         s = FullState(1.0, 0.0, 1.0, 0.0)
         with pytest.raises(SeparationZero):
-            rhs_full(s, p)
+            full_field(p)(*s.astuple())
 
     def test_equal_rings_contract_at_same_rate(self):
         # Equal radii: separation is the axial gap alone, and both radial
@@ -69,7 +68,7 @@ class TestFullSystem:
         alpha, h = 0.3, 0.7
         p = Params(alpha, 1.0)
         s = FullState(1.0, h, 1.0, 0.0)
-        dr1, _, dr2, _ = rhs_full(s, p)
+        dr1, _, dr2, _ = full_field(p)(*s.astuple())
         assert math.isclose(dr1, -alpha / h**2, rel_tol=1e-14)
         assert math.isclose(dr2, -alpha / h**2, rel_tol=1e-14)
 
@@ -85,7 +84,7 @@ class TestFullSystem:
         fwd = solve_ivp(f, (0.0, delta), list(s.astuple()), rtol=1e-12, atol=1e-14)
         bwd = solve_ivp(f, (0.0, -delta), list(s.astuple()), rtol=1e-12, atol=1e-14)
         fd = [(a - b) / (2.0 * delta) for a, b in zip(fwd.y[:, -1], bwd.y[:, -1])]
-        for got, want in zip(rhs_full(s, p), fd):
+        for got, want in zip(full_field(p)(*s.astuple()), fd):
             assert abs(got - want) < 5e-8
 
     def test_conserved_combination_values(self):
@@ -144,23 +143,23 @@ class TestReduction:
 class TestReducedField:
     def test_equal_circulation_values(self):
         p = Params(0.5, 1.0)
-        assert rhs_reduced(ReducedState(0.0, 1.0), p) == (-0.5, -2.0)
+        assert reduced_field(p)(0.0, 1.0) == (-0.5, -2.0)
 
     def test_singular_line_rejected(self):
         with pytest.raises(OnSingularLine):
-            rhs_reduced(ReducedState(0.3, 0.0), Params(0.5, 1.0))
+            reduced_field(Params(0.5, 1.0))(0.3, 0.0)
 
     @pytest.mark.parametrize("gamma", [1.2, 2.0, 5.0])
     def test_axis_degeneracy(self, gamma):
         p = Params(0.2, gamma)
         for theta in (-1.0, 0.0, 2.0):
-            assert rhs_reduced(ReducedState(theta, 0.0), p)[0] == 0.0
+            assert reduced_field(p)(theta, 0.0)[0] == 0.0
 
     def test_coplanar_line_is_stationary_at_critical_ratio(self):
         alpha = 0.2
         p = Params(alpha, gamma_star(alpha))
         for theta in (-1.0, 0.4, 2.0):
-            dth, dw = rhs_reduced(ReducedState(theta, 0.0), p)
+            dth, dw = reduced_field(p)(theta, 0.0)
             assert dth == 0.0
             assert abs(dw) < 1e-12
 
@@ -169,8 +168,8 @@ class TestReducedField:
         for _ in range(20):
             p = Params(rng.uniform(0.05, 0.95), 1.0 + rng.random() * 2.0)
             th, w = rng.uniform(-2, 2), rng.uniform(0.1, 2.0)
-            f1p, f2p = rhs_reduced(ReducedState(th, w), p)
-            f1m, f2m = rhs_reduced(ReducedState(th, -w), p)
+            f1p, f2p = reduced_field(p)(th, w)
+            f1m, f2m = reduced_field(p)(th, -w)
             assert f1m == -f1p
             assert f2m == f2p
 
@@ -179,13 +178,13 @@ class TestEnergy:
     def test_equal_circulation_zero_level(self):
         # W = (alpha/2) e^theta puts the state on the zero level.
         p = Params(0.5, 1.0)
-        assert hamiltonian(ReducedState(0.0, 0.25), p) == 0.0
+        assert reduced_energy(p)(0.0, 0.25) == 0.0
 
     def test_divergence_toward_contact(self):
         p = Params(0.5, 1.0)
-        assert hamiltonian(ReducedState(0.0, 1e-12), p) > 1e10
+        assert reduced_energy(p)(0.0, 1e-12) > 1e10
         with pytest.raises(Divergent):
-            hamiltonian(ReducedState(0.0, 0.0), p)
+            reduced_energy(p)(0.0, 0.0)
 
     def test_constancy_along_trajectory(self):
         p = Params(0.2, 1.4)
@@ -208,20 +207,20 @@ class TestLevelSetForms:
 
     def test_energy_form_agrees_with_state_form_on_upper_branch(self):
         for p, th, w in self._random_cases():
-            h0 = hamiltonian(ReducedState(th, w), p)
+            h0 = reduced_energy(p)(th, w)
             alt = rhs_reduced_alt(th, p, h0)
-            ref = rhs_reduced(ReducedState(th, w), p)
+            ref = reduced_field(p)(th, w)
             assert abs(alt[0] - ref[0]) <= 1e-10 * max(1.0, abs(ref[0]))
             assert abs(alt[1] - ref[1]) <= 1e-10 * max(1.0, abs(ref[1]))
 
     def test_gap_recovery_round_trip(self):
         for p, th, w in self._random_cases():
-            h0 = hamiltonian(ReducedState(th, w), p)
+            h0 = reduced_energy(p)(th, w)
             assert abs(w_from_theta(th, p, h0) - abs(w)) < 1e-12 * max(1.0, abs(w))
 
     def test_boundary_of_level_set_has_zero_gap(self):
         p = Params(0.2, 1.5)
-        h0 = hamiltonian(ReducedState(0.3, 0.0), p)
+        h0 = reduced_energy(p)(0.3, 0.0)
         assert w_from_theta(0.3, p, h0) == pytest.approx(0.0, abs=1e-7)
 
     def test_equal_circulation_closed_form(self):
@@ -233,14 +232,14 @@ class TestLevelSetForms:
     def test_gap_derivative_vanishes_on_critical_axis(self):
         alpha = 0.2
         p = Params(alpha, gamma_star(alpha))
-        h0 = hamiltonian(ReducedState(0.7, 0.0), p)
+        h0 = reduced_energy(p)(0.7, 0.0)
         _, dw = rhs_reduced_alt(0.7, p, h0)
         assert abs(dw) < 1e-10
 
     def test_inconsistent_level_rejected(self):
         p = Params(0.2, 1.5)
         # Energy of a distant state makes theta = 2 infeasible.
-        h0 = hamiltonian(ReducedState(-2.0, 0.01), p)
+        h0 = reduced_energy(p)(-2.0, 0.01)
         with pytest.raises(OffLevelSet):
             w_from_theta(2.0, p, h0)
         with pytest.raises(OffLevelSet):
@@ -262,7 +261,7 @@ class TestHyperbolicChart:
     def test_energy_diverges_at_contact(self):
         p = Params(0.2, 2.0)
         contact = math.atanh(1.0 / math.sqrt(2.0))
-        near = hamiltonian_hyperbolic(HyperbolicState(contact, 1e-9, 1.0), p)
+        near = hyperbolic_energy(p, 1.0)(contact, 1e-9)
         assert near > 1e6
 
     @pytest.mark.parametrize("d", [0.8, -0.6])
@@ -271,7 +270,7 @@ class TestHyperbolicChart:
         p = Params(0.25, 1.7)
         e = hyperbolic_energy(p, d)
         th, w = 0.9, 0.4
-        dth, dw = rhs_hyperbolic(HyperbolicState(th, w, d), p)
+        dth, dw = hyperbolic_field(p, d)(th, w)
         eps = 1e-6
         dh_dw = (e(th, w + eps) - e(th, w - eps)) / (2 * eps)
         dh_dth = (e(th + eps, w) - e(th - eps, w)) / (2 * eps)

@@ -12,7 +12,6 @@ from filcol import (
     ConfigInvalid,
     Direction,
     DomainError,
-    EmptyTrajectory,
     EventKind,
     EventSpec,
     FilcolError,
@@ -25,9 +24,7 @@ from filcol import (
     SimStatus,
     StepLimitExceeded,
     SystemKind,
-    Trajectory,
     collision_time,
-    drift_report,
     gamma_star,
     integrate,
     reduce_state,
@@ -241,33 +238,16 @@ class TestDriftReport:
     def test_planar_and_full_invariants(self):
         p = Params(0.2, 1.4)
         traj = integrate(SystemKind.REDUCED, ReducedState(0.2, -0.8), p, 30.0, CFG)
-        assert drift_report(traj)["H"] < 1e-8
+        assert traj.drift["H"] < 1e-8
         full = FullState(1.0, 0.8, 1.2, 0.0)
         traj_full = integrate(SystemKind.FULL, full, p, 20.0, CFG)
-        assert drift_report(traj_full)["d"] < 1e-9
+        assert traj_full.drift["d"] < 1e-9
 
     def test_single_point_trajectory_has_zero_drift(self):
-        traj = Trajectory(
-            system=SystemKind.REDUCED,
-            times=[0.0],
-            states=[(0.0, 1.0)],
-            events=[],
-            drift={"H": 0.0},
-            outcome=Outcome.REACHED_T_END,
-        )
-        assert drift_report(traj) == {"H": 0.0}
-
-    def test_empty_trajectory_rejected(self):
-        traj = Trajectory(
-            system=SystemKind.REDUCED,
-            times=[],
-            states=[],
-            events=[],
-            drift={},
-            outcome=Outcome.REACHED_T_END,
-        )
-        with pytest.raises(EmptyTrajectory):
-            drift_report(traj)
+        # A horizon below the step floor ends the run at its start point.
+        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), P_BENCH, 1e-15, CFG)
+        assert traj.times == [0.0]
+        assert traj.drift == {"H": 0.0}
 
 
 class TestFullReducedConsistency:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import filcol.verify as verify
+from filcol import Params
 
 
 def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
@@ -21,3 +22,12 @@ def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
     assert measured["derived_value"] == 1.0
     assert measured["printed_value"] == 4.0  # the stated constant stays reported
     assert horizons == [2.0 * measured["derived_value"] + 10.0]
+
+
+def test_oracle_grid_rows_identical_serial_and_pooled():
+    p = Params(0.2, verify.mid_subcritical_gamma(0.2))
+    nodes = [-2.0 + 4.0 * k / 3 for k in range(4)]
+    serial = verify.classifier_oracle_grid(p, nodes, nodes, workers=1)
+    pooled = verify.classifier_oracle_grid(p, nodes, nodes, workers=2)
+    assert len(serial) == 16
+    assert pooled == serial
