@@ -14,7 +14,8 @@ a full configuration (--r1/--z1/--r2/--z2); full states are routed through
 the conserved-quantity reduction, and collision commands reject d != 0
 states (those pairs provably never collide; the message carries the
 certificate).  Ratios below 1 are accepted and normalized by renaming the
-filaments; the output notes the swap and rescales times accordingly.
+filaments; the output notes the swap and rescales times accordingly, and
+--t-end is a horizon in the input frame's time.
 
 Outputs are CSV or JSON with shortest round-trip float formatting, written
 atomically (temp file + rename).  Exit codes: 0 success, 2 validation
@@ -271,7 +272,7 @@ def _cmd_simulate(args) -> None:
     if system in ("auto", "reduced"):
         p, rs, scale, swapped = _initial_reduced(args)
         result, traj = simulate_until_collision(
-            rs, p, cfg, eps_w=args.eps_w, eps_r=args.eps_r, t_end=args.t_end
+            rs, p, cfg, eps_w=args.eps_w, eps_r=args.eps_r, t_end=args.t_end / scale
         )
         outcome = {"status": result.status.value, "time": result.time * scale}
         state_header = ["t", "theta", "w"]
@@ -289,7 +290,7 @@ def _cmd_simulate(args) -> None:
                     "conserved d is zero within tolerance; use --system auto"
                 )
             state_header = ["t", "theta", "w"]
-        traj = integrate(SystemKind(system), y0, p, args.t_end, cfg)
+        traj = integrate(SystemKind(system), y0, p, args.t_end / scale, cfg)
         outcome = {"status": traj.outcome.value, "time": traj.t_final * scale}
 
     payload = {
@@ -360,7 +361,7 @@ def _cmd_sweep(args) -> None:
             [t + shift for t in theta_vals],
             w_vals,
             cfg,
-            t_end=args.t_end,
+            t_end=args.t_end / scale,
         )
         for (th0, w0), node in zip(
             ((t, w) for t in theta_vals for w in w_vals), grid

@@ -131,6 +131,24 @@ class TestSimulateCommand:
         assert payload["outcome"]["status"] == "reached-t-end"
         assert payload["drift"]["H"] < 1e-8
 
+    @pytest.mark.parametrize("system,state", [
+        ("full", ("--r1", "1", "--z1", "0.6", "--r2", "1.1", "--z2", "0")),
+        ("hyperbolic", ("--r1", "1", "--z1", "0.6", "--r2", "1.1", "--z2", "0")),
+        ("auto", ("--theta0", "0", "--w0", "0.5")),
+    ])
+    def test_t_end_is_in_the_input_frame(self, capsys, tmp_path, system, state):
+        # gamma < 1 runs in the renamed frame, whose time is the input
+        # time divided by the 1/gamma scale; the horizon is an input time.
+        gamma = "0.4" if system == "auto" else "0.8"
+        payload = run_json(
+            capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", gamma,
+            *state, "--system", system, "--t-end", "20",
+        )
+        assert payload["gamma_normalized"] is True
+        assert payload["outcome"]["status"] in ("reached-t-end", "survived")
+        assert payload["outcome"]["time"] == pytest.approx(20.0, rel=1e-12)
+        assert payload["times"][-1] == pytest.approx(20.0, rel=1e-12)
+
     def test_integration_counts_in_payload(self, capsys, tmp_path):
         payload = run_json(
             capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
@@ -241,6 +259,23 @@ class TestSweepCommand:
         lines = path.read_text().splitlines()
         assert lines[0] == "theta0,w0,verdict,h0,t_estimate,oracle,agrees"
         assert all(line.split(",")[6] == "true" for line in lines[1:])
+
+    def test_oracle_horizon_is_in_the_input_frame(self, capsys, tmp_path, monkeypatch):
+        horizons = []
+        real = verify.classifier_oracle_grid
+
+        def spy(*args, t_end, **kwargs):
+            horizons.append(t_end)
+            return real(*args, t_end=t_end, **kwargs)
+
+        monkeypatch.setattr(verify, "classifier_oracle_grid", spy)
+        code, _, err = run_cli(
+            capsys, "sweep", "--alpha", "0.2", "--gamma", "0.8",
+            "--theta-min", "-0.5", "--theta-max", "0.5", "--w-min", "-1", "--w-max", "1",
+            "--with-oracle", "--t-end", "30", "--output", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 0, err
+        assert horizons == [pytest.approx(30.0 * 0.8, rel=1e-12)]
 
     def test_invalid_grid_counts_exit_2(self, capsys):
         code, _, err = run_cli(capsys, *self.BASE, "--n-theta", "1", "--n-w", "5")
