@@ -276,7 +276,7 @@ def _cmd_simulate(args) -> None:
         )
         outcome = {"status": result.status.value, "time": result.time * scale}
         state_header = ["t", "theta", "w"]
-    else:  # full or hyperbolic: integrate the full state or its d != 0 chart
+    else:  # full, or hyperbolic: the d != 0 chart of the full state
         if not _has_full(args):
             raise ConfigInvalid(f"--system {system} needs --r1/--z1/--r2/--z2")
         p, y0, scale, swapped = normalize_full(

@@ -432,9 +432,7 @@ def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
 
     def energy(theta: float, w: float) -> float:
         if theta <= 0.0:
-            raise DomainError(
-                f"hyperbolic energy needs theta > 0, got {theta}"
-            )
+            raise DomainError(f"hyperbolic energy needs theta > 0, got {theta}")
         if positive:
             base = math.cosh(theta) - sqg * math.sinh(theta)
         else:
