@@ -22,6 +22,7 @@ minimizing the separation over their energy level set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -176,10 +177,17 @@ def gamma_star(alpha: float) -> float:
 
     The square of the unique root in (1, inf) of the balance quartic;
     bracketed bisection to width 1e-13 followed by three Newton polish
-    steps leaves a residual at round-off level.
+    steps leaves a residual at round-off level.  Values are memoised per
+    alpha.
     """
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return _gamma_star(float(alpha))
+
+
+@functools.lru_cache(maxsize=256)
+def _gamma_star(alpha: float) -> float:
+    """gamma_star for a validated alpha; a pure function of one float."""
     lo, hi = _bisect(lambda e: quartic(e, alpha), 1.0 + 1e-12, 10.0, 1e-13)
     eta = 0.5 * (lo + hi)
     for _ in range(3):

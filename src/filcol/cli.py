@@ -274,7 +274,7 @@ def _cmd_simulate(args) -> None:
         result, traj = simulate_until_collision(
             rs, p, cfg, eps_w=args.eps_w, eps_r=args.eps_r, t_end=args.t_end / scale
         )
-        outcome = {"status": result.status.value, "time": result.time * scale}
+        status, t_stop = result.status.value, result.time
         state_header = ["t", "theta", "w"]
     else:  # full, or hyperbolic: the d != 0 chart of the full state
         if not _has_full(args):
@@ -291,8 +291,16 @@ def _cmd_simulate(args) -> None:
                 )
             state_header = ["t", "theta", "w"]
         traj = integrate(SystemKind(system), y0, p, args.t_end / scale, cfg)
-        outcome = {"status": traj.outcome.value, "time": traj.t_final * scale}
+        status, t_stop = traj.outcome.value, traj.t_final
 
+    horizon = args.t_end / scale
+
+    def input_time(t: float) -> float:
+        # horizon * scale can miss t_end by an ulp: a time at the horizon is
+        # reported as t_end itself.
+        return args.t_end if t == horizon else t * scale
+
+    outcome = {"status": status, "time": input_time(t_stop)}
     payload = {
         "command": "simulate",
         "alpha": args.alpha,
@@ -308,13 +316,13 @@ def _cmd_simulate(args) -> None:
         "drift": traj.drift,
         "events": [
             {
-                "time": hit.time * scale,
+                "time": input_time(hit.time),
                 "kind": hit.spec.kind.value,
                 "threshold": hit.spec.threshold,
             }
             for hit in traj.events
         ],
-        "times": [t * scale for t in traj.times],
+        "times": [input_time(t) for t in traj.times],
         "states": [list(s) for s in traj.states],
     }
     if swapped:
@@ -325,7 +333,7 @@ def _cmd_simulate(args) -> None:
             "times rescaled to the input frame"
         )
     rows = [
-        [t * scale, *state] for t, state in zip(traj.times, traj.states)
+        [input_time(t), *state] for t, state in zip(traj.times, traj.states)
     ]
     print(f"outcome: {outcome['status']} at t = {_fmt(outcome['time'])}", file=sys.stderr)
     _emit(args, payload, (state_header, rows))

@@ -75,9 +75,19 @@ class TestGammaStar:
         assert gamma_star(1e-8) < 1.0 + 1e-6
 
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.3, 2.0):
+        for bad in (0.0, 1.0, -0.3, 2.0, math.nan, True, "0.2", [0.2], None):
             with pytest.raises(DomainError):
                 gamma_star(bad)
+
+    def test_memo_returns_the_computed_value(self):
+        # The memo is keyed on float(alpha); its values are those of the
+        # uncached root-finder, bit for bit.
+        from filcol.analysis import _gamma_star
+
+        for alpha in linspace(0.01, 0.99, 30):
+            assert gamma_star(alpha) == _gamma_star.__wrapped__(alpha)
+        assert gamma_star(0.2) is gamma_star(0.2)
+        assert _gamma_star.cache_info().maxsize == 256
 
     def test_monotone_in_interaction_strength(self):
         values = [gamma_star(a) for a in linspace(0.05, 0.95, 10)]

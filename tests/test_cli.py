@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.integrate import solve_ivp
@@ -149,6 +152,22 @@ class TestSimulateCommand:
         assert payload["outcome"]["time"] == pytest.approx(20.0, rel=1e-12)
         assert payload["times"][-1] == pytest.approx(20.0, rel=1e-12)
 
+    def test_t_end_is_reported_exactly_when_gamma_below_one(self, capsys, tmp_path):
+        # (7 / scale) * scale is one ulp below 7 at gamma 0.7; a run that
+        # ends at its horizon reports --t-end itself.
+        argv = ("simulate", "--alpha", "0.2", "--gamma", "0.7", "--theta0", "0",
+                "--w0", "-0.5", "--t-end", "7")
+        payload = run_json(capsys, tmp_path, *argv)
+        assert payload["gamma_normalized"] is True
+        assert payload["outcome"] == {"status": "survived", "time": 7.0}
+        assert payload["times"][-1] == 7.0
+        code, _, err = run_cli(capsys, *argv, "--format", "csv",
+                               "--output", str(tmp_path / "run.csv"))
+        assert code == 0
+        assert "survived at t = 7.0\n" in err
+        last = (tmp_path / "run.csv").read_text().splitlines()[-1]
+        assert last.split(",")[0] == "7.0"
+
     def test_integration_counts_in_payload(self, capsys, tmp_path):
         payload = run_json(
             capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
@@ -276,6 +295,28 @@ class TestSweepCommand:
         )
         assert code == 0, err
         assert horizons == [pytest.approx(30.0 * 0.8, rel=1e-12)]
+
+    def test_oracle_sweep_exits_with_its_pool_alive(self, capsys, tmp_path, monkeypatch):
+        # The pooled grid leaves its worker pool running; interpreter exit
+        # must still end it promptly, and the rows must be the serial ones.
+        argv = ["sweep", "--alpha", "0.2", "--gamma", "1.1", "--theta-min", "-1",
+                "--theta-max", "1", "--w-min", "-1", "--w-max", "1", "--n-theta", "6",
+                "--n-w", "6", "--with-oracle", "--t-end", "30", "--format", "csv"]
+        pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "FILCOL_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from filcol import cli; sys.exit(cli.main(sys.argv[1:]))",
+             *argv, "--output", str(pooled)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setenv("FILCOL_THREADS", "1")
+        code, _, err = run_cli(capsys, *argv, "--output", str(serial))
+        assert code == 0, err
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_invalid_grid_counts_exit_2(self, capsys):
         code, _, err = run_cli(capsys, *self.BASE, "--n-theta", "1", "--n-w", "5")

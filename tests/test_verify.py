@@ -1,6 +1,12 @@
-"""Verification battery: how the checks set up their oracle runs."""
+"""Verification battery: how the checks set up their oracle runs, and the
+worker pool that pooled classifier-oracle grids share."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import signal
+import time
 
 import filcol.verify as verify
 from filcol import Params
@@ -31,3 +37,95 @@ def test_oracle_grid_rows_identical_serial_and_pooled():
     pooled = verify.classifier_oracle_grid(p, nodes, nodes, workers=2)
     assert len(serial) == 16
     assert pooled == serial
+
+
+def test_conservation_reports_its_fixed_tolerances():
+    # The drift limits are set for 1e-10 / 1e-12, so the battery's
+    # tolerances do not reach this check; its report says which it used.
+    report = verify.run_battery(alpha=0.2, selection=["conservation"], rel_tol=1e-8)
+    (check,) = report["checks"]
+    assert check["passed"]
+    assert check["measured"]["rel_tol"] == 1e-10
+    assert check["measured"]["abs_tol"] == 1e-12
+
+
+# --------------------------------------------------------------------------
+# The shared worker pool of pooled grids
+# --------------------------------------------------------------------------
+
+P_MID = Params(0.2, verify.mid_subcritical_gamma(0.2))
+NODES = [-2.0 + 4.0 * k / 3 for k in range(4)]
+
+
+def grid(workers):
+    return verify.classifier_oracle_grid(P_MID, NODES, NODES, workers=workers)
+
+
+def worker_pids():
+    return set(verify._pool._processes)
+
+
+def test_pooled_grids_reuse_one_pool():
+    first = grid(2)
+    pids = worker_pids()
+    assert grid(2) == first
+    assert worker_pids() == pids
+    assert len(pids) == 2
+
+
+def test_grid_reruns_on_a_fresh_pool_after_a_worker_is_killed():
+    serial = grid(1)
+    grid(2)
+    pool = verify._pool
+    os.kill(next(iter(worker_pids())), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken  # the next call meets a broken pool
+    assert grid(2) == serial
+    assert verify._pool is not pool
+
+
+def test_changing_workers_rebuilds_the_pool():
+    serial = grid(1)
+    for workers in (2, 1, 3, 2):
+        assert grid(workers) == serial
+        if workers > 1:
+            assert len(worker_pids()) == workers
+
+
+def _grid_in_forked_child(conn):
+    conn.send((os.getpid(), grid(2), verify._pool_key, worker_pids()))
+    conn.close()
+
+
+def test_forked_child_builds_its_own_pool():
+    serial = grid(1)
+    grid(2)  # the parent's pool exists before the fork
+    parent_pids = worker_pids()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_grid_in_forked_child, args=(send,))
+    child.start()
+    send.close()
+    child_workers = set()
+    try:
+        assert recv.poll(60.0), "the forked child's grid did not finish"
+        pid, rows, key, child_workers = recv.recv()
+        child.join(60.0)
+        assert not child.is_alive(), "the forked child did not exit"
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10.0)
+            for worker in child_workers:  # orphaned by the kill
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+    assert child.exitcode == 0
+    assert rows == serial
+    assert key == (pid, 2)
+    assert len(child_workers) == 2 and not child_workers & parent_pids
+    assert worker_pids() == parent_pids  # the parent's pool is untouched
+    assert grid(2) == serial
