@@ -13,11 +13,14 @@ self-induction and interaction balance on the coplanar line W = 0:
                             lighter one and the axial gap decreases without
                             bound inside an a-priori linear corridor.
 
-This module computes the threshold and separatrix by bracketed bisection
-with Newton polish, classifies initial states, evaluates the exact/implicit
-collision-time formulas and the comparison-principle upper bounds, builds
-the supercritical corridor, and certifies d != 0 states collision-free by
-minimizing the separation over their energy level set.
+`_ratio_regime` draws these boundaries, with one critical band
+|gamma - gamma_star| <= GAMMA_STAR_ATOL, and `_walk` walks the state chain.
+This module computes the threshold by bracketed bisection with Newton
+polish and the separatrix in closed form, classifies initial states,
+evaluates the exact/implicit collision-time formulas and the
+comparison-principle upper bounds, builds the supercritical corridor, and
+certifies d != 0 states collision-free by minimizing the separation over
+their energy level set.
 """
 
 from __future__ import annotations
@@ -155,10 +158,6 @@ def quartic(eta: float, alpha: float) -> float:
     return (((-eta + 1.0) * eta + alpha) * eta - 1.0) * eta + 1.0
 
 
-def _quartic_prime(eta: float, alpha: float) -> float:
-    return ((-4.0 * eta + 3.0) * eta + 2.0 * alpha) * eta - 1.0
-
-
 def _bisect(f, lo: float, hi: float, width: float) -> tuple[float, float]:
     """Shrink a sign-change bracket [lo, hi] (f(lo) > 0 > f(hi)) to width."""
     while hi - lo > width:
@@ -191,11 +190,32 @@ def _gamma_star(alpha: float) -> float:
     lo, hi = _bisect(lambda e: quartic(e, alpha), 1.0 + 1e-12, 10.0, 1e-13)
     eta = 0.5 * (lo + hi)
     for _ in range(3):
-        deriv = _quartic_prime(eta, alpha)
+        deriv = ((-4.0 * eta + 3.0) * eta + 2.0 * alpha) * eta - 1.0
         if deriv == 0.0:
             break
         eta -= quartic(eta, alpha) / deriv
     return eta * eta
+
+
+# Ratio regimes and colliding branches: ints, as Enum lookups are slow per call.
+_GAMMA1, _SUBCRITICAL, _CRITICAL, _SUPERCRITICAL = range(4)
+_G1_H0_ZERO, _G1_H0_NONZERO, _CRIT, _SUB_H0_ZERO, _SUB_H0_NEG, _SUB_H0_POS = range(6)
+
+
+def _ratio_regime(p: Params) -> tuple[int, float]:
+    """(regime, gamma_star) of p: the one place the regime boundaries are drawn.
+
+    offset2 == 0 means gamma = 1 and also one ulp above, where sqrt(gamma)
+    rounds to 1 and field and energy equal their gamma = 1 forms.
+    """
+    gs = gamma_star(p.alpha)
+    if p.offset2 == 0.0:
+        return _GAMMA1, gs
+    if abs(p.gamma - gs) <= GAMMA_STAR_ATOL:
+        return _CRITICAL, gs
+    if p.gamma > gs:
+        return _SUPERCRITICAL, gs
+    return _SUBCRITICAL, gs
 
 
 def equilibria(p: Params) -> Equilibria:
@@ -204,9 +224,10 @@ def equilibria(p: Params) -> Equilibria:
     Only exactly at the critical ratio does the system have equilibria, and
     then the whole coplanar line (theta, 0) is stationary.
     """
-    if p.gamma == 1.0:
+    regime = _ratio_regime(p)[0]
+    if regime == _GAMMA1:
         return Equilibria.NONE_GAMMA1
-    if abs(p.gamma - gamma_star(p.alpha)) <= GAMMA_STAR_ATOL:
+    if regime == _CRITICAL:
         return Equilibria.LINE_AT_CRITICAL
     return Equilibria.NONE_OFF_CRITICAL
 
@@ -215,55 +236,35 @@ def equilibria(p: Params) -> Equilibria:
 # Separatrix
 # --------------------------------------------------------------------------
 
-def _require_subcritical(p: Params) -> float:
-    gs = gamma_star(p.alpha)
-    if p.gamma <= 1.0 or p.gamma >= gs - GAMMA_STAR_ATOL:
-        raise RegimeError(
-            f"need gamma strictly inside (1, gamma_star={gs}), got {p.gamma}"
-        )
-    return gs
-
-
 def theta_star(p: Params, h0: float) -> float:
     """Separatrix angle for a positive-energy level in the subcritical regime.
 
     The axial-gap derivative on the level h0 changes sign exactly once,
     at theta_star: negative to the left, positive to the right, so only
-    initial angles at or left of it can feed a monotone collision.
+    initial angles at or left of it can feed a monotone collision.  It
+    vanishes at y* = mu*exp(-theta_star) = h0/(c - 1), where c**3 = r =
+    alpha**2*gamma/(offset2*mu**2) > 1.  c - 1 is formed as
+    (r - 1)/(c**2 + c + 1) and sqrt(gamma) - 1 as (gamma - 1)/(sqrt(gamma)
+    + 1), so that nothing cancels.
     """
-    _require_subcritical(p)
-    if not h0 > 0.0:
-        raise DomainError(f"theta_star needs h0 > 0, got {h0}")
-    mu, c2 = p.mu, p.offset2
-    a2g = p.alpha * p.alpha * p.gamma
-    inv_mu2 = 1.0 / (mu * mu)
-    coeff = c2 / a2g
-
-    def h(y: float) -> float:
-        return -inv_mu2 * y ** 3 + coeff * (h0 + y) ** 3
-
-    hi = max(h0, 1.0)
-    for _ in range(400):
-        if h(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalFailure("could not bracket the separatrix root")
-    lo, hi = _bisect(h, 0.0, hi, 1e-13)
-    y = 0.5 * (lo + hi)
-    for _ in range(3):
-        deriv = -3.0 * inv_mu2 * y * y + 3.0 * coeff * (h0 + y) ** 2
-        if deriv == 0.0:
-            break
-        y -= h(y) / deriv
-    if y <= 0.0:
-        raise NumericalFailure(f"separatrix root collapsed to {y}")
-    return math.log(mu / y)
+    regime, gs = _ratio_regime(p)
+    if regime != _SUBCRITICAL:
+        raise RegimeError(
+            f"need gamma strictly inside (1, gamma_star={gs}), got {p.gamma}"
+        )
+    if not 0.0 < h0 < math.inf:
+        raise DomainError(f"theta_star needs a finite h0 > 0, got {h0}")
+    mu = p.mu
+    offset = (p.gamma - 1.0) / (p.sqrt_gamma + 1.0)
+    den = offset * offset * mu * mu
+    r_minus_1 = (p.alpha * p.alpha * p.gamma - den) / den
+    c = (1.0 + r_minus_1) ** (1.0 / 3.0)
+    return math.log(mu) + math.log(r_minus_1 / (c * c + c + 1.0)) - math.log(h0)
 
 
 def axis_energy(theta: float, p: Params) -> float:
     """Energy of the coplanar state (theta, 0); defined for gamma > 1."""
-    if p.gamma == 1.0:
+    if _ratio_regime(p)[0] == _GAMMA1:
         raise RegimeError("the coplanar line is singular for gamma = 1")
     c = -p.mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
     return c * math.exp(-theta)
@@ -274,46 +275,53 @@ def axis_energy(theta: float, p: Params) -> float:
 # --------------------------------------------------------------------------
 
 def _h0_negligible(h0: float, p: Params, theta0: float) -> bool:
-    return abs(h0) <= _H0_ZERO_RTOL * (1.0 + p.mu * math.exp(-theta0))
+    # Relative to the self-induction term, so the rescaling (theta0, W0) ->
+    # (theta0 + s, W0*exp(s)), which maps h0 to exp(-s)*h0, keeps verdicts.
+    return abs(h0) <= _H0_ZERO_RTOL * p.mu * math.exp(-theta0)
+
+
+def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, int | None]:
+    """Walk the regime chain once: the class of rs0 and, if it collides, the
+    branch whose collision-time formula applies (None otherwise)."""
+    th0, w0 = rs0.theta, rs0.w
+    regime, gs = _ratio_regime(p)
+    if regime == _GAMMA1 and w0 == 0.0:
+        raise OnSingularLine("W = 0 is excluded for gamma = 1")
+    try:
+        h0 = dynamics.reduced_energy(p)(th0, w0)
+    except (OverflowError, ZeroDivisionError):
+        h0 = math.inf
+    if not math.isfinite(h0):
+        raise DomainError(f"state ({th0!r}, {w0!r}) is not representable: energy overflows")
+    if regime == _SUPERCRITICAL:
+        return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs), None
+    if regime == _GAMMA1:
+        if w0 < 0.0:
+            return MotionClass(Verdict.NO_COLLISION_GAMMA1, h0, gs), None
+        branch = _G1_H0_ZERO if _h0_negligible(h0, p, th0) else _G1_H0_NONZERO
+        return MotionClass(Verdict.HEAD_ON_COLLISION, h0, gs), branch
+    if regime == _CRITICAL:
+        if w0 > 0.0:
+            return MotionClass(Verdict.ASYMMETRIC_COLLISION, h0, gs), _CRIT
+        verdict = Verdict.EQUILIBRIUM_REST if w0 == 0.0 else Verdict.NO_COLLISION_SUBCRITICAL
+        return MotionClass(verdict, h0, gs), None
+
+    ts = None
+    if _h0_negligible(h0, p, th0):
+        branch = _SUB_H0_ZERO
+    elif h0 < 0.0:
+        branch = _SUB_H0_NEG
+    else:
+        ts = theta_star(p, h0)
+        branch = _SUB_H0_POS if th0 <= ts else None
+    if w0 > 0.0 and branch is not None:
+        return MotionClass(Verdict.ASYMMETRIC_COLLISION, h0, gs, ts), branch
+    return MotionClass(Verdict.NO_COLLISION_SUBCRITICAL, h0, gs, ts), None
 
 
 def classify(rs0: ReducedState, p: Params) -> MotionClass:
     """Four-way regime classification of a d = 0 initial state."""
-    th0, w0 = rs0.theta, rs0.w
-    gs = gamma_star(p.alpha)
-
-    if p.gamma == 1.0 and w0 == 0.0:
-        raise OnSingularLine("W = 0 is excluded for gamma = 1")
-    h0 = dynamics.reduced_energy(p)(th0, w0)
-
-    if p.gamma == 1.0:
-        verdict = Verdict.HEAD_ON_COLLISION if w0 > 0.0 else Verdict.NO_COLLISION_GAMMA1
-        return MotionClass(verdict, h0, gs)
-
-    if abs(p.gamma - gs) <= GAMMA_STAR_ATOL:
-        if w0 > 0.0:
-            verdict = Verdict.ASYMMETRIC_COLLISION
-        elif w0 == 0.0:
-            verdict = Verdict.EQUILIBRIUM_REST
-        else:
-            verdict = Verdict.NO_COLLISION_SUBCRITICAL
-        return MotionClass(verdict, h0, gs)
-
-    if p.gamma > gs:
-        return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs)
-
-    if _h0_negligible(h0, p, th0) or h0 < 0.0:
-        verdict = (
-            Verdict.ASYMMETRIC_COLLISION if w0 > 0.0 else Verdict.NO_COLLISION_SUBCRITICAL
-        )
-        return MotionClass(verdict, h0, gs)
-
-    ts = theta_star(p, h0)
-    if w0 > 0.0 and th0 <= ts:
-        verdict = Verdict.ASYMMETRIC_COLLISION
-    else:
-        verdict = Verdict.NO_COLLISION_SUBCRITICAL
-    return MotionClass(verdict, h0, gs, theta_star=ts)
+    return _walk(rs0, p)[0]
 
 
 # --------------------------------------------------------------------------
@@ -329,70 +337,74 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
     and `verify` reports where commonly printed constants disagree with the
     quadrature (see README, "known discrepancies").
     """
-    mc = classify(rs0, p)
-    if not mc.predicts_collision:
+    mc, branch = _walk(rs0, p)
+    if branch is None:
         raise RegimeError(f"state does not collide: {mc.verdict.value}")
-    th0, w0 = rs0.theta, rs0.w
+    th0, w0, h0 = rs0.theta, rs0.w, mc.h0
     alpha, gamma = p.alpha, p.gamma
     sqg, mu, c2 = p.sqrt_gamma, p.mu, p.offset2
-    h0 = mc.h0
-    h0_zero = _h0_negligible(h0, p, th0)
 
-    if gamma == 1.0:
-        if h0_zero:
-            # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
-            value = w0 * w0 / (2.0 * alpha)
-            return CollisionTimeEstimate(
-                EstimateKind.EXACT, value, FormulaTag.GAMMA1_H0_ZERO, {}
-            )
+    if branch == _G1_H0_ZERO:
+        # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
+        value = w0 * w0 / (2.0 * alpha)
+        return CollisionTimeEstimate(EstimateKind.EXACT, value, FormulaTag.GAMMA1_H0_ZERO, {})
+    if branch == _G1_H0_NONZERO:
         arg0 = alpha - h0 * w0
+        if arg0 < 1e-3 * alpha:
+            # The difference has lost digits; it equals mu*exp(-theta0)*W0.
+            arg0 = mu * math.exp(-th0) * w0
         if arg0 <= 0.0:
             raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
         g1_w0 = (alpha / (h0 * h0)) * math.log(arg0) + w0 / h0
-        value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
+        z = h0 * w0 / alpha
+        if abs(z) < 1e-3:  # the difference below cancels: sum its series in z
+            value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 9))
+        else:
+            value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
         return CollisionTimeEstimate(
-            EstimateKind.IMPLICIT_ROOT,
-            value,
-            FormulaTag.GAMMA1_H0_NONZERO,
-            {"g1_w0": g1_w0},
+            EstimateKind.IMPLICIT_ROOT, value, FormulaTag.GAMMA1_H0_NONZERO, {"g1_w0": g1_w0}
         )
 
-    if abs(gamma - mc.gamma_star) <= GAMMA_STAR_ATOL:
+    if branch == _CRIT:
         # Critical ratio: h0 < 0 whenever W0 != 0.
+        if _h0_negligible(h0, p, th0):
+            raise NumericalFailure(f"critical-ratio energy {h0} is zero to rounding: no bound")
         ah0 = abs(h0)
         m3 = math.sqrt(sqg - 1.0) * math.sqrt(ah0) / (alpha ** 1.5 * gamma ** 0.75)
         v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
         if v0 <= 1.0:
             raise NumericalFailure(f"critical-branch substitution needs v0 > 1, got {v0}")
-        g1_v0 = (
-            math.log((v0 + 1.0) / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
-        ) / (4.0 * math.sqrt(mu) * ah0 ** 1.5)
+        if v0 > 100.0:  # the difference below cancels: sum its series in 1/v0
+            g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) / v0 ** (2 * k + 1) for k in range(1, 6))
+        else:
+            g1_v0 = math.log((v0 + 1.0) / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
+        g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
         value = -2.0 / m3 * g1_v0
+        constants = {"m3": m3, "v0": v0, "g1_v0": g1_v0}
         return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND,
-            value,
-            FormulaTag.CRITICAL,
-            {"m3": m3, "v0": v0, "g1_v0": g1_v0},
+            EstimateKind.UPPER_BOUND, value, FormulaTag.CRITICAL, constants
         )
 
     a2g = alpha * alpha * gamma
-    if h0_zero:
+    if branch == _SUB_H0_ZERO:
         m0 = mu * mu * math.sqrt(a2g - c2 * mu * mu) / a2g
         value = math.exp(2.0 * th0) / (2.0 * m0)
         return CollisionTimeEstimate(
             EstimateKind.EXACT, value, FormulaTag.SUBCRITICAL_H0_ZERO, {"m0": m0}
         )
-    if h0 < 0.0:
+    if branch == _SUB_H0_NEG:
         m1 = math.sqrt(alpha * sqg * (alpha * sqg - (sqg - 1.0) * mu)) / a2g
         u0 = mu * math.exp(-th0) / abs(h0)
         if u0 <= 1.0:
             raise NumericalFailure(f"comparison substitution needs u0 > 1, got {u0}")
-        t_star = -(math.log(u0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0)) / (m1 * h0 * h0)
+        if u0 > 1001.0:  # the difference below cancels: sum its series
+            bracket = sum((-1.0 / (u0 - 1.0)) ** k / k for k in range(2, 9))
+        else:
+            bracket = -(math.log(u0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
+        t_star = bracket / (m1 * h0 * h0)
+        constants = {"m1": m1, "u0": u0, "t_star": t_star}
         return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND,
-            t_star,
-            FormulaTag.SUBCRITICAL_H0_NEGATIVE,
-            {"m1": m1, "u0": u0, "t_star": t_star},
+            EstimateKind.UPPER_BOUND, t_star, FormulaTag.SUBCRITICAL_H0_NEGATIVE, constants
         )
     m2 = math.sqrt(h0) * mu ** 1.5 / (alpha * sqg)
     value = 2.0 * math.exp(1.5 * th0) / (3.0 * m2)
@@ -414,13 +426,13 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
     between -mu*exp(-theta_lo) and the (negative) coplanar energy at
     theta_hi, giving two lines that squeeze W(t) and force W -> -inf.
     """
-    gs = gamma_star(p.alpha)
-    if p.gamma <= gs + GAMMA_STAR_ATOL:
+    regime, gs = _ratio_regime(p)
+    if regime != _SUPERCRITICAL:
         raise RegimeError(
             f"corridor needs gamma > gamma_star={gs}, got {p.gamma}"
         )
     mu = p.mu
-    h0 = dynamics.reduced_energy(p)(rs0.theta, rs0.w)
+    h0 = _walk(rs0, p)[0].h0
     c = -mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
     # c < 0 and h0 < 0 in this regime.
     theta_tilde = math.log(c / h0)
@@ -453,23 +465,20 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     asq = p.alpha * p.sqrt_gamma
     theta0 = hs0.theta
 
-    def g0(theta: float) -> float:
-        """Energy of the coplanar level point at this angle, minus h0."""
+    def gap(theta: float) -> float:
+        """h0 minus the energy of the coplanar point at this angle."""
         sep = hyperbolic_separation(theta, 0.0, d, gamma)
         if sep == 0.0:
-            return math.inf
-        return hyperbolic_kinetic(theta, d, gamma) + asq / sep - h0
+            return -math.inf
+        return h0 - (hyperbolic_kinetic(theta, d, gamma) + asq / sep)
 
-    def sep_at(theta: float) -> float:
-        return asq / (h0 - hyperbolic_kinetic(theta, d, gamma))
-
-    if g0(theta0) <= 0.0:
+    if gap(theta0) >= 0.0:
         # W0 = 0 (up to round-off): the state itself sits on the boundary.
         return NoCollisionCertificate(h0, hyperbolic_separation(theta0, hs0.w, d, gamma))
 
     # Scan downward from theta0; the kinetic part falls to -inf at the
     # chart origin, so a crossing always exists.  On d > 0 levels the scan
-    # passes straight through the contact angle, where g0 spikes to +inf
+    # passes straight through the contact angle, where gap dips to -inf
     # (the level curve itself crosses that line at |W| > 0).
     prev = theta0
     found = None
@@ -478,22 +487,14 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
         theta = theta0 * (1.0 - k / n_scan) ** 2
         if theta <= 0.0:
             theta = theta0 * 1e-12
-        if g0(theta) < 0.0:
+        if gap(theta) > 0.0:
             found = (theta, prev)
             break
         prev = theta
     if found is None:
         raise NumericalFailure("level-set scan found no boundary crossing")
 
-    lo, hi = found
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g0(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(gap, *found, 0.0)
     # The lo side slightly undershoots the crossing, keeping the bound
     # conservative.
-    return NoCollisionCertificate(h0, sep_at(lo))
+    return NoCollisionCertificate(h0, asq / (h0 - hyperbolic_kinetic(lo, d, gamma)))

@@ -48,8 +48,6 @@ from .integrate import (
 
 __all__ = ["main", "normalize_reduced", "normalize_full"]
 
-_COMMANDS = ("gamma-star", "theta-star", "classify", "simulate", "sweep", "verify")
-
 
 # --------------------------------------------------------------------------
 # Ratio normalization (gamma < 1 by filament renaming)
@@ -633,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
         config_path = _find_config(argv)
         if config_path is not None:
             values = _parse_config_file(config_path)
-            command = next((tok for tok in argv if tok in _COMMANDS), None)
+            command = next((tok for tok in argv if tok in commands), None)
             if command is None:
                 raise ConfigInvalid("could not identify the subcommand")
             known = {a.dest for a in commands[command]._actions}  # noqa: SLF001

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import math
 
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and replay none from
+# an example database, so every run checks the same cases.
+settings.register_profile("filcol", derandomize=True, database=None, deadline=None)
+settings.load_profile("filcol")
+
 
 def rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / max(abs(expected), 1e-300)

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import random
+from decimal import Decimal
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from filcol import (
+    GAMMA_STAR_ATOL,
     DomainError,
     EstimateKind,
     Equilibria,
+    FilcolError,
     FormulaTag,
     FullState,
     HyperbolicState,
     IntegrationConfig,
+    NumericalFailure,
     OnSingularLine,
     Params,
     ReducedState,
@@ -57,6 +64,42 @@ def bisect_quartic(alpha: float, lo: float, hi: float, tol: float = 1e-12) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def decimal_theta_star(alpha: float, gamma: float, h0: float) -> float:
+    """theta_star from the cubic -y**3/mu**2 + (offset2/(alpha**2 gamma))*(h0 + y)**3,
+    rooted by bisection at 40 digits; independent of the closed form."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, g, h = Decimal(alpha), Decimal(gamma), Decimal(h0)
+        sg = g.sqrt()
+        mu = g + 1 / sg
+        k = (sg - 1) ** 2 * mu * mu / (a * a * g)
+
+        def cubic(y: Decimal) -> Decimal:
+            return k * (h + y) ** 3 - y ** 3
+
+        lo = hi = h
+        while cubic(hi) > 0:
+            hi *= 2
+        while cubic(lo) <= 0:
+            lo /= 2
+        while hi - lo > hi * Decimal("1e-36"):
+            mid = (lo + hi) / 2
+            if cubic(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((mu / ((lo + hi) / 2)).ln())
+
+
+def accepts(fn, *args) -> bool:
+    """True if fn(*args) returns, False if it refuses with RegimeError."""
+    try:
+        fn(*args)
+    except RegimeError:
+        return False
+    return True
 
 
 class TestGammaStar:
@@ -121,23 +164,81 @@ class TestEquilibria:
         assert reduced_field(p)(0.0, 0.0)[1] < 0.0
 
 
+class TestRegimeBoundaries:
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_one_critical_band_for_every_function(self, alpha):
+        # gamma = gamma_star +- GAMMA_STAR_ATOL +- 0..3 ulps.  classify's
+        # verdict at (0, 0) names the band: subcritical states rest off the
+        # line, critical ones rest on it, supercritical ones pass through.
+        gs = gamma_star(alpha)
+        bands = set()
+        for edge in (gs - GAMMA_STAR_ATOL, gs + GAMMA_STAR_ATOL):
+            for k in range(-3, 4):
+                gamma = edge
+                for _ in range(abs(k)):
+                    gamma = math.nextafter(gamma, math.copysign(math.inf, k))
+                p = Params(alpha, gamma)
+                assert isinstance(classify(ReducedState(0.0, 1e-6), p).verdict, Verdict)
+                band = classify(ReducedState(0.0, 0.0), p).verdict
+                bands.add(band)
+                assert accepts(theta_star, p, 1.0) == (
+                    band is Verdict.NO_COLLISION_SUBCRITICAL
+                ), gamma
+                assert accepts(apriori_corridor, ReducedState(0.0, 1e-6), p) == (
+                    band is Verdict.GLOBAL_PASS_THROUGH
+                ), gamma
+                assert (equilibria(p) is Equilibria.LINE_AT_CRITICAL) == (
+                    band is Verdict.EQUILIBRIUM_REST
+                ), gamma
+        assert bands == {
+            Verdict.NO_COLLISION_SUBCRITICAL,
+            Verdict.EQUILIBRIUM_REST,
+            Verdict.GLOBAL_PASS_THROUGH,
+        }
+
+    def test_gamma_one_ulp_above_one_is_equal_circulation(self):
+        # sqrt(gamma) rounds to 1 there, so offset2 = 0 and the closed
+        # forms of gamma = 1 apply.
+        p = Params(0.2, math.nextafter(1.0, 2.0))
+        p1 = Params(0.2, 1.0)
+        assert p.offset2 == 0.0
+        for th0, w0 in ((0.0, 0.5), (1.0, 0.3), (-0.5, 2.0), (0.3, -0.4), (0.0, 0.2)):
+            rs = ReducedState(th0, w0)
+            mc, mc1 = classify(rs, p), classify(rs, p1)
+            assert mc.verdict is mc1.verdict
+            assert rel_err(mc.h0, mc1.h0) < 1e-14
+            if mc.predicts_collision:
+                est, est1 = collision_time(rs, p), collision_time(rs, p1)
+                assert est.formula_tag is est1.formula_tag
+                assert rel_err(est.value, est1.value) < 1e-12
+        with pytest.raises(OnSingularLine):
+            classify(ReducedState(0.0, 0.0), p)
+        with pytest.raises(RegimeError):
+            theta_star(p, 0.1)
+        with pytest.raises(RegimeError):
+            axis_energy(0.0, p)
+        assert equilibria(p) is Equilibria.NONE_GAMMA1
+
+
 class TestThetaStar:
-    def test_against_algebraic_rearrangement(self):
-        # The cubic's unique positive root is h0/(c - 1) with
-        # c = (alpha**2 gamma / (offset2 * mu**2))**(1/3).
+    def test_against_a_decimal_root_of_the_cubic(self):
+        # Reference: the cubic's positive root, found by bisection in
+        # 40-digit decimal arithmetic from the exact float inputs.
         rng = random.Random(7)
+        cases = []
         for _ in range(40):
             alpha = rng.uniform(0.05, 0.9)
             gs = gamma_star(alpha)
             gamma = 1.0 + rng.uniform(0.05, 0.95) * (gs - 1.0)
-            if gamma >= gs - 1e-6 or gamma <= 1.0 + 1e-9:
-                continue
-            p = Params(alpha, gamma)
-            h0 = rng.uniform(1e-3, 2.0)
-            c = (alpha**2 * gamma / (p.offset2 * p.mu**2)) ** (1.0 / 3.0)
-            y_star = h0 / (c - 1.0)
-            want = math.log(p.mu / y_star)
-            assert abs(theta_star(p, h0) - want) < 1e-12 * max(1.0, abs(want))
+            cases.append((alpha, gamma, 10.0 ** rng.uniform(-30.0, 2.0), 1e-13))
+        for _ in range(20):
+            gamma = 1.0 + 10.0 ** rng.uniform(-15.0, -6.0)
+            cases.append((rng.uniform(0.05, 0.9), gamma, 10.0 ** rng.uniform(-30.0, 2.0),
+                          1e-12))
+        for alpha, gamma, h0, tol in cases:
+            want = decimal_theta_star(alpha, gamma, h0)
+            got = theta_star(Params(alpha, gamma), h0)
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (alpha, gamma, h0)
 
     def test_gap_derivative_changes_sign_across_separatrix(self):
         p = Params(0.2, 1.1)
@@ -276,6 +377,80 @@ class TestClassifier:
                 assert classify(rs, p).predicts_collision == expect
 
 
+def _outcome(rs: ReducedState, p: Params):
+    """classify and collision_time of a state, or the type of their error."""
+    try:
+        mc = classify(rs, p)
+        return mc, (collision_time(rs, p) if mc.predicts_collision else None)
+    except FilcolError as exc:
+        return type(exc)
+
+
+@st.composite
+def regime_params(draw) -> Params:
+    alpha = draw(st.floats(0.02, 0.98))
+    gs = gamma_star(alpha)
+    frac = draw(st.floats(0.02, 0.98))
+    gamma = draw(st.sampled_from(
+        [1.0, 1.0 + frac * (gs - 1.0), gs, gs + 1e-3 + 2.0 * frac]
+    ))
+    return Params(alpha, gamma)
+
+
+class TestScaleInvariance:
+    # The equations are invariant under (R, z, t) -> (l R, l z, l**2 t).
+    # With s = log(l) that maps (theta0, W0) -> (theta0 + s, W0 exp(s)),
+    # h0 -> exp(-s) h0 and theta_star -> theta_star + s, and multiplies
+    # every collision time by exp(2 s).
+    @given(
+        p=regime_params(),
+        th0=st.floats(-3.0, 3.0),
+        w0=st.floats(-2.0, 2.0),
+        s=st.floats(-50.0, 300.0),
+    )
+    @settings(max_examples=300)
+    def test_rescaled_twin_has_the_same_verdict_and_scaled_time(self, p, th0, w0, s):
+        # A pair is faithful while W0**2 and h0**2 stay normal floats and
+        # both energies are finite.
+        w_twin = w0 * math.exp(s)
+        assume(w0 == 0.0 or min(abs(w0), abs(w_twin)) >= 1e-150)
+        here = _outcome(ReducedState(th0, w0), p)
+        twin = _outcome(ReducedState(th0 + s, w_twin), p)
+        assume(DomainError not in (here, twin))
+        if isinstance(here, type) or isinstance(twin, type):
+            assert twin == here
+            return
+        (mc, est), (mc2, est2) = here, twin
+        assert mc2.verdict is mc.verdict
+        assert (mc2.theta_star is None) == (mc.theta_star is None)
+        assert (est2 is None) == (est is None)
+        # h0 is resolved to a few ulps of its largest term, mu*exp(-theta0);
+        # theta_star and every time but the exact ones inherit that error
+        # times kappa = mu*exp(-theta0)/|h0|, which is at most 1e12 off the
+        # zero-energy branch.
+        kappa = p.mu * math.exp(-th0) / max(abs(mc.h0), 1e-300)
+        if mc.theta_star is not None:
+            want = mc.theta_star + s
+            assert abs(mc2.theta_star - want) <= 1e-9 * max(1.0, abs(want)) + 1e-14 * kappa
+        if est is not None:
+            assert est2.formula_tag is est.formula_tag
+            slack = 0.0 if est.kind is EstimateKind.EXACT else 1e-14 * kappa
+            assert rel_err(est2.value, est.value * math.exp(2.0 * s)) < 1e-8 + slack
+
+    def test_theta0_300_twin(self):
+        # At alpha 0.2, gamma 1.1 the state (30, 0.5) has h0 = 2.1e-13 > 0
+        # and theta_star = 29.46 < 30: it lies right of the separatrix, as
+        # does its rescaled twin (0, 0.5 exp(-30)).  The same holds at
+        # theta0 = 300, where h0 is 1.2e-130.
+        p = Params(0.2, 1.1)
+        for th0 in (30.0, 300.0):
+            mc = classify(ReducedState(th0, 0.5), p)
+            twin = classify(ReducedState(0.0, 0.5 * math.exp(-th0)), p)
+            assert mc.verdict is twin.verdict is Verdict.NO_COLLISION_SUBCRITICAL
+            assert mc.h0 > 0.0
+            assert abs(mc.theta_star - (twin.theta_star + th0)) < 1e-9 * th0
+
+
 class TestCollisionTime:
     def test_equal_circulation_zero_energy_exact(self):
         p = Params(0.5, 1.0)
@@ -368,6 +543,69 @@ class TestCollisionTime:
         result, _ = simulate_until_collision(rs, p, CFG, t_end=2.0 * est.value + 20.0)
         assert result.time <= est.value
         assert result.time > est.value * p.alpha ** 0.25
+
+
+def decimal_time(tag: FormulaTag, p: Params, th0: float, w0: float, h0: float) -> float:
+    """The closed form behind tag at 120 digits.  The bounds take the float h0
+    the classifier reports; the gamma = 1 time takes the exact energy."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        a, g, th, w, h = (Decimal(v) for v in (p.alpha, p.gamma, th0, w0, h0))
+        sg = g.sqrt()
+        mu = g + 1 / sg
+        if tag is FormulaTag.GAMMA1_H0_NONZERO:
+            h = -mu * (-th).exp() + a / w
+            z = h * w / a
+            return float(a / (h * h) * (-(1 - z).ln() - z))
+        if tag is FormulaTag.CRITICAL:
+            ah = abs(h)
+            m3 = (sg - 1).sqrt() * ah.sqrt() / (a ** Decimal("1.5") * g ** Decimal("0.75"))
+            v0 = (mu / ah).sqrt() * (-th / 2).exp()
+            g1 = (((v0 + 1) / (v0 - 1)).ln() - 2 * v0 / (v0 * v0 - 1)) / (
+                4 * mu.sqrt() * ah ** Decimal("1.5"))
+            return float(-2 / m3 * g1)
+        assert tag is FormulaTag.SUBCRITICAL_H0_NEGATIVE
+        m1 = (a * sg * (a * sg - (sg - 1) * mu)).sqrt() / (a * a * g)
+        u0 = mu * (-th).exp() / abs(h)
+        return float(-((u0 / (u0 - 1)).ln() - 1 / (u0 - 1)) / (m1 * h * h))
+
+
+class TestTimesNearZeroEnergy:
+    # Close to h0 = 0 these formulas are differences of nearly equal terms.
+    @pytest.mark.parametrize("w0", [1e-3, 1e-9, 1e-20, 5e-54])
+    def test_gamma1_small_gap(self, w0):
+        p = Params(0.5, 1.0)
+        est = collision_time(ReducedState(0.0, w0), p)
+        assert est.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
+        want = decimal_time(est.formula_tag, p, 0.0, w0, 0.0)
+        assert rel_err(est.value, want) < 1e-12
+
+    @pytest.mark.parametrize("th0", [-1.0, 0.0, 1.5])
+    @pytest.mark.parametrize("excess", [1e-4, 1e-7, 1e-10])
+    def test_subcritical_bound_just_below_zero_energy(self, th0, excess):
+        p = Params(0.2, 1.1)
+        rs = ReducedState(th0, h0_zero_w(p, th0) * (1.0 + excess))
+        mc = classify(rs, p)
+        est = collision_time(rs, p)
+        assert est.formula_tag is FormulaTag.SUBCRITICAL_H0_NEGATIVE
+        want = decimal_time(est.formula_tag, p, th0, rs.w, mc.h0)
+        assert rel_err(est.value, want) < 1e-12
+
+    @pytest.mark.parametrize("w0", [1e-2, 1e-3, 1e-4])
+    def test_critical_bound_near_the_rest_line(self, w0):
+        p = Params(0.2, gamma_star(0.2))
+        rs = ReducedState(0.3, w0)
+        mc = classify(rs, p)
+        est = collision_time(rs, p)
+        want = decimal_time(est.formula_tag, p, 0.3, w0, mc.h0)
+        assert rel_err(est.value, want) < 1e-12
+
+    def test_critical_energy_at_rounding_has_no_bound(self):
+        p = Params(0.625, gamma_star(0.625))
+        rs = ReducedState(0.0, 5.643185526345413e-54)
+        assert classify(rs, p).verdict is Verdict.ASYMMETRIC_COLLISION
+        with pytest.raises(NumericalFailure):
+            collision_time(rs, p)
 
 
 class TestCorridor:

@@ -98,6 +98,20 @@ class TestClassifyCommand:
         assert code == 2
         assert "initial state" in err
 
+    @pytest.mark.parametrize("gamma,theta0,w0", [
+        ("1.1", "400", "0.5"), ("3", "400", "0.5"), ("0.9", "400", "0.5"),
+        ("1.1", "-800", "0.5"), ("1", "-800", "0.5"), ("1.1", "-380", "0"),
+    ])
+    def test_unrepresentable_state_exits_2(self, capsys, gamma, theta0, w0):
+        # exp(2*theta0) or exp(-theta0) overflows a float in the energy, or
+        # the separation underflows to 0.
+        code, out, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", gamma,
+                                 "--theta0", theta0, "--w0", w0)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not representable" in err
+
 
 class TestSimulateCommand:
     def test_equal_circulation_collision(self, capsys, tmp_path):
@@ -322,6 +336,15 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, *self.BASE, "--n-theta", "1", "--n-w", "5")
         assert code == 2
         assert "grid" in err
+
+    def test_unrepresentable_node_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--alpha", "0.2", "--gamma", "1.1",
+                                 "--theta-min", "0", "--theta-max", "400",
+                                 "--w-min", "-1", "--w-max", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not representable" in err
 
 
 class TestVerifyCommand:
