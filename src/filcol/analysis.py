@@ -158,6 +158,10 @@ def quartic(eta: float, alpha: float) -> float:
     return (((-eta + 1.0) * eta + alpha) * eta - 1.0) * eta + 1.0
 
 
+def _quartic_prime(eta: float, alpha: float) -> float:
+    return ((-4.0 * eta + 3.0) * eta + 2.0 * alpha) * eta - 1.0
+
+
 def _bisect(f, lo: float, hi: float, width: float) -> tuple[float, float]:
     """Shrink a sign-change bracket [lo, hi] (f(lo) > 0 > f(hi)) to width."""
     while hi - lo > width:
@@ -190,7 +194,7 @@ def _gamma_star(alpha: float) -> float:
     lo, hi = _bisect(lambda e: quartic(e, alpha), 1.0 + 1e-12, 10.0, 1e-13)
     eta = 0.5 * (lo + hi)
     for _ in range(3):
-        deriv = ((-4.0 * eta + 3.0) * eta + 2.0 * alpha) * eta - 1.0
+        deriv = _quartic_prime(eta, alpha)
         if deriv == 0.0:
             break
         eta -= quartic(eta, alpha) / deriv
@@ -347,22 +351,20 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
     if branch == _G1_H0_ZERO:
         # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
         value = w0 * w0 / (2.0 * alpha)
-        return CollisionTimeEstimate(EstimateKind.EXACT, value, FormulaTag.GAMMA1_H0_ZERO, {})
+        return CollisionTimeEstimate(
+            EstimateKind.EXACT, value, FormulaTag.GAMMA1_H0_ZERO, {}
+        )
     if branch == _G1_H0_NONZERO:
-        arg0 = alpha - h0 * w0
-        if arg0 < 1e-3 * alpha:
-            # The difference has lost digits; it equals mu*exp(-theta0)*W0.
-            arg0 = mu * math.exp(-th0) * w0
-        if arg0 <= 0.0:
+        arg0 = mu * math.exp(-th0) * w0
+        if arg0 <= 0.0:  # arg0 = alpha - h0*W0 > 0 unless exp(-theta0) underflows
             raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
         g1_w0 = (alpha / (h0 * h0)) * math.log(arg0) + w0 / h0
-        z = h0 * w0 / alpha
-        if abs(z) < 1e-3:  # the difference below cancels: sum its series in z
-            value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 9))
-        else:
-            value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
+        value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
         return CollisionTimeEstimate(
-            EstimateKind.IMPLICIT_ROOT, value, FormulaTag.GAMMA1_H0_NONZERO, {"g1_w0": g1_w0}
+            EstimateKind.IMPLICIT_ROOT,
+            value,
+            FormulaTag.GAMMA1_H0_NONZERO,
+            {"g1_w0": g1_w0},
         )
 
     if branch == _CRIT:
@@ -374,15 +376,15 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
         if v0 <= 1.0:
             raise NumericalFailure(f"critical-branch substitution needs v0 > 1, got {v0}")
-        if v0 > 100.0:  # the difference below cancels: sum its series in 1/v0
-            g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) / v0 ** (2 * k + 1) for k in range(1, 6))
-        else:
-            g1_v0 = math.log((v0 + 1.0) / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
-        g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
+        g1_v0 = (
+            math.log((v0 + 1.0) / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
+        ) / (4.0 * math.sqrt(mu) * ah0 ** 1.5)
         value = -2.0 / m3 * g1_v0
-        constants = {"m3": m3, "v0": v0, "g1_v0": g1_v0}
         return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND, value, FormulaTag.CRITICAL, constants
+            EstimateKind.UPPER_BOUND,
+            value,
+            FormulaTag.CRITICAL,
+            {"m3": m3, "v0": v0, "g1_v0": g1_v0},
         )
 
     a2g = alpha * alpha * gamma
@@ -397,14 +399,12 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         u0 = mu * math.exp(-th0) / abs(h0)
         if u0 <= 1.0:
             raise NumericalFailure(f"comparison substitution needs u0 > 1, got {u0}")
-        if u0 > 1001.0:  # the difference below cancels: sum its series
-            bracket = sum((-1.0 / (u0 - 1.0)) ** k / k for k in range(2, 9))
-        else:
-            bracket = -(math.log(u0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
-        t_star = bracket / (m1 * h0 * h0)
-        constants = {"m1": m1, "u0": u0, "t_star": t_star}
+        t_star = -(math.log(u0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0)) / (m1 * h0 * h0)
         return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND, t_star, FormulaTag.SUBCRITICAL_H0_NEGATIVE, constants
+            EstimateKind.UPPER_BOUND,
+            t_star,
+            FormulaTag.SUBCRITICAL_H0_NEGATIVE,
+            {"m1": m1, "u0": u0, "t_star": t_star},
         )
     m2 = math.sqrt(h0) * mu ** 1.5 / (alpha * sqg)
     value = 2.0 * math.exp(1.5 * th0) / (3.0 * m2)
@@ -432,7 +432,7 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
             f"corridor needs gamma > gamma_star={gs}, got {p.gamma}"
         )
     mu = p.mu
-    h0 = _walk(rs0, p)[0].h0
+    h0 = dynamics.reduced_energy(p)(rs0.theta, rs0.w)
     c = -mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
     # c < 0 and h0 < 0 in this regime.
     theta_tilde = math.log(c / h0)

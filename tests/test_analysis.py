@@ -485,6 +485,14 @@ class TestCollisionTime:
         result, _ = simulate_until_collision(rs, p, CFG, t_end=10.0)
         assert rel_err(result.time, est.value) < 1e-5
 
+    def test_equal_circulation_underflowing_self_induction_has_no_time(self):
+        # exp(-800) underflows, so the implicit formula's argument
+        # mu*exp(-theta0)*W0 (= alpha - h0*W0) is 0.0.
+        rs, p = ReducedState(800.0, 0.5), Params(0.5, 1.0)
+        assert classify(rs, p).verdict is Verdict.HEAD_ON_COLLISION
+        with pytest.raises(NumericalFailure):
+            collision_time(rs, p)
+
     def test_noncolliding_state_rejected(self):
         with pytest.raises(RegimeError):
             collision_time(ReducedState(0.0, -1.0), Params(0.5, 1.0))
@@ -545,64 +553,28 @@ class TestCollisionTime:
         assert result.time > est.value * p.alpha ** 0.25
 
 
-def decimal_time(tag: FormulaTag, p: Params, th0: float, w0: float, h0: float) -> float:
-    """The closed form behind tag at 120 digits.  The bounds take the float h0
-    the classifier reports; the gamma = 1 time takes the exact energy."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 120
-        a, g, th, w, h = (Decimal(v) for v in (p.alpha, p.gamma, th0, w0, h0))
-        sg = g.sqrt()
-        mu = g + 1 / sg
-        if tag is FormulaTag.GAMMA1_H0_NONZERO:
-            h = -mu * (-th).exp() + a / w
-            z = h * w / a
-            return float(a / (h * h) * (-(1 - z).ln() - z))
-        if tag is FormulaTag.CRITICAL:
-            ah = abs(h)
-            m3 = (sg - 1).sqrt() * ah.sqrt() / (a ** Decimal("1.5") * g ** Decimal("0.75"))
-            v0 = (mu / ah).sqrt() * (-th / 2).exp()
-            g1 = (((v0 + 1) / (v0 - 1)).ln() - 2 * v0 / (v0 * v0 - 1)) / (
-                4 * mu.sqrt() * ah ** Decimal("1.5"))
-            return float(-2 / m3 * g1)
-        assert tag is FormulaTag.SUBCRITICAL_H0_NEGATIVE
-        m1 = (a * sg * (a * sg - (sg - 1) * mu)).sqrt() / (a * a * g)
-        u0 = mu * (-th).exp() / abs(h)
-        return float(-((u0 / (u0 - 1)).ln() - 1 / (u0 - 1)) / (m1 * h * h))
-
-
-class TestTimesNearZeroEnergy:
-    # Close to h0 = 0 these formulas are differences of nearly equal terms.
+class TestTimesAtTheEdges:
     @pytest.mark.parametrize("w0", [1e-3, 1e-9, 1e-20, 5e-54])
     def test_gamma1_small_gap(self, w0):
+        # h0*W0 -> alpha as W0 -> 0, so alpha - h0*W0 cancels; the argument
+        # is formed as mu*exp(-theta0)*W0 instead.
         p = Params(0.5, 1.0)
         est = collision_time(ReducedState(0.0, w0), p)
         assert est.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
-        want = decimal_time(est.formula_tag, p, 0.0, w0, 0.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 120
+            a, w = Decimal(p.alpha), Decimal(w0)
+            h = -2 + a / w
+            z = h * w / a
+            want = float(a / (h * h) * (-(1 - z).ln() - z))
         assert rel_err(est.value, want) < 1e-12
 
-    @pytest.mark.parametrize("th0", [-1.0, 0.0, 1.5])
-    @pytest.mark.parametrize("excess", [1e-4, 1e-7, 1e-10])
-    def test_subcritical_bound_just_below_zero_energy(self, th0, excess):
-        p = Params(0.2, 1.1)
-        rs = ReducedState(th0, h0_zero_w(p, th0) * (1.0 + excess))
-        mc = classify(rs, p)
-        est = collision_time(rs, p)
-        assert est.formula_tag is FormulaTag.SUBCRITICAL_H0_NEGATIVE
-        want = decimal_time(est.formula_tag, p, th0, rs.w, mc.h0)
-        assert rel_err(est.value, want) < 1e-12
-
-    @pytest.mark.parametrize("w0", [1e-2, 1e-3, 1e-4])
-    def test_critical_bound_near_the_rest_line(self, w0):
-        p = Params(0.2, gamma_star(0.2))
-        rs = ReducedState(0.3, w0)
-        mc = classify(rs, p)
-        est = collision_time(rs, p)
-        want = decimal_time(est.formula_tag, p, 0.3, w0, mc.h0)
-        assert rel_err(est.value, want) < 1e-12
-
-    def test_critical_energy_at_rounding_has_no_bound(self):
-        p = Params(0.625, gamma_star(0.625))
-        rs = ReducedState(0.0, 5.643185526345413e-54)
+    @pytest.mark.parametrize("alpha, w0", [(0.625, 5.643185526345413e-54), (0.2, 1e-7)])
+    def test_critical_energy_at_rounding_has_no_bound(self, alpha, w0):
+        # h0 is 0.0 and -9.8e-13 here, within 1e-12*mu*exp(-theta0) of zero,
+        # where the bound diverges; a rescaled twin can round h0 to 0.0.
+        p = Params(alpha, gamma_star(alpha))
+        rs = ReducedState(0.0, w0)
         assert classify(rs, p).verdict is Verdict.ASYMMETRIC_COLLISION
         with pytest.raises(NumericalFailure):
             collision_time(rs, p)
