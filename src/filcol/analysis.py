@@ -368,9 +368,9 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         )
 
     if branch == _CRIT:
-        # Critical ratio: h0 < 0 whenever W0 != 0.
-        if _h0_negligible(h0, p, th0):
-            raise NumericalFailure(f"critical-ratio energy {h0} is zero to rounding: no bound")
+        # h0 < 0 for W0 != 0 at gamma_star, but may be > 0 below it in the band.
+        if not h0 < -_H0_ZERO_RTOL * mu * math.exp(-th0):
+            raise NumericalFailure(f"critical-ratio energy {h0} is not below zero: no bound")
         ah0 = abs(h0)
         m3 = math.sqrt(sqg - 1.0) * math.sqrt(ah0) / (alpha ** 1.5 * gamma ** 0.75)
         v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
@@ -432,7 +432,7 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
             f"corridor needs gamma > gamma_star={gs}, got {p.gamma}"
         )
     mu = p.mu
-    h0 = dynamics.reduced_energy(p)(rs0.theta, rs0.w)
+    h0 = _walk(rs0, p)[0].h0  # the energy, checked as classify checks it
     c = -mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
     # c < 0 and h0 < 0 in this regime.
     theta_tilde = math.log(c / h0)

@@ -39,12 +39,7 @@ from .analysis import classify as classify_state
 from .analysis import collision_time, gamma_star, theta_star
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
 from .errors import ConfigInvalid, NumericalError, ValidationError
-from .integrate import (
-    IntegrationConfig,
-    SystemKind,
-    integrate,
-    simulate_until_collision,
-)
+from .integrate import IntegrationConfig, integrate, simulate_until_collision
 
 __all__ = ["main", "normalize_reduced", "normalize_full"]
 
@@ -288,7 +283,7 @@ def _cmd_simulate(args) -> None:
                     "conserved d is zero within tolerance; use --system auto"
                 )
             state_header = ["t", "theta", "w"]
-        traj = integrate(SystemKind(system), y0, p, args.t_end / scale, cfg)
+        traj = integrate(y0, p, args.t_end / scale, cfg)
         status, t_stop = traj.outcome.value, traj.t_final
 
     horizon = args.t_end / scale
@@ -338,9 +333,6 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    for name in ("theta_min", "theta_max", "w_min", "w_max"):
-        if getattr(args, name) is None:
-            raise ConfigInvalid(f"sweep needs --{name.replace('_', '-')}")
     if args.n_theta < 2 or args.n_w < 2:
         raise ConfigInvalid("grid counts must be >= 2")
     if not (args.theta_max > args.theta_min and args.w_max > args.w_min):

@@ -74,7 +74,7 @@ class Params:
              required in (0, 1).
     gamma -- circulation ratio after sign normalization, required >= 1
              (the ratio < 1 case is handled by renaming the filaments; see
-             ``cli.normalize_gamma``).
+             ``cli.normalize_reduced`` and ``cli.normalize_full``).
     """
 
     alpha: float

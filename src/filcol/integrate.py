@@ -1,13 +1,15 @@
 """Adaptive embedded-pair integration with events and invariant monitoring.
 
-A Dormand-Prince 5(4) pair (FSAL) advances the full, reduced, or hyperbolic
-system.  The error-per-step is controlled in a mixed max norm with
-per-component scale abs_tol + rel_tol*max(|y|, |y_new|); the step-size
-controller is the standard proportional rule with safety 0.9 and growth
-clamp [0.2, 5.0].
+A Dormand-Prince 5(4) pair (FSAL) advances the system that the initial
+state's type names: the full system for a FullState, the d = 0 reduction for
+a ReducedState, the d != 0 chart for a HyperbolicState.  The error-per-step
+is controlled in a mixed max norm with per-component scale
+abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
+standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension:
 one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
-with the vector field called on scalars.  Events are located by bisection on
+with the vector field called on scalars.  Events are downward crossings of a
+threshold by |W| or theta on the (theta, W) charts, located by bisection on
 a cubic-Hermite interpolant of each accepted step.  The conserved quantity of
 the chosen system (d for the full system, the energy for the planar charts)
 is recorded at every accepted point, so any run doubles as a conservation
@@ -39,7 +41,6 @@ from .errors import (
 __all__ = [
     "SystemKind",
     "EventKind",
-    "Direction",
     "EventSpec",
     "EventHit",
     "IntegrationConfig",
@@ -60,35 +61,25 @@ class SystemKind(Enum):
 
 
 class EventKind(Enum):
-    W_CROSSES_ZERO = "w-crosses-zero"
     THETA_ESCAPES_BELOW = "theta-escapes-below"
     W_BELOW = "w-below"
     STEP_COLLAPSE = "step-collapse"
 
 
-class Direction(Enum):
-    DECREASING = "decreasing"
-    INCREASING = "increasing"
-    ANY = "any"
-
-
 @dataclass(frozen=True)
 class EventSpec:
-    """A zero-crossing detector (or the step-collapse marker).
+    """A downward threshold crossing on a (theta, W) chart, or the collapse marker.
 
-    W_CROSSES_ZERO tracks W; W_BELOW tracks |W| - threshold;
-    THETA_ESCAPES_BELOW tracks theta - threshold.  ``terminal`` stops the
-    integration at the located crossing.
+    W_BELOW fires when |W| falls to threshold, THETA_ESCAPES_BELOW when
+    theta does.  ``terminal`` stops the integration at the located crossing.
     """
 
     kind: EventKind
     threshold: float | None = None
-    direction: Direction = Direction.DECREASING
     terminal: bool = True
 
     def __post_init__(self) -> None:
-        needs_threshold = self.kind in (EventKind.THETA_ESCAPES_BELOW, EventKind.W_BELOW)
-        if needs_threshold:
+        if self.kind is not EventKind.STEP_COLLAPSE:
             if self.threshold is None or not math.isfinite(self.threshold):
                 raise ConfigInvalid(f"{self.kind.value} event needs a finite threshold")
 
@@ -311,32 +302,27 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _state_tuple(y0) -> tuple[float, ...]:
-    if isinstance(y0, (ReducedState, HyperbolicState, FullState)):
-        return y0.astuple()
-    return tuple(float(v) for v in y0)
-
-
-def _make_field(system: SystemKind, p: Params, d: float | None):
-    """The system's vector field, and its monitored invariant's name and function."""
-    if system is SystemKind.FULL:
+def _make_field(y0, p: Params):
+    """The system y0's type names, its vector field, and its monitored
+    invariant's name and function."""
+    if isinstance(y0, FullState):
         gamma = p.gamma
-        return dynamics.full_field(p), "d", lambda r1, z1, r2, z2: gamma * r1 * r1 - r2 * r2
-    if system is SystemKind.REDUCED:
-        return dynamics.reduced_field(p), "H", dynamics.reduced_energy(p)
-    return dynamics.hyperbolic_field(p, d), "H", dynamics.hyperbolic_energy(p, d)
+        return (SystemKind.FULL, dynamics.full_field(p), "d",
+                lambda r1, z1, r2, z2: gamma * r1 * r1 - r2 * r2)
+    if isinstance(y0, ReducedState):
+        return SystemKind.REDUCED, dynamics.reduced_field(p), "H", dynamics.reduced_energy(p)
+    if isinstance(y0, HyperbolicState):
+        d = y0.d
+        return (SystemKind.HYPERBOLIC, dynamics.hyperbolic_field(p, d), "H",
+                dynamics.hyperbolic_energy(p, d))
+    raise InvalidInitialState(f"initial state must be a state dataclass, got {y0!r}")
 
 
-def _event_value(spec: EventSpec, system: SystemKind):
-    full = system is SystemKind.FULL
+def _event_value(spec: EventSpec):
     thr = spec.threshold
-    if spec.kind is EventKind.W_CROSSES_ZERO:
-        return (lambda y: y[1] - y[3]) if full else (lambda y: y[1])
     if spec.kind is EventKind.W_BELOW:
-        return (lambda y: abs(y[1] - y[3]) - thr) if full else (lambda y: abs(y[1]) - thr)
-    if spec.kind is EventKind.THETA_ESCAPES_BELOW:
-        return (lambda y: math.log(y[0]) - thr) if full else (lambda y: y[0] - thr)
-    return None  # STEP_COLLAPSE has no crossing function
+        return lambda y: abs(y[1]) - thr
+    return lambda y: y[0] - thr
 
 
 def _hermite(y0, f0, y1, f1, h, tau):
@@ -353,35 +339,27 @@ def _hermite(y0, f0, y1, f1, h, tau):
 
 
 def integrate(
-    system: SystemKind,
     y0,
     p: Params,
     t_end: float,
     cfg: IntegrationConfig | None = None,
     events: Sequence[EventSpec] = (),
 ) -> Trajectory:
-    """Advance the chosen system from y0 to t_end (or an event / collapse).
+    """Advance y0 to t_end (or a terminal event / step collapse).
 
-    y0 may be the matching state dataclass or a plain sequence of floats.
-    Returns a Trajectory; raises InvalidInitialState when y0 is rejected and
-    StepLimitExceeded when max_steps attempts are exhausted.
+    The system is the one y0's type names (FullState, ReducedState or
+    HyperbolicState).  Threshold events run on the (theta, W) charts only.
+    Returns a Trajectory; raises InvalidInitialState when y0 is rejected,
+    ConfigInvalid for threshold events on a FullState and StepLimitExceeded
+    when max_steps attempts are exhausted.
     """
     if cfg is None:
         cfg = IntegrationConfig()
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
         raise InvalidInitialState(f"t_end must be a positive finite real, got {t_end}")
-    d = y0.d if isinstance(y0, HyperbolicState) else None
-    if system is SystemKind.HYPERBOLIC and not isinstance(y0, HyperbolicState):
-        raise InvalidInitialState("hyperbolic integration needs a HyperbolicState")
-    y = _state_tuple(y0)
-    if not all(math.isfinite(v) for v in y):
-        raise InvalidInitialState(f"non-finite initial state {y}")
-    dim = 4 if system is SystemKind.FULL else 2
-    if len(y) != dim:
-        raise InvalidInitialState(f"{system.value} state needs {dim} components, got {y}")
-    step = _step_4d if dim == 4 else _step_2d
-
-    f, inv_name, inv = _make_field(system, p, d)
+    system, f, inv_name, inv = _make_field(y0, p)
+    y = y0.astuple()
+    step = _step_4d if system is SystemKind.FULL else _step_2d
     try:
         k1 = f(*y)
         inv0 = inv(*y)
@@ -390,22 +368,15 @@ def integrate(
     if not all(math.isfinite(v) for v in k1):
         raise InvalidInitialState(f"vector field not finite at initial state {y}")
 
-    crossing_specs = [s for s in events if s.kind is not EventKind.STEP_COLLAPSE]
     collapse_specs = [s for s in events if s.kind is EventKind.STEP_COLLAPSE]
-    # Each crossing event with its value function and the crossing
-    # directions it reports (downward, upward).
-    watched = [
-        (
-            s,
-            _event_value(s, system),
-            s.direction is not Direction.INCREASING,
-            s.direction is not Direction.DECREASING,
-        )
-        for s in crossing_specs
-    ]
+    # Each crossing event with its value function, which falls through zero
+    # at the crossing.
+    watched = [(s, _event_value(s)) for s in events if s.kind is not EventKind.STEP_COLLAPSE]
+    if watched and system is SystemKind.FULL:
+        raise ConfigInvalid("threshold events need a (theta, W) chart, not a FullState")
     # Event values at the current point, carried from one accepted step to
     # the next so each function is evaluated once per accepted point.
-    g_prev = [g(y) for _, g, _, _ in watched]
+    g_prev = [g(y) for _, g in watched]
 
     abs_tol, rel_tol, h_min = cfg.abs_tol, cfg.rel_tol, cfg.h_min
     times = [0.0]
@@ -447,19 +418,16 @@ def integrate(
         point_t, point = t_new, y_new
         if watched:
             step_hits: list[EventHit] = []
-            for i, (spec, gfn, down, up) in enumerate(watched):
+            for i, (spec, gfn) in enumerate(watched):
                 g0 = g_prev[i]
                 g1 = g_prev[i] = gfn(y_new)
-                if not ((down and g0 > 0.0 >= g1) or (up and g0 < 0.0 <= g1)):
+                if not g0 > 0.0 >= g1:
                     continue
-                decreasing = g0 > 0.0
                 lo, hi = 0.0, 1.0
                 while (hi - lo) * h_step > t_tol:
                     event_iterations += 1
                     mid = 0.5 * (lo + hi)
-                    gm = gfn(_hermite(y, k1, y_new, k7, h_step, mid))
-                    past = gm <= 0.0 if decreasing else gm >= 0.0
-                    if past:
+                    if gfn(_hermite(y, k1, y_new, k7, h_step, mid)) <= 0.0:
                         hi = mid
                     else:
                         lo = mid
@@ -599,7 +567,7 @@ def simulate_until_collision(
         EventSpec(EventKind.THETA_ESCAPES_BELOW, threshold=math.log(eps_r), terminal=True),
         EventSpec(EventKind.STEP_COLLAPSE),
     )
-    traj = integrate(SystemKind.REDUCED, rs0, p, t_end, cfg, events)
+    traj = integrate(rs0, p, t_end, cfg, events)
     if traj.outcome is Outcome.REACHED_T_END:
         return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
     if _collision_witness(traj, eps_w, eps_r):

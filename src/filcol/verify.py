@@ -33,7 +33,6 @@ from .integrate import (
     IntegrationConfig,
     Outcome,
     SimStatus,
-    SystemKind,
     integrate,
     simulate_until_collision,
 )
@@ -362,7 +361,7 @@ def _check_corridor(alpha: float, cfg: IntegrationConfig, samples: int, grid: in
     p = Params(alpha, max(2.0, gs + 0.5))
     rs = ReducedState(0.0, 1.0)
     corridor = analysis.apriori_corridor(rs, p)
-    traj = integrate(SystemKind.REDUCED, rs, p, 50.0, cfg)
+    traj = integrate(rs, p, 50.0, cfg)
     ok_inside = all(
         corridor.lower_bound(rs.w, t) - 1e-9 <= s[1] <= corridor.upper_bound(rs.w, t) + 1e-9
         for t, s in zip(traj.times, traj.states)
@@ -428,17 +427,15 @@ def _check_conservation(alpha: float, cfg: IntegrationConfig, samples: int, grid
     drifts: dict[str, float] = {}
     # Full system through a head-on collision approach.
     full = FullState(4.0, 0.5, 4.0, -0.5)
-    traj_full = integrate(SystemKind.FULL, full, Params(0.5, 1.0), 6.0, cfg)
+    traj_full = integrate(full, Params(0.5, 1.0), 6.0, cfg)
     drifts["d-full"] = traj_full.drift["d"]
     # Reduced supercritical run.
-    traj_red = integrate(
-        SystemKind.REDUCED, ReducedState(0.0, 1.0), Params(alpha, 2.0), 50.0, cfg
-    )
+    traj_red = integrate(ReducedState(0.0, 1.0), Params(alpha, 2.0), 50.0, cfg)
     drifts["H-reduced"] = traj_red.drift["H"]
     # Hyperbolic run on d != 0.
     p = Params(alpha, 2.0)
     hs = dynamics.reduce_state(FullState(1.0, 0.6, 1.1, 0.0), p)
-    traj_hyp = integrate(SystemKind.HYPERBOLIC, hs, p, 50.0, cfg)
+    traj_hyp = integrate(hs, p, 50.0, cfg)
     drifts["H-hyperbolic"] = traj_hyp.drift["H"]
     ok = (
         drifts["d-full"] < 1e-9
@@ -458,7 +455,7 @@ def _check_certificate(alpha: float, cfg: IntegrationConfig, samples: int, grid:
     }.items():
         hs = dynamics.reduce_state(full, p)
         cert = analysis.no_collision_certificate(hs, p)
-        traj = integrate(SystemKind.HYPERBOLIC, hs, p, 30.0, cfg)
+        traj = integrate(hs, p, 30.0, cfg)
         min_seen = min(
             dynamics.hyperbolic_separation(s[0], s[1], hs.d, p.gamma)
             for s in traj.states

@@ -28,7 +28,6 @@ from filcol import (
     Params,
     ReducedState,
     SimStatus,
-    SystemKind,
     ansatz_residual,
     apriori_corridor,
     collision_time,
@@ -206,7 +205,7 @@ def test_criterion_06_conservation():
         ("generic full", Params(0.3, 1.3), FullState(1.0, 0.8, 1.2, 0.0), 20.0),
     ]
     for label, p, s, t_end in probes_full:
-        traj = integrate(SystemKind.FULL, s, p, t_end, CFG)
+        traj = integrate(s, p, t_end, CFG)
         _record_drift(label, traj)
 
     p_mid = Params(ALPHA, mid_subcritical_gamma(ALPHA))
@@ -225,14 +224,14 @@ def test_criterion_06_conservation():
         ("equal-rings receding", Params(0.5, 1.0), ReducedState(0.0, -1.0), 50.0),
     ]
     for label, p, rs, t_end in probes_reduced:
-        traj = integrate(SystemKind.REDUCED, rs, p, t_end, CFG)
+        traj = integrate(rs, p, t_end, CFG)
         _record_drift(label, traj)
 
     p2 = Params(ALPHA, 2.0)
     for label, full in [("hyperbolic d>0", FullState(1.0, 0.6, 1.1, 0.0)),
                         ("hyperbolic d<0", FullState(0.8, 0.6, 1.4, 0.0))]:
         hs = reduce_state(full, p2)
-        traj = integrate(SystemKind.HYPERBOLIC, hs, p2, 100.0, CFG)
+        traj = integrate(hs, p2, 100.0, CFG)
         _record_drift(label, traj)
 
     worst_h = max((v for _, k, v in _DRIFTS if k == "H"), default=0.0)
@@ -263,7 +262,7 @@ def test_criterion_07_supercritical_corridor_printed_endpoints():
     stated_lower_slope = -p.mu * math.exp(-cor.theta_hi)
     stated_upper_slope = -abs(f_lo)
     stated_empty = stated_lower_slope > stated_upper_slope
-    traj = integrate(SystemKind.REDUCED, rs, p, 50.0, CFG)
+    traj = integrate(rs, p, 50.0, CFG)
     inside = all(
         rs.w + lower_slope * t - 1e-9 <= s[1] <= rs.w + upper_slope * t + 1e-9
         for t, s in zip(traj.times, traj.states)
@@ -283,7 +282,7 @@ def test_criterion_07_supercritical_corridor_rederived():
     p = Params(ALPHA, 2.0)
     rs = ReducedState(0.0, 1.0)
     cor = apriori_corridor(rs, p)
-    traj = integrate(SystemKind.REDUCED, rs, p, 50.0, CFG)
+    traj = integrate(rs, p, 50.0, CFG)
     drift_ok = _record_drift("corridor run", traj)
     inside = all(
         cor.lower_bound(rs.w, t) - 1e-9 <= s[1] <= cor.upper_bound(rs.w, t) + 1e-9
@@ -312,7 +311,7 @@ def test_criterion_08_nonzero_d_no_collision_certificate():
         hs = reduce_state(full, p)
         assert isinstance(hs, HyperbolicState)
         cert = no_collision_certificate(hs, p)
-        traj = integrate(SystemKind.HYPERBOLIC, hs, p, 100.0, CFG)
+        traj = integrate(hs, p, 100.0, CFG)
         drift_ok = _record_drift(f"certificate {label}", traj)
         min_seen = min(
             hyperbolic_separation(s[0], s[1], hs.d, p.gamma) for s in traj.states

@@ -28,7 +28,6 @@ from filcol import (
     ReducedState,
     RegimeError,
     SimStatus,
-    SystemKind,
     Verdict,
     apriori_corridor,
     classify,
@@ -579,6 +578,20 @@ class TestTimesAtTheEdges:
         with pytest.raises(NumericalFailure):
             collision_time(rs, p)
 
+    def test_critical_band_positive_energy_has_no_bound(self):
+        # Just below gamma_star, inside GAMMA_STAR_ATOL, h0 is +8.0e-9 here.
+        # The critical bound (531.03 if taken with |h0|) is derived for
+        # h0 < 0 and is no bound: the integrator has not collided by 638.
+        p = Params(0.2, gamma_star(0.2) - 0.9e-9)
+        rs = ReducedState(0.0, 1e-6)
+        mc = classify(rs, p)
+        assert mc.verdict is Verdict.ASYMMETRIC_COLLISION
+        assert mc.h0 == pytest.approx(8.0e-9, rel=0.05)
+        with pytest.raises(NumericalFailure):
+            collision_time(rs, p)
+        result, _ = simulate_until_collision(rs, p, CFG, t_end=600.0)
+        assert result.status is not SimStatus.COLLIDED
+
 
 class TestCorridor:
     def test_slopes_and_ordering(self):
@@ -591,7 +604,7 @@ class TestCorridor:
         p = Params(0.2, 2.0)
         rs = ReducedState(0.0, 1.0)
         cor = apriori_corridor(rs, p)
-        traj = integrate(SystemKind.REDUCED, rs, p, 50.0, CFG)
+        traj = integrate(rs, p, 50.0, CFG)
         for t, s in zip(traj.times, traj.states):
             assert cor.lower_bound(rs.w, t) - 1e-9 <= s[1] <= cor.upper_bound(rs.w, t) + 1e-9
         w50 = traj.state_final[1]
@@ -601,7 +614,7 @@ class TestCorridor:
         p = Params(0.2, 2.0)
         rs = ReducedState(0.0, 1.0)
         cor = apriori_corridor(rs, p)
-        traj = integrate(SystemKind.REDUCED, rs, p, 50.0, CFG)
+        traj = integrate(rs, p, 50.0, CFG)
         ths = [s[0] for s in traj.states]
         assert min(ths) >= cor.theta_lo - 1e-9
         assert max(ths) <= cor.theta_hi + 1e-9
@@ -611,6 +624,15 @@ class TestCorridor:
             apriori_corridor(ReducedState(0.0, 1.0), Params(0.2, 1.1))
         with pytest.raises(RegimeError):
             apriori_corridor(ReducedState(0.0, 1.0), Params(0.2, gamma_star(0.2)))
+
+    @pytest.mark.parametrize("theta0", [400.0, -800.0])
+    def test_unrepresentable_energy_is_a_domain_error(self, theta0):
+        # The same error classify raises for the state, not a bare OverflowError.
+        rs, p = ReducedState(theta0, 0.5), Params(0.2, 3.0)
+        with pytest.raises(DomainError):
+            classify(rs, p)
+        with pytest.raises(DomainError):
+            apriori_corridor(rs, p)
 
 
 class TestCertificate:
@@ -626,7 +648,7 @@ class TestCertificate:
         assert isinstance(hs, HyperbolicState)
         cert = no_collision_certificate(hs, p)
         assert cert.min_separation > 0.0
-        traj = integrate(SystemKind.HYPERBOLIC, hs, p, 100.0, CFG)
+        traj = integrate(hs, p, 100.0, CFG)
         min_seen = min(
             hyperbolic_separation(s[0], s[1], hs.d, p.gamma) for s in traj.states
         )

@@ -460,10 +460,10 @@ class TestRatioNormalization:
         sol = solve_ivp(raw_field, (0.0, t_direct), [th0, w0], rtol=1e-12, atol=1e-14)
         p, rs, scale, swapped = normalize_reduced(alpha, g_o, th0, w0)
         assert swapped and p.gamma == pytest.approx(1.25)
-        from filcol import IntegrationConfig, SystemKind, integrate
+        from filcol import IntegrationConfig, integrate
 
         traj = integrate(
-            SystemKind.REDUCED, rs, p, t_direct / scale,
+            rs, p, t_direct / scale,
             IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14),
         )
         th_n, w_n = traj.state_final

@@ -19,7 +19,6 @@ from filcol import (
     Params,
     ReducedState,
     SeparationZero,
-    SystemKind,
     ansatz_residual,
     conserved_d,
     full_field,
@@ -96,7 +95,7 @@ class TestFullSystem:
         s = FullState(1.0, 0.8, 1.2, 0.0)
         tau = 1e-10
         cfg = IntegrationConfig(rel_tol=tau, abs_tol=1e-12)
-        traj = integrate(SystemKind.FULL, s, p, 20.0, cfg)
+        traj = integrate(s, p, 20.0, cfg)
         d0 = conserved_d(s, p)
         assert traj.drift["d"] <= 100.0 * tau * (1.0 + abs(d0))
 
@@ -189,7 +188,7 @@ class TestEnergy:
     def test_constancy_along_trajectory(self):
         p = Params(0.2, 1.4)
         cfg = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.2, -0.8), p, 30.0, cfg)
+        traj = integrate(ReducedState(0.2, -0.8), p, 30.0, cfg)
         assert traj.drift["H"] < 1e-8
 
 
@@ -281,7 +280,7 @@ class TestHyperbolicChart:
         p = Params(0.2, 2.0)
         hs = reduce_state(FullState(1.0, 0.6, 1.1, 0.0), p)
         cfg = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = integrate(SystemKind.HYPERBOLIC, hs, p, 40.0, cfg)
+        traj = integrate(hs, p, 40.0, cfg)
         assert traj.drift["H"] < 1e-8
 
     def test_separation_matches_radii_gap(self):

@@ -10,12 +10,12 @@ from scipy.integrate import solve_ivp
 import filcol.dynamics as dynamics
 from filcol import (
     ConfigInvalid,
-    Direction,
     DomainError,
     EventKind,
     EventSpec,
     FilcolError,
     FullState,
+    HyperbolicState,
     IntegrationConfig,
     InvalidInitialState,
     Outcome,
@@ -60,35 +60,59 @@ class TestConfig:
 
     def test_bad_initial_state(self):
         with pytest.raises(InvalidInitialState):
-            integrate(SystemKind.REDUCED, (float("nan"), 1.0), P_BENCH, 1.0, CFG)
+            integrate(ReducedState(0.0, 0.0), P_BENCH, 1.0, CFG)
         with pytest.raises(InvalidInitialState):
-            integrate(SystemKind.REDUCED, ReducedState(0.0, 0.0), P_BENCH, 1.0, CFG)
+            integrate(RS_BENCH, P_BENCH, -1.0, CFG)
+
+    @pytest.mark.parametrize("y0", [(0.0, 1.0), [1.0, 0.5, 1.1, 0.0], None])
+    def test_plain_sequence_state_rejected(self, y0):
+        # The state's type names the system; a bare sequence names none.
         with pytest.raises(InvalidInitialState):
-            integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, -1.0, CFG)
-        with pytest.raises(InvalidInitialState):
-            integrate(SystemKind.HYPERBOLIC, RS_BENCH, P_BENCH, 1.0, CFG)
+            integrate(y0, P_BENCH, 1.0, CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_dataclasses_reject_non_finite_components(self, bad):
+        for make, n in ((ReducedState, 2), (HyperbolicState, 3), (FullState, 4)):
+            ok = (0.5, 0.25, 2.0, 0.1)[:n]
+            for i in range(n):
+                with pytest.raises(DomainError):
+                    make(*ok[:i], bad, *ok[i + 1:])
+
+    def test_threshold_events_need_a_planar_chart(self):
+        full = FullState(1.0, 0.8, 1.2, 0.0)
+        for spec in (
+            EventSpec(EventKind.W_BELOW, threshold=0.5),
+            EventSpec(EventKind.THETA_ESCAPES_BELOW, threshold=-1.0, terminal=False),
+        ):
+            with pytest.raises(ConfigInvalid):
+                integrate(full, Params(0.2, 1.4), 1.0, CFG, (spec,))
+        # The step-collapse marker is no crossing and is allowed.
+        traj = integrate(full, Params(0.2, 1.4), 1.0, CFG, (EventSpec(EventKind.STEP_COLLAPSE),))
+        assert traj.outcome is Outcome.REACHED_T_END and not traj.events
 
 
 class TestEvents:
     def test_gap_threshold_event_terminates_at_collision_time(self):
         spec = EventSpec(EventKind.W_BELOW, threshold=1e-6)
-        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         assert traj.outcome is Outcome.EVENT_TERMINATED
         assert traj.events and traj.events[-1].spec is spec
         assert rel_err(traj.t_final, T_BENCH) < 1e-5
 
-    def test_gap_zero_crossing_recorded_without_termination(self):
-        # Supercritical pass-through: W crosses zero transversally.
+    def test_gap_threshold_crossing_recorded_without_termination(self):
+        # Supercritical pass-through: W falls through 0.5 and then through
+        # zero; |W| rising back past 0.5 is an upward crossing, not an event.
         p = Params(0.2, 2.0)
-        spec = EventSpec(EventKind.W_CROSSES_ZERO, terminal=False)
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), p, 20.0, CFG, (spec,))
+        spec = EventSpec(EventKind.W_BELOW, threshold=0.5, terminal=False)
+        traj = integrate(ReducedState(0.0, 1.0), p, 20.0, CFG, (spec,))
         assert traj.outcome is Outcome.REACHED_T_END
+        assert traj.state_final[1] < -0.5
         hits = [e for e in traj.events if e.spec is spec]
         assert len(hits) == 1
         t_cross = hits[0].time
         # Cross-check the crossing location against scipy event detection.
         field = reduced_field(p)
-        ev = lambda t, y: y[1]
+        ev = lambda t, y: y[1] - 0.5
         ev.terminal = True
         ev.direction = -1
         sol = solve_ivp(
@@ -99,27 +123,21 @@ class TestEvents:
 
     def test_angle_escape_event(self):
         spec = EventSpec(EventKind.THETA_ESCAPES_BELOW, threshold=0.0)
-        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         assert traj.outcome is Outcome.EVENT_TERMINATED
         assert abs(traj.state_final[0]) < 1e-9
 
     def test_event_times_strictly_inside_run(self):
         spec = EventSpec(EventKind.W_BELOW, threshold=0.5)
-        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
-    def test_any_direction_catches_downward_crossing(self):
-        p = Params(0.2, 2.0)
-        spec = EventSpec(EventKind.W_CROSSES_ZERO, direction=Direction.ANY)
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), p, 20.0, CFG, (spec,))
-        assert traj.outcome is Outcome.EVENT_TERMINATED
-        assert abs(traj.state_final[1]) < 1e-9
 
 
 class TestAdaptivity:
     def test_supercritical_run_reaches_horizon_with_small_drift(self):
         p = Params(0.2, 2.0)
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), p, 50.0, CFG)
+        traj = integrate(ReducedState(0.0, 1.0), p, 50.0, CFG)
         assert traj.outcome is Outcome.REACHED_T_END
         assert traj.drift["H"] < 1e-8
 
@@ -128,7 +146,7 @@ class TestAdaptivity:
         # about 1e-15, so constancy to 1e-12 is asserted over a few units.
         p = Params(0.2, gamma_star(0.2))
         rs = ReducedState(0.3, 0.0)
-        traj = integrate(SystemKind.REDUCED, rs, p, 5.0, CFG)
+        traj = integrate(rs, p, 5.0, CFG)
         assert traj.outcome is Outcome.REACHED_T_END
         assert abs(traj.state_final[0] - 0.3) < 1e-12
         assert abs(traj.state_final[1]) < 1e-12
@@ -141,13 +159,13 @@ class TestAdaptivity:
         rs = ReducedState(0.0, 1.0)
         t_end = 5.0
         ref = integrate(
-            SystemKind.REDUCED, rs, p, t_end,
+            rs, p, t_end,
             IntegrationConfig(rel_tol=1e-13, abs_tol=1e-14),
         ).state_final
         hs, errs = [], []
         for tol in (1e-4, 1e-5, 1e-6, 1e-7):
             traj = integrate(
-                SystemKind.REDUCED, rs, p, t_end,
+                rs, p, t_end,
                 IntegrationConfig(rel_tol=tol, abs_tol=1e-14),
             )
             err = max(abs(a - b) for a, b in zip(traj.state_final, ref))
@@ -159,12 +177,12 @@ class TestAdaptivity:
     def test_step_limit(self):
         cfg = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=10)
         with pytest.raises(StepLimitExceeded):
-            integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), Params(0.2, 2.0), 50.0, cfg)
+            integrate(ReducedState(0.0, 1.0), Params(0.2, 2.0), 50.0, cfg)
 
     def test_matches_independent_integrator(self):
         p = Params(0.2, 2.0)
         rs = ReducedState(0.0, 1.0)
-        traj = integrate(SystemKind.REDUCED, rs, p, 5.0, CFG)
+        traj = integrate(rs, p, 5.0, CFG)
         field = reduced_field(p)
         sol = solve_ivp(
             lambda t, y: list(field(*y)), (0, 5.0), list(rs.astuple()),
@@ -176,7 +194,7 @@ class TestAdaptivity:
 
 class TestBlowUp:
     def test_singularity_manifests_as_step_collapse_not_nan(self):
-        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG)
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG)
         assert traj.outcome is Outcome.STEP_COLLAPSED
         assert all(math.isfinite(v) for s in traj.states for v in s)
         assert abs(traj.t_final - T_BENCH) < 1e-8
@@ -188,7 +206,7 @@ class TestBlowUp:
 
     def test_collapse_event_marker_recorded(self):
         spec = EventSpec(EventKind.STEP_COLLAPSE)
-        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         assert traj.outcome is Outcome.STEP_COLLAPSED
         assert any(e.spec.kind is EventKind.STEP_COLLAPSE for e in traj.events)
 
@@ -201,9 +219,9 @@ class TestReflectionSymmetry:
         p = Params(0.2, 1.4)
         rs = ReducedState(0.1, 1.2)
         t_end = 3.0
-        fwd = integrate(SystemKind.REDUCED, rs, p, t_end, CFG)
+        fwd = integrate(rs, p, t_end, CFG)
         th_e, w_e = fwd.state_final
-        back = integrate(SystemKind.REDUCED, ReducedState(th_e, -w_e), p, t_end, CFG)
+        back = integrate(ReducedState(th_e, -w_e), p, t_end, CFG)
         assert abs(back.state_final[0] - rs.theta) < 1e-8
         assert abs(back.state_final[1] + rs.w) < 1e-8
 
@@ -237,15 +255,25 @@ class TestCollisionDriver:
 class TestDriftReport:
     def test_planar_and_full_invariants(self):
         p = Params(0.2, 1.4)
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.2, -0.8), p, 30.0, CFG)
+        traj = integrate(ReducedState(0.2, -0.8), p, 30.0, CFG)
         assert traj.drift["H"] < 1e-8
         full = FullState(1.0, 0.8, 1.2, 0.0)
-        traj_full = integrate(SystemKind.FULL, full, p, 20.0, CFG)
+        traj_full = integrate(full, p, 20.0, CFG)
         assert traj_full.drift["d"] < 1e-9
+
+    def test_hyperbolic_state_runs_the_hyperbolic_chart(self):
+        # The d = 0 field on these coordinates would end near (1.195, -3.396).
+        p = Params(0.2, 2.0)
+        hs = reduce_state(FullState(1.0, 0.6, 1.1, 0.0), p)
+        traj = integrate(hs, p, 5.0, CFG)
+        assert traj.system is SystemKind.HYPERBOLIC
+        assert traj.outcome is Outcome.REACHED_T_END
+        assert traj.drift["H"] < 1e-8
+        assert traj.state_final == pytest.approx((1.204, -12.517), abs=1e-3)
 
     def test_single_point_trajectory_has_zero_drift(self):
         # A horizon below the step floor ends the run at its start point.
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), P_BENCH, 1e-15, CFG)
+        traj = integrate(ReducedState(0.0, 1.0), P_BENCH, 1e-15, CFG)
         assert traj.times == [0.0]
         assert traj.drift == {"H": 0.0}
 
@@ -256,8 +284,8 @@ class TestFullReducedConsistency:
         p = Params(0.5, 1.0)
         full = FullState(4.0, 0.5, 4.0, -0.5)
         t_end = 0.8
-        traj_full = integrate(SystemKind.FULL, full, p, t_end, CFG)
-        traj_red = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, t_end, CFG)
+        traj_full = integrate(full, p, t_end, CFG)
+        traj_red = integrate(RS_BENCH, P_BENCH, t_end, CFG)
         r1, z1, r2, z2 = traj_full.state_final
         th, w = traj_red.state_final
         assert abs((z1 - z2) - w) < 5e-8
@@ -279,7 +307,7 @@ class TestStats:
 
         monkeypatch.setattr(dynamics, "reduced_field", counting_field)
         spec = EventSpec(EventKind.W_BELOW, threshold=0.5, terminal=False)
-        traj = integrate(SystemKind.REDUCED, RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         stats = traj.stats
         assert stats.f_evals == 1 + 6 * stats.attempts
         assert stats.f_evals == calls[0]
@@ -289,7 +317,7 @@ class TestStats:
         assert len(traj.events) == 1 and stats.event_iterations > 0
 
     def test_event_free_run_has_no_event_iterations(self):
-        traj = integrate(SystemKind.REDUCED, ReducedState(0.0, 1.0), Params(0.2, 2.0), 5.0, CFG)
+        traj = integrate(ReducedState(0.0, 1.0), Params(0.2, 2.0), 5.0, CFG)
         assert traj.stats.event_iterations == 0
         assert traj.stats.f_evals == 1 + 6 * traj.stats.attempts
 
