@@ -264,9 +264,7 @@ def _cmd_simulate(args) -> None:
 
     if system in ("auto", "reduced"):
         p, rs, scale, swapped = _initial_reduced(args)
-        result, traj = simulate_until_collision(
-            rs, p, cfg, eps_w=args.eps_w, eps_r=args.eps_r, t_end=args.t_end / scale
-        )
+        result, traj = simulate_until_collision(rs, p, cfg, t_end=args.t_end / scale)
         status, t_stop = result.status.value, result.time
         state_header = ["t", "theta", "w"]
     else:  # full, or hyperbolic: the d != 0 chart of the full state
@@ -509,10 +507,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_integration(sp)
     sp.add_argument("--system", choices=("auto", "reduced", "full", "hyperbolic"),
                     default="auto")
-    sp.add_argument("--eps-w", type=float, default=1e-8,
-                    help="axial-gap threshold of the collision witness")
-    sp.add_argument("--eps-r", type=float, default=1e-8,
-                    help="radius threshold of the collision witness")
     _add_common(sp, "json")
     sp.set_defaults(handler=_cmd_simulate)
 

@@ -8,18 +8,22 @@ abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
 standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension:
 one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
-with the vector field called on scalars.  Events are downward crossings of a
-threshold by |W| or theta on the (theta, W) charts, located by bisection on
-a cubic-Hermite interpolant of each accepted step.  The conserved quantity of
-the chosen system (d for the full system, the energy for the planar charts)
-is recorded at every accepted point, so any run doubles as a conservation
-audit, and every run counts its attempts, rejections, field evaluations and
-event iterations in ``Trajectory.stats``.
+with the vector field called on scalars.  The one crossing event is the
+separation of a d = 0 run falling to a fraction of its initial value,
+located by bisection on a cubic-Hermite interpolant of each accepted step.
+The conserved quantity of the chosen system (d for the full system, the
+energy for the planar charts) is recorded at every accepted point, so any
+run doubles as a conservation audit, and every run counts its attempts,
+rejections, field evaluations and event iterations in ``Trajectory.stats``.
 
-Finite-time blow-up (the collision singularity) manifests as step collapse:
-the controller drives the step below the floor and the run ends with
-outcome StepCollapsed at the last representable time before the singularity,
-never with a NaN state.
+Finite-time blow-up (the collision singularity) is not integrated into.
+``simulate_until_collision`` stops a d = 0 run once the separation
+D = sqrt(offset2*exp(2*theta) + W**2) has fallen to 1e-3 of its initial
+value on a branch of the energy level that reaches D = 0, and adds the
+exact time that branch takes from there to the axis.  A run that meets the
+singularity any other way ends by step collapse: the controller drives the
+step below the floor and the run ends with outcome StepCollapsed at the
+last representable time before the singularity, never with a NaN state.
 """
 
 from __future__ import annotations
@@ -61,17 +65,19 @@ class SystemKind(Enum):
 
 
 class EventKind(Enum):
-    THETA_ESCAPES_BELOW = "theta-escapes-below"
-    W_BELOW = "w-below"
+    SEPARATION_BELOW = "separation-below"
     STEP_COLLAPSE = "step-collapse"
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A downward threshold crossing on a (theta, W) chart, or the collapse marker.
+    """A downward separation crossing on the d = 0 chart, or the collapse marker.
 
-    W_BELOW fires when |W| falls to threshold, THETA_ESCAPES_BELOW when
-    theta does.  ``terminal`` stops the integration at the located crossing.
+    SEPARATION_BELOW fires when D = sqrt(offset2*exp(2*theta) + W**2) falls
+    to threshold times its initial value, at a point whose energy-level
+    branch reaches D = 0: W > 0 and the level bracket nonnegative (to
+    _level_bracket's tolerance) all the way down to theta = -inf.
+    ``terminal`` stops the integration at the located crossing.
     """
 
     kind: EventKind
@@ -318,11 +324,48 @@ def _make_field(y0, p: Params):
     raise InvalidInitialState(f"initial state must be a state dataclass, got {y0!r}")
 
 
-def _event_value(spec: EventSpec):
-    thr = spec.threshold
-    if spec.kind is EventKind.W_BELOW:
-        return lambda y: abs(y[1]) - thr
-    return lambda y: y[0] - thr
+# 8-point Gauss-Legendre rule on [0, 1]: (node, weight) pairs.
+_GAUSS_LEGENDRE_8 = tuple(
+    (0.5 * (1.0 + sign * x), 0.5 * w)
+    for x, w in (
+        (0.9602898564975362, 0.10122853629037706),
+        (0.7966664774136267, 0.22238103445337443),
+        (0.525532409916329, 0.3137066458778869),
+        (0.18343464249564978, 0.36268378337836166),
+    )
+    for sign in (-1.0, 1.0)
+)
+
+
+def _separation_value(fraction: float, y0: tuple[float, float], p: Params, h0: float):
+    """Value function of the separation event: D**2 - (fraction*D0)**2 where
+    armed, +inf elsewhere.
+
+    On level h0 the bracket at s = exp(theta) is K - offset2*h0*s*(2*mu +
+    h0*s), K = alpha**2*gamma - offset2*mu**2.  It is monotone in s (its
+    slope is -2*offset2*h0*m(s) with m(s) = mu + h0*s > 0 on the level), so
+    its minimum over (0, u] is the smaller of K and its value at u.  The
+    event is armed where W > 0 and that minimum is at least
+    _level_bracket's tolerance -1e-10*alpha**2*gamma.
+    """
+    a2g = p.alpha * p.alpha * p.gamma
+    c2, mu = p.offset2, p.mu
+    k = a2g - c2 * mu * mu
+    floor = -1e-10 * a2g
+    th0, w0 = y0
+    thr2 = fraction * fraction * (c2 * math.exp(2.0 * th0) + w0 * w0)
+    inf = math.inf
+
+    def value(y):
+        th, w = y
+        if w <= 0.0 or k < floor:
+            return inf
+        u = math.exp(th)
+        if k - c2 * h0 * u * (2.0 * mu + h0 * u) < floor:
+            return inf
+        return c2 * u * u + w * w - thr2
+
+    return value
 
 
 def _hermite(y0, f0, y1, f1, h, tau):
@@ -348,10 +391,10 @@ def integrate(
     """Advance y0 to t_end (or a terminal event / step collapse).
 
     The system is the one y0's type names (FullState, ReducedState or
-    HyperbolicState).  Threshold events run on the (theta, W) charts only.
+    HyperbolicState).  The separation event runs on the d = 0 chart only.
     Returns a Trajectory; raises InvalidInitialState when y0 is rejected,
-    ConfigInvalid for threshold events on a FullState and StepLimitExceeded
-    when max_steps attempts are exhausted.
+    ConfigInvalid for a separation event on another chart and
+    StepLimitExceeded when max_steps attempts are exhausted.
     """
     if cfg is None:
         cfg = IntegrationConfig()
@@ -371,9 +414,10 @@ def integrate(
     collapse_specs = [s for s in events if s.kind is EventKind.STEP_COLLAPSE]
     # Each crossing event with its value function, which falls through zero
     # at the crossing.
-    watched = [(s, _event_value(s)) for s in events if s.kind is not EventKind.STEP_COLLAPSE]
-    if watched and system is SystemKind.FULL:
-        raise ConfigInvalid("threshold events need a (theta, W) chart, not a FullState")
+    crossings = [s for s in events if s.kind is EventKind.SEPARATION_BELOW]
+    if crossings and system is not SystemKind.REDUCED:
+        raise ConfigInvalid("the separation event needs a ReducedState (d = 0)")
+    watched = [(s, _separation_value(s.threshold, y, p, inv0)) for s in crossings]
     # Event values at the current point, carried from one accepted step to
     # the next so each function is evaluated once per accepted point.
     g_prev = [g(y) for _, g in watched]
@@ -506,70 +550,63 @@ class CollisionResult:
         return self.status is SimStatus.COLLIDED
 
 
-# Fraction of the run used for the trailing monotonicity window, and the
-# minimum theta descent over that window that counts as unbounded escape.
-_TAIL_FRACTION = 0.1
-_TAIL_MIN_POINTS = 10
-_THETA_DROP = 0.5
+#: Fraction of the initial separation at which a colliding run stops.
+_KAPPA = 1e-3
 
 
-def _collision_witness(
-    traj: Trajectory, eps_w: float, eps_r: float
-) -> bool:
-    """Decide whether a terminated run witnessed a monotone collision.
+def _remaining_time(u: float, p: Params, h0: float) -> float:
+    """Exact time from s = u = exp(theta) to the axis on the W > 0 branch of
+    level h0.
 
-    Requires W non-increasing over the whole recorded history (collisions
-    approach W = 0 monotonically from above; overshooting orbits that reach
-    the singularity after an initial rise are not collisions), a final W
-    that is small and has not materially crossed zero, and a theta record
-    that is either already below the radius threshold or in monotone
-    free-fall over the trailing window.
+    From rhs_reduced_alt, t_rem(u) = int_0^u a2g*s ds / (m(s)**2 *
+    sqrt(bracket(s))) with m(s) = mu + h0*s and bracket(s) = K -
+    offset2*h0*s*(2*mu + h0*s), formed so that nothing cancels.  With
+    s = v**2 the integrand is smooth on [0, sqrt(u)], K = 0 included; on
+    the tail past the event 8-point Gauss-Legendre in v agrees with scipy
+    quad to 5e-11 relative.  gamma = 1 is the case offset2 = 0, mu = 2.  A
+    K below zero within the event's tolerance is the critical K = 0.
     """
-    ws = [s[1] for s in traj.states]
-    ths = [s[0] for s in traj.states]
-    w0 = ws[0]
-    slack = 1e-9 * (1.0 + abs(w0))
-    if any(b > a + slack for a, b in zip(ws, ws[1:])):
-        return False
-    w_f = ws[-1]
-    if w_f <= -eps_w:
-        return False
-    if w_f > max(eps_w, 1e-2 * (1.0 + abs(w0))):
-        return False
-    k = max(_TAIL_MIN_POINTS, len(ths) // int(1.0 / _TAIL_FRACTION))
-    tail = ths[-k:]
-    tail_monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-    if math.exp(ths[-1]) <= eps_r:
-        return True
-    return tail_monotone and (tail[-1] - tail[0]) <= -_THETA_DROP
+    a2g = p.alpha * p.alpha * p.gamma
+    c2, mu = p.offset2, p.mu
+    k = max(a2g - c2 * mu * mu, 0.0)
+    total = 0.0
+    for x, w in _GAUSS_LEGENDRE_8:
+        s = u * x * x
+        m = mu + h0 * s
+        total += w * x * x * x / (m * m * math.sqrt(k - c2 * h0 * s * (2.0 * mu + h0 * s)))
+    return 2.0 * a2g * u * u * total
 
 
 def simulate_until_collision(
     rs0: ReducedState,
     p: Params,
     cfg: IntegrationConfig | None = None,
-    eps_w: float = 1e-8,
-    eps_r: float = 1e-8,
     t_end: float = 200.0,
 ) -> tuple[CollisionResult, Trajectory]:
     """Integrate the reduced system and decide collided/survived.
 
-    A collision is declared when the run terminates early (threshold event
-    or step collapse at the blow-up) with the monotone-approach witness; a
-    run that reaches t_end survived; a singular stop without the witness is
-    inconclusive (the orbit reached the blow-up but not monotonically, so it
-    is not a collision in the defined sense).
+    The run stops once the separation has fallen to _KAPPA of its initial
+    value on a branch of the energy level that reaches the axis (the
+    SEPARATION_BELOW event).  It collided if W never rose along the way
+    (collisions approach W = 0 monotonically from above; an orbit that
+    reaches the singularity after an initial rise is not a collision in the
+    defined sense), at the event time plus the exact remaining time on the
+    level.  A run that reaches t_end survived; any other stop, such as step
+    collapse without the event, is inconclusive.
     """
-    if not (eps_w > 0.0 and eps_r > 0.0):
-        raise InvalidInitialState("eps_w and eps_r must be positive")
     events = (
-        EventSpec(EventKind.W_BELOW, threshold=eps_w, terminal=False),
-        EventSpec(EventKind.THETA_ESCAPES_BELOW, threshold=math.log(eps_r), terminal=True),
+        EventSpec(EventKind.SEPARATION_BELOW, threshold=_KAPPA),
         EventSpec(EventKind.STEP_COLLAPSE),
     )
     traj = integrate(rs0, p, t_end, cfg, events)
     if traj.outcome is Outcome.REACHED_T_END:
         return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
-    if _collision_witness(traj, eps_w, eps_r):
-        return CollisionResult(SimStatus.COLLIDED, traj.t_final), traj
+    ws = [s[1] for s in traj.states]
+    slack = 1e-9 * (1.0 + abs(ws[0]))
+    if traj.outcome is Outcome.EVENT_TERMINATED and all(
+        b <= a + slack for a, b in zip(ws, ws[1:])
+    ):
+        h0 = dynamics.reduced_energy(p)(rs0.theta, rs0.w)
+        t_rem = _remaining_time(math.exp(traj.state_final[0]), p, h0)
+        return CollisionResult(SimStatus.COLLIDED, traj.t_final + t_rem), traj
     return CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj

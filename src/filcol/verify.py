@@ -401,6 +401,7 @@ def _check_classifier_oracle(
     gammas = [1.0, mid_subcritical_gamma(alpha), gamma_star(alpha), 2.0]
     nodes = [-2.0 + 4.0 * i / (grid - 1) for i in range(grid)]
     disagreements = []
+    n_inconclusive = 0
     complete = True
     for g in gammas:
         rows = classifier_oracle_grid(Params(alpha, g), nodes, nodes, cfg)
@@ -410,12 +411,16 @@ def _check_classifier_oracle(
             for r in rows
             if not r[6]
         )
+        # Undecided runs: reported, though the pass rule counts them as
+        # agreeing with a no-collision verdict.
+        n_inconclusive += sum(r[5] == SimStatus.INCONCLUSIVE.value for r in rows)
     return {
         "passed": complete and not disagreements,
         "measured": {
             "grid": f"{grid}x{grid} x 4 regimes",
             "disagreements": disagreements[:10],
             "n_disagreements": len(disagreements),
+            "n_inconclusive": n_inconclusive,
         },
     }
 

@@ -450,6 +450,44 @@ class TestScaleInvariance:
             assert abs(mc.theta_star - (twin.theta_star + th0)) < 1e-9 * th0
 
 
+@st.composite
+def bounded_collisions(draw) -> tuple[Params, ReducedState]:
+    """A colliding state on the h0 < 0, h0 > 0 or critical branch, each of
+    which gets an upper bound rather than an exact time."""
+    alpha = draw(st.floats(0.02, 0.98))
+    branch = draw(st.sampled_from(["h0-negative", "h0-positive", "critical"]))
+    th0 = draw(st.floats(-1.5, 1.5))
+    gs = gamma_star(alpha)
+    if branch == "critical":
+        p = Params(alpha, gs)
+        w0 = draw(st.floats(0.05, 2.0))
+    else:
+        p = Params(alpha, 1.0 + draw(st.floats(0.02, 0.98)) * (gs - 1.0))
+        # Above the zero level's gap h0 < 0, below it h0 > 0.
+        w_zero = h0_zero_w(p, th0)
+        if branch == "h0-negative":
+            w0 = draw(st.floats(0.05, 2.0))
+            assume(w0 > w_zero * (1.0 + 1e-6))
+        else:
+            w0 = draw(st.floats(0.05, 0.999)) * w_zero
+            assume(0.05 <= w0 <= 2.0)
+    rs = ReducedState(th0, w0)
+    assume(classify(rs, p).predicts_collision)
+    return p, rs
+
+
+class TestBoundDominatesOracle:
+    @given(case=bounded_collisions())
+    @settings(max_examples=100)
+    def test_bound_is_at_least_the_oracle_time(self, case):
+        p, rs = case
+        est = collision_time(rs, p)
+        assert est.kind is EstimateKind.UPPER_BOUND
+        result, _ = simulate_until_collision(rs, p, CFG, t_end=2.0 * est.value + 20.0)
+        assert result.status is SimStatus.COLLIDED
+        assert result.time <= est.value
+
+
 class TestCollisionTime:
     def test_equal_circulation_zero_energy_exact(self):
         p = Params(0.5, 1.0)
@@ -552,7 +590,35 @@ class TestCollisionTime:
         assert result.time > est.value * p.alpha ** 0.25
 
 
+def decimal_time(tag: FormulaTag, p: Params, th0: float, w0: float, h0: float) -> float:
+    """The closed form behind tag at 120 digits.  The bounds take the float h0
+    the classifier reports; the gamma = 1 time takes the exact energy."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        a, g, th, w, h = (Decimal(v) for v in (p.alpha, p.gamma, th0, w0, h0))
+        sg = g.sqrt()
+        mu = g + 1 / sg
+        if tag is FormulaTag.GAMMA1_H0_NONZERO:
+            h = -mu * (-th).exp() + a / w
+            z = h * w / a
+            return float(a / (h * h) * (-(1 - z).ln() - z))
+        if tag is FormulaTag.CRITICAL:
+            ah = abs(h)
+            m3 = (sg - 1).sqrt() * ah.sqrt() / (a ** Decimal("1.5") * g ** Decimal("0.75"))
+            v0 = (mu / ah).sqrt() * (-th / 2).exp()
+            g1 = (((v0 + 1) / (v0 - 1)).ln() - 2 * v0 / (v0 * v0 - 1)) / (
+                4 * mu.sqrt() * ah ** Decimal("1.5"))
+            return float(-2 / m3 * g1)
+        assert tag is FormulaTag.SUBCRITICAL_H0_NEGATIVE
+        m1 = (a * sg * (a * sg - (sg - 1) * mu)).sqrt() / (a * a * g)
+        u0 = mu * (-th).exp() / abs(h)
+        return float(-((u0 / (u0 - 1)).ln() - 1 / (u0 - 1)) / (m1 * h * h))
+
+
 class TestTimesAtTheEdges:
+    # Close to h0 = 0 the gamma = 1, subcritical h0 < 0 and critical
+    # formulas are differences of nearly equal terms; past a threshold each
+    # is summed as its series.
     @pytest.mark.parametrize("w0", [1e-3, 1e-9, 1e-20, 5e-54])
     def test_gamma1_small_gap(self, w0):
         # h0*W0 -> alpha as W0 -> 0, so alpha - h0*W0 cancels; the argument
@@ -560,12 +626,54 @@ class TestTimesAtTheEdges:
         p = Params(0.5, 1.0)
         est = collision_time(ReducedState(0.0, w0), p)
         assert est.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
-        with decimal.localcontext() as ctx:
-            ctx.prec = 120
-            a, w = Decimal(p.alpha), Decimal(w0)
-            h = -2 + a / w
-            z = h * w / a
-            want = float(a / (h * h) * (-(1 - z).ln() - z))
+        want = decimal_time(est.formula_tag, p, 0.0, w0, 0.0)
+        assert rel_err(est.value, want) < 1e-12
+
+    @pytest.mark.parametrize("excess", [1e-2, 1e-4, -1e-4, 1e-7, -1e-7, 1e-10])
+    def test_gamma1_near_zero_energy(self, excess):
+        # W0 = alpha*exp(theta0)/2 is the zero level; z = h0*W0/alpha is
+        # about -excess, and |z| < 1e-3 takes the series.
+        p = Params(0.5, 1.0)
+        rs = ReducedState(0.3, 0.25 * math.exp(0.3) * (1.0 + excess))
+        est = collision_time(rs, p)
+        assert est.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
+        want = decimal_time(est.formula_tag, p, rs.theta, rs.w, 0.0)
+        assert rel_err(est.value, want) < 1e-12
+
+    @pytest.mark.parametrize("th0", [-1.0, 0.0, 1.5])
+    @pytest.mark.parametrize("excess", [1e-2, 1e-4, 1e-7, 1e-10])
+    def test_subcritical_bound_just_below_zero_energy(self, th0, excess):
+        p = Params(0.2, 1.1)
+        rs = ReducedState(th0, h0_zero_w(p, th0) * (1.0 + excess))
+        mc = classify(rs, p)
+        est = collision_time(rs, p)
+        assert est.formula_tag is FormulaTag.SUBCRITICAL_H0_NEGATIVE
+        want = decimal_time(est.formula_tag, p, th0, rs.w, mc.h0)
+        # Up to the series threshold u0 = 1001 the difference keeps about
+        # eps*u0**2 of its digits.
+        assert rel_err(est.value, want) < max(1e-12, 1e-15 * est.constants["u0"] ** 2)
+
+    def test_subcritical_bound_at_h0_minus_1_6e_10(self):
+        # Summed as a difference, this bound came out as -485.2.
+        p = Params(0.2, 1.1)
+        rs = ReducedState(0.0, 0.08973502754105438)
+        mc = classify(rs, p)
+        assert mc.h0 == pytest.approx(-1.6e-10, rel=0.05)
+        est = collision_time(rs, p)
+        want = decimal_time(est.formula_tag, p, 0.0, rs.w, mc.h0)
+        assert want == pytest.approx(0.03442, rel=1e-4)
+        assert rel_err(est.value, want) < 1e-12
+
+    @pytest.mark.parametrize("w0", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_critical_bound_near_the_rest_line(self, w0):
+        # v0 grows like 1/W0; at (0, 1e-6) the difference gave 5,874
+        # against 4,793.
+        p = Params(0.2, gamma_star(0.2))
+        rs = ReducedState(0.0, w0)
+        mc = classify(rs, p)
+        est = collision_time(rs, p)
+        assert est.formula_tag is FormulaTag.CRITICAL
+        want = decimal_time(est.formula_tag, p, 0.0, w0, mc.h0)
         assert rel_err(est.value, want) < 1e-12
 
     @pytest.mark.parametrize("alpha, w0", [(0.625, 5.643185526345413e-54), (0.2, 1e-7)])

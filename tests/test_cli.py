@@ -126,6 +126,20 @@ class TestSimulateCommand:
         assert payload["drift"]["H"] >= 0.0
         assert len(payload["times"]) == len(payload["states"])
 
+    def test_colliding_run_stops_at_the_separation_event(self, capsys, tmp_path):
+        # The run ends where the gap is 1e-3 of W0; the reported time adds
+        # the exact rest of the approach, W0**2/(2*alpha) = 1 here.
+        payload = run_json(
+            capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
+            "--theta0", repr(math.log(4.0)), "--w0", "1", "--t-end", "20",
+        )
+        assert payload["outcome"]["status"] == "collided"
+        assert payload["integration"]["outcome"] == "event-terminated"
+        (event,) = payload["events"]
+        assert event["kind"] == "separation-below" and event["threshold"] == 1e-3
+        assert payload["times"][-1] == event["time"] < 1.0
+        assert rel_err(payload["outcome"]["time"], 1.0) < 1e-9
+
     def test_full_system_csv(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"
         code, out, _ = run_cli(

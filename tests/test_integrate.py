@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import filcol.dynamics as dynamics
 from filcol import (
@@ -24,6 +25,7 @@ from filcol import (
     SimStatus,
     StepLimitExceeded,
     SystemKind,
+    classify,
     collision_time,
     gamma_star,
     integrate,
@@ -32,6 +34,7 @@ from filcol import (
 )
 from filcol.dynamics import full_field, hyperbolic_field, reduced_field
 from filcol.integrate import _step_2d, _step_4d
+from filcol.verify import h0_zero_w
 
 from conftest import log_slope, rel_err
 
@@ -56,7 +59,7 @@ class TestConfig:
 
     def test_event_threshold_required(self):
         with pytest.raises(ConfigInvalid):
-            EventSpec(EventKind.W_BELOW)
+            EventSpec(EventKind.SEPARATION_BELOW)
 
     def test_bad_initial_state(self):
         with pytest.raises(InvalidInitialState):
@@ -78,60 +81,57 @@ class TestConfig:
                 with pytest.raises(DomainError):
                     make(*ok[:i], bad, *ok[i + 1:])
 
-    def test_threshold_events_need_a_planar_chart(self):
+    def test_separation_event_needs_the_d0_chart(self):
+        p = Params(0.2, 1.4)
         full = FullState(1.0, 0.8, 1.2, 0.0)
-        for spec in (
-            EventSpec(EventKind.W_BELOW, threshold=0.5),
-            EventSpec(EventKind.THETA_ESCAPES_BELOW, threshold=-1.0, terminal=False),
-        ):
+        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
+        for y0 in (full, reduce_state(full, p)):
             with pytest.raises(ConfigInvalid):
-                integrate(full, Params(0.2, 1.4), 1.0, CFG, (spec,))
+                integrate(y0, p, 1.0, CFG, (spec,))
         # The step-collapse marker is no crossing and is allowed.
         traj = integrate(full, Params(0.2, 1.4), 1.0, CFG, (EventSpec(EventKind.STEP_COLLAPSE),))
         assert traj.outcome is Outcome.REACHED_T_END and not traj.events
 
 
 class TestEvents:
-    def test_gap_threshold_event_terminates_at_collision_time(self):
-        spec = EventSpec(EventKind.W_BELOW, threshold=1e-6)
+    def test_separation_event_terminates_on_the_exact_level(self):
+        # gamma = 1: D = |W| and W**2 = W0**2 - 2*alpha*t, so D falls to
+        # 1e-3*D0 at t = 1 - 1e-6.
+        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=1e-3)
         traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         assert traj.outcome is Outcome.EVENT_TERMINATED
-        assert traj.events and traj.events[-1].spec is spec
-        assert rel_err(traj.t_final, T_BENCH) < 1e-5
+        assert len(traj.events) == 1 and traj.events[0].spec is spec
+        assert rel_err(traj.t_final, T_BENCH - 1e-6) < 1e-9
+        assert rel_err(traj.state_final[1], 1e-3) < 1e-5
 
-    def test_gap_threshold_crossing_recorded_without_termination(self):
-        # Supercritical pass-through: W falls through 0.5 and then through
-        # zero; |W| rising back past 0.5 is an upward crossing, not an event.
-        p = Params(0.2, 2.0)
-        spec = EventSpec(EventKind.W_BELOW, threshold=0.5, terminal=False)
-        traj = integrate(ReducedState(0.0, 1.0), p, 20.0, CFG, (spec,))
-        assert traj.outcome is Outcome.REACHED_T_END
-        assert traj.state_final[1] < -0.5
+    def test_separation_crossing_matches_scipy_event_location(self):
+        # A non-terminal crossing is recorded once; the run goes on into the
+        # blow-up and ends by step collapse.
+        p = Params(0.2, 1.1)
+        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5, terminal=False)
+        rs = ReducedState(0.0, 1.0)
+        traj = integrate(rs, p, 20.0, CFG, (spec,))
+        assert traj.outcome is Outcome.STEP_COLLAPSED
         hits = [e for e in traj.events if e.spec is spec]
         assert len(hits) == 1
-        t_cross = hits[0].time
-        # Cross-check the crossing location against scipy event detection.
         field = reduced_field(p)
-        ev = lambda t, y: y[1] - 0.5
+        d0 = math.hypot(math.sqrt(p.offset2) * math.exp(rs.theta), rs.w)
+
+        def ev(t, y):
+            return math.hypot(math.sqrt(p.offset2) * math.exp(y[0]), y[1]) - 0.5 * d0
+
         ev.terminal = True
         ev.direction = -1
         sol = solve_ivp(
-            lambda t, y: list(field(*y)), (0, 20.0), [0.0, 1.0],
+            lambda t, y: list(field(*y)), (0, 20.0), list(rs.astuple()),
             rtol=1e-11, atol=1e-13, events=ev,
         )
-        assert abs(t_cross - sol.t_events[0][0]) < 1e-7
-
-    def test_angle_escape_event(self):
-        spec = EventSpec(EventKind.THETA_ESCAPES_BELOW, threshold=0.0)
-        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
-        assert traj.outcome is Outcome.EVENT_TERMINATED
-        assert abs(traj.state_final[0]) < 1e-9
+        assert abs(hits[0].time - sol.t_events[0][0]) < 1e-7
 
     def test_event_times_strictly_inside_run(self):
-        spec = EventSpec(EventKind.W_BELOW, threshold=0.5)
+        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
         traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-
 
 
 class TestAdaptivity:
@@ -240,16 +240,75 @@ class TestCollisionDriver:
         assert result.status is SimStatus.SURVIVED
         assert result.time == 50.0
 
-    def test_degenerate_thresholds_rejected(self):
-        with pytest.raises(InvalidInitialState):
-            simulate_until_collision(RS_BENCH, P_BENCH, CFG, eps_w=0.0)
-        with pytest.raises(InvalidInitialState):
-            simulate_until_collision(RS_BENCH, P_BENCH, CFG, eps_r=-1.0)
-
     def test_collision_time_matches_exact_value(self):
-        result, _ = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
+        # The run stops at D = 1e-3*D0; the exact remainder on the level
+        # restores the collision time W0**2/(2*alpha).
+        result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
         assert result.status is SimStatus.COLLIDED
-        assert rel_err(result.time, T_BENCH) < 1e-5
+        assert traj.outcome is Outcome.EVENT_TERMINATED
+        assert [e.spec.kind for e in traj.events] == [EventKind.SEPARATION_BELOW]
+        assert traj.t_final < T_BENCH
+        assert rel_err(result.time, T_BENCH) < 1e-9
+
+    @pytest.mark.parametrize("excess", [1e-3, 1e-6])
+    def test_near_miss_above_gamma_star_survives(self, excess):
+        # Just above gamma_star the orbit passes the axis (at D/D0 = 3.0e-5
+        # for excess 1e-3): D falls through 1e-3*D0 while W is still
+        # positive, but the level never reaches D = 0, so the separation
+        # event stays unarmed and the pair threads through.
+        p = Params(0.2, gamma_star(0.2) + excess)
+        result, traj = simulate_until_collision(ReducedState(-2.0, 2.0), p, CFG, t_end=400.0)
+        assert result.status is SimStatus.SURVIVED
+        assert result.time == 400.0 and not traj.events
+        c = math.sqrt(p.offset2)
+        seps = [math.hypot(c * math.exp(th), w) for th, w in traj.states]
+        assert any(d < 1e-3 * seps[0] and s[1] > 0.0 for d, s in zip(seps, traj.states))
+
+    def test_times_match_quadrature_of_the_level(self):
+        # t = int_0^{u0} a2g*s ds / (m(s)**2 * sqrt(bracket(s))) with
+        # u0 = exp(theta0), evaluated by scipy quad in v = sqrt(s).
+        rng = random.Random(11)
+        worst = 0.0
+        for alpha in (0.05, 0.3, 0.7):
+            gs = gamma_star(alpha)
+            for gamma in (1.0, 1.0 + 0.5 * (gs - 1.0), gs):
+                p = Params(alpha, gamma)
+                energy = dynamics.reduced_energy(p)
+                a2g, c2, mu = alpha * alpha * gamma, p.offset2, p.mu
+                k = a2g - c2 * mu * mu
+                n = 0
+                while n < 2:
+                    rs = ReducedState(rng.uniform(-1.5, 1.5), rng.uniform(0.05, 2.0))
+                    h0 = energy(rs.theta, rs.w)
+                    if not classify(rs, p).predicts_collision:
+                        continue
+                    n += 1
+
+                    def integrand(v):
+                        s = v * v
+                        m = mu + h0 * s
+                        bracket = max(k - c2 * h0 * s * (2.0 * mu + h0 * s), 0.0)
+                        return 2.0 * a2g * v ** 3 / (m * m * math.sqrt(bracket))
+
+                    want, _ = quad(integrand, 0.0, math.exp(0.5 * rs.theta),
+                                   epsabs=0.0, epsrel=1e-13, limit=200)
+                    result, _ = simulate_until_collision(rs, p, CFG, t_end=2.0 * want + 20.0)
+                    assert result.status is SimStatus.COLLIDED, (alpha, gamma, rs)
+                    worst = max(worst, rel_err(result.time, want))
+        assert worst < 1e-9
+
+    def test_rise_before_the_event_is_inconclusive(self):
+        # Right of the separatrix the gap first opens; the event still fires
+        # on the way in, but the witness refuses a non-monotone approach.
+        p = Params(0.2, 1.1)
+        th0 = 3.5
+        rs = ReducedState(th0, 0.2 * h0_zero_w(p, th0))
+        mc = classify(rs, p)
+        assert mc.h0 > 0.0 and th0 > mc.theta_star
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=2000.0)
+        assert traj.outcome is Outcome.EVENT_TERMINATED
+        assert result.status is SimStatus.INCONCLUSIVE
+        assert result.time == traj.t_final
 
 
 class TestDriftReport:
@@ -306,7 +365,7 @@ class TestStats:
             return counted
 
         monkeypatch.setattr(dynamics, "reduced_field", counting_field)
-        spec = EventSpec(EventKind.W_BELOW, threshold=0.5, terminal=False)
+        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5, terminal=False)
         traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
         stats = traj.stats
         assert stats.f_evals == 1 + 6 * stats.attempts

@@ -30,6 +30,18 @@ def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
     assert horizons == [2.0 * measured["derived_value"] + 10.0]
 
 
+def test_classifier_oracle_reports_its_undecided_runs():
+    # At mid-subcritical gamma three nodes of the 8x8 grid reach the axis
+    # after the gap has opened (two cross W = 0 from below, one starts
+    # right of theta_star): the oracle is undecided there, and the report
+    # says so while the pass rule is unchanged.
+    report = verify.run_battery(alpha=0.2, selection=["classifier-oracle"], grid=8)
+    (check,) = report["checks"]
+    assert check["passed"]
+    assert check["measured"]["n_disagreements"] == 0
+    assert check["measured"]["n_inconclusive"] == 3
+
+
 def test_oracle_grid_rows_identical_serial_and_pooled():
     p = Params(0.2, verify.mid_subcritical_gamma(0.2))
     nodes = [-2.0 + 4.0 * k / 3 for k in range(4)]
