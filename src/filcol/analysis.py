@@ -360,7 +360,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
             raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
         g1_w0 = (alpha / (h0 * h0)) * math.log(arg0) + w0 / h0
         z = h0 * w0 / alpha
-        if abs(z) < 1e-3:  # the difference below cancels: sum its series in z
+        if abs(z) < 8e-3:  # the difference below cancels: sum its series in z
             value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 9))
         else:
             value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
@@ -380,7 +380,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
         if v0 <= 1.0:
             raise NumericalFailure(f"critical-branch substitution needs v0 > 1, got {v0}")
-        if v0 > 100.0:  # the difference below cancels: sum its series in 1/v0
+        if v0 > 35.0:  # the difference below cancels: sum its series in 1/v0
             g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) / v0 ** (2 * k + 1) for k in range(1, 6))
         else:
             g1_v0 = math.log((v0 + 1.0) / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
@@ -405,7 +405,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         u0 = mu * math.exp(-th0) / abs(h0)
         if u0 <= 1.0:
             raise NumericalFailure(f"comparison substitution needs u0 > 1, got {u0}")
-        if u0 > 1001.0:  # the difference below cancels: sum its series in 1/(u0 - 1)
+        if u0 > 125.0:  # the difference below cancels: sum its series in 1/(u0 - 1)
             g1_u0 = sum((-1.0 / (u0 - 1.0)) ** k / k for k in range(2, 9))
         else:
             g1_u0 = -(math.log(u0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))

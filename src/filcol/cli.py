@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -470,7 +471,12 @@ _REQUIRED = {
 }
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command, built once per process.
+
+    Building it costs more than a short command; `main` never mutates it.
+    """
     parser = argparse.ArgumentParser(
         prog="filcol",
         description="Coaxial circular vortex filament pairs: collision "
@@ -539,8 +545,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
-def _parse_config_file(path: str) -> dict:
-    values: dict[str, object] = {}
+def _parse_config_file(path: str) -> dict[str, str]:
+    """Read a flat `key = value` (or `key value`) file into raw strings."""
+    values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -558,21 +565,44 @@ def _parse_config_file(path: str) -> dict:
                 raise ConfigInvalid(f"{path}:{i}: expected 'key = value'")
             key, val = parts
         key = key.strip().replace("-", "_")
-        val = val.strip()
         if not key:
             raise ConfigInvalid(f"{path}:{i}: empty key")
-        lowered = val.lower()
-        if lowered in ("true", "false"):
-            values[key] = lowered == "true"
-        else:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                try:
-                    values[key] = float(val)
-                except ValueError:
-                    values[key] = val
+        values[key] = val.strip()
     return values
+
+
+def _config_tokens(path: str, command: str, sp: argparse.ArgumentParser) -> list[str]:
+    """The flags a config file stands for, to be placed before the typed ones.
+
+    An entry becomes `--key=value`, so argparse applies the flag's type and
+    choices; a switch set to true becomes the bare flag and one set to false
+    becomes nothing.  A typed flag, coming later, overrides the entry.
+    """
+    actions = {
+        a.dest: a
+        for a in sp._actions  # noqa: SLF001
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    values = _parse_config_file(path)
+    unknown = set(values) - set(actions)
+    if unknown:
+        raise ConfigInvalid(
+            f"config keys not accepted by '{command}': {sorted(unknown)}"
+        )
+    tokens: list[str] = []
+    for key, val in values.items():
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs != 0:
+            tokens.append(f"{flag}={val}")
+            continue
+        switch = val.lower()
+        if switch not in ("true", "false"):
+            raise ConfigInvalid(
+                f"config key {key} is a switch: give true or false, got {val!r}"
+            )
+        if switch == "true":
+            tokens.append(flag)
+    return tokens
 
 
 def _find_config(argv: list[str]) -> str | None:
@@ -609,6 +639,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; safe to call repeatedly in one process."""
     if argv is None:
         argv = sys.argv[1:]
     argv = _attach_negative_values(argv)
@@ -616,18 +647,12 @@ def main(argv: list[str] | None = None) -> int:
         parser, commands = build_parser()
         config_path = _find_config(argv)
         if config_path is not None:
-            values = _parse_config_file(config_path)
             command = next((tok for tok in argv if tok in commands), None)
             if command is None:
                 raise ConfigInvalid("could not identify the subcommand")
-            known = {a.dest for a in commands[command]._actions}  # noqa: SLF001
-            unknown = set(values) - known
-            if unknown:
-                raise ConfigInvalid(
-                    f"config keys not accepted by '{command}': {sorted(unknown)}"
-                )
-            # Defaults only: explicit flags still win.
-            commands[command].set_defaults(**values)
+            at = argv.index(command) + 1
+            tokens = _config_tokens(config_path, command, commands[command])
+            argv = argv[:at] + tokens + argv[at:]
         args = parser.parse_args(argv)
         missing = [
             name for name in _REQUIRED[args.command]

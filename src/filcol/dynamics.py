@@ -275,16 +275,21 @@ def reduced_field(p: Params) -> Callable[[float, float], Derivative]:
     """Return the (theta, W) vector field of the d = 0 reduction.
 
     gamma = 1 is handled as an exact branch: the radial-offset term drops
-    out and the W = 0 line is excluded (OnSingularLine).
+    out and the W = 0 line is excluded (OnSingularLine), together with the
+    |W| whose cube underflows to 0.
     """
     alpha = p.alpha
     if p.gamma == 1.0:
 
         def field_g1(theta: float, w: float) -> Derivative:
-            if w == 0.0:
-                raise OnSingularLine("W = 0 is excluded for gamma = 1")
             aw = abs(w)
-            return (-alpha * w / (aw * aw * aw), -2.0 * math.exp(-theta))
+            aw3 = aw * aw * aw
+            if aw3 == 0.0:
+                raise OnSingularLine(
+                    f"|W|**3 is 0 at W = {w!r} (zero, or underflowed below "
+                    "|W| of about 1.4e-108); W = 0 is excluded for gamma = 1"
+                )
+            return (-alpha * w / aw3, -2.0 * math.exp(-theta))
 
         return field_g1
 

@@ -26,6 +26,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env() -> dict[str, str]:
+    """The environment, with this package's source first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_json(capsys, tmp_path, *argv, name="out.json"):
     path = tmp_path / name
     code, out, err = run_cli(capsys, *argv, "--output", str(path))
@@ -226,6 +233,20 @@ class TestSimulateCommand:
         assert payload == joined
         assert payload["states"][0][1] == float(value)  # z1, or W in (theta, W)
 
+    @pytest.mark.parametrize("w0", ["0", "1e-110"])
+    def test_gap_on_or_below_the_gamma1_singular_line_exits_2(self, capsys, w0):
+        # classify times the 1e-110 state (5.0e-218); the field cannot be
+        # evaluated there because |W|**3 underflows to 0.
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.5", "--gamma", "1",
+                                 "--theta0", "0", "--w0", w0)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: initial state rejected: |W|**3 is 0 at W = {float(w0)!r} "
+            "(zero, or underflowed below |W| of about 1.4e-108); "
+            "W = 0 is excluded for gamma = 1\n"
+        )
+
     def test_step_budget_exhaustion_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--alpha", "0.2", "--gamma", "2.0",
@@ -331,9 +352,7 @@ class TestSweepCommand:
                 "--theta-max", "1", "--w-min", "-1", "--w-max", "1", "--n-theta", "6",
                 "--n-w", "6", "--with-oracle", "--t-end", "30", "--format", "csv"]
         pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "FILCOL_THREADS": "2",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {**subprocess_env(), "FILCOL_THREADS": "2"}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from filcol import cli; sys.exit(cli.main(sys.argv[1:]))",
@@ -427,6 +446,81 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
         assert code == 2
         assert "--alpha" in err
+
+
+class TestConfigRoute:
+    # The parser is built once per process: each case runs through the
+    # cached parser, after other calls in the same process.
+    STATE = ("--gamma", "1", "--theta0", "0", "--w0", "1")
+
+    def test_parser_is_built_once(self, capsys):
+        first = cli.build_parser()
+        assert run_cli(capsys, "gamma-star", "--alpha", "0.2")[0] == 0
+        assert cli.build_parser() is first
+
+    def test_config_values_do_not_reach_a_later_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.5\n")
+        code, _, err = run_cli(capsys, "classify", "--config", str(cfg), *self.STATE)
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "classify", *self.STATE)
+        assert code == 2
+        assert "--alpha" in err
+
+    def test_config_value_is_checked_against_the_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\nalpha = 0.2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma-star", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_config_values_take_the_flag_types(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.5\ngamma = 1\ntheta0 = 0\nw0 = 1\n")
+        by_config, by_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        run_cli(capsys, "classify", "--config", str(cfg), "--output", str(by_config))
+        run_cli(capsys, "classify", "--alpha", "0.5", *self.STATE, "--output", str(by_flags))
+        assert by_config.read_bytes() == by_flags.read_bytes()
+        assert json.loads(by_config.read_text())["theta0"] == 0.0
+
+    @pytest.mark.parametrize("value, on", [("true", True), ("False", False)])
+    def test_config_switch(self, capsys, tmp_path, value, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"with_oracle = {value}\nt_end = 30\n")
+        payload = run_json(
+            capsys, tmp_path, *TestSweepCommand.BASE, "--config", str(cfg),
+            "--format", "json",
+        )
+        assert payload["with_oracle"] is on
+        assert ("oracle" in payload["rows"][0]) is on
+
+    def test_config_switch_needs_true_or_false(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("with_oracle = 1\n")
+        code, _, err = run_cli(capsys, *TestSweepCommand.BASE, "--config", str(cfg))
+        assert code == 2
+        assert "with_oracle" in err
+
+    def test_repeated_calls_write_identical_artefacts(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.5\nt_end = 5\n")
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), *self.STATE,
+                                   "--output", str(path))
+            assert code == 0, err
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_filcol(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "filcol", "gamma-star", "--alpha", "0.2"],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["gamma_star"] == pytest.approx(1.2186, abs=1e-4)
 
 
 class TestAtomicity:

@@ -148,6 +148,12 @@ class TestReducedField:
         with pytest.raises(OnSingularLine):
             reduced_field(Params(0.5, 1.0))(0.3, 0.0)
 
+    @pytest.mark.parametrize("w", [1e-110, -1.3e-108])
+    def test_gap_whose_cube_underflows_rejected(self, w):
+        # |W|**3 underflows to 0 below |W| of about 1.4e-108.
+        with pytest.raises(OnSingularLine, match="underflowed"):
+            reduced_field(Params(0.5, 1.0))(0.3, w)
+
     @pytest.mark.parametrize("gamma", [1.2, 2.0, 5.0])
     def test_axis_degeneracy(self, gamma):
         p = Params(0.2, gamma)
