@@ -13,11 +13,13 @@ self-induction and interaction balance on the coplanar line W = 0:
                             lighter one and the axial gap decreases without
                             bound inside an a-priori linear corridor.
 
-`_ratio_regime` draws these boundaries, with one critical band
-|gamma - gamma_star| <= GAMMA_STAR_ATOL, and `_walk` walks the state chain.
-This module computes the threshold by bracketed bisection with Newton
-polish and the separatrix in closed form, classifies initial states,
-evaluates the exact/implicit collision-time formulas and the
+`_ratio_regime` draws these boundaries in one place, from the sign of
+K = alpha**2*gamma - offset2*mu**2 that `dynamics.k_sign` decides (K > 0
+below gamma_star, K < 0 above it; the critical band is where rounding
+leaves the sign undecided), and `_walk` walks the state chain.  This module
+computes the threshold itself, for reporting, by bracketed bisection with
+Newton polish, and the separatrix in closed form; it classifies initial
+states, evaluates the exact/implicit collision-time formulas and the
 comparison-principle upper bounds, builds the supercritical corridor, and
 certifies d != 0 states collision-free by minimizing the separation over
 their energy level set.
@@ -37,22 +39,21 @@ from .dynamics import (
     ReducedState,
     hyperbolic_kinetic,
     hyperbolic_separation,
+    k_sign,
+    quartic,
 )
 from .errors import DomainError, NumericalFailure, OnSingularLine, RegimeError
 
 __all__ = [
     "Verdict",
     "MotionClass",
-    "Equilibria",
     "EstimateKind",
     "FormulaTag",
     "CollisionTimeEstimate",
     "LinearCorridor",
     "NoCollisionCertificate",
-    "GAMMA_STAR_ATOL",
     "gamma_star",
     "quartic",
-    "equilibria",
     "theta_star",
     "axis_energy",
     "classify",
@@ -60,11 +61,6 @@ __all__ = [
     "apriori_corridor",
     "no_collision_certificate",
 ]
-
-#: Circulation ratios within this distance of gamma_star count as critical;
-#: the quartic root is resolved far more finely, so regime flips inside this
-#: band would be meaningless.
-GAMMA_STAR_ATOL = 1e-9
 
 _H0_ZERO_RTOL = 1e-12
 
@@ -93,12 +89,6 @@ class MotionClass:
     @property
     def predicts_collision(self) -> bool:
         return self.verdict in _COLLIDING
-
-
-class Equilibria(Enum):
-    NONE_GAMMA1 = "none-gamma1"
-    NONE_OFF_CRITICAL = "none-off-critical"
-    LINE_AT_CRITICAL = "line-at-critical"
 
 
 class EstimateKind(Enum):
@@ -152,12 +142,6 @@ class NoCollisionCertificate:
 # Critical ratio
 # --------------------------------------------------------------------------
 
-def quartic(eta: float, alpha: float) -> float:
-    """-eta**4 + eta**3 + alpha*eta**2 - eta + 1, whose root in (1, inf)
-    squared gives the critical circulation ratio."""
-    return (((-eta + 1.0) * eta + alpha) * eta - 1.0) * eta + 1.0
-
-
 def _quartic_prime(eta: float, alpha: float) -> float:
     return ((-4.0 * eta + 3.0) * eta + 2.0 * alpha) * eta - 1.0
 
@@ -204,36 +188,22 @@ def _gamma_star(alpha: float) -> float:
 # Ratio regimes and colliding branches: ints, as Enum lookups are slow per call.
 _GAMMA1, _SUBCRITICAL, _CRITICAL, _SUPERCRITICAL = range(4)
 _G1_H0_ZERO, _G1_H0_NONZERO, _CRIT, _SUB_H0_ZERO, _SUB_H0_NEG, _SUB_H0_POS = range(6)
+# The regime of gamma > 1, indexed by k_sign: 0, 1 and -1.
+_REGIME_OF_K_SIGN = (_CRITICAL, _SUBCRITICAL, _SUPERCRITICAL)
 
 
 def _ratio_regime(p: Params) -> tuple[int, float]:
     """(regime, gamma_star) of p: the one place the regime boundaries are drawn.
 
     offset2 == 0 means gamma = 1 and also one ulp above, where sqrt(gamma)
-    rounds to 1 and field and energy equal their gamma = 1 forms.
+    rounds to 1 and field and energy equal their gamma = 1 forms.  Above
+    that the sign of K decides; gamma_star is returned for reporting only
+    (memoised, and p.alpha is already validated).
     """
-    gs = gamma_star(p.alpha)
+    gs = _gamma_star(p.alpha)
     if p.offset2 == 0.0:
         return _GAMMA1, gs
-    if abs(p.gamma - gs) <= GAMMA_STAR_ATOL:
-        return _CRITICAL, gs
-    if p.gamma > gs:
-        return _SUPERCRITICAL, gs
-    return _SUBCRITICAL, gs
-
-
-def equilibria(p: Params) -> Equilibria:
-    """Equilibrium structure of the d = 0 system.
-
-    Only exactly at the critical ratio does the system have equilibria, and
-    then the whole coplanar line (theta, 0) is stationary.
-    """
-    regime = _ratio_regime(p)[0]
-    if regime == _GAMMA1:
-        return Equilibria.NONE_GAMMA1
-    if regime == _CRITICAL:
-        return Equilibria.LINE_AT_CRITICAL
-    return Equilibria.NONE_OFF_CRITICAL
+    return _REGIME_OF_K_SIGN[k_sign(p)], gs
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +353,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         if v0 > 35.0:  # the difference below cancels: sum its series in 1/v0
             g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) / v0 ** (2 * k + 1) for k in range(1, 6))
         else:
-            g1_v0 = math.log((v0 + 1.0) / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
+            g1_v0 = math.log1p(2.0 / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
         g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
         value = -2.0 / m3 * g1_v0
         return CollisionTimeEstimate(
@@ -408,7 +378,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         if u0 > 125.0:  # the difference below cancels: sum its series in 1/(u0 - 1)
             g1_u0 = sum((-1.0 / (u0 - 1.0)) ** k / k for k in range(2, 9))
         else:
-            g1_u0 = -(math.log(u0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
+            g1_u0 = -(math.log1p(1.0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
         t_star = g1_u0 / (m1 * h0 * h0)
         return CollisionTimeEstimate(
             EstimateKind.UPPER_BOUND,

@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     Divergent,
     InversionFailure,
-    OffLevelSet,
     OnSingularLine,
     SeparationZero,
 )
@@ -45,8 +44,8 @@ __all__ = [
     "hyperbolic_radii",
     "hyperbolic_separation",
     "hyperbolic_kinetic",
-    "rhs_reduced_alt",
-    "w_from_theta",
+    "quartic",
+    "k_sign",
     "ansatz_residual",
     "full_field",
     "reduced_field",
@@ -330,40 +329,29 @@ def reduced_energy(p: Params) -> Callable[[float, float], float]:
     return energy
 
 
-def _level_bracket(theta: float, p: Params, h0: float) -> tuple[float, float, float]:
-    """(a, alpha**2*gamma, bracket) of level h0 at theta: W = sqrt(bracket)/a."""
-    a2g = p.alpha * p.alpha * p.gamma
-    a = h0 + p.mu * math.exp(-theta)
-    if a <= 0.0:
-        raise OffLevelSet(
-            f"h0 + mu*exp(-theta) = {a} is not positive; no state on this level"
-        )
-    bracket = a2g - p.offset2 * math.exp(2.0 * theta) * a * a
-    tol = 1e-10 * max(a2g, a2g - bracket)
-    if bracket < -tol:
-        raise OffLevelSet(f"level-set bracket is negative: {bracket}")
-    if bracket < 0.0:
-        bracket = 0.0
-    return a, a2g, bracket
+def quartic(eta: float, alpha: float) -> float:
+    """-eta**4 + eta**3 + alpha*eta**2 - eta + 1, whose root in (1, inf)
+    squared gives the critical circulation ratio."""
+    return (((-eta + 1.0) * eta + alpha) * eta - 1.0) * eta + 1.0
 
 
-def rhs_reduced_alt(theta: float, p: Params, h0: float) -> Derivative:
-    """Energy-eliminated form of the d = 0 field on the W > 0 branch.
+def k_sign(p: Params) -> int:
+    """Sign of K = alpha**2*gamma - offset2*mu**2, or 0 where rounding cannot
+    decide it: the one regime decision of the d = 0 system.
 
-    Uses the level relation to express both derivatives through theta and
-    the initial energy h0 alone.  Raises OffLevelSet when (theta, h0) is
-    inconsistent with any real W.
+    With eta = sqrt(gamma), K = quartic(eta)*(alpha*eta**2 + (eta - 1)*
+    (eta**3 + 1))/eta**2 and the second factor is positive, so K > 0 (1)
+    below gamma_star and K < 0 (-1) above it.  Horner's eight roundings and
+    the rounding of sqrt(gamma) move the computed quartic by at most
+    12*2**-53*(eta**4 + eta**3 + alpha*eta**2 + eta + 1); within that bound
+    the sign is undecided (0), and that is the critical band.
     """
-    a, a2g, bracket = _level_bracket(theta, p, h0)
-    dtheta = -(a * a / a2g) * math.sqrt(bracket)
-    dw = -p.mu * math.exp(-theta) + (p.offset2 / a2g) * a ** 3 * math.exp(2.0 * theta)
-    return (dtheta, dw)
-
-
-def w_from_theta(theta: float, p: Params, h0: float) -> float:
-    """Nonnegative W on the energy level h0 at angle theta (W > 0 branch)."""
-    a, _, bracket = _level_bracket(theta, p, h0)
-    return math.sqrt(bracket) / a
+    eta, alpha = math.sqrt(p.gamma), p.alpha
+    q = quartic(eta, alpha)
+    bound = 12.0 * 2.0 ** -53 * ((((eta + 1.0) * eta + alpha) * eta + 1.0) * eta + 1.0)
+    if abs(q) <= bound:
+        return 0
+    return 1 if q > 0.0 else -1
 
 
 # --------------------------------------------------------------------------

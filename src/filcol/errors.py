@@ -16,7 +16,6 @@ __all__ = [
     "SeparationZero",
     "OnSingularLine",
     "Divergent",
-    "OffLevelSet",
     "InversionFailure",
     "RegimeError",
     "StepLimitExceeded",
@@ -52,10 +51,6 @@ class OnSingularLine(ValidationError):
 
 class Divergent(NumericalError):
     """The requested quantity diverges at this state."""
-
-
-class OffLevelSet(NumericalError):
-    """State is inconsistent with the prescribed energy level beyond tolerance."""
 
 
 class InversionFailure(NumericalError):

@@ -75,9 +75,10 @@ class EventSpec:
 
     SEPARATION_BELOW fires when D = sqrt(offset2*exp(2*theta) + W**2) falls
     to threshold times its initial value, at a point whose energy-level
-    branch reaches D = 0: W > 0 and the level bracket nonnegative (to
-    _level_bracket's tolerance) all the way down to theta = -inf.
-    ``terminal`` stops the integration at the located crossing.
+    branch reaches D = 0: W > 0, with K = alpha**2*gamma - offset2*mu**2
+    not negative by dynamics.k_sign, the test that also draws the
+    classifier's regimes.  ``terminal`` stops the integration at the
+    located crossing.
     """
 
     kind: EventKind
@@ -337,32 +338,30 @@ _GAUSS_LEGENDRE_8 = tuple(
 )
 
 
-def _separation_value(fraction: float, y0: tuple[float, float], p: Params, h0: float):
+def _separation_value(fraction: float, y0: tuple[float, float], p: Params):
     """Value function of the separation event: D**2 - (fraction*D0)**2 where
     armed, +inf elsewhere.
 
-    On level h0 the bracket at s = exp(theta) is K - offset2*h0*s*(2*mu +
-    h0*s), K = alpha**2*gamma - offset2*mu**2.  It is monotone in s (its
-    slope is -2*offset2*h0*m(s) with m(s) = mu + h0*s > 0 on the level), so
-    its minimum over (0, u] is the smaller of K and its value at u.  The
-    event is armed where W > 0 and that minimum is at least
-    _level_bracket's tolerance -1e-10*alpha**2*gamma.
+    On the run's energy level h0 the bracket at s = exp(theta) is K -
+    offset2*h0*s*(2*mu + h0*s) = a**2*W**2 with a = h0 + mu/s > 0, so it is
+    nonnegative at the state itself.  It is monotone in s (its slope is -2*offset2*h0*m(s)
+    with m(s) = mu + h0*s = a*s > 0), so its minimum over (0, u] is the
+    smaller of K and a**2*W**2: the W > 0 branch reaches the axis exactly
+    where K >= 0.  The event is armed where W > 0 and dynamics.k_sign(p)
+    is not -1; the critical band, where the sign is undecided, is armed.
     """
-    a2g = p.alpha * p.alpha * p.gamma
-    c2, mu = p.offset2, p.mu
-    k = a2g - c2 * mu * mu
-    floor = -1e-10 * a2g
+    inf = math.inf
+    if dynamics.k_sign(p) < 0:
+        return lambda y: inf
+    c2 = p.offset2
     th0, w0 = y0
     thr2 = fraction * fraction * (c2 * math.exp(2.0 * th0) + w0 * w0)
-    inf = math.inf
 
     def value(y):
         th, w = y
-        if w <= 0.0 or k < floor:
+        if w <= 0.0:
             return inf
         u = math.exp(th)
-        if k - c2 * h0 * u * (2.0 * mu + h0 * u) < floor:
-            return inf
         return c2 * u * u + w * w - thr2
 
     return value
@@ -417,7 +416,7 @@ def integrate(
     crossings = [s for s in events if s.kind is EventKind.SEPARATION_BELOW]
     if crossings and system is not SystemKind.REDUCED:
         raise ConfigInvalid("the separation event needs a ReducedState (d = 0)")
-    watched = [(s, _separation_value(s.threshold, y, p, inv0)) for s in crossings]
+    watched = [(s, _separation_value(s.threshold, y, p)) for s in crossings]
     # Event values at the current point, carried from one accepted step to
     # the next so each function is evaluated once per accepted point.
     g_prev = [g(y) for _, g in watched]
@@ -558,13 +557,14 @@ def _remaining_time(u: float, p: Params, h0: float) -> float:
     """Exact time from s = u = exp(theta) to the axis on the W > 0 branch of
     level h0.
 
-    From rhs_reduced_alt, t_rem(u) = int_0^u a2g*s ds / (m(s)**2 *
-    sqrt(bracket(s))) with m(s) = mu + h0*s and bracket(s) = K -
-    offset2*h0*s*(2*mu + h0*s), formed so that nothing cancels.  With
-    s = v**2 the integrand is smooth on [0, sqrt(u)], K = 0 included; on
-    the tail past the event 8-point Gauss-Legendre in v agrees with scipy
-    quad to 5e-11 relative.  gamma = 1 is the case offset2 = 0, mu = 2.  A
-    K below zero within the event's tolerance is the critical K = 0.
+    On the level, W = sqrt(bracket(s))/a and dtheta/dt = -(a**2/a2g)*
+    sqrt(bracket(s)) with a = m(s)/s, m(s) = mu + h0*s and bracket(s) = K -
+    offset2*h0*s*(2*mu + h0*s), formed so that nothing cancels; so t_rem(u)
+    = int_0^u a2g*s ds / (m(s)**2 * sqrt(bracket(s))).  With s = v**2 the
+    integrand is smooth on [0, sqrt(u)], K = 0 included; on the tail past
+    the event 8-point Gauss-Legendre in v agrees with scipy quad to 5e-11
+    relative.  gamma = 1 is the case offset2 = 0, mu = 2.  A K that rounds
+    below zero in the critical band (k_sign 0) is the critical K = 0.
     """
     a2g = p.alpha * p.alpha * p.gamma
     c2, mu = p.offset2, p.mu

@@ -16,6 +16,18 @@ def rel_err(measured: float, expected: float) -> float:
     return abs(measured - expected) / max(abs(expected), 1e-300)
 
 
+def level_w(theta: float, p, h0: float) -> float:
+    """W > 0 on the d = 0 energy level h0 at angle theta.
+
+    From h0 = -mu*exp(-theta) + alpha*sqrt(gamma)/D: a = h0 + mu*exp(-theta)
+    = alpha*sqrt(gamma)/D and W = sqrt(bracket)/a with the level bracket
+    alpha**2*gamma - offset2*exp(2*theta)*a**2 = a**2*W**2, clamped at 0.
+    """
+    a = h0 + p.mu * math.exp(-theta)
+    bracket = p.alpha ** 2 * p.gamma - p.offset2 * math.exp(2.0 * theta) * a * a
+    return math.sqrt(max(bracket, 0.0)) / a
+
+
 def linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from filcol import (
-    GAMMA_STAR_ATOL,
     DomainError,
     EstimateKind,
-    Equilibria,
     FilcolError,
     FormulaTag,
     FullState,
@@ -32,22 +30,20 @@ from filcol import (
     apriori_corridor,
     classify,
     collision_time,
-    equilibria,
     gamma_star,
     hyperbolic_separation,
     integrate,
     no_collision_certificate,
     reduce_state,
     reduced_energy,
-    rhs_reduced_alt,
     simulate_until_collision,
     theta_star,
 )
 from filcol.analysis import axis_energy, quartic
-from filcol.dynamics import reduced_field
+from filcol.dynamics import k_sign, reduced_field
 from filcol.verify import h0_zero_w, mid_subcritical_gamma
 
-from conftest import linspace, rel_err
+from conftest import level_w, linspace, rel_err
 
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -150,28 +146,52 @@ class TestGammaStar:
 
 
 class TestEquilibria:
+    # The d = 0 field is stationary only at the critical ratio, and there on
+    # the whole coplanar line (theta, 0).
     def test_equal_circulation(self):
-        assert equilibria(Params(0.3, 1.0)) is Equilibria.NONE_GAMMA1
+        with pytest.raises(OnSingularLine):
+            reduced_field(Params(0.3, 1.0))(0.0, 0.0)
 
     def test_critical_line(self):
-        assert equilibria(Params(0.2, gamma_star(0.2))) is Equilibria.LINE_AT_CRITICAL
+        p = Params(0.2, gamma_star(0.2))
+        for th in (-1.0, 0.0, 0.7, 2.0):
+            dth, dw = reduced_field(p)(th, 0.0)
+            assert dth == 0.0
+            assert abs(dw) < 1e-13 * p.mu * math.exp(-th)
 
     def test_off_critical(self):
-        p = Params(0.2, 2.0)
-        assert equilibria(p) is Equilibria.NONE_OFF_CRITICAL
-        # Supercritical: the gap shrinks on the coplanar line.
-        assert reduced_field(p)(0.0, 0.0)[1] < 0.0
+        # Supercritical: the gap shrinks on the coplanar line; subcritical:
+        # it grows.
+        assert reduced_field(Params(0.2, 2.0))(0.0, 0.0)[1] < 0.0
+        assert reduced_field(Params(0.2, 1.1))(0.0, 0.0)[1] > 0.0
+
+
+def band_edges(alpha: float) -> tuple[float, float]:
+    """The first ratios below and above gamma_star outside the critical band,
+    found by walking ulps out from gamma_star; classify's verdict at (0, 0)
+    names the band: subcritical states rest off the line, critical ones
+    rest on it, supercritical ones pass through."""
+    edges = []
+    for direction in (0.0, math.inf):
+        gamma = gamma_star(alpha)
+        for _ in range(1000):
+            if classify(ReducedState(0.0, 0.0), Params(alpha, gamma)).verdict is not (
+                Verdict.EQUILIBRIUM_REST
+            ):
+                break
+            gamma = math.nextafter(gamma, direction)
+        edges.append(gamma)
+    return edges[0], edges[1]
 
 
 class TestRegimeBoundaries:
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.8, 0.95])
     def test_one_critical_band_for_every_function(self, alpha):
-        # gamma = gamma_star +- GAMMA_STAR_ATOL +- 0..3 ulps.  classify's
-        # verdict at (0, 0) names the band: subcritical states rest off the
-        # line, critical ones rest on it, supercritical ones pass through.
-        gs = gamma_star(alpha)
+        # Each edge of the band and 3 ulps either side of it: every function
+        # takes the regime from the same decision.
+        lo, hi = band_edges(alpha)
         bands = set()
-        for edge in (gs - GAMMA_STAR_ATOL, gs + GAMMA_STAR_ATOL):
+        for edge in (lo, hi):
             for k in range(-3, 4):
                 gamma = edge
                 for _ in range(abs(k)):
@@ -186,14 +206,42 @@ class TestRegimeBoundaries:
                 assert accepts(apriori_corridor, ReducedState(0.0, 1e-6), p) == (
                     band is Verdict.GLOBAL_PASS_THROUGH
                 ), gamma
-                assert (equilibria(p) is Equilibria.LINE_AT_CRITICAL) == (
-                    band is Verdict.EQUILIBRIUM_REST
-                ), gamma
+                # The coplanar energy has the sign of K off the band.
+                if band is Verdict.NO_COLLISION_SUBCRITICAL:
+                    assert axis_energy(0.0, p) > 0.0, gamma
+                elif band is Verdict.GLOBAL_PASS_THROUGH:
+                    assert axis_energy(0.0, p) < 0.0, gamma
         assert bands == {
             Verdict.NO_COLLISION_SUBCRITICAL,
             Verdict.EQUILIBRIUM_REST,
             Verdict.GLOBAL_PASS_THROUGH,
         }
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_gamma_star_and_its_neighbours_are_critical(self, alpha):
+        # An independently computed gamma_star (the benchmark's own, say)
+        # lies within 3 ulps of this one and must land in the band.
+        gamma = gamma_star(alpha)
+        for _ in range(3):
+            gamma = math.nextafter(gamma, 0.0)
+        for _ in range(7):
+            p = Params(alpha, gamma)
+            assert k_sign(p) == 0, gamma
+            assert classify(ReducedState(0.0, 0.0), p).verdict is Verdict.EQUILIBRIUM_REST
+            gamma = math.nextafter(gamma, math.inf)
+
+    @pytest.mark.parametrize("excess", [2e-11, 1e-10, 5e-10])
+    @pytest.mark.parametrize("theta0, w0", [(-2.0, 2.0), (0.0, 1.0)])
+    def test_just_above_gamma_star_passes_through(self, excess, theta0, w0):
+        # K < 0 here, so the W > 0 branch of the level never reaches the
+        # axis.  The oracle's separation event stays unarmed, so it reports
+        # no collision (these runs end undecided, by step collapse at a
+        # separation of about 4e-9*D0).
+        p = Params(0.2, gamma_star(0.2) + excess)
+        rs = ReducedState(theta0, w0)
+        assert classify(rs, p).verdict is Verdict.GLOBAL_PASS_THROUGH
+        result, _ = simulate_until_collision(rs, p, CFG)
+        assert result.status is not SimStatus.COLLIDED
 
     def test_gamma_one_ulp_above_one_is_equal_circulation(self):
         # sqrt(gamma) rounds to 1 there, so offset2 = 0 and the closed
@@ -216,7 +264,59 @@ class TestRegimeBoundaries:
             theta_star(p, 0.1)
         with pytest.raises(RegimeError):
             axis_energy(0.0, p)
-        assert equilibria(p) is Equilibria.NONE_GAMMA1
+
+
+def level_gap_derivative(theta: float, p: Params, h0: float) -> float:
+    """dW/dt at angle theta on the W > 0 branch of energy level h0."""
+    return reduced_field(p)(theta, level_w(theta, p, h0))[1]
+
+
+def decimal_k(alpha: float, gamma: float) -> Decimal:
+    """K = alpha**2*gamma - offset2*mu**2 at 60 digits from the float inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, g = Decimal(alpha), Decimal(gamma)
+        sg = g.sqrt()
+        mu = g + 1 / sg
+        return a * a * g - (sg - 1) ** 2 * mu * mu
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def near_critical(draw) -> Params:
+    """A ratio within 80 ulps or 1e-9 of gamma_star(alpha), alpha in (0, 1)."""
+    alpha = draw(open_unit)
+    gs = gamma_star(alpha)
+    gamma = gs + draw(st.one_of(
+        st.integers(-80, 80).map(lambda k: k * math.ulp(gs)),
+        st.floats(-1e-9, 1e-9),
+    ))
+    assume(gamma >= 1.0)
+    return Params(alpha, gamma)
+
+
+class TestRegimeDecision:
+    @given(p=near_critical())
+    @settings(max_examples=200)
+    def test_decided_sign_is_the_sign_of_k(self, p):
+        # Where k_sign decides, the exact K of the float inputs agrees, and
+        # the functions of that regime can take it.
+        sign = k_sign(p)
+        if sign == 0:
+            return
+        assert (decimal_k(p.alpha, p.gamma) > 0) == (sign > 0)
+        if sign < 0:
+            apriori_corridor(ReducedState(0.0, 1e-6), p)
+        elif p.offset2 > 0.0:
+            assert math.isfinite(theta_star(p, 1.0))
+
+    @given(a=open_unit, b=open_unit)
+    @settings(max_examples=100)
+    def test_gamma_star_is_monotone_and_below_its_bracket_end(self, a, b):
+        lo, hi = sorted((a, b))
+        assert 1.0 <= gamma_star(lo) <= gamma_star(hi) < 10.0
 
 
 class TestThetaStar:
@@ -243,8 +343,8 @@ class TestThetaStar:
         p = Params(0.2, 1.1)
         h0 = 0.1
         ts = theta_star(p, h0)
-        assert rhs_reduced_alt(ts - 0.1, p, h0)[1] < 0.0
-        assert rhs_reduced_alt(ts + 0.1, p, h0)[1] > 0.0
+        assert level_gap_derivative(ts - 0.1, p, h0) < 0.0
+        assert level_gap_derivative(ts + 0.1, p, h0) > 0.0
 
     def test_cubic_left_endpoint_sign(self):
         # At y -> 0+ the cubic reduces to its positive constant part,
@@ -269,8 +369,8 @@ class TestThetaStar:
             p = Params(alpha, gamma)
             h0 = rng.uniform(0.01, 1.0)
             ts = theta_star(p, h0)
-            assert rhs_reduced_alt(ts - delta, p, h0)[1] < 0.0
-            assert rhs_reduced_alt(ts + delta, p, h0)[1] > 0.0
+            assert level_gap_derivative(ts - delta, p, h0) < 0.0
+            assert level_gap_derivative(ts + delta, p, h0) > 0.0
 
     def test_regime_and_domain_errors(self):
         with pytest.raises(RegimeError):
@@ -676,6 +776,31 @@ class TestTimesAtTheEdges:
         want = decimal_time(est.formula_tag, p, 0.0, w0, mc.h0)
         assert rel_err(est.value, want) < 1e-12
 
+    @pytest.mark.parametrize("branch, x_lo, x_hi", [
+        (FormulaTag.SUBCRITICAL_H0_NEGATIVE, 62.0, 125.0),
+        (FormulaTag.CRITICAL, 17.0, 35.0),
+    ])
+    def test_closed_form_side_of_the_series_thresholds(self, branch, x_lo, x_hi):
+        # u0 (subcritical) or v0 (critical) just below the series threshold,
+        # where the logarithms are taken as log1p so no digits are lost.
+        rng = random.Random(5)
+        for _ in range(60):
+            alpha, th0 = rng.uniform(0.05, 0.95), rng.uniform(-1.5, 1.5)
+            x = rng.uniform(x_lo, x_hi)
+            if branch is FormulaTag.CRITICAL:
+                p = Params(alpha, gamma_star(alpha))
+                h0 = -p.mu * math.exp(-th0) / (x * x)
+            else:
+                p = Params(alpha, 1.0 + rng.uniform(0.1, 0.9) * (gamma_star(alpha) - 1.0))
+                h0 = -p.mu * math.exp(-th0) / x
+            d0 = p.alpha * p.sqrt_gamma / (h0 + p.mu * math.exp(-th0))
+            rs = ReducedState(th0, math.sqrt(d0 * d0 - p.offset2 * math.exp(2.0 * th0)))
+            mc = classify(rs, p)
+            est = collision_time(rs, p)
+            assert est.formula_tag is branch
+            want = decimal_time(branch, p, th0, rs.w, mc.h0)
+            assert rel_err(est.value, want) < 1e-12, (alpha, th0, rs.w)
+
     @pytest.mark.parametrize("alpha, w0", [(0.625, 5.643185526345413e-54), (0.2, 1e-7)])
     def test_critical_energy_at_rounding_has_no_bound(self, alpha, w0):
         # h0 is 0.0 and -9.8e-13 here, within 1e-12*mu*exp(-theta0) of zero,
@@ -687,18 +812,20 @@ class TestTimesAtTheEdges:
             collision_time(rs, p)
 
     def test_critical_band_positive_energy_has_no_bound(self):
-        # Just below gamma_star, inside GAMMA_STAR_ATOL, h0 is +8.0e-9 here.
-        # The critical bound (531.03 if taken with |h0|) is derived for
-        # h0 < 0 and is no bound: the integrator has not collided by 638.
+        # 0.9e-9 below gamma_star, K > 0: the ratio is subcritical, and
+        # h0 is +8.0e-9 here with theta0 right of the separatrix.  The
+        # critical bound (531.03 if taken with |h0|) would be no bound: the
+        # integrator has not collided by 600.
         p = Params(0.2, gamma_star(0.2) - 0.9e-9)
         rs = ReducedState(0.0, 1e-6)
         mc = classify(rs, p)
-        assert mc.verdict is Verdict.ASYMMETRIC_COLLISION
+        assert mc.verdict is Verdict.NO_COLLISION_SUBCRITICAL
         assert mc.h0 == pytest.approx(8.0e-9, rel=0.05)
-        with pytest.raises(NumericalFailure):
+        assert rs.theta > mc.theta_star
+        with pytest.raises(RegimeError):
             collision_time(rs, p)
         result, _ = simulate_until_collision(rs, p, CFG, t_end=600.0)
-        assert result.status is not SimStatus.COLLIDED
+        assert result.status is SimStatus.SURVIVED
 
 
 class TestCorridor:

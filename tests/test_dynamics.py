@@ -14,7 +14,6 @@ from filcol import (
     FullState,
     HyperbolicState,
     IntegrationConfig,
-    OffLevelSet,
     OnSingularLine,
     Params,
     ReducedState,
@@ -31,11 +30,9 @@ from filcol import (
     reduce_state,
     reduced_energy,
     reduced_field,
-    rhs_reduced_alt,
-    w_from_theta,
 )
 
-from conftest import rel_err
+from conftest import level_w, rel_err
 
 
 class TestParams:
@@ -199,6 +196,10 @@ class TestEnergy:
 
 
 class TestLevelSetForms:
+    # On the energy level h0 the d = 0 state is fixed by theta alone:
+    # a = h0 + mu*exp(-theta) = alpha*sqrt(gamma)/D > 0 and W = sqrt(bracket)/a
+    # on the W > 0 branch (conftest.level_w).  The separation event's arming
+    # and the oracle's remaining time rest on these forms.
     def _random_cases(self, n=60):
         rng = random.Random(11)
         cases = []
@@ -211,47 +212,41 @@ class TestLevelSetForms:
         return cases
 
     def test_energy_form_agrees_with_state_form_on_upper_branch(self):
+        # With the energy eliminated: dtheta/dt = -(a**2/a2g)*sqrt(bracket)
+        # and dW/dt = -mu*exp(-theta) + (offset2/a2g)*a**3*exp(2*theta).
         for p, th, w in self._random_cases():
             h0 = reduced_energy(p)(th, w)
-            alt = rhs_reduced_alt(th, p, h0)
+            a2g = p.alpha ** 2 * p.gamma
+            a = h0 + p.mu * math.exp(-th)
+            bracket = a2g - p.offset2 * math.exp(2.0 * th) * a * a
+            dth = -(a * a / a2g) * math.sqrt(bracket)
+            dw = -p.mu * math.exp(-th) + (p.offset2 / a2g) * a ** 3 * math.exp(2.0 * th)
             ref = reduced_field(p)(th, w)
-            assert abs(alt[0] - ref[0]) <= 1e-10 * max(1.0, abs(ref[0]))
-            assert abs(alt[1] - ref[1]) <= 1e-10 * max(1.0, abs(ref[1]))
+            assert abs(dth - ref[0]) <= 1e-10 * max(1.0, abs(ref[0]))
+            assert abs(dw - ref[1]) <= 1e-10 * max(1.0, abs(ref[1]))
 
     def test_gap_recovery_round_trip(self):
         for p, th, w in self._random_cases():
             h0 = reduced_energy(p)(th, w)
-            assert abs(w_from_theta(th, p, h0) - abs(w)) < 1e-12 * max(1.0, abs(w))
+            assert abs(level_w(th, p, h0) - abs(w)) < 1e-12 * max(1.0, abs(w))
 
     def test_boundary_of_level_set_has_zero_gap(self):
         p = Params(0.2, 1.5)
         h0 = reduced_energy(p)(0.3, 0.0)
-        assert w_from_theta(0.3, p, h0) == pytest.approx(0.0, abs=1e-7)
+        assert level_w(0.3, p, h0) == pytest.approx(0.0, abs=1e-7)
 
     def test_equal_circulation_closed_form(self):
         p = Params(0.4, 1.0)
         th, h0 = 0.2, -0.5
         want = p.alpha / (h0 + 2.0 * math.exp(-th))
-        assert math.isclose(w_from_theta(th, p, h0), want, rel_tol=1e-12)
+        assert math.isclose(level_w(th, p, h0), want, rel_tol=1e-12)
+        assert math.isclose(reduced_energy(p)(th, want), h0, rel_tol=1e-12)
 
     def test_gap_derivative_vanishes_on_critical_axis(self):
         alpha = 0.2
         p = Params(alpha, gamma_star(alpha))
-        h0 = reduced_energy(p)(0.7, 0.0)
-        _, dw = rhs_reduced_alt(0.7, p, h0)
+        _, dw = reduced_field(p)(0.7, 0.0)
         assert abs(dw) < 1e-10
-
-    def test_inconsistent_level_rejected(self):
-        p = Params(0.2, 1.5)
-        # Energy of a distant state makes theta = 2 infeasible.
-        h0 = reduced_energy(p)(-2.0, 0.01)
-        with pytest.raises(OffLevelSet):
-            w_from_theta(2.0, p, h0)
-        with pytest.raises(OffLevelSet):
-            rhs_reduced_alt(2.0, p, h0)
-        # A level so low that even the self-induction term cannot reach it.
-        with pytest.raises(OffLevelSet):
-            w_from_theta(0.0, p, -1e6)
 
 
 class TestHyperbolicChart:
