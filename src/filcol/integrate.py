@@ -8,22 +8,25 @@ abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
 standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension:
 one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
-with the vector field called on scalars.  The one crossing event is the
-separation of a d = 0 run falling to a fraction of its initial value,
-located by bisection on a cubic-Hermite interpolant of each accepted step.
-The conserved quantity of the chosen system (d for the full system, the
-energy for the planar charts) is recorded at every accepted point, so any
-run doubles as a conservation audit, and every run counts its attempts,
-rejections, field evaluations and event iterations in ``Trajectory.stats``.
+with the vector field called on scalars.  Two events watch a d = 0 run at
+every accepted point: the separation falling to a fraction of its initial
+value, located by bisection on a cubic-Hermite interpolant of each accepted
+step, and the survival witness, a recorded point on a branch of the energy
+level that provably never returns to the axis.  The conserved quantity of
+the chosen system (d for the full system, the energy for the planar
+charts) is recorded at every accepted point, so any run doubles as a
+conservation audit, and every run counts its attempts, rejections, field
+evaluations and event iterations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) is not integrated into.
 ``simulate_until_collision`` stops a d = 0 run once the separation
 D = sqrt(offset2*exp(2*theta) + W**2) has fallen to 1e-3 of its initial
 value on a branch of the energy level that reaches D = 0, and adds the
-exact time that branch takes from there to the axis.  A run that meets the
-singularity any other way ends by step collapse: the controller drives the
-step below the floor and the run ends with outcome StepCollapsed at the
-last representable time before the singularity, never with a NaN state.
+exact time that branch takes from there to the axis; when asked, it also
+stops a run at its survival witness.  A run that meets the singularity any
+other way ends by step collapse: the controller drives the step below the
+floor and the run ends with outcome StepCollapsed at the last
+representable time before the singularity, never with a NaN state.
 """
 
 from __future__ import annotations
@@ -66,19 +69,24 @@ class SystemKind(Enum):
 
 class EventKind(Enum):
     SEPARATION_BELOW = "separation-below"
+    SURVIVAL_WITNESS = "survival-witness"
     STEP_COLLAPSE = "step-collapse"
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A downward separation crossing on the d = 0 chart, or the collapse marker.
+    """A downward separation crossing or the survival witness on the d = 0
+    chart, or the collapse marker.
 
     SEPARATION_BELOW fires when D = sqrt(offset2*exp(2*theta) + W**2) falls
     to threshold times its initial value, at a point whose energy-level
     branch reaches D = 0: W > 0, with K = alpha**2*gamma - offset2*mu**2
     not negative by dynamics.k_sign, the test that also draws the
-    classifier's regimes.  ``terminal`` stops the integration at the
-    located crossing.
+    classifier's regimes.  SURVIVAL_WITNESS fires at the first recorded
+    point, the initial one included, where W has fallen below zero on a
+    level whose W < 0 branch never comes back (see ``_survival_value``); it
+    takes no threshold.  ``terminal`` stops the integration at the located
+    crossing or the witness point.
     """
 
     kind: EventKind
@@ -86,7 +94,7 @@ class EventSpec:
     terminal: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind is not EventKind.STEP_COLLAPSE:
+        if self.kind is EventKind.SEPARATION_BELOW:
             if self.threshold is None or not math.isfinite(self.threshold):
                 raise ConfigInvalid(f"{self.kind.value} event needs a finite threshold")
 
@@ -367,6 +375,29 @@ def _separation_value(fraction: float, y0: tuple[float, float], p: Params):
     return value
 
 
+def _survival_value(y0: tuple[float, float], p: Params, h0: float):
+    """Value function of the survival witness, W + slack, where it is armed;
+    None elsewhere.
+
+    On level h0, with s = exp(theta), m(s) = mu + h0*s and bracket(s) = K -
+    offset2*h0*s*(2*mu + h0*s), W**2 = s**2*bracket(s)/m(s)**2 and D =
+    alpha*sqrt(gamma)*s/m(s), while dtheta/dt = -alpha*sqrt(gamma)*W/D**3 > 0
+    where W < 0.  With h0 <= 0, m does not rise and the bracket does not
+    fall as s grows (its slope is -2*offset2*h0*m), so on the W < 0 branch
+    |W| and D only grow: it never returns to W = 0, nor to the axis.  At
+    gamma = 1, dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is
+    armed once, from y0: at gamma = 1, or where h0 lies below
+    -1e-12*mu*exp(-theta0), clear of the rounding of the zero-energy level.
+    K <= 0 puts every level below zero, so every supercritical run is armed.
+    It falls through zero where W drops to -slack, slack = 1e-9*(1 + |W0|),
+    the monotone witness's slack.  Neither theta_star nor gamma_star enters.
+    """
+    if not (p.gamma == 1.0 or h0 < -1e-12 * p.mu * math.exp(-y0[0])):
+        return None
+    slack = 1e-9 * (1.0 + abs(y0[1]))
+    return lambda y: y[1] + slack
+
+
 def _hermite(y0, f0, y1, f1, h, tau):
     t2 = tau * tau
     t3 = t2 * tau
@@ -390,10 +421,10 @@ def integrate(
     """Advance y0 to t_end (or a terminal event / step collapse).
 
     The system is the one y0's type names (FullState, ReducedState or
-    HyperbolicState).  The separation event runs on the d = 0 chart only.
-    Returns a Trajectory; raises InvalidInitialState when y0 is rejected,
-    ConfigInvalid for a separation event on another chart and
-    StepLimitExceeded when max_steps attempts are exhausted.
+    HyperbolicState).  The separation event and the survival witness run on
+    the d = 0 chart only.  Returns a Trajectory; raises InvalidInitialState
+    when y0 is rejected, ConfigInvalid for either event on another chart
+    and StepLimitExceeded when max_steps attempts are exhausted.
     """
     if cfg is None:
         cfg = IntegrationConfig()
@@ -411,12 +442,16 @@ def integrate(
         raise InvalidInitialState(f"vector field not finite at initial state {y}")
 
     collapse_specs = [s for s in events if s.kind is EventKind.STEP_COLLAPSE]
-    # Each crossing event with its value function, which falls through zero
-    # at the crossing.
+    # Each crossing event and each armed witness with its value function,
+    # which falls through zero at the crossing or the witness point.
     crossings = [s for s in events if s.kind is EventKind.SEPARATION_BELOW]
-    if crossings and system is not SystemKind.REDUCED:
-        raise ConfigInvalid("the separation event needs a ReducedState (d = 0)")
+    witnesses = [s for s in events if s.kind is EventKind.SURVIVAL_WITNESS]
+    if (crossings or witnesses) and system is not SystemKind.REDUCED:
+        raise ConfigInvalid("the separation and survival events need a ReducedState (d = 0)")
     watched = [(s, _separation_value(s.threshold, y, p)) for s in crossings]
+    witness = _survival_value(y, p, inv0) if witnesses else None
+    if witness is not None:
+        watched += [(s, witness) for s in witnesses]
     # Event values at the current point, carried from one accepted step to
     # the next so each function is evaluated once per accepted point.
     g_prev = [g(y) for _, g in watched]
@@ -431,6 +466,9 @@ def integrate(
     t_tol = 1e-12 * t_end
     attempts = rejections = event_iterations = 0
     outcome: Outcome | None = None
+    if witness is not None and not witness(y) > 0.0:  # met at y0: ends there
+        hits = [EventHit(0.0, s, y) for s in witnesses]
+        outcome = Outcome.EVENT_TERMINATED
 
     while outcome is None:
         rem = t_end - t
@@ -465,6 +503,10 @@ def integrate(
                 g0 = g_prev[i]
                 g1 = g_prev[i] = gfn(y_new)
                 if not g0 > 0.0 >= g1:
+                    continue
+                if spec.kind is EventKind.SURVIVAL_WITNESS:
+                    # Any point of the W < 0 branch witnesses: the recorded one.
+                    step_hits.append(EventHit(t_new, spec, y_new))
                     continue
                 lo, hi = 0.0, 1.0
                 while (hi - lo) * h_step > t_tol:
@@ -582,6 +624,8 @@ def simulate_until_collision(
     p: Params,
     cfg: IntegrationConfig | None = None,
     t_end: float = 200.0,
+    *,
+    survival_witness: bool = False,
 ) -> tuple[CollisionResult, Trajectory]:
     """Integrate the reduced system and decide collided/survived.
 
@@ -591,15 +635,22 @@ def simulate_until_collision(
     (collisions approach W = 0 monotonically from above; an orbit that
     reaches the singularity after an initial rise is not a collision in the
     defined sense), at the event time plus the exact remaining time on the
-    level.  A run that reaches t_end survived; any other stop, such as step
-    collapse without the event, is inconclusive.
+    level.  A run that reaches t_end survived.  With ``survival_witness``
+    the SURVIVAL_WITNESS event is watched too, and a run it stops survived
+    at the witness time: from there the rings only separate.  Any other
+    stop, such as step collapse without the event, is inconclusive.
     """
     events = (
         EventSpec(EventKind.SEPARATION_BELOW, threshold=_KAPPA),
         EventSpec(EventKind.STEP_COLLAPSE),
     )
+    if survival_witness:
+        events += (EventSpec(EventKind.SURVIVAL_WITNESS),)
     traj = integrate(rs0, p, t_end, cfg, events)
-    if traj.outcome is Outcome.REACHED_T_END:
+    if traj.outcome is Outcome.REACHED_T_END or (
+        traj.outcome is Outcome.EVENT_TERMINATED
+        and traj.events[-1].spec.kind is EventKind.SURVIVAL_WITNESS
+    ):
         return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
     ws = [s[1] for s in traj.states]
     slack = 1e-9 * (1.0 + abs(ws[0]))

@@ -138,7 +138,7 @@ def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]
     if mc.predicts_collision:
         t_est = collision_time(rs, p).value
     cfg = IntegrationConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-    result, _ = simulate_until_collision(rs, p, cfg, t_end=t_end)
+    result, _ = simulate_until_collision(rs, p, cfg, t_end=t_end, survival_witness=True)
     agree = mc.predicts_collision == (result.status is SimStatus.COLLIDED)
     return (th0, w0, mc.verdict.value, mc.h0, t_est, result.status.value, agree)
 
@@ -401,7 +401,7 @@ def _check_classifier_oracle(
     gammas = [1.0, mid_subcritical_gamma(alpha), gamma_star(alpha), 2.0]
     nodes = [-2.0 + 4.0 * i / (grid - 1) for i in range(grid)]
     disagreements = []
-    n_inconclusive = 0
+    tally = dict.fromkeys(SimStatus, 0)
     complete = True
     for g in gammas:
         rows = classifier_oracle_grid(Params(alpha, g), nodes, nodes, cfg)
@@ -411,16 +411,19 @@ def _check_classifier_oracle(
             for r in rows
             if not r[6]
         )
-        # Undecided runs: reported, though the pass rule counts them as
-        # agreeing with a no-collision verdict.
-        n_inconclusive += sum(r[5] == SimStatus.INCONCLUSIVE.value for r in rows)
+        for r in rows:
+            tally[SimStatus(r[5])] += 1
     return {
         "passed": complete and not disagreements,
         "measured": {
             "grid": f"{grid}x{grid} x 4 regimes",
             "disagreements": disagreements[:10],
             "n_disagreements": len(disagreements),
-            "n_inconclusive": n_inconclusive,
+            # Undecided runs are reported, though the pass rule counts them
+            # as agreeing with a no-collision verdict.
+            "n_collided": tally[SimStatus.COLLIDED],
+            "n_survived": tally[SimStatus.SURVIVED],
+            "n_inconclusive": tally[SimStatus.INCONCLUSIVE],
         },
     }
 

@@ -174,6 +174,7 @@ def test_criterion_04_classifier_oracle_agreement():
     m = check["measured"]
     ok = check["passed"] and elapsed < 300.0
     msg = _line(4, ok, f"4 x 20x20 grids, disagreements={m['n_disagreements']}, "
+                       f"collided={m['n_collided']}, survived={m['n_survived']}, "
                        f"inconclusive={m['n_inconclusive']}, runtime={elapsed:.1f}s"
                        + (f", first={m['disagreements'][:3]}" if m["n_disagreements"] else ""))
     assert ok, msg

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import filcol.dynamics as dynamics
@@ -34,7 +36,7 @@ from filcol import (
 )
 from filcol.dynamics import full_field, hyperbolic_field, reduced_field
 from filcol.integrate import _step_2d, _step_4d
-from filcol.verify import h0_zero_w
+from filcol.verify import h0_zero_w, mid_subcritical_gamma
 
 from conftest import log_slope, rel_err
 
@@ -60,6 +62,7 @@ class TestConfig:
     def test_event_threshold_required(self):
         with pytest.raises(ConfigInvalid):
             EventSpec(EventKind.SEPARATION_BELOW)
+        assert EventSpec(EventKind.SURVIVAL_WITNESS).threshold is None
 
     def test_bad_initial_state(self):
         with pytest.raises(InvalidInitialState):
@@ -84,10 +87,11 @@ class TestConfig:
     def test_separation_event_needs_the_d0_chart(self):
         p = Params(0.2, 1.4)
         full = FullState(1.0, 0.8, 1.2, 0.0)
-        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
-        for y0 in (full, reduce_state(full, p)):
-            with pytest.raises(ConfigInvalid):
-                integrate(y0, p, 1.0, CFG, (spec,))
+        for spec in (EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5),
+                     EventSpec(EventKind.SURVIVAL_WITNESS)):
+            for y0 in (full, reduce_state(full, p)):
+                with pytest.raises(ConfigInvalid):
+                    integrate(y0, p, 1.0, CFG, (spec,))
         # The step-collapse marker is no crossing and is allowed.
         traj = integrate(full, Params(0.2, 1.4), 1.0, CFG, (EventSpec(EventKind.STEP_COLLAPSE),))
         assert traj.outcome is Outcome.REACHED_T_END and not traj.events
@@ -309,6 +313,194 @@ class TestCollisionDriver:
         assert traj.outcome is Outcome.EVENT_TERMINATED
         assert result.status is SimStatus.INCONCLUSIVE
         assert result.time == traj.t_final
+
+
+REGIMES = ("gamma1", "subcritical", "critical", "supercritical")
+
+
+def regime_params(alpha: float, regime: str, u: float) -> Params:
+    """alpha with the ratio of one regime; u in [0, 1] places it inside."""
+    gs = gamma_star(alpha)
+    gamma = {
+        "gamma1": 1.0,
+        "subcritical": 1.0 + (0.05 + 0.9 * u) * (gs - 1.0),
+        "critical": gs,
+        "supercritical": gs + 0.01 + 2.0 * u,
+    }[regime]
+    return Params(alpha, gamma)
+
+
+def separation(p: Params, state) -> float:
+    """D on the d = 0 chart; |W| at gamma = 1, where theta may pass exp's range."""
+    theta, w = state
+    return math.hypot(math.sqrt(p.offset2) * math.exp(theta), w) if p.offset2 else abs(w)
+
+
+@st.composite
+def armed_receding_states(draw):
+    """(p, theta, W, h0): W < 0 on a level where the witness is armed.
+
+    Away from gamma = 1, W lies beyond the zero-energy level's |W| (which
+    is 0 unless subcritical), so that h0 < 0; at gamma = 1 any W < 0 is
+    drawn, h0 > 0 included.
+    """
+    p = regime_params(draw(st.floats(0.01, 0.99)), draw(st.sampled_from(REGIMES)),
+                      draw(st.floats(0.0, 1.0)))
+    theta = draw(st.floats(-3.0, 3.0))
+    s = math.exp(theta)
+    r = draw(st.floats(1e-3, 5.0))
+    if p.gamma == 1.0:
+        w = -r * s
+    else:
+        kappa2 = p.alpha ** 2 * p.gamma / p.mu ** 2 - p.offset2
+        w = -(math.sqrt(max(kappa2, 0.0)) + r) * s
+    h0 = dynamics.reduced_energy(p)(theta, w)
+    assume(p.gamma == 1.0 or h0 < -1e-12 * p.mu / s)
+    return p, theta, w, h0
+
+
+def witnessed(rs: ReducedState, p: Params, t_end: float):
+    """The grid oracle's run of rs: (result, trajectory, witness hit or None)."""
+    result, traj = simulate_until_collision(rs, p, CFG, t_end=t_end, survival_witness=True)
+    hits = [e for e in traj.events if e.spec.kind is EventKind.SURVIVAL_WITNESS]
+    return result, traj, hits[0] if hits else None
+
+
+class TestSurvivalWitness:
+    @given(case=armed_receding_states())
+    @settings(max_examples=100)
+    def test_the_receding_branch_never_turns_back(self, case):
+        # The lemma behind the witness, with no integration: theta rises
+        # while W < 0, and on the level W**2 = s**2*bracket(s)/m(s)**2 only
+        # grows with s = exp(theta) over the level's range (m(s) > 0), so W
+        # never returns to 0.  At gamma = 1 dW/dt < 0 holds outright.
+        p, theta, w, h0 = case
+        dtheta, dw = reduced_field(p)(theta, w)
+        assert dtheta > 0.0
+        if p.gamma == 1.0:
+            assert dw < 0.0
+        a2g, c2, mu = p.alpha ** 2 * p.gamma, p.offset2, p.mu
+        k = a2g - c2 * mu * mu
+
+        def w2(s):
+            m = mu + h0 * s
+            return s * s * (k - c2 * h0 * s * (2.0 * mu + h0 * s)) / (m * m)
+
+        s0 = math.exp(theta)
+        m0 = mu + h0 * s0
+        # Within rounding of the terms that cancel in the bracket.
+        assert abs(w2(s0) - w * w) <= 1e-12 * s0 * s0 * (a2g + c2 * mu * mu) / (m0 * m0)
+        s_end = mu / -h0 if h0 < 0.0 else 1e3 * s0  # m(s_end) = 0 when h0 < 0
+        values = [w2(s0 + f * (s_end - s0)) for f in (0.0, 0.01, 0.1, 0.5, 0.9, 0.99)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.7])
+    def test_witnessed_runs_only_separate_after_the_witness(self, alpha):
+        # Criterion 04's nodes (every third of its 20x20 grid over [-2, 2])
+        # in its four regimes, and a seeded sample of states at this alpha:
+        # continued from the witness point to the original horizon without
+        # the witness, every run reaches that horizon and its separation
+        # never falls below the witness point's.
+        nodes = [-2.0 + 4.0 * i / 19 for i in range(0, 20, 3)]
+        cases = [
+            (Params(alpha, g), ReducedState(th0, w0))
+            for g in (1.0, mid_subcritical_gamma(alpha), gamma_star(alpha), 2.0)
+            for th0 in nodes
+            for w0 in nodes
+        ]
+        rng = random.Random(f"witness/{alpha}")
+        cases += [
+            (regime_params(alpha, rng.choice(REGIMES), rng.random()),
+             ReducedState(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)))
+            for _ in range(40)
+        ]
+        t_end = 200.0
+        n_witnessed = 0
+        for p, rs in cases:
+            result, traj, hit = witnessed(rs, p, t_end)
+            if hit is None:
+                continue
+            n_witnessed += 1
+            assert result.status is SimStatus.SURVIVED and result.time == hit.time
+            assert (traj.t_final, traj.state_final) == (hit.time, hit.state)
+            rest, tail = simulate_until_collision(
+                ReducedState(*hit.state), p, CFG, t_end=t_end - hit.time
+            )
+            assert rest.status is SimStatus.SURVIVED, (p, rs)
+            assert tail.outcome is Outcome.REACHED_T_END, (p, rs)
+            d_witness = separation(p, hit.state)
+            assert min(separation(p, y) for y in tail.states) >= d_witness * (1.0 - 1e-9)
+        assert n_witnessed > len(cases) // 3
+
+    def test_witness_at_the_initial_point(self):
+        # Supercritical, W0 < 0: the rings already recede, and the run ends
+        # at t = 0 with its one point.
+        p = Params(0.2, 2.0)
+        result, traj, hit = witnessed(ReducedState(0.0, -1.0), p, 200.0)
+        assert result.status is SimStatus.SURVIVED and result.time == 0.0
+        assert traj.times == [0.0] and hit.state == (0.0, -1.0)
+        assert traj.stats.attempts == 0
+
+    def test_w_within_slack_of_zero_is_not_witnessed(self):
+        # Supercritical, so armed: W0 = -1e-12 is inside the slack
+        # 1e-9*(1 + |W0|), and the run goes on until W has fallen below
+        # -slack; a horizon that ends first records no witness.
+        p = Params(0.2, 2.0)
+        rs = ReducedState(0.0, -1e-12)
+        result, traj, hit = witnessed(rs, p, 200.0)
+        assert result.status is SimStatus.SURVIVED
+        assert hit.time > 0.0 and hit.state[1] < -1e-9 and len(traj.times) > 1
+        result, traj, hit = witnessed(rs, p, 1e-12)
+        assert result.status is SimStatus.SURVIVED and result.time == 1e-12
+        assert hit is None and traj.outcome is Outcome.REACHED_T_END
+
+    def test_zero_energy_level_is_not_armed(self):
+        # Mirrored to W < 0, a state on the zero-energy level has h0 within
+        # the rounding margin: unarmed, it runs to its horizon.  At gamma = 1
+        # the witness is armed whatever h0, and ends the run at once.
+        th0 = 0.5
+        p = Params(0.2, mid_subcritical_gamma(0.2))
+        rs = ReducedState(th0, -h0_zero_w(p, th0))
+        assert abs(dynamics.reduced_energy(p)(rs.theta, rs.w)) < 1e-12 * p.mu * math.exp(-th0)
+        result, traj, hit = witnessed(rs, p, 5.0)
+        assert result.status is SimStatus.SURVIVED and result.time == 5.0
+        assert hit is None and traj.outcome is Outcome.REACHED_T_END
+        p1 = Params(0.2, 1.0)
+        result, traj, hit = witnessed(ReducedState(th0, -h0_zero_w(p1, th0)), p1, 5.0)
+        assert result.time == 0.0 and hit is not None
+
+    @pytest.mark.parametrize("alpha,gamma,th0,w0", [
+        (0.7421720253894344, 1.2765731521914674, 0.6666666666666665, -0.6666666666666667),
+        (0.8938708576603537, 1.8882506676233934, 2.0, -2.0),
+        (0.624725939009422, 1.2817083004810996, 2.0, -2.0),
+        (0.21459698413201211, 1.0300547834870066, 2.0, -0.6666666666666667),
+        (0.6715591429316828, 1.4696877995094062, 2.0, -2.0),
+        (0.7271907452945902, 1.4028657199655135, 2.0, -2.0),
+    ])
+    def test_positive_energy_survivors_still_run_to_the_horizon(self, alpha, gamma, th0, w0):
+        # Subcritical survivors with h0 > 0, from the seeded benchmark grids:
+        # their W < 0 branch turns back, so no witness is armed.
+        p = Params(alpha, gamma)
+        assert dynamics.reduced_energy(p)(th0, w0) > 0.0
+        result, traj, hit = witnessed(ReducedState(th0, w0), p, 200.0)
+        assert result.status is SimStatus.SURVIVED and result.time == 200.0
+        assert hit is None and traj.outcome is Outcome.REACHED_T_END and not traj.events
+
+    def test_colliding_and_undecided_runs_never_meet_the_witness(self):
+        # Criterion 04's nodes at alpha 0.5 (every fourth of its grid): with
+        # or without the witness, every run not witnessed ends identically.
+        nodes = [-2.0 + 4.0 * i / 19 for i in range(0, 20, 4)]
+        for g in (1.0, mid_subcritical_gamma(0.5), gamma_star(0.5), 2.0):
+            p = Params(0.5, g)
+            for th0 in nodes:
+                for w0 in nodes:
+                    rs = ReducedState(th0, w0)
+                    plain, plain_traj = simulate_until_collision(rs, p, CFG)
+                    result, traj, hit = witnessed(rs, p, 200.0)
+                    if plain.status is not SimStatus.SURVIVED:
+                        assert hit is None, (g, rs)
+                    if hit is None:
+                        assert (result, traj.times) == (plain, plain_traj.times)
 
 
 class TestDriftReport:

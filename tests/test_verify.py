@@ -42,6 +42,18 @@ def test_classifier_oracle_reports_its_undecided_runs():
     assert check["measured"]["n_inconclusive"] == 3
 
 
+def test_classifier_oracle_tallies_at_alpha_0_2():
+    # Criterion 04's grids: every oracle status is pinned, so a change of
+    # the witness or the horizon cannot flip a verdict unseen.
+    report = verify.run_battery(alpha=0.2, selection=["classifier-oracle"], grid=20)
+    (check,) = report["checks"]
+    measured = check["measured"]
+    assert check["passed"] and measured["n_disagreements"] == 0
+    assert (measured["n_collided"], measured["n_survived"], measured["n_inconclusive"]) == (
+        595, 986, 19
+    )
+
+
 def test_oracle_grid_rows_identical_serial_and_pooled():
     p = Params(0.2, verify.mid_subcritical_gamma(0.2))
     nodes = [-2.0 + 4.0 * k / 3 for k in range(4)]
