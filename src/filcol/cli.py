@@ -267,6 +267,8 @@ def _cmd_simulate(args) -> None:
         p, rs, scale, swapped = _initial_reduced(args)
         result, traj = simulate_until_collision(rs, p, cfg, t_end=args.t_end / scale)
         status, t_stop = result.status.value, result.time
+        # The closed-form part of a collision time; the rest was integrated.
+        t_rem = result.remaining_time if result.collided else None
         state_header = ["t", "theta", "w"]
     else:  # full, or hyperbolic: the d != 0 chart of the full state
         if not _has_full(args):
@@ -283,7 +285,7 @@ def _cmd_simulate(args) -> None:
                 )
             state_header = ["t", "theta", "w"]
         traj = integrate(y0, p, args.t_end / scale, cfg)
-        status, t_stop = traj.outcome.value, traj.t_final
+        status, t_stop, t_rem = traj.outcome.value, traj.t_final, None
 
     horizon = args.t_end / scale
 
@@ -293,6 +295,8 @@ def _cmd_simulate(args) -> None:
         return args.t_end if t == horizon else t * scale
 
     outcome = {"status": status, "time": input_time(t_stop)}
+    if t_rem is not None:
+        outcome["remaining_time"] = t_rem * scale
     payload = {
         "command": "simulate",
         "alpha": args.alpha,

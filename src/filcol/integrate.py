@@ -20,13 +20,14 @@ evaluations and event iterations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) is not integrated into.
 ``simulate_until_collision`` stops a d = 0 run once the separation
-D = sqrt(offset2*exp(2*theta) + W**2) has fallen to 1e-3 of its initial
-value on a branch of the energy level that reaches D = 0, and adds the
-exact time that branch takes from there to the axis; when asked, it also
-stops a run at its survival witness.  A run that meets the singularity any
-other way ends by step collapse: the controller drives the step below the
-floor and the run ends with outcome StepCollapsed at the last
-representable time before the singularity, never with a NaN state.
+D = sqrt(offset2*exp(2*theta) + W**2) has fallen to a quarter of its
+initial value on a branch of the energy level that reaches D = 0, and
+adds the closed-form time to the axis (``dynamics.time_to_axis``) from the
+last accepted point, on that point's own level; when asked, it also stops
+a run at its survival witness.  A run that meets the singularity any other
+way ends by step collapse: the controller drives the step below the floor
+and the run ends with outcome StepCollapsed at the last representable time
+before the singularity, never with a NaN state.
 """
 
 from __future__ import annotations
@@ -333,19 +334,6 @@ def _make_field(y0, p: Params):
     raise InvalidInitialState(f"initial state must be a state dataclass, got {y0!r}")
 
 
-# 8-point Gauss-Legendre rule on [0, 1]: (node, weight) pairs.
-_GAUSS_LEGENDRE_8 = tuple(
-    (0.5 * (1.0 + sign * x), 0.5 * w)
-    for x, w in (
-        (0.9602898564975362, 0.10122853629037706),
-        (0.7966664774136267, 0.22238103445337443),
-        (0.525532409916329, 0.3137066458778869),
-        (0.18343464249564978, 0.36268378337836166),
-    )
-    for sign in (-1.0, 1.0)
-)
-
-
 def _separation_value(fraction: float, y0: tuple[float, float], p: Params):
     """Value function of the separation event: D**2 - (fraction*D0)**2 where
     armed, +inf elsewhere.
@@ -583,8 +571,14 @@ class SimStatus(Enum):
 
 @dataclass(frozen=True)
 class CollisionResult:
+    """Verdict of a collision-oracle run.  ``time`` is the collision time
+    for a collided run, else the time the run ended; ``remaining_time`` is
+    the closed-form part of a collision time (0.0 unless collided), the
+    rest having been integrated."""
+
     status: SimStatus
     time: float
+    remaining_time: float = 0.0
 
     @property
     def collided(self) -> bool:
@@ -592,31 +586,7 @@ class CollisionResult:
 
 
 #: Fraction of the initial separation at which a colliding run stops.
-_KAPPA = 1e-3
-
-
-def _remaining_time(u: float, p: Params, h0: float) -> float:
-    """Exact time from s = u = exp(theta) to the axis on the W > 0 branch of
-    level h0.
-
-    On the level, W = sqrt(bracket(s))/a and dtheta/dt = -(a**2/a2g)*
-    sqrt(bracket(s)) with a = m(s)/s, m(s) = mu + h0*s and bracket(s) = K -
-    offset2*h0*s*(2*mu + h0*s), formed so that nothing cancels; so t_rem(u)
-    = int_0^u a2g*s ds / (m(s)**2 * sqrt(bracket(s))).  With s = v**2 the
-    integrand is smooth on [0, sqrt(u)], K = 0 included; on the tail past
-    the event 8-point Gauss-Legendre in v agrees with scipy quad to 5e-11
-    relative.  gamma = 1 is the case offset2 = 0, mu = 2.  A K that rounds
-    below zero in the critical band (k_sign 0) is the critical K = 0.
-    """
-    a2g = p.alpha * p.alpha * p.gamma
-    c2, mu = p.offset2, p.mu
-    k = max(a2g - c2 * mu * mu, 0.0)
-    total = 0.0
-    for x, w in _GAUSS_LEGENDRE_8:
-        s = u * x * x
-        m = mu + h0 * s
-        total += w * x * x * x / (m * m * math.sqrt(k - c2 * h0 * s * (2.0 * mu + h0 * s)))
-    return 2.0 * a2g * u * u * total
+_KAPPA = 0.25
 
 
 def simulate_until_collision(
@@ -634,12 +604,21 @@ def simulate_until_collision(
     SEPARATION_BELOW event).  It collided if W never rose along the way
     (collisions approach W = 0 monotonically from above; an orbit that
     reaches the singularity after an initial rise is not a collision in the
-    defined sense), at the event time plus the exact remaining time on the
-    level.  A run that reaches t_end survived.  With ``survival_witness``
-    the SURVIVAL_WITNESS event is watched too, and a run it stops survived
-    at the witness time: from there the rings only separate.  Any other
-    stop, such as step collapse without the event, is inconclusive.
+    defined sense) and will not rise on the rest of the way either: from
+    the last accepted point before the event, on that point's own energy
+    level, W must fall with s all the way to the axis
+    (``dynamics.monotone_approach``).  The collision time is that point's
+    time plus the closed-form time to the axis from it
+    (``dynamics.time_to_axis``), reported as ``remaining_time``.  A run
+    that ends by step collapse at a point of such a branch collided too
+    where the time left from there is below ``cfg.h_min``, the step floor.
+    A run that reaches t_end survived.  With ``survival_witness`` the
+    SURVIVAL_WITNESS event is watched too, and a run it stops survived at
+    the witness time: from there the rings only separate.  Any other stop,
+    such as step collapse without the event, is inconclusive.
     """
+    if cfg is None:
+        cfg = IntegrationConfig()
     events = (
         EventSpec(EventKind.SEPARATION_BELOW, threshold=_KAPPA),
         EventSpec(EventKind.STEP_COLLAPSE),
@@ -652,12 +631,23 @@ def simulate_until_collision(
         and traj.events[-1].spec.kind is EventKind.SURVIVAL_WITNESS
     ):
         return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
+    inconclusive = CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj
     ws = [s[1] for s in traj.states]
     slack = 1e-9 * (1.0 + abs(ws[0]))
-    if traj.outcome is Outcome.EVENT_TERMINATED and all(
-        b <= a + slack for a, b in zip(ws, ws[1:])
-    ):
-        h0 = dynamics.reduced_energy(p)(rs0.theta, rs0.w)
-        t_rem = _remaining_time(math.exp(traj.state_final[0]), p, h0)
-        return CollisionResult(SimStatus.COLLIDED, traj.t_final + t_rem), traj
-    return CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj
+    if not all(b <= a + slack for a, b in zip(ws, ws[1:])):
+        return inconclusive
+    if traj.outcome is Outcome.EVENT_TERMINATED:
+        # The last accepted point: the located event state is only interpolated.
+        t_stop, (theta, w) = traj.times[-2], traj.states[-2]
+    elif ws[-1] > 0.0 and dynamics.k_sign(p) >= 0:  # step collapse, armed branch
+        t_stop, (theta, w) = traj.times[-1], traj.states[-1]
+    else:
+        return inconclusive
+    h = dynamics.reduced_energy(p)(theta, w)
+    u = math.exp(theta)
+    if not dynamics.monotone_approach(p, h, u):
+        return inconclusive
+    t_rem = dynamics.time_to_axis(p, h, u)
+    if traj.outcome is Outcome.STEP_COLLAPSED and not t_rem < cfg.h_min:
+        return inconclusive
+    return CollisionResult(SimStatus.COLLIDED, t_stop + t_rem, t_rem), traj

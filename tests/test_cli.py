@@ -134,7 +134,7 @@ class TestSimulateCommand:
         assert len(payload["times"]) == len(payload["states"])
 
     def test_colliding_run_stops_at_the_separation_event(self, capsys, tmp_path):
-        # The run ends where the gap is 1e-3 of W0; the reported time adds
+        # The run ends where the gap is 0.25 of W0; the reported time adds
         # the exact rest of the approach, W0**2/(2*alpha) = 1 here.
         payload = run_json(
             capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
@@ -143,9 +143,37 @@ class TestSimulateCommand:
         assert payload["outcome"]["status"] == "collided"
         assert payload["integration"]["outcome"] == "event-terminated"
         (event,) = payload["events"]
-        assert event["kind"] == "separation-below" and event["threshold"] == 1e-3
+        assert event["kind"] == "separation-below" and event["threshold"] == 0.25
         assert payload["times"][-1] == event["time"] < 1.0
         assert rel_err(payload["outcome"]["time"], 1.0) < 1e-9
+
+    def test_outcome_splits_the_collision_time(self, capsys, tmp_path):
+        # remaining_time is the closed-form part, from the last accepted
+        # point; the rest was integrated.  Times are in the input frame.
+        for gamma in ("1", "0.9"):
+            payload = run_json(
+                capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", gamma,
+                "--theta0", "0.3", "--w0", "0.8", "--t-end", "50",
+            )
+            outcome = payload["outcome"]
+            assert outcome["status"] == "collided"
+            assert 0.0 < outcome["remaining_time"] < outcome["time"]
+            integrated = outcome["time"] - outcome["remaining_time"]
+            assert integrated == pytest.approx(payload["times"][-2], rel=1e-12)
+
+    @pytest.mark.parametrize("w0", ["1e-100", "1e-107"])
+    def test_collision_below_the_step_floor_agrees_with_classify(self, capsys, tmp_path, w0):
+        # Every step is rejected at t = 0, but the time to the axis is below
+        # --h-min: the run collided, at classify's time.
+        state = ("--alpha", "0.5", "--gamma", "1", "--theta0", "0", "--w0", w0)
+        payload = run_json(capsys, tmp_path, "simulate", *state)
+        estimate = run_json(capsys, tmp_path, "classify", *state, name="c.json")
+        outcome = payload["outcome"]
+        assert payload["integration"]["outcome"] == "step-collapsed"
+        assert outcome["status"] == "collided"
+        assert math.isfinite(outcome["time"]) and outcome["time"] > 0.0
+        assert outcome["remaining_time"] == outcome["time"]
+        assert rel_err(outcome["time"], estimate["t_estimate"]) < 1e-12
 
     def test_full_system_csv(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import pytest
 from scipy.integrate import solve_ivp
 
@@ -30,7 +31,9 @@ from filcol import (
     reduce_state,
     reduced_energy,
     reduced_field,
+    theta_star,
 )
+from filcol.dynamics import k_sign, monotone_approach, time_to_axis
 
 from conftest import level_w, rel_err
 
@@ -199,7 +202,7 @@ class TestLevelSetForms:
     # On the energy level h0 the d = 0 state is fixed by theta alone:
     # a = h0 + mu*exp(-theta) = alpha*sqrt(gamma)/D > 0 and W = sqrt(bracket)/a
     # on the W > 0 branch (conftest.level_w).  The separation event's arming
-    # and the oracle's remaining time rest on these forms.
+    # and the oracle's time to the axis rest on these forms.
     def _random_cases(self, n=60):
         rng = random.Random(11)
         cases = []
@@ -247,6 +250,83 @@ class TestLevelSetForms:
         p = Params(alpha, gamma_star(alpha))
         _, dw = reduced_field(p)(0.7, 0.0)
         assert abs(dw) < 1e-10
+
+
+def _quadrature_time(p, h, u, critical=False):
+    """int_0^u a2g*s ds/(m**2*sqrt(K - offset2*h*s*(2*mu + h*s))), m = mu + h*s,
+    to 40 digits from the float inputs, in v = sqrt(s).  At the critical
+    ratio the level is formed with K = 0 exactly: a2g = offset2*mu**2."""
+    with mpmath.workdps(40):
+        c2, mu = mpmath.mpf(p.offset2), mpmath.mpf(p.mu)
+        a2g = c2 * mu * mu if critical else mpmath.mpf(p.alpha) ** 2 * mpmath.mpf(p.gamma)
+        k, h, u = a2g - c2 * mu * mu, mpmath.mpf(h), mpmath.mpf(u)
+
+        def integrand(v):
+            s = v * v
+            m = mu + h * s
+            return 2 * a2g * v ** 3 / (m * m * mpmath.sqrt(k - c2 * h * s * (2 * mu + h * s)))
+
+        return mpmath.quad(integrand, [0, mpmath.sqrt(u) / 2, mpmath.sqrt(u)])
+
+
+class TestTimeToAxis:
+    # z = h*u/mu runs log-stratified over [1e-12, 0.999]: near 0 the two
+    # O(z) terms of the closed form cancel, near 1 the h < 0 level's m(u)
+    # nears 0.
+    @staticmethod
+    def _cases(n_per_branch=20):
+        rng = random.Random(20240613)
+        cases = []
+        while len(cases) < 4 * n_per_branch:
+            alpha = rng.uniform(0.02, 0.98)
+            gs = gamma_star(alpha)
+            branch = len(cases) % 4
+            sub = 1.0 + rng.uniform(0.05, 0.95) * (gs - 1.0)
+            gamma = (1.0, sub, gs, sub)[branch]
+            p = Params(alpha, gamma)
+            if branch == 2 and k_sign(p) != 0:
+                continue
+            u = math.exp(rng.uniform(-2.0, 2.0))
+            z_hi = 0.999
+            if branch == 3:  # h > 0, left of the separatrix: z <= c - 1
+                h_any = 0.5 * p.mu / u
+                z_hi = min(z_hi, h_any * math.exp(theta_star(p, h_any)) / p.mu)
+            top = math.log10(z_hi)  # one draw from each of n strata of log10(z)
+            z = 10.0 ** (-12.0 + (top + 12.0) * (len(cases) // 4 + rng.random()) / n_per_branch)
+            sign = 1.0 if branch == 3 or (branch == 0 and rng.random() < 0.5) else -1.0
+            h = sign * z * p.mu / u
+            if branch == 3:
+                assert math.log(u) <= theta_star(p, h)
+            cases.append((("gamma1", "subcritical-h-neg", "critical", "subcritical-h-pos")[branch],
+                          p, h, u))
+        return cases
+
+    def test_matches_a_40_digit_quadrature(self):
+        worst = {}
+        for name, p, h, u in self._cases():
+            assert monotone_approach(p, h, u), (name, p, h, u)
+            want = _quadrature_time(p, h, u, critical=name == "critical")
+            got = time_to_axis(p, h, u)
+            assert math.isfinite(got)
+            err = float(abs(got - want) / want)
+            worst[name] = max(worst.get(name, 0.0), err)
+            assert err < 1e-11, (name, p, h, u, got, want)
+        assert sorted(worst) == ["critical", "gamma1", "subcritical-h-neg", "subcritical-h-pos"]
+
+    def test_zero_energy_level(self):
+        # h = 0: t = a2g*u**2/(2*mu**2*sqrt(K)), the classifier's exact h0 = 0 time.
+        for p in (Params(0.3, 1.0), Params(0.3, 1.1)):
+            k = p.alpha ** 2 * p.gamma - p.offset2 * p.mu ** 2
+            want = p.alpha ** 2 * p.gamma * 4.0 / (2.0 * p.mu ** 2 * math.sqrt(k))
+            assert rel_err(time_to_axis(p, 0.0, 2.0), want) < 1e-14
+
+    def test_gamma1_far_from_zero_energy_stays_finite(self):
+        # z = h*u/mu = 2.5e99: the log form, with no artanh to round to -1.
+        p = Params(0.5, 1.0)
+        h = reduced_energy(p)(0.0, 1e-100)
+        want = 0.5 * (math.log1p(h / 2.0) - 1.0) / (h * h)
+        got = time_to_axis(p, h, 1.0)
+        assert math.isfinite(got) and rel_err(got, want) < 1e-15
 
 
 class TestHyperbolicChart:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -34,7 +35,14 @@ from filcol import (
     reduce_state,
     simulate_until_collision,
 )
-from filcol.dynamics import full_field, hyperbolic_field, reduced_field
+from filcol.dynamics import (
+    full_field,
+    hyperbolic_field,
+    k_sign,
+    monotone_approach,
+    reduced_field,
+    time_to_axis,
+)
 from filcol.integrate import _step_2d, _step_4d
 from filcol.verify import h0_zero_w, mid_subcritical_gamma
 
@@ -245,8 +253,8 @@ class TestCollisionDriver:
         assert result.time == 50.0
 
     def test_collision_time_matches_exact_value(self):
-        # The run stops at D = 1e-3*D0; the exact remainder on the level
-        # restores the collision time W0**2/(2*alpha).
+        # The run stops at D = 0.25*D0; the closed-form time to the axis
+        # from the last accepted point restores W0**2/(2*alpha).
         result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
         assert result.status is SimStatus.COLLIDED
         assert traj.outcome is Outcome.EVENT_TERMINATED
@@ -257,9 +265,9 @@ class TestCollisionDriver:
     @pytest.mark.parametrize("excess", [1e-3, 1e-6])
     def test_near_miss_above_gamma_star_survives(self, excess):
         # Just above gamma_star the orbit passes the axis (at D/D0 = 3.0e-5
-        # for excess 1e-3): D falls through 1e-3*D0 while W is still
-        # positive, but the level never reaches D = 0, so the separation
-        # event stays unarmed and the pair threads through.
+        # for excess 1e-3): D falls through 0.25*D0, and 1e-3*D0, while W
+        # is still positive, but the level never reaches D = 0, so the
+        # separation event stays unarmed and the pair threads through.
         p = Params(0.2, gamma_star(0.2) + excess)
         result, traj = simulate_until_collision(ReducedState(-2.0, 2.0), p, CFG, t_end=400.0)
         assert result.status is SimStatus.SURVIVED
@@ -313,6 +321,128 @@ class TestCollisionDriver:
         assert traj.outcome is Outcome.EVENT_TERMINATED
         assert result.status is SimStatus.INCONCLUSIVE
         assert result.time == traj.t_final
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.1, None])
+    def test_remaining_time_from_the_last_accepted_point(self, gamma):
+        # The located event state is interpolated; the closed-form part
+        # starts from the accepted point before it, on that point's level.
+        p = Params(0.2, gamma_star(0.2) if gamma is None else gamma)
+        result, traj = simulate_until_collision(ReducedState(0.3, 0.8), p, CFG, t_end=200.0)
+        assert result.status is SimStatus.COLLIDED
+        assert traj.outcome is Outcome.EVENT_TERMINATED
+        theta, w = traj.states[-2]
+        t_rem = time_to_axis(p, dynamics.reduced_energy(p)(theta, w), math.exp(theta))
+        assert result.remaining_time == t_rem > 0.0
+        assert result.time == traj.times[-2] + t_rem
+        assert traj.times[-2] < traj.t_final < result.time
+
+    def test_no_remaining_time_unless_collided(self):
+        survived, _ = simulate_until_collision(ReducedState(0.0, -1.0), P_BENCH, CFG, t_end=5.0)
+        assert survived.status is SimStatus.SURVIVED and survived.remaining_time == 0.0
+        p = Params(0.2, 1.1)
+        rs = ReducedState(3.5, 0.2 * h0_zero_w(p, 3.5))
+        undecided, _ = simulate_until_collision(rs, p, CFG, t_end=2000.0)
+        assert undecided.status is SimStatus.INCONCLUSIVE and undecided.remaining_time == 0.0
+
+    def test_stop_point_off_the_monotone_branch_is_inconclusive(self, monkeypatch):
+        # The integrated part cannot show that W keeps falling below the
+        # stop point; a stop point that fails the rule leaves the run undecided.
+        monkeypatch.setattr(dynamics, "monotone_approach", lambda p, h, u: False)
+        result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
+        assert traj.outcome is Outcome.EVENT_TERMINATED
+        assert result.status is SimStatus.INCONCLUSIVE and result.time == traj.t_final
+
+    def test_collision_below_the_step_floor(self):
+        # dtheta/dt = alpha/W**2 is about 5e199 at W0 = 1e-100: every
+        # attempt is rejected and the run collapses at t = 0, but the time
+        # left on the level, 4.557e-198, is below h_min, so it collided.
+        p, rs = Params(0.5, 1.0), ReducedState(0.0, 1e-100)
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=20.0)
+        assert traj.outcome is Outcome.STEP_COLLAPSED and traj.times == [0.0]
+        assert result.status is SimStatus.COLLIDED
+        assert result.time == result.remaining_time < CFG.h_min
+        assert rel_err(result.time, collision_time(rs, p).value) < 1e-12
+
+    def test_other_step_collapses_stay_inconclusive(self, monkeypatch):
+        # The same collapse is no collision at a W < 0 state, off the armed
+        # branch, nor where the time left is not below the step floor.
+        p = Params(0.5, 1.0)
+        result, traj = simulate_until_collision(ReducedState(0.0, -1e-100), p, CFG, t_end=20.0)
+        assert traj.outcome is Outcome.STEP_COLLAPSED
+        assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
+        monkeypatch.setattr(dynamics, "time_to_axis", lambda p, h, u: CFG.h_min)
+        result, traj = simulate_until_collision(ReducedState(0.0, 1e-100), p, CFG, t_end=20.0)
+        assert traj.outcome is Outcome.STEP_COLLAPSED
+        assert result.status is SimStatus.INCONCLUSIVE and result.time == 0.0
+
+
+@st.composite
+def armed_approach_points(draw):
+    """(p, theta, W, h): a W > 0 point on a level where the separation
+    event is armed (k_sign >= 0), with h its energy."""
+    alpha = draw(st.floats(0.01, 0.99))
+    gs = gamma_star(alpha)
+    gamma = draw(st.sampled_from([1.0, gs, None]))
+    if gamma is None:
+        gamma = 1.0 + draw(st.floats(0.01, 0.99)) * (gs - 1.0)
+    p = Params(alpha, gamma)
+    return approach_point(p, draw(st.floats(-3.0, 3.0)), draw(st.floats(1e-3, 3.0)))
+
+
+def approach_point(p: Params, theta: float, w: float):
+    return p, theta, w, dynamics.reduced_energy(p)(theta, w)
+
+
+class TestMonotoneApproach:
+    @given(case=armed_approach_points())
+    @example(case=approach_point(Params(0.2, 1.1), 3.5, 0.05))  # right of theta_star
+    @settings(max_examples=150)
+    def test_the_rule_decides_whether_w_falls_all_the_way(self, case):
+        # The lemma behind the stop point, with no integration.  On the
+        # level, in exact rational arithmetic from the float inputs,
+        # W(s)**2 = s**2*(a2g/m(s)**2 - offset2), m(s) = mu + h*s, with
+        # a2g = offset2*mu**2 (K = 0) at the critical ratio.  Where the rule
+        # holds W rises with s over (0, u]; where it fails W falls just
+        # below u.  Points within 1e-9 of the rule's boundary are left out:
+        # there the float rule and the exact one may differ by rounding.
+        p, theta, w, h = case
+        assert k_sign(p) >= 0
+        u = math.exp(theta)
+        c2, mu, hq, uq = (Fraction(x) for x in (p.offset2, p.mu, h, u))
+        if k_sign(p) == 0:
+            a2g = c2 * mu * mu
+        else:
+            a2g = Fraction(p.alpha) ** 2 * Fraction(p.gamma)
+        lhs, rhs = c2 * (mu + hq * uq) ** 3, a2g * mu
+        assume(abs(lhs - rhs) > Fraction(1, 10 ** 9) * (lhs + rhs))
+
+        def w2(s):
+            m = mu + hq * s
+            return s * s * (a2g / (m * m) - c2)
+
+        if monotone_approach(p, h, u):
+            values = [w2(uq * Fraction(i, 64)) for i in range(1, 65)]
+            assert all(b > a for a, b in zip(values, values[1:]))
+        else:
+            at_u = w2(uq)
+            assert any(w2(uq * (1 - Fraction(1, 2 ** j))) > at_u for j in range(1, 64))
+
+    def test_both_sides_of_the_rule_occur(self):
+        # Left of theta_star on an h > 0 level the rule holds; right of it,
+        # where W first rises, it fails; h < 0 and gamma = 1 always pass.
+        p = Params(0.2, 1.1)
+        energy = dynamics.reduced_energy(p)
+        for theta, w, want in ((0.0, 0.05, True), (3.5, 0.05, False), (0.0, 1.0, True)):
+            h = energy(theta, w)
+            mc = classify(ReducedState(theta, w), p)
+            assert (mc.theta_star is None or theta <= mc.theta_star) is want
+            assert monotone_approach(p, h, math.exp(theta)) is want
+        assert monotone_approach(Params(0.2, 1.0), 1e6, 10.0)
+        # The critical level's rest line, W = 0 throughout, is no approach.
+        critical = Params(0.2, gamma_star(0.2))
+        assert k_sign(critical) == 0
+        assert not monotone_approach(critical, 0.0, 1.0)
+        assert monotone_approach(critical, -1e-300, 1.0)
 
 
 REGIMES = ("gamma1", "subcritical", "critical", "supercritical")
