@@ -1,4 +1,4 @@
-"""Adaptive embedded-pair integration with events and invariant monitoring.
+"""Adaptive embedded-pair integration with stop rules and invariant monitoring.
 
 A Dormand-Prince 5(4) pair (FSAL) advances the system that the initial
 state's type names: the full system for a FullState, the d = 0 reduction for
@@ -8,26 +8,27 @@ abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
 standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension:
 one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
-with the vector field called on scalars.  Two events watch a d = 0 run at
-every accepted point: the separation falling to a fraction of its initial
-value, located by bisection on a cubic-Hermite interpolant of each accepted
-step, and the survival witness, a recorded point on a branch of the energy
-level that provably never returns to the axis.  The conserved quantity of
-the chosen system (d for the full system, the energy for the planar
-charts) is recorded at every accepted point, so any run doubles as a
-conservation audit, and every run counts its attempts, rejections, field
-evaluations and event iterations in ``Trajectory.stats``.
+with the vector field called on scalars.  Two stop rules watch a d = 0
+run at its initial point and at every accepted point: the separation at or
+below a fraction of its initial value, and the survival witness, a point
+on a branch of the energy level that provably never returns to the axis.
+The run ends at the first point where a rule holds; nothing is
+interpolated.  The conserved quantity of the chosen system (d for the full
+system, the energy for the planar charts) is recorded at every accepted
+point, so any run doubles as a conservation audit, and every run counts its
+attempts, rejections and field evaluations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) is not integrated into.
-``simulate_until_collision`` stops a d = 0 run once the separation
-D = sqrt(offset2*exp(2*theta) + W**2) has fallen to a quarter of its
-initial value on a branch of the energy level that reaches D = 0, and
-adds the closed-form time to the axis (``dynamics.time_to_axis``) from the
-last accepted point, on that point's own level; when asked, it also stops
-a run at its survival witness.  A run that meets the singularity any other
-way ends by step collapse: the controller drives the step below the floor
-and the run ends with outcome StepCollapsed at the last representable time
-before the singularity, never with a NaN state.
+``simulate_until_collision`` stops a d = 0 run at the first accepted point
+where the separation D = sqrt(offset2*exp(2*theta) + W**2) has fallen to a
+quarter of its initial value on a branch of the energy level that reaches
+D = 0, and adds the closed-form time to the axis
+(``dynamics.time_to_axis``) from that point, on that point's own level;
+when asked, it also stops a run at its survival witness.  A run that
+meets the singularity any other way ends by step collapse: the controller
+drives the step below the floor and the run ends with outcome
+StepCollapsed at the last representable time before the singularity,
+never with a NaN state.
 """
 
 from __future__ import annotations
@@ -71,28 +72,25 @@ class SystemKind(Enum):
 class EventKind(Enum):
     SEPARATION_BELOW = "separation-below"
     SURVIVAL_WITNESS = "survival-witness"
-    STEP_COLLAPSE = "step-collapse"
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A downward separation crossing or the survival witness on the d = 0
-    chart, or the collapse marker.
+    """A stop rule on the d = 0 chart: the separation or the survival witness.
 
-    SEPARATION_BELOW fires when D = sqrt(offset2*exp(2*theta) + W**2) falls
-    to threshold times its initial value, at a point whose energy-level
-    branch reaches D = 0: W > 0, with K = alpha**2*gamma - offset2*mu**2
-    not negative by dynamics.k_sign, the test that also draws the
-    classifier's regimes.  SURVIVAL_WITNESS fires at the first recorded
-    point, the initial one included, where W has fallen below zero on a
-    level whose W < 0 branch never comes back (see ``_survival_value``); it
-    takes no threshold.  ``terminal`` stops the integration at the located
-    crossing or the witness point.
+    Both are checked at the initial point and at every accepted point, and
+    the run ends at the first point where one holds.  SEPARATION_BELOW holds
+    where D = sqrt(offset2*exp(2*theta) + W**2) is at most threshold times
+    its initial value, at a point whose energy-level branch reaches D = 0:
+    W > 0, with K = alpha**2*gamma - offset2*mu**2 not negative by
+    dynamics.k_sign, the test that also draws the classifier's regimes.
+    SURVIVAL_WITNESS holds where W has fallen below zero on a level whose
+    W < 0 branch never comes back (see ``_survival_value``); it takes no
+    threshold.
     """
 
     kind: EventKind
     threshold: float | None = None
-    terminal: bool = True
 
     def __post_init__(self) -> None:
         if self.kind is EventKind.SEPARATION_BELOW:
@@ -135,15 +133,13 @@ class IntegrationStats:
 
     Every attempt is accepted or rejected.  f_evals is one evaluation at
     the start plus six per attempt (FSAL); an attempt cut short by a field
-    that raises is counted in full.  event_iterations counts the bisection
-    steps spent locating events.
+    that raises is counted in full.
     """
 
     attempts: int = 0
     rejections: int = 0
     accepted: int = 0
     f_evals: int = 0
-    event_iterations: int = 0
 
 
 @dataclass
@@ -151,7 +147,8 @@ class Trajectory:
     """Dense record of one integration run.
 
     times/states hold every accepted point (strictly increasing times);
-    events holds located crossings in time order; drift maps each monitored
+    events holds the stop rule that ended the run at its last point, if
+    one did; drift maps each monitored
     invariant to its max absolute deviation from the initial value; stats
     counts the work the run took.
     """
@@ -335,20 +332,20 @@ def _make_field(y0, p: Params):
 
 
 def _separation_value(fraction: float, y0: tuple[float, float], p: Params):
-    """Value function of the separation event: D**2 - (fraction*D0)**2 where
-    armed, +inf elsewhere.
+    """Value function of the separation rule, D**2 - (fraction*D0)**2 where
+    W > 0 and +inf where W <= 0, when it is armed; None elsewhere.
 
     On the run's energy level h0 the bracket at s = exp(theta) is K -
     offset2*h0*s*(2*mu + h0*s) = a**2*W**2 with a = h0 + mu/s > 0, so it is
     nonnegative at the state itself.  It is monotone in s (its slope is -2*offset2*h0*m(s)
     with m(s) = mu + h0*s = a*s > 0), so its minimum over (0, u] is the
     smaller of K and a**2*W**2: the W > 0 branch reaches the axis exactly
-    where K >= 0.  The event is armed where W > 0 and dynamics.k_sign(p)
-    is not -1; the critical band, where the sign is undecided, is armed.
+    where K >= 0.  The rule is armed where dynamics.k_sign(p) is not -1;
+    the critical band, where the sign is undecided, is armed.
     """
     inf = math.inf
     if dynamics.k_sign(p) < 0:
-        return lambda y: inf
+        return None
     c2 = p.offset2
     th0, w0 = y0
     thr2 = fraction * fraction * (c2 * math.exp(2.0 * th0) + w0 * w0)
@@ -377,26 +374,22 @@ def _survival_value(y0: tuple[float, float], p: Params, h0: float):
     armed once, from y0: at gamma = 1, or where h0 lies below
     -1e-12*mu*exp(-theta0), clear of the rounding of the zero-energy level.
     K <= 0 puts every level below zero, so every supercritical run is armed.
-    It falls through zero where W drops to -slack, slack = 1e-9*(1 + |W0|),
-    the monotone witness's slack.  Neither theta_star nor gamma_star enters.
+    It holds where W is at most -slack, slack = 1e-9*(1 + |W0|), the
+    monotone witness's slack; at gamma = 1 the slack is 0, as every W < 0
+    falls.  Neither theta_star nor gamma_star enters.
     """
     if not (p.gamma == 1.0 or h0 < -1e-12 * p.mu * math.exp(-y0[0])):
         return None
-    slack = 1e-9 * (1.0 + abs(y0[1]))
+    slack = 0.0 if p.gamma == 1.0 else 1e-9 * (1.0 + abs(y0[1]))
     return lambda y: y[1] + slack
 
 
-def _hermite(y0, f0, y1, f1, h, tau):
-    t2 = tau * tau
-    t3 = t2 * tau
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + tau
-    h01 = 3.0 * t2 - 2.0 * t3
-    h11 = t3 - t2
-    return tuple(
-        h00 * y0[i] + h10 * h * f0[i] + h01 * y1[i] + h11 * h * f1[i]
-        for i in range(len(y0))
-    )
+def _stop_hit(watched, t: float, y) -> EventHit | None:
+    """The first watched stop rule that holds at (t, y), as a hit; else None."""
+    for spec, g in watched:
+        if not g(y) > 0.0:
+            return EventHit(t, spec, y)
+    return None
 
 
 def integrate(
@@ -406,13 +399,16 @@ def integrate(
     cfg: IntegrationConfig | None = None,
     events: Sequence[EventSpec] = (),
 ) -> Trajectory:
-    """Advance y0 to t_end (or a terminal event / step collapse).
+    """Advance y0 to t_end, or to the first point where a stop rule holds,
+    or to step collapse.
 
     The system is the one y0's type names (FullState, ReducedState or
-    HyperbolicState).  The separation event and the survival witness run on
-    the d = 0 chart only.  Returns a Trajectory; raises InvalidInitialState
-    when y0 is rejected, ConfigInvalid for either event on another chart
-    and StepLimitExceeded when max_steps attempts are exhausted.
+    HyperbolicState).  The stop rules, checked at y0 and at every accepted
+    point, run on the d = 0 chart only; the point where one holds is the
+    run's last point and its one event.  Returns a Trajectory; raises
+    InvalidInitialState when y0 is rejected, ConfigInvalid for a stop rule
+    on another chart and StepLimitExceeded when max_steps attempts are
+    exhausted.
     """
     if cfg is None:
         cfg = IntegrationConfig()
@@ -429,34 +425,28 @@ def integrate(
     if not all(math.isfinite(v) for v in k1):
         raise InvalidInitialState(f"vector field not finite at initial state {y}")
 
-    collapse_specs = [s for s in events if s.kind is EventKind.STEP_COLLAPSE]
-    # Each crossing event and each armed witness with its value function,
-    # which falls through zero at the crossing or the witness point.
-    crossings = [s for s in events if s.kind is EventKind.SEPARATION_BELOW]
-    witnesses = [s for s in events if s.kind is EventKind.SURVIVAL_WITNESS]
-    if (crossings or witnesses) and system is not SystemKind.REDUCED:
+    if events and system is not SystemKind.REDUCED:
         raise ConfigInvalid("the separation and survival events need a ReducedState (d = 0)")
-    watched = [(s, _separation_value(s.threshold, y, p)) for s in crossings]
-    witness = _survival_value(y, p, inv0) if witnesses else None
-    if witness is not None:
-        watched += [(s, witness) for s in witnesses]
-    # Event values at the current point, carried from one accepted step to
-    # the next so each function is evaluated once per accepted point.
-    g_prev = [g(y) for _, g in watched]
+    # Each armed stop rule with its value function, which is not above zero
+    # where the run must end.
+    watched = []
+    for spec in events:
+        if spec.kind is EventKind.SEPARATION_BELOW:
+            g = _separation_value(spec.threshold, y, p)
+        else:
+            g = _survival_value(y, p, inv0)
+        if g is not None:
+            watched.append((spec, g))
 
     abs_tol, rel_tol, h_min = cfg.abs_tol, cfg.rel_tol, cfg.h_min
     times = [0.0]
     states = [y]
-    hits: list[EventHit] = []
     drift = 0.0
     t = 0.0
     h = min(cfg.h_init, t_end)
-    t_tol = 1e-12 * t_end
-    attempts = rejections = event_iterations = 0
-    outcome: Outcome | None = None
-    if witness is not None and not witness(y) > 0.0:  # met at y0: ends there
-        hits = [EventHit(0.0, s, y) for s in witnesses]
-        outcome = Outcome.EVENT_TERMINATED
+    attempts = rejections = 0
+    hit = _stop_hit(watched, t, y)
+    outcome = None if hit is None else Outcome.EVENT_TERMINATED
 
     while outcome is None:
         rem = t_end - t
@@ -483,69 +473,33 @@ def integrate(
             continue
 
         # Accepted.
-        t_new = t + h_step
-        point_t, point = t_new, y_new
-        if watched:
-            step_hits: list[EventHit] = []
-            for i, (spec, gfn) in enumerate(watched):
-                g0 = g_prev[i]
-                g1 = g_prev[i] = gfn(y_new)
-                if not g0 > 0.0 >= g1:
-                    continue
-                if spec.kind is EventKind.SURVIVAL_WITNESS:
-                    # Any point of the W < 0 branch witnesses: the recorded one.
-                    step_hits.append(EventHit(t_new, spec, y_new))
-                    continue
-                lo, hi = 0.0, 1.0
-                while (hi - lo) * h_step > t_tol:
-                    event_iterations += 1
-                    mid = 0.5 * (lo + hi)
-                    if gfn(_hermite(y, k1, y_new, k7, h_step, mid)) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                t_ev = t + hi * h_step
-                if t_ev <= t:  # keep recorded times strictly increasing
-                    t_ev = math.nextafter(t, math.inf)
-                y_ev = _hermite(y, k1, y_new, k7, h_step, hi)
-                step_hits.append(EventHit(t_ev, spec, y_ev))
-            if step_hits:
-                step_hits.sort(key=lambda e: e.time)
-                terminal_hit = next((e for e in step_hits if e.spec.terminal), None)
-                if terminal_hit is not None:
-                    step_hits = [e for e in step_hits if e.time <= terminal_hit.time]
-                    point_t, point = terminal_hit.time, terminal_hit.state
-                    outcome = Outcome.EVENT_TERMINATED
-                hits.extend(step_hits)
-
-        times.append(point_t)
-        states.append(point)
+        t += h_step
+        y = y_new
+        k1 = k7
+        times.append(t)
+        states.append(y)
         try:
-            dev = abs(inv(*point) - inv0)
+            dev = abs(inv(*y) - inv0)
         except _FIELD_ERRORS:
             dev = math.inf
         if dev > drift:
             drift = dev
-        if outcome is not None:
-            break
-        t = t_new
-        y = y_new
-        k1 = k7
+        if watched:
+            hit = _stop_hit(watched, t, y)
+            if hit is not None:
+                outcome = Outcome.EVENT_TERMINATED
+                break
         if err_norm == 0.0:
             factor = _MAX_FACTOR
         else:
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
         h = h_step * factor
 
-    if outcome is Outcome.STEP_COLLAPSED:
-        for spec in collapse_specs:
-            hits.append(EventHit(times[-1], spec, states[-1]))
-
     return Trajectory(
         system=system,
         times=times,
         states=states,
-        events=hits,
+        events=[] if hit is None else [hit],
         drift={inv_name: drift},
         outcome=outcome,
         stats=IntegrationStats(
@@ -553,7 +507,6 @@ def integrate(
             rejections=rejections,
             accepted=attempts - rejections,
             f_evals=1 + 6 * attempts,
-            event_iterations=event_iterations,
         ),
     )
 
@@ -599,30 +552,27 @@ def simulate_until_collision(
 ) -> tuple[CollisionResult, Trajectory]:
     """Integrate the reduced system and decide collided/survived.
 
-    The run stops once the separation has fallen to _KAPPA of its initial
-    value on a branch of the energy level that reaches the axis (the
-    SEPARATION_BELOW event).  It collided if W never rose along the way
-    (collisions approach W = 0 monotonically from above; an orbit that
-    reaches the singularity after an initial rise is not a collision in the
-    defined sense) and will not rise on the rest of the way either: from
-    the last accepted point before the event, on that point's own energy
-    level, W must fall with s all the way to the axis
-    (``dynamics.monotone_approach``).  The collision time is that point's
-    time plus the closed-form time to the axis from it
+    The run stops at the first accepted point where the separation has
+    fallen to _KAPPA of its initial value on a branch of the energy level
+    that reaches the axis (the SEPARATION_BELOW rule).  It collided if W
+    never rose along the way (collisions approach W = 0 monotonically from
+    above; an orbit that reaches the singularity after an initial rise is
+    not a collision in the defined sense) and will not rise on the rest of
+    the way either: from the stop point, on that point's own energy level,
+    W must fall with s all the way to the axis
+    (``dynamics.monotone_approach``).  The collision time is the stop
+    point's time plus the closed-form time to the axis from it
     (``dynamics.time_to_axis``), reported as ``remaining_time``.  A run
     that ends by step collapse at a point of such a branch collided too
     where the time left from there is below ``cfg.h_min``, the step floor.
     A run that reaches t_end survived.  With ``survival_witness`` the
-    SURVIVAL_WITNESS event is watched too, and a run it stops survived at
+    SURVIVAL_WITNESS rule is watched too, and a run it stops survived at
     the witness time: from there the rings only separate.  Any other stop,
-    such as step collapse without the event, is inconclusive.
+    such as step collapse off an armed branch, is inconclusive.
     """
     if cfg is None:
         cfg = IntegrationConfig()
-    events = (
-        EventSpec(EventKind.SEPARATION_BELOW, threshold=_KAPPA),
-        EventSpec(EventKind.STEP_COLLAPSE),
-    )
+    events = (EventSpec(EventKind.SEPARATION_BELOW, threshold=_KAPPA),)
     if survival_witness:
         events += (EventSpec(EventKind.SURVIVAL_WITNESS),)
     traj = integrate(rs0, p, t_end, cfg, events)
@@ -636,12 +586,8 @@ def simulate_until_collision(
     slack = 1e-9 * (1.0 + abs(ws[0]))
     if not all(b <= a + slack for a, b in zip(ws, ws[1:])):
         return inconclusive
-    if traj.outcome is Outcome.EVENT_TERMINATED:
-        # The last accepted point: the located event state is only interpolated.
-        t_stop, (theta, w) = traj.times[-2], traj.states[-2]
-    elif ws[-1] > 0.0 and dynamics.k_sign(p) >= 0:  # step collapse, armed branch
-        t_stop, (theta, w) = traj.times[-1], traj.states[-1]
-    else:
+    theta, w = traj.state_final
+    if not (w > 0.0 and dynamics.k_sign(p) >= 0):  # a separation stop always is
         return inconclusive
     h = dynamics.reduced_energy(p)(theta, w)
     u = math.exp(theta)
@@ -650,4 +596,4 @@ def simulate_until_collision(
     t_rem = dynamics.time_to_axis(p, h, u)
     if traj.outcome is Outcome.STEP_COLLAPSED and not t_rem < cfg.h_min:
         return inconclusive
-    return CollisionResult(SimStatus.COLLIDED, t_stop + t_rem, t_rem), traj
+    return CollisionResult(SimStatus.COLLIDED, traj.t_final + t_rem, t_rem), traj

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -100,45 +101,34 @@ class TestConfig:
             for y0 in (full, reduce_state(full, p)):
                 with pytest.raises(ConfigInvalid):
                     integrate(y0, p, 1.0, CFG, (spec,))
-        # The step-collapse marker is no crossing and is allowed.
-        traj = integrate(full, Params(0.2, 1.4), 1.0, CFG, (EventSpec(EventKind.STEP_COLLAPSE),))
+        # Without a stop rule the full chart runs and records no event.
+        traj = integrate(full, p, 1.0, CFG)
         assert traj.outcome is Outcome.REACHED_T_END and not traj.events
 
 
+def assert_separation_stop(traj, p: Params, fraction: float) -> None:
+    """The run ended at the first accepted point where D <= fraction*D0, on
+    the armed W > 0 branch, and that point is its one event."""
+    d0 = separation(p, traj.states[0])
+    assert traj.outcome is Outcome.EVENT_TERMINATED
+    assert separation(p, traj.states[-2]) > fraction * d0 >= separation(p, traj.state_final)
+    assert traj.state_final[1] > 0.0
+    (hit,) = traj.events
+    assert hit.spec.kind is EventKind.SEPARATION_BELOW
+    assert (hit.time, hit.state) == (traj.t_final, traj.state_final)
+
+
 class TestEvents:
-    def test_separation_event_terminates_on_the_exact_level(self):
+    def test_separation_rule_stops_at_the_first_point_past_the_level(self):
         # gamma = 1: D = |W| and W**2 = W0**2 - 2*alpha*t, so D falls to
-        # 1e-3*D0 at t = 1 - 1e-6.
+        # 1e-3*D0 at t = 1 - 1e-6; the run stops at the accepted point just
+        # past it, on the exact level to the integrator's accuracy.
         spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=1e-3)
         traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
-        assert traj.outcome is Outcome.EVENT_TERMINATED
-        assert len(traj.events) == 1 and traj.events[0].spec is spec
-        assert rel_err(traj.t_final, T_BENCH - 1e-6) < 1e-9
-        assert rel_err(traj.state_final[1], 1e-3) < 1e-5
-
-    def test_separation_crossing_matches_scipy_event_location(self):
-        # A non-terminal crossing is recorded once; the run goes on into the
-        # blow-up and ends by step collapse.
-        p = Params(0.2, 1.1)
-        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5, terminal=False)
-        rs = ReducedState(0.0, 1.0)
-        traj = integrate(rs, p, 20.0, CFG, (spec,))
-        assert traj.outcome is Outcome.STEP_COLLAPSED
-        hits = [e for e in traj.events if e.spec is spec]
-        assert len(hits) == 1
-        field = reduced_field(p)
-        d0 = math.hypot(math.sqrt(p.offset2) * math.exp(rs.theta), rs.w)
-
-        def ev(t, y):
-            return math.hypot(math.sqrt(p.offset2) * math.exp(y[0]), y[1]) - 0.5 * d0
-
-        ev.terminal = True
-        ev.direction = -1
-        sol = solve_ivp(
-            lambda t, y: list(field(*y)), (0, 20.0), list(rs.astuple()),
-            rtol=1e-11, atol=1e-13, events=ev,
-        )
-        assert abs(hits[0].time - sol.t_events[0][0]) < 1e-7
+        assert_separation_stop(traj, P_BENCH, 1e-3)
+        assert traj.events[0].spec is spec
+        assert T_BENCH - 1e-6 <= traj.t_final < T_BENCH
+        assert rel_err(traj.state_final[1], math.sqrt(T_BENCH - traj.t_final)) < 1e-5
 
     def test_event_times_strictly_inside_run(self):
         spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
@@ -216,11 +206,12 @@ class TestBlowUp:
         assert tail[-1] < 1e-10
         assert max(tail) < 1e-4
 
-    def test_collapse_event_marker_recorded(self):
-        spec = EventSpec(EventKind.STEP_COLLAPSE)
-        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
-        assert traj.outcome is Outcome.STEP_COLLAPSED
-        assert any(e.spec.kind is EventKind.STEP_COLLAPSE for e in traj.events)
+    def test_step_collapse_records_no_event(self):
+        # The outcome names the collapse; no stop rule held, so no event.
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG)
+        assert traj.outcome is Outcome.STEP_COLLAPSED and not traj.events
+        _, traj = simulate_until_collision(ReducedState(0.0, 1e-100), P_BENCH, CFG, t_end=20.0)
+        assert traj.outcome is Outcome.STEP_COLLAPSED and not traj.events
 
 
 class TestReflectionSymmetry:
@@ -324,17 +315,16 @@ class TestCollisionDriver:
 
     @pytest.mark.parametrize("gamma", [1.0, 1.1, None])
     def test_remaining_time_from_the_last_accepted_point(self, gamma):
-        # The located event state is interpolated; the closed-form part
-        # starts from the accepted point before it, on that point's level.
+        # The run stops at the first accepted point past 0.25*D0; the
+        # closed-form part starts there, on that point's own level.
         p = Params(0.2, gamma_star(0.2) if gamma is None else gamma)
         result, traj = simulate_until_collision(ReducedState(0.3, 0.8), p, CFG, t_end=200.0)
         assert result.status is SimStatus.COLLIDED
-        assert traj.outcome is Outcome.EVENT_TERMINATED
-        theta, w = traj.states[-2]
+        assert_separation_stop(traj, p, 0.25)
+        theta, w = traj.state_final
         t_rem = time_to_axis(p, dynamics.reduced_energy(p)(theta, w), math.exp(theta))
         assert result.remaining_time == t_rem > 0.0
-        assert result.time == traj.times[-2] + t_rem
-        assert traj.times[-2] < traj.t_final < result.time
+        assert result.time == traj.t_final + t_rem
 
     def test_no_remaining_time_unless_collided(self):
         survived, _ = simulate_until_collision(ReducedState(0.0, -1.0), P_BENCH, CFG, t_end=5.0)
@@ -584,6 +574,15 @@ class TestSurvivalWitness:
         assert result.status is SimStatus.SURVIVED and result.time == 1e-12
         assert hit is None and traj.outcome is Outcome.REACHED_T_END
 
+    @pytest.mark.parametrize("w0", [-1e-12, -1e-9])
+    def test_tiny_negative_w_at_gamma_one_is_witnessed(self, w0):
+        # At gamma = 1 dW/dt = -2*exp(-theta) < 0 for every W < 0, so the
+        # witness needs no slack: the run ends at t = 0 without an attempt,
+        # before dtheta/dt = alpha/W**2 (2e17 to 2e23) collapses its steps.
+        result, traj, hit = witnessed(ReducedState(0.0, w0), Params(0.2, 1.0), 200.0)
+        assert result.status is SimStatus.SURVIVED and result.time == 0.0
+        assert hit.state == (0.0, w0) and traj.stats.attempts == 0
+
     def test_zero_energy_level_is_not_armed(self):
         # Mirrored to W < 0, a state on the zero-energy level has h0 within
         # the rounding margin: unarmed, it runs to its horizon.  At gamma = 1
@@ -687,19 +686,24 @@ class TestStats:
             return counted
 
         monkeypatch.setattr(dynamics, "reduced_field", counting_field)
-        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5, terminal=False)
-        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
-        stats = traj.stats
-        assert stats.f_evals == 1 + 6 * stats.attempts
-        assert stats.f_evals == calls[0]
-        assert stats.accepted == len(traj.times) - 1
-        assert stats.attempts == stats.accepted + stats.rejections
-        assert stats.rejections > 0  # the run ends in the blow-up's steep tail
-        assert len(traj.events) == 1 and stats.event_iterations > 0
+        # Into the blow-up's steep tail, and stopped by the separation rule.
+        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
+        for events in ((), (spec,)):
+            calls[0] = 0
+            traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, events)
+            stats = traj.stats
+            assert stats.f_evals == 1 + 6 * stats.attempts
+            assert stats.f_evals == calls[0]
+            assert stats.accepted == len(traj.times) - 1
+            assert stats.attempts == stats.accepted + stats.rejections
+            assert len(traj.events) == len(events)
+            if not events:
+                assert stats.rejections > 0  # the steep tail
 
-    def test_event_free_run_has_no_event_iterations(self):
+    def test_stats_hold_only_work_counts(self):
         traj = integrate(ReducedState(0.0, 1.0), Params(0.2, 2.0), 5.0, CFG)
-        assert traj.stats.event_iterations == 0
+        assert set(dataclasses.asdict(traj.stats)) == {
+            "attempts", "rejections", "accepted", "f_evals"}
         assert traj.stats.f_evals == 1 + 6 * traj.stats.attempts
 
 
