@@ -307,7 +307,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
 
     Exact and implicit values come from quadrature of the energy-decoupled
     equations; upper bounds come from comparison solutions.  Every value is
-    validated against the event-detecting integrator in the test battery,
+    validated against the adaptive integrator in the test battery,
     and `verify` reports where commonly printed constants disagree with the
     quadrature (see README, "known discrepancies").
     """

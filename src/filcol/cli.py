@@ -319,7 +319,7 @@ def _cmd_simulate(args) -> None:
             for hit in traj.events
         ],
         "times": [input_time(t) for t in traj.times],
-        "states": [list(s) for s in traj.states],
+        "states": traj.states,  # tuples: JSON writes them as arrays
     }
     if swapped:
         payload["gamma_normalized"] = True
@@ -328,11 +328,13 @@ def _cmd_simulate(args) -> None:
             "filaments renamed (gamma < 1): states are in the renamed frame, "
             "times rescaled to the input frame"
         )
-    rows = [
-        [input_time(t), *state] for t, state in zip(traj.times, traj.states)
-    ]
+    table = None
+    if args.format == "csv":
+        table = (state_header, [
+            [input_time(t), *state] for t, state in zip(traj.times, traj.states)
+        ])
     print(f"outcome: {outcome['status']} at t = {_fmt(outcome['time'])}", file=sys.stderr)
-    _emit(args, payload, (state_header, rows))
+    _emit(args, payload, table)
 
 
 def _cmd_sweep(args) -> None:
@@ -485,7 +487,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="filcol",
         description="Coaxial circular vortex filament pairs: collision "
         "classification, collision-time formulas and bounds, and an "
-        "event-detecting integration oracle.",
+        "adaptive integration oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}

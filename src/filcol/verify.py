@@ -2,7 +2,7 @@
 
 Each check recomputes one analytic claim (threshold value, exact or implicit
 collision time, comparison bound, corridor, certificate, ansatz exactness,
-conservation) and validates it against the event-detecting integrator.  Where
+conservation) and validates it against the adaptive integrator.  Where
 a commonly printed constant disagrees with direct quadrature of the same
 equation, the check reports both variants with the measured time so the
 discrepancy is visible rather than silently resolved (see README, "known
@@ -17,11 +17,12 @@ sizes and its own seeds.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import random
+import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection
 from multiprocessing.util import Finalize
 from typing import Iterable, Sequence
 
@@ -53,8 +54,14 @@ _SEED = 20240817
 
 
 def worker_count() -> int:
-    """Parallel workers for grid sweeps; FILCOL_THREADS caps the budget."""
-    cpus = os.cpu_count() or 1
+    """Parallel workers for grid sweeps: the CPUs this process may use.
+
+    FILCOL_THREADS caps the budget.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     raw = os.environ.get("FILCOL_THREADS", "").strip()
     if not raw:
         return cpus
@@ -143,36 +150,115 @@ def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]
     return (th0, w0, mc.verdict.value, mc.h0, t_est, result.status.value, agree)
 
 
-# One pool serves every pooled grid of a process, so its start-up is paid
-# once.  It is keyed by (pid, workers): a forked child builds its own.  The
-# old pool is shut down, its threads joined, before a new one forks its
-# workers.  At interpreter exit concurrent.futures' own handler stops the
-# workers; a process started by multiprocessing joins its children before
-# that handler runs, so there the exit finalizer does it.
-_pool: ProcessPoolExecutor | None = None
+# One set of worker processes serves every pooled grid of a process, so its
+# start-up is paid once.  Each worker reads from its own pipe: a grid sends
+# worker k the strided batch jobs[k::n] and reads its rows back, one send and
+# one receive per worker.  The set is keyed by (pid, workers), so a forked
+# child builds its own.  At exit the finalizer sends every worker a stop
+# sentinel before multiprocessing joins its children: EOF alone would not
+# do, since a process forked from this one after the set holds copies of
+# the parent ends of its pipes.
+_pool: list[tuple[multiprocessing.Process, Connection]] = []
 _pool_key = (0, 0)
 _pool_close: Finalize | None = None
 _pool_lock = threading.Lock()
 
 
-def _shared_pool(
-    workers: int, broken: ProcessPoolExecutor | None = None
-) -> ProcessPoolExecutor:
-    """The process's grid pool for this many workers, built when first needed."""
+def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
+    """A worker's loop: answer each batch of nodes until the stop sentinel.
+
+    The reply is (rows, None), or (the rows before the failing node, its
+    exception).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    for end in parent_ends:  # copies a fork made: closed, the parent's death reads as EOF
+        end.close()
+    try:
+        for batch in iter(conn.recv, None):
+            rows = []
+            try:
+                for job in batch:
+                    rows.append(_grid_node(job))
+            except Exception as exc:
+                conn.send((rows, exc))
+            else:
+                conn.send((rows, None))
+    except EOFError:  # the parent is gone
+        pass
+
+
+def _stop_pool(pool: list, kill: bool = False) -> None:
+    """Stop every worker, by the sentinel or by SIGTERM; close and reap it."""
+    for proc, conn in pool:
+        if kill:
+            proc.terminate()
+        else:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is gone already
+                pass
+        conn.close()
+    for proc, _ in pool:
+        proc.join()
+
+
+def _start_pool(workers: int) -> list:
+    pool: list = []
+    try:
+        for _ in range(workers):
+            parent_end, child_end = multiprocessing.Pipe()
+            ends = [conn for _, conn in pool] + [parent_end]
+            proc = multiprocessing.Process(target=_serve, args=(child_end, ends), daemon=True)
+            proc.start()
+            child_end.close()
+            pool.append((proc, parent_end))
+    except BaseException:
+        _stop_pool(pool, kill=True)
+        raise
+    return pool
+
+
+def _discard_pool() -> None:
+    """Kill the worker set: it lost a worker or may hold unread replies."""
+    global _pool
+    _pool_close.cancel()
+    _pool, pool = [], _pool
+    _stop_pool(pool, kill=True)
+
+
+def _shared_pool(workers: int) -> list:
+    """The process's worker set for this many workers, built when first needed.
+
+    The caller holds ``_pool_lock``.
+    """
     global _pool, _pool_key, _pool_close
     key = (os.getpid(), workers)
-    with _pool_lock:
-        if _pool is not None and (_pool_key != key or _pool is broken):
-            # A Finalize skips a callback registered by another process, so
-            # a forked child leaves its parent's pool running.
-            _pool_close()
-            _pool = None
-        if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=workers)
-            _pool_key = key
-            # Ahead of the finalizer (priority 10) that closes its call queue.
-            _pool_close = Finalize(None, _pool.shutdown, exitpriority=20)
-        return _pool
+    if _pool and _pool_key != key:
+        # A Finalize skips a callback registered by another process, so a
+        # forked child leaves its parent's set running.
+        _pool_close()
+        _pool = []
+    if not _pool:
+        _pool = _start_pool(workers)
+        _pool_key = key
+        _pool_close = Finalize(None, _stop_pool, args=(_pool,), exitpriority=0)
+    return _pool
+
+
+def _exchange(pool: list, jobs: list) -> list:
+    """Send worker k the batch jobs[k::n] and read every worker's reply.
+
+    A dispatch cut short between its first send and its last receive, by a
+    dead worker or by any other exception, discards the set.
+    """
+    n = len(pool)
+    try:
+        for k, (_, conn) in enumerate(pool):
+            conn.send(jobs[k::n])
+        return [conn.recv() for _, conn in pool]
+    except BaseException:
+        _discard_pool()
+        raise
 
 
 def classifier_oracle_grid(
@@ -186,9 +272,10 @@ def classifier_oracle_grid(
     """Classify every grid node and compare with the integration oracle.
 
     Rows are returned in row-major (theta outer, w inner) order regardless
-    of the parallel schedule.  Pooled grids share one worker pool per
-    process (see ``_shared_pool``); if it breaks, for example because a
-    worker was killed, the grid runs once more on a fresh pool.
+    of the parallel schedule.  Pooled grids share one worker set per
+    process (see ``_shared_pool``); if a worker dies, the grid runs once
+    more on a fresh set.  A failing node raises what a serial run raises:
+    the first failure in row-major order.
     """
     if cfg is None:
         cfg = IntegrationConfig()
@@ -201,13 +288,22 @@ def classifier_oracle_grid(
         workers = worker_count()
     if workers <= 1 or len(jobs) < 8:
         return [_grid_node(j) for j in jobs]
-    chunksize = max(1, len(jobs) // (4 * workers))
-    pool = _shared_pool(workers)
-    try:
-        return list(pool.map(_grid_node, jobs, chunksize=chunksize))
-    except BrokenProcessPool:
-        pool = _shared_pool(workers, broken=pool)  # the nodes are pure: rerun
-    return list(pool.map(_grid_node, jobs, chunksize=chunksize))
+    n = min(workers, len(jobs))
+    with _pool_lock:
+        try:
+            replies = _exchange(_shared_pool(n), jobs)
+        except (EOFError, OSError):  # a worker died; the nodes are pure, so rerun
+            replies = _exchange(_shared_pool(n), jobs)
+    rows: list = [None] * len(jobs)
+    failures = []
+    for k, (done, exc) in enumerate(replies):
+        if exc is None:
+            rows[k::n] = done
+        else:
+            failures.append((k + n * len(done), exc))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 Criteria 02 and 07 check the forms re-derived from the equations of
 motion.  The stated constants they replace, the collision time
 ``2*W0**2/alpha`` and the corridor with swapped endpoints, are recorded
-discrepancies: the re-derivations, the event-detecting integrator, and an
+discrepancies: the re-derivations, the adaptive integrator, and an
 independent scipy integration of the raw 4-D field (criterion 02) agree
 with each other and not with them.  The ``filcol verify`` report carries
 the same comparisons, and each test's PASS/FAIL line prints the stated

@@ -4,9 +4,10 @@
 (``verify.integrate``, ``cli.simulate_until_collision``, ...) and checks
 each op's output with its workload's ``check``.  Its own smoke test is
 outside this suite and takes tens of seconds; this one runs a few ops of
-each workload, traced, so that a change that drops or renames one of
-those names, or breaks an output check, fails here.  The benchmark's
-modules are loaded read-only from their files.
+each workload, traced, and two oracle-grid ops on the benchmark's worker
+set, untraced, so that a change that drops or renames one of those names,
+or breaks an output check, fails here.  The benchmark's modules are loaded
+read-only from their files.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ def test_oracle_grid(fc):
     metrics = tracer.layer_metrics(4)
     assert metrics["integrate.attempted_steps_per_op"] > 0.0
     assert metrics["integrate.outcome.event-terminated"] > 0
+
+
+def test_pooled_oracle_grid(fc):
+    # The benchmark times oracle-grid ops on a 2-worker set, untraced.
+    wl = workloads.OracleGrid(fc, 1, workers=2)
+    for inp in wl.inputs(2):
+        rows = wl.op(inp)
+        assert wl.check(inp, rows) is None, inp
+        assert rows == wl.op(inp, workers=1)
 
 
 def test_trajectory(fc, tmp_path):

@@ -1,15 +1,16 @@
 """Verification battery: how the checks set up their oracle runs, and the
-worker pool that pooled classifier-oracle grids share."""
+worker set that pooled classifier-oracle grids share."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 import signal
-import time
+
+import pytest
 
 import filcol.verify as verify
-from filcol import Params
+from filcol import OnSingularLine, Params
 
 
 def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
@@ -74,7 +75,7 @@ def test_conservation_reports_its_fixed_tolerances():
 
 
 # --------------------------------------------------------------------------
-# The shared worker pool of pooled grids
+# The shared worker set of pooled grids
 # --------------------------------------------------------------------------
 
 P_MID = Params(0.2, verify.mid_subcritical_gamma(0.2))
@@ -86,7 +87,7 @@ def grid(workers):
 
 
 def worker_pids():
-    return set(verify._pool._processes)
+    return {proc.pid for proc, _ in verify._pool}
 
 
 def test_pooled_grids_reuse_one_pool():
@@ -100,14 +101,13 @@ def test_pooled_grids_reuse_one_pool():
 def test_grid_reruns_on_a_fresh_pool_after_a_worker_is_killed():
     serial = grid(1)
     grid(2)
-    pool = verify._pool
-    os.kill(next(iter(worker_pids())), signal.SIGKILL)
-    deadline = time.monotonic() + 30.0
-    while not pool._broken and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert pool._broken  # the next call meets a broken pool
+    pids = worker_pids()
+    proc, _ = verify._pool[0]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(30.0)
+    assert proc.exitcode == -signal.SIGKILL  # the next call meets a dead worker
     assert grid(2) == serial
-    assert verify._pool is not pool
+    assert len(worker_pids()) == 2 and not worker_pids() & pids
 
 
 def test_changing_workers_rebuilds_the_pool():
@@ -116,6 +116,44 @@ def test_changing_workers_rebuilds_the_pool():
         assert grid(workers) == serial
         if workers > 1:
             assert len(worker_pids()) == workers
+
+
+def test_uneven_batches_keep_row_major_order():
+    # 16 nodes over 3 workers: batches of 6, 5 and 5 nodes.
+    assert grid(3) == grid(1)
+
+
+def test_pooled_node_error_is_the_serial_one():
+    # W0 = 0 is excluded at gamma = 1, so the grid's middle column fails,
+    # in both batches of a 2-worker set.
+    p = Params(0.2, 1.0)
+    ws = [-0.5, 0.0, 0.5]
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(OnSingularLine) as info:
+            verify.classifier_oracle_grid(p, NODES, ws, workers=workers)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+    assert grid(2) == grid(1)  # every reply was read: the set is still in step
+
+
+def test_interrupted_dispatch_discards_the_pool(monkeypatch):
+    serial = grid(1)
+    grid(2)
+    pids = worker_pids()
+    _, conn = verify._pool[1]
+    real = conn.recv
+
+    def cut_short():
+        monkeypatch.setattr(conn, "recv", real)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(conn, "recv", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        grid(2)
+    assert verify._pool == []  # worker 1's reply was never read
+    assert grid(2) == serial
+    assert len(worker_pids()) == 2 and not worker_pids() & pids
 
 
 def _grid_in_forked_child(conn):
@@ -153,3 +191,17 @@ def test_forked_child_builds_its_own_pool():
     assert len(child_workers) == 2 and not child_workers & parent_pids
     assert worker_pids() == parent_pids  # the parent's pool is untouched
     assert grid(2) == serial
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("FILCOL_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert verify.worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert verify.worker_count() == 3
+    monkeypatch.setenv("FILCOL_THREADS", "2")
+    assert verify.worker_count() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delenv("FILCOL_THREADS")
+    assert verify.worker_count() == 64
