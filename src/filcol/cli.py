@@ -40,7 +40,7 @@ from .analysis import classify as classify_state
 from .analysis import collision_time, gamma_star, theta_star
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
 from .errors import ConfigInvalid, NumericalError, ValidationError
-from .integrate import IntegrationConfig, integrate, simulate_until_collision
+from .integrate import _KAPPA, IntegrationConfig, integrate, simulate_until_collision
 
 __all__ = ["main", "normalize_reduced", "normalize_full"]
 
@@ -310,13 +310,12 @@ def _cmd_simulate(args) -> None:
             **dataclasses.asdict(traj.stats),
         },
         "drift": traj.drift,
-        "events": [
+        "events": [] if traj.stop is None else [
             {
-                "time": input_time(hit.time),
-                "kind": hit.spec.kind.value,
-                "threshold": hit.spec.threshold,
+                "time": input_time(traj.t_final),
+                "kind": traj.stop,
+                "threshold": _KAPPA if traj.stop == "separation-below" else None,
             }
-            for hit in traj.events
         ],
         "times": [input_time(t) for t in traj.times],
         "states": traj.states,  # tuples: JSON writes them as arrays

@@ -8,27 +8,27 @@ abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
 standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension:
 one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
-with the vector field called on scalars.  Two stop rules watch a d = 0
-run at its initial point and at every accepted point: the separation at or
-below a fraction of its initial value, and the survival witness, a point
-on a branch of the energy level that provably never returns to the axis.
-The run ends at the first point where a rule holds; nothing is
-interpolated.  The conserved quantity of the chosen system (d for the full
-system, the energy for the planar charts) is recorded at every accepted
-point, so any run doubles as a conservation audit, and every run counts its
-attempts, rejections and field evaluations in ``Trajectory.stats``.
+with the vector field called on scalars.  A caller may pass one stop
+predicate, checked at the initial point and at every accepted point: it
+names the rule that holds there, or returns None.  The run ends at the
+first point where a rule holds; nothing is interpolated.  The conserved
+quantity of the chosen system (d for the full system, the energy for the
+planar charts) is recorded at every accepted point, so any run doubles as
+a conservation audit, and every run counts its attempts, rejections and
+field evaluations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) is not integrated into.
-``simulate_until_collision`` stops a d = 0 run at the first accepted point
-where the separation D = sqrt(offset2*exp(2*theta) + W**2) has fallen to a
-quarter of its initial value on a branch of the energy level that reaches
-D = 0, and adds the closed-form time to the axis
-(``dynamics.time_to_axis``) from that point, on that point's own level;
-when asked, it also stops a run at its survival witness.  A run that
-meets the singularity any other way ends by step collapse: the controller
-drives the step below the floor and the run ends with outcome
-StepCollapsed at the last representable time before the singularity,
-never with a NaN state.
+``simulate_until_collision`` owns the two stop rules of a d = 0 run.  It
+stops at the first accepted point where the separation D =
+sqrt(offset2*exp(2*theta) + W**2) has fallen to a quarter of its initial
+value on a branch of the energy level that reaches D = 0, and adds the
+closed-form time to the axis (``dynamics.time_to_axis``) from that point,
+on that point's own level; when asked, it also stops a run at its survival
+witness, a point on a branch of the level that provably never returns to
+the axis.  A run that meets the singularity any other way ends by step
+collapse: the controller drives the step below the floor and the run ends
+with outcome StepCollapsed at the last representable time before the
+singularity, never with a NaN state.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable
 
 from . import dynamics
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
@@ -49,9 +49,6 @@ from .errors import (
 
 __all__ = [
     "SystemKind",
-    "EventKind",
-    "EventSpec",
-    "EventHit",
     "IntegrationConfig",
     "Outcome",
     "IntegrationStats",
@@ -67,41 +64,6 @@ class SystemKind(Enum):
     FULL = "full"
     REDUCED = "reduced"
     HYPERBOLIC = "hyperbolic"
-
-
-class EventKind(Enum):
-    SEPARATION_BELOW = "separation-below"
-    SURVIVAL_WITNESS = "survival-witness"
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """A stop rule on the d = 0 chart: the separation or the survival witness.
-
-    Both are checked at the initial point and at every accepted point, and
-    the run ends at the first point where one holds.  SEPARATION_BELOW holds
-    where D = sqrt(offset2*exp(2*theta) + W**2) is at most threshold times
-    its initial value, at a point whose energy-level branch reaches D = 0:
-    W > 0, with K = alpha**2*gamma - offset2*mu**2 not negative by
-    dynamics.k_sign, the test that also draws the classifier's regimes.
-    SURVIVAL_WITNESS holds where W has fallen below zero on a level whose
-    W < 0 branch never comes back (see ``_survival_value``); it takes no
-    threshold.
-    """
-
-    kind: EventKind
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is EventKind.SEPARATION_BELOW:
-            if self.threshold is None or not math.isfinite(self.threshold):
-                raise ConfigInvalid(f"{self.kind.value} event needs a finite threshold")
-
-
-class EventHit(NamedTuple):
-    time: float
-    spec: EventSpec
-    state: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -147,16 +109,15 @@ class Trajectory:
     """Dense record of one integration run.
 
     times/states hold every accepted point (strictly increasing times);
-    events holds the stop rule that ended the run at its last point, if
-    one did; drift maps each monitored
-    invariant to its max absolute deviation from the initial value; stats
-    counts the work the run took.
+    stop names the stop rule that ended the run at its last point, if one
+    did; drift maps each monitored invariant to its max absolute deviation
+    from the initial value; stats counts the work the run took.
     """
 
     system: SystemKind
     times: list[float]
     states: list[tuple[float, ...]]
-    events: list[EventHit]
+    stop: str | None
     drift: dict[str, float]
     outcome: Outcome
     stats: IntegrationStats = field(default_factory=IntegrationStats)
@@ -331,83 +292,22 @@ def _make_field(y0, p: Params):
     raise InvalidInitialState(f"initial state must be a state dataclass, got {y0!r}")
 
 
-def _separation_value(fraction: float, y0: tuple[float, float], p: Params):
-    """Value function of the separation rule, D**2 - (fraction*D0)**2 where
-    W > 0 and +inf where W <= 0, when it is armed; None elsewhere.
-
-    On the run's energy level h0 the bracket at s = exp(theta) is K -
-    offset2*h0*s*(2*mu + h0*s) = a**2*W**2 with a = h0 + mu/s > 0, so it is
-    nonnegative at the state itself.  It is monotone in s (its slope is -2*offset2*h0*m(s)
-    with m(s) = mu + h0*s = a*s > 0), so its minimum over (0, u] is the
-    smaller of K and a**2*W**2: the W > 0 branch reaches the axis exactly
-    where K >= 0.  The rule is armed where dynamics.k_sign(p) is not -1;
-    the critical band, where the sign is undecided, is armed.
-    """
-    inf = math.inf
-    if dynamics.k_sign(p) < 0:
-        return None
-    c2 = p.offset2
-    th0, w0 = y0
-    thr2 = fraction * fraction * (c2 * math.exp(2.0 * th0) + w0 * w0)
-
-    def value(y):
-        th, w = y
-        if w <= 0.0:
-            return inf
-        u = math.exp(th)
-        return c2 * u * u + w * w - thr2
-
-    return value
-
-
-def _survival_value(y0: tuple[float, float], p: Params, h0: float):
-    """Value function of the survival witness, W + slack, where it is armed;
-    None elsewhere.
-
-    On level h0, with s = exp(theta), m(s) = mu + h0*s and bracket(s) = K -
-    offset2*h0*s*(2*mu + h0*s), W**2 = s**2*bracket(s)/m(s)**2 and D =
-    alpha*sqrt(gamma)*s/m(s), while dtheta/dt = -alpha*sqrt(gamma)*W/D**3 > 0
-    where W < 0.  With h0 <= 0, m does not rise and the bracket does not
-    fall as s grows (its slope is -2*offset2*h0*m), so on the W < 0 branch
-    |W| and D only grow: it never returns to W = 0, nor to the axis.  At
-    gamma = 1, dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is
-    armed once, from y0: at gamma = 1, or where h0 lies below
-    -1e-12*mu*exp(-theta0), clear of the rounding of the zero-energy level.
-    K <= 0 puts every level below zero, so every supercritical run is armed.
-    It holds where W is at most -slack, slack = 1e-9*(1 + |W0|), the
-    monotone witness's slack; at gamma = 1 the slack is 0, as every W < 0
-    falls.  Neither theta_star nor gamma_star enters.
-    """
-    if not (p.gamma == 1.0 or h0 < -1e-12 * p.mu * math.exp(-y0[0])):
-        return None
-    slack = 0.0 if p.gamma == 1.0 else 1e-9 * (1.0 + abs(y0[1]))
-    return lambda y: y[1] + slack
-
-
-def _stop_hit(watched, t: float, y) -> EventHit | None:
-    """The first watched stop rule that holds at (t, y), as a hit; else None."""
-    for spec, g in watched:
-        if not g(y) > 0.0:
-            return EventHit(t, spec, y)
-    return None
-
-
 def integrate(
     y0,
     p: Params,
     t_end: float,
     cfg: IntegrationConfig | None = None,
-    events: Sequence[EventSpec] = (),
+    stop: Callable[[tuple[float, ...]], str | None] | None = None,
 ) -> Trajectory:
     """Advance y0 to t_end, or to the first point where a stop rule holds,
     or to step collapse.
 
     The system is the one y0's type names (FullState, ReducedState or
-    HyperbolicState).  The stop rules, checked at y0 and at every accepted
-    point, run on the d = 0 chart only; the point where one holds is the
-    run's last point and its one event.  Returns a Trajectory; raises
-    InvalidInitialState when y0 is rejected, ConfigInvalid for a stop rule
-    on another chart and StepLimitExceeded when max_steps attempts are
+    HyperbolicState).  ``stop``, checked at y0 and at every accepted point,
+    returns the name of the rule that holds there, or None; the first point
+    where one holds is the run's last point, and its name is
+    ``Trajectory.stop``.  Returns a Trajectory; raises InvalidInitialState
+    when y0 is rejected and StepLimitExceeded when max_steps attempts are
     exhausted.
     """
     if cfg is None:
@@ -425,19 +325,6 @@ def integrate(
     if not all(math.isfinite(v) for v in k1):
         raise InvalidInitialState(f"vector field not finite at initial state {y}")
 
-    if events and system is not SystemKind.REDUCED:
-        raise ConfigInvalid("the separation and survival events need a ReducedState (d = 0)")
-    # Each armed stop rule with its value function, which is not above zero
-    # where the run must end.
-    watched = []
-    for spec in events:
-        if spec.kind is EventKind.SEPARATION_BELOW:
-            g = _separation_value(spec.threshold, y, p)
-        else:
-            g = _survival_value(y, p, inv0)
-        if g is not None:
-            watched.append((spec, g))
-
     abs_tol, rel_tol, h_min = cfg.abs_tol, cfg.rel_tol, cfg.h_min
     times = [0.0]
     states = [y]
@@ -445,8 +332,8 @@ def integrate(
     t = 0.0
     h = min(cfg.h_init, t_end)
     attempts = rejections = 0
-    hit = _stop_hit(watched, t, y)
-    outcome = None if hit is None else Outcome.EVENT_TERMINATED
+    why = None if stop is None else stop(y)
+    outcome = None if why is None else Outcome.EVENT_TERMINATED
 
     while outcome is None:
         rem = t_end - t
@@ -484,9 +371,9 @@ def integrate(
             dev = math.inf
         if dev > drift:
             drift = dev
-        if watched:
-            hit = _stop_hit(watched, t, y)
-            if hit is not None:
+        if stop is not None:
+            why = stop(y)
+            if why is not None:
                 outcome = Outcome.EVENT_TERMINATED
                 break
         if err_norm == 0.0:
@@ -499,7 +386,7 @@ def integrate(
         system=system,
         times=times,
         states=states,
-        events=[] if hit is None else [hit],
+        stop=why,
         drift={inv_name: drift},
         outcome=outcome,
         stats=IntegrationStats(
@@ -554,7 +441,7 @@ def simulate_until_collision(
 
     The run stops at the first accepted point where the separation has
     fallen to _KAPPA of its initial value on a branch of the energy level
-    that reaches the axis (the SEPARATION_BELOW rule).  It collided if W
+    that reaches the axis (the "separation-below" rule).  It collided if W
     never rose along the way (collisions approach W = 0 monotonically from
     above; an orbit that reaches the singularity after an initial rise is
     not a collision in the defined sense) and will not rise on the rest of
@@ -566,30 +453,78 @@ def simulate_until_collision(
     that ends by step collapse at a point of such a branch collided too
     where the time left from there is below ``cfg.h_min``, the step floor.
     A run that reaches t_end survived.  With ``survival_witness`` the
-    SURVIVAL_WITNESS rule is watched too, and a run it stops survived at
+    "survival-witness" rule is watched too, and a run it stops survived at
     the witness time: from there the rings only separate.  Any other stop,
-    such as step collapse off an armed branch, is inconclusive.
+    such as step collapse off an armed branch, is inconclusive.  Raises
+    ConfigInvalid for a state that is not a ReducedState.
     """
+    if not isinstance(rs0, ReducedState):
+        raise ConfigInvalid(f"the collision driver needs a ReducedState (d = 0), got {rs0!r}")
     if cfg is None:
         cfg = IntegrationConfig()
-    events = (EventSpec(EventKind.SEPARATION_BELOW, threshold=_KAPPA),)
-    if survival_witness:
-        events += (EventSpec(EventKind.SURVIVAL_WITNESS),)
-    traj = integrate(rs0, p, t_end, cfg, events)
-    if traj.outcome is Outcome.REACHED_T_END or (
-        traj.outcome is Outcome.EVENT_TERMINATED
-        and traj.events[-1].spec.kind is EventKind.SURVIVAL_WITNESS
-    ):
+    armed = dynamics.k_sign(p) >= 0
+    energy = dynamics.reduced_energy(p)
+    c2 = p.offset2
+    th0, w0 = rs0.theta, rs0.w
+    try:
+        thr2 = _KAPPA * _KAPPA * (c2 * math.exp(2.0 * th0) + w0 * w0)
+        witness = survival_witness and (
+            p.gamma == 1.0 or energy(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
+        )
+    except _FIELD_ERRORS as exc:
+        raise InvalidInitialState(f"initial state rejected: {exc}") from exc
+    slack = 1e-9 * (1.0 + abs(w0))
+    w_witness = 0.0 if p.gamma == 1.0 else -slack
+
+    def stop(y):
+        """The rule that holds at y: "separation-below", "survival-witness"
+        or None.
+
+        The separation rule holds where W > 0 and D**2 = offset2*exp(2*theta)
+        + W**2 is at most (_KAPPA*D0)**2 (a NaN D**2 counts as reached).  On
+        the run's energy level h0 the bracket at s = exp(theta) is K -
+        offset2*h0*s*(2*mu + h0*s) = a**2*W**2 with a = h0 + mu/s > 0, so it
+        is nonnegative at the state itself.  It is monotone in s (its slope
+        is -2*offset2*h0*m(s) with m(s) = mu + h0*s = a*s > 0), so its
+        minimum over (0, u] is the smaller of K and a**2*W**2: the W > 0
+        branch reaches the axis exactly where K >= 0.  The rule is armed
+        where dynamics.k_sign(p) is not -1; the critical band, where the
+        sign is undecided, is armed.
+
+        The survival witness holds where W is at most -slack, slack =
+        1e-9*(1 + |W0|), the monotone witness's slack; at gamma = 1 it holds
+        where W <= 0, as every W < 0 falls.  On level h0, with m(s) = mu +
+        h0*s, W**2 = s**2*bracket(s)/m(s)**2 and D = alpha*sqrt(gamma)*s/m(s),
+        while dtheta/dt = -alpha*sqrt(gamma)*W/D**3 > 0 where W < 0.  With
+        h0 <= 0, m does not rise and the bracket does not fall as s grows
+        (its slope is -2*offset2*h0*m), so on the W < 0 branch |W| and D
+        only grow: it never returns to W = 0, nor to the axis.  At gamma =
+        1, dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is armed
+        once, from rs0: at gamma = 1, or where h0 lies below
+        -1e-12*mu*exp(-theta0), clear of the rounding of the zero-energy
+        level.  K <= 0 puts every level below zero, so every supercritical
+        run is armed.  Neither theta_star nor gamma_star enters.
+        """
+        th, w = y
+        if w > 0.0 and armed:
+            u = math.exp(th)
+            if not c2 * u * u + w * w > thr2:
+                return "separation-below"
+        elif witness and w <= w_witness:
+            return "survival-witness"
+        return None
+
+    traj = integrate(rs0, p, t_end, cfg, stop)
+    if traj.outcome is Outcome.REACHED_T_END or traj.stop == "survival-witness":
         return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
     inconclusive = CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj
     ws = [s[1] for s in traj.states]
-    slack = 1e-9 * (1.0 + abs(ws[0]))
     if not all(b <= a + slack for a, b in zip(ws, ws[1:])):
         return inconclusive
     theta, w = traj.state_final
-    if not (w > 0.0 and dynamics.k_sign(p) >= 0):  # a separation stop always is
+    if not (w > 0.0 and armed):  # a separation stop always is
         return inconclusive
-    h = dynamics.reduced_energy(p)(theta, w)
+    h = energy(theta, w)
     u = math.exp(theta)
     if not dynamics.monotone_approach(p, h, u):
         return inconclusive

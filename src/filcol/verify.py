@@ -137,14 +137,13 @@ def _detect_collision_time(
 # --------------------------------------------------------------------------
 
 def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]:
-    alpha, gamma, th0, w0, t_end, rel_tol, abs_tol = args
+    alpha, gamma, th0, w0, t_end, cfg = args
     p = Params(alpha, gamma)
     rs = ReducedState(th0, w0)
     mc = classify(rs, p)
     t_est: float | None = None
     if mc.predicts_collision:
         t_est = collision_time(rs, p).value
-    cfg = IntegrationConfig(rel_tol=rel_tol, abs_tol=abs_tol)
     result, _ = simulate_until_collision(rs, p, cfg, t_end=t_end, survival_witness=True)
     agree = mc.predicts_collision == (result.status is SimStatus.COLLIDED)
     return (th0, w0, mc.verdict.value, mc.h0, t_est, result.status.value, agree)
@@ -280,7 +279,7 @@ def classifier_oracle_grid(
     if cfg is None:
         cfg = IntegrationConfig()
     jobs = [
-        (p.alpha, p.gamma, th0, w0, t_end, cfg.rel_tol, cfg.abs_tol)
+        (p.alpha, p.gamma, th0, w0, t_end, cfg)
         for th0 in theta_vals
         for w0 in w_vals
     ]
@@ -619,7 +618,12 @@ def run_battery(
     samples: int = 8,
     grid: int = 6,
 ) -> dict:
-    """Run the re-derivation battery and return a JSON-ready report."""
+    """Run the re-derivation battery and return a JSON-ready report.
+
+    Raises ConfigInvalid for an unknown check, grid < 2 or samples < 1.
+    """
+    if grid < 2 or samples < 1:
+        raise ConfigInvalid(f"need grid >= 2 and samples >= 1, got {grid} and {samples}")
     wanted = list(CHECKS) if selection is None else list(selection)
     unknown = [n for n in wanted if n not in CHECKS]
     if unknown:

@@ -429,6 +429,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown" in err
 
+    def test_grid_below_two_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--battery", "classifier-oracle",
+                                 "--grid", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "grid" in err
+
+    def test_zero_samples_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--battery", "bound-domination",
+                                 "--samples", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "samples" in err
+
     def test_default_battery_runs_every_check_in_order(self, capsys, tmp_path):
         payload = run_json(capsys, tmp_path, "verify")
         names = [c["name"] for c in payload["checks"]]

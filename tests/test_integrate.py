@@ -1,4 +1,4 @@
-"""Integrator: adaptivity, events, blow-up handling, drift, collision driver."""
+"""Integrator: adaptivity, stop predicates, blow-up handling, drift, collision driver."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,8 +17,6 @@ import filcol.dynamics as dynamics
 from filcol import (
     ConfigInvalid,
     DomainError,
-    EventKind,
-    EventSpec,
     FilcolError,
     FullState,
     HyperbolicState,
@@ -68,11 +67,6 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             IntegrationConfig(max_steps=0)
 
-    def test_event_threshold_required(self):
-        with pytest.raises(ConfigInvalid):
-            EventSpec(EventKind.SEPARATION_BELOW)
-        assert EventSpec(EventKind.SURVIVAL_WITNESS).threshold is None
-
     def test_bad_initial_state(self):
         with pytest.raises(InvalidInitialState):
             integrate(ReducedState(0.0, 0.0), P_BENCH, 1.0, CFG)
@@ -93,46 +87,54 @@ class TestConfig:
                 with pytest.raises(DomainError):
                     make(*ok[:i], bad, *ok[i + 1:])
 
-    def test_separation_event_needs_the_d0_chart(self):
+    def test_collision_driver_needs_the_d0_chart(self):
         p = Params(0.2, 1.4)
         full = FullState(1.0, 0.8, 1.2, 0.0)
-        for spec in (EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5),
-                     EventSpec(EventKind.SURVIVAL_WITNESS)):
-            for y0 in (full, reduce_state(full, p)):
+        for y0 in (full, reduce_state(full, p)):
+            for survival_witness in (False, True):
                 with pytest.raises(ConfigInvalid):
-                    integrate(y0, p, 1.0, CFG, (spec,))
-        # Without a stop rule the full chart runs and records no event.
+                    simulate_until_collision(y0, p, CFG, survival_witness=survival_witness)
+        # Without a stop rule the full chart runs and records no stop.
         traj = integrate(full, p, 1.0, CFG)
-        assert traj.outcome is Outcome.REACHED_T_END and not traj.events
+        assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
+
+
+def separation_stop(rs: ReducedState, p: Params, fraction: float):
+    """A stop predicate with the driver's separation rule at fraction*D0,
+    armed everywhere: the benchmark level reaches the axis."""
+    d0 = separation(p, rs.astuple())
+
+    def stop(y):
+        if y[1] > 0.0 and separation(p, y) <= fraction * d0:
+            return "separation-below"
+        return None
+
+    return stop
 
 
 def assert_separation_stop(traj, p: Params, fraction: float) -> None:
     """The run ended at the first accepted point where D <= fraction*D0, on
-    the armed W > 0 branch, and that point is its one event."""
+    the armed W > 0 branch, and the separation rule stopped it there."""
     d0 = separation(p, traj.states[0])
     assert traj.outcome is Outcome.EVENT_TERMINATED
     assert separation(p, traj.states[-2]) > fraction * d0 >= separation(p, traj.state_final)
     assert traj.state_final[1] > 0.0
-    (hit,) = traj.events
-    assert hit.spec.kind is EventKind.SEPARATION_BELOW
-    assert (hit.time, hit.state) == (traj.t_final, traj.state_final)
+    assert traj.stop == "separation-below"
 
 
-class TestEvents:
+class TestStopPredicate:
     def test_separation_rule_stops_at_the_first_point_past_the_level(self):
         # gamma = 1: D = |W| and W**2 = W0**2 - 2*alpha*t, so D falls to
         # 1e-3*D0 at t = 1 - 1e-6; the run stops at the accepted point just
         # past it, on the exact level to the integrator's accuracy.
-        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=1e-3)
-        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, separation_stop(RS_BENCH, P_BENCH, 1e-3))
         assert_separation_stop(traj, P_BENCH, 1e-3)
-        assert traj.events[0].spec is spec
         assert T_BENCH - 1e-6 <= traj.t_final < T_BENCH
         assert rel_err(traj.state_final[1], math.sqrt(T_BENCH - traj.t_final)) < 1e-5
 
-    def test_event_times_strictly_inside_run(self):
-        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
-        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, (spec,))
+    def test_stop_times_strictly_inside_run(self):
+        traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, separation_stop(RS_BENCH, P_BENCH, 0.5))
+        assert_separation_stop(traj, P_BENCH, 0.5)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
 
@@ -207,11 +209,11 @@ class TestBlowUp:
         assert max(tail) < 1e-4
 
     def test_step_collapse_records_no_event(self):
-        # The outcome names the collapse; no stop rule held, so no event.
+        # The outcome names the collapse; no stop rule held, so no stop.
         traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG)
-        assert traj.outcome is Outcome.STEP_COLLAPSED and not traj.events
+        assert traj.outcome is Outcome.STEP_COLLAPSED and traj.stop is None
         _, traj = simulate_until_collision(ReducedState(0.0, 1e-100), P_BENCH, CFG, t_end=20.0)
-        assert traj.outcome is Outcome.STEP_COLLAPSED and not traj.events
+        assert traj.outcome is Outcome.STEP_COLLAPSED and traj.stop is None
 
 
 class TestReflectionSymmetry:
@@ -249,7 +251,7 @@ class TestCollisionDriver:
         result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
         assert result.status is SimStatus.COLLIDED
         assert traj.outcome is Outcome.EVENT_TERMINATED
-        assert [e.spec.kind for e in traj.events] == [EventKind.SEPARATION_BELOW]
+        assert traj.stop == "separation-below"
         assert traj.t_final < T_BENCH
         assert rel_err(result.time, T_BENCH) < 1e-9
 
@@ -258,11 +260,11 @@ class TestCollisionDriver:
         # Just above gamma_star the orbit passes the axis (at D/D0 = 3.0e-5
         # for excess 1e-3): D falls through 0.25*D0, and 1e-3*D0, while W
         # is still positive, but the level never reaches D = 0, so the
-        # separation event stays unarmed and the pair threads through.
+        # separation rule stays unarmed and the pair threads through.
         p = Params(0.2, gamma_star(0.2) + excess)
         result, traj = simulate_until_collision(ReducedState(-2.0, 2.0), p, CFG, t_end=400.0)
         assert result.status is SimStatus.SURVIVED
-        assert result.time == 400.0 and not traj.events
+        assert result.time == 400.0 and traj.stop is None
         c = math.sqrt(p.offset2)
         seps = [math.hypot(c * math.exp(th), w) for th, w in traj.states]
         assert any(d < 1e-3 * seps[0] and s[1] > 0.0 for d, s in zip(seps, traj.states))
@@ -301,8 +303,8 @@ class TestCollisionDriver:
         assert worst < 1e-9
 
     def test_rise_before_the_event_is_inconclusive(self):
-        # Right of the separatrix the gap first opens; the event still fires
-        # on the way in, but the witness refuses a non-monotone approach.
+        # Right of the separatrix the gap first opens; the separation rule
+        # still stops the run on the way in, but the witness refuses a non-monotone approach.
         p = Params(0.2, 1.1)
         th0 = 3.5
         rs = ReducedState(th0, 0.2 * h0_zero_w(p, th0))
@@ -369,7 +371,7 @@ class TestCollisionDriver:
 @st.composite
 def armed_approach_points(draw):
     """(p, theta, W, h): a W > 0 point on a level where the separation
-    event is armed (k_sign >= 0), with h its energy."""
+    rule is armed (k_sign >= 0), with h its energy."""
     alpha = draw(st.floats(0.01, 0.99))
     gs = gamma_star(alpha)
     gamma = draw(st.sampled_from([1.0, gs, None]))
@@ -479,11 +481,17 @@ def armed_receding_states(draw):
     return p, theta, w, h0
 
 
+class WitnessHit(NamedTuple):
+    time: float
+    state: tuple[float, float]
+
+
 def witnessed(rs: ReducedState, p: Params, t_end: float):
     """The grid oracle's run of rs: (result, trajectory, witness hit or None)."""
     result, traj = simulate_until_collision(rs, p, CFG, t_end=t_end, survival_witness=True)
-    hits = [e for e in traj.events if e.spec.kind is EventKind.SURVIVAL_WITNESS]
-    return result, traj, hits[0] if hits else None
+    if traj.stop != "survival-witness":
+        return result, traj, None
+    return result, traj, WitnessHit(traj.t_final, traj.state_final)
 
 
 class TestSurvivalWitness:
@@ -613,7 +621,7 @@ class TestSurvivalWitness:
         assert dynamics.reduced_energy(p)(th0, w0) > 0.0
         result, traj, hit = witnessed(ReducedState(th0, w0), p, 200.0)
         assert result.status is SimStatus.SURVIVED and result.time == 200.0
-        assert hit is None and traj.outcome is Outcome.REACHED_T_END and not traj.events
+        assert hit is None and traj.outcome is Outcome.REACHED_T_END and traj.stop is None
 
     def test_colliding_and_undecided_runs_never_meet_the_witness(self):
         # Criterion 04's nodes at alpha 0.5 (every fourth of its grid): with
@@ -687,17 +695,16 @@ class TestStats:
 
         monkeypatch.setattr(dynamics, "reduced_field", counting_field)
         # Into the blow-up's steep tail, and stopped by the separation rule.
-        spec = EventSpec(EventKind.SEPARATION_BELOW, threshold=0.5)
-        for events in ((), (spec,)):
+        for stop in (None, separation_stop(RS_BENCH, P_BENCH, 0.5)):
             calls[0] = 0
-            traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, events)
+            traj = integrate(RS_BENCH, P_BENCH, 10.0, CFG, stop)
             stats = traj.stats
             assert stats.f_evals == 1 + 6 * stats.attempts
             assert stats.f_evals == calls[0]
             assert stats.accepted == len(traj.times) - 1
             assert stats.attempts == stats.accepted + stats.rejections
-            assert len(traj.events) == len(events)
-            if not events:
+            assert (traj.stop is None) == (stop is None)
+            if stop is None:
                 assert stats.rejections > 0  # the steep tail
 
     def test_stats_hold_only_work_counts(self):

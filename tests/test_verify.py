@@ -10,7 +10,7 @@ import signal
 import pytest
 
 import filcol.verify as verify
-from filcol import OnSingularLine, Params
+from filcol import IntegrationConfig, OnSingularLine, Params, StepLimitExceeded
 
 
 def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
@@ -134,6 +134,16 @@ def test_pooled_node_error_is_the_serial_one():
             verify.classifier_oracle_grid(p, NODES, ws, workers=workers)
         raised.append(str(info.value))
     assert raised[0] == raised[1]
+    assert grid(2) == grid(1)  # every reply was read: the set is still in step
+
+
+def test_grid_nodes_run_with_the_whole_config():
+    # Every node runs with the grid's config, not only its tolerances: a
+    # 3-attempt budget is exhausted serially and in the worker set alike.
+    cfg = IntegrationConfig(max_steps=3)
+    for workers in (1, 2):
+        with pytest.raises(StepLimitExceeded):
+            verify.classifier_oracle_grid(P_MID, NODES, NODES, cfg, workers=workers)
     assert grid(2) == grid(1)  # every reply was read: the set is still in step
 
 
