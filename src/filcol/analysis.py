@@ -19,7 +19,7 @@ below gamma_star, K < 0 above it; the critical band is where rounding
 leaves the sign undecided), and `_walk` walks the state chain.  This module
 computes the threshold itself, for reporting, by bracketed bisection with
 Newton polish, and the separatrix in closed form; it classifies initial
-states, evaluates the exact/implicit collision-time formulas and the
+states, evaluates the exact collision-time formulas and the
 comparison-principle upper bounds, builds the supercritical corridor, and
 certifies d != 0 states collision-free by minimizing the separation over
 their energy level set.
@@ -93,7 +93,6 @@ class MotionClass:
 
 class EstimateKind(Enum):
     EXACT = "exact"
-    IMPLICIT_ROOT = "implicit-root"
     UPPER_BOUND = "upper-bound"
 
 
@@ -303,13 +302,13 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
 # --------------------------------------------------------------------------
 
 def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
-    """Collision time of a colliding state: exact, implicit, or an upper bound.
+    """Collision time of a colliding state: exact, or an upper bound.
 
-    Exact and implicit values come from quadrature of the energy-decoupled
-    equations; upper bounds come from comparison solutions.  Every value is
-    validated against the adaptive integrator in the test battery,
-    and `verify` reports where commonly printed constants disagree with the
-    quadrature (see README, "known discrepancies").
+    Exact values come from quadrature of the energy-decoupled equations;
+    upper bounds come from comparison solutions.  Every value is validated
+    against the adaptive integrator in the test battery, and `verify`
+    reports where commonly printed constants disagree with the quadrature
+    (see README, "known discrepancies").
     """
     mc, branch = _walk(rs0, p)
     if branch is None:
@@ -335,7 +334,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         else:
             value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
         return CollisionTimeEstimate(
-            EstimateKind.IMPLICIT_ROOT,
+            EstimateKind.EXACT,
             value,
             FormulaTag.GAMMA1_H0_NONZERO,
             {"g1_w0": g1_w0},

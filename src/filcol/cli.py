@@ -263,7 +263,7 @@ def _cmd_simulate(args) -> None:
     cfg = _integration_config(args)
     system = args.system
 
-    if system in ("auto", "reduced"):
+    if system == "auto":
         p, rs, scale, swapped = _initial_reduced(args)
         result, traj = simulate_until_collision(rs, p, cfg, t_end=args.t_end / scale)
         status, t_stop = result.status.value, result.time
@@ -516,7 +516,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_params(sp)
     _add_state(sp)
     _add_integration(sp)
-    sp.add_argument("--system", choices=("auto", "reduced", "full", "hyperbolic"),
+    sp.add_argument("--system", choices=("auto", "full", "hyperbolic"),
                     default="auto")
     _add_common(sp, "json")
     sp.set_defaults(handler=_cmd_simulate)
@@ -610,17 +610,6 @@ def _config_tokens(path: str, command: str, sp: argparse.ArgumentParser) -> list
     return tokens
 
 
-def _find_config(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigInvalid("--config needs a path")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Join a negative number to the option before it: --z1 -5.9e-05.
 
@@ -650,15 +639,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = _attach_negative_values(argv)
     try:
         parser, commands = build_parser()
-        config_path = _find_config(argv)
-        if config_path is not None:
-            command = next((tok for tok in argv if tok in commands), None)
-            if command is None:
-                raise ConfigInvalid("could not identify the subcommand")
-            at = argv.index(command) + 1
-            tokens = _config_tokens(config_path, command, commands[command])
-            argv = argv[:at] + tokens + argv[at:]
         args = parser.parse_args(argv)
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, args.command, commands[args.command])
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         missing = [
             name for name in _REQUIRED[args.command]
             if getattr(args, name, None) is None

@@ -218,22 +218,15 @@ def conserved_d(s: FullState, p: Params) -> float:
 # Reduction and inversion
 # --------------------------------------------------------------------------
 
-def reduce_state(
-    s: FullState, p: Params, tol_d: float | None = None
-) -> Union[ReducedState, HyperbolicState]:
+def reduce_state(s: FullState, p: Params) -> Union[ReducedState, HyperbolicState]:
     """Dispatch a full state to the d = 0 or d != 0 planar chart.
 
-    tol_d is the |d| threshold below which d is treated as zero; the default
-    1e-9 * max(1, gamma*R1**2) is scale-relative because d is a difference
-    of squared lengths.
+    d is treated as zero where |d| <= 1e-9 * max(1, gamma*R1**2), a
+    scale-relative threshold because d is a difference of squared lengths.
     """
-    if tol_d is None:
-        tol_d = 1e-9 * max(1.0, p.gamma * s.r1 * s.r1)
-    elif tol_d <= 0.0:
-        raise DomainError(f"tol_d must be positive, got {tol_d}")
     d = conserved_d(s, p)
     w = s.z1 - s.z2
-    if abs(d) <= tol_d:
+    if abs(d) <= 1e-9 * max(1.0, p.gamma * s.r1 * s.r1):
         return ReducedState(theta=math.log(s.r1), w=w)
     if d > 0.0:
         theta = math.asinh(s.r2 / math.sqrt(d))

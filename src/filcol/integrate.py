@@ -467,7 +467,8 @@ def simulate_until_collision(
     c2 = p.offset2
     th0, w0 = rs0.theta, rs0.w
     try:
-        thr2 = _KAPPA * _KAPPA * (c2 * math.exp(2.0 * th0) + w0 * w0)
+        # At gamma = 1, offset2 = 0 and D = |W|: exp(theta) alone may overflow.
+        thr2 = _KAPPA * _KAPPA * ((c2 * math.exp(2.0 * th0) if c2 else 0.0) + w0 * w0)
         witness = survival_witness and (
             p.gamma == 1.0 or energy(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
         )
@@ -507,7 +508,7 @@ def simulate_until_collision(
         """
         th, w = y
         if w > 0.0 and armed:
-            u = math.exp(th)
+            u = math.exp(th) if c2 else 0.0
             if not c2 * u * u + w * w > thr2:
                 return "separation-below"
         elif witness and w <= w_witness:

@@ -1,9 +1,9 @@
 """Re-derivation battery: check every closed-form constant against the integrator.
 
-Each check recomputes one analytic claim (threshold value, exact or implicit
-collision time, comparison bound, corridor, certificate, ansatz exactness,
-conservation) and validates it against the adaptive integrator.  Where
-a commonly printed constant disagrees with direct quadrature of the same
+Each check recomputes one analytic claim (threshold value, exact collision
+time, comparison bound, corridor, certificate, ansatz exactness,
+conservation) and validates it against the adaptive integrator.  Where a
+commonly printed constant disagrees with direct quadrature of the same
 equation, the check reports both variants with the measured time so the
 discrepancy is visible rather than silently resolved (see README, "known
 discrepancies").
@@ -23,7 +23,6 @@ import random
 import signal
 import threading
 from multiprocessing.connection import Connection
-from multiprocessing.util import Finalize
 from typing import Iterable, Sequence
 
 from . import analysis, dynamics
@@ -153,27 +152,26 @@ def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]
 # start-up is paid once.  Each worker reads from its own pipe: a grid sends
 # worker k the strided batch jobs[k::n] and reads its rows back, one send and
 # one receive per worker.  The set is keyed by (pid, workers), so a forked
-# child builds its own.  At exit the finalizer sends every worker a stop
-# sentinel before multiprocessing joins its children: EOF alone would not
-# do, since a process forked from this one after the set holds copies of
-# the parent ends of its pipes.
+# child builds its own.  The workers are daemonic: at interpreter exit,
+# multiprocessing terminates and joins them.
 _pool: list[tuple[multiprocessing.Process, Connection]] = []
 _pool_key = (0, 0)
-_pool_close: Finalize | None = None
 _pool_lock = threading.Lock()
 
 
 def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
-    """A worker's loop: answer each batch of nodes until the stop sentinel.
+    """A worker's loop: answer each batch of nodes until its pipe reads EOF.
 
     The reply is (rows, None), or (the rows before the failing node, its
-    exception).
+    exception).  The worker ignores SIGINT and is ended by SIGTERM, or by
+    EOF once every parent end is closed.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     for end in parent_ends:  # copies a fork made: closed, the parent's death reads as EOF
         end.close()
     try:
-        for batch in iter(conn.recv, None):
+        while True:
+            batch = conn.recv()
             rows = []
             try:
                 for job in batch:
@@ -186,16 +184,10 @@ def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
         pass
 
 
-def _stop_pool(pool: list, kill: bool = False) -> None:
-    """Stop every worker, by the sentinel or by SIGTERM; close and reap it."""
+def _stop_pool(pool: list) -> None:
+    """Terminate every worker; close its pipe and reap it."""
     for proc, conn in pool:
-        if kill:
-            proc.terminate()
-        else:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is gone already
-                pass
+        proc.terminate()
         conn.close()
     for proc, _ in pool:
         proc.join()
@@ -212,7 +204,7 @@ def _start_pool(workers: int) -> list:
             child_end.close()
             pool.append((proc, parent_end))
     except BaseException:
-        _stop_pool(pool, kill=True)
+        _stop_pool(pool)
         raise
     return pool
 
@@ -220,9 +212,8 @@ def _start_pool(workers: int) -> list:
 def _discard_pool() -> None:
     """Kill the worker set: it lost a worker or may hold unread replies."""
     global _pool
-    _pool_close.cancel()
     _pool, pool = [], _pool
-    _stop_pool(pool, kill=True)
+    _stop_pool(pool)
 
 
 def _shared_pool(workers: int) -> list:
@@ -230,17 +221,15 @@ def _shared_pool(workers: int) -> list:
 
     The caller holds ``_pool_lock``.
     """
-    global _pool, _pool_key, _pool_close
+    global _pool, _pool_key
     key = (os.getpid(), workers)
     if _pool and _pool_key != key:
-        # A Finalize skips a callback registered by another process, so a
-        # forked child leaves its parent's set running.
-        _pool_close()
-        _pool = []
+        if _pool_key[0] == key[0]:
+            _stop_pool(_pool)
+        _pool = []  # a forked child leaves its parent's set running
     if not _pool:
         _pool = _start_pool(workers)
         _pool_key = key
-        _pool_close = Finalize(None, _stop_pool, args=(_pool,), exitpriority=0)
     return _pool
 
 
@@ -358,7 +347,7 @@ def _check_gamma1_implicit(
         rs = ReducedState(th0, w0)
         est = collision_time(rs, p)
         detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * est.value + 10.0)
-        if detected is None or est.kind is not analysis.EstimateKind.IMPLICIT_ROOT:
+        if detected is None or est.kind is not analysis.EstimateKind.EXACT:
             failed = {"failed_state": [th0, w0], "estimate_kind": est.kind.value}
             return {"passed": False, "measured": {**failed, "detected": detected}}
         worst = max(worst, abs(detected - est.value) / est.value)

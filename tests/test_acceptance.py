@@ -153,7 +153,7 @@ def test_criterion_02_exact_collision_time_rederived():
 
 
 def test_criterion_03_implicit_collision_time_50_states():
-    # Each state's estimate must be an implicit root and its oracle run
+    # Each state's estimate must be exact and its oracle run
     # must collide; the check fails on the first state that does not.
     t0 = time.perf_counter()
     check = CHECKS["gamma1-implicit-time"](ALPHA, CFG, samples=50, grid=None, seed=314159)

@@ -607,7 +607,7 @@ class TestCollisionTime:
         mc = classify(rs, p)
         assert mc.h0 == -1.0
         est = collision_time(rs, p)
-        assert est.kind is EstimateKind.IMPLICIT_ROOT
+        assert est.kind is EstimateKind.EXACT
         want = 0.5 * math.log(0.5) + 0.5
         assert math.isclose(est.value, want, rel_tol=1e-14)
         result, _ = simulate_until_collision(rs, p, CFG, t_end=10.0)

@@ -279,6 +279,20 @@ class TestSimulateCommand:
             "W = 0 is excluded for gamma = 1\n"
         )
 
+    def test_gamma1_state_far_out_runs_to_its_horizon(self, capsys, tmp_path):
+        # classify calls this state a head-on collision; simulate runs it
+        # although exp(2*theta0) overflows.
+        payload = run_json(capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
+                           "--theta0", "400", "--w0", "1", "--t-end", "5")
+        assert payload["outcome"] == {"status": "survived", "time": 5.0}
+
+    def test_reduced_system_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--alpha", "0.5", "--gamma", "1", "--theta0", "0",
+                  "--w0", "1", "--system", "reduced"])
+        assert exc.value.code == 2
+        assert "--system" in capsys.readouterr().err
+
     def test_step_budget_exhaustion_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--alpha", "0.2", "--gamma", "2.0",
@@ -387,11 +401,17 @@ class TestSweepCommand:
         env = {**subprocess_env(), "FILCOL_THREADS": "2"}
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys; from filcol import cli; sys.exit(cli.main(sys.argv[1:]))",
+             "import sys; from filcol import cli, verify; code = cli.main(sys.argv[1:]); "
+             "print(*(p.pid for p, _ in verify._pool)); sys.exit(code)",
              *argv, "--output", str(pooled)],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+        workers = [int(pid) for pid in proc.stdout.split()]
+        assert len(workers) == 2
+        for pid in workers:  # terminated and reaped before the interpreter exited
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         monkeypatch.setenv("FILCOL_THREADS", "1")
         code, _, err = run_cli(capsys, *argv, "--output", str(serial))
         assert code == 0, err
@@ -545,6 +565,14 @@ class TestConfigRoute:
         code, _, err = run_cli(capsys, *TestSweepCommand.BASE, "--config", str(cfg))
         assert code == 2
         assert "with_oracle" in err
+
+    @pytest.mark.parametrize("argv", [["classify", "--config"],
+                                      ["--config", "run.cfg", "classify"]])
+    def test_config_without_path_or_before_the_subcommand_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_repeated_calls_write_identical_artefacts(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -133,11 +133,6 @@ class TestReduction:
         assert rel_err(r2b, r2) < 1e-12
         assert math.isclose(p.gamma * r1b**2 - r2b**2, hs.d, rel_tol=1e-10)
 
-    def test_tolerance_must_be_positive(self):
-        p = Params(0.2, 1.5)
-        with pytest.raises(DomainError):
-            reduce_state(FullState(1.0, 0.0, 1.0, 1.0), p, tol_d=0.0)
-
 
 class TestReducedField:
     def test_equal_circulation_values(self):

@@ -245,6 +245,15 @@ class TestCollisionDriver:
         assert result.status is SimStatus.SURVIVED
         assert result.time == 50.0
 
+    @pytest.mark.parametrize("theta0", [400.0, 720.0])
+    def test_gamma1_runs_where_exp_theta_overflows(self, theta0):
+        # D = |W| at gamma = 1: exp(2*theta0), and at 720 exp(theta0) too,
+        # overflow, but neither enters the separation rule.
+        result, traj = simulate_until_collision(ReducedState(theta0, 1.0), P_BENCH, CFG,
+                                                t_end=5.0)
+        assert result.status is SimStatus.SURVIVED and result.time == 5.0
+        assert traj.stop is None
+
     def test_collision_time_matches_exact_value(self):
         # The run stops at D = 0.25*D0; the closed-form time to the axis
         # from the last accepted point restores W0**2/(2*alpha).

@@ -112,10 +112,16 @@ def test_grid_reruns_on_a_fresh_pool_after_a_worker_is_killed():
 
 def test_changing_workers_rebuilds_the_pool():
     serial = grid(1)
+    replaced = 0
     for workers in (2, 1, 3, 2):
+        old = [proc for proc, _ in verify._pool]
         assert grid(workers) == serial
         if workers > 1:
             assert len(worker_pids()) == workers
+            if old and len(old) != workers:  # the old set was stopped and reaped
+                assert all(proc.exitcode is not None for proc in old)
+                replaced += 1
+    assert replaced >= 2  # by 3 after 2, and by 2 after 3
 
 
 def test_uneven_batches_keep_row_major_order():
