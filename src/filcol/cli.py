@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from . import analysis, dynamics, verify
 from .analysis import classify as classify_state
@@ -95,10 +94,15 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a new sibling file in the target directory, then rename.
+
+    The sibling is created with mode 0o666 less the umask, as open(path, "w")
+    creates a new file, so the artefact's mode follows the umask whether the
+    target is new or replaced.
+    """
     target = os.path.abspath(path)
-    directory = os.path.dirname(target)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".filcol-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(target), f".filcol-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -120,9 +124,39 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _json_text(payload: dict) -> str:
+    """Return exactly json.dumps(payload, indent=2), with simulate's arrays fast.
+
+    CPython's C encoder serves only indent=None, so at indent=2 every float
+    of `times` and `states` would go through the pure-Python encoder.  Those
+    two arrays (numbers, and rows of numbers) are written compact by the C
+    encoder and re-indented.  The text of a number never contains ", ", so
+    the separators and row brackets are the only places the layouts differ,
+    and the result is byte-identical to json.dumps(payload, indent=2).  The
+    rest of the payload is written by that call, with a marker string in
+    each array's place; key order is kept.
+    """
+    if "times" not in payload:
+        return json.dumps(payload, indent=2)
+    text = json.dumps({**payload, "times": "\0times", "states": "\0states"}, indent=2)
+    times = json.dumps(payload["times"])[1:-1].replace(", ", ",\n    ")
+    states = (
+        json.dumps(payload["states"])[2:-2]
+        .replace("], [", "\n    ],\n    [\n      ")
+        .replace(", ", ",\n      ")
+    )
+    text = text.replace('"\\u0000times"', f"[\n    {times}\n  ]", 1)
+    return text.replace('"\\u0000states"', f"[\n    [\n      {states}\n    ]\n  ]", 1)
+
+
 def _emit(args, payload: dict, csv_table: tuple[list[str], list[list]] | None) -> None:
+    """Write a command's artefact as JSON or CSV to --output or stdout.
+
+    JSON is always the text of json.dumps(payload, indent=2) plus a newline;
+    `_json_text` produces it, writing simulate's arrays by the C encoder.
+    """
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         if csv_table is None:
             raise ConfigInvalid(f"{args.command} has no CSV form; use --format json")

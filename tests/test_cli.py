@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,10 @@ def run_json(capsys, tmp_path, *argv, name="out.json"):
     code, out, err = run_cli(capsys, *argv, "--output", str(path))
     assert code == 0, err
     return json.loads(path.read_text())
+
+
+#: A full-state pair with d != 0 at gamma 2, for the full and hyperbolic systems.
+HYPERBOLIC_PAIR = ("--r1", "1", "--z1", "0.6", "--r2", "1.1", "--z2", "0")
 
 
 class TestGammaStarCommand:
@@ -615,6 +620,64 @@ class TestAtomicity:
                              "--output", str(target))
         assert code == 0
         assert json.loads(target.read_text())["alpha"] == 0.2
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replaced"])
+    def test_artefact_mode_follows_the_umask(self, capsys, tmp_path, umask, mode, existing):
+        target = tmp_path / "out.json"
+        if existing:
+            target.write_text("old")
+            target.chmod(0o640)
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "gamma-star", "--alpha", "0.2",
+                                 "--output", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+SHAPES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 1e-300, -1.5, 0.1]
+
+
+class TestJsonText:
+    """cli._json_text writes exactly what json.dumps(payload, indent=2) writes."""
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_float_shapes(self, width):
+        rows = [tuple(SHAPES[i:i + width]) for i in range(len(SHAPES) - width + 1)]
+        payload = {"command": "simulate", "drift": {"H": math.nan}, "times": SHAPES,
+                   "states": rows, "gamma_normalized": True, "note": "after states"}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ("--gamma", "2", *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "1e-15"),
+        ("--gamma", "2", *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "1"),
+        ("--gamma", "2", *HYPERBOLIC_PAIR, "--system", "hyperbolic", "--t-end", "1"),
+        ("--gamma", "1", "--theta0", "0", "--w0", "0.5"),
+        ("--gamma", "0.8", "--theta0", "0", "--w0", "-0.5", "--t-end", "1"),
+        ("--gamma", "1", "--theta0", "400", "--w0", "1", "--t-end", "5"),
+    ], ids=["one-point", "full", "hyperbolic", "auto", "auto-renamed", "gamma1-theta0-400"])
+    def test_simulate_artefacts(self, capsys, tmp_path, monkeypatch, argv):
+        payloads = []
+        json_text = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda p: payloads.append(p) or json_text(p))
+        path = tmp_path / "out.json"
+        code, _, err = run_cli(capsys, "simulate", "--alpha", "0.2", *argv,
+                               "--output", str(path))
+        assert code == 0, err
+        (payload,) = payloads
+        text = path.read_text()
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        width = 4 if "full" in argv else 2
+        assert {len(row) for row in payload["states"]} == {width}
+        if argv[1] == "0.8":
+            assert list(payload)[-4:] == ["states", "gamma_normalized", "gamma_input", "note"]
+        if "1e-15" in argv:
+            assert payload["integration"]["n_points"] == 1
 
 
 class TestRatioNormalization:
