@@ -38,11 +38,10 @@ from .dynamics import (
     Params,
     ReducedState,
     hyperbolic_kinetic,
-    hyperbolic_separation,
     k_sign,
     quartic,
 )
-from .errors import DomainError, NumericalFailure, OnSingularLine, RegimeError
+from .errors import Divergent, DomainError, NumericalFailure, OnSingularLine, RegimeError
 
 __all__ = [
     "Verdict",
@@ -184,9 +183,15 @@ def _gamma_star(alpha: float) -> float:
     return eta * eta
 
 
-# Ratio regimes and colliding branches: ints, as Enum lookups are slow per call.
+# Ratio regimes are ints.  The colliding branches are the FormulaTag members,
+# bound to module names once, as an Enum attribute lookup is slow per call.
 _GAMMA1, _SUBCRITICAL, _CRITICAL, _SUPERCRITICAL = range(4)
-_G1_H0_ZERO, _G1_H0_NONZERO, _CRIT, _SUB_H0_ZERO, _SUB_H0_NEG, _SUB_H0_POS = range(6)
+_G1_H0_ZERO = FormulaTag.GAMMA1_H0_ZERO
+_G1_H0_NONZERO = FormulaTag.GAMMA1_H0_NONZERO
+_CRIT = FormulaTag.CRITICAL
+_SUB_H0_ZERO = FormulaTag.SUBCRITICAL_H0_ZERO
+_SUB_H0_NEG = FormulaTag.SUBCRITICAL_H0_NEGATIVE
+_SUB_H0_POS = FormulaTag.SUBCRITICAL_H0_POSITIVE
 # The regime of gamma > 1, indexed by k_sign: 0, 1 and -1.
 _REGIME_OF_K_SIGN = (_CRITICAL, _SUBCRITICAL, _SUPERCRITICAL)
 
@@ -253,9 +258,10 @@ def _h0_negligible(h0: float, p: Params, theta0: float) -> bool:
     return abs(h0) <= _H0_ZERO_RTOL * p.mu * math.exp(-theta0)
 
 
-def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, int | None]:
+def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]:
     """Walk the regime chain once: the class of rs0 and, if it collides, the
-    branch whose collision-time formula applies (None otherwise)."""
+    formula tag of the branch whose collision-time formula applies (None
+    otherwise)."""
     th0, w0 = rs0.theta, rs0.w
     regime, gs = _ratio_regime(p)
     if regime == _GAMMA1 and w0 == 0.0:
@@ -317,13 +323,11 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
     alpha, gamma = p.alpha, p.gamma
     sqg, mu, c2 = p.sqrt_gamma, p.mu, p.offset2
 
-    if branch == _G1_H0_ZERO:
+    if branch is _G1_H0_ZERO:
         # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
         value = w0 * w0 / (2.0 * alpha)
-        return CollisionTimeEstimate(
-            EstimateKind.EXACT, value, FormulaTag.GAMMA1_H0_ZERO, {}
-        )
-    if branch == _G1_H0_NONZERO:
+        return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {})
+    if branch is _G1_H0_NONZERO:
         arg0 = mu * math.exp(-th0) * w0
         if arg0 <= 0.0:  # arg0 = alpha - h0*W0 > 0 unless exp(-theta0) underflows
             raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
@@ -333,14 +337,9 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
             value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 9))
         else:
             value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
-        return CollisionTimeEstimate(
-            EstimateKind.EXACT,
-            value,
-            FormulaTag.GAMMA1_H0_NONZERO,
-            {"g1_w0": g1_w0},
-        )
+        return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {"g1_w0": g1_w0})
 
-    if branch == _CRIT:
+    if branch is _CRIT:
         # h0 < 0 for W0 != 0 at gamma_star, but may be > 0 below it in the band.
         if not h0 < -_H0_ZERO_RTOL * mu * math.exp(-th0):
             raise NumericalFailure(f"critical-ratio energy {h0} is not below zero: no bound")
@@ -356,20 +355,15 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
         value = -2.0 / m3 * g1_v0
         return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND,
-            value,
-            FormulaTag.CRITICAL,
-            {"m3": m3, "v0": v0, "g1_v0": g1_v0},
+            EstimateKind.UPPER_BOUND, value, branch, {"m3": m3, "v0": v0, "g1_v0": g1_v0}
         )
 
     a2g = alpha * alpha * gamma
-    if branch == _SUB_H0_ZERO:
+    if branch is _SUB_H0_ZERO:
         m0 = mu * mu * math.sqrt(a2g - c2 * mu * mu) / a2g
         value = math.exp(2.0 * th0) / (2.0 * m0)
-        return CollisionTimeEstimate(
-            EstimateKind.EXACT, value, FormulaTag.SUBCRITICAL_H0_ZERO, {"m0": m0}
-        )
-    if branch == _SUB_H0_NEG:
+        return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {"m0": m0})
+    if branch is _SUB_H0_NEG:
         m1 = math.sqrt(alpha * sqg * (alpha * sqg - (sqg - 1.0) * mu)) / a2g
         u0 = mu * math.exp(-th0) / abs(h0)
         if u0 <= 1.0:
@@ -380,16 +374,11 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
             g1_u0 = -(math.log1p(1.0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
         t_star = g1_u0 / (m1 * h0 * h0)
         return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND,
-            t_star,
-            FormulaTag.SUBCRITICAL_H0_NEGATIVE,
-            {"m1": m1, "u0": u0, "t_star": t_star},
+            EstimateKind.UPPER_BOUND, t_star, branch, {"m1": m1, "u0": u0, "t_star": t_star}
         )
     m2 = math.sqrt(h0) * mu ** 1.5 / (alpha * sqg)
     value = 2.0 * math.exp(1.5 * th0) / (3.0 * m2)
-    return CollisionTimeEstimate(
-        EstimateKind.UPPER_BOUND, value, FormulaTag.SUBCRITICAL_H0_POSITIVE, {"m2": m2}
-    )
+    return CollisionTimeEstimate(EstimateKind.UPPER_BOUND, value, branch, {"m2": m2})
 
 
 # --------------------------------------------------------------------------
@@ -435,30 +424,32 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     is increasing in the hyperbolic angle (K, the self-induction part, is
     increasing), so its minimum over the level set sits at the smallest
     feasible angle: the leftmost W = 0 crossing of the level curve, located
-    by a downward scan plus bisection.  It is strictly positive because the
-    energy diverges at the contact configuration.
+    by a downward scan plus bisection.  The scan evaluates the chart's own
+    energy closure (``dynamics.hyperbolic_energy``, one set of formulas for
+    both signs of d) at W = 0; it keeps no energy formula of its own.  The
+    bound is strictly positive because the energy diverges at the contact
+    configuration.
     """
-    gamma = p.gamma
     d = hs0.d
-    h0 = dynamics.hyperbolic_energy(p, d)(hs0.theta, hs0.w)
+    energy = dynamics.hyperbolic_energy(p, d)
+    h0 = energy(hs0.theta, hs0.w)
     asq = p.alpha * p.sqrt_gamma
     theta0 = hs0.theta
 
     def gap(theta: float) -> float:
         """h0 minus the energy of the coplanar point at this angle."""
-        sep = hyperbolic_separation(theta, 0.0, d, gamma)
-        if sep == 0.0:
+        try:
+            return h0 - energy(theta, 0.0)
+        except Divergent:
             return -math.inf
-        return h0 - (hyperbolic_kinetic(theta, d, gamma) + asq / sep)
-
-    if gap(theta0) >= 0.0:
-        # W0 = 0 (up to round-off): the state itself sits on the boundary.
-        return NoCollisionCertificate(h0, hyperbolic_separation(theta0, hs0.w, d, gamma))
 
     # Scan downward from theta0; the kinetic part falls to -inf at the
     # chart origin, so a crossing always exists.  On d > 0 levels the scan
     # passes straight through the contact angle, where gap dips to -inf
-    # (the level curve itself crosses that line at |W| > 0).
+    # (the level curve itself crosses that line at |W| > 0).  A coplanar
+    # start (gap(theta0) = 0) is scanned too: its level curve may cross
+    # W = 0 again further left, where its orbit goes; where it does not,
+    # the bisection closes on theta0 from below.
     prev = theta0
     found = None
     n_scan = 400
@@ -476,4 +467,4 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     lo, _ = _bisect(gap, *found, 0.0)
     # The lo side slightly undershoots the crossing, keeping the bound
     # conservative.
-    return NoCollisionCertificate(h0, asq / (h0 - hyperbolic_kinetic(lo, d, gamma)))
+    return NoCollisionCertificate(h0, asq / (h0 - hyperbolic_kinetic(lo, d, p.gamma)))

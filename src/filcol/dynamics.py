@@ -159,10 +159,11 @@ class ReducedState:
 class HyperbolicState:
     """Hyperbolic-angle chart of a d != 0 configuration.
 
-    For d > 0:  R1 = sqrt(d/gamma) cosh(theta),  R2 = sqrt(d) sinh(theta).
-    For d < 0 the roles swap: R1 = sqrt(|d|/gamma) sinh(theta),
-    R2 = sqrt(|d|) cosh(theta).  Either way theta > 0 and
-    gamma*R1**2 - R2**2 = d holds identically.
+    R1 = sqrt(|d|/gamma) f1(theta) and R2 = sqrt(|d|) f2(theta), where the
+    pair (f1, f2) is (cosh, sinh) for d > 0 and (sinh, cosh) for d < 0.
+    Each is the other's derivative, so both branches share one set of
+    formulas for the radii, the separation, the field and the energy.
+    Either way theta > 0 and gamma*R1**2 - R2**2 = d holds identically.
     """
 
     theta: float
@@ -242,22 +243,22 @@ def reduce_state(s: FullState, p: Params) -> Union[ReducedState, HyperbolicState
     return hs
 
 
+def _chart_pair(d: float):
+    """(f1, f2) of the d != 0 chart: (cosh, sinh) for d > 0, else (sinh, cosh)."""
+    return (math.cosh, math.sinh) if d > 0.0 else (math.sinh, math.cosh)
+
+
 def hyperbolic_radii(hs: HyperbolicState, p: Params) -> tuple[float, float]:
     """Map a hyperbolic-chart state back to the radii (R1, R2)."""
-    if hs.d > 0.0:
-        a = math.sqrt(hs.d / p.gamma)
-        return (a * math.cosh(hs.theta), math.sqrt(hs.d) * math.sinh(hs.theta))
-    a = math.sqrt(-hs.d / p.gamma)
-    return (a * math.sinh(hs.theta), math.sqrt(-hs.d) * math.cosh(hs.theta))
+    f1, f2 = _chart_pair(hs.d)
+    ad = abs(hs.d)
+    return (math.sqrt(ad / p.gamma) * f1(hs.theta), math.sqrt(ad) * f2(hs.theta))
 
 
 def hyperbolic_separation(theta: float, w: float, d: float, gamma: float) -> float:
     """Inter-filament distance sqrt((R1-R2)**2 + W**2) in the d != 0 chart."""
-    sq = math.sqrt(gamma)
-    if d > 0.0:
-        base = math.sqrt(d / gamma) * (math.cosh(theta) - sq * math.sinh(theta))
-    else:
-        base = math.sqrt(-d / gamma) * (math.sinh(theta) - sq * math.cosh(theta))
+    f1, f2 = _chart_pair(d)
+    base = math.sqrt(abs(d) / gamma) * (f1(theta) - math.sqrt(gamma) * f2(theta))
     return math.hypot(base, w)
 
 
@@ -432,7 +433,11 @@ def time_to_axis(p: Params, h: float, u: float) -> float:
 # --------------------------------------------------------------------------
 
 def hyperbolic_field(p: Params, d: float) -> Callable[[float, float], Derivative]:
-    """Return the (theta, W) vector field of the d != 0 chart."""
+    """Return the (theta, W) vector field of the d != 0 chart.
+
+    One closure serves both signs of d: the chart's pair (f1, f2) is bound
+    once, and f1' = f2, f2' = f1 on either branch.
+    """
     if d == 0.0:
         raise DomainError("hyperbolic chart requires d != 0")
     alpha = p.alpha
@@ -441,36 +446,21 @@ def hyperbolic_field(p: Params, d: float) -> Callable[[float, float], Derivative
     ad = abs(d)
     sqrt_ad = math.sqrt(ad)
     g32 = gamma * sqg
+    f1, f2 = _chart_pair(d)
 
-    if d > 0.0:
-
-        def field_pos(theta: float, w: float) -> Derivative:
-            ch, sh = math.cosh(theta), math.sinh(theta)
-            base = ch - sqg * sh
-            s2 = (ad / gamma) * base * base + w * w
-            s3 = s2 * math.sqrt(s2)
-            dth = -alpha * sqg * w / s3
-            dw = (
-                -(g32 / ch + 1.0 / sh) / sqrt_ad
-                + alpha * ad * (sh - sqg * ch) * base / (sqg * s3)
-            )
-            return (dth, dw)
-
-        return field_pos
-
-    def field_neg(theta: float, w: float) -> Derivative:
-        ch, sh = math.cosh(theta), math.sinh(theta)
-        base = sh - sqg * ch
+    def field(theta: float, w: float) -> Derivative:
+        a, b = f1(theta), f2(theta)
+        base = a - sqg * b
         s2 = (ad / gamma) * base * base + w * w
         s3 = s2 * math.sqrt(s2)
         dth = -alpha * sqg * w / s3
         dw = (
-            -(g32 / sh + 1.0 / ch) / sqrt_ad
-            + alpha * ad * base * (ch - sqg * sh) / (sqg * s3)
+            -(g32 / a + 1.0 / b) / sqrt_ad
+            + alpha * ad * (b - sqg * a) * base / (sqg * s3)
         )
         return (dth, dw)
 
-    return field_neg
+    return field
 
 
 def hyperbolic_kinetic(theta: float, d: float, gamma: float) -> float:
@@ -486,7 +476,8 @@ def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
     """Return the conserved energy of the d != 0 system as a callable.
 
     The interaction part diverges as the state approaches the contact
-    configuration, which is what rules collisions out on d != 0.
+    configuration, which is what rules collisions out on d != 0.  Like the
+    field, one closure serves both signs of d through the chart's pair.
     """
     if d == 0.0:
         raise DomainError("hyperbolic chart requires d != 0")
@@ -494,16 +485,12 @@ def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
     sqg = p.sqrt_gamma
     asq = p.alpha * sqg
     scale = math.sqrt(abs(d) / gamma)
-    positive = d > 0.0
+    f1, f2 = _chart_pair(d)
 
     def energy(theta: float, w: float) -> float:
         if theta <= 0.0:
             raise DomainError(f"hyperbolic energy needs theta > 0, got {theta}")
-        if positive:
-            base = math.cosh(theta) - sqg * math.sinh(theta)
-        else:
-            base = math.sinh(theta) - sqg * math.cosh(theta)
-        s = math.hypot(scale * base, w)
+        s = math.hypot(scale * (f1(theta) - sqg * f2(theta)), w)
         if s == 0.0:
             raise Divergent("energy diverges at the contact configuration")
         return hyperbolic_kinetic(theta, d, gamma) + asq / s

@@ -306,14 +306,19 @@ def integrate(
     HyperbolicState).  ``stop``, checked at y0 and at every accepted point,
     returns the name of the rule that holds there, or None; the first point
     where one holds is the run's last point, and its name is
-    ``Trajectory.stop``.  Returns a Trajectory; raises InvalidInitialState
-    when y0 is rejected and StepLimitExceeded when max_steps attempts are
-    exhausted.
+    ``Trajectory.stop``.  t_end must exceed ``cfg.h_min``, the step floor,
+    so that a run takes at least one step; a run that reaches its horizon
+    ends at exactly t_end, its last step taking whatever is left once the
+    remainder would fall below the floor.  Returns a Trajectory; raises
+    InvalidInitialState when y0 or t_end is rejected and StepLimitExceeded
+    when max_steps attempts are exhausted.
     """
     if cfg is None:
         cfg = IntegrationConfig()
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
         raise InvalidInitialState(f"t_end must be a positive finite real, got {t_end}")
+    if t_end <= cfg.h_min:
+        raise InvalidInitialState(f"t_end must exceed h_min = {cfg.h_min}, got {t_end}")
     system, f, inv_name, inv = _make_field(y0, p)
     y = y0.astuple()
     step = _step_4d if system is SystemKind.FULL else _step_2d
@@ -337,14 +342,15 @@ def integrate(
 
     while outcome is None:
         rem = t_end - t
-        floor = max(h_min, 4.0 * math.ulp(t))
-        if rem <= floor:
+        if rem <= 0.0:
             outcome = Outcome.REACHED_T_END
             break
+        floor = max(h_min, 4.0 * math.ulp(t))
         if h < floor:
             outcome = Outcome.STEP_COLLAPSED
             break
-        h_step = min(h, rem)
+        # A step that would leave less than the floor to go takes all of it.
+        h_step = rem if h >= rem - floor else h
 
         attempts += 1
         if attempts > cfg.max_steps:
@@ -359,8 +365,8 @@ def integrate(
             h = h_step * factor
             continue
 
-        # Accepted.
-        t += h_step
+        # Accepted.  t + rem can round short of t_end: the last step lands on it.
+        t = t_end if h_step == rem else t + h_step
         y = y_new
         k1 = k7
         times.append(t)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 
 from hypothesis import settings
+from hypothesis import strategies as st
+
+from filcol import FullState, Params
 
 # Property tests draw the same examples on every run and replay none from
 # an example database, so every run checks the same cases.
@@ -26,6 +29,19 @@ def level_w(theta: float, p, h0: float) -> float:
     a = h0 + p.mu * math.exp(-theta)
     bracket = p.alpha ** 2 * p.gamma - p.offset2 * math.exp(2.0 * theta) * a * a
     return math.sqrt(max(bracket, 0.0)) / a
+
+
+@st.composite
+def nonzero_d_states(draw) -> tuple[Params, FullState]:
+    """A full state whose conserved d = gamma*R1**2 - R2**2 has the drawn
+    sign, with |d| at least 2% of gamma*R1**2, so that it takes the d != 0
+    chart."""
+    p = Params(draw(st.floats(0.02, 0.98)), draw(st.floats(1.0, 4.0)))
+    r1 = math.exp(draw(st.floats(-2.0, 2.0)))
+    ratio = draw(st.floats(0.01, 0.99))
+    r2 = p.sqrt_gamma * r1 * (ratio if draw(st.booleans()) else 1.0 / ratio)
+    z1, z2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    return p, FullState(r1, z1, r2, z2)
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -43,7 +44,7 @@ from filcol.analysis import axis_energy, quartic
 from filcol.dynamics import k_sign, reduced_field
 from filcol.verify import h0_zero_w, mid_subcritical_gamma
 
-from conftest import level_w, linspace, rel_err
+from conftest import level_w, linspace, nonzero_d_states, rel_err
 
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -887,6 +888,37 @@ class TestCertificate:
         min_seen = min(
             hyperbolic_separation(s[0], s[1], hs.d, p.gamma) for s in traj.states
         )
+        assert min_seen >= cert.min_separation * (1.0 - 1e-6)
+
+    @given(case=nonzero_d_states())
+    @settings(max_examples=200)
+    def test_certificate_never_exceeds_an_orbit_separation(self, case):
+        # The orbit runs to t = 10 or for 2,000 accepted points, whichever
+        # comes first: near contact it turns fast, at up to 1e5 steps per
+        # unit time.
+        p, s = case
+        hs = reduce_state(s, p)
+        cert = no_collision_certificate(hs, p)
+        points = itertools.count()
+        traj = integrate(hs, p, 10.0, CFG,
+                         lambda y: "budget" if next(points) == 2000 else None)
+        min_seen = min(
+            hyperbolic_separation(y[0], y[1], hs.d, p.gamma) for y in traj.states
+        )
+        assert min_seen >= cert.min_separation * (1.0 - 1e-6)
+
+    def test_coplanar_start_right_of_its_leftmost_crossing(self):
+        # Found by the orbit property.  W' > 0 at this coplanar start, so the
+        # orbit turns to smaller angles and its separation falls from 0.0607
+        # to 0.0578 by t = 0.044: the state's own separation is no bound.
+        p = Params(0.5, 2.0)
+        hs = reduce_state(FullState(1.0, 0.75, 1.0606601717798214, 0.75), p)
+        cert = no_collision_certificate(hs, p)
+        traj = integrate(hs, p, 0.05, CFG)
+        min_seen = min(
+            hyperbolic_separation(y[0], y[1], hs.d, p.gamma) for y in traj.states
+        )
+        assert min_seen < 0.058 < hyperbolic_separation(hs.theta, hs.w, hs.d, p.gamma)
         assert min_seen >= cert.min_separation * (1.0 - 1e-6)
 
     def test_monotone_toward_divergence(self):

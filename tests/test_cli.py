@@ -238,6 +238,23 @@ class TestSimulateCommand:
         last = (tmp_path / "run.csv").read_text().splitlines()[-1]
         assert last.split(",")[0] == "7.0"
 
+    def test_horizon_at_or_below_the_step_floor_exits_2(self, capsys):
+        # Such a horizon would take no step: it is rejected, not "reached".
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", "2",
+                                 *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "1e-15")
+        assert code == 2
+        assert out == "" and "h_min" in err
+
+    @pytest.mark.parametrize("system", ["full", "hyperbolic"])
+    def test_reached_run_ends_exactly_at_t_end(self, capsys, tmp_path, system):
+        # The last step is sized to the remainder, and t + (t_end - t)
+        # rounds one ulp below this horizon.
+        t_end = "0.0027187039638095147"
+        payload = run_json(capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", "2",
+                           *HYPERBOLIC_PAIR, "--system", system, "--t-end", t_end)
+        assert payload["outcome"] == {"status": "reached-t-end", "time": float(t_end)}
+        assert payload["times"][-1] == float(t_end)
+
     def test_integration_counts_in_payload(self, capsys, tmp_path):
         payload = run_json(
             capsys, tmp_path, "simulate", "--alpha", "0.5", "--gamma", "1",
@@ -653,7 +670,8 @@ class TestJsonText:
         assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
     @pytest.mark.parametrize("argv", [
-        ("--gamma", "2", *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "1e-15"),
+        ("--gamma", "2", "--r1", "1", "--z1", "1e-100", "--r2", "1", "--z2", "0",
+         "--system", "full", "--t-end", "1"),
         ("--gamma", "2", *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "1"),
         ("--gamma", "2", *HYPERBOLIC_PAIR, "--system", "hyperbolic", "--t-end", "1"),
         ("--gamma", "1", "--theta0", "0", "--w0", "0.5"),
@@ -676,7 +694,7 @@ class TestJsonText:
         assert {len(row) for row in payload["states"]} == {width}
         if argv[1] == "0.8":
             assert list(payload)[-4:] == ["states", "gamma_normalized", "gamma_input", "note"]
-        if "1e-15" in argv:
+        if "1e-100" in argv:  # every step from the near-overlap is rejected
             assert payload["integration"]["n_points"] == 1
 
 

@@ -7,6 +7,7 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 
 from filcol import (
@@ -35,7 +36,7 @@ from filcol import (
 )
 from filcol.dynamics import k_sign, monotone_approach, time_to_axis
 
-from conftest import level_w, rel_err
+from conftest import level_w, nonzero_d_states, rel_err
 
 
 class TestParams:
@@ -132,6 +133,16 @@ class TestReduction:
         assert rel_err(r1b, r1) < 1e-12
         assert rel_err(r2b, r2) < 1e-12
         assert math.isclose(p.gamma * r1b**2 - r2b**2, hs.d, rel_tol=1e-10)
+
+    @given(case=nonzero_d_states())
+    @settings(max_examples=200)
+    def test_chart_round_trip_property(self, case):
+        p, s = case
+        hs = reduce_state(s, p)
+        assert isinstance(hs, HyperbolicState)
+        r1b, r2b = hyperbolic_radii(hs, p)
+        assert rel_err(r1b, s.r1) < 1e-12
+        assert rel_err(r2b, s.r2) < 1e-12
 
 
 class TestReducedField:
@@ -351,6 +362,32 @@ class TestHyperbolicChart:
         dh_dth = (e(th + eps, w) - e(th - eps, w)) / (2 * eps)
         assert math.isclose(dth, dh_dw, rel_tol=1e-7, abs_tol=1e-9)
         assert math.isclose(dw, -dh_dth, rel_tol=1e-7, abs_tol=1e-9)
+
+    def test_field_agrees_with_the_full_system(self):
+        # The 4-D field pushed through the chart map: R2 = sqrt(d) sinh(theta)
+        # for d > 0 and R1 = sqrt(|d|/gamma) sinh(theta) for d < 0 give
+        # theta' from R2' or R1', and W' = z1' - z2'.
+        rng = random.Random(19)
+        worst = 0.0
+        signs = set()
+        for _ in range(2000):
+            p = Params(rng.uniform(0.02, 0.98), 1.0 + 3.0 * rng.random())
+            s = FullState(math.exp(rng.uniform(-1, 1.5)), rng.uniform(-2, 2),
+                          math.exp(rng.uniform(-1, 1.5)), rng.uniform(-2, 2))
+            hs = reduce_state(s, p)
+            if not isinstance(hs, HyperbolicState):
+                continue
+            dr1, dz1, dr2, dz2 = full_field(p)(*s.astuple())
+            if hs.d > 0.0:
+                want_th = dr2 / (math.sqrt(hs.d) * math.cosh(hs.theta))
+            else:
+                want_th = dr1 / (math.sqrt(-hs.d / p.gamma) * math.cosh(hs.theta))
+            dth, dw = hyperbolic_field(p, hs.d)(hs.theta, hs.w)
+            for got, want in ((dth, want_th), (dw, dz1 - dz2)):
+                worst = max(worst, abs(got - want) / max(abs(want), 1e-3))
+            signs.add(hs.d > 0.0)
+        assert signs == {True, False}
+        assert worst < 1e-10
 
     def test_constancy_along_trajectory(self):
         p = Params(0.2, 2.0)

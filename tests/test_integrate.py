@@ -669,10 +669,26 @@ class TestDriftReport:
         assert traj.state_final == pytest.approx((1.204, -12.517), abs=1e-3)
 
     def test_single_point_trajectory_has_zero_drift(self):
-        # A horizon below the step floor ends the run at its start point.
-        traj = integrate(ReducedState(0.0, 1.0), P_BENCH, 1e-15, CFG)
+        # Every step from W0 = 1e-100 at gamma = 1 is rejected: the run
+        # collapses at its start point.
+        traj = integrate(ReducedState(0.0, 1e-100), P_BENCH, 1.0, CFG)
+        assert traj.outcome is Outcome.STEP_COLLAPSED
         assert traj.times == [0.0]
         assert traj.drift == {"H": 0.0}
+
+    def test_step_short_of_the_horizon_by_less_than_the_floor_takes_the_rest(self):
+        # The first step, h_init, would leave h_min/2 to go: it is stretched
+        # to t_end, which the run then ends at exactly.
+        t_end = CFG.h_init + 0.5 * CFG.h_min
+        traj = integrate(RS_BENCH, P_BENCH, t_end, CFG)
+        assert traj.outcome is Outcome.REACHED_T_END
+        assert traj.times == [0.0, t_end]
+
+    @pytest.mark.parametrize("t_end", [1e-15, CFG.h_min])
+    def test_horizon_at_or_below_the_step_floor_is_rejected(self, t_end):
+        # Such a horizon would take no step at all.
+        with pytest.raises(InvalidInitialState):
+            integrate(ReducedState(0.0, 1.0), P_BENCH, t_end, CFG)
 
 
 class TestFullReducedConsistency:
