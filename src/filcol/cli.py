@@ -13,9 +13,11 @@ Initial states are given either in reduced coordinates (--theta0/--w0) or as
 a full configuration (--r1/--z1/--r2/--z2); full states are routed through
 the conserved-quantity reduction, and collision commands reject d != 0
 states (those pairs provably never collide; the message carries the
-certificate).  Ratios below 1 are accepted and normalized by renaming the
-filaments; the output notes the swap and rescales times accordingly, and
---t-end is a horizon in the input frame's time.
+certificate).  Ratios below 1 are accepted: a command then runs in the
+gamma >= 1 frame of the renamed filaments (`_Frame`), which maps states and
+the --t-end horizon in, times out, and writes the artefact's
+gamma_normalized/gamma_input/note fields.  --t-end is an input-frame time,
+checked against --h-min as typed.
 
 Outputs are CSV or JSON with shortest round-trip float formatting, written
 atomically (temp file + rename).  Exit codes: 0 success, 2 validation
@@ -45,38 +47,78 @@ __all__ = ["main", "normalize_reduced", "normalize_full"]
 
 
 # --------------------------------------------------------------------------
-# Ratio normalization (gamma < 1 by filament renaming)
+# The renamed frame (gamma < 1 by filament renaming)
 # --------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _Frame:
+    """The gamma >= 1 frame a command runs in, and the way back to the input's.
+
+    Renaming the filaments composes with a z-reflection and time reversal
+    into the forward map (theta, W) -> (theta + log(sqrt(gamma)), W), or
+    (r1, z1, r2, z2) -> (r2, -z2, r1, -z1), with ratio 1/gamma; a renamed
+    time times `scale` is an input time.  For gamma >= 1 the frame is the
+    input's, and its shift -0.0 leaves every theta (-0.0 too) as it is.
+    """
+
+    params: Params
+    gamma_input: float
+    shift: float
+    scale: float
+    swapped: bool
+
+    def reduced(self, theta: float, w: float) -> ReducedState:
+        return ReducedState(theta + self.shift, w)
+
+    def full(self, r1: float, z1: float, r2: float, z2: float) -> FullState:
+        return FullState(r2, -z2, r1, -z1) if self.swapped else FullState(r1, z1, r2, z2)
+
+    def horizon(self, t_end: float, h_min: float) -> float:
+        """--t-end in the frame's time, checked against --h-min as typed."""
+        if self.swapped and not t_end / self.scale > h_min:
+            raise ConfigInvalid(
+                f"t_end must exceed h_min / gamma = {h_min} / {self.gamma_input} "
+                f"(the step floor applies in the renamed frame), got {t_end}"
+            )
+        return t_end / self.scale
+
+    def input_time(self, t: float | None, t_end: float | None = None) -> float | None:
+        """t in input time, None kept; at t_end's horizon, t_end itself (not an ulp off)."""
+        if t is None:
+            return None
+        return t_end if t_end is not None and t == t_end / self.scale else t * self.scale
+
+    def fields(self, note: str | None, always: bool = False) -> dict:
+        """A renamed frame's gamma_normalized, gamma_input and note; or {}, or `always` false."""
+        if not self.swapped:
+            return {"gamma_normalized": False} if always else {}
+        fields = {"gamma_normalized": True, "gamma_input": self.gamma_input}
+        return fields if note is None else {**fields, "note": note}
+
+
+def _frame(alpha: float, gamma: float) -> _Frame:
+    """The frame of a command's --alpha and --gamma."""
+    if gamma <= 0.0:
+        raise ConfigInvalid(f"gamma must be positive, got {gamma}")
+    if gamma >= 1.0:
+        return _Frame(Params(alpha, gamma), gamma, -0.0, 1.0, False)
+    return _Frame(Params(alpha, 1.0 / gamma), gamma, 0.5 * math.log(gamma), 1.0 / gamma, True)
+
 
 def normalize_reduced(
     alpha: float, gamma: float, theta0: float, w0: float
 ) -> tuple[Params, ReducedState, float, bool]:
-    """Map a gamma < 1 reduced state onto the gamma >= 1 chart.
-
-    Renaming the filaments composes with a z-reflection and time reversal
-    into the forward map (theta, W) -> (theta + log(sqrt(gamma)), W) with
-    ratio 1/gamma; returned time_scale converts normalized times back to
-    the input frame.
-    """
-    if gamma <= 0.0:
-        raise ConfigInvalid(f"gamma must be positive, got {gamma}")
-    if gamma >= 1.0:
-        return Params(alpha, gamma), ReducedState(theta0, w0), 1.0, False
-    p = Params(alpha, 1.0 / gamma)
-    rs = ReducedState(theta0 + 0.5 * math.log(gamma), w0)
-    return p, rs, 1.0 / gamma, True
+    """Map a reduced state onto the gamma >= 1 chart: (params, state, time_scale, swapped)."""
+    frame = _frame(alpha, gamma)
+    return frame.params, frame.reduced(theta0, w0), frame.scale, frame.swapped
 
 
 def normalize_full(
     alpha: float, gamma: float, r1: float, z1: float, r2: float, z2: float
 ) -> tuple[Params, FullState, float, bool]:
     """Full-state version of normalize_reduced: (r1,z1,r2,z2)->(r2,-z2,r1,-z1)."""
-    if gamma <= 0.0:
-        raise ConfigInvalid(f"gamma must be positive, got {gamma}")
-    if gamma >= 1.0:
-        return Params(alpha, gamma), FullState(r1, z1, r2, z2), 1.0, False
-    p = Params(alpha, 1.0 / gamma)
-    return p, FullState(r2, -z2, r1, -z1), 1.0 / gamma, True
+    frame = _frame(alpha, gamma)
+    return frame.params, frame.full(r1, z1, r2, z2), frame.scale, frame.swapped
 
 
 # --------------------------------------------------------------------------
@@ -190,27 +232,29 @@ def _has_full(args) -> bool:
     return all(getattr(args, k) is not None for k in ("r1", "z1", "r2", "z2"))
 
 
-def _initial_reduced(args) -> tuple[Params, ReducedState, float, bool]:
+def _initial_reduced(args) -> tuple[_Frame, ReducedState]:
     """Resolve the initial state of a collision command to the d=0 chart."""
+    if not (_has_reduced(args) or _has_full(args)):
+        raise ConfigInvalid("need an initial state: --theta0/--w0 or --r1/--z1/--r2/--z2")
+    frame = _frame(args.alpha, args.gamma)
     if _has_reduced(args):
-        return normalize_reduced(args.alpha, args.gamma, args.theta0, args.w0)
-    if not _has_full(args):
-        raise ConfigInvalid(
-            "need an initial state: --theta0/--w0 or --r1/--z1/--r2/--z2"
-        )
-    p, full, scale, swapped = normalize_full(
-        args.alpha, args.gamma, args.r1, args.z1, args.r2, args.z2
-    )
-    reduced = dynamics.reduce_state(full, p)
+        return frame, frame.reduced(args.theta0, args.w0)
+    full = frame.full(args.r1, args.z1, args.r2, args.z2)
+    reduced = dynamics.reduce_state(full, frame.params)
     if isinstance(reduced, HyperbolicState):
-        cert = analysis.no_collision_certificate(reduced, p)
+        cert = analysis.no_collision_certificate(reduced, frame.params)
         raise ConfigInvalid(
             f"conserved d = {reduced.d!r} is nonzero: this pair can never "
             f"collide (separation stays >= {cert.min_separation!r}); "
             "collision analysis needs d = 0. Integrate it with "
             "`simulate --system hyperbolic`."
         )
-    return p, reduced, scale, swapped
+    return frame, reduced
+
+
+def _record_table(payload: dict, header: list[str]) -> tuple[list[str], list[list]]:
+    """The one-row CSV of a record artefact: its payload's fields by header."""
+    return header, [[payload.get(name) for name in header]]
 
 
 # --------------------------------------------------------------------------
@@ -220,48 +264,33 @@ def _initial_reduced(args) -> tuple[Params, ReducedState, float, bool]:
 def _cmd_gamma_star(args) -> None:
     gs = gamma_star(args.alpha)
     eta = math.sqrt(gs)
-    residual = abs(analysis.quartic(eta, args.alpha))
     payload = {
         "command": "gamma-star",
         "alpha": args.alpha,
         "gamma_star": gs,
         "eta_star": eta,
-        "quartic_residual": residual,
+        "quartic_residual": abs(analysis.quartic(eta, args.alpha)),
     }
     header = ["alpha", "gamma_star", "eta_star", "quartic_residual"]
-    _emit(args, payload, (header, [[args.alpha, gs, eta, residual]]))
+    _emit(args, payload, _record_table(payload, header))
 
 
 def _cmd_theta_star(args) -> None:
-    p, _, scale, swapped = normalize_reduced(args.alpha, args.gamma, 0.0, 1.0)
-    ts = theta_star(p, args.h0)
+    frame = _frame(args.alpha, args.gamma)
     payload = {
         "command": "theta-star",
         "alpha": args.alpha,
-        "gamma": p.gamma,
+        "gamma": frame.params.gamma,
         "h0": args.h0,
-        "theta_star": ts,
-        "gamma_normalized": swapped,
+        "theta_star": theta_star(frame.params, args.h0),
+        **frame.fields("filaments renamed; theta_star is in the renamed frame", always=True),
     }
-    if swapped:
-        payload["gamma_input"] = args.gamma
-        payload["note"] = "filaments renamed; theta_star is in the renamed frame"
-    header = ["alpha", "gamma", "h0", "theta_star"]
-    _emit(args, payload, (header, [[args.alpha, p.gamma, args.h0, ts]]))
-
-
-def _mc_payload(mc: analysis.MotionClass) -> dict:
-    return {
-        "verdict": mc.verdict.value,
-        "h0": mc.h0,
-        "gamma_star": mc.gamma_star,
-        "theta_star": mc.theta_star,
-        "predicts_collision": mc.predicts_collision,
-    }
+    _emit(args, payload, _record_table(payload, ["alpha", "gamma", "h0", "theta_star"]))
 
 
 def _cmd_classify(args) -> None:
-    p, rs, scale, swapped = _initial_reduced(args)
+    frame, rs = _initial_reduced(args)
+    p = frame.params
     mc = classify_state(rs, p)
     payload = {
         "command": "classify",
@@ -269,28 +298,25 @@ def _cmd_classify(args) -> None:
         "gamma": p.gamma,
         "theta0": rs.theta,
         "w0": rs.w,
-        **_mc_payload(mc),
+        "verdict": mc.verdict.value,
+        "h0": mc.h0,
+        "gamma_star": mc.gamma_star,
+        "theta_star": mc.theta_star,
+        "predicts_collision": mc.predicts_collision,
     }
-    t_est = None
     if mc.predicts_collision:
         est = collision_time(rs, p)
-        t_est = est.value * scale
-        payload["t_estimate"] = t_est
+        payload["t_estimate"] = frame.input_time(est.value)
         payload["t_estimate_kind"] = est.kind.value
         payload["formula_tag"] = est.formula_tag.value
         payload["constants"] = est.constants
-    if swapped:
-        payload["gamma_normalized"] = True
-        payload["gamma_input"] = args.gamma
-        payload["note"] = (
-            "filaments renamed (gamma < 1): theta0 shifted by log(sqrt(gamma)), "
-            "times rescaled to the input frame"
-        )
+    payload.update(frame.fields(
+        "filaments renamed (gamma < 1): theta0 shifted by log(sqrt(gamma)), "
+        "times rescaled to the input frame"
+    ))
     header = ["alpha", "gamma", "theta0", "w0", "verdict", "h0", "gamma_star",
               "theta_star", "t_estimate"]
-    row = [args.alpha, p.gamma, rs.theta, rs.w, mc.verdict.value, mc.h0,
-           mc.gamma_star, mc.theta_star, t_est]
-    _emit(args, payload, (header, [row]))
+    _emit(args, payload, _record_table(payload, header))
 
 
 def _cmd_simulate(args) -> None:
@@ -298,8 +324,10 @@ def _cmd_simulate(args) -> None:
     system = args.system
 
     if system == "auto":
-        p, rs, scale, swapped = _initial_reduced(args)
-        result, traj = simulate_until_collision(rs, p, cfg, t_end=args.t_end / scale)
+        frame, rs = _initial_reduced(args)
+        result, traj = simulate_until_collision(
+            rs, frame.params, cfg, t_end=frame.horizon(args.t_end, cfg.h_min)
+        )
         status, t_stop = result.status.value, result.time
         # The closed-form part of a collision time; the rest was integrated.
         t_rem = result.remaining_time if result.collided else None
@@ -307,34 +335,25 @@ def _cmd_simulate(args) -> None:
     else:  # full, or hyperbolic: the d != 0 chart of the full state
         if not _has_full(args):
             raise ConfigInvalid(f"--system {system} needs --r1/--z1/--r2/--z2")
-        p, y0, scale, swapped = normalize_full(
-            args.alpha, args.gamma, args.r1, args.z1, args.r2, args.z2
-        )
+        frame = _frame(args.alpha, args.gamma)
+        y0 = frame.full(args.r1, args.z1, args.r2, args.z2)
         state_header = ["t", "r1", "z1", "r2", "z2"]
         if system == "hyperbolic":
-            y0 = dynamics.reduce_state(y0, p)
+            y0 = dynamics.reduce_state(y0, frame.params)
             if not isinstance(y0, HyperbolicState):
-                raise ConfigInvalid(
-                    "conserved d is zero within tolerance; use --system auto"
-                )
+                raise ConfigInvalid("conserved d is zero within tolerance; use --system auto")
             state_header = ["t", "theta", "w"]
-        traj = integrate(y0, p, args.t_end / scale, cfg)
+        traj = integrate(y0, frame.params, frame.horizon(args.t_end, cfg.h_min), cfg)
         status, t_stop, t_rem = traj.outcome.value, traj.t_final, None
 
-    horizon = args.t_end / scale
-
-    def input_time(t: float) -> float:
-        # horizon * scale can miss t_end by an ulp: a time at the horizon is
-        # reported as t_end itself.
-        return args.t_end if t == horizon else t * scale
-
-    outcome = {"status": status, "time": input_time(t_stop)}
+    times = [frame.input_time(t, args.t_end) for t in traj.times]
+    outcome = {"status": status, "time": frame.input_time(t_stop, args.t_end)}
     if t_rem is not None:
-        outcome["remaining_time"] = t_rem * scale
+        outcome["remaining_time"] = frame.input_time(t_rem)
     payload = {
         "command": "simulate",
         "alpha": args.alpha,
-        "gamma": p.gamma,
+        "gamma": frame.params.gamma,
         "system": traj.system.value,
         "outcome": outcome,
         "integration": {
@@ -346,28 +365,26 @@ def _cmd_simulate(args) -> None:
         "drift": traj.drift,
         "events": [] if traj.stop is None else [
             {
-                "time": input_time(traj.t_final),
+                "time": times[-1],
                 "kind": traj.stop,
                 "threshold": _KAPPA if traj.stop == "separation-below" else None,
             }
         ],
-        "times": [input_time(t) for t in traj.times],
+        "times": times,
         "states": traj.states,  # tuples: JSON writes them as arrays
-    }
-    if swapped:
-        payload["gamma_normalized"] = True
-        payload["gamma_input"] = args.gamma
-        payload["note"] = (
+        **frame.fields(
             "filaments renamed (gamma < 1): states are in the renamed frame, "
             "times rescaled to the input frame"
-        )
-    table = None
-    if args.format == "csv":
-        table = (state_header, [
-            [input_time(t), *state] for t, state in zip(traj.times, traj.states)
-        ])
+        ),
+    }
+    points = zip(times, traj.states)
+    table = (state_header, [[t, *y] for t, y in points]) if args.format == "csv" else None
     print(f"outcome: {outcome['status']} at t = {_fmt(outcome['time'])}", file=sys.stderr)
     _emit(args, payload, table)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _cmd_sweep(args) -> None:
@@ -376,66 +393,45 @@ def _cmd_sweep(args) -> None:
     if not (args.theta_max > args.theta_min and args.w_max > args.w_min):
         raise ConfigInvalid("need theta_max > theta_min and w_max > w_min")
 
-    p_probe, _, scale, swapped = normalize_reduced(args.alpha, args.gamma, 0.0, 1.0)
-    shift = 0.5 * math.log(args.gamma) if swapped else 0.0
+    frame = _frame(args.alpha, args.gamma)
+    theta_vals = _linspace(args.theta_min, args.theta_max, args.n_theta)
+    w_vals = _linspace(args.w_min, args.w_max, args.n_w)
+    nodes = [(th0, w0) for th0 in theta_vals for w0 in w_vals]
 
-    theta_vals = [
-        args.theta_min + (args.theta_max - args.theta_min) * i / (args.n_theta - 1)
-        for i in range(args.n_theta)
-    ]
-    w_vals = [
-        args.w_min + (args.w_max - args.w_min) * i / (args.n_w - 1)
-        for i in range(args.n_w)
-    ]
-
-    rows: list[list] = []
-    agree_count = 0
+    header = ["theta0", "w0", "verdict", "h0", "t_estimate"]
     if args.with_oracle:
         cfg = _integration_config(args)
         grid = verify.classifier_oracle_grid(
-            p_probe,
-            [t + shift for t in theta_vals],
+            frame.params,
+            [t + frame.shift for t in theta_vals],
             w_vals,
             cfg,
-            t_end=args.t_end / scale,
+            t_end=frame.horizon(args.t_end, cfg.h_min),
         )
-        for (th0, w0), node in zip(
-            ((t, w) for t in theta_vals for w in w_vals), grid
-        ):
-            _, _, verdict, h0, t_est, oracle, agree = node
-            agree_count += agree
-            rows.append(
-                [th0, w0, verdict, h0,
-                 None if t_est is None else t_est * scale, oracle, agree]
-            )
-        header = ["theta0", "w0", "verdict", "h0", "t_estimate", "oracle", "agrees"]
+        columns = [node[2:] for node in grid]  # verdict, h0, t_est, oracle, agrees
+        header += ["oracle", "agrees"]
     else:
-        for th0 in theta_vals:
-            for w0 in w_vals:
-                rs = ReducedState(th0 + shift, w0)
-                mc = classify_state(rs, p_probe)
-                t_est = (
-                    collision_time(rs, p_probe).value * scale
-                    if mc.predicts_collision
-                    else None
-                )
-                rows.append([th0, w0, mc.verdict.value, mc.h0, t_est])
-        header = ["theta0", "w0", "verdict", "h0", "t_estimate"]
+        columns = []
+        for th0, w0 in nodes:
+            mc, t_est = verify.classify_node(frame.reduced(th0, w0), frame.params)
+            columns.append((mc.verdict.value, mc.h0, t_est))
+    rows = [
+        [th0, w0, verdict, h0, frame.input_time(t_est), *oracle]
+        for (th0, w0), (verdict, h0, t_est, *oracle) in zip(nodes, columns)
+    ]
 
     payload = {
         "command": "sweep",
         "alpha": args.alpha,
-        "gamma": p_probe.gamma,
+        "gamma": frame.params.gamma,
         "n_theta": args.n_theta,
         "n_w": args.n_w,
         "with_oracle": bool(args.with_oracle),
         "rows": [dict(zip(header, row)) for row in rows],
     }
     if args.with_oracle:
-        payload["agreement_rate"] = agree_count / len(rows)
-    if swapped:
-        payload["gamma_normalized"] = True
-        payload["gamma_input"] = args.gamma
+        payload["agreement_rate"] = sum(row[-1] for row in rows) / len(rows)
+    payload.update(frame.fields(None))
     _emit(args, payload, (header, rows))
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "CHECKS",
     "run_battery",
     "classifier_oracle_grid",
+    "classify_node",
     "worker_count",
     "sample_subcritical_negative",
     "sample_subcritical_positive",
@@ -135,14 +136,17 @@ def _detect_collision_time(
 # Classifier-oracle grid (parallelizable)
 # --------------------------------------------------------------------------
 
+def classify_node(rs: ReducedState, p: Params) -> tuple[analysis.MotionClass, float | None]:
+    """A grid node's verdict and, where it predicts a collision, the estimate's time."""
+    mc = classify(rs, p)
+    return mc, (collision_time(rs, p).value if mc.predicts_collision else None)
+
+
 def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]:
     alpha, gamma, th0, w0, t_end, cfg = args
     p = Params(alpha, gamma)
     rs = ReducedState(th0, w0)
-    mc = classify(rs, p)
-    t_est: float | None = None
-    if mc.predicts_collision:
-        t_est = collision_time(rs, p).value
+    mc, t_est = classify_node(rs, p)
     result, _ = simulate_until_collision(rs, p, cfg, t_end=t_end, survival_witness=True)
     agree = mc.predicts_collision == (result.status is SimStatus.COLLIDED)
     return (th0, w0, mc.verdict.value, mc.h0, t_est, result.status.value, agree)
