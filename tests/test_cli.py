@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import filcol.cli as cli
@@ -18,7 +20,7 @@ import filcol.verify as verify
 from filcol import gamma_star
 from filcol.cli import main, normalize_full, normalize_reduced
 
-from conftest import rel_err
+from conftest import linspace, rel_err
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +247,13 @@ class TestSimulateCommand:
         assert code == 2
         assert out == "" and "h_min" in err
 
+    def test_renamed_horizon_below_the_step_floor_names_the_typed_values(self, capsys):
+        # 1.5e-14 exceeds h_min, but its renamed-frame horizon 7.5e-15 does not.
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", "0.5",
+                                 "--theta0", "0", "--w0", "0.5", "--t-end", "1.5e-14")
+        assert code == 2
+        assert out == "" and "1.5e-14" in err and "7.5e-15" not in err
+
     @pytest.mark.parametrize("system", ["full", "hyperbolic"])
     def test_reached_run_ends_exactly_at_t_end(self, capsys, tmp_path, system):
         # The last step is sized to the remainder, and t + (t_end - t)
@@ -438,6 +447,15 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, *argv, "--output", str(serial))
         assert code == 0, err
         assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_renamed_oracle_horizon_below_the_step_floor_names_the_typed_values(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha", "0.2", "--gamma", "0.5",
+            "--theta-min", "-0.5", "--theta-max", "0.5", "--w-min", "-1", "--w-max", "1",
+            "--with-oracle", "--t-end", "1.5e-14",
+        )
+        assert code == 2
+        assert out == "" and "1.5e-14" in err and "7.5e-15" not in err
 
     def test_invalid_grid_counts_exit_2(self, capsys):
         code, _, err = run_cli(capsys, *self.BASE, "--n-theta", "1", "--n-w", "5")
@@ -736,6 +754,42 @@ class TestRatioNormalization:
         assert swapped and p.gamma == 2.0 and scale == 2.0
         assert full.r1 == 1.1 and full.z1 == 0.0 and full.r2 == 1.0 and full.z2 == -0.3
 
+    @given(
+        alpha=st.floats(0.05, 0.9),
+        gamma=st.floats(0.3, 0.95),
+        log_r1=st.floats(-0.7, 0.7),
+        log_r2=st.floats(-0.7, 0.7),
+        z1=st.floats(-1.0, 1.0),
+        gap=st.floats(0.4, 1.5),
+        above=st.booleans(),
+    )
+    @settings(max_examples=30)
+    def test_full_map_agrees_with_direct_integration(
+        self, alpha, gamma, log_r1, log_r2, z1, gap, above
+    ):
+        # The raw ratio < 1 full field, integrated by scipy, against the
+        # renamed-frame run mapped back: (R1, Z1, R2, Z2) at time t/scale is
+        # (r2, -z2, r1, -z1) at t.  The axial gap keeps the pair >= 0.4 apart.
+        def raw_field(t, y):
+            r1, z1, r2, z2 = y
+            w, dr = z1 - z2, r1 - r2
+            den = (dr * dr + w * w) ** 1.5
+            aw, ar = alpha * w / den, alpha * dr / den
+            return [-r2 * aw, -gamma / r1 + r2 * ar, -gamma * r1 * aw, 1.0 / r2 + gamma * r1 * ar]
+
+        y0 = [math.exp(log_r1), z1, math.exp(log_r2), z1 - gap if above else z1 + gap]
+        sol = solve_ivp(raw_field, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-14)
+        assert sol.success
+        p, full, scale, swapped = normalize_full(alpha, gamma, *y0)
+        assert swapped and scale == 1.0 / gamma
+        from filcol import IntegrationConfig, integrate
+
+        traj = integrate(full, p, 1.0 / scale, IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14))
+        assert traj.outcome.value == "reached-t-end"
+        r1, z1, r2, z2 = traj.state_final
+        for mapped, direct in zip((r2, -z2, r1, -z1), sol.y[:, -1]):
+            assert abs(mapped - direct) <= 1e-8 * max(1.0, abs(direct))
+
     def test_classify_equivalence_between_frames(self, capsys, tmp_path):
         payload_lo = run_json(
             capsys, tmp_path, "classify", "--alpha", "0.2", "--gamma", "0.9090909090909091",
@@ -788,6 +842,43 @@ class TestRatioNormalization:
         )
         assert payload["outcome"]["status"] == "collided"
         assert rel_err(payload["outcome"]["time"], t_direct) < 1e-4
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_sweep_equivalence_between_frames(self, capsys, tmp_path, oracle):
+        # gamma 0.8 runs at 1/0.8 = 1.25 on the theta grid shifted by
+        # log(sqrt(0.8)), with its horizon and times scaled by 0.8.
+        shift = 0.5 * math.log(0.8)
+        grid = ("--alpha", "0.5", "--w-min", "-1", "--w-max", "1",
+                "--n-theta", "4", "--n-w", "4", "--format", "json")
+        lo = run_json(capsys, tmp_path, "sweep", *grid, "--gamma", "0.8",
+                      "--theta-min", "-1", "--theta-max", "1",
+                      *(("--with-oracle", "--t-end", "30") if oracle else ()), name="lo.json")
+        hi = run_json(capsys, tmp_path, "sweep", *grid, "--gamma", "1.25",
+                      "--theta-min", repr(-1 + shift), "--theta-max", repr(1 + shift),
+                      *(("--with-oracle", "--t-end", "24") if oracle else ()), name="hi.json")
+        assert lo["gamma_normalized"] is True and lo["gamma_input"] == 0.8
+        assert "gamma_normalized" not in hi and lo["gamma"] == hi["gamma"] == 1.25
+        assert [row["theta0"] for row in lo["rows"][::4]] == linspace(-1.0, 1.0, 4)
+        verdicts = {row["verdict"] for row in lo["rows"]}
+        assert verdicts == {"asymmetric-collision", "no-collision-subcritical"}
+        for a, b in zip(lo["rows"], hi["rows"]):
+            assert a["verdict"] == b["verdict"] and a.get("oracle") == b.get("oracle")
+            assert a["h0"] == pytest.approx(b["h0"], rel=1e-12)
+            if b["t_estimate"] is None:
+                assert a["t_estimate"] is None
+            else:
+                assert a["t_estimate"] == pytest.approx(b["t_estimate"] / 0.8, rel=1e-12)
+        if oracle:
+            assert lo["agreement_rate"] == hi["agreement_rate"]
+
+    def test_theta_star_equivalence_between_frames(self, capsys, tmp_path):
+        # theta-star answers in the renamed frame: 0.8 gives 1.25's angle.
+        argv = ("theta-star", "--alpha", "0.5", "--h0", "0.1")
+        lo = run_json(capsys, tmp_path, *argv, "--gamma", "0.8", name="lo.json")
+        hi = run_json(capsys, tmp_path, *argv, "--gamma", "1.25", name="hi.json")
+        assert lo["gamma_normalized"] is True and lo["gamma_input"] == 0.8
+        assert hi["gamma_normalized"] is False and lo["gamma"] == hi["gamma"] == 1.25
+        assert lo["theta_star"] == pytest.approx(hi["theta_star"], rel=1e-12)
 
     def test_nonpositive_gamma_rejected(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "0",
