@@ -199,13 +199,12 @@ _REGIME_OF_K_SIGN = (_CRITICAL, _SUBCRITICAL, _SUPERCRITICAL)
 def _ratio_regime(p: Params) -> tuple[int, float]:
     """(regime, gamma_star) of p: the one place the regime boundaries are drawn.
 
-    offset2 == 0 means gamma = 1 and also one ulp above, where sqrt(gamma)
-    rounds to 1 and field and energy equal their gamma = 1 forms.  Above
-    that the sign of K decides; gamma_star is returned for reporting only
+    sqrt(gamma) == 1 means gamma = 1 and also one ulp above, where the
+    closed forms of gamma = 1 still apply.  Above that the sign of K decides; gamma_star is returned for reporting only
     (memoised, and p.alpha is already validated).
     """
     gs = _gamma_star(p.alpha)
-    if p.offset2 == 0.0:
+    if p.sqrt_gamma == 1.0:
         return _GAMMA1, gs
     return _REGIME_OF_K_SIGN[k_sign(p)], gs
 
@@ -222,8 +221,7 @@ def theta_star(p: Params, h0: float) -> float:
     initial angles at or left of it can feed a monotone collision.  It
     vanishes at y* = mu*exp(-theta_star) = h0/(c - 1), where c**3 = r =
     alpha**2*gamma/(offset2*mu**2) > 1.  c - 1 is formed as
-    (r - 1)/(c**2 + c + 1) and sqrt(gamma) - 1 as (gamma - 1)/(sqrt(gamma)
-    + 1), so that nothing cancels.
+    (r - 1)/(c**2 + c + 1), so that nothing cancels.
     """
     regime, gs = _ratio_regime(p)
     if regime != _SUBCRITICAL:
@@ -233,8 +231,7 @@ def theta_star(p: Params, h0: float) -> float:
     if not 0.0 < h0 < math.inf:
         raise DomainError(f"theta_star needs a finite h0 > 0, got {h0}")
     mu = p.mu
-    offset = (p.gamma - 1.0) / (p.sqrt_gamma + 1.0)
-    den = offset * offset * mu * mu
+    den = p.offset2 * mu * mu
     r_minus_1 = (p.alpha * p.alpha * p.gamma - den) / den
     c = (1.0 + r_minus_1) ** (1.0 / 3.0)
     return math.log(mu) + math.log(r_minus_1 / (c * c + c + 1.0)) - math.log(h0)
@@ -244,8 +241,7 @@ def axis_energy(theta: float, p: Params) -> float:
     """Energy of the coplanar state (theta, 0); defined for gamma > 1."""
     if _ratio_regime(p)[0] == _GAMMA1:
         raise RegimeError("the coplanar line is singular for gamma = 1")
-    c = -p.mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
-    return c * math.exp(-theta)
+    return (-p.mu + p.alpha * p.sqrt_gamma / p.offset) * math.exp(-theta)
 
 
 # --------------------------------------------------------------------------
@@ -401,13 +397,12 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
         )
     mu = p.mu
     h0 = _walk(rs0, p)[0].h0  # the energy, checked as classify checks it
-    c = -mu + p.alpha * p.sqrt_gamma / (p.sqrt_gamma - 1.0)
-    # c < 0 and h0 < 0 in this regime.
-    theta_tilde = math.log(c / h0)
+    # The coplanar energy and h0 are both negative in this regime.
+    theta_tilde = math.log(axis_energy(0.0, p) / h0)
     theta_lo = theta_tilde - 1.0
     theta_hi = max(math.log(mu / abs(h0)), theta_lo + 1e-6)
     lower = -mu * math.exp(-theta_lo)
-    upper = c * math.exp(-theta_hi)
+    upper = axis_energy(theta_hi, p)
     return LinearCorridor(
         lower_slope=lower, upper_slope=upper, theta_lo=theta_lo, theta_hi=theta_hi
     )

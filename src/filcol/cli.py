@@ -436,13 +436,8 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    battery = args.battery
-    if battery == "all":
-        selection = None
-    elif battery == "none":
-        selection = []
-    else:
-        selection = [name.strip() for name in battery.split(",") if name.strip()]
+    names = [name.strip() for name in args.battery.split(",") if name.strip()]
+    selection = {"all": None, "none": []}.get(args.battery, names)
     report = verify.run_battery(
         alpha=args.alpha,
         selection=selection,

@@ -101,9 +101,15 @@ class Params:
         return self.gamma + 1.0 / math.sqrt(self.gamma)
 
     @property
+    def offset(self) -> float:
+        """sqrt(gamma) - 1, formed as (gamma - 1)/(sqrt(gamma) + 1) so nothing cancels."""
+        return (self.gamma - 1.0) / (math.sqrt(self.gamma) + 1.0)
+
+    @property
     def offset2(self) -> float:
-        """(sqrt(gamma) - 1)**2, the squared radial offset scale on d = 0."""
-        return (math.sqrt(self.gamma) - 1.0) ** 2
+        """offset**2, the squared radial offset scale on d = 0."""
+        offset = self.offset
+        return offset * offset
 
 
 @dataclass(frozen=True)

@@ -245,11 +245,11 @@ class TestRegimeBoundaries:
         assert result.status is not SimStatus.COLLIDED
 
     def test_gamma_one_ulp_above_one_is_equal_circulation(self):
-        # sqrt(gamma) rounds to 1 there, so offset2 = 0 and the closed
-        # forms of gamma = 1 apply.
+        # sqrt(gamma) rounds to 1 there, and the closed forms of gamma = 1
+        # apply.
         p = Params(0.2, math.nextafter(1.0, 2.0))
         p1 = Params(0.2, 1.0)
-        assert p.offset2 == 0.0
+        assert p.sqrt_gamma == 1.0
         for th0, w0 in ((0.0, 0.5), (1.0, 0.3), (-0.5, 2.0), (0.3, -0.4), (0.0, 0.2)):
             rs = ReducedState(th0, w0)
             mc, mc1 = classify(rs, p), classify(rs, p1)

@@ -54,6 +54,13 @@ class TestParams:
         assert p.mu == 4.5
         assert p.offset2 == 1.0
 
+    @pytest.mark.parametrize("gamma", [1.0 + 1e-8, 1.0 + 1e-6])
+    def test_offset2_does_not_cancel_near_one(self, gamma):
+        # (sqrt(gamma) - 1)**2 kept only about 5e-9 relative at 1 + 1e-8.
+        with mpmath.workdps(40):
+            exact = (mpmath.sqrt(mpmath.mpf(gamma)) - 1) ** 2
+            assert abs(Params(0.2, gamma).offset2 - exact) / exact <= 4e-16
+
 
 class TestFullSystem:
     def test_overlapping_filaments_rejected(self):
