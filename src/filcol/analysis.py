@@ -199,9 +199,9 @@ _REGIME_OF_K_SIGN = (_CRITICAL, _SUBCRITICAL, _SUPERCRITICAL)
 def _ratio_regime(p: Params) -> tuple[int, float]:
     """(regime, gamma_star) of p: the one place the regime boundaries are drawn.
 
-    sqrt(gamma) == 1 means gamma = 1 and also one ulp above, where the
-    closed forms of gamma = 1 still apply.  Above that the sign of K decides; gamma_star is returned for reporting only
-    (memoised, and p.alpha is already validated).
+    sqrt(gamma) == 1 means gamma = 1 and also one ulp above, where the gamma = 1
+    closed forms apply.  Above that the sign of K decides; gamma_star is
+    returned for reporting only (memoised, and p.alpha is already validated).
     """
     gs = _gamma_star(p.alpha)
     if p.sqrt_gamma == 1.0:

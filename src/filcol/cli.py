@@ -82,14 +82,12 @@ class _Frame:
             )
         return t_end / self.scale
 
-    def input_time(self, t: float | None, t_end: float | None = None) -> float | None:
-        """t in input time, None kept; at t_end's horizon, t_end itself (not an ulp off)."""
-        if t is None:
-            return None
+    def input_time(self, t: float, t_end: float | None = None) -> float:
+        """t in input time; at t_end's horizon, t_end itself (not an ulp off)."""
         return t_end if t_end is not None and t == t_end / self.scale else t * self.scale
 
     def fields(self, note: str | None, always: bool = False) -> dict:
-        """A renamed frame's gamma_normalized, gamma_input and note; or {}, or `always` false."""
+        """Renamed: gamma_normalized, gamma_input, note. Else {}, or with `always` a false flag."""
         if not self.swapped:
             return {"gamma_normalized": False} if always else {}
         fields = {"gamma_normalized": True, "gamma_input": self.gamma_input}
@@ -416,7 +414,7 @@ def _cmd_sweep(args) -> None:
             mc, t_est = verify.classify_node(frame.reduced(th0, w0), frame.params)
             columns.append((mc.verdict.value, mc.h0, t_est))
     rows = [
-        [th0, w0, verdict, h0, frame.input_time(t_est), *oracle]
+        [th0, w0, verdict, h0, None if t_est is None else frame.input_time(t_est), *oracle]
         for (th0, w0), (verdict, h0, t_est, *oracle) in zip(nodes, columns)
     ]
 
@@ -436,8 +434,13 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    names = [name.strip() for name in args.battery.split(",") if name.strip()]
-    selection = {"all": None, "none": []}.get(args.battery, names)
+    battery = args.battery
+    if battery == "all":
+        selection = None
+    elif battery == "none":
+        selection = []
+    else:
+        selection = [name.strip() for name in battery.split(",") if name.strip()]
     report = verify.run_battery(
         alpha=args.alpha,
         selection=selection,
