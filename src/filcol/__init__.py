@@ -10,6 +10,8 @@ adaptive integrator, stopped by rules checked at its accepted points,
 that serves as the independent oracle for all of it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CollisionTimeEstimate,
     EstimateKind,
@@ -72,56 +74,8 @@ from .verify import run_battery
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Params",
-    "FullState",
-    "ReducedState",
-    "HyperbolicState",
-    "Derivative",
-    "full_field",
-    "reduced_field",
-    "hyperbolic_field",
-    "reduced_energy",
-    "hyperbolic_energy",
-    "conserved_d",
-    "reduce_state",
-    "hyperbolic_radii",
-    "hyperbolic_separation",
-    "ansatz_residual",
-    "Verdict",
-    "MotionClass",
-    "EstimateKind",
-    "FormulaTag",
-    "CollisionTimeEstimate",
-    "LinearCorridor",
-    "NoCollisionCertificate",
-    "gamma_star",
-    "theta_star",
-    "classify",
-    "collision_time",
-    "apriori_corridor",
-    "no_collision_certificate",
-    "SystemKind",
-    "IntegrationConfig",
-    "IntegrationStats",
-    "Outcome",
-    "Trajectory",
-    "integrate",
-    "SimStatus",
-    "CollisionResult",
-    "simulate_until_collision",
-    "run_battery",
-    "FilcolError",
-    "ValidationError",
-    "NumericalError",
-    "DomainError",
-    "SeparationZero",
-    "OnSingularLine",
-    "Divergent",
-    "InversionFailure",
-    "RegimeError",
-    "StepLimitExceeded",
-    "InvalidInitialState",
-    "ConfigInvalid",
-    "NumericalFailure",
-]
+# The public names are exactly the ones imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

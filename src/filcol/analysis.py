@@ -2,27 +2,28 @@
 
 The circulation ratio gamma splits the d = 0 dynamics into four regimes
 around a critical ratio gamma_star(alpha), the unique value at which
-self-induction and interaction balance on the coplanar line W = 0:
+self-induction and interaction balance on the coplanar line W = 0.  The
+motion is invariant under (theta, W, t) -> (theta + s, W*e**s, t*e**(2s)),
+so one threshold on v = W0*exp(-theta0) decides below gamma_star:
 
-  gamma = 1                 head-on collision iff W0 > 0;
-  1 < gamma < gamma_star    asymmetric collision iff W0 > 0 and the energy
-                            is nonpositive or theta0 lies left of a
-                            separatrix theta_star;
+  gamma = 1                 head-on collision iff W0 > 0 (v_star = 0);
+  1 < gamma < gamma_star    asymmetric collision iff W0 > 0 and v >= v_star,
+                            that is, the energy is nonpositive or theta0
+                            lies left of a separatrix theta_star;
   gamma = gamma_star        asymmetric collision iff W0 > 0 (W0 = 0 rests);
   gamma > gamma_star        no collision ever: the heavier ring threads the
                             lighter one and the axial gap decreases without
                             bound inside an a-priori linear corridor.
 
-`_ratio_regime` draws these boundaries in one place, from the sign of
-K = alpha**2*gamma - offset2*mu**2 that `dynamics.k_sign` decides (K > 0
-below gamma_star, K < 0 above it; the critical band is where rounding
-leaves the sign undecided), and `_walk` walks the state chain.  This module
-computes the threshold itself, for reporting, by bracketed bisection with
-Newton polish, and the separatrix in closed form; it classifies initial
-states, evaluates the exact collision-time formulas and the
-comparison-principle upper bounds, builds the supercritical corridor, and
-certifies d != 0 states collision-free by minimizing the separation over
-their energy level set.
+`_walk` compares v with v_star from the record ``Params.law``, which
+`dynamics` draws once per Params from the equal-circulation test and the
+sign of K = alpha**2*gamma - offset2*mu**2.  This module computes
+gamma_star itself, for reporting, by bracketed bisection with Newton
+polish, and the separatrix in closed form; it classifies initial states,
+evaluates the exact collision-time formulas and the comparison-principle
+upper bounds, builds the supercritical corridor, and certifies d != 0
+states collision-free by minimizing the separation over their energy
+level set.
 """
 
 from __future__ import annotations
@@ -33,15 +34,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import dynamics
-from .dynamics import (
-    HyperbolicState,
-    Params,
-    ReducedState,
-    hyperbolic_kinetic,
-    k_sign,
-    quartic,
+from .dynamics import HyperbolicState, Params, ReducedState, Regime, hyperbolic_kinetic, quartic
+from .errors import (
+    ConfigInvalid, Divergent, DomainError, NumericalFailure, OnSingularLine, RegimeError
 )
-from .errors import Divergent, DomainError, NumericalFailure, OnSingularLine, RegimeError
 
 __all__ = [
     "Verdict",
@@ -183,30 +179,15 @@ def _gamma_star(alpha: float) -> float:
     return eta * eta
 
 
-# Ratio regimes are ints.  The colliding branches are the FormulaTag members,
-# bound to module names once, as an Enum attribute lookup is slow per call.
-_GAMMA1, _SUBCRITICAL, _CRITICAL, _SUPERCRITICAL = range(4)
+# The regimes and colliding branches, bound to module names once, as an Enum
+# attribute lookup is slow per call.
+_EQUAL, _SUBCRITICAL, _CRITICAL, _SUPERCRITICAL = Regime  # its members, in order
 _G1_H0_ZERO = FormulaTag.GAMMA1_H0_ZERO
 _G1_H0_NONZERO = FormulaTag.GAMMA1_H0_NONZERO
 _CRIT = FormulaTag.CRITICAL
 _SUB_H0_ZERO = FormulaTag.SUBCRITICAL_H0_ZERO
 _SUB_H0_NEG = FormulaTag.SUBCRITICAL_H0_NEGATIVE
 _SUB_H0_POS = FormulaTag.SUBCRITICAL_H0_POSITIVE
-# The regime of gamma > 1, indexed by k_sign: 0, 1 and -1.
-_REGIME_OF_K_SIGN = (_CRITICAL, _SUBCRITICAL, _SUPERCRITICAL)
-
-
-def _ratio_regime(p: Params) -> tuple[int, float]:
-    """(regime, gamma_star) of p: the one place the regime boundaries are drawn.
-
-    sqrt(gamma) == 1 means gamma = 1 and also one ulp above, where the gamma = 1
-    closed forms apply.  Above that the sign of K decides; gamma_star is
-    returned for reporting only (memoised, and p.alpha is already validated).
-    """
-    gs = _gamma_star(p.alpha)
-    if p.sqrt_gamma == 1.0:
-        return _GAMMA1, gs
-    return _REGIME_OF_K_SIGN[k_sign(p)], gs
 
 
 # --------------------------------------------------------------------------
@@ -219,27 +200,23 @@ def theta_star(p: Params, h0: float) -> float:
     The axial-gap derivative on the level h0 changes sign exactly once,
     at theta_star: negative to the left, positive to the right, so only
     initial angles at or left of it can feed a monotone collision.  It
-    vanishes at y* = mu*exp(-theta_star) = h0/(c - 1), where c**3 = r =
-    alpha**2*gamma/(offset2*mu**2) > 1.  c - 1 is formed as
-    (r - 1)/(c**2 + c + 1), so that nothing cancels.
+    vanishes at y* = mu*exp(-theta_star) = h0/(rho - 1), where rho**3 =
+    alpha**2*gamma/(offset2*mu**2) > 1; rho - 1 is the record's
+    ``rho_minus_1``, formed so that nothing cancels.
     """
-    regime, gs = _ratio_regime(p)
-    if regime != _SUBCRITICAL:
+    law = p.law
+    if law.regime is not _SUBCRITICAL:
         raise RegimeError(
-            f"need gamma strictly inside (1, gamma_star={gs}), got {p.gamma}"
+            f"need gamma strictly inside (1, gamma_star={_gamma_star(p.alpha)}), got {p.gamma}"
         )
     if not 0.0 < h0 < math.inf:
         raise DomainError(f"theta_star needs a finite h0 > 0, got {h0}")
-    mu = p.mu
-    den = p.offset2 * mu * mu
-    r_minus_1 = (p.alpha * p.alpha * p.gamma - den) / den
-    c = (1.0 + r_minus_1) ** (1.0 / 3.0)
-    return math.log(mu) + math.log(r_minus_1 / (c * c + c + 1.0)) - math.log(h0)
+    return math.log(p.mu) + math.log(law.rho_minus_1) - math.log(h0)
 
 
 def axis_energy(theta: float, p: Params) -> float:
     """Energy of the coplanar state (theta, 0); defined for gamma > 1."""
-    if _ratio_regime(p)[0] == _GAMMA1:
+    if p.law.regime is _EQUAL:
         raise RegimeError("the coplanar line is singular for gamma = 1")
     return (-p.mu + p.alpha * p.sqrt_gamma / p.offset) * math.exp(-theta)
 
@@ -248,19 +225,20 @@ def axis_energy(theta: float, p: Params) -> float:
 # Classification
 # --------------------------------------------------------------------------
 
-def _h0_negligible(h0: float, p: Params, theta0: float) -> bool:
-    # Relative to the self-induction term, so the rescaling (theta0, W0) ->
-    # (theta0 + s, W0*exp(s)), which maps h0 to exp(-s)*h0, keeps verdicts.
-    return abs(h0) <= _H0_ZERO_RTOL * p.mu * math.exp(-theta0)
-
-
 def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]:
-    """Walk the regime chain once: the class of rs0 and, if it collides, the
-    formula tag of the branch whose collision-time formula applies (None
-    otherwise)."""
+    """The class of rs0 and, if it collides, the formula tag of the branch
+    whose collision-time formula applies (None otherwise).
+
+    The regime and the threshold come from the record ``p.law``: below
+    gamma_star a state collides iff W0 > 0 and v = W0*exp(-theta0) >=
+    v_star, and above it never.  h0 and theta_star are reported only; the
+    sign of h0 and the h0 ~ 0 cut pick the subcritical formula tag.
+    """
     th0, w0 = rs0.theta, rs0.w
-    regime, gs = _ratio_regime(p)
-    if regime == _GAMMA1 and w0 == 0.0:
+    law = p.law
+    regime = law.regime
+    gs = _gamma_star(p.alpha)
+    if regime is _EQUAL and w0 == 0.0:
         raise OnSingularLine("W = 0 is excluded for gamma = 1")
     try:
         h0 = dynamics.reduced_energy(p)(th0, w0)
@@ -268,30 +246,31 @@ def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]
         h0 = math.inf
     if not math.isfinite(h0):
         raise DomainError(f"state ({th0!r}, {w0!r}) is not representable: energy overflows")
-    if regime == _SUPERCRITICAL:
+    if regime is _SUPERCRITICAL:
         return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs), None
-    if regime == _GAMMA1:
-        if w0 < 0.0:
-            return MotionClass(Verdict.NO_COLLISION_GAMMA1, h0, gs), None
-        branch = _G1_H0_ZERO if _h0_negligible(h0, p, th0) else _G1_H0_NONZERO
-        return MotionClass(Verdict.HEAD_ON_COLLISION, h0, gs), branch
-    if regime == _CRITICAL:
-        if w0 > 0.0:
-            return MotionClass(Verdict.ASYMMETRIC_COLLISION, h0, gs), _CRIT
-        verdict = Verdict.EQUILIBRIUM_REST if w0 == 0.0 else Verdict.NO_COLLISION_SUBCRITICAL
-        return MotionClass(verdict, h0, gs), None
-
-    ts = None
-    if _h0_negligible(h0, p, th0):
+    # h0 ~ 0 relative to the self-induction term, so the rescaling (theta0,
+    # W0) -> (theta0 + s, W0*exp(s)), which maps h0 to exp(-s)*h0, keeps it.
+    e0 = math.exp(-th0)
+    zero = abs(h0) <= _H0_ZERO_RTOL * p.mu * e0
+    ts = theta_star(p, h0) if regime is _SUBCRITICAL and h0 > 0.0 and not zero else None
+    if not (w0 > 0.0 and w0 * e0 >= law.v_star):
+        if regime is _EQUAL:
+            verdict = Verdict.NO_COLLISION_GAMMA1
+        elif regime is _CRITICAL and w0 == 0.0:
+            verdict = Verdict.EQUILIBRIUM_REST
+        else:
+            verdict = Verdict.NO_COLLISION_SUBCRITICAL
+        return MotionClass(verdict, h0, gs, ts), None
+    verdict = Verdict.ASYMMETRIC_COLLISION
+    if regime is _EQUAL:
+        verdict, branch = Verdict.HEAD_ON_COLLISION, _G1_H0_ZERO if zero else _G1_H0_NONZERO
+    elif regime is _CRITICAL:
+        branch = _CRIT
+    elif zero:
         branch = _SUB_H0_ZERO
-    elif h0 < 0.0:
-        branch = _SUB_H0_NEG
     else:
-        ts = theta_star(p, h0)
-        branch = _SUB_H0_POS if th0 <= ts else None
-    if w0 > 0.0 and branch is not None:
-        return MotionClass(Verdict.ASYMMETRIC_COLLISION, h0, gs, ts), branch
-    return MotionClass(Verdict.NO_COLLISION_SUBCRITICAL, h0, gs, ts), None
+        branch = _SUB_H0_NEG if h0 < 0.0 else _SUB_H0_POS
+    return MotionClass(verdict, h0, gs, ts), branch
 
 
 def classify(rs0: ReducedState, p: Params) -> MotionClass:
@@ -316,8 +295,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
     if branch is None:
         raise RegimeError(f"state does not collide: {mc.verdict.value}")
     th0, w0, h0 = rs0.theta, rs0.w, mc.h0
-    alpha, gamma = p.alpha, p.gamma
-    sqg, mu, c2 = p.sqrt_gamma, p.mu, p.offset2
+    alpha, gamma, sqg, mu = p.alpha, p.gamma, p.sqrt_gamma, p.mu
 
     if branch is _G1_H0_ZERO:
         # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
@@ -329,8 +307,8 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
             raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
         g1_w0 = (alpha / (h0 * h0)) * math.log(arg0) + w0 / h0
         z = h0 * w0 / alpha
-        if abs(z) < 8e-3:  # the difference below cancels: sum its series in z
-            value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 9))
+        if abs(z) < 0.25:  # the difference below cancels as 1/z**2: sum its series in z
+            value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 30))
         else:
             value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
         return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {"g1_w0": g1_w0})
@@ -356,7 +334,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
 
     a2g = alpha * alpha * gamma
     if branch is _SUB_H0_ZERO:
-        m0 = mu * mu * math.sqrt(a2g - c2 * mu * mu) / a2g
+        m0 = mu * mu * math.sqrt(p.law.k) / a2g
         value = math.exp(2.0 * th0) / (2.0 * m0)
         return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {"m0": m0})
     if branch is _SUB_H0_NEG:
@@ -390,10 +368,9 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
     between -mu*exp(-theta_lo) and the (negative) coplanar energy at
     theta_hi, giving two lines that squeeze W(t) and force W -> -inf.
     """
-    regime, gs = _ratio_regime(p)
-    if regime != _SUPERCRITICAL:
+    if p.law.regime is not _SUPERCRITICAL:
         raise RegimeError(
-            f"corridor needs gamma > gamma_star={gs}, got {p.gamma}"
+            f"corridor needs gamma > gamma_star={_gamma_star(p.alpha)}, got {p.gamma}"
         )
     mu = p.mu
     h0 = _walk(rs0, p)[0].h0  # the energy, checked as classify checks it
@@ -425,6 +402,8 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     bound is strictly positive because the energy diverges at the contact
     configuration.
     """
+    if not isinstance(hs0, HyperbolicState):
+        raise ConfigInvalid(f"the certificate needs a HyperbolicState (d != 0), got {hs0!r}")
     d = hs0.d
     energy = dynamics.hyperbolic_energy(p, d)
     h0 = energy(hs0.theta, hs0.w)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from enum import Enum
+from typing import Callable, NamedTuple, Union
 
 from .errors import (
     DomainError,
@@ -35,6 +36,8 @@ from .errors import (
 
 __all__ = [
     "Params",
+    "Regime",
+    "RegimeLaw",
     "FullState",
     "ReducedState",
     "HyperbolicState",
@@ -96,13 +99,21 @@ class Params:
         return math.sqrt(self.gamma)
 
     @property
+    def equal_circulation(self) -> bool:
+        """gamma = 1 as the arithmetic sees it: sqrt(gamma) == 1, one ulp above too."""
+        return self.sqrt_gamma == 1.0
+
+    @property
     def mu(self) -> float:
         """Self-induction coefficient gamma + gamma**-1/2 of the axial gap."""
         return self.gamma + 1.0 / math.sqrt(self.gamma)
 
     @property
     def offset(self) -> float:
-        """sqrt(gamma) - 1, formed as (gamma - 1)/(sqrt(gamma) + 1) so nothing cancels."""
+        """sqrt(gamma) - 1, formed as (gamma - 1)/(sqrt(gamma) + 1) so nothing
+        cancels; 0 at equal circulation."""
+        if self.equal_circulation:
+            return 0.0
         return (self.gamma - 1.0) / (math.sqrt(self.gamma) + 1.0)
 
     @property
@@ -110,6 +121,65 @@ class Params:
         """offset**2, the squared radial offset scale on d = 0."""
         offset = self.offset
         return offset * offset
+
+    @property
+    def law(self) -> RegimeLaw:
+        """The d = 0 regime and its threshold, drawn on first use and kept on
+        the instance (a cached_property would materialise its __dict__)."""
+        law = getattr(self, "_law", None)
+        if law is not None:
+            return law
+        mu = self.mu
+        c = self.offset2 * mu * mu
+        k = max(self.alpha * self.alpha * self.gamma - c, 0.0)
+        rho_minus_1 = v_star = 0.0
+        if self.equal_circulation:
+            regime = Regime.EQUAL_CIRCULATION
+        else:
+            sign = k_sign(self)
+            if sign > 0:
+                regime = Regime.SUBCRITICAL
+                r_minus_1 = k / c
+                rho = (1.0 + r_minus_1) ** (1.0 / 3.0)
+                rho_minus_1 = r_minus_1 / (rho * rho + rho + 1.0)
+                v_star = self.offset * math.sqrt(rho_minus_1)
+            elif sign < 0:
+                regime, v_star = Regime.SUPERCRITICAL, math.inf
+            else:
+                regime, k = Regime.CRITICAL, 0.0
+        law = RegimeLaw(regime, c, k, rho_minus_1, v_star, math.sqrt(k) / mu)
+        object.__setattr__(self, "_law", law)
+        return law
+
+
+class Regime(Enum):
+    """The d = 0 regimes, split at equal circulation and at gamma_star."""
+
+    EQUAL_CIRCULATION = "equal-circulation"
+    SUBCRITICAL = "subcritical"
+    CRITICAL = "critical"
+    SUPERCRITICAL = "supercritical"
+
+
+class RegimeLaw(NamedTuple):
+    """The d = 0 regime of one (alpha, gamma) and the numbers that draw it:
+    c = offset2*mu**2, K = alpha**2*gamma - c (0 in the critical band, never
+    below 0) and a2g = c + K.  A state collides iff W0 > 0 and v =
+    W0*exp(-theta0) >= v_star = offset*sqrt(rho - 1), rho**3 = a2g/c (rho
+    - 1 formed so nothing cancels): 0 at equal circulation and at the
+    critical ratio, inf above it.  h0 > 0 iff |v| < v0 = sqrt(K)/mu > v_star.
+    """
+
+    regime: Regime
+    c: float
+    k: float
+    rho_minus_1: float
+    v_star: float
+    v0: float
+
+    @property
+    def a2g(self) -> float:
+        return self.c + self.k
 
 
 @dataclass(frozen=True)
@@ -275,12 +345,12 @@ def hyperbolic_separation(theta: float, w: float, d: float, gamma: float) -> flo
 def reduced_field(p: Params) -> Callable[[float, float], Derivative]:
     """Return the (theta, W) vector field of the d = 0 reduction.
 
-    gamma = 1 is handled as an exact branch: the radial-offset term drops
-    out and the W = 0 line is excluded (OnSingularLine), together with the
-    |W| whose cube underflows to 0.
+    Equal circulation (``Params.law``) is an exact branch: the radial-offset
+    term drops out and the W = 0 line is excluded (OnSingularLine), together
+    with the |W| whose cube underflows to 0.
     """
     alpha = p.alpha
-    if p.gamma == 1.0:
+    if p.law.regime is Regime.EQUAL_CIRCULATION:
 
         def field_g1(theta: float, w: float) -> Derivative:
             aw = abs(w)
@@ -311,7 +381,7 @@ def reduced_field(p: Params) -> Callable[[float, float], Derivative]:
 def reduced_energy(p: Params) -> Callable[[float, float], float]:
     """Return the conserved energy of the d = 0 system as a callable."""
     alpha = p.alpha
-    if p.gamma == 1.0:
+    if p.law.regime is Regime.EQUAL_CIRCULATION:
 
         def energy_g1(theta: float, w: float) -> float:
             if w == 0.0:
@@ -339,7 +409,7 @@ def quartic(eta: float, alpha: float) -> float:
 
 def k_sign(p: Params) -> int:
     """Sign of K = alpha**2*gamma - offset2*mu**2, or 0 where rounding cannot
-    decide it: the one regime decision of the d = 0 system.
+    decide it: the sign ``Params.law`` draws the d = 0 regime from.
 
     With eta = sqrt(gamma), K = quartic(eta)*(alpha*eta**2 + (eta - 1)*
     (eta**3 + 1))/eta**2 and the second factor is positive, so K > 0 (1)
@@ -356,15 +426,6 @@ def k_sign(p: Params) -> int:
     return 1 if q > 0.0 else -1
 
 
-def _axis_constants(p: Params) -> tuple[float, float, float]:
-    """(a2g, c, K) of the d = 0 levels: c = offset2*mu**2 and K =
-    alpha**2*gamma - c, taken as 0 in the critical band (k_sign 0) and never
-    below it, and a2g = c + K, so that the three agree."""
-    c = p.offset2 * p.mu * p.mu
-    k2 = 0.0 if k_sign(p) == 0 else max(p.alpha * p.alpha * p.gamma - c, 0.0)
-    return c + k2, c, k2
-
-
 def monotone_approach(p: Params, h: float, u: float) -> bool:
     """Whether W rises with s over (0, u] on the W > 0 branch of level h, so
     that the run from s = u = exp(theta) falls to the axis with W falling.
@@ -373,14 +434,14 @@ def monotone_approach(p: Params, h: float, u: float) -> bool:
     d(W**2)/ds = 2*s*(a2g*mu/m**3 - offset2).  That is positive on (0, u)
     exactly where it is at u: offset2*m(u)**3 < a2g*mu, written with
     z = h*u/mu as c*z*(3 + 3*z + z**2) < K.  It holds for every h < 0 once
-    K >= 0, for h = 0 where K > 0, and at gamma = 1 (c = 0) for every h;
-    it fails on the critical level's rest line (K = 0, h = 0, where W = 0
-    throughout).  Against theta_star it is theta < theta_star on the
+    K >= 0, for h = 0 where K > 0, and at equal circulation (c = 0) for
+    every h; it fails on the critical level's rest line (K = 0, h = 0, where
+    W = 0 throughout).  Against theta_star it is theta < theta_star on the
     point's own level.
     """
-    _, c, k2 = _axis_constants(p)
+    law = p.law
     z = h * u / p.mu
-    return c * z * (3.0 + z * (3.0 + z)) < k2
+    return law.c * z * (3.0 + z * (3.0 + z)) < law.k
 
 
 def time_to_axis(p: Params, h: float, u: float) -> float:
@@ -401,18 +462,19 @@ def time_to_axis(p: Params, h: float, u: float) -> float:
     terms have cancelled by hand, and artanh(r) = artanh(x) - artanh(y).
     artanh(r) - r is its series where |r| < 0.2, and elsewhere
     log1p((q - k)/(sqrt(a2g) + k)) - log1p(z) - r with q - k =
-    -c*z*(2 + z)/P, so no artanh is rounded to -1.  At gamma = 1 (c = 0)
-    the time is sqrt(a2g)*(log1p(z) - z/(1 + z))/h**2, a series where
-    |z| < 0.05.  It agrees with a 40-digit quadrature of the same level to
+    -c*z*(2 + z)/P, so no artanh is rounded to -1.  At equal circulation
+    (c = 0) the time is sqrt(a2g)*(log1p(z) - z/(1 + z))/h**2, a series
+    where |z| < 0.05.  It agrees with a 40-digit quadrature of the same level to
     about 1e-13 relative.  The level's W > 0 branch must reach the axis
     monotonically from u (``monotone_approach``).
     """
-    a2g, c, k2 = _axis_constants(p)
+    law = p.law
+    a2g, c, k2 = law.a2g, law.c, law.k
     sa = math.sqrt(a2g)
     mu = p.mu
     z = h * u / mu
     scale = (u / mu) ** 2
-    if c == 0.0:
+    if law.regime is Regime.EQUAL_CIRCULATION:
         if abs(z) < 0.05:
             return sa * scale * sum((-z) ** n * (n + 1) / (n + 2) for n in range(14))
         return sa * (math.log1p(z) - z / (1.0 + z)) / (h * h)

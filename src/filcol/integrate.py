@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Callable
 
 from . import dynamics
-from .dynamics import FullState, HyperbolicState, Params, ReducedState
+from .dynamics import FullState, HyperbolicState, Params, ReducedState, Regime
 from .errors import (
     ConfigInvalid,
     FilcolError,
@@ -461,14 +461,17 @@ def simulate_until_collision(
     A run that reaches t_end survived.  With ``survival_witness`` the
     "survival-witness" rule is watched too, and a run it stops survived at
     the witness time: from there the rings only separate.  Any other stop,
-    such as step collapse off an armed branch, is inconclusive.  Raises
-    ConfigInvalid for a state that is not a ReducedState.
+    such as step collapse off an armed branch, is inconclusive.  Both rules
+    are armed from the record ``p.law``: the separation rule unless the ratio
+    is supercritical, and the witness's W = 0 edge at equal circulation.
+    Raises ConfigInvalid for a state that is not a ReducedState.
     """
     if not isinstance(rs0, ReducedState):
         raise ConfigInvalid(f"the collision driver needs a ReducedState (d = 0), got {rs0!r}")
     if cfg is None:
         cfg = IntegrationConfig()
-    armed = dynamics.k_sign(p) >= 0
+    regime = p.law.regime
+    armed, equal = regime is not Regime.SUPERCRITICAL, regime is Regime.EQUAL_CIRCULATION
     energy = dynamics.reduced_energy(p)
     c2 = p.offset2
     th0, w0 = rs0.theta, rs0.w
@@ -476,12 +479,12 @@ def simulate_until_collision(
         # At gamma = 1, offset2 = 0 and D = |W|: exp(theta) alone may overflow.
         thr2 = _KAPPA * _KAPPA * ((c2 * math.exp(2.0 * th0) if c2 else 0.0) + w0 * w0)
         witness = survival_witness and (
-            p.gamma == 1.0 or energy(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
+            equal or energy(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
         )
     except _FIELD_ERRORS as exc:
         raise InvalidInitialState(f"initial state rejected: {exc}") from exc
     slack = 1e-9 * (1.0 + abs(w0))
-    w_witness = 0.0 if p.gamma == 1.0 else -slack
+    w_witness = 0.0 if equal else -slack
 
     def stop(y):
         """The rule that holds at y: "separation-below", "survival-witness"
@@ -495,19 +498,20 @@ def simulate_until_collision(
         is -2*offset2*h0*m(s) with m(s) = mu + h0*s = a*s > 0), so its
         minimum over (0, u] is the smaller of K and a**2*W**2: the W > 0
         branch reaches the axis exactly where K >= 0.  The rule is armed
-        where dynamics.k_sign(p) is not -1; the critical band, where the
-        sign is undecided, is armed.
+        unless the record's regime is supercritical; the critical band,
+        where the sign of K is undecided, is armed.
 
         The survival witness holds where W is at most -slack, slack =
-        1e-9*(1 + |W0|), the monotone witness's slack; at gamma = 1 it holds
-        where W <= 0, as every W < 0 falls.  On level h0, with m(s) = mu +
-        h0*s, W**2 = s**2*bracket(s)/m(s)**2 and D = alpha*sqrt(gamma)*s/m(s),
-        while dtheta/dt = -alpha*sqrt(gamma)*W/D**3 > 0 where W < 0.  With
-        h0 <= 0, m does not rise and the bracket does not fall as s grows
-        (its slope is -2*offset2*h0*m), so on the W < 0 branch |W| and D
-        only grow: it never returns to W = 0, nor to the axis.  At gamma =
-        1, dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is armed
-        once, from rs0: at gamma = 1, or where h0 lies below
+        1e-9*(1 + |W0|), the monotone witness's slack; at equal circulation
+        (the record's regime) it holds where W <= 0, as every W < 0 falls.
+        On level h0, with m(s) = mu + h0*s, W**2 = s**2*bracket(s)/m(s)**2
+        and D = alpha*sqrt(gamma)*s/m(s), while dtheta/dt =
+        -alpha*sqrt(gamma)*W/D**3 > 0 where W < 0.  With h0 <= 0, m does not
+        rise and the bracket does not fall as s grows (its slope is
+        -2*offset2*h0*m), so on the W < 0 branch |W| and D only grow: it
+        never returns to W = 0, nor to the axis.  At equal circulation,
+        dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is armed
+        once, from rs0: at equal circulation, or where h0 lies below
         -1e-12*mu*exp(-theta0), clear of the rounding of the zero-energy
         level.  K <= 0 puts every level below zero, so every supercritical
         run is armed.  Neither theta_star nor gamma_star enters.

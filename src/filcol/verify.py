@@ -79,10 +79,10 @@ def mid_subcritical_gamma(alpha: float) -> float:
 
 def h0_zero_w(p: Params, theta0: float) -> float:
     """The W > 0 value putting (theta0, W) on the zero-energy level."""
-    kappa2 = p.alpha ** 2 * p.gamma / p.mu ** 2 - p.offset2
-    if kappa2 <= 0.0:
+    v0 = p.law.v0
+    if not v0 > 0.0:
         raise ConfigInvalid("zero-energy level exists only below gamma_star")
-    return math.sqrt(kappa2) * math.exp(theta0)
+    return v0 * math.exp(theta0)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import decimal
 import itertools
 import math
@@ -9,11 +10,12 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from filcol import (
+    ConfigInvalid,
     DomainError,
     EstimateKind,
     FilcolError,
@@ -41,8 +43,8 @@ from filcol import (
     theta_star,
 )
 from filcol.analysis import axis_energy, quartic
-from filcol.dynamics import k_sign, reduced_field
-from filcol.verify import h0_zero_w, mid_subcritical_gamma
+from filcol.dynamics import Regime, k_sign, reduced_field
+from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
 from conftest import level_w, linspace, nonzero_d_states, rel_err
 
@@ -265,6 +267,22 @@ class TestRegimeBoundaries:
             theta_star(p, 0.1)
         with pytest.raises(RegimeError):
             axis_energy(0.0, p)
+        # The oracle reads the same record.  This W0 < 0 node ended
+        # inconclusive at t = 69.97 while its survival witness tested
+        # gamma == 1 exactly; like every node of criterion 04's grid it now
+        # ends as at gamma = 1, with the same time.
+        rs = ReducedState(0.3157894736842106, -0.10526315789473695)
+        result, _ = simulate_until_collision(rs, p, CFG, survival_witness=True)
+        assert result.status is SimStatus.SURVIVED
+        nodes = linspace(-2.0, 2.0, 20)
+        rows = classifier_oracle_grid(p, nodes, nodes, CFG, workers=1)
+        rows1 = classifier_oracle_grid(p1, nodes, nodes, CFG, workers=1)
+        assert [r[2] for r in rows] == [r[2] for r in rows1]
+        assert [r[5] for r in rows] == [r[5] for r in rows1]
+        assert collections.Counter(r[5] for r in rows) == {"collided": 200, "survived": 200}
+        for r, r1 in zip(rows, rows1):
+            assert (r[4] is None) == (r1[4] is None)
+            assert r[4] is None or rel_err(r[4], r1[4]) < 1e-12
 
 
 def level_gap_derivative(theta: float, p: Params, h0: float) -> float:
@@ -552,6 +570,73 @@ class TestScaleInvariance:
 
 
 @st.composite
+def threshold_states(draw) -> tuple[Params, ReducedState]:
+    """A d = 0 state at equal circulation, a mid-subcritical ratio or
+    gamma_star, with v = W0*exp(-theta0) spread around v_star, or within
+    1e-9 relative of it (of 1e-3, where v_star is 0)."""
+    alpha = draw(st.floats(0.02, 0.98))
+    ratio = draw(st.sampled_from(["equal", "mid-subcritical", "critical"]))
+    gamma = {"equal": 1.0, "critical": gamma_star(alpha)}.get(ratio)
+    p = Params(alpha, gamma or mid_subcritical_gamma(alpha))
+    law = p.law
+    span = max(law.v_star, law.v0, 1e-3)
+    if draw(st.booleans()):
+        v = law.v_star + span * draw(st.floats(-3.0, 3.0))
+    else:
+        v = law.v_star + max(law.v_star, 1e-3) * draw(st.floats(-1e-9, 1e-9))
+    th0 = draw(st.floats(-6.0, 6.0))
+    return p, ReducedState(th0, v * math.exp(th0))
+
+
+class TestOneThreshold:
+    # Below gamma_star the verdict is one threshold on v = W0*exp(-theta0):
+    # collision iff W0 > 0 and v >= v_star.
+    @given(case=threshold_states(), s=st.floats(-3.0, 3.0))
+    # Found by this property: the critical bound at v = 1e-3 is 1.4e-12 off
+    # the scale law, the rounding of h0 it inherits.  And the gamma = 1 time
+    # at z = h0*W0/alpha = 0.01 was 1.2e-11 off, its series threshold too low.
+    @example(case=(Params(0.5, 1.599120258544746), ReducedState(0.0, 0.001)), s=1.0)
+    @example(case=(Params(0.02, 1.0), ReducedState(0.3, 0.0099 * math.exp(0.3))), s=-2.0)
+    @settings(max_examples=100)
+    def test_verdict_is_a_function_of_v(self, case, s):
+        p, rs = case
+        law = p.law
+        th0, w0 = rs.theta, rs.w
+        if law.regime is Regime.EQUAL_CIRCULATION and w0 == 0.0:
+            with pytest.raises(OnSingularLine):
+                classify(rs, p)
+            return
+        v = w0 * math.exp(-th0)
+        try:
+            mc = classify(rs, p)
+        except DomainError:  # no verdict where the energy alpha/|W0| overflows
+            assert law.regime is Regime.EQUAL_CIRCULATION and p.alpha / abs(w0) == math.inf
+            return
+        assert mc.predicts_collision == (w0 > 0.0 and v >= law.v_star)
+        span = max(law.v_star, law.v0, 1e-3)
+        if abs(v - law.v_star) <= 1e-9 * span:
+            return
+        # Off the threshold the separatrix rule agrees: W0 > 0, and theta0
+        # at or left of theta_star where one is reported (h0 > 0).
+        assert mc.predicts_collision == (
+            w0 > 0.0 and (mc.theta_star is None or th0 <= mc.theta_star)
+        )
+        # Clear of the h0 ~ 0 cut, the shifted state keeps the verdict and
+        # the formula tag, and its time scales by exp(2*s): to 1e-12, and
+        # the rounding of h0, a few ulps of mu*exp(-theta0), times its
+        # condition number kappa, which the bounds inherit.
+        kappa = p.mu * math.exp(-th0) / abs(mc.h0)
+        if kappa >= 1e9:
+            return
+        twin = ReducedState(th0 + s, w0 * math.exp(s))
+        assert classify(twin, p).verdict is mc.verdict
+        if mc.predicts_collision:
+            est, est2 = collision_time(rs, p), collision_time(twin, p)
+            assert est2.formula_tag is est.formula_tag
+            assert rel_err(est2.value, est.value * math.exp(2.0 * s)) < 1e-12 + 2e-15 * kappa
+
+
+@st.composite
 def bounded_collisions(draw) -> tuple[Params, ReducedState]:
     """A colliding state on the h0 < 0, h0 > 0 or critical branch, each of
     which gets an upper bound rather than an exact time."""
@@ -733,13 +818,24 @@ class TestTimesAtTheEdges:
     @pytest.mark.parametrize("excess", [1e-2, 5e-3, -2e-3, 1e-4, -1e-4, 1e-7, -1e-7, 1e-10])
     def test_gamma1_near_zero_energy(self, excess):
         # W0 = alpha*exp(theta0)/2 is the zero level; z = h0*W0/alpha is
-        # about -excess, and |z| < 8e-3 takes the series.
+        # about -excess, and |z| < 0.25 takes the series.
         p = Params(0.5, 1.0)
         rs = ReducedState(0.3, 0.25 * math.exp(0.3) * (1.0 + excess))
         est = collision_time(rs, p)
         assert est.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
         want = decimal_time(est.formula_tag, p, rs.theta, rs.w, 0.0)
         assert rel_err(est.value, want) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.2])
+    @pytest.mark.parametrize("excess", [1e-2, -1e-2, 5e-2, -0.2, 0.3])
+    def test_gamma1_past_the_old_series_threshold(self, alpha, excess):
+        # The difference cancels as log(alpha)/z**2: with the series taken
+        # only where |z| < 8e-3 it was 1.2e-11 off at alpha 0.02, z = 0.01.
+        p = Params(alpha, 1.0)
+        rs = ReducedState(0.3, 0.5 * alpha * math.exp(0.3) * (1.0 + excess))
+        est = collision_time(rs, p)
+        want = decimal_time(est.formula_tag, p, rs.theta, rs.w, 0.0)
+        assert rel_err(est.value, want) < 1e-13
 
     @pytest.mark.parametrize("th0", [-1.0, 0.0, 1.5])
     @pytest.mark.parametrize("excess", [1e-2, 2e-3, 1e-4, 1e-7, 1e-10])
@@ -929,6 +1025,11 @@ class TestCertificate:
             hs = HyperbolicState(theta=1.0, w=w, d=0.5)
             seps.append(no_collision_certificate(hs, p).min_separation)
         assert all(b <= a + 1e-12 for a, b in zip(seps, seps[1:]))
+
+    def test_d_zero_state_is_a_config_error(self):
+        # It raised AttributeError for the missing d.
+        with pytest.raises(ConfigInvalid):
+            no_collision_certificate(ReducedState(0.0, 0.5), Params(0.2, 1.1))
 
     def test_coplanar_start_certifies_current_separation(self):
         p = Params(0.2, 2.0)

@@ -43,3 +43,38 @@ def test_module_imports_only_the_stdlib_and_the_package(path):
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "filcol"
     ]
     assert foreign == []
+
+
+def equal_circulation_tests(path: Path) -> list[int]:
+    """Lines of each == or != test of a `gamma` or `sqrt_gamma` name or attribute
+    against the constant 1, outside the Params class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside_params = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "Params"
+        for node in ast.walk(cls)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in inside_params:
+            continue
+        if not all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        operands = [node.left, *node.comparators]
+        names = {getattr(o, "id", None) or getattr(o, "attr", None) for o in operands}
+        one = any(
+            isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 1
+            for o in operands
+        )
+        if one and names & {"gamma", "sqrt_gamma"}:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_equal_circulation_is_tested_only_in_params(path):
+    # Params.equal_circulation is the one gamma = 1 predicate; everything
+    # else reads it (through Params.law), so no two modules can disagree on
+    # the ratio one ulp above 1.
+    assert equal_circulation_tests(path) == []
