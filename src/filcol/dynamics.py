@@ -164,11 +164,10 @@ class Regime(Enum):
 class RegimeLaw(NamedTuple):
     """The d = 0 regime of one (alpha, gamma) and the numbers that draw it:
     c = offset2*mu**2, K = alpha**2*gamma - c (0 in the critical band, never
-    below 0) and a2g = c + K.  A state collides iff W0 > 0 and v =
-    W0*exp(-theta0) >= v_star = offset*sqrt(rho - 1), rho**3 = a2g/c (rho
-    - 1 formed so nothing cancels): 0 at equal circulation and at the
-    critical ratio, inf above it.  h0 > 0 iff |v| < v0 = sqrt(K)/mu > v_star.
-    """
+    below 0), a2g = c + K.  A state collides iff W0 > 0 and v = W0*exp(-theta0)
+    >= v_star = offset*sqrt(rho - 1), rho**3 = a2g/c (rho - 1 formed so that
+    nothing cancels): 0 at equal circulation and at the critical ratio, inf
+    above it.  h0 > 0 iff |v| < v0 = sqrt(K)/mu; v_star < v0 where K > 0."""
 
     regime: Regime
     c: float

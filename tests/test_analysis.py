@@ -592,7 +592,7 @@ class TestOneThreshold:
     # Below gamma_star the verdict is one threshold on v = W0*exp(-theta0):
     # collision iff W0 > 0 and v >= v_star.
     @given(case=threshold_states(), s=st.floats(-3.0, 3.0))
-    # Found by this property: the critical bound at v = 1e-3 is 1.4e-12 off
+    # Found with this strategy: the critical bound at v = 1e-3 is 1.4e-12 off
     # the scale law, the rounding of h0 it inherits.  And the gamma = 1 time
     # at z = h0*W0/alpha = 0.01 was 1.2e-11 off, its series threshold too low.
     @example(case=(Params(0.5, 1.599120258544746), ReducedState(0.0, 0.001)), s=1.0)
