@@ -15,9 +15,10 @@ so one threshold on v = W0*exp(-theta0) decides below gamma_star:
                             lighter one and the axial gap decreases without
                             bound inside an a-priori linear corridor.
 
-`_walk` compares v with v_star from the record ``Params.law``, which
+`classify` compares v with v_star from the record ``Params.law``, which
 `dynamics` draws once per Params from the equal-circulation test and the
-sign of K = alpha**2*gamma - offset2*mu**2.  This module computes
+sign of K = alpha**2*gamma - offset2*mu**2; the same walk over the state
+picks a colliding state's collision-time formula.  This module computes
 gamma_star itself, for reporting, by bracketed bisection with Newton
 polish, and the separatrix in closed form; it classifies initial states,
 evaluates the exact collision-time formulas and the comparison-principle
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import dynamics
@@ -69,23 +70,6 @@ class Verdict(Enum):
     EQUILIBRIUM_REST = "equilibrium-rest"
 
 
-_COLLIDING = (Verdict.HEAD_ON_COLLISION, Verdict.ASYMMETRIC_COLLISION)
-
-
-@dataclass(frozen=True)
-class MotionClass:
-    """Classification of an initial state with its supporting quantities."""
-
-    verdict: Verdict
-    h0: float
-    gamma_star: float
-    theta_star: float | None = None
-
-    @property
-    def predicts_collision(self) -> bool:
-        return self.verdict in _COLLIDING
-
-
 class EstimateKind(Enum):
     EXACT = "exact"
     UPPER_BOUND = "upper-bound"
@@ -106,6 +90,53 @@ class CollisionTimeEstimate:
     value: float
     formula_tag: FormulaTag
     constants: dict[str, float]
+
+
+@dataclass(frozen=True, init=False)
+class MotionClass:
+    """Classification of an initial state with its supporting quantities.
+
+    A colliding state's ``formula_tag`` names its collision-time formula
+    (None otherwise); ``estimate`` evaluates it on the state and params
+    classified, which are kept out of eq and repr.
+    """
+
+    verdict: Verdict
+    h0: float
+    gamma_star: float
+    theta_star: float | None
+    formula_tag: FormulaTag | None
+    state: ReducedState = field(compare=False, repr=False)
+    params: Params = field(compare=False, repr=False)
+
+    def __init__(self, verdict, h0, gamma_star, theta_star, formula_tag, state, params):
+        # One dict update: a frozen dataclass's own __init__ makes a call per
+        # field, which for these seven took about three times as long.
+        self.__dict__.update(verdict=verdict, h0=h0, gamma_star=gamma_star, theta_star=theta_star,
+                             formula_tag=formula_tag, state=state, params=params)
+
+    @property
+    def predicts_collision(self) -> bool:
+        return self.formula_tag is not None
+
+    def estimate(self) -> CollisionTimeEstimate:
+        """Collision time of a colliding state: exact, or an upper bound.
+
+        Exact values come from quadrature of the energy-decoupled equations,
+        upper bounds from comparison solutions (README, "known discrepancies").
+        RegimeError if the state does not collide; NumericalFailure where the
+        formula divides by zero (h0**2 underflows) or a value is not finite.
+        """
+        tag = self.formula_tag
+        if tag is None:
+            raise RegimeError(f"state does not collide: {self.verdict.value}")
+        try:
+            kind, value, constants = _formula(self)
+        except (ZeroDivisionError, OverflowError):
+            value, constants = math.inf, {}
+        if not all(map(math.isfinite, (value, *constants.values()))):
+            raise NumericalFailure(f"the {tag.value} estimate leaves the float range at this state")
+        return CollisionTimeEstimate(kind, value, tag, constants)
 
 
 @dataclass(frozen=True)
@@ -225,14 +256,13 @@ def axis_energy(theta: float, p: Params) -> float:
 # Classification
 # --------------------------------------------------------------------------
 
-def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]:
-    """The class of rs0 and, if it collides, the formula tag of the branch
-    whose collision-time formula applies (None otherwise).
+def classify(rs0: ReducedState, p: Params) -> MotionClass:
+    """Four-way regime classification of a d = 0 initial state, in one walk.
 
     The regime and the threshold come from the record ``p.law``: below
     gamma_star a state collides iff W0 > 0 and v = W0*exp(-theta0) >=
     v_star, and above it never.  h0 and theta_star are reported only; the
-    sign of h0 and the h0 ~ 0 cut pick the subcritical formula tag.
+    sign of h0 and the h0 ~ 0 cut pick a colliding state's formula tag.
     """
     th0, w0 = rs0.theta, rs0.w
     law = p.law
@@ -247,7 +277,7 @@ def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]
     if not math.isfinite(h0):
         raise DomainError(f"state ({th0!r}, {w0!r}) is not representable: energy overflows")
     if regime is _SUPERCRITICAL:
-        return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs), None
+        return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs, None, None, rs0, p)
     # h0 ~ 0 relative to the self-induction term, so the rescaling (theta0,
     # W0) -> (theta0 + s, W0*exp(s)), which maps h0 to exp(-s)*h0, keeps it.
     e0 = math.exp(-th0)
@@ -260,7 +290,7 @@ def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]
             verdict = Verdict.EQUILIBRIUM_REST
         else:
             verdict = Verdict.NO_COLLISION_SUBCRITICAL
-        return MotionClass(verdict, h0, gs, ts), None
+        return MotionClass(verdict, h0, gs, ts, None, rs0, p)
     verdict = Verdict.ASYMMETRIC_COLLISION
     if regime is _EQUAL:
         verdict, branch = Verdict.HEAD_ON_COLLISION, _G1_H0_ZERO if zero else _G1_H0_NONZERO
@@ -270,12 +300,7 @@ def _walk(rs0: ReducedState, p: Params) -> tuple[MotionClass, FormulaTag | None]
         branch = _SUB_H0_ZERO
     else:
         branch = _SUB_H0_NEG if h0 < 0.0 else _SUB_H0_POS
-    return MotionClass(verdict, h0, gs, ts), branch
-
-
-def classify(rs0: ReducedState, p: Params) -> MotionClass:
-    """Four-way regime classification of a d = 0 initial state."""
-    return _walk(rs0, p)[0]
+    return MotionClass(verdict, h0, gs, ts, branch, rs0, p)
 
 
 # --------------------------------------------------------------------------
@@ -283,24 +308,18 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
 # --------------------------------------------------------------------------
 
 def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
-    """Collision time of a colliding state: exact, or an upper bound.
+    """Collision time of a colliding state: ``classify(rs0, p).estimate()``."""
+    return classify(rs0, p).estimate()
 
-    Exact values come from quadrature of the energy-decoupled equations;
-    upper bounds come from comparison solutions.  Every value is validated
-    against the adaptive integrator in the test battery, and `verify`
-    reports where commonly printed constants disagree with the quadrature
-    (see README, "known discrepancies").
-    """
-    mc, branch = _walk(rs0, p)
-    if branch is None:
-        raise RegimeError(f"state does not collide: {mc.verdict.value}")
-    th0, w0, h0 = rs0.theta, rs0.w, mc.h0
+
+def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
+    """The kind, time and constants of the collision-time formula mc names."""
+    branch, th0, w0, h0, p = mc.formula_tag, mc.state.theta, mc.state.w, mc.h0, mc.params
     alpha, gamma, sqg, mu = p.alpha, p.gamma, p.sqrt_gamma, p.mu
 
     if branch is _G1_H0_ZERO:
         # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
-        value = w0 * w0 / (2.0 * alpha)
-        return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {})
+        return EstimateKind.EXACT, w0 * w0 / (2.0 * alpha), {}
     if branch is _G1_H0_NONZERO:
         arg0 = mu * math.exp(-th0) * w0
         if arg0 <= 0.0:  # arg0 = alpha - h0*W0 > 0 unless exp(-theta0) underflows
@@ -311,7 +330,7 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
             value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 30))
         else:
             value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
-        return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {"g1_w0": g1_w0})
+        return EstimateKind.EXACT, value, {"g1_w0": g1_w0}
 
     if branch is _CRIT:
         # h0 < 0 for W0 != 0 at gamma_star, but may be > 0 below it in the band.
@@ -327,16 +346,12 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         else:
             g1_v0 = math.log1p(2.0 / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
         g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
-        value = -2.0 / m3 * g1_v0
-        return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND, value, branch, {"m3": m3, "v0": v0, "g1_v0": g1_v0}
-        )
+        return EstimateKind.UPPER_BOUND, -2.0 / m3 * g1_v0, {"m3": m3, "v0": v0, "g1_v0": g1_v0}
 
     a2g = alpha * alpha * gamma
     if branch is _SUB_H0_ZERO:
         m0 = mu * mu * math.sqrt(p.law.k) / a2g
-        value = math.exp(2.0 * th0) / (2.0 * m0)
-        return CollisionTimeEstimate(EstimateKind.EXACT, value, branch, {"m0": m0})
+        return EstimateKind.EXACT, math.exp(2.0 * th0) / (2.0 * m0), {"m0": m0}
     if branch is _SUB_H0_NEG:
         m1 = math.sqrt(alpha * sqg * (alpha * sqg - (sqg - 1.0) * mu)) / a2g
         u0 = mu * math.exp(-th0) / abs(h0)
@@ -347,12 +362,9 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
         else:
             g1_u0 = -(math.log1p(1.0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
         t_star = g1_u0 / (m1 * h0 * h0)
-        return CollisionTimeEstimate(
-            EstimateKind.UPPER_BOUND, t_star, branch, {"m1": m1, "u0": u0, "t_star": t_star}
-        )
+        return EstimateKind.UPPER_BOUND, t_star, {"m1": m1, "u0": u0, "t_star": t_star}
     m2 = math.sqrt(h0) * mu ** 1.5 / (alpha * sqg)
-    value = 2.0 * math.exp(1.5 * th0) / (3.0 * m2)
-    return CollisionTimeEstimate(EstimateKind.UPPER_BOUND, value, branch, {"m2": m2})
+    return EstimateKind.UPPER_BOUND, 2.0 * math.exp(1.5 * th0) / (3.0 * m2), {"m2": m2}
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +385,7 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
             f"corridor needs gamma > gamma_star={_gamma_star(p.alpha)}, got {p.gamma}"
         )
     mu = p.mu
-    h0 = _walk(rs0, p)[0].h0  # the energy, checked as classify checks it
+    h0 = classify(rs0, p).h0
     # The coplanar energy and h0 are both negative in this regime.
     theta_tilde = math.log(axis_energy(0.0, p) / h0)
     theta_lo = theta_tilde - 1.0

@@ -38,12 +38,12 @@ import sys
 
 from . import analysis, dynamics, verify
 from .analysis import classify as classify_state
-from .analysis import collision_time, gamma_star, theta_star
+from .analysis import gamma_star, theta_star
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
 from .errors import ConfigInvalid, NumericalError, ValidationError
 from .integrate import _KAPPA, IntegrationConfig, integrate, simulate_until_collision
 
-__all__ = ["main", "normalize_reduced", "normalize_full"]
+__all__ = ["main"]
 
 
 # --------------------------------------------------------------------------
@@ -86,10 +86,10 @@ class _Frame:
         """t in input time; at t_end's horizon, t_end itself (not an ulp off)."""
         return t_end if t_end is not None and t == t_end / self.scale else t * self.scale
 
-    def fields(self, note: str | None, always: bool = False) -> dict:
-        """Renamed: gamma_normalized, gamma_input, note. Else {}, or with `always` a false flag."""
+    def fields(self, note: str | None) -> dict:
+        """Renamed: gamma_normalized, gamma_input, note. Else {}."""
         if not self.swapped:
-            return {"gamma_normalized": False} if always else {}
+            return {}
         fields = {"gamma_normalized": True, "gamma_input": self.gamma_input}
         return fields if note is None else {**fields, "note": note}
 
@@ -101,22 +101,6 @@ def _frame(alpha: float, gamma: float) -> _Frame:
     if gamma >= 1.0:
         return _Frame(Params(alpha, gamma), gamma, -0.0, 1.0, False)
     return _Frame(Params(alpha, 1.0 / gamma), gamma, 0.5 * math.log(gamma), 1.0 / gamma, True)
-
-
-def normalize_reduced(
-    alpha: float, gamma: float, theta0: float, w0: float
-) -> tuple[Params, ReducedState, float, bool]:
-    """Map a reduced state onto the gamma >= 1 chart: (params, state, time_scale, swapped)."""
-    frame = _frame(alpha, gamma)
-    return frame.params, frame.reduced(theta0, w0), frame.scale, frame.swapped
-
-
-def normalize_full(
-    alpha: float, gamma: float, r1: float, z1: float, r2: float, z2: float
-) -> tuple[Params, FullState, float, bool]:
-    """Full-state version of normalize_reduced: (r1,z1,r2,z2)->(r2,-z2,r1,-z1)."""
-    frame = _frame(alpha, gamma)
-    return frame.params, frame.full(r1, z1, r2, z2), frame.scale, frame.swapped
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +265,8 @@ def _cmd_theta_star(args) -> None:
         "gamma": frame.params.gamma,
         "h0": args.h0,
         "theta_star": theta_star(frame.params, args.h0),
-        **frame.fields("filaments renamed; theta_star is in the renamed frame", always=True),
+        "gamma_normalized": frame.swapped,
+        **frame.fields("filaments renamed; theta_star is in the renamed frame"),
     }
     _emit(args, payload, _record_table(payload, ["alpha", "gamma", "h0", "theta_star"]))
 
@@ -303,7 +288,7 @@ def _cmd_classify(args) -> None:
         "predicts_collision": mc.predicts_collision,
     }
     if mc.predicts_collision:
-        est = collision_time(rs, p)
+        est = mc.estimate()
         payload["t_estimate"] = frame.input_time(est.value)
         payload["t_estimate_kind"] = est.kind.value
         payload["formula_tag"] = est.formula_tag.value

@@ -78,7 +78,7 @@ class Params:
              required in (0, 1).
     gamma -- circulation ratio after sign normalization, required >= 1
              (the ratio < 1 case is handled by renaming the filaments; see
-             ``cli.normalize_reduced`` and ``cli.normalize_full``).
+             ``cli._Frame``).
     """
 
     alpha: float
@@ -202,10 +202,6 @@ class FullState:
         _require_finite("z2", self.z2)
         if r1 <= 0.0 or r2 <= 0.0:
             raise DomainError(f"radii must be positive, got r1={r1}, r2={r2}")
-
-    @property
-    def w(self) -> float:
-        return self.z1 - self.z2
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.r1, self.z1, self.r2, self.z2)
@@ -419,6 +415,8 @@ def k_sign(p: Params) -> int:
     """
     eta, alpha = math.sqrt(p.gamma), p.alpha
     q = quartic(eta, alpha)
+    if math.isinf(q):  # eta > ~1.2e77, where the bound is inf too: far above gamma_star
+        return -1
     bound = 12.0 * 2.0 ** -53 * ((((eta + 1.0) * eta + alpha) * eta + 1.0) * eta + 1.0)
     if abs(q) <= bound:
         return 0

@@ -139,7 +139,7 @@ def _detect_collision_time(
 def classify_node(rs: ReducedState, p: Params) -> tuple[analysis.MotionClass, float | None]:
     """A grid node's verdict and, where it predicts a collision, the estimate's time."""
     mc = classify(rs, p)
-    return mc, (collision_time(rs, p).value if mc.predicts_collision else None)
+    return mc, (mc.estimate().value if mc.predicts_collision else None)
 
 
 def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]:
@@ -613,11 +613,14 @@ def run_battery(
 ) -> dict:
     """Run the re-derivation battery and return a JSON-ready report.
 
-    Raises ConfigInvalid for an unknown check, grid < 2 or samples < 1.
+    Raises ConfigInvalid for an unknown check, grid < 2 or samples < 1, and
+    for an odd grid when classifier-oracle is selected.
     """
+    wanted = list(CHECKS) if selection is None else list(selection)
     if grid < 2 or samples < 1:
         raise ConfigInvalid(f"need grid >= 2 and samples >= 1, got {grid} and {samples}")
-    wanted = list(CHECKS) if selection is None else list(selection)
+    if grid % 2 and "classifier-oracle" in wanted:
+        raise ConfigInvalid(f"classifier-oracle needs an even grid (no node on W0 = 0), got {grid}")
     unknown = [n for n in wanted if n not in CHECKS]
     if unknown:
         raise ConfigInvalid(f"unknown verify checks: {unknown}; known: {list(CHECKS)}")

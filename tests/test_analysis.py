@@ -246,6 +246,17 @@ class TestRegimeBoundaries:
         result, _ = simulate_until_collision(rs, p, CFG)
         assert result.status is not SimStatus.COLLIDED
 
+    @pytest.mark.parametrize("gamma", [1e155, 1e200, 1e300])
+    def test_ratios_whose_quartic_overflows_pass_through(self, gamma):
+        # sqrt(gamma) > 1.2e77: the quartic and its rounding bound overflow
+        # to inf, and the ratio, far above gamma_star, stays supercritical.
+        p = Params(0.5, gamma)
+        assert k_sign(p) == -1
+        assert p.law.regime is Regime.SUPERCRITICAL
+        mc = classify(ReducedState(0.0, 1.0), p)
+        assert mc.verdict is Verdict.GLOBAL_PASS_THROUGH
+        assert not mc.predicts_collision
+
     def test_gamma_one_ulp_above_one_is_equal_circulation(self):
         # sqrt(gamma) rounds to 1 there, and the closed forms of gamma = 1
         # apply.
@@ -724,6 +735,21 @@ class TestCollisionTime:
         with pytest.raises(RegimeError):
             collision_time(ReducedState(0.3, 0.0), Params(0.2, gamma_star(0.2)))
 
+    def test_estimate_is_read_from_the_class(self):
+        rs, p = ReducedState(0.0, 0.5), Params(0.5, 1.0)
+        mc = classify(rs, p)
+        assert mc.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
+        assert mc.estimate() == collision_time(rs, p)
+        # The state and params classified are kept out of eq and repr.
+        assert mc.state is rs and mc.params is p
+        assert "state" not in repr(mc) and "params" not in repr(mc)
+        twin = classify(ReducedState(0.0, 0.5), Params(0.5, 1.0))
+        assert twin == mc and twin.state is not rs
+        rest = classify(ReducedState(0.0, -0.5), p)
+        assert rest.formula_tag is None
+        with pytest.raises(RegimeError):
+            rest.estimate()
+
     def test_subcritical_zero_energy_exact_matches_oracle(self):
         p = Params(0.2, mid_subcritical_gamma(0.2))
         rs = ReducedState(0.5, h0_zero_w(p, 0.5))
@@ -905,6 +931,24 @@ class TestTimesAtTheEdges:
         p = Params(alpha, gamma_star(alpha))
         rs = ReducedState(0.0, w0)
         assert classify(rs, p).verdict is Verdict.ASYMMETRIC_COLLISION
+        with pytest.raises(NumericalFailure):
+            collision_time(rs, p)
+
+    @pytest.mark.parametrize("alpha, gamma, th0, w0", [
+        # h0**2 underflows to 0 in the gamma = 1 and subcritical h0 < 0 formulas.
+        (0.5, 1.0, 400.0, 1.3058e173),
+        (0.05, 1.0256164239019379, 350.0, 2.1850498746957718e150),
+        # Nearer the axis the gamma = 1 time and g1_w0 overflow to inf.
+        (0.05, 1.0, 332.0, 3.8344934526689277e142),
+    ])
+    def test_estimate_outside_the_float_range_is_a_numerical_failure(
+        self, alpha, gamma, th0, w0
+    ):
+        rs, p = ReducedState(th0, w0), Params(alpha, gamma)
+        mc = classify(rs, p)
+        assert mc.predicts_collision
+        with pytest.raises(NumericalFailure):
+            mc.estimate()
         with pytest.raises(NumericalFailure):
             collision_time(rs, p)
 

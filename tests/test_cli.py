@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 import filcol.cli as cli
 import filcol.verify as verify
 from filcol import gamma_star
-from filcol.cli import main, normalize_full, normalize_reduced
+from filcol.cli import _frame, main
 
 from conftest import linspace, rel_err
 
@@ -125,6 +125,40 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not representable" in err
+
+
+    def test_colliding_state_is_walked_once(self, capsys, tmp_path, monkeypatch):
+        # The estimate is read from the class: one reduced_energy factory call.
+        calls = []
+        real = cli.dynamics.reduced_energy
+        monkeypatch.setattr(cli.dynamics, "reduced_energy", lambda p: calls.append(p) or real(p))
+        payload = run_json(capsys, tmp_path, "classify", "--alpha", "0.2", "--gamma", "1.1",
+                           "--theta0", "0.2", "--w0", "0.8")
+        assert payload["predicts_collision"] is True and "t_estimate" in payload
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("alpha,gamma,theta0,w0", [
+        ("0.5", "1", "400", "1.3058e173"),
+        ("0.05", "1.0256164239019379", "350", "2.1850498746957718e150"),
+        ("0.05", "1", "332", "3.8344934526689277e+142"),
+    ])
+    def test_estimate_outside_the_float_range_exits_3(self, capsys, tmp_path,
+                                                       alpha, gamma, theta0, w0):
+        # Far from the axis h0**2 underflows to 0, or the time overflows:
+        # no traceback, and no artefact with an Infinity in it.
+        path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "classify", "--alpha", alpha, "--gamma", gamma,
+                                 "--theta0", theta0, "--w0", w0, "--output", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("gamma", ["1e155", "1e300"])
+    def test_huge_ratio_passes_through(self, capsys, tmp_path, gamma):
+        payload = run_json(capsys, tmp_path, "classify", "--alpha", "0.5", "--gamma", gamma,
+                           "--theta0", "0", "--w0", "1")
+        assert payload["verdict"] == "global-pass-through"
+        assert "t_estimate" not in payload
 
 
 class TestSimulateCommand:
@@ -495,6 +529,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "grid" in err
 
+    def test_odd_grid_with_the_oracle_exits_2_before_any_check(self, capsys):
+        # An odd grid puts an oracle node on W0 = 0, which gamma = 1 excludes.
+        code, out, err = run_cli(capsys, "verify", "--grid", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "even grid" in err
+        assert "PASS" not in err and err.count("\n") == 1
+
     def test_zero_samples_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--battery", "bound-domination",
                                  "--samples", "0")
@@ -737,8 +778,9 @@ class TestRatioNormalization:
 
         t_direct = 2.0
         sol = solve_ivp(raw_field, (0.0, t_direct), [th0, w0], rtol=1e-12, atol=1e-14)
-        p, rs, scale, swapped = normalize_reduced(alpha, g_o, th0, w0)
-        assert swapped and p.gamma == pytest.approx(1.25)
+        frame = _frame(alpha, g_o)
+        p, rs, scale = frame.params, frame.reduced(th0, w0), frame.scale
+        assert frame.swapped and p.gamma == pytest.approx(1.25)
         from filcol import IntegrationConfig, integrate
 
         traj = integrate(
@@ -750,8 +792,9 @@ class TestRatioNormalization:
         assert abs(w_n - sol.y[1, -1]) < 1e-8
 
     def test_full_map_preserves_conserved_sign_flip(self):
-        p, full, scale, swapped = normalize_full(0.2, 0.5, 1.0, 0.3, 1.1, 0.0)
-        assert swapped and p.gamma == 2.0 and scale == 2.0
+        frame = _frame(0.2, 0.5)
+        p, full, scale = frame.params, frame.full(1.0, 0.3, 1.1, 0.0), frame.scale
+        assert frame.swapped and p.gamma == 2.0 and scale == 2.0
         assert full.r1 == 1.1 and full.z1 == 0.0 and full.r2 == 1.0 and full.z2 == -0.3
 
     @given(
@@ -780,8 +823,9 @@ class TestRatioNormalization:
         y0 = [math.exp(log_r1), z1, math.exp(log_r2), z1 - gap if above else z1 + gap]
         sol = solve_ivp(raw_field, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-14)
         assert sol.success
-        p, full, scale, swapped = normalize_full(alpha, gamma, *y0)
-        assert swapped and scale == 1.0 / gamma
+        frame = _frame(alpha, gamma)
+        p, full, scale = frame.params, frame.full(*y0), frame.scale
+        assert frame.swapped and scale == 1.0 / gamma
         from filcol import IntegrationConfig, integrate
 
         traj = integrate(full, p, 1.0 / scale, IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14))

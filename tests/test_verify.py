@@ -10,7 +10,7 @@ import signal
 import pytest
 
 import filcol.verify as verify
-from filcol import IntegrationConfig, OnSingularLine, Params, StepLimitExceeded
+from filcol import ConfigInvalid, IntegrationConfig, OnSingularLine, Params, StepLimitExceeded
 
 
 def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
@@ -29,6 +29,40 @@ def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
     assert measured["derived_value"] == 1.0
     assert measured["printed_value"] == 4.0  # the stated constant stays reported
     assert horizons == [2.0 * measured["derived_value"] + 10.0]
+
+
+def test_odd_grid_is_rejected_only_with_the_oracle(monkeypatch):
+    # The grid is checked before any check runs.
+    def must_not_run(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(verify.CHECKS, "gamma-star", must_not_run)
+    with pytest.raises(ConfigInvalid, match="even grid"):
+        verify.run_battery(selection=["gamma-star", "classifier-oracle"], grid=5)
+    monkeypatch.undo()
+    report = verify.run_battery(selection=["gamma-star"], grid=5)
+    assert report["passed"]
+
+
+def test_one_energy_walk_per_node(monkeypatch):
+    # A colliding node is classified and timed from one walk: one call of
+    # the reduced_energy factory, which the benchmark counts as its energy
+    # layer.
+    calls = []
+    real = verify.dynamics.reduced_energy
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(verify.dynamics, "reduced_energy", counting)
+    rs, p = verify.ReducedState(0.0, 0.5), Params(0.5, 1.0)
+    mc, t_est = verify.classify_node(rs, p)
+    assert mc.predicts_collision and t_est is not None
+    assert len(calls) == 1
+    calls.clear()
+    assert verify.collision_time(rs, p).value == t_est
+    assert len(calls) == 1
 
 
 def test_classifier_oracle_reports_its_undecided_runs():
