@@ -33,6 +33,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import dynamics
 from .dynamics import HyperbolicState, Params, ReducedState, Regime, hyperbolic_kinetic, quartic
@@ -84,8 +85,7 @@ class FormulaTag(Enum):
     CRITICAL = "critical"
 
 
-@dataclass(frozen=True)
-class CollisionTimeEstimate:
+class CollisionTimeEstimate(NamedTuple):
     kind: EstimateKind
     value: float
     formula_tag: FormulaTag
@@ -125,7 +125,7 @@ class MotionClass:
         Exact values come from quadrature of the energy-decoupled equations,
         upper bounds from comparison solutions (README, "known discrepancies").
         RegimeError if the state does not collide; NumericalFailure where the
-        formula divides by zero (h0**2 underflows) or a value is not finite.
+        formula divides by zero (h0**2 underflows) or leaves the float range.
         """
         tag = self.formula_tag
         if tag is None:
@@ -134,7 +134,7 @@ class MotionClass:
             kind, value, constants = _formula(self)
         except (ZeroDivisionError, OverflowError):
             value, constants = math.inf, {}
-        if not all(map(math.isfinite, (value, *constants.values()))):
+        if not (value > 0.0 and all(map(math.isfinite, (value, *constants.values())))):
             raise NumericalFailure(f"the {tag.value} estimate leaves the float range at this state")
         return CollisionTimeEstimate(kind, value, tag, constants)
 
@@ -213,12 +213,7 @@ def _gamma_star(alpha: float) -> float:
 # The regimes and colliding branches, bound to module names once, as an Enum
 # attribute lookup is slow per call.
 _EQUAL, _SUBCRITICAL, _CRITICAL, _SUPERCRITICAL = Regime  # its members, in order
-_G1_H0_ZERO = FormulaTag.GAMMA1_H0_ZERO
-_G1_H0_NONZERO = FormulaTag.GAMMA1_H0_NONZERO
-_CRIT = FormulaTag.CRITICAL
-_SUB_H0_ZERO = FormulaTag.SUBCRITICAL_H0_ZERO
-_SUB_H0_NEG = FormulaTag.SUBCRITICAL_H0_NEGATIVE
-_SUB_H0_POS = FormulaTag.SUBCRITICAL_H0_POSITIVE
+_G1_H0_ZERO, _G1_H0_NONZERO, _SUB_H0_ZERO, _SUB_H0_NEG, _SUB_H0_POS, _CRIT = FormulaTag
 
 
 # --------------------------------------------------------------------------
@@ -325,11 +320,8 @@ def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
         if arg0 <= 0.0:  # arg0 = alpha - h0*W0 > 0 unless exp(-theta0) underflows
             raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
         g1_w0 = (alpha / (h0 * h0)) * math.log(arg0) + w0 / h0
-        z = h0 * w0 / alpha
-        if abs(z) < 0.25:  # the difference below cancels as 1/z**2: sum its series in z
-            value = (alpha / (h0 * h0)) * sum(z ** k / k for k in range(2, 30))
-        else:
-            value = (alpha / (h0 * h0)) * math.log(alpha) - g1_w0
+        y = arg0 / alpha  # 1 - h0*W0/alpha; past the float range the time is W0**2/arg0
+        value = -(w0 * dynamics.log_tail(y)) * (w0 / alpha) if y < math.inf else w0 / arg0 * w0
         return EstimateKind.EXACT, value, {"g1_w0": g1_w0}
 
     if branch is _CRIT:
@@ -337,12 +329,12 @@ def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
         if not h0 < -_H0_ZERO_RTOL * mu * math.exp(-th0):
             raise NumericalFailure(f"critical-ratio energy {h0} is not below zero: no bound")
         ah0 = abs(h0)
-        m3 = math.sqrt(sqg - 1.0) * math.sqrt(ah0) / (alpha ** 1.5 * gamma ** 0.75)
+        m3 = math.sqrt(p.offset) * math.sqrt(ah0) / (alpha ** 1.5 * gamma ** 0.75)
         v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
         if v0 <= 1.0:
             raise NumericalFailure(f"critical-branch substitution needs v0 > 1, got {v0}")
-        if v0 > 35.0:  # the difference below cancels: sum its series in 1/v0
-            g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) / v0 ** (2 * k + 1) for k in range(1, 6))
+        if v0 > 3.0:  # the difference below cancels as 1/v0**3: sum its series in 1/v0
+            g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) * v0 ** -(2 * k + 1) for k in range(1, 19))
         else:
             g1_v0 = math.log1p(2.0 / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
         g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
@@ -353,14 +345,11 @@ def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
         m0 = mu * mu * math.sqrt(p.law.k) / a2g
         return EstimateKind.EXACT, math.exp(2.0 * th0) / (2.0 * m0), {"m0": m0}
     if branch is _SUB_H0_NEG:
-        m1 = math.sqrt(alpha * sqg * (alpha * sqg - (sqg - 1.0) * mu)) / a2g
+        m1 = math.sqrt(alpha * sqg * (alpha * sqg - p.offset * mu)) / a2g
         u0 = mu * math.exp(-th0) / abs(h0)
         if u0 <= 1.0:
             raise NumericalFailure(f"comparison substitution needs u0 > 1, got {u0}")
-        if u0 > 125.0:  # the difference below cancels: sum its series in 1/(u0 - 1)
-            g1_u0 = sum((-1.0 / (u0 - 1.0)) ** k / k for k in range(2, 9))
-        else:
-            g1_u0 = -(math.log1p(1.0 / (u0 - 1.0)) - 1.0 / (u0 - 1.0))
+        g1_u0 = -dynamics.log_tail(u0 / (u0 - 1.0)) / (u0 - 1.0) / (u0 - 1.0)
         t_star = g1_u0 / (m1 * h0 * h0)
         return EstimateKind.UPPER_BOUND, t_star, {"m1": m1, "u0": u0, "t_star": t_star}
     m2 = math.sqrt(h0) * mu ** 1.5 / (alpha * sqg)

@@ -40,7 +40,7 @@ from . import analysis, dynamics, verify
 from .analysis import classify as classify_state
 from .analysis import gamma_star, theta_star
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
-from .errors import ConfigInvalid, NumericalError, ValidationError
+from .errors import ConfigInvalid, NumericalError, NumericalFailure, ValidationError
 from .integrate import _KAPPA, IntegrationConfig, integrate, simulate_until_collision
 
 __all__ = ["main"]
@@ -84,7 +84,10 @@ class _Frame:
 
     def input_time(self, t: float, t_end: float | None = None) -> float:
         """t in input time; at t_end's horizon, t_end itself (not an ulp off)."""
-        return t_end if t_end is not None and t == t_end / self.scale else t * self.scale
+        t_in = t_end if t_end is not None and t == t_end / self.scale else t * self.scale
+        if not t_in < math.inf:
+            raise NumericalFailure(f"the time {t!r} leaves the float range in the input frame")
+        return t_in
 
     def fields(self, note: str | None) -> dict:
         """Renamed: gamma_normalized, gamma_input, note. Else {}."""

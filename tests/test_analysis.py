@@ -830,7 +830,7 @@ def decimal_time(tag: FormulaTag, p: Params, th0: float, w0: float, h0: float) -
 class TestTimesAtTheEdges:
     # Close to h0 = 0 the gamma = 1, subcritical h0 < 0 and critical
     # formulas are differences of nearly equal terms; past a threshold each
-    # is summed as its series.
+    # is summed as a series (dynamics.log_tail's, or the critical bound's).
     @pytest.mark.parametrize("w0", [1e-3, 1e-9, 1e-20, 5e-54])
     def test_gamma1_small_gap(self, w0):
         # h0*W0 -> alpha as W0 -> 0, so alpha - h0*W0 cancels; the argument
@@ -844,7 +844,7 @@ class TestTimesAtTheEdges:
     @pytest.mark.parametrize("excess", [1e-2, 5e-3, -2e-3, 1e-4, -1e-4, 1e-7, -1e-7, 1e-10])
     def test_gamma1_near_zero_energy(self, excess):
         # W0 = alpha*exp(theta0)/2 is the zero level; z = h0*W0/alpha is
-        # about -excess, and |z| < 0.25 takes the series.
+        # about -excess, and |z| < 0.4 takes log_tail's series.
         p = Params(0.5, 1.0)
         rs = ReducedState(0.3, 0.25 * math.exp(0.3) * (1.0 + excess))
         est = collision_time(rs, p)
@@ -866,8 +866,8 @@ class TestTimesAtTheEdges:
     @pytest.mark.parametrize("th0", [-1.0, 0.0, 1.5])
     @pytest.mark.parametrize("excess", [1e-2, 2e-3, 1e-4, 1e-7, 1e-10])
     def test_subcritical_bound_just_below_zero_energy(self, th0, excess):
-        # u0 is about 130 at excess 1e-2 and 650 at 2e-3; u0 > 125 takes
-        # the series.
+        # u0 is about 130 at excess 1e-2 and 650 at 2e-3; 1/(u0 - 1) < 0.4
+        # takes log_tail's series.
         p = Params(0.2, 1.1)
         rs = ReducedState(th0, h0_zero_w(p, th0) * (1.0 + excess))
         mc = classify(rs, p)
@@ -889,7 +889,7 @@ class TestTimesAtTheEdges:
 
     @pytest.mark.parametrize("w0", [1e-2, 2e-3, 1e-3, 1e-4, 1e-5, 1e-6])
     def test_critical_bound_near_the_rest_line(self, w0):
-        # v0 grows like 1/W0 (15 at 1e-2, 73 at 2e-3); v0 > 35 takes the
+        # v0 grows like 1/W0 (15 at 1e-2, 73 at 2e-3); v0 > 3 takes the
         # series.  At (0, 1e-6) the difference gave 5,874 against 4,793.
         p = Params(0.2, gamma_star(0.2))
         rs = ReducedState(0.0, w0)
@@ -904,8 +904,9 @@ class TestTimesAtTheEdges:
         (FormulaTag.CRITICAL, 17.0, 35.0),
     ])
     def test_closed_form_side_of_the_series_thresholds(self, branch, x_lo, x_hi):
-        # u0 (subcritical) or v0 (critical) just below the series threshold,
-        # where the logarithms are taken as log1p so no digits are lost.
+        # u0 (subcritical) or v0 (critical) just below the old series
+        # thresholds 125 and 35, where a closed form was taken; both now
+        # take their series there.
         rng = random.Random(5)
         for _ in range(60):
             alpha, th0 = rng.uniform(0.05, 0.95), rng.uniform(-1.5, 1.5)
@@ -923,6 +924,56 @@ class TestTimesAtTheEdges:
             assert est.formula_tag is branch
             want = decimal_time(branch, p, th0, rs.w, mc.h0)
             assert rel_err(est.value, want) < 1e-12, (alpha, th0, rs.w)
+
+    def test_gamma1_time_across_the_old_series_switch(self):
+        # z = h0*W0/alpha log-uniform in 1e-3 < |z| < 0.9, either side of the
+        # old switch |z| = 0.25, where the closed form was 1.6e-14 off.
+        rng = random.Random(23)
+        worst = 0.0
+        for _ in range(200):
+            p = Params(rng.uniform(0.02, 0.98), 1.0)
+            th0 = rng.uniform(-1.5, 1.5)
+            z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(0.9))
+            w0 = p.alpha * (1.0 - z) * math.exp(th0) / p.mu
+            est = collision_time(ReducedState(th0, w0), p)
+            assert est.formula_tag is FormulaTag.GAMMA1_H0_NONZERO
+            worst = max(worst, rel_err(est.value, decimal_time(est.formula_tag, p, th0, w0, 0.0)))
+        assert worst < 2e-15
+
+    @pytest.mark.parametrize("branch, x_lo, x_hi, bound", [
+        # u0 either side of the old switch 125 (the old forms were 2.5e-14 off).
+        (FormulaTag.SUBCRITICAL_H0_NEGATIVE, 40.0, 400.0, 1.2e-14),
+        # v0 either side of the switch 3 and of the old one 35 (3.9e-13 off).
+        (FormulaTag.CRITICAL, 1.5, 100.0, 1e-14),
+    ])
+    def test_bounds_across_the_series_switches(self, branch, x_lo, x_hi, bound):
+        # h0 = -mu*exp(-theta0)/x, with x = u0 (subcritical) or v0**2
+        # (critical) log-uniform in [x_lo, x_hi].
+        rng = random.Random(29)
+        worst = 0.0
+        for _ in range(200):
+            alpha, th0 = rng.uniform(0.05, 0.95), rng.uniform(-1.5, 1.5)
+            x = math.exp(rng.uniform(math.log(x_lo), math.log(x_hi)))
+            if branch is FormulaTag.CRITICAL:
+                p, x = Params(alpha, gamma_star(alpha)), x * x
+            else:
+                p = Params(alpha, 1.0 + rng.uniform(0.1, 0.9) * (gamma_star(alpha) - 1.0))
+            rs = ReducedState(th0, level_w(th0, p, -p.mu * math.exp(-th0) / x))
+            mc = classify(rs, p)
+            est = mc.estimate()
+            assert est.formula_tag is branch
+            worst = max(worst, rel_err(est.value, decimal_time(branch, p, th0, rs.w, mc.h0)))
+        assert worst < bound
+
+    def test_time_that_underflows_is_a_numerical_failure(self):
+        # alpha/h0**2 underflows to 0: the difference of closed forms gave
+        # -0.0 at W0 = 1e-300, and -2e-320 at W0 = 1e-160, where the time is
+        # the subnormal 7.3205e-318.
+        p = Params(0.5, 1.0)
+        with pytest.raises(NumericalFailure):
+            classify(ReducedState(0.0, 1e-300), p).estimate()
+        est = classify(ReducedState(0.0, 1e-160), p).estimate()
+        assert est.value == pytest.approx(7.32054641e-318, rel=1e-5)
 
     @pytest.mark.parametrize("alpha, w0", [(0.625, 5.643185526345413e-54), (0.2, 1e-7)])
     def test_critical_energy_at_rounding_has_no_bound(self, alpha, w0):

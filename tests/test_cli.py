@@ -153,6 +153,27 @@ class TestClassifyCommand:
         assert out == "" and not path.exists()
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("alpha,gamma,theta0,w0", [
+        # The renamed frame's estimate is 1.4755e308: times 1/gamma it overflows.
+        ("0.2", "0.8206505259492958", "354.97882896445543", "4.0131340979338095e+151"),
+        # W0**2/alpha underflows: the time came out as -0.0.
+        ("0.5", "1", "0", "1e-300"),
+    ])
+    def test_time_outside_the_float_range_exits_3(self, capsys, tmp_path,
+                                                   alpha, gamma, theta0, w0):
+        path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "classify", "--alpha", alpha, "--gamma", gamma,
+                                 "--theta0", theta0, "--w0", w0, "--output", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_time_whose_gap_squared_overflows_stays_finite(self, capsys, tmp_path):
+        # W0 = 1e155 at gamma = 1: W0**2 overflows, the time 5e154 does not.
+        payload = run_json(capsys, tmp_path, "classify", "--alpha", "0.5", "--gamma", "1",
+                           "--theta0", "0", "--w0", "1e155")
+        assert payload["t_estimate"] == pytest.approx(5e154, rel=1e-15)
+
     @pytest.mark.parametrize("gamma", ["1e155", "1e300"])
     def test_huge_ratio_passes_through(self, capsys, tmp_path, gamma):
         payload = run_json(capsys, tmp_path, "classify", "--alpha", "0.5", "--gamma", gamma,
@@ -391,6 +412,21 @@ class TestSweepCommand:
         rows = path.read_text().splitlines()[1:]
         assert len(rows) == 36
         assert all(r.split(",")[2] == "global-pass-through" for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_time_overflowing_the_input_frame_exits_3(self, capsys, tmp_path, fmt):
+        # Two nodes collide; at theta0 = 354.97882896445543 the renamed
+        # frame's estimate, 1.4755e308, times 1/gamma overflows (written as
+        # inf or Infinity before).  The W0 < 0 nodes do not collide.
+        path = tmp_path / f"sweep.{fmt}"
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha", "0.2", "--gamma", "0.8206505259492958",
+            "--theta-min", "354", "--theta-max", "354.97882896445543",
+            "--w-min", "-4.0131340979338095e+151", "--w-max", "4.0131340979338095e+151",
+            "--n-theta", "2", "--n-w", "2", "--format", fmt, "--output", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -34,7 +34,7 @@ from filcol import (
     reduced_field,
     theta_star,
 )
-from filcol.dynamics import k_sign, monotone_approach, time_to_axis
+from filcol.dynamics import k_sign, log_tail, monotone_approach, time_to_axis
 
 from conftest import level_w, nonzero_d_states, rel_err
 
@@ -333,6 +333,20 @@ class TestTimeToAxis:
             want = p.alpha ** 2 * p.gamma * 4.0 / (2.0 * p.mu ** 2 * math.sqrt(k))
             assert rel_err(time_to_axis(p, 0.0, 2.0), want) < 1e-14
 
+    def test_gamma1_across_the_old_series_switch(self):
+        # z = h*u/mu log-uniform in 0.01 < |z| < 0.25, either side of the old
+        # switch |z| = 0.05, where the closed form was 4.1e-15 off.
+        rng = random.Random(31)
+        worst = 0.0
+        for _ in range(24):
+            p = Params(rng.uniform(0.02, 0.98), 1.0)
+            u = math.exp(rng.uniform(-2.0, 2.0))
+            z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, math.log10(0.25))
+            h = z * p.mu / u
+            want = _quadrature_time(p, h, u)
+            worst = max(worst, float(abs(time_to_axis(p, h, u) - want) / want))
+        assert worst < 2e-15
+
     def test_gamma1_far_from_zero_energy_stays_finite(self):
         # z = h*u/mu = 2.5e99: the log form, with no artanh to round to -1.
         p = Params(0.5, 1.0)
@@ -340,6 +354,26 @@ class TestTimeToAxis:
         want = 0.5 * (math.log1p(h / 2.0) - 1.0) / (h * h)
         got = time_to_axis(p, h, 1.0)
         assert math.isfinite(got) and rel_err(got, want) < 1e-15
+
+
+class TestLogTail:
+    def test_matches_40_digits(self):
+        # y log-uniform over [1e-300, 1e300], and 1 + d with |d| log-uniform
+        # down to 1e-300 (so y = 1 and its neighbours), across |x| = 0.4.
+        rng = random.Random(47)
+        ys = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(200)]
+        ys += [1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, -0.05)
+               for _ in range(400)]
+        ys += [0.6, 1.4, math.nextafter(0.6, 1.0), math.nextafter(1.4, 1.0),
+               math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 5e-324, 1e300]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for y in ys:
+                x = mpmath.mpf(y) - 1
+                want = (mpmath.log(y) - x) / x ** 2 if x else mpmath.mpf(-0.5)
+                worst = max(worst, float(abs((log_tail(y) - want) / want)))
+        assert worst < 2e-15
+        assert log_tail(1.0) == -0.5
 
 
 class TestHyperbolicChart:

@@ -78,3 +78,39 @@ def test_equal_circulation_is_tested_only_in_params(path):
     # else reads it (through Params.law), so no two modules can disagree on
     # the ratio one ulp above 1.
     assert equal_circulation_tests(path) == []
+
+
+def series_sites(path: Path) -> list[tuple[str, str, str | None]]:
+    """(file, function, outermost `if` test) of each sum() over a range(): the
+    if is the outermost one inside the function that holds the sum, or None."""
+    sites = []
+    for func in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        branch_of = {}
+        for stmt in ast.walk(func):
+            if isinstance(stmt, ast.If) and id(stmt) not in branch_of:
+                for node in ast.walk(stmt):
+                    branch_of.setdefault(id(node), ast.unparse(stmt.test))
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"
+                    and any(getattr(gen.iter.func, "id", None) == "range"
+                            for arg in node.args if isinstance(arg, ast.GeneratorExp)
+                            for gen in arg.generators if isinstance(gen.iter, ast.Call))):
+                sites.append((path.name, func.name, branch_of.get(id(node))))
+    return sites
+
+
+def test_each_series_has_one_copy():
+    # log_tail is the one copy of the near-zero log series (log(y) - x)/x**2;
+    # the critical bound's odd series in 1/v0 and time_to_axis's artanh tail
+    # are the only other series, one each.
+    allowed = {
+        ("analysis.py", "_formula", "branch is _CRIT"),
+        ("dynamics.py", "log_tail", None),
+        ("dynamics.py", "time_to_axis", "abs(r) < 0.2"),
+    }
+    sites = [site for path in SOURCES if path.name in ("analysis.py", "dynamics.py")
+             for site in series_sites(path)]
+    assert set(sites) <= allowed, sorted(set(sites) - allowed)
+    assert len(sites) == len(set(sites)), sites
