@@ -21,8 +21,8 @@ sign of K = alpha**2*gamma - offset2*mu**2; the same walk over the state
 picks a colliding state's collision-time formula.  This module computes
 gamma_star itself, for reporting, by bracketed bisection with Newton
 polish, and the separatrix in closed form; it classifies initial states,
-evaluates the exact collision-time formulas and the comparison-principle
-upper bounds, builds the supercritical corridor, and certifies d != 0
+takes exact collision times from ``dynamics.time_to_axis``, evaluates the
+comparison-principle upper bounds, builds the corridor, and certifies d != 0
 states collision-free by minimizing the separation over their energy
 level set.
 """
@@ -132,7 +132,7 @@ class MotionClass:
             raise RegimeError(f"state does not collide: {self.verdict.value}")
         try:
             kind, value, constants = _formula(self)
-        except (ZeroDivisionError, OverflowError):
+        except (ZeroDivisionError, OverflowError, ValueError):
             value, constants = math.inf, {}
         if not (value > 0.0 and all(map(math.isfinite, (value, *constants.values())))):
             raise NumericalFailure(f"the {tag.value} estimate leaves the float range at this state")
@@ -308,52 +308,46 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
 
 
 def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
-    """The kind, time and constants of the collision-time formula mc names."""
+    """The kind, time and constants of the collision-time formula mc names.
+    Every exact time (W0**2/(2*alpha), the implicit formula in g1_w0 and
+    exp(2*theta0)/(2*m0)) is the time down the state's own level to the axis."""
     branch, th0, w0, h0, p = mc.formula_tag, mc.state.theta, mc.state.w, mc.h0, mc.params
-    alpha, gamma, sqg, mu = p.alpha, p.gamma, p.sqrt_gamma, p.mu
-
-    if branch is _G1_H0_ZERO:
-        # dW/dt = -alpha/W integrates to W**2 = W0**2 - 2*alpha*t.
-        return EstimateKind.EXACT, w0 * w0 / (2.0 * alpha), {}
-    if branch is _G1_H0_NONZERO:
-        arg0 = mu * math.exp(-th0) * w0
-        if arg0 <= 0.0:  # arg0 = alpha - h0*W0 > 0 unless exp(-theta0) underflows
-            raise NumericalFailure(f"implicit formula argument not positive: {arg0}")
-        g1_w0 = (alpha / (h0 * h0)) * math.log(arg0) + w0 / h0
-        y = arg0 / alpha  # 1 - h0*W0/alpha; past the float range the time is W0**2/arg0
-        value = -(w0 * dynamics.log_tail(y)) * (w0 / alpha) if y < math.inf else w0 / arg0 * w0
-        return EstimateKind.EXACT, value, {"g1_w0": g1_w0}
-
-    if branch is _CRIT:
+    constants = {}
+    if branch is _G1_H0_NONZERO:  # alpha - h0*W0 = mu*exp(-theta0)*W0
+        g1_w0 = (p.alpha / (h0 * h0)) * math.log(p.mu * math.exp(-th0) * w0) + w0 / h0
+        constants = {"g1_w0": g1_w0}
+    elif branch is _SUB_H0_ZERO:
+        constants = {"m0": p.mu * p.mu * math.sqrt(p.law.k) / (p.alpha * p.alpha * p.gamma)}
+    elif branch is _CRIT:
         # h0 < 0 for W0 != 0 at gamma_star, but may be > 0 below it in the band.
+        alpha, mu = p.alpha, p.mu
         if not h0 < -_H0_ZERO_RTOL * mu * math.exp(-th0):
             raise NumericalFailure(f"critical-ratio energy {h0} is not below zero: no bound")
         ah0 = abs(h0)
-        m3 = math.sqrt(p.offset) * math.sqrt(ah0) / (alpha ** 1.5 * gamma ** 0.75)
+        m3 = math.sqrt(p.offset) * math.sqrt(ah0) / (alpha ** 1.5 * p.gamma ** 0.75)
         v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
         if v0 <= 1.0:
             raise NumericalFailure(f"critical-branch substitution needs v0 > 1, got {v0}")
-        if v0 > 3.0:  # the difference below cancels as 1/v0**3: sum its series in 1/v0
-            g1_v0 = -2.0 * sum(2 * k / (2 * k + 1) * v0 ** -(2 * k + 1) for k in range(1, 19))
+        if v0 > 3.0:  # 2*(artanh(r) - r/(1 - r**2)), r = 1/v0, cancels as r**3
+            tail = dynamics._artanh_tail(1.0 / v0) - 1.0  # near -2/3: nothing cancels
+            g1_v0 = 2.0 / v0 / v0 / v0 * (tail - 1.0 / (v0 * v0 - 1.0))
         else:
             g1_v0 = math.log1p(2.0 / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
         g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
         return EstimateKind.UPPER_BOUND, -2.0 / m3 * g1_v0, {"m3": m3, "v0": v0, "g1_v0": g1_v0}
-
-    a2g = alpha * alpha * gamma
-    if branch is _SUB_H0_ZERO:
-        m0 = mu * mu * math.sqrt(p.law.k) / a2g
-        return EstimateKind.EXACT, math.exp(2.0 * th0) / (2.0 * m0), {"m0": m0}
-    if branch is _SUB_H0_NEG:
-        m1 = math.sqrt(alpha * sqg * (alpha * sqg - p.offset * mu)) / a2g
+    elif branch is _SUB_H0_NEG:
+        asq, mu = p.alpha * p.sqrt_gamma, p.mu
+        m1 = math.sqrt(asq * (asq - p.offset * mu)) / (p.alpha * p.alpha * p.gamma)
         u0 = mu * math.exp(-th0) / abs(h0)
         if u0 <= 1.0:
             raise NumericalFailure(f"comparison substitution needs u0 > 1, got {u0}")
         g1_u0 = -dynamics.log_tail(u0 / (u0 - 1.0)) / (u0 - 1.0) / (u0 - 1.0)
         t_star = g1_u0 / (m1 * h0 * h0)
         return EstimateKind.UPPER_BOUND, t_star, {"m1": m1, "u0": u0, "t_star": t_star}
-    m2 = math.sqrt(h0) * mu ** 1.5 / (alpha * sqg)
-    return EstimateKind.UPPER_BOUND, 2.0 * math.exp(1.5 * th0) / (3.0 * m2), {"m2": m2}
+    elif branch is _SUB_H0_POS:
+        m2 = math.sqrt(h0) * p.mu ** 1.5 / (p.alpha * p.sqrt_gamma)
+        return EstimateKind.UPPER_BOUND, 2.0 * math.exp(1.5 * th0) / (3.0 * m2), {"m2": m2}
+    return EstimateKind.EXACT, dynamics.time_to_axis(p, th0, w0), constants
 
 
 # --------------------------------------------------------------------------

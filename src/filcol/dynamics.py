@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Union
 
-from .errors import DomainError, Divergent, InversionFailure, OnSingularLine, SeparationZero
+from .errors import (DomainError, Divergent, InversionFailure, NumericalFailure,
+                     OnSingularLine, SeparationZero)
 
 __all__ = [
     "Params",
@@ -121,9 +122,10 @@ class Params:
     def law(self) -> RegimeLaw:
         """The d = 0 regime and its threshold, drawn on first use and kept on
         the instance (a cached_property would materialise its __dict__)."""
-        law = getattr(self, "_law", None)
-        if law is not None:
-            return law
+        try:
+            return self._law
+        except AttributeError:
+            pass
         mu = self.mu
         c = self.offset2 * mu * mu
         k = max(self.alpha * self.alpha * self.gamma - c, 0.0)
@@ -418,86 +420,101 @@ def k_sign(p: Params) -> int:
     return 1 if q > 0.0 else -1
 
 
-def monotone_approach(p: Params, h: float, u: float) -> bool:
-    """Whether W rises with s over (0, u] on the W > 0 branch of level h, so
-    that the run from s = u = exp(theta) falls to the axis with W falling.
-
-    On the level, W**2 = a2g*s**2/m**2 - offset2*s**2 with m = mu + h*s, so
-    d(W**2)/ds = 2*s*(a2g*mu/m**3 - offset2).  That is positive on (0, u)
-    exactly where it is at u: offset2*m(u)**3 < a2g*mu, written with
-    z = h*u/mu as c*z*(3 + 3*z + z**2) < K.  It holds for every h < 0 once
-    K >= 0, for h = 0 where K > 0, and at equal circulation (c = 0) for
-    every h; it fails on the critical level's rest line (K = 0, h = 0, where
-    W = 0 throughout).  Against theta_star it is theta < theta_star on the
-    point's own level.
-    """
-    law = p.law
-    z = h * u / p.mu
-    return law.c * z * (3.0 + z * (3.0 + z)) < law.k
+def _artanh_tail(t: float) -> float:
+    """(artanh(t) - t)/t**3 as 18 terms of its series, for |t| <= 1/3: the one copy."""
+    t2 = t * t
+    return sum(t2 ** j / (2 * j + 3) for j in range(18))
 
 
 def log_tail(y: float) -> float:
-    """(log(y) - x)/x**2 with x = y - 1, for y > 0 (-1/2 at y = 1).  It cancels
-    as x -> 0, so where |x| < 0.4 it is the series in t = x/(2 + x) of log(y) =
-    2*artanh(t), to twelve terms; elsewhere it divides by x twice, so nothing
-    overflows.  Within 9e-16 relative of 40-digit values on [1e-300, 1e300]."""
+    """(log(y) - x)/x**2, x = y - 1, for y > 0 (-1/2 at y = 1).  It cancels as x -> 0:
+    where |x| < 0.4 it is 2*x*S(t)/(2 + x)**3 - 1/(2 + x), t = x/(2 + x), S = ``_artanh_tail``,
+    else it divides by x twice.  Within 9e-16 of 40 digits on [1e-300, 1e300]."""
     x = y - 1.0
     if abs(x) >= 0.4:
         return (math.log(y) - x) / x / x
-    d, t2 = 2.0 + x, (x / (2.0 + x)) ** 2
-    return 2.0 * x / d ** 3 * sum(t2 ** j / (2 * j + 3) for j in range(12)) - 1.0 / d
+    d = 2.0 + x
+    return 2.0 * x / d ** 3 * _artanh_tail(x / d) - 1.0 / d
 
 
-def time_to_axis(p: Params, h: float, u: float) -> float:
-    """Time from s = u = exp(theta) to the axis along the W > 0 branch of
-    the d = 0 energy level h, in closed form.
+def _on_level(p: Params, theta: float, w: float) -> tuple[float, float, float, float]:
+    """(u, 1 + z, z, q) on the level of the d = 0 state (theta, w): u = exp(theta),
+    1 + z = m(u)/mu = sa/(mu*delta), z = (K - mu**2*v**2)/(mu*delta*(sa + mu*delta))
+    and q = W*m(u)/u = sa*v/delta, with v = W/u, delta = D/u, sa = sqrt(a2g).  Neither
+    m = mu + h*u nor m/mu - 1 is formed: near the critical rest line z lives in W**2,
+    below D's rounding.  NumericalFailure where u or v leaves the float range."""
+    law, mu = p.law, p.mu
+    sa = math.sqrt(law.a2g)
+    try:
+        u = math.exp(theta)
+        v = w / u
+        delta = math.hypot(p.offset, v)
+        mud = mu * delta
+        z = (law.k / mud - mu * v * (v / delta)) / (sa + mud)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalFailure(f"the state ({theta!r}, {w!r}) has no level in floats") from exc
+    return u, sa / mud, z, sa * (v / delta)
 
-    On the level D = alpha*sqrt(gamma)*s/m and ds/dt = -m**2*q/(a2g*s),
-    with m = mu + h*s and q = sqrt(a2g - offset2*m**2), so the time is
-    int_0^u a2g*s ds/(m**2*q) = (a2g/h**2)*[F(m(u)) - F(mu)] with
-    F(m) = -artanh(q/sqrt(a2g))/sqrt(a2g) + mu*q/(a2g*m).  F'(mu) = 0: the
-    difference is O(z**2), z = h*u/mu, while its two terms are O(z).  So
-    with q = q(u), k = q(mu) = sqrt(K), P = q + k, Q = (1 + z)**2*K + a2g
-    and r = (x - y)/(1 - x*y), x, y = q, k over sqrt(a2g), it is taken as
 
-        (u/mu)**2*[N/(P*(1 + z)*Q) - sqrt(a2g)*(artanh(r) - r)/z**2],
+def monotone_approach(p: Params, theta: float, w: float) -> bool:
+    """Whether W rises with s over (0, u], u = exp(theta), on the W > 0 branch of
+    the level of the d = 0 state (theta, w), so that the run from it falls to the
+    axis with W falling.  On the level d(W**2)/ds = 2*s*(a2g*mu/m**3 - offset2),
+    m = mu + h*s, positive on (0, u) exactly where it is at u: with z = m(u)/mu - 1
+    (``_on_level``), c*z*(3 + 3*z + z**2) < K.  It holds for every h < 0 once K >= 0
+    and at equal circulation (c = 0), fails on the critical rest line (K = 0,
+    W = 0), and is theta < theta_star on an h > 0 level.  A NaN z gives False."""
+    law = p.law
+    z = _on_level(p, theta, w)[2]
+    return law.c * z * (3.0 + z * (3.0 + z)) < law.k
 
-    where N is the sum in c, K, q, k and z that is left once the O(z)
-    terms have cancelled by hand, and artanh(r) = artanh(x) - artanh(y).
-    artanh(r) - r is its series where |r| < 0.2, and elsewhere
-    log1p((q - k)/(sqrt(a2g) + k)) - log1p(z) - r with q - k =
-    -c*z*(2 + z)/P, so no artanh is rounded to -1.  At equal circulation
-    (c = 0) it is sqrt(a2g)*(log1p(z) - z/(1 + z))/h**2 = -sqrt(a2g)*
-    log_tail(mu/m)*(u/m)**2, m = m(u).  It is within 2.5e-14 relative of a
-    40-digit quadrature of the level, and 4e-16 at equal circulation.  The
-    level's W > 0 branch must reach the axis monotonically from u
-    (``monotone_approach``).
+
+def time_to_axis(p: Params, theta: float, w: float) -> float:
+    """Time from the d = 0 state (theta, w), W >= 0, to the axis along the W > 0
+    branch of its own energy level, in closed form (README, "Library", integrate);
+    the branch must fall monotonically (``monotone_approach``).
+
+    With sa = sqrt(a2g), k = sqrt(K), 1 + z, z and q from the state (``_on_level``),
+    P = q + k, Q = (1 + z)**2*K + a2g and r = (x - y)/(1 - x*y), x, y = q, k over
+    sa, the time (a2g/h**2)*[F(m(u)) - F(mu)] is (u/mu)**2*[N/(P*(1 + z)*Q) -
+    sa*(artanh(r) - r)/z**2], N being what is left of its O(z) terms once they
+    cancel by hand.  artanh(r) - r is r**3*``_artanh_tail``(r) where |r| < 0.2,
+    else log1p((q - k)/(sa + k)) - log(1 + z) - r with q - k = -c*z*(2 + z)/P.
+    At equal circulation (c = 0, sa = alpha) it is -(W**2/alpha)*log_tail(y), y =
+    mu*exp(-theta)*W/alpha = 1/(1 + z), or W/(mu*exp(-theta)) where y overflows.
+    Within 1e-14 of a 40-digit quadrature of the level, 4e-16 at equal
+    circulation.  Finite and >= 0 (0.0 only where it underflows), or NumericalFailure.
     """
     law = p.law
-    a2g, c, k2 = law.a2g, law.c, law.k
-    sa = math.sqrt(a2g)
-    mu = p.mu
-    if law.regime is Regime.EQUAL_CIRCULATION:
-        m = mu + h * u
-        return -sa * log_tail(mu / m) * (u / m) * (u / m)
-    z = h * u / mu
-    scale = (u / mu) ** 2
-    k = math.sqrt(k2)
-    q = math.sqrt(k2 - c * z * (2.0 + z))
-    big_p = q + k
-    big_q = (1.0 + z) ** 2 * k2 + a2g
-    n = (c * c * (2.0 * q - k * z) / big_p + k2 * k * big_p + 3.0 * c * q * k
-         + z * c * (c - 2.0 * k2 - z * k2 + q * k))
-    first = n / (big_p * (1.0 + z) * big_q)
-    r_over_z = -(2.0 + z) * sa * (a2g + q * k) / (big_p * big_q)
-    r = z * r_over_z
-    if abs(r) < 0.2:
-        r2 = r * r
-        tail = r_over_z * r_over_z * r * sum(r2 ** j / (2 * j + 3) for j in range(12))
-        return scale * (first - sa * tail)
-    e = -c * z * (2.0 + z) / big_p
-    diff = math.log1p(e / (sa + k)) - math.log1p(z)
-    return scale * first - sa * (diff - r) / (h * h)
+    if not w >= 0.0:
+        raise NumericalFailure(f"the time to the axis needs W >= 0, got {w!r}")
+    try:
+        if law.c == 0.0:  # equal circulation, where q = sa and mu = gamma + 1
+            mu, e = p.gamma + 1.0, math.exp(-theta)
+            y = mu * e * w / p.alpha
+            t = -(w * log_tail(y)) * (w / p.alpha) if y < math.inf else w / mu / e
+        else:
+            a2g, c, k2 = law.a2g, law.c, law.k
+            sa, k = math.sqrt(a2g), math.sqrt(k2)
+            u, opz, z, q = _on_level(p, theta, w)
+            big_p, big_q = q + k, opz * opz * k2 + a2g
+            n = (c * c * (2.0 * q - k * z) / big_p + k2 * k * big_p + 3.0 * c * q * k
+                 + z * c * (c - 2.0 * k2 - z * k2 + q * k))
+            first = n / (big_p * opz * big_q)
+            r_over_z = -(2.0 + z) * sa * (a2g + q * k) / (big_p * big_q)
+            r = z * r_over_z
+            if abs(r) < 0.2:
+                rest = first - sa * r_over_z * r_over_z * r * _artanh_tail(r)
+            else:
+                log_q = math.log1p(-c * z * (2.0 + z) / big_p / (sa + k))
+                log_m = math.log1p(z) if opz > 0.5 else math.log(opz)  # log(m(u)/mu)
+                rest = first - sa * (log_q - log_m - r) / z / z
+            t = u / p.mu * (u / p.mu * rest)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        t = math.nan
+    if not 0.0 <= t < math.inf:
+        raise NumericalFailure(f"no time to the axis from ({theta!r}, {w!r}) in floats")
+    return t
 
 
 # --------------------------------------------------------------------------

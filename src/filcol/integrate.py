@@ -22,8 +22,8 @@ Finite-time blow-up (the collision singularity) is not integrated into.
 stops at the first accepted point where the separation D =
 sqrt(offset2*exp(2*theta) + W**2) has fallen to a quarter of its initial
 value on a branch of the energy level that reaches D = 0, and adds the
-closed-form time to the axis (``dynamics.time_to_axis``) from that point,
-on that point's own level; when asked, it also stops a run at its survival
+closed-form time to the axis (``dynamics.time_to_axis``) from that state,
+along its own level; when asked, it also stops a run at its survival
 witness, a point on a branch of the level that provably never returns to
 the axis.  A run that meets the singularity any other way ends by step
 collapse: the controller drives the step below the floor and the run ends
@@ -44,6 +44,7 @@ from .errors import (
     ConfigInvalid,
     FilcolError,
     InvalidInitialState,
+    NumericalFailure,
     StepLimitExceeded,
 )
 
@@ -448,22 +449,21 @@ def simulate_until_collision(
     The run stops at the first accepted point where the separation has
     fallen to _KAPPA of its initial value on a branch of the energy level
     that reaches the axis (the "separation-below" rule).  It collided if W
-    never rose along the way (collisions approach W = 0 monotonically from
-    above; an orbit that reaches the singularity after an initial rise is
-    not a collision in the defined sense) and will not rise on the rest of
-    the way either: from the stop point, on that point's own energy level,
-    W must fall with s all the way to the axis
-    (``dynamics.monotone_approach``).  The collision time is the stop
-    point's time plus the closed-form time to the axis from it
-    (``dynamics.time_to_axis``), reported as ``remaining_time``.  A run
-    that ends by step collapse at a point of such a branch collided too
-    where the time left from there is below ``cfg.h_min``, the step floor.
-    A run that reaches t_end survived.  With ``survival_witness`` the
-    "survival-witness" rule is watched too, and a run it stops survived at
-    the witness time: from there the rings only separate.  Any other stop,
-    such as step collapse off an armed branch, is inconclusive.  Both rules
-    are armed from the record ``p.law``: the separation rule unless the ratio
-    is supercritical, and the witness's W = 0 edge at equal circulation.
+    never rose along the way (an orbit that reaches the singularity after
+    an initial rise is no collision in the defined sense) and, on the stop
+    point's own level, falls with s all the way to the axis
+    (``dynamics.monotone_approach`` of the stop state).  The collision time
+    is the stop point's time plus the closed-form time to the axis from the
+    stop state (``dynamics.time_to_axis``), reported as ``remaining_time``;
+    where that time cannot be formed in floats the run is inconclusive.  A
+    run that ends by step collapse on such a branch collided too where the
+    time left is below ``cfg.h_min``, the step floor.  A run that reaches
+    t_end survived.  With ``survival_witness`` the "survival-witness" rule
+    is watched too, and a run it stops survived at the witness time: from
+    there the rings only separate.  Any other stop, such as step collapse
+    off an armed branch, is inconclusive.  Both rules are armed from the
+    record ``p.law``: the separation rule unless the ratio is
+    supercritical, and the witness's W = 0 edge at equal circulation.
     Raises ConfigInvalid for a state that is not a ReducedState.
     """
     if not isinstance(rs0, ReducedState):
@@ -472,14 +472,13 @@ def simulate_until_collision(
         cfg = IntegrationConfig()
     regime = p.law.regime
     armed, equal = regime is not Regime.SUPERCRITICAL, regime is Regime.EQUAL_CIRCULATION
-    energy = dynamics.reduced_energy(p)
     c2 = p.offset2
     th0, w0 = rs0.theta, rs0.w
     try:
         # At gamma = 1, offset2 = 0 and D = |W|: exp(theta) alone may overflow.
         thr2 = _KAPPA * _KAPPA * ((c2 * math.exp(2.0 * th0) if c2 else 0.0) + w0 * w0)
         witness = survival_witness and (
-            equal or energy(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
+            equal or dynamics.reduced_energy(p)(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
         )
     except _FIELD_ERRORS as exc:
         raise InvalidInitialState(f"initial state rejected: {exc}") from exc
@@ -535,11 +534,12 @@ def simulate_until_collision(
     theta, w = traj.state_final
     if not (w > 0.0 and armed):  # a separation stop always is
         return inconclusive
-    h = energy(theta, w)
-    u = math.exp(theta)
-    if not dynamics.monotone_approach(p, h, u):
+    try:
+        if not dynamics.monotone_approach(p, theta, w):
+            return inconclusive
+        t_rem = dynamics.time_to_axis(p, theta, w)
+    except NumericalFailure:  # the stop point's level has no time in floats
         return inconclusive
-    t_rem = dynamics.time_to_axis(p, h, u)
     if traj.outcome is Outcome.STEP_COLLAPSED and not t_rem < cfg.h_min:
         return inconclusive
     return CollisionResult(SimStatus.COLLIDED, traj.t_final + t_rem, t_rem), traj

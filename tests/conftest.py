@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,25 @@ def level_w(theta: float, p, h0: float) -> float:
     a = h0 + p.mu * math.exp(-theta)
     bracket = p.alpha ** 2 * p.gamma - p.offset2 * math.exp(2.0 * theta) * a * a
     return math.sqrt(max(bracket, 0.0)) / a
+
+
+def quadrature_time(p, theta, w, critical=False):
+    """int_0^u a2g*s ds/(m**2*sqrt(K - offset2*h*s*(2*mu + h*s))), m = mu + h*s,
+    to 40 digits on the own level of the float state (theta, w), u =
+    exp(theta): h = sqrt(a2g)/D - mu/u.  At the critical ratio the level is
+    formed with K = 0 exactly: a2g = offset2*mu**2."""
+    with mpmath.workdps(40):
+        c2, mu = mpmath.mpf(p.offset2), mpmath.mpf(p.mu)
+        a2g = c2 * mu * mu if critical else mpmath.mpf(p.alpha) ** 2 * mpmath.mpf(p.gamma)
+        k, u, w = a2g - c2 * mu * mu, mpmath.exp(mpmath.mpf(theta)), mpmath.mpf(w)
+        h = mpmath.sqrt(a2g / (c2 * u * u + w * w)) - mu / u
+
+        def integrand(v):
+            s = v * v
+            m = mu + h * s
+            return 2 * a2g * v ** 3 / (m * m * mpmath.sqrt(k - c2 * h * s * (2 * mu + h * s)))
+
+        return mpmath.quad(integrand, [0, mpmath.sqrt(u) / 2, mpmath.sqrt(u)])
 
 
 @st.composite

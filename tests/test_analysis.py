@@ -43,10 +43,10 @@ from filcol import (
     theta_star,
 )
 from filcol.analysis import axis_energy, quartic
-from filcol.dynamics import Regime, k_sign, reduced_field
+from filcol.dynamics import Regime, k_sign, reduced_field, time_to_axis
 from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
-from conftest import level_w, linspace, nonzero_d_states, rel_err
+from conftest import level_w, linspace, nonzero_d_states, quadrature_time, rel_err
 
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -685,6 +685,49 @@ class TestBoundDominatesOracle:
         assert result.time <= est.value
 
 
+@st.composite
+def bounded_states(draw) -> tuple[Params, ReducedState]:
+    """A colliding state on the h0 < 0, h0 > 0 or critical branch, drawn by
+    v = W0*exp(-theta0) across the branch: from v0 up to 1e3*v0 (h0 < 0),
+    between v_star and v0 (h0 > 0), and log-uniform over [1e-4, 1e3] at the
+    critical ratio."""
+    alpha = draw(st.floats(0.01, 0.99))
+    branch = draw(st.sampled_from(["h0-negative", "h0-positive", "critical"]))
+    th0 = draw(st.floats(-5.0, 5.0))
+    gs = gamma_star(alpha)
+    if branch == "critical":
+        p = Params(alpha, gs)
+        v = 10.0 ** draw(st.floats(-4.0, 3.0))
+    else:
+        p = Params(alpha, 1.0 + draw(st.floats(1e-3, 0.999)) * (gs - 1.0))
+        law = p.law
+        if branch == "h0-negative":
+            v = law.v0 * (1.0 + 10.0 ** draw(st.floats(-6.0, 3.0)))
+        else:
+            v = law.v_star + draw(st.floats(1e-6, 1.0 - 1e-6)) * (law.v0 - law.v_star)
+    rs = ReducedState(th0, v * math.exp(th0))
+    assume(classify(rs, p).predicts_collision)
+    return p, rs
+
+
+class TestBoundDominatesExact:
+    @given(case=bounded_states())
+    @settings(max_examples=200)
+    def test_bound_is_at_least_the_time_to_the_axis(self, case):
+        # No integration: the exact time down the state's own level is
+        # positive and at most the comparison bound, wherever a bound exists.
+        p, rs = case
+        mc = classify(rs, p)
+        try:
+            est = mc.estimate()
+        except NumericalFailure:  # the bound's substitution fails at the zero cut
+            return
+        if est.kind is EstimateKind.EXACT:  # h0 within the zero cut
+            assert est.formula_tag is FormulaTag.SUBCRITICAL_H0_ZERO
+            return
+        assert 0.0 < time_to_axis(p, rs.theta, rs.w) <= est.value
+
+
 class TestCollisionTime:
     def test_equal_circulation_zero_energy_exact(self):
         p = Params(0.5, 1.0)
@@ -800,6 +843,51 @@ class TestCollisionTime:
         result, _ = simulate_until_collision(rs, p, CFG, t_end=2.0 * est.value + 20.0)
         assert result.time <= est.value
         assert result.time > est.value * p.alpha ** 0.25
+
+
+class TestExactTimes:
+    # Every exact time is the time down the state's own level to the axis.
+    @staticmethod
+    def _zero_level_classes(n_per_tag=16):
+        """Seeded colliding states at gamma = 1 and below gamma_star with W0 =
+        v0*exp(theta0) moved by at most 3.2e-13 relative: inside the h0 ~ 0
+        cut, so they take the zero-energy tags."""
+        rng = random.Random(41)
+        found = {FormulaTag.GAMMA1_H0_ZERO: [], FormulaTag.SUBCRITICAL_H0_ZERO: []}
+        while min(map(len, found.values())) < n_per_tag:
+            alpha = rng.uniform(0.02, 0.98)
+            p = Params(alpha, rng.choice((1.0, mid_subcritical_gamma(alpha) + rng.uniform(
+                -0.4, 0.4) * (gamma_star(alpha) - 1.0))))
+            th0 = rng.uniform(-3.0, 3.0)
+            move = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16.0, -12.5)
+            mc = classify(ReducedState(th0, p.law.v0 * math.exp(th0) * (1.0 + move)), p)
+            if len(found.get(mc.formula_tag, [None] * n_per_tag)) < n_per_tag:
+                found[mc.formula_tag].append(mc)
+        return [mc for group in found.values() for mc in group]
+
+    def test_zero_energy_times_on_the_state_level(self):
+        # W0**2/(2*alpha) and exp(2*theta0)/(2*m0) took the level as h0 = 0
+        # inside the cut, and on these states were up to 1.5e-13 and 1.9e-14
+        # off the state's own level.
+        for mc in self._zero_level_classes():
+            want = quadrature_time(mc.params, mc.state.theta, mc.state.w)
+            assert rel_err(mc.estimate().value, want) < 2e-15, (mc, mc.state, mc.params)
+
+    def test_every_exact_estimate_is_the_time_to_the_axis(self):
+        rng = random.Random(43)
+        classes = self._zero_level_classes(4)
+        for _ in range(40):
+            p = Params(rng.uniform(0.02, 0.98), 1.0)
+            classes.append(classify(ReducedState(rng.uniform(-5.0, 5.0),
+                                                 10.0 ** rng.uniform(-5.0, 5.0)), p))
+        tags = set()
+        for mc in classes:
+            est = mc.estimate()
+            assert est.kind is EstimateKind.EXACT
+            assert est.value == time_to_axis(mc.params, mc.state.theta, mc.state.w)
+            tags.add(est.formula_tag)
+        assert tags == {FormulaTag.GAMMA1_H0_ZERO, FormulaTag.GAMMA1_H0_NONZERO,
+                        FormulaTag.SUBCRITICAL_H0_ZERO}
 
 
 def decimal_time(tag: FormulaTag, p: Params, th0: float, w0: float, h0: float) -> float:

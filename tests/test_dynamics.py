@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from filcol import (
     FullState,
     HyperbolicState,
     IntegrationConfig,
+    NumericalFailure,
     OnSingularLine,
     Params,
     ReducedState,
@@ -36,7 +38,7 @@ from filcol import (
 )
 from filcol.dynamics import k_sign, log_tail, monotone_approach, time_to_axis
 
-from conftest import level_w, nonzero_d_states, rel_err
+from conftest import level_w, nonzero_d_states, quadrature_time, rel_err
 
 
 class TestParams:
@@ -265,27 +267,51 @@ class TestLevelSetForms:
         assert abs(dw) < 1e-10
 
 
-def _quadrature_time(p, h, u, critical=False):
-    """int_0^u a2g*s ds/(m**2*sqrt(K - offset2*h*s*(2*mu + h*s))), m = mu + h*s,
-    to 40 digits from the float inputs, in v = sqrt(s).  At the critical
-    ratio the level is formed with K = 0 exactly: a2g = offset2*mu**2."""
-    with mpmath.workdps(40):
-        c2, mu = mpmath.mpf(p.offset2), mpmath.mpf(p.mu)
-        a2g = c2 * mu * mu if critical else mpmath.mpf(p.alpha) ** 2 * mpmath.mpf(p.gamma)
-        k, h, u = a2g - c2 * mu * mu, mpmath.mpf(h), mpmath.mpf(u)
+def _closed_form_time(p, theta, w):
+    """The time to the axis on the own level of the float state (theta, w),
+    from the closed form in mpmath, whose exponents do not overflow: with v =
+    W/u, -(W**2/alpha)*(log(y) - x)/x**2, x = y - 1, y = mu*v/alpha, at equal
+    circulation, else (a2g/h**2)*[F(m) - F(mu)], F(m) = -artanh(q/sqrt(a2g))/
+    sqrt(a2g) + mu*q/(a2g*m), on the law's level (K = 0 at the critical ratio
+    and above).  Its terms cancel to O(z**2), so the digits grow with |log v|
+    and, near the zero level, with |log z|."""
+    dps = 50 + 5 * int(abs(math.log10(w) - theta / math.log(10.0)))
+    while True:
+        with mpmath.workdps(dps):
+            u, w_mp = mpmath.exp(mpmath.mpf(theta)), mpmath.mpf(w)
+            mu, v = mpmath.mpf(p.mu), w_mp / u
+            if p.law.c == 0.0:
+                y = mu * v / p.alpha
+                small = y - 1
+                t = -(w_mp ** 2 / p.alpha) * (mpmath.log(y) - small) / small ** 2
+            else:
+                c2 = mpmath.mpf(p.offset) ** 2
+                k2 = mpmath.mpf(p.alpha) ** 2 * p.gamma - c2 * mu * mu if p.law.k else 0
+                a2g = c2 * mu * mu + k2
+                sa, delta = mpmath.sqrt(a2g), mpmath.sqrt(c2 + v * v)
+                small = (k2 - mu * mu * v * v) / (mu * delta * (sa + mu * delta))
 
-        def integrand(v):
-            s = v * v
-            m = mu + h * s
-            return 2 * a2g * v ** 3 / (m * m * mpmath.sqrt(k - c2 * h * s * (2 * mu + h * s)))
+                def f(m, q):
+                    return -mpmath.atanh(q / sa) / sa + mu * q / (a2g * m)
 
-        return mpmath.quad(integrand, [0, mpmath.sqrt(u) / 2, mpmath.sqrt(u)])
+                t = (u / (small * mu)) ** 2 * a2g * (
+                    f(mu * (1 + small), sa * v / delta) - f(mu, mpmath.sqrt(k2)))
+            if abs(small) > mpmath.mpf(10) ** (30 - dps // 2):
+                return t
+        dps *= 2
+
+
+def _level_state(p, h, u):
+    """The float state (log u, W > 0) nearest the level h at s = u."""
+    theta = math.log(u)
+    return theta, level_w(theta, p, h)
 
 
 class TestTimeToAxis:
     # z = h*u/mu runs log-stratified over [1e-12, 0.999]: near 0 the two
     # O(z) terms of the closed form cancel, near 1 the h < 0 level's m(u)
-    # nears 0.
+    # nears 0.  Each level is posed as a float state, and the reference is
+    # taken on that state's own level.
     @staticmethod
     def _cases(n_per_branch=20):
         rng = random.Random(20240613)
@@ -311,27 +337,30 @@ class TestTimeToAxis:
             if branch == 3:
                 assert math.log(u) <= theta_star(p, h)
             cases.append((("gamma1", "subcritical-h-neg", "critical", "subcritical-h-pos")[branch],
-                          p, h, u))
+                          p, *_level_state(p, h, u)))
         return cases
 
     def test_matches_a_40_digit_quadrature(self):
         worst = {}
-        for name, p, h, u in self._cases():
-            assert monotone_approach(p, h, u), (name, p, h, u)
-            want = _quadrature_time(p, h, u, critical=name == "critical")
-            got = time_to_axis(p, h, u)
+        for name, p, theta, w in self._cases():
+            assert monotone_approach(p, theta, w), (name, p, theta, w)
+            want = quadrature_time(p, theta, w, critical=name == "critical")
+            got = time_to_axis(p, theta, w)
             assert math.isfinite(got)
             err = float(abs(got - want) / want)
             worst[name] = max(worst.get(name, 0.0), err)
-            assert err < 1e-11, (name, p, h, u, got, want)
+            assert err < 1e-11, (name, p, theta, w, got, want)
         assert sorted(worst) == ["critical", "gamma1", "subcritical-h-neg", "subcritical-h-pos"]
 
     def test_zero_energy_level(self):
         # h = 0: t = a2g*u**2/(2*mu**2*sqrt(K)), the classifier's exact h0 = 0 time.
         for p in (Params(0.3, 1.0), Params(0.3, 1.1)):
+            theta, w = _level_state(p, 0.0, 2.0)
             k = p.alpha ** 2 * p.gamma - p.offset2 * p.mu ** 2
             want = p.alpha ** 2 * p.gamma * 4.0 / (2.0 * p.mu ** 2 * math.sqrt(k))
-            assert rel_err(time_to_axis(p, 0.0, 2.0), want) < 1e-14
+            on_level = quadrature_time(p, theta, w)
+            assert rel_err(on_level, want) < 1e-14
+            assert rel_err(time_to_axis(p, theta, w), on_level) < 1e-14
 
     def test_gamma1_across_the_old_series_switch(self):
         # z = h*u/mu log-uniform in 0.01 < |z| < 0.25, either side of the old
@@ -342,18 +371,97 @@ class TestTimeToAxis:
             p = Params(rng.uniform(0.02, 0.98), 1.0)
             u = math.exp(rng.uniform(-2.0, 2.0))
             z = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, math.log10(0.25))
-            h = z * p.mu / u
-            want = _quadrature_time(p, h, u)
-            worst = max(worst, float(abs(time_to_axis(p, h, u) - want) / want))
+            theta, w = _level_state(p, z * p.mu / u, u)
+            want = quadrature_time(p, theta, w)
+            worst = max(worst, float(abs(time_to_axis(p, theta, w) - want) / want))
         assert worst < 2e-15
 
     def test_gamma1_far_from_zero_energy_stays_finite(self):
         # z = h*u/mu = 2.5e99: the log form, with no artanh to round to -1.
-        p = Params(0.5, 1.0)
-        h = reduced_energy(p)(0.0, 1e-100)
-        want = 0.5 * (math.log1p(h / 2.0) - 1.0) / (h * h)
-        got = time_to_axis(p, h, 1.0)
-        assert math.isfinite(got) and rel_err(got, want) < 1e-15
+        # On the level of (0, W), t = -(W**2/alpha)*log_tail(y), y = mu*W/alpha.
+        p, w = Params(0.5, 1.0), 1e-100
+        with mpmath.workdps(40):
+            w_mp, alpha = mpmath.mpf(w), mpmath.mpf(0.5)
+            y = 2 * w_mp / alpha
+            want = -(w_mp ** 2 / alpha) * (mpmath.log(y) - (y - 1)) / (y - 1) ** 2
+        got = time_to_axis(p, 0.0, w)
+        assert math.isfinite(got) and rel_err(got, float(want)) < 1e-15
+
+
+    def test_from_a_coplanar_state(self):
+        # W = 0 on a subcritical level, the turning point of a W0 < 0 orbit:
+        # no radicand is formed.  At equal circulation and at rest on the
+        # critical ratio there is no time.
+        for p, theta in ((Params(0.2, 1.1), 0.5), (Params(0.5, 1.3), -1.0),
+                         (Params(0.9, 1.05), 2.0)):
+            want = float(_closed_form_time(p, theta, 5e-324))
+            assert rel_err(time_to_axis(p, theta, 0.0), want) < 2e-15
+        for p in (Params(0.2, 1.0), Params(0.2, gamma_star(0.2))):
+            with pytest.raises(NumericalFailure):
+                time_to_axis(p, 0.0, 0.0)
+
+
+class TestTimeToAxisAtTheExtremes:
+    # theta over [-745, 710] and W log-uniform over [5e-324, 1.7e308], and
+    # half the states with v = W*exp(-theta) near 1, in all four regimes:
+    # every call gives a finite time, 0.0 only where the true time
+    # underflows, or NumericalFailure, never another error.  Where the
+    # state's level reaches the axis monotonically and the time is a normal
+    # float, it is within 1e-13 of the closed form at full precision.
+    @staticmethod
+    def _states(n=160):
+        rng = random.Random(2024)
+        states = [
+            # h = -8.811011712566723e94 at u = 2.4111941161029307e-95, where
+            # h*u rounded to -mu; and h = -6.19178072758553e194 at u =
+            # 3.2300885458254823e-195, one ulp above -6.191780727585532e194,
+            # whose m(u) = mu + h*u is below 0: the nearest float states.
+            (Params(0.2, gamma_star(0.2)), -217.86546172578323, 5.914741520746038e-80),
+            (Params(0.999, 1.0000000012873984), -447.8315835834118, 3.2132818876871345e-179),
+        ]
+        while len(states) < n:
+            alpha = rng.uniform(0.01, 0.999)
+            gs = gamma_star(alpha)
+            gamma = rng.choice((1.0, 1.0 + 10.0 ** rng.uniform(-9.0, -0.05) * (gs - 1.0),
+                                gs, gs + 10.0 ** rng.uniform(-3.0, 3.0)))
+            if rng.random() < 0.5:  # v = W*exp(-theta) within 1e3 of 1
+                theta = rng.uniform(-300.0, 300.0)
+                w = math.exp(theta) * 10.0 ** rng.uniform(-3.0, 3.0)
+            else:
+                theta = rng.choice((-745.0, -709.5, 709.5, 710.0, rng.uniform(-745.0, 710.0)))
+                w = rng.choice((5e-324, 1.7e308, 10.0 ** rng.uniform(-300.0, 300.0)))
+            states.append((Params(alpha, gamma), theta, w))
+        return states
+
+    def test_a_time_or_a_numerical_failure(self):
+        outcomes = set()
+        for p, theta, w in self._states():
+            try:
+                monotone = monotone_approach(p, theta, w)
+                assert monotone in (True, False)
+            except NumericalFailure:
+                monotone = False
+            try:
+                t = time_to_axis(p, theta, w)
+            except NumericalFailure:
+                outcomes.add("numerical-failure")
+                continue
+            assert 0.0 <= t < math.inf, (p, theta, w, t)
+            want = _closed_form_time(p, theta, w)
+            if t == 0.0:
+                outcomes.add("underflow")
+                assert float(want) == 0.0, (p, theta, w, want)
+            elif monotone and t >= sys.float_info.min:
+                outcomes.add("time")
+                assert float(abs(t - want) / want) < 1e-13, (p, theta, w, t, want)
+        assert outcomes == {"numerical-failure", "underflow", "time"}
+
+    def test_a_nan_state_decides_nothing(self):
+        for p in (Params(0.2, 1.0), Params(0.2, 1.1), Params(0.2, gamma_star(0.2))):
+            assert monotone_approach(p, math.nan, 1.0) is False
+            assert monotone_approach(p, 0.0, math.nan) is False
+            with pytest.raises(NumericalFailure):
+                time_to_axis(p, 0.0, math.nan)
 
 
 class TestLogTail:

@@ -102,15 +102,22 @@ def series_sites(path: Path) -> list[tuple[str, str, str | None]]:
 
 
 def test_each_series_has_one_copy():
-    # log_tail is the one copy of the near-zero log series (log(y) - x)/x**2;
-    # the critical bound's odd series in 1/v0 and time_to_axis's artanh tail
-    # are the only other series, one each.
-    allowed = {
-        ("analysis.py", "_formula", "branch is _CRIT"),
-        ("dynamics.py", "log_tail", None),
-        ("dynamics.py", "time_to_axis", "abs(r) < 0.2"),
-    }
+    # _artanh_tail is the one copy of the series (artanh(t) - t)/t**3 that
+    # log_tail, time_to_axis and the critical bound sum near their cancellation.
     sites = [site for path in SOURCES if path.name in ("analysis.py", "dynamics.py")
              for site in series_sites(path)]
-    assert set(sites) <= allowed, sorted(set(sites) - allowed)
-    assert len(sites) == len(set(sites)), sites
+    assert sites == [("dynamics.py", "_artanh_tail", None)]
+
+
+def test_every_exact_time_is_the_time_to_the_axis():
+    # _formula has one EXACT return, and its time is a dynamics.time_to_axis
+    # call: no exact collision time is written out a second time.
+    tree = ast.parse((SOURCES[0].parent / "analysis.py").read_text(encoding="utf-8"))
+    formula = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_formula")
+    exact = [node.value for node in ast.walk(formula)
+             if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+             and ast.unparse(node.value.elts[0]) == "EstimateKind.EXACT"]
+    assert len(exact) == 1
+    time = exact[0].elts[1]
+    assert isinstance(time, ast.Call) and ast.unparse(time.func) == "dynamics.time_to_axis"

@@ -22,6 +22,7 @@ from filcol import (
     HyperbolicState,
     IntegrationConfig,
     InvalidInitialState,
+    NumericalFailure,
     Outcome,
     Params,
     ReducedState,
@@ -332,8 +333,7 @@ class TestCollisionDriver:
         result, traj = simulate_until_collision(ReducedState(0.3, 0.8), p, CFG, t_end=200.0)
         assert result.status is SimStatus.COLLIDED
         assert_separation_stop(traj, p, 0.25)
-        theta, w = traj.state_final
-        t_rem = time_to_axis(p, dynamics.reduced_energy(p)(theta, w), math.exp(theta))
+        t_rem = time_to_axis(p, *traj.state_final)
         assert result.remaining_time == t_rem > 0.0
         assert result.time == traj.t_final + t_rem
 
@@ -348,10 +348,21 @@ class TestCollisionDriver:
     def test_stop_point_off_the_monotone_branch_is_inconclusive(self, monkeypatch):
         # The integrated part cannot show that W keeps falling below the
         # stop point; a stop point that fails the rule leaves the run undecided.
-        monkeypatch.setattr(dynamics, "monotone_approach", lambda p, h, u: False)
+        monkeypatch.setattr(dynamics, "monotone_approach", lambda p, theta, w: False)
         result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
         assert traj.outcome is Outcome.EVENT_TERMINATED
         assert result.status is SimStatus.INCONCLUSIVE and result.time == traj.t_final
+
+    def test_stop_point_without_a_time_in_floats_is_inconclusive(self, monkeypatch):
+        # Where the time left from the stop point cannot be formed, the run
+        # is undecided, not a traceback.
+        def no_time(p, theta, w):
+            raise NumericalFailure("the time to the axis leaves the float range")
+
+        monkeypatch.setattr(dynamics, "time_to_axis", no_time)
+        result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
+        assert traj.outcome is Outcome.EVENT_TERMINATED
+        assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
 
     def test_collision_below_the_step_floor(self):
         # dtheta/dt = alpha/W**2 is about 5e199 at W0 = 1e-100: every
@@ -371,7 +382,7 @@ class TestCollisionDriver:
         result, traj = simulate_until_collision(ReducedState(0.0, -1e-100), p, CFG, t_end=20.0)
         assert traj.outcome is Outcome.STEP_COLLAPSED
         assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
-        monkeypatch.setattr(dynamics, "time_to_axis", lambda p, h, u: CFG.h_min)
+        monkeypatch.setattr(dynamics, "time_to_axis", lambda p, theta, w: CFG.h_min)
         result, traj = simulate_until_collision(ReducedState(0.0, 1e-100), p, CFG, t_end=20.0)
         assert traj.outcome is Outcome.STEP_COLLAPSED
         assert result.status is SimStatus.INCONCLUSIVE and result.time == 0.0
@@ -400,7 +411,8 @@ class TestMonotoneApproach:
     @settings(max_examples=150)
     def test_the_rule_decides_whether_w_falls_all_the_way(self, case):
         # The lemma behind the stop point, with no integration.  On the
-        # level, in exact rational arithmetic from the float inputs,
+        # level h, the state's float energy (its own level to rounding), in
+        # exact rational arithmetic from the float inputs,
         # W(s)**2 = s**2*(a2g/m(s)**2 - offset2), m(s) = mu + h*s, with
         # a2g = offset2*mu**2 (K = 0) at the critical ratio.  Where the rule
         # holds W rises with s over (0, u]; where it fails W falls just
@@ -421,7 +433,7 @@ class TestMonotoneApproach:
             m = mu + hq * s
             return s * s * (a2g / (m * m) - c2)
 
-        if monotone_approach(p, h, u):
+        if monotone_approach(p, theta, w):
             values = [w2(uq * Fraction(i, 64)) for i in range(1, 65)]
             assert all(b > a for a, b in zip(values, values[1:]))
         else:
@@ -432,18 +444,18 @@ class TestMonotoneApproach:
         # Left of theta_star on an h > 0 level the rule holds; right of it,
         # where W first rises, it fails; h < 0 and gamma = 1 always pass.
         p = Params(0.2, 1.1)
-        energy = dynamics.reduced_energy(p)
         for theta, w, want in ((0.0, 0.05, True), (3.5, 0.05, False), (0.0, 1.0, True)):
-            h = energy(theta, w)
             mc = classify(ReducedState(theta, w), p)
             assert (mc.theta_star is None or theta <= mc.theta_star) is want
-            assert monotone_approach(p, h, math.exp(theta)) is want
-        assert monotone_approach(Params(0.2, 1.0), 1e6, 10.0)
-        # The critical level's rest line, W = 0 throughout, is no approach.
+            assert monotone_approach(p, theta, w) is want
+        # gamma = 1, the level h = 1e6 at s = 10: W = alpha/(h + mu/s).
+        assert monotone_approach(Params(0.2, 1.0), math.log(10.0), 0.2 / (1e6 + 0.2))
+        # The critical level's rest line, W = 0 throughout, is no approach;
+        # W = 1e-150 at s = 1 puts the state on the level h = -9.8e-299, just below.
         critical = Params(0.2, gamma_star(0.2))
         assert k_sign(critical) == 0
-        assert not monotone_approach(critical, 0.0, 1.0)
-        assert monotone_approach(critical, -1e-300, 1.0)
+        assert not monotone_approach(critical, 0.0, 0.0)
+        assert monotone_approach(critical, 0.0, 1e-150)
 
 
 REGIMES = ("gamma1", "subcritical", "critical", "supercritical")
