@@ -317,7 +317,7 @@ def _check_gamma_star(alpha: float, cfg: IntegrationConfig, samples: int, grid: 
 def _check_gamma1_exact(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     p = Params(0.5, 1.0)
     rs = ReducedState(math.log(4.0), 1.0)
-    derived = rs.w ** 2 / (2.0 * p.alpha)
+    derived = collision_time(rs, p).value  # W0**2/(2*alpha)
     printed = 2.0 * rs.w ** 2 / p.alpha
     detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * derived + 10.0)
     ok = detected is not None and abs(detected - derived) <= 1e-5 * derived

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath
 from hypothesis import settings
@@ -51,17 +52,28 @@ def quadrature_time(p, theta, w, critical=False):
         return mpmath.quad(integrand, [0, mpmath.sqrt(u) / 2, mpmath.sqrt(u)])
 
 
+def _nonzero_d_state(uniform, coin) -> tuple[Params, FullState]:
+    p = Params(uniform(0.02, 0.98), uniform(1.0, 4.0))
+    r1 = math.exp(uniform(-2.0, 2.0))
+    ratio = uniform(0.01, 0.99)
+    r2 = p.sqrt_gamma * r1 * (ratio if coin() else 1.0 / ratio)
+    z1, z2 = uniform(-2.0, 2.0), uniform(-2.0, 2.0)
+    return p, FullState(r1, z1, r2, z2)
+
+
 @st.composite
 def nonzero_d_states(draw) -> tuple[Params, FullState]:
     """A full state whose conserved d = gamma*R1**2 - R2**2 has the drawn
     sign, with |d| at least 2% of gamma*R1**2, so that it takes the d != 0
     chart."""
-    p = Params(draw(st.floats(0.02, 0.98)), draw(st.floats(1.0, 4.0)))
-    r1 = math.exp(draw(st.floats(-2.0, 2.0)))
-    ratio = draw(st.floats(0.01, 0.99))
-    r2 = p.sqrt_gamma * r1 * (ratio if draw(st.booleans()) else 1.0 / ratio)
-    z1, z2 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    return p, FullState(r1, z1, r2, z2)
+    return _nonzero_d_state(lambda lo, hi: draw(st.floats(lo, hi)), lambda: draw(st.booleans()))
+
+
+def nonzero_d_sample(n: int, seed: int) -> list[tuple[Params, FullState]]:
+    """n states of the ``nonzero_d_states`` distribution, drawn by a seeded
+    ``random.Random``: a fixed sample to average over."""
+    rng = random.Random(seed)
+    return [_nonzero_d_state(rng.uniform, lambda: rng.random() < 0.5) for _ in range(n)]
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -7,6 +7,7 @@ import decimal
 import itertools
 import math
 import random
+import statistics
 from decimal import Decimal
 
 import pytest
@@ -16,6 +17,7 @@ from scipy.integrate import solve_ivp
 
 from filcol import (
     ConfigInvalid,
+    Divergent,
     DomainError,
     EstimateKind,
     FilcolError,
@@ -34,6 +36,7 @@ from filcol import (
     classify,
     collision_time,
     gamma_star,
+    hyperbolic_energy,
     hyperbolic_separation,
     integrate,
     no_collision_certificate,
@@ -42,11 +45,14 @@ from filcol import (
     simulate_until_collision,
     theta_star,
 )
-from filcol.analysis import axis_energy, quartic
-from filcol.dynamics import Regime, k_sign, reduced_field, time_to_axis
+from filcol import analysis, dynamics
+from filcol.analysis import _last_positive, _positive_near_peak, axis_energy, quartic
+from filcol.dynamics import Regime, hyperbolic_kinetic, k_sign, reduced_field, time_to_axis
 from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
-from conftest import level_w, linspace, nonzero_d_states, quadrature_time, rel_err
+from conftest import (
+    level_w, linspace, nonzero_d_sample, nonzero_d_states, quadrature_time, rel_err
+)
 
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -1219,3 +1225,185 @@ class TestCertificate:
         hs = reduce_state(FullState(2.0, 0.0, 1.0, 0.0), p)
         cert = no_collision_certificate(hs, p)
         assert math.isclose(cert.min_separation, 1.0, rel_tol=1e-9)
+
+    # The certificate as a 400-point scan down from theta0 and bisection to
+    # adjacent floats: (leftmost crossing found, separation bound).
+    @staticmethod
+    def scan_certificate(hs, p):
+        energy = hyperbolic_energy(p, hs.d)
+        h0 = energy(hs.theta, hs.w)
+
+        def gap(theta):
+            try:
+                return h0 - energy(theta, 0.0)
+            except Divergent:
+                return -math.inf
+
+        prev = hs.theta
+        for k in range(1, 401):
+            theta = max(hs.theta * (1.0 - k / 400) ** 2, hs.theta * 1e-12)
+            if gap(theta) > 0.0:
+                break
+            prev = theta
+        lo, hi = theta, prev
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if gap(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo, p.alpha * p.sqrt_gamma / (h0 - hyperbolic_kinetic(lo, hs.d, p.gamma))
+
+    def assert_matches_scan(self, hs, p):
+        lo, reference = self.scan_certificate(hs, p)
+        assert rel_err(no_collision_certificate(hs, p).min_separation, reference) <= 1e-13
+        return lo
+
+    @given(case=nonzero_d_states())
+    @settings(max_examples=200)
+    def test_matches_the_scan_and_bisection(self, case):
+        p, s = case
+        self.assert_matches_scan(reduce_state(s, p), p)
+
+    def test_matches_the_scan_past_the_contact_angle(self):
+        # d > 0 starts right of the contact angle theta_c, where the coplanar
+        # separation vanishes; most of their levels end left of it.
+        rng = random.Random(17)
+        passed = 0
+        for _ in range(300):
+            p = Params(rng.uniform(0.05, 0.95), rng.uniform(1.2, 4.0))
+            theta_c = math.atanh(1.0 / p.sqrt_gamma)
+            hs = HyperbolicState(theta_c + rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0),
+                                 math.exp(rng.uniform(-3.0, 1.0)))
+            passed += self.assert_matches_scan(hs, p) < theta_c
+        assert passed > 150
+
+    @pytest.mark.parametrize("r1,z1,r2,z2,alpha,gamma", [
+        (1.0, 0.75, 1.0606601717798214, 0.75, 0.5, 2.0),  # right of its leftmost crossing
+        (2.0, 0.0, 1.0, 0.0, 0.2, 2.0),
+        (1.0, -0.3, 1.1, -0.3, 0.2, 2.0),
+        (0.8, 1.0, 1.4, 1.0, 0.2, 2.0),
+        (1.0, 0.0, 2.0, 0.0, 0.5, 1.0),
+    ])
+    def test_matches_the_scan_at_a_coplanar_start(self, r1, z1, r2, z2, alpha, gamma):
+        p = Params(alpha, gamma)
+        self.assert_matches_scan(reduce_state(FullState(r1, z1, r2, z2), p), p)
+
+    def test_coplanar_starts_match_the_scan(self):
+        rng = random.Random(19)
+        for p, s in nonzero_d_sample(100, 19):
+            z = rng.uniform(-2.0, 2.0)
+            self.assert_matches_scan(reduce_state(FullState(s.r1, z, s.r2, z), p), p)
+
+    def test_level_edge_between_two_doubling_probes(self):
+        # The level's gap > 0 window (1.20, 1.51) lies between the doubling
+        # probes at 1.60 and 1.07; left of it the level is feasible again on
+        # (0.49, 1.20), across the contact angle 0.71.  Bracketing by the
+        # probes alone gave 0.0311, 77% below the edge's 0.1349.
+        p = Params(0.4957023161348462, 2.6957276242150003)
+        hs = reduce_state(FullState(0.49850749093280394, -1.4226865239538173,
+                                    0.7959748234280667, 1.3741271030478495), p)
+        lo = self.assert_matches_scan(hs, p)
+        assert 1.5 < lo < hs.theta
+        assert math.isclose(no_collision_certificate(hs, p).min_separation, 0.134908, rel_tol=1e-5)
+
+    def test_energy_evaluations_per_certificate(self, monkeypatch):
+        # The search's cost, counted, so that a slower search fails here
+        # without timing anything.  On this sample the search takes 25.1
+        # energy evaluations a certificate (at most 65); the 400-point scan
+        # and bisection took 96.7 (at most 317).
+        calls = collections.Counter()
+        factory = dynamics.hyperbolic_energy
+
+        def counting(p, d):
+            energy = factory(p, d)
+
+            def counted(theta, w):
+                calls["energy"] += 1
+                return energy(theta, w)
+
+            return counted
+
+        monkeypatch.setattr(dynamics, "hyperbolic_energy", counting)
+        counts = []
+        for p, s in nonzero_d_sample(2000, 23):
+            hs = reduce_state(s, p)
+            calls.clear()
+            no_collision_certificate(hs, p)
+            counts.append(calls["energy"])
+        assert statistics.mean(counts) <= 30.0
+        assert max(counts) <= 80
+
+
+class TestLastPositive:
+    """The root helper: the largest float with f > 0 in a sign-change bracket."""
+
+    @staticmethod
+    def run(f, lo, hi, f_hi=None):
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+
+        x = _last_positive(g, lo, f(lo), hi, f(hi) if f_hi is None else f_hi)
+        return x, seen
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda x: 2.0 - x * x, 0.0, 3.0),
+        (lambda x: math.exp(-x) - 0.1, 0.0, 50.0),
+        (lambda x: math.cos(x), 0.0, 3.0),
+        (lambda x: 2.0 + x - x ** 3, 1.0, 2.0),
+    ])
+    def test_largest_float_with_f_positive(self, f, lo, hi):
+        x, seen = self.run(f, lo, hi)
+        assert lo <= x < hi
+        assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
+        assert len(seen) < 40
+
+    def test_minus_infinity_at_hi_is_bisected(self):
+        # A pole at hi, as the gap has at the d > 0 contact angle.
+        f = lambda x: 1.0 - 1.0 / (2.0 - x) if x < 2.0 else -math.inf
+        x, seen = self.run(f, 0.0, 2.0, -math.inf)
+        assert seen[0] == 1.0
+        assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
+
+    def test_zero_at_hi_is_bisected(self):
+        # A coplanar start: f(hi) = 0 with the crossing at hi itself.
+        f = lambda x: 1.5 - x
+        x, seen = self.run(f, 1.0, 1.5)
+        assert seen[0] == 1.25
+        assert x == math.nextafter(1.5, 0.0)
+
+    def test_step_function(self):
+        c = 0.7
+        x, seen = self.run(lambda x: 1.0 if x < c else -1.0, 0.0, 1.0)
+        assert x == math.nextafter(c, 0.0)
+        assert len(seen) < 100
+
+    def test_rounding_noise_near_the_root(self):
+        # (1 - x)**3 expanded: about 1e-16 of noise over 1e-5 around x = 1.
+        f = lambda x: 1.0 - ((x - 3.0) * x + 3.0) * x
+        signs = [f(1.0 + k * 1e-8) > 0.0 for k in range(-500, 500)]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) > 10
+        x, seen = self.run(f, 0.5, 1.5)
+        assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
+        assert len(seen) < 100
+
+
+class TestPositiveNearPeak:
+    """The window search of the certificate: f > 0 near a peak between probes."""
+
+    def test_finds_a_window_between_probes(self):
+        f = lambda x: 1e-4 - (x - 0.7) ** 2  # f > 0 on (0.69, 0.71)
+        probes = [(x, f(x)) for x in (1.0, 0.9, 0.5, 0.0)]
+        x, f_x, b, f_b = _positive_near_peak(f, probes)
+        assert f_x == f(x) > 0.0 >= f_b == f(b)
+        assert 0.69 < x < b
+
+    def test_no_window_below_zero(self):
+        f = lambda x: -1e-3 - (x - 0.7) ** 2
+        assert _positive_near_peak(f, [(x, f(x)) for x in (1.0, 0.9, 0.5, 0.0)]) is None
+
+    def test_peak_at_the_last_probe_is_not_bracketed(self):
+        f = lambda x: -x
+        assert _positive_near_peak(f, [(x, f(x)) for x in (1.0, 0.9, 0.5)]) is None
