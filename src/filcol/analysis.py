@@ -18,7 +18,9 @@ so one threshold on v = W0*exp(-theta0) decides below gamma_star:
 `classify` compares v with v_star from the record ``Params.law``, which
 `dynamics` draws once per Params from the equal-circulation test and the
 sign of K = alpha**2*gamma - offset2*mu**2; the same walk over the state
-picks a colliding state's collision-time formula.  This module computes
+picks a colliding state's collision-time formula.  h0 = mu*z*exp(-theta0)
+is read from the level z (``dynamics._on_level``, a function of v alone),
+and every time is exp(2*theta0)/mu**2 times a function of z.  This module computes
 gamma_star itself, for reporting, by bracketed bisection with Newton
 polish, and the separatrix in closed form; it classifies initial states,
 takes exact collision times from ``dynamics.time_to_axis``, evaluates the
@@ -59,9 +61,6 @@ __all__ = [
     "no_collision_certificate",
 ]
 
-_H0_ZERO_RTOL = 1e-12
-
-
 class Verdict(Enum):
     HEAD_ON_COLLISION = "head-on-collision"
     ASYMMETRIC_COLLISION = "asymmetric-collision"
@@ -89,7 +88,7 @@ class CollisionTimeEstimate(NamedTuple):
     kind: EstimateKind
     value: float
     formula_tag: FormulaTag
-    constants: dict[str, float]
+    constants: dict[str, float | None]
 
 
 @dataclass(frozen=True, init=False)
@@ -124,8 +123,9 @@ class MotionClass:
 
         Exact values come from quadrature of the energy-decoupled equations,
         upper bounds from comparison solutions (README, "known discrepancies").
-        RegimeError if the state does not collide; NumericalFailure where the
-        formula divides by zero (h0**2 underflows) or leaves the float range.
+        A constant outside the float range is reported as None.  RegimeError
+        if the state does not collide; NumericalFailure where the time is not
+        a positive float.
         """
         tag = self.formula_tag
         if tag is None:
@@ -134,8 +134,9 @@ class MotionClass:
             kind, value, constants = _formula(self)
         except (ZeroDivisionError, OverflowError, ValueError):
             value, constants = math.inf, {}
-        if not (value > 0.0 and all(map(math.isfinite, (value, *constants.values())))):
+        if not 0.0 < value < math.inf:
             raise NumericalFailure(f"the {tag.value} estimate leaves the float range at this state")
+        constants = {name: c if math.isfinite(c) else None for name, c in constants.items()}
         return CollisionTimeEstimate(kind, value, tag, constants)
 
 
@@ -256,8 +257,10 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
 
     The regime and the threshold come from the record ``p.law``: below
     gamma_star a state collides iff W0 > 0 and v = W0*exp(-theta0) >=
-    v_star, and above it never.  h0 and theta_star are reported only; the
-    sign of h0 and the h0 ~ 0 cut pick a colliding state's formula tag.
+    v_star, and above it never.  h0 = mu*z/u, read from the level z that
+    ``time_to_axis`` reads, and theta_star are reported only; the sign of z
+    with its zero cut (``dynamics.level_sign``) picks a colliding state's
+    formula tag.  DomainError where h0 is not a float.
     """
     th0, w0 = rs0.theta, rs0.w
     law = p.law
@@ -266,19 +269,18 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
     if regime is _EQUAL and w0 == 0.0:
         raise OnSingularLine("W = 0 is excluded for gamma = 1")
     try:
-        h0 = dynamics.reduced_energy(p)(th0, w0)
-    except (OverflowError, ZeroDivisionError):
-        h0 = math.inf
+        u, _, z, _ = dynamics._on_level(p, th0, w0)
+        # v as W0*exp(-theta0): W0/u may round to the other side of v_star.
+        h0, v = law.mu * z / u, w0 * math.exp(-th0)
+    except (NumericalFailure, OverflowError):
+        h0 = math.nan
     if not math.isfinite(h0):
-        raise DomainError(f"state ({th0!r}, {w0!r}) is not representable: energy overflows")
+        raise DomainError(f"state ({th0!r}, {w0!r}) is not representable: no energy in floats")
     if regime is _SUPERCRITICAL:
         return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs, None, None, rs0, p)
-    # h0 ~ 0 relative to the self-induction term, so the rescaling (theta0,
-    # W0) -> (theta0 + s, W0*exp(s)), which maps h0 to exp(-s)*h0, keeps it.
-    e0 = math.exp(-th0)
-    zero = abs(h0) <= _H0_ZERO_RTOL * p.mu * e0
-    ts = theta_star(p, h0) if regime is _SUBCRITICAL and h0 > 0.0 and not zero else None
-    if not (w0 > 0.0 and w0 * e0 >= law.v_star):
+    sign = dynamics.level_sign(z)
+    ts = theta_star(p, h0) if regime is _SUBCRITICAL and sign > 0 else None
+    if not (w0 > 0.0 and v >= law.v_star):
         if regime is _EQUAL:
             verdict = Verdict.NO_COLLISION_GAMMA1
         elif regime is _CRITICAL and w0 == 0.0:
@@ -288,13 +290,11 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
         return MotionClass(verdict, h0, gs, ts, None, rs0, p)
     verdict = Verdict.ASYMMETRIC_COLLISION
     if regime is _EQUAL:
-        verdict, branch = Verdict.HEAD_ON_COLLISION, _G1_H0_ZERO if zero else _G1_H0_NONZERO
+        verdict, branch = Verdict.HEAD_ON_COLLISION, _G1_H0_NONZERO if sign else _G1_H0_ZERO
     elif regime is _CRITICAL:
         branch = _CRIT
-    elif zero:
-        branch = _SUB_H0_ZERO
     else:
-        branch = _SUB_H0_NEG if h0 < 0.0 else _SUB_H0_POS
+        branch = (_SUB_H0_NEG, _SUB_H0_ZERO, _SUB_H0_POS)[sign + 1]
     return MotionClass(verdict, h0, gs, ts, branch, rs0, p)
 
 
@@ -310,43 +310,43 @@ def collision_time(rs0: ReducedState, p: Params) -> CollisionTimeEstimate:
 def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
     """The kind, time and constants of the collision-time formula mc names.
     Every exact time (W0**2/(2*alpha), the implicit formula in g1_w0 and
-    exp(2*theta0)/(2*m0)) is the time down the state's own level to the axis."""
-    branch, th0, w0, h0, p = mc.formula_tag, mc.state.theta, mc.state.w, mc.h0, mc.params
+    exp(2*theta0)/(2*m0)) is the time down the state's own level to the axis;
+    every bound is (u/mu)**2, u = exp(theta0), times a function of that level
+    z (``dynamics._on_level``): u0 = 1/|z| and v0 = 1/sqrt(|z|), and 1 + z
+    gives u0 - 1 and v0 - 1.  A constant may leave the float range."""
+    branch, th0, w0, p = mc.formula_tag, mc.state.theta, mc.state.w, mc.params
+    alpha, mu, asq = p.alpha, p.mu, p.alpha * p.sqrt_gamma
     constants = {}
-    if branch is _G1_H0_NONZERO:  # alpha - h0*W0 = mu*exp(-theta0)*W0
-        g1_w0 = (p.alpha / (h0 * h0)) * math.log(p.mu * math.exp(-th0) * w0) + w0 / h0
-        constants = {"g1_w0": g1_w0}
-    elif branch is _SUB_H0_ZERO:
-        constants = {"m0": p.mu * p.mu * math.sqrt(p.law.k) / (p.alpha * p.alpha * p.gamma)}
-    elif branch is _CRIT:
-        # h0 < 0 for W0 != 0 at gamma_star, but may be > 0 below it in the band.
-        alpha, mu = p.alpha, p.mu
-        if not h0 < -_H0_ZERO_RTOL * mu * math.exp(-th0):
-            raise NumericalFailure(f"critical-ratio energy {h0} is not below zero: no bound")
-        ah0 = abs(h0)
-        m3 = math.sqrt(p.offset) * math.sqrt(ah0) / (alpha ** 1.5 * p.gamma ** 0.75)
-        v0 = math.sqrt(mu / ah0) * math.exp(-0.5 * th0)
-        if v0 <= 1.0:
-            raise NumericalFailure(f"critical-branch substitution needs v0 > 1, got {v0}")
-        if v0 > 3.0:  # 2*(artanh(r) - r/(1 - r**2)), r = 1/v0, cancels as r**3
-            tail = dynamics._artanh_tail(1.0 / v0) - 1.0  # near -2/3: nothing cancels
-            g1_v0 = 2.0 / v0 / v0 / v0 * (tail - 1.0 / (v0 * v0 - 1.0))
-        else:
-            g1_v0 = math.log1p(2.0 / (v0 - 1.0)) - 2.0 * v0 / (v0 * v0 - 1.0)
-        g1_v0 /= 4.0 * math.sqrt(mu) * ah0 ** 1.5
-        return EstimateKind.UPPER_BOUND, -2.0 / m3 * g1_v0, {"m3": m3, "v0": v0, "g1_v0": g1_v0}
-    elif branch is _SUB_H0_NEG:
-        asq, mu = p.alpha * p.sqrt_gamma, p.mu
-        m1 = math.sqrt(asq * (asq - p.offset * mu)) / (p.alpha * p.alpha * p.gamma)
-        u0 = mu * math.exp(-th0) / abs(h0)
-        if u0 <= 1.0:
-            raise NumericalFailure(f"comparison substitution needs u0 > 1, got {u0}")
-        g1_u0 = -dynamics.log_tail(u0 / (u0 - 1.0)) / (u0 - 1.0) / (u0 - 1.0)
-        t_star = g1_u0 / (m1 * h0 * h0)
-        return EstimateKind.UPPER_BOUND, t_star, {"m1": m1, "u0": u0, "t_star": t_star}
-    elif branch is _SUB_H0_POS:
-        m2 = math.sqrt(h0) * p.mu ** 1.5 / (p.alpha * p.sqrt_gamma)
-        return EstimateKind.UPPER_BOUND, 2.0 * math.exp(1.5 * th0) / (3.0 * m2), {"m2": m2}
+    if branch is _SUB_H0_ZERO:
+        constants = {"m0": mu * mu * math.sqrt(p.law.k) / (alpha * alpha * p.gamma)}
+    elif branch is not _G1_H0_ZERO:
+        u, opz, z, _ = dynamics._on_level(p, th0, w0)
+        s = u / mu  # a time is s*(s*T)
+        if branch is _G1_H0_NONZERO:  # alpha - h0*W0 = mu*exp(-theta0)*W0 = mu*v
+            v = w0 / u
+            constants = {"g1_w0": s * (s * (alpha * math.log(mu * v) / z / z + mu * v / z))}
+        elif branch is _SUB_H0_POS:
+            t = s * (s * (2.0 * asq / (3.0 * math.sqrt(z))))
+            m2 = math.sqrt(mu * z) / math.sqrt(u) * mu ** 1.5 / asq
+            return EstimateKind.UPPER_BOUND, t, {"m2": m2}
+        elif branch is _SUB_H0_NEG:  # u0/(u0 - 1) = 1/(1 + z)
+            m1 = math.sqrt(asq * (asq - p.offset * mu)) / (alpha * alpha * p.gamma)
+            t_star = s * (s * (-dynamics.log_tail(1.0 / opz) / opz / opz / m1))
+            return EstimateKind.UPPER_BOUND, t_star, {"m1": m1, "u0": -1.0 / z, "t_star": t_star}
+        else:  # critical: on the band's K = 0 level z < 0 wherever W0 != 0
+            if dynamics.level_sign(z) >= 0:
+                raise NumericalFailure(f"critical-ratio energy {mc.h0} is not below zero: no bound")
+            r = math.sqrt(-z)  # 1/v0; v0**2 - 1 = (1 + z)/|z|
+            if r < 1.0 / 3.0:  # 2*(artanh(r) - r/(1 - r**2)) cancels as r**3
+                g1_v0 = -2.0 * z * r * (dynamics._artanh_tail(r) - 1.0 + z / opz)
+            else:
+                g1_v0 = math.log1p(2.0 * r * (1.0 + r) / opz) - 2.0 * r / opz
+            ah = -mu * z  # |h0|*u
+            m3 = math.sqrt(p.offset * ah) / (alpha ** 1.5 * p.gamma ** 0.75)  # m3*sqrt(u)
+            g1_v0 /= 4.0 * math.sqrt(mu) * ah * math.sqrt(ah)  # g1_v0/u**1.5
+            root_u = math.sqrt(u)
+            return EstimateKind.UPPER_BOUND, s * (s * (-2.0 * mu * mu * g1_v0 / m3)), {
+                "m3": m3 / root_u, "v0": 1.0 / r, "g1_v0": g1_v0 * u * root_u}
     return EstimateKind.EXACT, dynamics.time_to_axis(p, th0, w0), constants
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "hyperbolic_kinetic",
     "quartic",
     "k_sign",
+    "level_sign",
     "monotone_approach",
     "log_tail",
     "time_to_axis",
@@ -126,9 +127,9 @@ class Params:
             return self._law
         except AttributeError:
             pass
-        mu = self.mu
-        c = self.offset2 * mu * mu
-        k = max(self.alpha * self.alpha * self.gamma - c, 0.0)
+        mu, offset = self.mu, self.offset
+        c = offset * offset * mu * mu
+        k = self.alpha * self.alpha * self.gamma - c
         rho_minus_1 = v_star = 0.0
         if self.equal_circulation:
             regime = Regime.EQUAL_CIRCULATION
@@ -144,7 +145,7 @@ class Params:
                 regime, v_star = Regime.SUPERCRITICAL, math.inf
             else:
                 regime, k = Regime.CRITICAL, 0.0
-        law = RegimeLaw(regime, c, k, rho_minus_1, v_star, math.sqrt(k) / mu)
+        law = RegimeLaw(regime, c, k, rho_minus_1, v_star, math.sqrt(max(k, 0.0)) / mu, mu, offset)
         object.__setattr__(self, "_law", law)
         return law
 
@@ -159,12 +160,13 @@ class Regime(Enum):
 
 
 class RegimeLaw(NamedTuple):
-    """The d = 0 regime of one (alpha, gamma) and the numbers that draw it:
-    c = offset2*mu**2, K = alpha**2*gamma - c (0 in the critical band, never
-    below 0), a2g = c + K.  A state collides iff W0 > 0 and v = W0*exp(-theta0)
-    >= v_star = offset*sqrt(rho - 1), rho**3 = a2g/c (rho - 1 formed so that
-    nothing cancels): 0 at equal circulation and at the critical ratio, inf
-    above it.  h0 > 0 iff |v| < v0 = sqrt(K)/mu; v_star < v0 where K > 0."""
+    """The d = 0 regime of one (alpha, gamma) and the numbers that draw it, mu
+    and offset as ``Params`` forms them: c = offset2*mu**2, K = alpha**2*gamma - c
+    (0 in the critical band, < 0 above it), a2g = c + K.  A state collides iff W0
+    > 0 and v = W0*exp(-theta0) >= v_star = offset*sqrt(rho - 1), rho**3 = a2g/c
+    (rho - 1 formed so that nothing cancels): 0 at equal circulation and at the
+    critical ratio, inf above it.  h0 > 0 iff |v| < v0 = sqrt(max(K, 0))/mu;
+    v_star < v0 where K > 0."""
 
     regime: Regime
     c: float
@@ -172,6 +174,8 @@ class RegimeLaw(NamedTuple):
     rho_minus_1: float
     v_star: float
     v0: float
+    mu: float
+    offset: float
 
     @property
     def a2g(self) -> float:
@@ -442,18 +446,33 @@ def _on_level(p: Params, theta: float, w: float) -> tuple[float, float, float, f
     1 + z = m(u)/mu = sa/(mu*delta), z = (K - mu**2*v**2)/(mu*delta*(sa + mu*delta))
     and q = W*m(u)/u = sa*v/delta, with v = W/u, delta = D/u, sa = sqrt(a2g).  Neither
     m = mu + h*u nor m/mu - 1 is formed: near the critical rest line z lives in W**2,
-    below D's rounding.  NumericalFailure where u or v leaves the float range."""
-    law, mu = p.law, p.mu
-    sa = math.sqrt(law.a2g)
+    below D's rounding.  z = h*u/mu, a function of v, is the one source of h0 = mu*z/u
+    (on the band's own K = 0 level in the critical band).  sa is alpha*sqrt(gamma) where
+    c + K cancels (K < 0), and z = sa/(mu*delta) - 1 where K = -inf (gamma above about
+    5e102) or mu*v overflows.  NumericalFailure where u leaves the float range."""
+    law = p.law
+    mu, k = law.mu, law.k
+    sa = math.sqrt(law.c + k) if k >= 0.0 else p.alpha * p.sqrt_gamma
     try:
         u = math.exp(theta)
         v = w / u
-        delta = math.hypot(p.offset, v)
+        delta = math.hypot(law.offset, v)
         mud = mu * delta
-        z = (law.k / mud - mu * v * (v / delta)) / (sa + mud)
+        if k > -math.inf and mud < math.inf:
+            z = (k / mud - mu * v * (v / delta)) / (sa + mud)
+        else:
+            z = sa / mud - 1.0
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalFailure(f"the state ({theta!r}, {w!r}) has no level in floats") from exc
     return u, sa / mud, z, sa * (v / delta)
+
+
+def level_sign(z: float) -> int:
+    """The sign of the level z = h0*exp(theta)/mu (``_on_level``), 0 for a NaN z and
+    within the one zero-energy cut |z| <= 1e-12: |h0| <= 1e-12*mu*exp(-theta)."""
+    if not abs(z) > 1e-12:
+        return 0
+    return 1 if z > 0.0 else -1
 
 
 def monotone_approach(p: Params, theta: float, w: float) -> bool:

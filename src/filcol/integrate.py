@@ -478,7 +478,7 @@ def simulate_until_collision(
         # At gamma = 1, offset2 = 0 and D = |W|: exp(theta) alone may overflow.
         thr2 = _KAPPA * _KAPPA * ((c2 * math.exp(2.0 * th0) if c2 else 0.0) + w0 * w0)
         witness = survival_witness and (
-            equal or dynamics.reduced_energy(p)(th0, w0) < -1e-12 * p.mu * math.exp(-th0)
+            equal or dynamics.level_sign(dynamics._on_level(p, th0, w0)[2]) < 0
         )
     except _FIELD_ERRORS as exc:
         raise InvalidInitialState(f"initial state rejected: {exc}") from exc
@@ -510,10 +510,10 @@ def simulate_until_collision(
         -2*offset2*h0*m), so on the W < 0 branch |W| and D only grow: it
         never returns to W = 0, nor to the axis.  At equal circulation,
         dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is armed
-        once, from rs0: at equal circulation, or where h0 lies below
-        -1e-12*mu*exp(-theta0), clear of the rounding of the zero-energy
-        level.  K <= 0 puts every level below zero, so every supercritical
-        run is armed.  Neither theta_star nor gamma_star enters.
+        once, from rs0: at equal circulation, or where the level of rs0, the
+        one ``time_to_axis`` reads, lies below the zero-energy cut
+        (``dynamics.level_sign``).  K < 0 puts every level below zero, so
+        every supercritical run is armed.  Neither theta_star nor gamma_star enters.
         """
         th, w = y
         if w > 0.0 and armed:

@@ -52,6 +52,56 @@ def quadrature_time(p, theta, w, critical=False):
         return mpmath.quad(integrand, [0, mpmath.sqrt(u) / 2, mpmath.sqrt(u)])
 
 
+def closed_form_time(p, theta, w):
+    """The time to the axis on the own level of the float state (theta, w),
+    from the closed form in mpmath, whose exponents do not overflow: with v =
+    W/u, -(W**2/alpha)*(log(y) - x)/x**2, x = y - 1, y = mu*v/alpha, at equal
+    circulation, else (a2g/h**2)*[F(m) - F(mu)], F(m) = -artanh(q/sqrt(a2g))/
+    sqrt(a2g) + mu*q/(a2g*m), on the law's level (K = 0 in the critical band).  Its terms cancel to O(z**2), so the digits grow with |log v|
+    and, near the zero level, with |log z|."""
+    dps = 50 + 5 * int(abs(math.log10(w) - theta / math.log(10.0)))
+    while True:
+        with mpmath.workdps(dps):
+            u, w_mp = mpmath.exp(mpmath.mpf(theta)), mpmath.mpf(w)
+            mu, v = mpmath.mpf(p.mu), w_mp / u
+            if p.law.c == 0.0:
+                y = mu * v / p.alpha
+                small = y - 1
+                t = -(w_mp ** 2 / p.alpha) * (mpmath.log(y) - small) / small ** 2
+            else:
+                c2 = mpmath.mpf(p.offset) ** 2
+                k2 = mpmath.mpf(p.alpha) ** 2 * p.gamma - c2 * mu * mu if p.law.k else 0
+                a2g = c2 * mu * mu + k2
+                sa, delta = mpmath.sqrt(a2g), mpmath.sqrt(c2 + v * v)
+                small = (k2 - mu * mu * v * v) / (mu * delta * (sa + mu * delta))
+
+                def f(m, q):
+                    return -mpmath.atanh(q / sa) / sa + mu * q / (a2g * m)
+
+                t = (u / (small * mu)) ** 2 * a2g * (
+                    f(mu * (1 + small), sa * v / delta) - f(mu, mpmath.sqrt(k2)))
+            if abs(small) > mpmath.mpf(10) ** (30 - dps // 2):
+                return t
+        dps *= 2
+
+
+def energy_40(p, theta: float, w: float):
+    """The d = 0 energy of the float state (theta, w) to 40 digits, with mu and
+    offset formed from the float gamma in mpmath: the true level of the state."""
+    with mpmath.workdps(40):
+        theta, w = mpmath.mpf(theta), mpmath.mpf(w)
+        sg = mpmath.sqrt(mpmath.mpf(p.gamma))
+        mu = p.gamma + 1 / sg
+        d = mpmath.sqrt((sg - 1) ** 2 * mpmath.exp(2 * theta) + w * w)
+        return -mu * mpmath.exp(-theta) + p.alpha * sg / d, mu * mpmath.exp(-theta)
+
+
+def h0_error(p, theta: float, w: float, h0: float) -> float:
+    """|h0 - H|/max(|H|, mu*exp(-theta)), H the 40-digit energy of the state."""
+    h, self_induction = energy_40(p, theta, w)
+    return float(abs(h0 - h) / max(abs(h), self_induction))
+
+
 def _nonzero_d_state(uniform, coin) -> tuple[Params, FullState]:
     p = Params(uniform(0.02, 0.98), uniform(1.0, 4.0))
     r1 = math.exp(uniform(-2.0, 2.0))

@@ -10,6 +10,7 @@ import random
 import statistics
 from decimal import Decimal
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,8 @@ from filcol.dynamics import Regime, hyperbolic_kinetic, k_sign, reduced_field, t
 from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
 from conftest import (
-    level_w, linspace, nonzero_d_sample, nonzero_d_states, quadrature_time, rel_err
+    closed_form_time, energy_40, h0_error, level_w, linspace, nonzero_d_sample, nonzero_d_states,
+    quadrature_time, rel_err
 )
 
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -225,6 +227,40 @@ class TestRegimeBoundaries:
             Verdict.EQUILIBRIUM_REST,
             Verdict.GLOBAL_PASS_THROUGH,
         }
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9])
+    def test_estimates_either_side_of_each_band_edge(self, alpha):
+        # The state (0.3, 1.0) 1 to 3 ulps out from each edge of the band
+        # and on the edge itself.  Below the band the h0 < 0 bound holds,
+        # about 3e6 times looser than the critical one (m1 -> 0 at
+        # gamma_star); above it no collision is predicted, and the oracle,
+        # which meets the near-collision by step collapse, does not report one.
+        rs = ReducedState(0.3, 1.0)
+        lo, hi = band_edges(alpha)
+        steps = {"below": (lo, 0.0), "in-low": (math.nextafter(lo, math.inf), math.inf),
+                 "in-high": (math.nextafter(hi, 0.0), 0.0), "above": (hi, math.inf)}
+        bounds = {}
+        for side, (edge, direction) in steps.items():
+            gamma = edge
+            for n in range(3 if side in ("below", "above") else 1):
+                p = Params(alpha, gamma)
+                assert (k_sign(p) == 0) == side.startswith("in"), (side, n)
+                mc = classify(rs, p)
+                result, _ = simulate_until_collision(rs, p, CFG, t_end=5.0, survival_witness=True)
+                if side == "above":
+                    assert mc.verdict is Verdict.GLOBAL_PASS_THROUGH and mc.formula_tag is None
+                    assert result.status is not SimStatus.COLLIDED
+                else:
+                    assert mc.verdict is Verdict.ASYMMETRIC_COLLISION
+                    assert mc.formula_tag is (FormulaTag.SUBCRITICAL_H0_NEGATIVE if side == "below"
+                                              else FormulaTag.CRITICAL)
+                    est = mc.estimate()
+                    assert est.kind is EstimateKind.UPPER_BOUND
+                    assert result.status is SimStatus.COLLIDED and est.value >= result.time
+                    bounds.setdefault(side, est.value)
+                gamma = math.nextafter(gamma, direction)
+        assert 1e6 < bounds["below"] / bounds["in-low"] < 1e7
+        assert rel_err(bounds["in-high"], bounds["in-low"]) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.8, 0.95])
     def test_gamma_star_and_its_neighbours_are_critical(self, alpha):
@@ -769,11 +805,13 @@ class TestCollisionTime:
         assert rel_err(result.time, est.value) < 1e-5
 
     def test_equal_circulation_underflowing_self_induction_has_no_time(self):
-        # exp(-800) underflows, so the implicit formula's argument
-        # mu*exp(-theta0)*W0 (= alpha - h0*W0) is 0.0.
+        # exp(800) overflows, so the state has no level z = h0*exp(theta0)/mu
+        # in floats (nor a time, exp(1600) times a function of v): it is not
+        # representable, as at theta0 = -800.
         rs, p = ReducedState(800.0, 0.5), Params(0.5, 1.0)
-        assert classify(rs, p).verdict is Verdict.HEAD_ON_COLLISION
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(DomainError, match="not representable"):
+            classify(rs, p)
+        with pytest.raises(DomainError, match="not representable"):
             collision_time(rs, p)
 
     def test_noncolliding_state_rejected(self):
@@ -1080,11 +1118,8 @@ class TestTimesAtTheEdges:
             collision_time(rs, p)
 
     @pytest.mark.parametrize("alpha, gamma, th0, w0", [
-        # h0**2 underflows to 0 in the gamma = 1 and subcritical h0 < 0 formulas.
+        # The gamma = 1 time, exp(2*theta0) times a function of v, overflows.
         (0.5, 1.0, 400.0, 1.3058e173),
-        (0.05, 1.0256164239019379, 350.0, 2.1850498746957718e150),
-        # Nearer the axis the gamma = 1 time and g1_w0 overflow to inf.
-        (0.05, 1.0, 332.0, 3.8344934526689277e142),
     ])
     def test_estimate_outside_the_float_range_is_a_numerical_failure(
         self, alpha, gamma, th0, w0
@@ -1096,6 +1131,41 @@ class TestTimesAtTheEdges:
             mc.estimate()
         with pytest.raises(NumericalFailure):
             collision_time(rs, p)
+
+    @pytest.mark.parametrize("alpha, gamma, th0, w0, tag", [
+        # h0**2 underflows to 0, but the level z = h0*exp(theta0)/mu does not.
+        (0.05, 1.0256164239019379, 350.0, 2.1850498746957718e150,
+         FormulaTag.SUBCRITICAL_H0_NEGATIVE),
+        # The time is a float; g1_w0, below -1.8e308, is not.
+        (0.05, 1.0, 332.0, 3.8344934526689277e142, FormulaTag.GAMMA1_H0_NONZERO),
+    ])
+    def test_far_estimate_is_read_from_the_level(self, alpha, gamma, th0, w0, tag):
+        rs, p = ReducedState(th0, w0), Params(alpha, gamma)
+        mc = classify(rs, p)
+        assert mc.verdict is (Verdict.HEAD_ON_COLLISION if p.law.c == 0.0
+                              else Verdict.ASYMMETRIC_COLLISION)
+        assert mc.formula_tag is tag
+        assert h0_error(p, th0, w0, mc.h0) < 1e-14
+        est = mc.estimate()
+        exact = closed_form_time(p, th0, w0)
+        if est.kind is EstimateKind.EXACT:
+            assert est.value == time_to_axis(p, th0, w0)
+            assert rel_err(est.value, float(exact)) < 1e-13
+            assert est.constants == {"g1_w0": None}
+        else:
+            # (u/mu)**2*g1(u0)/(m1*z**2) in 40 digits, from the 40-digit energy.
+            with mpmath.workdps(40):
+                h, self_induction = energy_40(p, th0, w0)
+                sg = mpmath.sqrt(mpmath.mpf(gamma))
+                asq, mu, offset = alpha * sg, gamma + 1 / sg, sg - 1
+                m1 = mpmath.sqrt(asq * (asq - offset * mu)) / (alpha * asq * sg)
+                u0 = self_induction / abs(h)
+                y = u0 / (u0 - 1)
+                g1 = -(mpmath.log(y) - (y - 1)) / (y - 1) ** 2 / (u0 - 1) ** 2
+                bound = g1 / (m1 * h * h)
+            assert rel_err(est.value, float(bound)) < 1e-12
+            assert est.value >= exact
+        assert collision_time(rs, p) == est
 
     def test_critical_band_positive_energy_has_no_bound(self):
         # 0.9e-9 below gamma_star, K > 0: the ratio is subcritical, and
@@ -1146,7 +1216,7 @@ class TestCorridor:
         with pytest.raises(RegimeError):
             apriori_corridor(ReducedState(0.0, 1.0), Params(0.2, gamma_star(0.2)))
 
-    @pytest.mark.parametrize("theta0", [400.0, -800.0])
+    @pytest.mark.parametrize("theta0", [-800.0])
     def test_unrepresentable_energy_is_a_domain_error(self, theta0):
         # The same error classify raises for the state, not a bare OverflowError.
         rs, p = ReducedState(theta0, 0.5), Params(0.2, 3.0)
@@ -1154,6 +1224,17 @@ class TestCorridor:
             classify(rs, p)
         with pytest.raises(DomainError):
             apriori_corridor(rs, p)
+
+    def test_far_state_has_a_corridor(self):
+        # exp(800) overflows, but the level z = h0*exp(400)/mu is a float: h0
+        # is the true energy, and the corridor is built on it.
+        rs, p = ReducedState(400.0, 0.5), Params(0.2, 3.0)
+        mc = classify(rs, p)
+        assert mc.verdict is Verdict.GLOBAL_PASS_THROUGH
+        assert h0_error(p, 400.0, 0.5, mc.h0) < 1e-14
+        cor = apriori_corridor(rs, p)
+        assert cor.lower_slope < cor.upper_slope < 0.0
+        assert cor.theta_lo < 400.0 < cor.theta_hi
 
 
 class TestCertificate:

@@ -17,10 +17,11 @@ from scipy.integrate import solve_ivp
 
 import filcol.cli as cli
 import filcol.verify as verify
-from filcol import gamma_star
+from filcol import Params, gamma_star
 from filcol.cli import _frame, main
+from filcol.dynamics import time_to_axis
 
-from conftest import linspace, rel_err
+from conftest import h0_error, linspace, rel_err
 
 
 def run_cli(capsys, *argv):
@@ -113,12 +114,11 @@ class TestClassifyCommand:
         assert "initial state" in err
 
     @pytest.mark.parametrize("gamma,theta0,w0", [
-        ("1.1", "400", "0.5"), ("3", "400", "0.5"), ("0.9", "400", "0.5"),
-        ("1.1", "-800", "0.5"), ("1", "-800", "0.5"), ("1.1", "-380", "0"),
+        ("1.1", "-800", "0.5"), ("1", "-800", "0.5"), ("1.1", "800", "0.5"), ("1", "800", "0.5"),
     ])
     def test_unrepresentable_state_exits_2(self, capsys, gamma, theta0, w0):
-        # exp(2*theta0) or exp(-theta0) overflows a float in the energy, or
-        # the separation underflows to 0.
+        # exp(theta0) overflows or underflows to 0: the state has no level
+        # z = h0*exp(theta0)/mu in floats.
         code, out, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", gamma,
                                  "--theta0", theta0, "--w0", w0)
         assert code == 2
@@ -126,26 +126,65 @@ class TestClassifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not representable" in err
 
+    @pytest.mark.parametrize("gamma,theta0,w0,verdict", [
+        ("1.1", "400", "0.5", "no-collision-subcritical"),
+        ("3", "400", "0.5", "global-pass-through"),
+        ("0.9", "400", "0.5", "no-collision-subcritical"),
+        ("1.1", "-380", "0", "no-collision-subcritical"),
+    ])
+    def test_far_state_answers(self, capsys, tmp_path, gamma, theta0, w0, verdict):
+        # exp(2*theta0) or exp(-2*theta0) is not a float, but the level
+        # z = h0*exp(theta0)/mu is: h0 is the state's energy to 1e-14.
+        payload = run_json(capsys, tmp_path, "classify", "--alpha", "0.2", "--gamma", gamma,
+                           "--theta0", theta0, "--w0", w0)
+        assert payload["verdict"] == verdict
+        assert payload["predicts_collision"] is False and "formula_tag" not in payload
+        p = Params(0.2, payload["gamma"])
+        assert h0_error(p, payload["theta0"], payload["w0"], payload["h0"]) < 1e-14
 
     def test_colliding_state_is_walked_once(self, capsys, tmp_path, monkeypatch):
-        # The estimate is read from the class: one reduced_energy factory call.
+        # The estimate is read from the class: one walk reads the state's
+        # level twice, once for the class and once for the bound.
         calls = []
-        real = cli.dynamics.reduced_energy
-        monkeypatch.setattr(cli.dynamics, "reduced_energy", lambda p: calls.append(p) or real(p))
+        real = cli.dynamics._on_level
+        monkeypatch.setattr(cli.dynamics, "_on_level", lambda *a: calls.append(a) or real(*a))
         payload = run_json(capsys, tmp_path, "classify", "--alpha", "0.2", "--gamma", "1.1",
                            "--theta0", "0.2", "--w0", "0.8")
         assert payload["predicts_collision"] is True and "t_estimate" in payload
-        assert len(calls) == 1
+        assert payload["formula_tag"] == "subcritical-h0-negative"
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("alpha,gamma,theta0,w0,tag,t_estimate", [
+        # h0**2 underflows to 0, but the level does not.
+        ("0.05", "1.0256164239019379", "350", "2.1850498746957718e150",
+         "subcritical-h0-negative", 9.015395152936032e+301),
+        # The time is a float, and g1_w0 (below -1.8e308) is reported as null.
+        ("0.05", "1", "332", "3.8344934526689277e+142", "gamma1-h0-nonzero",
+         1.470334003846285e+286),
+    ])
+    def test_far_estimate_answers(self, capsys, tmp_path, alpha, gamma, theta0, w0, tag,
+                                  t_estimate):
+        payload = run_json(capsys, tmp_path, "classify", "--alpha", alpha, "--gamma", gamma,
+                           "--theta0", theta0, "--w0", w0)
+        t = payload["t_estimate"]
+        assert payload["formula_tag"] == tag and rel_err(t, t_estimate) < 1e-13
+        p, th0, w = Params(float(alpha), float(gamma)), float(theta0), float(w0)
+        assert h0_error(p, th0, w, payload["h0"]) < 1e-14
+        exact = time_to_axis(p, th0, w)
+        if payload["t_estimate_kind"] == "exact":
+            assert payload["verdict"] == "head-on-collision"
+            assert t == exact and payload["constants"] == {"g1_w0": None}
+        else:
+            assert payload["verdict"] == "asymmetric-collision"
+            assert t >= exact
 
     @pytest.mark.parametrize("alpha,gamma,theta0,w0", [
         ("0.5", "1", "400", "1.3058e173"),
-        ("0.05", "1.0256164239019379", "350", "2.1850498746957718e150"),
-        ("0.05", "1", "332", "3.8344934526689277e+142"),
     ])
     def test_estimate_outside_the_float_range_exits_3(self, capsys, tmp_path,
                                                        alpha, gamma, theta0, w0):
-        # Far from the axis h0**2 underflows to 0, or the time overflows:
-        # no traceback, and no artefact with an Infinity in it.
+        # Far from the axis the time, exp(2*theta0) times a function of v,
+        # overflows: no traceback, and no artefact with an Infinity in it.
         path = tmp_path / "out.json"
         code, out, err = run_cli(capsys, "classify", "--alpha", alpha, "--gamma", gamma,
                                  "--theta0", theta0, "--w0", w0, "--output", str(path))
@@ -534,12 +573,23 @@ class TestSweepCommand:
 
     def test_unrepresentable_node_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--alpha", "0.2", "--gamma", "1.1",
-                                 "--theta-min", "0", "--theta-max", "400",
+                                 "--theta-min", "0", "--theta-max", "800",
                                  "--w-min", "-1", "--w-max", "1")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not representable" in err
+
+    def test_far_nodes_answer(self, capsys, tmp_path):
+        # At theta0 = 400 exp(2*theta0) overflows, but each node's level is a float.
+        payload = run_json(capsys, tmp_path, "sweep", "--alpha", "0.2", "--gamma", "1.1",
+                           "--theta-min", "0", "--theta-max", "400",
+                           "--w-min", "-1", "--w-max", "1", "--format", "json")
+        far = [row for row in payload["rows"] if row["theta0"] == 400.0]
+        assert [row["w0"] for row in far] == [-1.0, 1.0]
+        for row in far:
+            assert row["verdict"] == "no-collision-subcritical" and row["t_estimate"] is None
+            assert h0_error(Params(0.2, 1.1), 400.0, row["w0"], row["h0"]) < 1e-14
 
 
 class TestVerifyCommand:

@@ -38,7 +38,7 @@ from filcol import (
 )
 from filcol.dynamics import k_sign, log_tail, monotone_approach, time_to_axis
 
-from conftest import level_w, nonzero_d_states, quadrature_time, rel_err
+from conftest import closed_form_time, level_w, nonzero_d_states, quadrature_time, rel_err
 
 
 class TestParams:
@@ -267,40 +267,6 @@ class TestLevelSetForms:
         assert abs(dw) < 1e-10
 
 
-def _closed_form_time(p, theta, w):
-    """The time to the axis on the own level of the float state (theta, w),
-    from the closed form in mpmath, whose exponents do not overflow: with v =
-    W/u, -(W**2/alpha)*(log(y) - x)/x**2, x = y - 1, y = mu*v/alpha, at equal
-    circulation, else (a2g/h**2)*[F(m) - F(mu)], F(m) = -artanh(q/sqrt(a2g))/
-    sqrt(a2g) + mu*q/(a2g*m), on the law's level (K = 0 at the critical ratio
-    and above).  Its terms cancel to O(z**2), so the digits grow with |log v|
-    and, near the zero level, with |log z|."""
-    dps = 50 + 5 * int(abs(math.log10(w) - theta / math.log(10.0)))
-    while True:
-        with mpmath.workdps(dps):
-            u, w_mp = mpmath.exp(mpmath.mpf(theta)), mpmath.mpf(w)
-            mu, v = mpmath.mpf(p.mu), w_mp / u
-            if p.law.c == 0.0:
-                y = mu * v / p.alpha
-                small = y - 1
-                t = -(w_mp ** 2 / p.alpha) * (mpmath.log(y) - small) / small ** 2
-            else:
-                c2 = mpmath.mpf(p.offset) ** 2
-                k2 = mpmath.mpf(p.alpha) ** 2 * p.gamma - c2 * mu * mu if p.law.k else 0
-                a2g = c2 * mu * mu + k2
-                sa, delta = mpmath.sqrt(a2g), mpmath.sqrt(c2 + v * v)
-                small = (k2 - mu * mu * v * v) / (mu * delta * (sa + mu * delta))
-
-                def f(m, q):
-                    return -mpmath.atanh(q / sa) / sa + mu * q / (a2g * m)
-
-                t = (u / (small * mu)) ** 2 * a2g * (
-                    f(mu * (1 + small), sa * v / delta) - f(mu, mpmath.sqrt(k2)))
-            if abs(small) > mpmath.mpf(10) ** (30 - dps // 2):
-                return t
-        dps *= 2
-
-
 def _level_state(p, h, u):
     """The float state (log u, W > 0) nearest the level h at s = u."""
     theta = math.log(u)
@@ -394,7 +360,7 @@ class TestTimeToAxis:
         # critical ratio there is no time.
         for p, theta in ((Params(0.2, 1.1), 0.5), (Params(0.5, 1.3), -1.0),
                          (Params(0.9, 1.05), 2.0)):
-            want = float(_closed_form_time(p, theta, 5e-324))
+            want = float(closed_form_time(p, theta, 5e-324))
             assert rel_err(time_to_axis(p, theta, 0.0), want) < 2e-15
         for p in (Params(0.2, 1.0), Params(0.2, gamma_star(0.2))):
             with pytest.raises(NumericalFailure):
@@ -447,7 +413,7 @@ class TestTimeToAxisAtTheExtremes:
                 outcomes.add("numerical-failure")
                 continue
             assert 0.0 <= t < math.inf, (p, theta, w, t)
-            want = _closed_form_time(p, theta, w)
+            want = closed_form_time(p, theta, w)
             if t == 0.0:
                 outcomes.add("underflow")
                 assert float(want) == 0.0, (p, theta, w, want)

@@ -121,3 +121,41 @@ def test_every_exact_time_is_the_time_to_the_axis():
     assert len(exact) == 1
     time = exact[0].elts[1]
     assert isinstance(time, ast.Call) and ast.unparse(time.func) == "dynamics.time_to_axis"
+
+
+def cut_sites(path: Path) -> tuple[list[tuple[str, str]], list[str]]:
+    """(file, function) of each comparison against a 1e-12 literal, and the
+    module-level names bound to 1e-12."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    is_cut = lambda node: isinstance(node, ast.Constant) and node.value == 1e-12  # noqa: E731
+    sites = [
+        (path.name, func.name)
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare) and any(is_cut(n) for n in ast.walk(node))
+    ]
+    names = [
+        ast.unparse(target)
+        for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        and stmt.value is not None and is_cut(stmt.value)
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+    ]
+    return sites, names
+
+
+def test_the_zero_energy_cut_has_one_copy():
+    # dynamics.level_sign holds the cut |z| <= 1e-12 on the level z =
+    # h0*exp(theta)/mu; classify, the bounds and the oracle's witness read
+    # the sign from it, and none of them evaluates the energy itself.
+    found = [cut_sites(path) for path in SOURCES
+             if path.name in ("analysis.py", "dynamics.py", "integrate.py")]
+    assert [site for sites, _ in found for site in sites] == [("dynamics.py", "level_sign")]
+    assert [name for _, names in found for name in names] == []
+    for module, name in (("analysis", "classify"), ("analysis", "_formula"),
+                         ("integrate", "simulate_until_collision")):
+        tree = ast.parse((SOURCES[0].parent / f"{module}.py").read_text(encoding="utf-8"))
+        func = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        called = {ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)}
+        assert "dynamics._on_level" in called
+        assert not any("reduced_energy" in text for text in called)

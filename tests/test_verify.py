@@ -45,24 +45,24 @@ def test_odd_grid_is_rejected_only_with_the_oracle(monkeypatch):
 
 
 def test_one_energy_walk_per_node(monkeypatch):
-    # A colliding node is classified and timed from one walk: one call of
-    # the reduced_energy factory, which the benchmark counts as its energy
-    # layer.
+    # A colliding node is classified and timed from one walk: the class
+    # reads the state's level once, and the gamma1-h0-nonzero constant once
+    # more (its time, at equal circulation, needs no level).
     calls = []
-    real = verify.dynamics.reduced_energy
+    real = verify.dynamics._on_level
 
-    def counting(p):
-        calls.append(p)
-        return real(p)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(verify.dynamics, "reduced_energy", counting)
+    monkeypatch.setattr(verify.dynamics, "_on_level", counting)
     rs, p = verify.ReducedState(0.0, 0.5), Params(0.5, 1.0)
     mc, t_est = verify.classify_node(rs, p)
-    assert mc.predicts_collision and t_est is not None
-    assert len(calls) == 1
+    assert mc.formula_tag is verify.analysis.FormulaTag.GAMMA1_H0_NONZERO and t_est is not None
+    assert len(calls) == 2
     calls.clear()
     assert verify.collision_time(rs, p).value == t_est
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_classifier_oracle_reports_its_undecided_runs():
