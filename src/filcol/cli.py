@@ -394,8 +394,8 @@ def _cmd_sweep(args) -> None:
             cfg,
             t_end=frame.horizon(args.t_end, cfg.h_min),
         )
-        columns = [node[2:] for node in grid]  # verdict, h0, t_est, oracle, agrees
-        header += ["oracle", "agrees"]
+        columns = [node[2:] for node in grid]  # verdict, h0, t_est, oracle, agrees, reason
+        header += ["oracle", "agrees", "oracle_reason"]
     else:
         columns = []
         for th0, w0 in nodes:
@@ -416,7 +416,7 @@ def _cmd_sweep(args) -> None:
         "rows": [dict(zip(header, row)) for row in rows],
     }
     if args.with_oracle:
-        payload["agreement_rate"] = sum(row[-1] for row in rows) / len(rows)
+        payload["agreement_rate"] = sum(r["agrees"] for r in payload["rows"]) / len(rows)
     payload.update(frame.fields(None))
     _emit(args, payload, (header, rows))
 

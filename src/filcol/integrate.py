@@ -13,19 +13,19 @@ predicate, checked at the initial point and at every accepted point: it
 names the rule that holds there, or returns None.  The run ends at the
 first point where a rule holds; nothing is interpolated.  The conserved
 quantity of the chosen system (d for the full system, the energy for the
-planar charts) is recorded at every accepted point, so any run doubles as
-a conservation audit, and every run counts its attempts, rejections and
-field evaluations in ``Trajectory.stats``.
+planar charts) is kept with the run and its drift computed on read, so any
+run doubles as a conservation audit, and every run counts its attempts,
+rejections and field evaluations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) is not integrated into.
-``simulate_until_collision`` owns the two stop rules of a d = 0 run.  It
+``simulate_until_collision`` owns the stop rules of a d = 0 run.  It
 stops at the first accepted point where the separation D =
 sqrt(offset2*exp(2*theta) + W**2) has fallen to a quarter of its initial
 value on a branch of the energy level that reaches D = 0, and adds the
 closed-form time to the axis (``dynamics.time_to_axis``) from that state,
-along its own level; when asked, it also stops a run at its survival
-witness, a point on a branch of the level that provably never returns to
-the axis.  A run that meets the singularity any other way ends by step
+along its own level; it stops a run undecided where W rises first, and,
+when asked, at its survival witness, a point on a branch of the level that
+provably never returns to the axis.  A run that meets the singularity any other way ends by step
 collapse: the controller drives the step below the floor and the run ends
 with outcome StepCollapsed at the last representable time before the
 singularity, never with a NaN state.
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 from . import dynamics
@@ -111,17 +112,32 @@ class Trajectory:
 
     times/states hold every accepted point (strictly increasing times);
     stop names the stop rule that ended the run at its last point, if one
-    did; drift maps each monitored invariant to its max absolute deviation
-    from the initial value; stats counts the work the run took.
+    did; invariant is the monitored invariant's name, function and initial
+    value; stats counts the work the run took.
     """
 
     system: SystemKind
     times: list[float]
     states: list[tuple[float, ...]]
     stop: str | None
-    drift: dict[str, float]
+    invariant: tuple[str, Callable[..., float], float] = field(repr=False, compare=False)
     outcome: Outcome
     stats: IntegrationStats = field(default_factory=IntegrationStats)
+
+    @cached_property
+    def drift(self) -> dict[str, float]:
+        """The invariant's max absolute deviation from its initial value over
+        the accepted points (inf where it cannot be evaluated), on first read."""
+        name, inv, inv0 = self.invariant
+        drift = 0.0
+        for y in self.states[1:]:
+            try:
+                dev = abs(inv(*y) - inv0)
+            except _FIELD_ERRORS:
+                dev = math.inf
+            if dev > drift:
+                drift = dev
+        return {name: drift}
 
     @property
     def t_final(self) -> float:
@@ -331,11 +347,11 @@ def integrate(
     if not all(math.isfinite(v) for v in k1):
         raise InvalidInitialState(f"vector field not finite at initial state {y}")
 
-    abs_tol, rel_tol, h_min = cfg.abs_tol, cfg.rel_tol, cfg.h_min
+    abs_tol, rel_tol, h_min, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.max_steps
     times = [0.0]
     states = [y]
-    drift = 0.0
     t = 0.0
+    floor = max(h_min, 4.0 * math.ulp(t))
     h = min(cfg.h_init, t_end)
     attempts = rejections = 0
     why = None if stop is None else stop(y)
@@ -346,7 +362,6 @@ def integrate(
         if rem <= 0.0:
             outcome = Outcome.REACHED_T_END
             break
-        floor = max(h_min, 4.0 * math.ulp(t))
         if h < floor:
             outcome = Outcome.STEP_COLLAPSED
             break
@@ -354,39 +369,33 @@ def integrate(
         h_step = rem if h >= rem - floor else h
 
         attempts += 1
-        if attempts > cfg.max_steps:
-            raise StepLimitExceeded(f"exceeded {cfg.max_steps} step attempts at t={t}")
+        if attempts > max_steps:
+            raise StepLimitExceeded(f"exceeded {max_steps} step attempts at t={t}")
 
         y_new, k7, err_norm = step(f, h_step, y, k1, abs_tol, rel_tol)
         if err_norm > 1.0:
             rejections += 1
-            factor = _MIN_FACTOR
-            if math.isfinite(err_norm) and err_norm > 0.0:
-                factor = max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
+            factor = _SAFETY * err_norm ** -0.2 if err_norm < math.inf else _MIN_FACTOR
+            if factor < _MIN_FACTOR:
+                factor = _MIN_FACTOR
             h = h_step * factor
             continue
 
         # Accepted.  t + rem can round short of t_end: the last step lands on it.
         t = t_end if h_step == rem else t + h_step
+        floor = max(h_min, 4.0 * math.ulp(t))
         y = y_new
         k1 = k7
         times.append(t)
         states.append(y)
-        try:
-            dev = abs(inv(*y) - inv0)
-        except _FIELD_ERRORS:
-            dev = math.inf
-        if dev > drift:
-            drift = dev
         if stop is not None:
             why = stop(y)
             if why is not None:
                 outcome = Outcome.EVENT_TERMINATED
                 break
-        if err_norm == 0.0:
+        factor = _SAFETY * err_norm ** -0.2 if err_norm > 0.0 else _MAX_FACTOR
+        if factor > _MAX_FACTOR:  # err_norm <= 1 puts it at or above _SAFETY
             factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
         h = h_step * factor
 
     return Trajectory(
@@ -394,7 +403,7 @@ def integrate(
         times=times,
         states=states,
         stop=why,
-        drift={inv_name: drift},
+        invariant=(inv_name, inv, inv0),
         outcome=outcome,
         stats=IntegrationStats(
             attempts=attempts,
@@ -448,10 +457,8 @@ def simulate_until_collision(
 
     The run stops at the first accepted point where the separation has
     fallen to _KAPPA of its initial value on a branch of the energy level
-    that reaches the axis (the "separation-below" rule).  It collided if W
-    never rose along the way (an orbit that reaches the singularity after
-    an initial rise is no collision in the defined sense) and, on the stop
-    point's own level, falls with s all the way to the axis
+    that reaches the axis (the "separation-below" rule).  It collided if,
+    on the stop point's own level, W falls with s all the way to the axis
     (``dynamics.monotone_approach`` of the stop state).  The collision time
     is the stop point's time plus the closed-form time to the axis from the
     stop state (``dynamics.time_to_axis``), reported as ``remaining_time``;
@@ -460,9 +467,11 @@ def simulate_until_collision(
     time left is below ``cfg.h_min``, the step floor.  A run that reaches
     t_end survived.  With ``survival_witness`` the "survival-witness" rule
     is watched too, and a run it stops survived at the witness time: from
-    there the rings only separate.  Any other stop, such as step collapse
-    off an armed branch, is inconclusive.  Both rules are armed from the
-    record ``p.law``: the separation rule unless the ratio is
+    there the rings only separate.  A run stopped where W rose (the
+    "w-rose" rule: an orbit that reaches the singularity after a rise is no
+    collision in the defined sense), or by any other stop, such as step
+    collapse off an armed branch, is inconclusive.  The rules are armed from
+    the record ``p.law``: the separation and rise rules unless the ratio is
     supercritical, and the witness's W = 0 edge at equal circulation.
     Raises ConfigInvalid for a state that is not a ReducedState.
     """
@@ -484,10 +493,15 @@ def simulate_until_collision(
         raise InvalidInitialState(f"initial state rejected: {exc}") from exc
     slack = 1e-9 * (1.0 + abs(w0))
     w_witness = 0.0 if equal else -slack
+    w_last = w0
 
     def stop(y):
-        """The rule that holds at y: "separation-below", "survival-witness"
-        or None.
+        """The rule that holds at y: "w-rose", "separation-below",
+        "survival-witness" or None.
+
+        The rise rule holds where W exceeds the previous accepted point's W
+        by more than slack = 1e-9*(1 + |W0|).  Checked first, it leaves no
+        separation stop after a rise.
 
         The separation rule holds where W > 0 and D**2 = offset2*exp(2*theta)
         + W**2 is at most (_KAPPA*D0)**2 (a NaN D**2 counts as reached).  On
@@ -500,9 +514,8 @@ def simulate_until_collision(
         unless the record's regime is supercritical; the critical band,
         where the sign of K is undecided, is armed.
 
-        The survival witness holds where W is at most -slack, slack =
-        1e-9*(1 + |W0|), the monotone witness's slack; at equal circulation
-        (the record's regime) it holds where W <= 0, as every W < 0 falls.
+        The survival witness holds where W is at most -slack; at equal
+        circulation (the record's regime) where W <= 0, as every W < 0 falls.
         On level h0, with m(s) = mu + h0*s, W**2 = s**2*bracket(s)/m(s)**2
         and D = alpha*sqrt(gamma)*s/m(s), while dtheta/dt =
         -alpha*sqrt(gamma)*W/D**3 > 0 where W < 0.  With h0 <= 0, m does not
@@ -515,12 +528,17 @@ def simulate_until_collision(
         (``dynamics.level_sign``).  K < 0 puts every level below zero, so
         every supercritical run is armed.  Neither theta_star nor gamma_star enters.
         """
+        nonlocal w_last
         th, w = y
-        if w > 0.0 and armed:
-            u = math.exp(th) if c2 else 0.0
-            if not c2 * u * u + w * w > thr2:
-                return "separation-below"
-        elif witness and w <= w_witness:
+        if armed:
+            if w > w_last + slack:
+                return "w-rose"
+            w_last = w
+            if w > 0.0:
+                u = math.exp(th) if c2 else 0.0
+                if not c2 * u * u + w * w > thr2:
+                    return "separation-below"
+        if witness and w <= w_witness:
             return "survival-witness"
         return None
 
@@ -528,11 +546,8 @@ def simulate_until_collision(
     if traj.outcome is Outcome.REACHED_T_END or traj.stop == "survival-witness":
         return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
     inconclusive = CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj
-    ws = [s[1] for s in traj.states]
-    if not all(b <= a + slack for a, b in zip(ws, ws[1:])):
-        return inconclusive
     theta, w = traj.state_final
-    if not (w > 0.0 and armed):  # a separation stop always is
+    if traj.stop == "w-rose" or not (w > 0.0 and armed):  # a separation stop is neither
         return inconclusive
     try:
         if not dynamics.monotone_approach(p, theta, w):

@@ -142,22 +142,22 @@ def classify_node(rs: ReducedState, p: Params) -> tuple[analysis.MotionClass, fl
     return mc, (mc.estimate().value if mc.predicts_collision else None)
 
 
-def _grid_node(args) -> tuple[float, float, str, float, float | None, str, bool]:
-    alpha, gamma, th0, w0, t_end, cfg = args
-    p = Params(alpha, gamma)
+def _grid_node(p: Params, th0: float, w0: float, t_end: float, cfg: IntegrationConfig):
     rs = ReducedState(th0, w0)
     mc, t_est = classify_node(rs, p)
-    result, _ = simulate_until_collision(rs, p, cfg, t_end=t_end, survival_witness=True)
+    result, traj = simulate_until_collision(rs, p, cfg, t_end=t_end, survival_witness=True)
     agree = mc.predicts_collision == (result.status is SimStatus.COLLIDED)
-    return (th0, w0, mc.verdict.value, mc.h0, t_est, result.status.value, agree)
+    reason = traj.stop or traj.outcome.value
+    return (th0, w0, mc.verdict.value, mc.h0, t_est, result.status.value, agree, reason)
 
 
 # One set of worker processes serves every pooled grid of a process, so its
 # start-up is paid once.  Each worker reads from its own pipe: a grid sends
-# worker k the strided batch jobs[k::n] and reads its rows back, one send and
-# one receive per worker.  The set is keyed by (pid, workers), so a forked
-# child builds its own.  The workers are daemonic: at interpreter exit,
-# multiprocessing terminates and joins them.
+# worker k a header (alpha, gamma, t_end, cfg) and the strided batch
+# nodes[k::n], and reads its rows back, one send and one receive per worker.
+# The set is keyed by (pid, workers), so a forked child builds its own.  The
+# workers are daemonic: at interpreter exit, multiprocessing terminates and
+# joins them.
 _pool: list[tuple[multiprocessing.Process, Connection]] = []
 _pool_key = (0, 0)
 _pool_lock = threading.Lock()
@@ -166,20 +166,21 @@ _pool_lock = threading.Lock()
 def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
     """A worker's loop: answer each batch of nodes until its pipe reads EOF.
 
-    The reply is (rows, None), or (the rows before the failing node, its
-    exception).  The worker ignores SIGINT and is ended by SIGTERM, or by
-    EOF once every parent end is closed.
+    A batch's nodes share one Params.  The reply is (rows, None), or (the
+    rows before the failing node, its exception).  The worker ignores SIGINT
+    and is ended by SIGTERM, or by EOF once every parent end is closed.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     for end in parent_ends:  # copies a fork made: closed, the parent's death reads as EOF
         end.close()
     try:
         while True:
-            batch = conn.recv()
+            (alpha, gamma, t_end, cfg), nodes = conn.recv()
             rows = []
             try:
-                for job in batch:
-                    rows.append(_grid_node(job))
+                p = Params(alpha, gamma)
+                for th0, w0 in nodes:
+                    rows.append(_grid_node(p, th0, w0, t_end, cfg))
             except Exception as exc:
                 conn.send((rows, exc))
             else:
@@ -237,8 +238,8 @@ def _shared_pool(workers: int) -> list:
     return _pool
 
 
-def _exchange(pool: list, jobs: list) -> list:
-    """Send worker k the batch jobs[k::n] and read every worker's reply.
+def _exchange(pool: list, header: tuple, nodes: list) -> list:
+    """Send worker k the header and the batch nodes[k::n]; read every reply.
 
     A dispatch cut short between its first send and its last receive, by a
     dead worker or by any other exception, discards the set.
@@ -246,7 +247,7 @@ def _exchange(pool: list, jobs: list) -> list:
     n = len(pool)
     try:
         for k, (_, conn) in enumerate(pool):
-            conn.send(jobs[k::n])
+            conn.send((header, nodes[k::n]))
         return [conn.recv() for _, conn in pool]
     except BaseException:
         _discard_pool()
@@ -260,33 +261,32 @@ def classifier_oracle_grid(
     cfg: IntegrationConfig | None = None,
     t_end: float = 200.0,
     workers: int | None = None,
-) -> list[tuple[float, float, str, float, float | None, str, bool]]:
+) -> list[tuple[float, float, str, float, float | None, str, bool, str]]:
     """Classify every grid node and compare with the integration oracle.
 
-    Rows are returned in row-major (theta outer, w inner) order regardless
-    of the parallel schedule.  Pooled grids share one worker set per
+    A row ends with the oracle's status, the agreement and its reason: the
+    stop rule that ended the run, or its outcome where no rule did.  Rows
+    are returned in row-major (theta outer, w inner) order regardless of
+    the parallel schedule.  Pooled grids share one worker set per
     process (see ``_shared_pool``); if a worker dies, the grid runs once
     more on a fresh set.  A failing node raises what a serial run raises:
     the first failure in row-major order.
     """
     if cfg is None:
         cfg = IntegrationConfig()
-    jobs = [
-        (p.alpha, p.gamma, th0, w0, t_end, cfg)
-        for th0 in theta_vals
-        for w0 in w_vals
-    ]
+    nodes = [(th0, w0) for th0 in theta_vals for w0 in w_vals]
     if workers is None:
         workers = worker_count()
-    if workers <= 1 or len(jobs) < 8:
-        return [_grid_node(j) for j in jobs]
-    n = min(workers, len(jobs))
+    if workers <= 1 or len(nodes) < 8:
+        return [_grid_node(p, th0, w0, t_end, cfg) for th0, w0 in nodes]
+    n = min(workers, len(nodes))
+    header = (p.alpha, p.gamma, t_end, cfg)
     with _pool_lock:
         try:
-            replies = _exchange(_shared_pool(n), jobs)
+            replies = _exchange(_shared_pool(n), header, nodes)
         except (EOFError, OSError):  # a worker died; the nodes are pure, so rerun
-            replies = _exchange(_shared_pool(n), jobs)
-    rows: list = [None] * len(jobs)
+            replies = _exchange(_shared_pool(n), header, nodes)
+    rows: list = [None] * len(nodes)
     failures = []
     for k, (done, exc) in enumerate(replies):
         if exc is None:

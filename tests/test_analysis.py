@@ -1171,7 +1171,9 @@ class TestTimesAtTheEdges:
         # 0.9e-9 below gamma_star, K > 0: the ratio is subcritical, and
         # h0 is +8.0e-9 here with theta0 right of the separatrix.  The
         # critical bound (531.03 if taken with |h0|) would be no bound: the
-        # integrator has not collided by 600.
+        # integrator has not collided by 600.  W rises from the first step,
+        # so the oracle stops there, undecided; before the rise rule it ran
+        # on to t_end and called the state SURVIVED.
         p = Params(0.2, gamma_star(0.2) - 0.9e-9)
         rs = ReducedState(0.0, 1e-6)
         mc = classify(rs, p)
@@ -1180,8 +1182,10 @@ class TestTimesAtTheEdges:
         assert rs.theta > mc.theta_star
         with pytest.raises(RegimeError):
             collision_time(rs, p)
-        result, _ = simulate_until_collision(rs, p, CFG, t_end=600.0)
-        assert result.status is SimStatus.SURVIVED
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=600.0)
+        assert result.status is SimStatus.INCONCLUSIVE and traj.stop == "w-rose"
+        assert traj.stats.attempts < 10
+        assert integrate(rs, p, 600.0, CFG).outcome.value == "reached-t-end"
 
 
 class TestCorridor:

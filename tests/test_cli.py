@@ -511,8 +511,8 @@ class TestSweepCommand:
         )
         assert code == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == "theta0,w0,verdict,h0,t_estimate,oracle,agrees"
-        assert all(line.split(",")[6] == "true" for line in lines[1:])
+        assert lines[0] == "theta0,w0,verdict,h0,t_estimate,oracle,agrees,oracle_reason"
+        assert all(line.split(",")[6:] == ["true", "survival-witness"] for line in lines[1:])
 
     def test_oracle_horizon_is_in_the_input_frame(self, capsys, tmp_path, monkeypatch):
         horizons = []

@@ -312,18 +312,36 @@ class TestCollisionDriver:
                     worst = max(worst, rel_err(result.time, want))
         assert worst < 1e-9
 
-    def test_rise_before_the_event_is_inconclusive(self):
-        # Right of the separatrix the gap first opens; the separation rule
-        # still stops the run on the way in, but the witness refuses a non-monotone approach.
+    def test_rise_before_the_event_is_inconclusive(self, monkeypatch):
+        # Right of the separatrix the gap first opens: the run stops at the
+        # rise, undecided, even where the stop point's level would pass the
+        # monotone witness.
         p = Params(0.2, 1.1)
         th0 = 3.5
         rs = ReducedState(th0, 0.2 * h0_zero_w(p, th0))
         mc = classify(rs, p)
         assert mc.h0 > 0.0 and th0 > mc.theta_star
         result, traj = simulate_until_collision(rs, p, CFG, t_end=2000.0)
-        assert traj.outcome is Outcome.EVENT_TERMINATED
+        assert traj.outcome is Outcome.EVENT_TERMINATED and traj.stop == "w-rose"
         assert result.status is SimStatus.INCONCLUSIVE
         assert result.time == traj.t_final
+        monkeypatch.setattr(dynamics, "monotone_approach", lambda p, theta, w: True)
+        assert simulate_until_collision(rs, p, CFG, t_end=2000.0) == (result, traj)
+
+    def test_band_state_stops_at_the_rise(self):
+        # -v0 < v < 0: the receding branch turns back, crosses W = 0 and
+        # blows up at the axis, no collision in the defined sense.  The run
+        # ends where W first rises (before the rise rule it ran about 190
+        # attempts on to the separation stop, and was undecided there).
+        p = Params(0.2, mid_subcritical_gamma(0.2))
+        rs = ReducedState(0.5, -0.5 * h0_zero_w(p, 0.5))
+        result, traj = simulate_until_collision(rs, p, CFG, survival_witness=True)
+        assert traj.stop == "w-rose" and result.status is SimStatus.INCONCLUSIVE
+        assert traj.stats.attempts < 10
+        slack = 1e-9 * (1.0 + abs(rs.w))
+        ws = [s[1] for s in traj.states]
+        rises = [b > a + slack for a, b in zip(ws, ws[1:])]
+        assert rises[-1] and not any(rises[:-1])
 
     @pytest.mark.parametrize("gamma", [1.0, 1.1, None])
     def test_remaining_time_from_the_last_accepted_point(self, gamma):
@@ -636,13 +654,26 @@ class TestSurvivalWitness:
         (0.7271907452945902, 1.4028657199655135, 2.0, -2.0),
     ])
     def test_positive_energy_survivors_still_run_to_the_horizon(self, alpha, gamma, th0, w0):
-        # Subcritical survivors with h0 > 0, from the seeded benchmark grids:
-        # their W < 0 branch turns back, so no witness is armed.
+        # Subcritical orbits with h0 > 0, from the seeded benchmark grids:
+        # their W < 0 branch turns back, so no witness is armed.  Those whose
+        # W turns up before the horizon (the first, fourth and sixth) end at
+        # the rise, undecided; before the rise rule they ran on to t_end and
+        # were called SURVIVED.  The others still survive at the horizon.
         p = Params(alpha, gamma)
+        rs = ReducedState(th0, w0)
         assert dynamics.reduced_energy(p)(th0, w0) > 0.0
-        result, traj, hit = witnessed(ReducedState(th0, w0), p, 200.0)
-        assert result.status is SimStatus.SURVIVED and result.time == 200.0
-        assert hit is None and traj.outcome is Outcome.REACHED_T_END and traj.stop is None
+        result, traj, hit = witnessed(rs, p, 200.0)
+        plain = integrate(rs, p, 200.0, CFG)
+        slack = 1e-9 * (1.0 + abs(w0))
+        ws = [s[1] for s in plain.states]
+        rise = next((k for k in range(1, len(ws)) if ws[k] > ws[k - 1] + slack), None)
+        assert hit is None
+        if rise is None:
+            assert result.status is SimStatus.SURVIVED and result.time == 200.0
+            assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
+        else:
+            assert result.status is SimStatus.INCONCLUSIVE and traj.stop == "w-rose"
+            assert traj.times == plain.times[:rise + 1]
 
     def test_colliding_and_undecided_runs_never_meet_the_witness(self):
         # Criterion 04's nodes at alpha 0.5 (every fourth of its grid): with
@@ -679,6 +710,49 @@ class TestDriftReport:
         assert traj.outcome is Outcome.REACHED_T_END
         assert traj.drift["H"] < 1e-8
         assert traj.state_final == pytest.approx((1.204, -12.517), abs=1e-3)
+
+    @pytest.mark.parametrize("system,p,y0,t_end", [
+        # Criterion 06's probes: full, reduced and hyperbolic.
+        ("full", Params(0.5, 1.0), FullState(4.0, 0.5, 4.0, -0.5), 0.95),
+        ("full", Params(0.3, 1.3), FullState(1.0, 0.8, 1.2, 0.0), 20.0),
+        ("reduced", Params(0.5, 1.0), ReducedState(math.log(4.0), 1.0), 0.95),
+        ("reduced", Params(0.2, 2.0), ReducedState(0.0, 1.0), 50.0),
+        ("reduced", Params(0.5, 1.0), ReducedState(0.0, -1.0), 50.0),
+        ("hyperbolic", Params(0.2, 2.0), FullState(1.0, 0.6, 1.1, 0.0), 100.0),
+        ("hyperbolic", Params(0.2, 2.0), FullState(0.8, 0.6, 1.4, 0.0), 100.0),
+    ])
+    def test_drift_on_read_is_the_max_deviation_over_the_states(self, system, p, y0, t_end):
+        if system == "full":
+            inv = lambda r1, z1, r2, z2: p.gamma * r1 * r1 - r2 * r2  # noqa: E731
+        elif system == "reduced":
+            inv = dynamics.reduced_energy(p)
+        else:
+            y0 = reduce_state(y0, p)
+            inv = dynamics.hyperbolic_energy(p, y0.d)
+        traj = integrate(y0, p, t_end, CFG)
+        inv0 = inv(*traj.states[0])
+        (value,) = traj.drift.values()
+        assert value == max(abs(inv(*y) - inv0) for y in traj.states)
+
+    def test_an_oracle_run_evaluates_the_energy_once(self, monkeypatch):
+        # The energy at y0 checks the state; the drift is only evaluated when read.
+        calls = []
+        real = dynamics.reduced_energy
+
+        def counting(p):
+            energy = real(p)
+
+            def counted(theta, w):
+                calls.append((theta, w))
+                return energy(theta, w)
+            return counted
+
+        monkeypatch.setattr(dynamics, "reduced_energy", counting)
+        result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=5.0)
+        assert result.status is SimStatus.COLLIDED
+        assert len(calls) == 1
+        drift = traj.drift
+        assert len(calls) == len(traj.states) and traj.drift is drift
 
     def test_single_point_trajectory_has_zero_drift(self):
         # Every step from W0 = 1e-100 at gamma = 1 is rejected: the run

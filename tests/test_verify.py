@@ -96,6 +96,10 @@ def test_oracle_grid_rows_identical_serial_and_pooled():
     pooled = verify.classifier_oracle_grid(p, nodes, nodes, workers=2)
     assert len(serial) == 16
     assert pooled == serial
+    reasons = [row[7] for row in serial]
+    assert [row[7] for row in pooled] == reasons
+    assert set(reasons) <= {"separation-below", "survival-witness", "w-rose",
+                            "reached-t-end", "step-collapsed"}
 
 
 def test_conservation_reports_its_fixed_tolerances():
