@@ -441,7 +441,9 @@ def _cmd_verify(args) -> None:
     header = ["name", "passed", "measured"]
     rows = [[c["name"], c["passed"], json.dumps(c["measured"])] for c in report["checks"]]
     for c in report["checks"]:
-        print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}", file=sys.stderr)
+        seconds = c.pop("seconds")  # wall time: on stderr, not in the report
+        print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}  ({seconds:.3f} s)",
+              file=sys.stderr)
     print(f"checks: {report['n_checks']}, all passed: {report['passed']}", file=sys.stderr)
     _emit(args, report, (header, rows))
 

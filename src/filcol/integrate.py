@@ -179,7 +179,10 @@ _FIELD_ERRORS = (FilcolError, ValueError, ZeroDivisionError, OverflowError)
 # raises or a non-finite y_new or k7 gives err_norm = inf, so the controller
 # backs off instead of propagating a NaN state.  Every stage sum adds its
 # terms left to right in tableau order with the zero weights kept:
-# 0.0 * inf is nan, so a non-finite stage always reaches y_new.
+# 0.0 * inf is nan, so a non-finite stage always reaches y_new.  The norm
+# takes |x| and the maxima with conditional expressions, not abs() and
+# max() calls, and gives their values bit for bit (a signed zero or a NaN
+# component never replaces the 0.0 it starts from).
 
 
 def _step_2d(f, h, y, k1, abs_tol, rel_tol):
@@ -216,13 +219,14 @@ def _step_2d(f, h, y, k1, abs_tol, rel_tol):
     finite = math.isfinite
     if not (finite(a1) and finite(b1) and finite(k7a) and finite(k7b)):
         return y_new, k7, math.inf
-    ea = abs(h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
-                 + _E5 * k5a + _E6 * k6a + _E7 * k7a))
-    ea /= abs_tol + rel_tol * max(abs(a), abs(a1))
-    eb = abs(h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
-                 + _E5 * k5b + _E6 * k6b + _E7 * k7b))
-    eb /= abs_tol + rel_tol * max(abs(b), abs(b1))
-    return y_new, k7, max(0.0, ea, eb)
+    ea = h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
+    sa, sa1 = (a if a >= 0.0 else -a), (a1 if a1 >= 0.0 else -a1)
+    ea = (ea if ea >= 0.0 else -ea) / (abs_tol + rel_tol * (sa if sa >= sa1 else sa1))
+    eb = h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
+    sb, sb1 = (b if b >= 0.0 else -b), (b1 if b1 >= 0.0 else -b1)
+    eb = (eb if eb >= 0.0 else -eb) / (abs_tol + rel_tol * (sb if sb >= sb1 else sb1))
+    err = ea if ea > 0.0 else 0.0
+    return y_new, k7, eb if eb > err else err
 
 
 def _step_4d(f, h, y, k1, abs_tol, rel_tol):
@@ -274,19 +278,22 @@ def _step_4d(f, h, y, k1, abs_tol, rel_tol):
         and finite(k7a) and finite(k7b) and finite(k7c) and finite(k7d)
     ):
         return y_new, k7, math.inf
-    ea = abs(h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
-                 + _E5 * k5a + _E6 * k6a + _E7 * k7a))
-    ea /= abs_tol + rel_tol * max(abs(a), abs(a1))
-    eb = abs(h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
-                 + _E5 * k5b + _E6 * k6b + _E7 * k7b))
-    eb /= abs_tol + rel_tol * max(abs(b), abs(b1))
-    ec = abs(h * (_E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c
-                 + _E5 * k5c + _E6 * k6c + _E7 * k7c))
-    ec /= abs_tol + rel_tol * max(abs(c), abs(c1))
-    ed = abs(h * (_E1 * k1d + _E2 * k2d + _E3 * k3d + _E4 * k4d
-                 + _E5 * k5d + _E6 * k6d + _E7 * k7d))
-    ed /= abs_tol + rel_tol * max(abs(d), abs(d1))
-    return y_new, k7, max(0.0, ea, eb, ec, ed)
+    ea = h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
+    sa, sa1 = (a if a >= 0.0 else -a), (a1 if a1 >= 0.0 else -a1)
+    ea = (ea if ea >= 0.0 else -ea) / (abs_tol + rel_tol * (sa if sa >= sa1 else sa1))
+    eb = h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
+    sb, sb1 = (b if b >= 0.0 else -b), (b1 if b1 >= 0.0 else -b1)
+    eb = (eb if eb >= 0.0 else -eb) / (abs_tol + rel_tol * (sb if sb >= sb1 else sb1))
+    ec = h * (_E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c + _E7 * k7c)
+    sc, sc1 = (c if c >= 0.0 else -c), (c1 if c1 >= 0.0 else -c1)
+    ec = (ec if ec >= 0.0 else -ec) / (abs_tol + rel_tol * (sc if sc >= sc1 else sc1))
+    ed = h * (_E1 * k1d + _E2 * k2d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * k7d)
+    sd, sd1 = (d if d >= 0.0 else -d), (d1 if d1 >= 0.0 else -d1)
+    ed = (ed if ed >= 0.0 else -ed) / (abs_tol + rel_tol * (sd if sd >= sd1 else sd1))
+    err = ea if ea > 0.0 else 0.0
+    err = eb if eb > err else err
+    err = ec if ec > err else err
+    return y_new, k7, ed if ed > err else err
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2

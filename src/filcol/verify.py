@@ -22,6 +22,7 @@ import os
 import random
 import signal
 import threading
+import time
 from multiprocessing.connection import Connection
 from typing import Iterable, Sequence
 
@@ -53,15 +54,17 @@ __all__ = [
 _SEED = 20240817
 
 
+def _cpus() -> tuple[int, ...]:
+    """The CPUs this process may run on, sorted; empty where the platform cannot say."""
+    return tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else ()
+
+
 def worker_count() -> int:
     """Parallel workers for grid sweeps: the CPUs this process may use.
 
     FILCOL_THREADS caps the budget.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = len(_cpus()) or os.cpu_count() or 1
     raw = os.environ.get("FILCOL_THREADS", "").strip()
     if not raw:
         return cpus
@@ -152,14 +155,16 @@ def _grid_node(p: Params, th0: float, w0: float, t_end: float, cfg: IntegrationC
 
 
 # One set of worker processes serves every pooled grid of a process, so its
-# start-up is paid once.  Each worker reads from its own pipe: a grid sends
-# worker k a header (alpha, gamma, t_end, cfg) and the strided batch
-# nodes[k::n], and reads its rows back, one send and one receive per worker.
-# The set is keyed by (pid, workers), so a forked child builds its own.  The
-# workers are daemonic: at interpreter exit, multiprocessing terminates and
-# joins them.
+# start-up is paid once.  Worker k is pinned to CPU k (wrapping) of the
+# parent's CPU set, where the platform allows, so a grid's workers run side
+# by side, not stacked on one CPU.  Each worker reads from its own pipe: a
+# grid sends worker k a header (alpha, gamma, t_end, cfg) and the nodes
+# (i, j) with (i + j) mod n == k, and reads its rows back.  The set is keyed
+# by (pid, workers, CPU set), so a forked child, or a process whose CPU set
+# changed, builds its own.  The workers are daemonic: at interpreter exit,
+# multiprocessing terminates and joins them.
 _pool: list[tuple[multiprocessing.Process, Connection]] = []
-_pool_key = (0, 0)
+_pool_key: tuple = (0, 0, ())
 _pool_lock = threading.Lock()
 
 
@@ -198,16 +203,21 @@ def _stop_pool(pool: list) -> None:
         proc.join()
 
 
-def _start_pool(workers: int) -> list:
+def _start_pool(workers: int, cpus: tuple[int, ...]) -> list:
     pool: list = []
     try:
-        for _ in range(workers):
+        for k in range(workers):
             parent_end, child_end = multiprocessing.Pipe()
             ends = [conn for _, conn in pool] + [parent_end]
             proc = multiprocessing.Process(target=_serve, args=(child_end, ends), daemon=True)
             proc.start()
             child_end.close()
             pool.append((proc, parent_end))
+            if cpus:
+                try:
+                    os.sched_setaffinity(proc.pid, {cpus[k % len(cpus)]})
+                except (AttributeError, OSError):
+                    pass  # the worker runs unpinned
     except BaseException:
         _stop_pool(pool)
         raise
@@ -227,27 +237,26 @@ def _shared_pool(workers: int) -> list:
     The caller holds ``_pool_lock``.
     """
     global _pool, _pool_key
-    key = (os.getpid(), workers)
+    key = (os.getpid(), workers, _cpus())
     if _pool and _pool_key != key:
         if _pool_key[0] == key[0]:
             _stop_pool(_pool)
         _pool = []  # a forked child leaves its parent's set running
     if not _pool:
-        _pool = _start_pool(workers)
+        _pool = _start_pool(workers, key[2])
         _pool_key = key
     return _pool
 
 
-def _exchange(pool: list, header: tuple, nodes: list) -> list:
-    """Send worker k the header and the batch nodes[k::n]; read every reply.
+def _exchange(pool: list, header: tuple, batches: list) -> list:
+    """Send worker k the header and batches[k]; read every reply.
 
     A dispatch cut short between its first send and its last receive, by a
     dead worker or by any other exception, discards the set.
     """
-    n = len(pool)
     try:
-        for k, (_, conn) in enumerate(pool):
-            conn.send((header, nodes[k::n]))
+        for (_, conn), batch in zip(pool, batches):
+            conn.send((header, batch))
         return [conn.recv() for _, conn in pool]
     except BaseException:
         _discard_pool()
@@ -280,19 +289,26 @@ def classifier_oracle_grid(
     if workers <= 1 or len(nodes) < 8:
         return [_grid_node(p, th0, w0, t_end, cfg) for th0, w0 in nodes]
     n = min(workers, len(nodes))
+    # A checkerboard split: node (i, j) goes to worker (i + j) mod n, so a
+    # column of costly runs (the collisions at large W0) is shared out too.
+    nw = len(w_vals)
+    owned = [[] for _ in range(n)]
+    for idx in range(len(nodes)):
+        owned[(idx // nw + idx % nw) % n].append(idx)
+    batches = [[nodes[idx] for idx in mine] for mine in owned]
     header = (p.alpha, p.gamma, t_end, cfg)
     with _pool_lock:
         try:
-            replies = _exchange(_shared_pool(n), header, nodes)
+            replies = _exchange(_shared_pool(n), header, batches)
         except (EOFError, OSError):  # a worker died; the nodes are pure, so rerun
-            replies = _exchange(_shared_pool(n), header, nodes)
+            replies = _exchange(_shared_pool(n), header, batches)
     rows: list = [None] * len(nodes)
     failures = []
-    for k, (done, exc) in enumerate(replies):
-        if exc is None:
-            rows[k::n] = done
-        else:
-            failures.append((k + n * len(done), exc))
+    for mine, (done, exc) in zip(owned, replies):
+        for idx, row in zip(mine, done):
+            rows[idx] = row
+        if exc is not None:
+            failures.append((mine[len(done)], exc))
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return rows
@@ -613,6 +629,9 @@ def run_battery(
 ) -> dict:
     """Run the re-derivation battery and return a JSON-ready report.
 
+    Each check's entry carries its wall time in "seconds", which ``filcol
+    verify`` prints on stderr only.
+
     Raises ConfigInvalid for an unknown check, grid < 2 or samples < 1, and
     for an odd grid when classifier-oracle is selected.
     """
@@ -625,7 +644,11 @@ def run_battery(
     if unknown:
         raise ConfigInvalid(f"unknown verify checks: {unknown}; known: {list(CHECKS)}")
     cfg = IntegrationConfig(rel_tol=rel_tol, abs_tol=abs_tol)
-    checks = [{"name": name, **CHECKS[name](alpha, cfg, samples, grid)} for name in wanted]
+    checks = []
+    for name in wanted:
+        start = time.perf_counter()
+        checks.append({"name": name, **CHECKS[name](alpha, cfg, samples, grid)})
+        checks[-1]["seconds"] = time.perf_counter() - start
     return {
         "alpha": alpha,
         "checks": checks,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -557,6 +558,20 @@ class TestSweepCommand:
         assert code == 0, err
         assert pooled.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_oracle_rows_are_the_same_pooled_and_serial(self, capsys, tmp_path, monkeypatch, fmt):
+        # A 5 x 7 grid: the checkerboard colours cut every row and column.
+        argv = ["sweep", "--alpha", "0.3", "--gamma", "1.15", "--theta-min", "-2",
+                "--theta-max", "2", "--w-min", "-2", "--w-max", "2", "--n-theta", "5",
+                "--n-w", "7", "--with-oracle", "--t-end", "60", "--format", fmt]
+        out = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FILCOL_THREADS", threads)
+            out[threads] = tmp_path / f"sweep-{threads}.{fmt}"
+            code, _, err = run_cli(capsys, *argv, "--output", str(out[threads]))
+            assert code == 0, err
+        assert out["2"].read_bytes() == out["1"].read_bytes()
+
     def test_renamed_oracle_horizon_below_the_step_floor_names_the_typed_values(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--alpha", "0.2", "--gamma", "0.5",
@@ -603,6 +618,23 @@ class TestVerifyCommand:
         assert payload["n_checks"] == 1
         assert payload["checks"][0]["name"] == "gamma-star"
         assert payload["checks"][0]["passed"] is True
+
+    def test_wall_times_go_to_stderr_only(self, capsys, tmp_path):
+        argv = ["verify", "--battery", "gamma-star,classifier-oracle", "--format", "csv"]
+        reports, errs = [], []
+        for k in range(2):
+            path = tmp_path / f"report-{k}.csv"
+            code, _, err = run_cli(capsys, *argv, "--output", str(path))
+            assert code == 0, err
+            reports.append(path.read_bytes())
+            errs.append(err.splitlines())
+        assert reports[0] == reports[1]
+        assert b"seconds" not in reports[0]
+        for lines in errs:
+            assert [re.fullmatch(r"PASS  ([a-z-]+)  \((\d+\.\d{3}) s\)", line)[1]
+                    for line in lines[:2]] == ["gamma-star", "classifier-oracle"]
+        payload = run_json(capsys, tmp_path, "verify", "--battery", "gamma-star")
+        assert set(payload["checks"][0]) == {"name", "passed", "measured"}
 
     def test_unknown_check_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--battery", "nope")

@@ -159,3 +159,16 @@ def test_the_zero_energy_cut_has_one_copy():
         called = {ast.unparse(node.func) for node in ast.walk(func) if isinstance(node, ast.Call)}
         assert "dynamics._on_level" in called
         assert not any("reduced_energy" in text for text in called)
+
+
+def test_the_steppers_call_no_abs_max_or_min():
+    # Every attempt forms its error norm with conditional expressions: a
+    # builtin call per component was a measurable share of a 2-D attempt.
+    tree = ast.parse((SOURCES[0].parent / "integrate.py").read_text(encoding="utf-8"))
+    steppers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in ("_step_2d", "_step_4d")]
+    assert len(steppers) == 2
+    called = {ast.unparse(node.func) for func in steppers
+              for node in ast.walk(func) if isinstance(node, ast.Call)}
+    assert called & {"abs", "max", "min"} == set()
+    assert "f" in called

@@ -966,7 +966,85 @@ def _decay(v):
     return 1.0 / (1.0 + v * v) + 0.5 / (3.0 + v * v)
 
 
+def _builtin_err_norm(h, y, y_new, ks, abs_tol, rel_tol):
+    """The error norm as the steppers wrote it with builtins: max(0.0, ...)
+    over abs(h*(E1*k1 + ... + E7*k7))/(abs_tol + rel_tol*max(abs(y), abs(y_new)))."""
+    errs = []
+    for i in range(len(y)):
+        e = _E[0] * ks[0][i]
+        for j in range(1, 7):
+            e = e + _E[j] * ks[j][i]
+        errs.append(abs(h * e) / (abs_tol + rel_tol * max(abs(y[i]), abs(y_new[i]))))
+    return max(0.0, *errs)
+
+
+# Values where a hand-written |x| or max can part from the builtins: signed
+# zeros, the ends of the float range, and ordinary magnitudes.
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308]),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+_COMPONENT = st.builds(lambda negative, v: -v if negative else v, st.booleans(), _MAGNITUDE)
+_TOLS = [(1e-12, 1e-10), (1e-6, 1e-3), (1e-300, 1.0), (1.0, 1e300)]
+
+
+@st.composite
+def _prescribed_attempts(draw, dim):
+    """(h, y, k1..k7, abs_tol, rel_tol) of an attempt whose field returns k2..k7.
+
+    Half the draws mirror component 0 into component 1 (and 2 into 3), so
+    the two errors are of equal size and opposite sign."""
+    point = st.tuples(*[_COMPONENT] * dim)
+    y = draw(point)
+    ks = draw(st.lists(point, min_size=7, max_size=7))
+    if draw(st.booleans()):
+        mirror = lambda v: (v[0], -v[0]) + ((v[2], -v[2]) if dim == 4 else ())  # noqa: E731
+        y, ks = mirror(y), [mirror(k) for k in ks]
+    h = draw(st.one_of(st.sampled_from([1e-12, 1e-3, 0.4]), st.floats(1e-15, 2.0)))
+    return (h, y, ks, *draw(st.sampled_from(_TOLS)))
+
+
+def _assert_builtin_err_norm(h, y, ks, abs_tol, rel_tol):
+    stages = iter(ks[1:])
+    step = _step_4d if len(y) == 4 else _step_2d
+    y_new, k7, err_norm = step(lambda *_: next(stages), h, y, ks[0], abs_tol, rel_tol)
+    assert k7 == ks[6]
+    if all(math.isfinite(v) for v in y_new + k7):
+        want = _builtin_err_norm(h, y, y_new, ks, abs_tol, rel_tol)
+    else:
+        want = math.inf
+    assert float.hex(err_norm) == float.hex(want)
+    return err_norm
+
+
+# Stages whose error terms E_j*k_j are all -0.0 (E_j >= 0 takes -0.0, E_j < 0
+# takes 0.0), so the component's error is -0.0; and their mirror, +0.0.
+_NEG_ZERO_ERROR = (-0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0)
+_POS_ZERO_ERROR = tuple(-v for v in _NEG_ZERO_ERROR)
+
+
 class TestUnrolledSteppers:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_error_norm_bit_identical_to_the_builtin_norm(self, dim, data):
+        _assert_builtin_err_norm(*data.draw(_prescribed_attempts(dim)))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("zeros", [
+        (_NEG_ZERO_ERROR, _NEG_ZERO_ERROR), (_POS_ZERO_ERROR, _NEG_ZERO_ERROR),
+        (_NEG_ZERO_ERROR, _POS_ZERO_ERROR),
+    ], ids=["both -0", "+0 then -0", "-0 then +0"])
+    def test_signed_zero_errors_norm_to_plus_zero(self, dim, zeros):
+        first, rest = zeros
+        ks = [(a,) + (b,) * (dim - 1) for a, b in zip(first, rest)]
+        for y in ((0.0,) * dim, (-0.0,) * dim, (1e300, -1e300, 1e-300, -1e-300)[:dim]):
+            err_norm = _assert_builtin_err_norm(1e-3, y, ks, _ABS_TOL, _REL_TOL)
+            assert float.hex(err_norm) == float.hex(0.0)
+
     @pytest.mark.parametrize("case", sorted(_CASES))
     @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.05, 0.4])
     def test_bit_identical_to_generic_sweep(self, case, h):

@@ -10,7 +10,14 @@ import signal
 import pytest
 
 import filcol.verify as verify
-from filcol import ConfigInvalid, IntegrationConfig, OnSingularLine, Params, StepLimitExceeded
+from filcol import (
+    ConfigInvalid,
+    IntegrationConfig,
+    InvalidInitialState,
+    OnSingularLine,
+    Params,
+    StepLimitExceeded,
+)
 
 
 def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
@@ -163,13 +170,23 @@ def test_changing_workers_rebuilds_the_pool():
 
 
 def test_uneven_batches_keep_row_major_order():
-    # 16 nodes over 3 workers: batches of 6, 5 and 5 nodes.
+    # 16 nodes over 3 workers: checkerboard colours of 6, 5 and 5 nodes.
     assert grid(3) == grid(1)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (4, 6), (5, 3)])
+def test_checkerboard_rows_are_the_serial_rows(shape):
+    n_theta, n_w = shape
+    thetas = [-2.0 + 4.0 * i / (n_theta - 1) for i in range(n_theta)]
+    ws = [-2.0 + 4.0 * j / (n_w - 1) for j in range(n_w)]
+    serial = verify.classifier_oracle_grid(P_MID, thetas, ws, workers=1)
+    assert [row[:2] for row in serial] == [(th, w) for th in thetas for w in ws]
+    assert verify.classifier_oracle_grid(P_MID, thetas, ws, workers=2) == serial
+
+
 def test_pooled_node_error_is_the_serial_one():
-    # W0 = 0 is excluded at gamma = 1, so the grid's middle column fails,
-    # in both batches of a 2-worker set.
+    # W0 = 0 is excluded at gamma = 1, so the grid's W0 = 0 column fails, in
+    # both checkerboard colours of a 2-worker set.
     p = Params(0.2, 1.0)
     ws = [-0.5, 0.0, 0.5]
     raised = []
@@ -179,6 +196,25 @@ def test_pooled_node_error_is_the_serial_one():
         raised.append(str(info.value))
     assert raised[0] == raised[1]
     assert grid(2) == grid(1)  # every reply was read: the set is still in step
+
+
+@pytest.mark.parametrize("ws, first", [([1e-120, 0.0, 0.5], 0), ([0.5, 1e-120, 0.0], 1)])
+def test_first_failure_in_row_major_order_wins_from_either_worker(ws, first):
+    # At gamma = 1, W0 = 1e-120 is rejected by the field (its cube
+    # underflows) and W0 = 0 by classify, with errors that tell them apart.
+    # Both workers' batches fail: node (0, j) is worker j's, so the first
+    # failure in row-major order, (0, first), is worker first's, and the
+    # other worker's first failure is a later W0 = 0 node.
+    p = Params(0.2, 1.0)
+    assert ws.index(1e-120) == first
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises((OnSingularLine, InvalidInitialState)) as info:
+            verify.classifier_oracle_grid(p, NODES, ws, workers=workers)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is InvalidInitialState and "1e-120" in raised[0][1]
+    assert grid(2) == grid(1)
 
 
 def test_grid_nodes_run_with_the_whole_config():
@@ -241,10 +277,54 @@ def test_forked_child_builds_its_own_pool():
                     pass
     assert child.exitcode == 0
     assert rows == serial
-    assert key == (pid, 2)
+    assert key[:2] == (pid, 2)
     assert len(child_workers) == 2 and not child_workers & parent_pids
     assert worker_pids() == parent_pids  # the parent's pool is untouched
     assert grid(2) == serial
+
+
+affinity = pytest.mark.skipif(
+    not (hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")),
+    reason="the platform has no CPU affinity calls",
+)
+
+
+@affinity
+def test_each_worker_is_pinned_to_its_own_cpu():
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("pinning two workers apart needs two CPUs")
+    verify._discard_pool()  # a set built by an earlier test may be unpinned
+    grid(2)
+    pinned = [os.sched_getaffinity(proc.pid) for proc, _ in verify._pool]
+    assert all(len(one) == 1 and one <= set(cpus) for one in pinned)
+    assert len(set().union(*pinned)) == 2
+
+
+@affinity
+def test_workers_run_unpinned_without_the_affinity_call(monkeypatch):
+    serial = grid(1)
+    verify._discard_pool()
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert grid(2) == serial
+    assert all(os.sched_getaffinity(proc.pid) == os.sched_getaffinity(0)
+               for proc, _ in verify._pool)
+
+
+@affinity
+def test_a_narrowed_cpu_set_builds_a_new_pool(monkeypatch):
+    real = os.sched_getaffinity
+    cpu = min(real(0))
+    if len(real(0)) < 2:
+        pytest.skip("narrowing the CPU set needs two CPUs")
+    serial = grid(1)
+    grid(2)
+    pids = worker_pids()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu} if pid == 0 else real(pid))
+    assert grid(2) == serial
+    assert len(worker_pids()) == 2 and not worker_pids() & pids
+    assert verify._pool_key[2] == (cpu,)
+    assert all(real(proc.pid) == {cpu} for proc, _ in verify._pool)  # both wrap to it
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
