@@ -15,8 +15,8 @@ so one threshold on v = W0*exp(-theta0) decides below gamma_star:
                             lighter one and the axial gap decreases without
                             bound inside an a-priori linear corridor.
 
-`classify` compares v with v_star from the record ``Params.law``, which
-`dynamics` draws once per Params from the equal-circulation test and the
+`classify` compares v with ``Params.v_star``, which `dynamics` forms with
+the regime once per Params from the equal-circulation test and the
 sign of K = alpha**2*gamma - offset2*mu**2; the same walk over the state
 picks a colliding state's collision-time formula.  h0 = mu*z*exp(-theta0)
 is read from the level z (``dynamics._on_level``, a function of v alone),
@@ -231,19 +231,18 @@ def theta_star(p: Params, h0: float) -> float:
     alpha**2*gamma/(offset2*mu**2) > 1; rho - 1 is the record's
     ``rho_minus_1``, formed so that nothing cancels.
     """
-    law = p.law
-    if law.regime is not _SUBCRITICAL:
+    if p.regime is not _SUBCRITICAL:
         raise RegimeError(
             f"need gamma strictly inside (1, gamma_star={_gamma_star(p.alpha)}), got {p.gamma}"
         )
     if not 0.0 < h0 < math.inf:
         raise DomainError(f"theta_star needs a finite h0 > 0, got {h0}")
-    return math.log(p.mu) + math.log(law.rho_minus_1) - math.log(h0)
+    return math.log(p.mu) + math.log(p.rho_minus_1) - math.log(h0)
 
 
 def axis_energy(theta: float, p: Params) -> float:
     """Energy of the coplanar state (theta, 0); defined for gamma > 1."""
-    if p.law.regime is _EQUAL:
+    if p.regime is _EQUAL:
         raise RegimeError("the coplanar line is singular for gamma = 1")
     return (-p.mu + p.alpha * p.sqrt_gamma / p.offset) * math.exp(-theta)
 
@@ -255,7 +254,7 @@ def axis_energy(theta: float, p: Params) -> float:
 def classify(rs0: ReducedState, p: Params) -> MotionClass:
     """Four-way regime classification of a d = 0 initial state, in one walk.
 
-    The regime and the threshold come from the record ``p.law``: below
+    The regime and the threshold are ``p.regime`` and ``p.v_star``: below
     gamma_star a state collides iff W0 > 0 and v = W0*exp(-theta0) >=
     v_star, and above it never.  h0 = mu*z/u, read from the level z that
     ``time_to_axis`` reads, and theta_star are reported only; the sign of z
@@ -263,15 +262,14 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
     formula tag.  DomainError where h0 is not a float.
     """
     th0, w0 = rs0.theta, rs0.w
-    law = p.law
-    regime = law.regime
+    regime = p.regime
     gs = _gamma_star(p.alpha)
     if regime is _EQUAL and w0 == 0.0:
         raise OnSingularLine("W = 0 is excluded for gamma = 1")
     try:
         u, _, z, _ = dynamics._on_level(p, th0, w0)
         # v as W0*exp(-theta0): W0/u may round to the other side of v_star.
-        h0, v = law.mu * z / u, w0 * math.exp(-th0)
+        h0, v = p.mu * z / u, w0 * math.exp(-th0)
     except (NumericalFailure, OverflowError):
         h0 = math.nan
     if not math.isfinite(h0):
@@ -280,7 +278,7 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
         return MotionClass(Verdict.GLOBAL_PASS_THROUGH, h0, gs, None, None, rs0, p)
     sign = dynamics.level_sign(z)
     ts = theta_star(p, h0) if regime is _SUBCRITICAL and sign > 0 else None
-    if not (w0 > 0.0 and v >= law.v_star):
+    if not (w0 > 0.0 and v >= p.v_star):
         if regime is _EQUAL:
             verdict = Verdict.NO_COLLISION_GAMMA1
         elif regime is _CRITICAL and w0 == 0.0:
@@ -318,7 +316,7 @@ def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
     alpha, mu, asq = p.alpha, p.mu, p.alpha * p.sqrt_gamma
     constants = {}
     if branch is _SUB_H0_ZERO:
-        constants = {"m0": mu * mu * math.sqrt(p.law.k) / (alpha * alpha * p.gamma)}
+        constants = {"m0": mu * mu * math.sqrt(p.k) / (alpha * alpha * p.gamma)}
     elif branch is not _G1_H0_ZERO:
         u, opz, z, _ = dynamics._on_level(p, th0, w0)
         s = u / mu  # a time is s*(s*T)
@@ -363,7 +361,7 @@ def apriori_corridor(rs0: ReducedState, p: Params) -> LinearCorridor:
     between -mu*exp(-theta_lo) and the (negative) coplanar energy at
     theta_hi, giving two lines that squeeze W(t) and force W -> -inf.
     """
-    if p.law.regime is not _SUPERCRITICAL:
+    if p.regime is not _SUPERCRITICAL:
         raise RegimeError(
             f"corridor needs gamma > gamma_star={_gamma_star(p.alpha)}, got {p.gamma}"
         )

@@ -429,6 +429,8 @@ def _cmd_verify(args) -> None:
         selection = []
     else:
         selection = [name.strip() for name in battery.split(",") if name.strip()]
+        if not selection:
+            raise ConfigInvalid(f"--battery {battery!r} names no check; 'none' is the empty battery")
     report = verify.run_battery(
         alpha=args.alpha,
         selection=selection,

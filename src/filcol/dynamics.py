@@ -22,9 +22,9 @@ four-dimensional ODE system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .errors import (DomainError, Divergent, InversionFailure, NumericalFailure,
                      OnSingularLine, SeparationZero)
@@ -32,7 +32,6 @@ from .errors import (DomainError, Divergent, InversionFailure, NumericalFailure,
 __all__ = [
     "Params",
     "Regime",
-    "RegimeLaw",
     "FullState",
     "ReducedState",
     "HyperbolicState",
@@ -67,87 +66,10 @@ def _require_finite(name: str, value: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Params:
-    """Model constants.
-
-    alpha -- interaction strength from the localized-induction truncation,
-             required in (0, 1).
-    gamma -- circulation ratio after sign normalization, required >= 1
-             (the ratio < 1 case is handled by renaming the filaments; see
-             ``cli._Frame``).
-    """
-
-    alpha: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        a = _require_finite("alpha", self.alpha)
-        g = _require_finite("gamma", self.gamma)
-        if not 0.0 < a < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {a}")
-        if g < 1.0:
-            raise DomainError(f"gamma must be >= 1, got {g}")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "gamma", g)
-
-    @property
-    def sqrt_gamma(self) -> float:
-        return math.sqrt(self.gamma)
-
-    @property
-    def equal_circulation(self) -> bool:
-        """gamma = 1 as the arithmetic sees it: sqrt(gamma) == 1, one ulp above too."""
-        return self.sqrt_gamma == 1.0
-
-    @property
-    def mu(self) -> float:
-        """Self-induction coefficient gamma + gamma**-1/2 of the axial gap."""
-        return self.gamma + 1.0 / math.sqrt(self.gamma)
-
-    @property
-    def offset(self) -> float:
-        """sqrt(gamma) - 1, formed as (gamma - 1)/(sqrt(gamma) + 1) so nothing
-        cancels; 0 at equal circulation."""
-        if self.equal_circulation:
-            return 0.0
-        return (self.gamma - 1.0) / (math.sqrt(self.gamma) + 1.0)
-
-    @property
-    def offset2(self) -> float:
-        """offset**2, the squared radial offset scale on d = 0."""
-        offset = self.offset
-        return offset * offset
-
-    @property
-    def law(self) -> RegimeLaw:
-        """The d = 0 regime and its threshold, drawn on first use and kept on
-        the instance (a cached_property would materialise its __dict__)."""
-        try:
-            return self._law
-        except AttributeError:
-            pass
-        mu, offset = self.mu, self.offset
-        c = offset * offset * mu * mu
-        k = self.alpha * self.alpha * self.gamma - c
-        rho_minus_1 = v_star = 0.0
-        if self.equal_circulation:
-            regime = Regime.EQUAL_CIRCULATION
-        else:
-            sign = k_sign(self)
-            if sign > 0:
-                regime = Regime.SUBCRITICAL
-                r_minus_1 = k / c
-                rho = (1.0 + r_minus_1) ** (1.0 / 3.0)
-                rho_minus_1 = r_minus_1 / (rho * rho + rho + 1.0)
-                v_star = self.offset * math.sqrt(rho_minus_1)
-            elif sign < 0:
-                regime, v_star = Regime.SUPERCRITICAL, math.inf
-            else:
-                regime, k = Regime.CRITICAL, 0.0
-        law = RegimeLaw(regime, c, k, rho_minus_1, v_star, math.sqrt(max(k, 0.0)) / mu, mu, offset)
-        object.__setattr__(self, "_law", law)
-        return law
+def _derived():
+    """A field formed from (alpha, gamma) at construction: no argument, and not
+    part of eq, hash or repr."""
+    return field(init=False, repr=False, compare=False)
 
 
 class Regime(Enum):
@@ -159,27 +81,80 @@ class Regime(Enum):
     SUPERCRITICAL = "supercritical"
 
 
-class RegimeLaw(NamedTuple):
-    """The d = 0 regime of one (alpha, gamma) and the numbers that draw it, mu
-    and offset as ``Params`` forms them: c = offset2*mu**2, K = alpha**2*gamma - c
-    (0 in the critical band, < 0 above it), a2g = c + K.  A state collides iff W0
-    > 0 and v = W0*exp(-theta0) >= v_star = offset*sqrt(rho - 1), rho**3 = a2g/c
-    (rho - 1 formed so that nothing cancels): 0 at equal circulation and at the
-    critical ratio, inf above it.  h0 > 0 iff |v| < v0 = sqrt(max(K, 0))/mu;
-    v_star < v0 where K > 0."""
+@dataclass(frozen=True, slots=True)
+class Params:
+    """Model constants, and every number the model draws from them.
 
-    regime: Regime
-    c: float
-    k: float
-    rho_minus_1: float
-    v_star: float
-    v0: float
-    mu: float
-    offset: float
+    alpha -- interaction strength from the localized-induction truncation,
+             required in (0, 1).
+    gamma -- circulation ratio after sign normalization, required >= 1
+             (the ratio < 1 case is handled by renaming the filaments; see
+             ``cli._Frame``).
 
-    @property
-    def a2g(self) -> float:
-        return self.c + self.k
+    The other fields are formed once, at construction:
+    equal_circulation -- gamma = 1 as the arithmetic sees it: sqrt(gamma) == 1,
+             one ulp above too.
+    mu     -- self-induction coefficient gamma + gamma**-1/2 of the axial gap.
+    offset -- sqrt(gamma) - 1, formed as (gamma - 1)/(sqrt(gamma) + 1) so nothing
+             cancels; 0 at equal circulation.  offset2 = offset**2.
+    regime, c, k -- the d = 0 regime, drawn from ``k_sign``; c = offset2*mu**2 and
+             K = alpha**2*gamma - c (0 in the critical band, < 0 above it), so
+             a2g = c + K.
+    v_star -- a state collides iff W0 > 0 and v = W0*exp(-theta0) >= v_star =
+             offset*sqrt(rho - 1), rho**3 = a2g/c (rho_minus_1, formed so that
+             nothing cancels): 0 at equal circulation and at the critical
+             ratio, inf above it.
+    v0     -- h0 > 0 iff |v| < v0 = sqrt(max(K, 0))/mu; v_star < v0 where K > 0.
+    """
+
+    alpha: float
+    gamma: float
+    sqrt_gamma: float = _derived()
+    equal_circulation: bool = _derived()
+    mu: float = _derived()
+    offset: float = _derived()
+    offset2: float = _derived()
+    regime: Regime = _derived()
+    c: float = _derived()
+    k: float = _derived()
+    rho_minus_1: float = _derived()
+    v_star: float = _derived()
+    v0: float = _derived()
+
+    def __post_init__(self) -> None:
+        a = _require_finite("alpha", self.alpha)
+        g = _require_finite("gamma", self.gamma)
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {a}")
+        if g < 1.0:
+            raise DomainError(f"gamma must be >= 1, got {g}")
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "gamma", g)
+        sqg = math.sqrt(g)
+        equal, mu = sqg == 1.0, g + 1.0 / sqg
+        offset = 0.0 if equal else (g - 1.0) / (sqg + 1.0)
+        c = offset * offset * mu * mu
+        k = a * a * g - c
+        rho_minus_1 = v_star = 0.0
+        if equal:
+            regime = Regime.EQUAL_CIRCULATION
+        else:
+            sign = k_sign(self)
+            if sign > 0:
+                regime = Regime.SUBCRITICAL
+                r_minus_1 = k / c
+                rho = (1.0 + r_minus_1) ** (1.0 / 3.0)
+                rho_minus_1 = r_minus_1 / (rho * rho + rho + 1.0)
+                v_star = offset * math.sqrt(rho_minus_1)
+            elif sign < 0:
+                regime, v_star = Regime.SUPERCRITICAL, math.inf
+            else:
+                regime, k = Regime.CRITICAL, 0.0
+        derived = dict(sqrt_gamma=sqg, equal_circulation=equal, mu=mu, offset=offset,
+                       offset2=offset * offset, regime=regime, c=c, k=k,
+                       rho_minus_1=rho_minus_1, v_star=v_star, v0=math.sqrt(max(k, 0.0)) / mu)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -296,8 +271,12 @@ def reduce_state(s: FullState, p: Params) -> Union[ReducedState, HyperbolicState
 
     d is treated as zero where |d| <= 1e-9 * max(1, gamma*R1**2), a
     scale-relative threshold because d is a difference of squared lengths.
+    DomainError where d is not a float.
     """
     d = conserved_d(s, p)
+    if not math.isfinite(d):
+        raise DomainError(f"d = gamma*R1**2 - R2**2 is not representable: R1 = {s.r1!r}, "
+                          f"R2 = {s.r2!r} at gamma = {p.gamma!r}")
     w = s.z1 - s.z2
     if abs(d) <= 1e-9 * max(1.0, p.gamma * s.r1 * s.r1):
         return ReducedState(theta=math.log(s.r1), w=w)
@@ -341,12 +320,12 @@ def hyperbolic_separation(theta: float, w: float, d: float, gamma: float) -> flo
 def reduced_field(p: Params) -> Callable[[float, float], Derivative]:
     """Return the (theta, W) vector field of the d = 0 reduction.
 
-    Equal circulation (``Params.law``) is an exact branch: the radial-offset
+    Equal circulation (``Params.regime``) is an exact branch: the radial-offset
     term drops out and the W = 0 line is excluded (OnSingularLine), together
     with the |W| whose cube underflows to 0.
     """
     alpha = p.alpha
-    if p.law.regime is Regime.EQUAL_CIRCULATION:
+    if p.regime is Regime.EQUAL_CIRCULATION:
 
         def field_g1(theta: float, w: float) -> Derivative:
             aw = abs(w)
@@ -377,7 +356,7 @@ def reduced_field(p: Params) -> Callable[[float, float], Derivative]:
 def reduced_energy(p: Params) -> Callable[[float, float], float]:
     """Return the conserved energy of the d = 0 system as a callable."""
     alpha = p.alpha
-    if p.law.regime is Regime.EQUAL_CIRCULATION:
+    if p.regime is Regime.EQUAL_CIRCULATION:
 
         def energy_g1(theta: float, w: float) -> float:
             if w == 0.0:
@@ -405,7 +384,7 @@ def quartic(eta: float, alpha: float) -> float:
 
 def k_sign(p: Params) -> int:
     """Sign of K = alpha**2*gamma - offset2*mu**2, or 0 where rounding cannot
-    decide it: the sign ``Params.law`` draws the d = 0 regime from.
+    decide it: the sign ``Params`` draws the d = 0 regime from.
 
     With eta = sqrt(gamma), K = quartic(eta)*(alpha*eta**2 + (eta - 1)*
     (eta**3 + 1))/eta**2 and the second factor is positive, so K > 0 (1)
@@ -450,13 +429,12 @@ def _on_level(p: Params, theta: float, w: float) -> tuple[float, float, float, f
     (on the band's own K = 0 level in the critical band).  sa is alpha*sqrt(gamma) where
     c + K cancels (K < 0), and z = sa/(mu*delta) - 1 where K = -inf (gamma above about
     5e102) or mu*v overflows.  NumericalFailure where u leaves the float range."""
-    law = p.law
-    mu, k = law.mu, law.k
-    sa = math.sqrt(law.c + k) if k >= 0.0 else p.alpha * p.sqrt_gamma
+    mu, k = p.mu, p.k
+    sa = math.sqrt(p.c + k) if k >= 0.0 else p.alpha * p.sqrt_gamma
     try:
         u = math.exp(theta)
         v = w / u
-        delta = math.hypot(law.offset, v)
+        delta = math.hypot(p.offset, v)
         mud = mu * delta
         if k > -math.inf and mud < math.inf:
             z = (k / mud - mu * v * (v / delta)) / (sa + mud)
@@ -483,9 +461,8 @@ def monotone_approach(p: Params, theta: float, w: float) -> bool:
     (``_on_level``), c*z*(3 + 3*z + z**2) < K.  It holds for every h < 0 once K >= 0
     and at equal circulation (c = 0), fails on the critical rest line (K = 0,
     W = 0), and is theta < theta_star on an h > 0 level.  A NaN z gives False."""
-    law = p.law
     z = _on_level(p, theta, w)[2]
-    return law.c * z * (3.0 + z * (3.0 + z)) < law.k
+    return p.c * z * (3.0 + z * (3.0 + z)) < p.k
 
 
 def time_to_axis(p: Params, theta: float, w: float) -> float:
@@ -504,16 +481,15 @@ def time_to_axis(p: Params, theta: float, w: float) -> float:
     Within 1e-14 of a 40-digit quadrature of the level, 4e-16 at equal
     circulation.  Finite and >= 0 (0.0 only where it underflows), or NumericalFailure.
     """
-    law = p.law
     if not w >= 0.0:
         raise NumericalFailure(f"the time to the axis needs W >= 0, got {w!r}")
     try:
-        if law.c == 0.0:  # equal circulation, where q = sa and mu = gamma + 1
-            mu, e = p.gamma + 1.0, math.exp(-theta)
+        if p.c == 0.0:  # equal circulation, where q = sa and mu = gamma + 1
+            mu, e = p.mu, math.exp(-theta)
             y = mu * e * w / p.alpha
             t = -(w * log_tail(y)) * (w / p.alpha) if y < math.inf else w / mu / e
         else:
-            a2g, c, k2 = law.a2g, law.c, law.k
+            a2g, c, k2 = p.c + p.k, p.c, p.k
             sa, k = math.sqrt(a2g), math.sqrt(k2)
             u, opz, z, q = _on_level(p, theta, w)
             big_p, big_q = q + k, opz * opz * k2 + a2g

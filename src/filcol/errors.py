@@ -62,7 +62,8 @@ class RegimeError(ValidationError):
 
 
 class StepLimitExceeded(NumericalError):
-    """The integrator hit its accepted-step budget before finishing."""
+    """The integrator made more step attempts, accepted or rejected, than its
+    ``max_steps`` budget allows before finishing."""
 
 
 class InvalidInitialState(ValidationError):

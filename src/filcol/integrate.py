@@ -478,7 +478,7 @@ def simulate_until_collision(
     "w-rose" rule: an orbit that reaches the singularity after a rise is no
     collision in the defined sense), or by any other stop, such as step
     collapse off an armed branch, is inconclusive.  The rules are armed from
-    the record ``p.law``: the separation and rise rules unless the ratio is
+    ``p.regime``: the separation and rise rules unless the ratio is
     supercritical, and the witness's W = 0 edge at equal circulation.
     Raises ConfigInvalid for a state that is not a ReducedState.
     """
@@ -486,7 +486,7 @@ def simulate_until_collision(
         raise ConfigInvalid(f"the collision driver needs a ReducedState (d = 0), got {rs0!r}")
     if cfg is None:
         cfg = IntegrationConfig()
-    regime = p.law.regime
+    regime = p.regime
     armed, equal = regime is not Regime.SUPERCRITICAL, regime is Regime.EQUAL_CIRCULATION
     c2 = p.offset2
     th0, w0 = rs0.theta, rs0.w

@@ -82,7 +82,7 @@ def mid_subcritical_gamma(alpha: float) -> float:
 
 def h0_zero_w(p: Params, theta0: float) -> float:
     """The W > 0 value putting (theta0, W) on the zero-energy level."""
-    v0 = p.law.v0
+    v0 = p.v0
     if not v0 > 0.0:
         raise ConfigInvalid("zero-energy level exists only below gamma_star")
     return v0 * math.exp(theta0)

@@ -64,13 +64,13 @@ def closed_form_time(p, theta, w):
         with mpmath.workdps(dps):
             u, w_mp = mpmath.exp(mpmath.mpf(theta)), mpmath.mpf(w)
             mu, v = mpmath.mpf(p.mu), w_mp / u
-            if p.law.c == 0.0:
+            if p.c == 0.0:
                 y = mu * v / p.alpha
                 small = y - 1
                 t = -(w_mp ** 2 / p.alpha) * (mpmath.log(y) - small) / small ** 2
             else:
                 c2 = mpmath.mpf(p.offset) ** 2
-                k2 = mpmath.mpf(p.alpha) ** 2 * p.gamma - c2 * mu * mu if p.law.k else 0
+                k2 = mpmath.mpf(p.alpha) ** 2 * p.gamma - c2 * mu * mu if p.k else 0
                 a2g = c2 * mu * mu + k2
                 sa, delta = mpmath.sqrt(a2g), mpmath.sqrt(c2 + v * v)
                 small = (k2 - mu * mu * v * v) / (mu * delta * (sa + mu * delta))

@@ -294,7 +294,7 @@ class TestRegimeBoundaries:
         # to inf, and the ratio, far above gamma_star, stays supercritical.
         p = Params(0.5, gamma)
         assert k_sign(p) == -1
-        assert p.law.regime is Regime.SUPERCRITICAL
+        assert p.regime is Regime.SUPERCRITICAL
         mc = classify(ReducedState(0.0, 1.0), p)
         assert mc.verdict is Verdict.GLOBAL_PASS_THROUGH
         assert not mc.predicts_collision
@@ -631,12 +631,11 @@ def threshold_states(draw) -> tuple[Params, ReducedState]:
     ratio = draw(st.sampled_from(["equal", "mid-subcritical", "critical"]))
     gamma = {"equal": 1.0, "critical": gamma_star(alpha)}.get(ratio)
     p = Params(alpha, gamma or mid_subcritical_gamma(alpha))
-    law = p.law
-    span = max(law.v_star, law.v0, 1e-3)
+    span = max(p.v_star, p.v0, 1e-3)
     if draw(st.booleans()):
-        v = law.v_star + span * draw(st.floats(-3.0, 3.0))
+        v = p.v_star + span * draw(st.floats(-3.0, 3.0))
     else:
-        v = law.v_star + max(law.v_star, 1e-3) * draw(st.floats(-1e-9, 1e-9))
+        v = p.v_star + max(p.v_star, 1e-3) * draw(st.floats(-1e-9, 1e-9))
     th0 = draw(st.floats(-6.0, 6.0))
     return p, ReducedState(th0, v * math.exp(th0))
 
@@ -653,9 +652,8 @@ class TestOneThreshold:
     @settings(max_examples=100)
     def test_verdict_is_a_function_of_v(self, case, s):
         p, rs = case
-        law = p.law
         th0, w0 = rs.theta, rs.w
-        if law.regime is Regime.EQUAL_CIRCULATION and w0 == 0.0:
+        if p.regime is Regime.EQUAL_CIRCULATION and w0 == 0.0:
             with pytest.raises(OnSingularLine):
                 classify(rs, p)
             return
@@ -663,11 +661,11 @@ class TestOneThreshold:
         try:
             mc = classify(rs, p)
         except DomainError:  # no verdict where the energy alpha/|W0| overflows
-            assert law.regime is Regime.EQUAL_CIRCULATION and p.alpha / abs(w0) == math.inf
+            assert p.regime is Regime.EQUAL_CIRCULATION and p.alpha / abs(w0) == math.inf
             return
-        assert mc.predicts_collision == (w0 > 0.0 and v >= law.v_star)
-        span = max(law.v_star, law.v0, 1e-3)
-        if abs(v - law.v_star) <= 1e-9 * span:
+        assert mc.predicts_collision == (w0 > 0.0 and v >= p.v_star)
+        span = max(p.v_star, p.v0, 1e-3)
+        if abs(v - p.v_star) <= 1e-9 * span:
             return
         # Off the threshold the separatrix rule agrees: W0 > 0, and theta0
         # at or left of theta_star where one is reported (h0 > 0).
@@ -742,11 +740,10 @@ def bounded_states(draw) -> tuple[Params, ReducedState]:
         v = 10.0 ** draw(st.floats(-4.0, 3.0))
     else:
         p = Params(alpha, 1.0 + draw(st.floats(1e-3, 0.999)) * (gs - 1.0))
-        law = p.law
         if branch == "h0-negative":
-            v = law.v0 * (1.0 + 10.0 ** draw(st.floats(-6.0, 3.0)))
+            v = p.v0 * (1.0 + 10.0 ** draw(st.floats(-6.0, 3.0)))
         else:
-            v = law.v_star + draw(st.floats(1e-6, 1.0 - 1e-6)) * (law.v0 - law.v_star)
+            v = p.v_star + draw(st.floats(1e-6, 1.0 - 1e-6)) * (p.v0 - p.v_star)
     rs = ReducedState(th0, v * math.exp(th0))
     assume(classify(rs, p).predicts_collision)
     return p, rs
@@ -904,7 +901,7 @@ class TestExactTimes:
                 -0.4, 0.4) * (gamma_star(alpha) - 1.0))))
             th0 = rng.uniform(-3.0, 3.0)
             move = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16.0, -12.5)
-            mc = classify(ReducedState(th0, p.law.v0 * math.exp(th0) * (1.0 + move)), p)
+            mc = classify(ReducedState(th0, p.v0 * math.exp(th0) * (1.0 + move)), p)
             if len(found.get(mc.formula_tag, [None] * n_per_tag)) < n_per_tag:
                 found[mc.formula_tag].append(mc)
         return [mc for group in found.values() for mc in group]
@@ -1142,7 +1139,7 @@ class TestTimesAtTheEdges:
     def test_far_estimate_is_read_from_the_level(self, alpha, gamma, th0, w0, tag):
         rs, p = ReducedState(th0, w0), Params(alpha, gamma)
         mc = classify(rs, p)
-        assert mc.verdict is (Verdict.HEAD_ON_COLLISION if p.law.c == 0.0
+        assert mc.verdict is (Verdict.HEAD_ON_COLLISION if p.c == 0.0
                               else Verdict.ASYMMETRIC_COLLISION)
         assert mc.formula_tag is tag
         assert h0_error(p, th0, w0, mc.h0) < 1e-14

@@ -127,6 +127,15 @@ class TestClassifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not representable" in err
 
+    def test_overflowing_d_exits_2(self, capsys):
+        # gamma*R1**2 and R2**2 both overflow, so d = inf - inf: the error
+        # names d, not the NaN angle it would feed the chart.
+        code, out, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "2",
+                                 "--r1", "1e200", "--z1", "0", "--r2", "1e200", "--z2", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: d = ") and "not representable" in err
+
     @pytest.mark.parametrize("gamma,theta0,w0,verdict", [
         ("1.1", "400", "0.5", "no-collision-subcritical"),
         ("3", "400", "0.5", "global-pass-through"),
@@ -612,6 +621,14 @@ class TestVerifyCommand:
         payload = run_json(capsys, tmp_path, "verify", "--battery", "none")
         assert payload["n_checks"] == 0
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("battery", ["", ",", " , "])
+    def test_battery_naming_no_check_exits_2(self, capsys, battery):
+        # A mistyped list must not pass as a battery that ran nothing.
+        code, out, err = run_cli(capsys, "verify", "--battery", battery)
+        assert code == 2
+        assert out == ""
+        assert "names no check" in err
 
     def test_single_check(self, capsys, tmp_path):
         payload = run_json(capsys, tmp_path, "verify", "--battery", "gamma-star")

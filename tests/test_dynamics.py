@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 import sys
 
@@ -36,7 +38,7 @@ from filcol import (
     reduced_field,
     theta_star,
 )
-from filcol.dynamics import k_sign, log_tail, monotone_approach, time_to_axis
+from filcol.dynamics import Regime, k_sign, log_tail, monotone_approach, time_to_axis
 
 from conftest import closed_form_time, level_w, nonzero_d_states, quadrature_time, rel_err
 
@@ -55,6 +57,36 @@ class TestParams:
         assert p.sqrt_gamma == 2.0
         assert p.mu == 4.5
         assert p.offset2 == 1.0
+        # The derived numbers are fields formed once: no argument, no part of eq,
+        # hash or repr, no property, no __dict__ to set anything in later.
+        given = [f.name for f in dataclasses.fields(Params) if f.init]
+        assert given == ["alpha", "gamma"]
+        assert [f.name for f in dataclasses.fields(Params) if f.compare or f.repr] == given
+        assert not [name for name, v in vars(Params).items() if isinstance(v, property)]
+        assert not hasattr(p, "__dict__")
+        assert p == Params(0.2, 4) and hash(p) == hash((0.2, 4.0))
+        assert repr(p) == "Params(alpha=0.2, gamma=4.0)"
+        derived = [f.name for f in dataclasses.fields(Params) if not f.init]
+        for name in derived:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 1.0)
+        gs = gamma_star(0.2)
+        above, below = gs, gs
+        for _ in range(3):
+            above, below = math.nextafter(above, math.inf), math.nextafter(below, 1.0)
+        sign_of = {Regime.EQUAL_CIRCULATION: None, Regime.SUBCRITICAL: 1,
+                   Regime.CRITICAL: 0, Regime.SUPERCRITICAL: -1}
+        for gamma in (1.0, math.nextafter(1.0, 2.0), 1.1, below, above, 1e154):
+            p = Params(0.2, gamma)
+            q = dataclasses.replace(Params(0.2, 4.0), gamma=gamma)
+            values = [getattr(p, name) for name in derived]
+            assert [getattr(q, name) for name in derived] == values
+            if sys.version_info >= (3, 11):  # pickling a frozen slotted dataclass
+                assert [getattr(pickle.loads(pickle.dumps(p)), name) for name in derived] == values
+            assert p.equal_circulation == (gamma < 1.1)
+            assert sign_of[p.regime] == (None if p.equal_circulation else k_sign(p))
+            if p.k > 0.0:
+                assert p.v_star < p.v0
 
     @pytest.mark.parametrize("gamma", [1.0 + 1e-8, 1.0 + 1e-6])
     def test_offset2_does_not_cancel_near_one(self, gamma):
@@ -124,6 +156,12 @@ class TestReduction:
         assert isinstance(hs, HyperbolicState)
         assert hs.d == 3.0
         assert hs.w == 0.0
+
+    @pytest.mark.parametrize("r1,r2", [(1e200, 1e200), (1e200, 1.0), (1.0, 1e200)])
+    def test_overflowing_d_is_rejected(self, r1, r2):
+        # d = inf - inf, inf or -inf: no chart holds the state, and the error says why.
+        with pytest.raises(DomainError, match="d = gamma.*not representable"):
+            reduce_state(FullState(r1, 0.0, r2, 1.0), Params(0.2, 2.0))
 
     @pytest.mark.parametrize(
         "gamma,r1,r2",

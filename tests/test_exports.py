@@ -75,9 +75,22 @@ def equal_circulation_tests(path: Path) -> list[int]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_equal_circulation_is_tested_only_in_params(path):
     # Params.equal_circulation is the one gamma = 1 predicate; everything
-    # else reads it (through Params.law), so no two modules can disagree on
+    # else reads it (through Params.regime), so no two modules can disagree on
     # the ratio one ulp above 1.
     assert equal_circulation_tests(path) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_params_is_the_one_record_of_derived_constants(path):
+    # Each (alpha, gamma) constant is a field of Params, formed at construction:
+    # no second record (RegimeLaw) and no lazy `law` attribute beside it.
+    found = [
+        node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("law", "_law"))
+        or (isinstance(node, ast.Name) and node.id == "RegimeLaw")
+        or (isinstance(node, ast.ClassDef) and node.name == "RegimeLaw")
+    ]
+    assert found == []
 
 
 def series_sites(path: Path) -> list[tuple[str, str, str | None]]:
