@@ -41,7 +41,8 @@ from .analysis import classify as classify_state
 from .analysis import gamma_star, theta_star
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
 from .errors import ConfigInvalid, NumericalError, NumericalFailure, ValidationError
-from .integrate import _KAPPA, IntegrationConfig, integrate, simulate_until_collision
+from .integrate import _KAPPA, DEFAULT_T_END, IntegrationConfig
+from .integrate import integrate, simulate_until_collision
 
 __all__ = ["main"]
 
@@ -185,8 +186,6 @@ def _emit(args, payload: dict, csv_table: tuple[list[str], list[list]] | None) -
     if args.format == "json":
         text = _json_text(payload) + "\n"
     else:
-        if csv_table is None:
-            raise ConfigInvalid(f"{args.command} has no CSV form; use --format json")
         text = _csv_text(*csv_table)
     if args.output:
         _atomic_write(args.output, text)
@@ -201,11 +200,7 @@ def _emit(args, payload: dict, csv_table: tuple[list[str], list[list]] | None) -
 
 def _integration_config(args) -> IntegrationConfig:
     return IntegrationConfig(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        max_steps=args.max_steps,
-        h_init=args.h_init,
-        h_min=args.h_min,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(IntegrationConfig)}
     )
 
 
@@ -477,12 +472,12 @@ def _add_state(sp) -> None:
 
 
 def _add_integration(sp) -> None:
-    sp.add_argument("--rel-tol", type=float, default=1e-10)
-    sp.add_argument("--abs-tol", type=float, default=1e-12)
-    sp.add_argument("--max-steps", type=int, default=10_000_000)
-    sp.add_argument("--h-init", type=float, default=1e-4)
-    sp.add_argument("--h-min", type=float, default=1e-14)
-    sp.add_argument("--t-end", type=float, default=200.0)
+    sp.add_argument("--rel-tol", type=float, default=IntegrationConfig.rel_tol)
+    sp.add_argument("--abs-tol", type=float, default=IntegrationConfig.abs_tol)
+    sp.add_argument("--max-steps", type=int, default=IntegrationConfig.max_steps)
+    sp.add_argument("--h-init", type=float, default=IntegrationConfig.h_init)
+    sp.add_argument("--h-min", type=float, default=IntegrationConfig.h_min)
+    sp.add_argument("--t-end", type=float, default=DEFAULT_T_END)
 
 
 #: Options that must be present (from flags or the config file) per command.
@@ -562,8 +557,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     f"from: {', '.join(verify.CHECKS)}")
     sp.add_argument("--samples", type=int, default=8)
     sp.add_argument("--grid", type=int, default=6)
-    sp.add_argument("--rel-tol", type=float, default=1e-10)
-    sp.add_argument("--abs-tol", type=float, default=1e-12)
+    sp.add_argument("--rel-tol", type=float, default=IntegrationConfig.rel_tol)
+    sp.add_argument("--abs-tol", type=float, default=IntegrationConfig.abs_tol)
     _add_common(sp, "json")
     sp.set_defaults(handler=_cmd_verify)
 

@@ -269,8 +269,8 @@ def conserved_d(s: FullState, p: Params) -> float:
 def reduce_state(s: FullState, p: Params) -> Union[ReducedState, HyperbolicState]:
     """Dispatch a full state to the d = 0 or d != 0 planar chart.
 
-    d is treated as zero where |d| <= 1e-9 * max(1, gamma*R1**2), a
-    scale-relative threshold because d is a difference of squared lengths.
+    d is treated as zero where |d| <= 1e-9 * gamma*R1**2, a cut that scales with
+    d, a difference of squared lengths: (R, z) -> (lam*R, lam*z) keeps the chart.
     DomainError where d is not a float.
     """
     d = conserved_d(s, p)
@@ -278,7 +278,7 @@ def reduce_state(s: FullState, p: Params) -> Union[ReducedState, HyperbolicState
         raise DomainError(f"d = gamma*R1**2 - R2**2 is not representable: R1 = {s.r1!r}, "
                           f"R2 = {s.r2!r} at gamma = {p.gamma!r}")
     w = s.z1 - s.z2
-    if abs(d) <= 1e-9 * max(1.0, p.gamma * s.r1 * s.r1):
+    if abs(d) <= 1e-9 * p.gamma * s.r1 * s.r1:
         return ReducedState(theta=math.log(s.r1), w=w)
     if d > 0.0:
         theta = math.asinh(s.r2 / math.sqrt(d))
@@ -467,8 +467,8 @@ def monotone_approach(p: Params, theta: float, w: float) -> bool:
 
 def time_to_axis(p: Params, theta: float, w: float) -> float:
     """Time from the d = 0 state (theta, w), W >= 0, to the axis along the W > 0
-    branch of its own energy level, in closed form (README, "Library", integrate);
-    the branch must fall monotonically (``monotone_approach``).
+    branch of its own energy level, in closed form (README, "Library", integrate),
+    on every such branch that reaches the axis (K >= 0), W rising first or not.
 
     With sa = sqrt(a2g), k = sqrt(K), 1 + z, z and q from the state (``_on_level``),
     P = q + k, Q = (1 + z)**2*K + a2g and r = (x - y)/(1 - x*y), x, y = q, k over

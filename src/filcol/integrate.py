@@ -77,12 +77,18 @@ class IntegrationConfig:
     h_min: float = 1e-14
 
     def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ConfigInvalid("rel_tol and abs_tol must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ConfigInvalid("rel_tol and abs_tol must be positive and finite")
         if self.max_steps <= 0:
             raise ConfigInvalid("max_steps must be positive")
         if not (0.0 < self.h_min < self.h_init):
             raise ConfigInvalid("need 0 < h_min < h_init")
+
+
+#: The settings and the collision oracle's horizon where a caller gives none;
+#: the CLI's defaults and the verify battery's are read from these too.
+DEFAULT_CONFIG = IntegrationConfig()
+DEFAULT_T_END = 200.0
 
 
 class Outcome(Enum):
@@ -320,7 +326,7 @@ def integrate(
     y0,
     p: Params,
     t_end: float,
-    cfg: IntegrationConfig | None = None,
+    cfg: IntegrationConfig = DEFAULT_CONFIG,
     stop: Callable[[tuple[float, ...]], str | None] | None = None,
 ) -> Trajectory:
     """Advance y0 to t_end, or to the first point where a stop rule holds,
@@ -337,8 +343,6 @@ def integrate(
     InvalidInitialState when y0 or t_end is rejected and StepLimitExceeded
     when max_steps attempts are exhausted.
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
     if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
         raise InvalidInitialState(f"t_end must be a positive finite real, got {t_end}")
     if t_end <= cfg.h_min:
@@ -455,8 +459,8 @@ _KAPPA = 0.25
 def simulate_until_collision(
     rs0: ReducedState,
     p: Params,
-    cfg: IntegrationConfig | None = None,
-    t_end: float = 200.0,
+    cfg: IntegrationConfig = DEFAULT_CONFIG,
+    t_end: float = DEFAULT_T_END,
     *,
     survival_witness: bool = False,
 ) -> tuple[CollisionResult, Trajectory]:
@@ -484,8 +488,6 @@ def simulate_until_collision(
     """
     if not isinstance(rs0, ReducedState):
         raise ConfigInvalid(f"the collision driver needs a ReducedState (d = 0), got {rs0!r}")
-    if cfg is None:
-        cfg = IntegrationConfig()
     regime = p.regime
     armed, equal = regime is not Regime.SUPERCRITICAL, regime is Regime.EQUAL_CIRCULATION
     c2 = p.offset2

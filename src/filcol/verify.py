@@ -31,6 +31,8 @@ from .analysis import Verdict, classify, collision_time, gamma_star
 from .dynamics import FullState, Params, ReducedState
 from .errors import ConfigInvalid
 from .integrate import (
+    DEFAULT_CONFIG,
+    DEFAULT_T_END,
     IntegrationConfig,
     Outcome,
     SimStatus,
@@ -267,8 +269,8 @@ def classifier_oracle_grid(
     p: Params,
     theta_vals: Sequence[float],
     w_vals: Sequence[float],
-    cfg: IntegrationConfig | None = None,
-    t_end: float = 200.0,
+    cfg: IntegrationConfig = DEFAULT_CONFIG,
+    t_end: float = DEFAULT_T_END,
     workers: int | None = None,
 ) -> list[tuple[float, float, str, float, float | None, str, bool, str]]:
     """Classify every grid node and compare with the integration oracle.
@@ -281,8 +283,6 @@ def classifier_oracle_grid(
     more on a fresh set.  A failing node raises what a serial run raises:
     the first failure in row-major order.
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
     nodes = [(th0, w0) for th0 in theta_vals for w0 in w_vals]
     if workers is None:
         workers = worker_count()
@@ -622,8 +622,8 @@ CHECKS = {
 def run_battery(
     alpha: float = 0.2,
     selection: Iterable[str] | None = None,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    rel_tol: float = IntegrationConfig.rel_tol,
+    abs_tol: float = IntegrationConfig.abs_tol,
     samples: int = 8,
     grid: int = 6,
 ) -> dict:

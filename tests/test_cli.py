@@ -109,6 +109,19 @@ class TestClassifyCommand:
         assert code == 2
         assert "never" in err and "separation" in err
 
+    def test_small_nonzero_d_pair_is_its_scaled_twin(self, capsys):
+        # d = -3e-12 is nonzero on the pair's own scale (the cut is
+        # 1e-9*gamma*R1**2), so it is rejected as its x1e6 twin (d = -3) is,
+        # with 1e-6 times the twin's certificate.
+        certs = []
+        for r1, r2 in (("1e-6", "2e-6"), ("1", "2")):
+            code, out, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "1",
+                                     "--r1", r1, "--z1", r1, "--r2", r2, "--z2", "0")
+            assert code == 2 and out == ""
+            certs.append(float(re.search(r"separation stays >= (\S+)\)", err)[1]))
+        assert certs[0] == 1.034319852339364e-06
+        assert rel_err(certs[0], 1e-6 * certs[1]) < 1e-15
+
     def test_missing_state_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "2.0")
         assert code == 2
@@ -350,6 +363,15 @@ class TestSimulateCommand:
                                  *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "1e-15")
         assert code == 2
         assert out == "" and "h_min" in err
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    def test_infinite_tolerance_exits_2(self, capsys, flag):
+        # Either tolerance infinite would accept every attempt: no error control.
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", "2",
+                                 *HYPERBOLIC_PAIR, "--system", "full", "--t-end", "50",
+                                 flag, "inf")
+        assert code == 2
+        assert out == "" and "positive and finite" in err
 
     def test_renamed_horizon_below_the_step_floor_names_the_typed_values(self, capsys):
         # 1.5e-14 exceeds h_min, but its renamed-frame horizon 7.5e-15 does not.
@@ -629,6 +651,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "names no check" in err
+
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    def test_infinite_tolerance_exits_2(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", "--battery", "gamma-star", flag, "inf")
+        assert code == 2 and out == ""
+        assert "positive and finite" in err and "PASS" not in err
 
     def test_single_check(self, capsys, tmp_path):
         payload = run_json(capsys, tmp_path, "verify", "--battery", "gamma-star")

@@ -11,6 +11,7 @@ import sys
 import mpmath
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from filcol import (
@@ -21,6 +22,7 @@ from filcol import (
     IntegrationConfig,
     NumericalFailure,
     OnSingularLine,
+    Outcome,
     Params,
     ReducedState,
     SeparationZero,
@@ -39,6 +41,7 @@ from filcol import (
     theta_star,
 )
 from filcol.dynamics import Regime, k_sign, log_tail, monotone_approach, time_to_axis
+from filcol.verify import mid_subcritical_gamma
 
 from conftest import closed_form_time, level_w, nonzero_d_states, quadrature_time, rel_err
 
@@ -180,6 +183,21 @@ class TestReduction:
         assert rel_err(r1b, r1) < 1e-12
         assert rel_err(r2b, r2) < 1e-12
         assert math.isclose(p.gamma * r1b**2 - r2b**2, hs.d, rel_tol=1e-10)
+
+    @given(case=nonzero_d_states(), zero_d=st.booleans(), k=st.integers(-150, 150))
+    @settings(max_examples=200)
+    def test_chart_and_angle_are_scale_free(self, case, zero_d, k):
+        # The d = 0 cut scales with gamma*R1**2, so (R, z) -> (lam*R, lam*z)
+        # keeps the chart; theta = log R1 moves by log(lam) on d = 0, and the
+        # hyperbolic angle stays.  A d = 0 sample has |d| about 1e-16*gamma*R1**2.
+        p, s = case
+        if zero_d:
+            s = FullState(s.r1, s.z1, p.sqrt_gamma * s.r1, s.z2)
+        lam = 10.0 ** k
+        base = reduce_state(s, p)
+        scaled = reduce_state(FullState(lam * s.r1, lam * s.z1, lam * s.r2, lam * s.z2), p)
+        assert type(scaled) is type(base) is (ReducedState if zero_d else HyperbolicState)
+        assert abs(scaled.theta - (math.log(lam) if zero_d else 0.0) - base.theta) < 1e-12
 
     @given(case=nonzero_d_states())
     @settings(max_examples=200)
@@ -391,6 +409,25 @@ class TestTimeToAxis:
         got = time_to_axis(p, 0.0, w)
         assert math.isfinite(got) and rel_err(got, float(want)) < 1e-15
 
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    @pytest.mark.parametrize("frac", [0.3, 0.7])
+    def test_where_w_rises_first(self, alpha, frac):
+        # A W0 > 0 state with 0 < v < v* (v = W0*exp(-theta0)) fails
+        # monotone_approach: W rises on the way, yet its branch reaches the
+        # axis (K > 0) and the closed form gives the time: the band's axis
+        # blow-up times rest on this.  The plain run ends by step collapse
+        # at the blow-up.
+        p = Params(alpha, mid_subcritical_gamma(alpha))
+        theta = 0.5
+        w = frac * p.v_star * math.exp(theta)
+        assert not monotone_approach(p, theta, w)
+        got = time_to_axis(p, theta, w)
+        assert rel_err(got, quadrature_time(p, theta, w)) < 1e-14
+        traj = integrate(ReducedState(theta, w), p, 2.0 * got + 10.0,
+                         IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14))
+        assert traj.outcome is Outcome.STEP_COLLAPSED
+        assert rel_err(traj.t_final, got) < 1e-10
 
     def test_from_a_coplanar_state(self):
         # W = 0 on a subcritical level, the turning point of a W0 < 0 orbit:

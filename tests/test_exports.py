@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -185,3 +187,63 @@ def test_the_steppers_call_no_abs_max_or_min():
               for node in ast.walk(func) if isinstance(node, ast.Call)}
     assert called & {"abs", "max", "min"} == set()
     assert "f" in called
+
+
+def restated_integration_defaults(path: Path, values: set) -> list[str]:
+    """Each literal in the module that stands in for an integrator default:
+    a parameter default or an argparse `default=` among `values`, or an
+    `IntegrationConfig(...)` call with a literal argument, by the function
+    that holds it."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        literals = [(func.name, d) for d in func.args.defaults + func.args.kw_defaults]
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("add_argument"):
+                literals += [(func.name, kw.value) for kw in node.keywords if kw.arg == "default"]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "IntegrationConfig":
+                found += [func.name for arg in node.args + [kw.value for kw in node.keywords]
+                          if isinstance(arg, ast.Constant)]
+        found += [name for name, node in literals
+                  if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                  and node.value in values]
+    return found
+
+
+def test_the_integrator_defaults_have_one_home():
+    # integrate.IntegrationConfig and DEFAULT_T_END hold every integrator
+    # default: the CLI flags and run_battery read them, and no runner builds
+    # a default record from a None sentinel.  The conservation check keeps
+    # its fixed pair on purpose: its drift limits are set for it.
+    cli, integrate, verify = (importlib.import_module(f"filcol.{name}")
+                              for name in ("cli", "integrate", "verify"))
+    record = {f.name: f.default for f in dataclasses.fields(integrate.IntegrationConfig)}
+    values = {*record.values(), integrate.DEFAULT_T_END}
+    found = {path.name: restated_integration_defaults(path, values)
+             for path in SOURCES if path.name != "integrate.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "verify.py": ["_check_conservation", "_check_conservation"]
+    }
+    assert "Fixed tolerances" in inspect.getsource(verify._check_conservation)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                    and ast.unparse(node) == "cfg is None"], path.name
+
+    _, commands = cli.build_parser()
+    for command, names in (("simulate", record), ("sweep", record),
+                           ("verify", ("rel_tol", "abs_tol"))):
+        defaults = {a.dest: a.default for a in commands[command]._actions}  # noqa: SLF001
+        assert {name: defaults[name] for name in names} == {name: record[name] for name in names}
+        if command != "verify":
+            assert defaults["t_end"] == integrate.DEFAULT_T_END
+    battery = inspect.signature(verify.run_battery).parameters
+    assert (battery["rel_tol"].default, battery["abs_tol"].default) == (
+        record["rel_tol"], record["abs_tol"])
+    for runner in (integrate.integrate, integrate.simulate_until_collision,
+                   verify.classifier_oracle_grid):
+        params = inspect.signature(runner).parameters
+        assert params["cfg"].default is integrate.DEFAULT_CONFIG
+        if runner is not integrate.integrate:
+            assert params["t_end"].default == integrate.DEFAULT_T_END

@@ -68,6 +68,13 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             IntegrationConfig(max_steps=0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    def test_tolerances_must_be_finite(self, name, bad):
+        # An infinite tolerance accepts every attempt: no error control at all.
+        with pytest.raises(ConfigInvalid, match="positive and finite"):
+            IntegrationConfig(**{name: bad})
+
     def test_bad_initial_state(self):
         with pytest.raises(InvalidInitialState):
             integrate(ReducedState(0.0, 0.0), P_BENCH, 1.0, CFG)
