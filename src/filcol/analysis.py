@@ -386,12 +386,16 @@ def _last_positive(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
     """The largest float x in [lo, hi) with f(x) > 0, given f(lo) = f_lo > 0
     >= f(hi) = f_hi and one crossing between them.
 
-    Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) shrinks the
-    bracket to adjacent floats.  A step is a midpoint where the secant point
-    is not strictly inside the bracket or an end value is not finite: f_hi
-    is -inf at the d > 0 contact angle, and 0 at a coplanar start.
+    Anderson-Bjorck regula falsi (BIT 13, 1973) shrinks the bracket to
+    adjacent floats: after two steps onto one side it scales the other end's
+    value by 1 - f(x)/f(replaced end), or by 1/2 where that is not positive.
+    Where the secant point rounds onto an end, as when one end value dwarfs
+    the other or f_hi = 0 at a coplanar start, the float next to that end is
+    tried; a step after a failed try is a midpoint, as is every step while an
+    end value is not finite (f_hi is -inf at the d > 0 contact angle).
     """
     side = 0  # +1 after a step that replaced lo, -1 after one that replaced hi
+    nudged = False  # the last step tried the float next to an end
     while True:
         x = 0.5 * (lo + hi)
         if x <= lo or x >= hi:
@@ -399,48 +403,22 @@ def _last_positive(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
         if math.isfinite(f_lo) and math.isfinite(f_hi):
             s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             if lo < s < hi:
-                x = s
+                x, nudged = s, False
+            elif not nudged:
+                x, nudged = math.nextafter(hi, lo) if s >= hi else math.nextafter(lo, hi), True
+            else:
+                nudged = False
         fx = f(x)
         if fx > 0.0:
-            lo, f_lo = x, fx
             if side > 0:
-                f_hi *= 0.5
-            side = 1
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, side = x, fx, 1
         else:
-            hi, f_hi = x, fx
             if side < 0:
-                f_lo *= 0.5
-            side = -1
-
-
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _positive_near_peak(f, probes: list[tuple[float, float]]):
-    """A point with f > 0 near the one maximum of f, or None.
-
-    probes holds (x, f(x)) pairs, x falling; the best one and its two
-    neighbours bracket the maximum.  Golden-section search narrows that
-    bracket to 2**-12 of its centre and stops at the first point with f > 0.
-    It returns (x, f(x), b, f(b)), b the nearest point right of x evaluated,
-    so that one crossing, the largest, lies in (x, b).
-    """
-    j = max(range(len(probes)), key=lambda i: probes[i][1])
-    if j in (0, len(probes) - 1):
-        return None
-    (b, f_b), (c, f_c), (a, f_a) = probes[j - 1:j + 2]
-    while b - a > c * 2.0 ** -12:
-        x = c + _GOLDEN * (b - c) if b - c > c - a else c - _GOLDEN * (c - a)
-        f_x = f(x)
-        if f_x > 0.0:
-            return (x, f_x, b, f_b) if x > c else (x, f_x, c, f_c)
-        # Keep the better middle point of the four and its two neighbours.
-        (a, f_a), mid_lo, mid_hi, (b, f_b) = sorted([(a, f_a), (c, f_c), (x, f_x), (b, f_b)])
-        if mid_lo[1] >= mid_hi[1]:
-            (c, f_c), (b, f_b) = mid_lo, mid_hi
-        else:
-            (a, f_a), (c, f_c) = mid_lo, mid_hi
-    return None
+                m = 1.0 - fx / f_hi if f_hi else 0.0
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, side = x, fx, -1
 
 
 def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCertificate:
@@ -450,13 +428,14 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     is increasing in the hyperbolic angle (K, the self-induction part, is
     increasing), so its minimum over the level set sits at the smallest
     feasible angle: the leftmost W = 0 crossing of the level curve.  A
-    search down from theta0 in doubling steps brackets it and
-    ``_last_positive`` closes the bracket, in about 22 energy evaluations.
-    Both evaluate the chart's own energy closure
-    (``dynamics.hyperbolic_energy``, one set of formulas for both signs of
-    d) at W = 0; they keep no energy formula of their own.  The bound is
-    strictly positive because the energy diverges at the contact
-    configuration.
+    search down from theta0 in doubling steps, the first theta0/4, brackets
+    it and ``_last_positive`` closes the bracket, in about 10 energy
+    evaluations; right of the d > 0 contact angle one more, at the coplanar
+    saddle, tells whether the level ends before that angle.  Both evaluate
+    the chart's own energy closure (``dynamics.hyperbolic_energy``, one set
+    of formulas for both signs of d) at W = 0; they keep no energy formula of
+    their own.  The bound is strictly positive because the energy diverges at
+    the contact configuration.
     """
     if not isinstance(hs0, HyperbolicState):
         raise ConfigInvalid(f"the certificate needs a HyperbolicState (d != 0), got {hs0!r}")
@@ -473,37 +452,33 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
         except Divergent:
             return -math.inf
 
-    # Search down from theta0 in doubling steps; the kinetic part falls to
-    # -inf at the chart origin, so a crossing always exists.  For d < 0, and
-    # below the d > 0 contact angle theta_c (tanh(theta_c) = gamma**-1/2,
-    # gap = -inf, crossed by the level at |W| > 0), gap has one crossing.
-    # Between theta_c and theta0 it has one maximum: with x = theta - theta_c
-    # the coplanar energy's slope is K'*(1 - c/Phi), Phi = K'*sinh(x)**2/
-    # cosh(x) rising with x (on a scan of gamma - 1 from 1e-8 to 1e4).  So the
-    # level's edge can be a window of gap > 0 between two probes; it is
-    # looked for once, as the search passes theta_c.  A coplanar start
-    # (gap(theta0) = 0) may cross W = 0 again further left, where its orbit
-    # goes; where it does not, the root closes on theta0 from below.
+    # gap(theta0) <= 0, and the kinetic part falls to -inf at the chart
+    # origin, so a crossing always exists.  For d < 0, and below the d > 0
+    # contact angle theta_c (tanh(theta_c) = gamma**-1/2, gap = -inf, crossed
+    # by the level at |W| > 0), gap has one crossing.  Between theta_c and
+    # theta0 it rises to one maximum, at the coplanar saddle theta_m if that
+    # lies left of theta0: the level ends in (theta_m, theta0) where
+    # gap(theta_m) > 0, and otherwise the search starts at theta_c.  A
+    # coplanar start (gap(theta0) = 0) may cross W = 0 again further left,
+    # where its orbit goes; where it does not, the root closes on theta0 from
+    # below.
     theta_c = math.atanh(1.0 / p.sqrt_gamma) if d > 0.0 and p.sqrt_gamma > 1.0 else math.inf
-    probes = [(theta0, gap(theta0))]
-    floor = theta0 * 1e-12
-    step = theta0 * 2.0 ** -12
-    while True:
-        hi, g_hi = probes[-1]
-        lo = max(theta0 - step, floor)
-        if lo < theta_c < hi:
-            probes.append((theta_c, -math.inf))
-            window = _positive_near_peak(gap, probes)
-            if window:
-                lo, g_lo, hi, g_hi = window
-                break
-            continue
-        g_lo = gap(lo)
-        if g_lo > 0.0:
-            break
+    hi, g_hi = theta0, gap(theta0)
+    lo, g_lo = hi, g_hi
+    if theta0 > theta_c:
+        theta_m = dynamics._coplanar_saddle(p)
+        if theta_m < theta0 and (g_m := gap(theta_m)) > 0.0:
+            lo, g_lo = theta_m, g_m
+        else:
+            lo, g_lo = theta_c, -math.inf
+    top = lo
+    floor, step = top * 1e-12, top * 0.25
+    while not g_lo > 0.0:
         if lo == floor:
             raise NumericalFailure("level-set search found no boundary crossing")
-        probes.append((lo, g_lo))
+        hi, g_hi = lo, g_lo
+        lo = max(top - step, floor)
+        g_lo = gap(lo)
         step *= 2.0
 
     # The lo side slightly undershoots the crossing, keeping the bound

@@ -22,6 +22,7 @@ four-dimensional ODE system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
@@ -269,17 +270,22 @@ def conserved_d(s: FullState, p: Params) -> float:
 def reduce_state(s: FullState, p: Params) -> Union[ReducedState, HyperbolicState]:
     """Dispatch a full state to the d = 0 or d != 0 planar chart.
 
-    d is treated as zero where |d| <= 1e-9 * gamma*R1**2, a cut that scales with
-    d, a difference of squared lengths: (R, z) -> (lam*R, lam*z) keeps the chart.
-    DomainError where d is not a float.
+    d is treated as zero where |d| <= 1e-9 * gamma*R1**2, decided on R2/R1
+    so that no square can underflow: (R, z) -> (lam*R, lam*z) keeps the
+    chart.  DomainError where d is not a float, or is nonzero but not a
+    normal one.
     """
     d = conserved_d(s, p)
     if not math.isfinite(d):
         raise DomainError(f"d = gamma*R1**2 - R2**2 is not representable: R1 = {s.r1!r}, "
                           f"R2 = {s.r2!r} at gamma = {p.gamma!r}")
     w = s.z1 - s.z2
-    if abs(d) <= 1e-9 * p.gamma * s.r1 * s.r1:
+    q = s.r2 / s.r1
+    if abs(p.gamma - q * q) <= 1e-9 * p.gamma:
         return ReducedState(theta=math.log(s.r1), w=w)
+    if abs(d) < sys.float_info.min:
+        raise DomainError(f"d = gamma*R1**2 - R2**2 is nonzero, but {d!r} is not a normal float "
+                          f"(|d| >= {sys.float_info.min!r}): R1 = {s.r1!r}, R2 = {s.r2!r}")
     if d > 0.0:
         theta = math.asinh(s.r2 / math.sqrt(d))
     else:
@@ -580,6 +586,30 @@ def hyperbolic_energy(p: Params, d: float) -> Callable[[float, float], float]:
         return hyperbolic_kinetic(theta, d, gamma) + asq / s
 
     return energy
+
+
+def _coplanar_saddle(p: Params) -> float:
+    """The d > 0 chart's equilibrium on W = 0 right of the contact angle, or inf.
+
+    There W' = -dE(theta, 0)/dtheta has the sign of -P(t), with t = tanh(theta)
+    > gamma**-1/2, sqg = sqrt(gamma), g32 = gamma*sqg and, whatever d,
+    P(t) = (g32*t + 1)*(sqg*t - 1)**2 - alpha*gamma*t*(sqg - t).  P < 0 at the
+    contact angle and P'' > 0 right of it, so E(theta, 0) falls to one
+    minimum, the saddle, and rises after it; Newton's method from t = 1 falls
+    onto P's one root there from the right.
+    """
+    sqg, ag = p.sqrt_gamma, p.alpha * p.gamma
+    g32, t = p.gamma * sqg, 1.0
+    while True:
+        u = sqg * t - 1.0
+        f = (g32 * t + 1.0) * u * u - ag * t * (sqg - t)
+        if not f > 0.0:
+            break
+        step = f / ((g32 * u + 2.0 * sqg * (g32 * t + 1.0)) * u - ag * (sqg - 2.0 * t))
+        t -= step
+        if step <= t * 1e-13:
+            break
+    return math.atanh(t) if t < 1.0 else math.inf
 
 
 # --------------------------------------------------------------------------

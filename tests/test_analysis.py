@@ -47,7 +47,7 @@ from filcol import (
     theta_star,
 )
 from filcol import analysis, dynamics
-from filcol.analysis import _last_positive, _positive_near_peak, axis_energy, quartic
+from filcol.analysis import _last_positive, axis_energy, quartic
 from filcol.dynamics import Regime, hyperbolic_kinetic, k_sign, reduced_field, time_to_axis
 from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
@@ -1390,9 +1390,10 @@ class TestCertificate:
 
     def test_energy_evaluations_per_certificate(self, monkeypatch):
         # The search's cost, counted, so that a slower search fails here
-        # without timing anything.  On this sample the search takes 25.1
-        # energy evaluations a certificate (at most 65); the 400-point scan
-        # and bisection took 96.7 (at most 317).
+        # without timing anything.  On this sample the search takes 11.0
+        # energy evaluations a certificate (at most 26); the doubling search
+        # from theta0*2**-12 with Illinois closing took 25.1 (at most 65), and
+        # the 400-point scan and bisection 96.7 (at most 317).
         calls = collections.Counter()
         factory = dynamics.hyperbolic_energy
 
@@ -1412,8 +1413,36 @@ class TestCertificate:
             calls.clear()
             no_collision_certificate(hs, p)
             counts.append(calls["energy"])
-        assert statistics.mean(counts) <= 30.0
-        assert max(counts) <= 80
+        assert statistics.mean(counts) <= 16.0
+        assert max(counts) <= 50
+
+    def test_every_bound_sits_on_the_last_positive_float(self, monkeypatch):
+        # Both signs of d, levels that end right of the d > 0 contact angle
+        # (at the coplanar saddle's window) and coplanar starts: the closed
+        # bracket keeps gap(lo) > 0 >= gap(next float), so the bound stays
+        # conservative however the search got there.
+        closed = []
+
+        def recording(f, lo, f_lo, hi, f_hi):
+            x = _last_positive(f, lo, f_lo, hi, f_hi)
+            closed.append((f, x))
+            return x
+
+        monkeypatch.setattr(analysis, "_last_positive", recording)
+        kinds = collections.Counter()
+        for i, (p, s) in enumerate(nonzero_d_sample(2000, 29)):
+            if i % 2:
+                s = FullState(s.r1, s.z1, s.r2, s.z1)
+            hs = reduce_state(s, p)
+            no_collision_certificate(hs, p)
+            f, x = closed[-1]
+            assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
+            right_of_contact = hs.d > 0.0 and math.tanh(x) > 1.0 / p.sqrt_gamma
+            kinds[hs.d > 0.0, hs.w == 0.0, right_of_contact] += 1
+        assert len(closed) == 2000
+        assert all(kinds[k] > 50 for k in [(False, False, False), (False, True, False),
+                                            (True, False, False), (True, True, False)])
+        assert kinds[True, False, True] > 20 and kinds[True, True, True] > 20
 
 
 class TestLastPositive:
@@ -1449,12 +1478,27 @@ class TestLastPositive:
         assert seen[0] == 1.0
         assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
 
-    def test_zero_at_hi_is_bisected(self):
-        # A coplanar start: f(hi) = 0 with the crossing at hi itself.
+    def test_zero_at_hi_closes_on_the_next_float(self):
+        # A coplanar start: f(hi) = 0 with the crossing at hi itself.  The
+        # secant point is hi, so the float below it is tried first.
         f = lambda x: 1.5 - x
         x, seen = self.run(f, 1.0, 1.5)
-        assert seen[0] == 1.25
+        assert seen == [math.nextafter(1.5, 0.0)]
         assert x == math.nextafter(1.5, 0.0)
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        # f(lo) = e**50 dwarfs f(hi), and the crossing lies just below hi.
+        (lambda x: math.expm1(50.0 * (1.0 - x) + 1e-15), 0.0, math.nextafter(1.0, 2.0)),
+        # f(hi) = -e**50 dwarfs f(lo), and the crossing lies just above lo.
+        (lambda x: 1e-15 - math.expm1(50.0 * (x - 1.0)), 1.0, 2.0),
+    ])
+    def test_secant_rounding_onto_an_end_is_closed_at_once(self, f, lo, hi):
+        # The secant point rounds onto an end.  Illinois steps bisected both
+        # for 52 evaluations; the float next to that end closes the bracket.
+        x, seen = self.run(f, lo, hi)
+        assert x == 1.0
+        assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
+        assert len(seen) <= 6
 
     def test_step_function(self):
         c = 0.7
@@ -1470,22 +1514,3 @@ class TestLastPositive:
         x, seen = self.run(f, 0.5, 1.5)
         assert f(x) > 0.0 >= f(math.nextafter(x, math.inf))
         assert len(seen) < 100
-
-
-class TestPositiveNearPeak:
-    """The window search of the certificate: f > 0 near a peak between probes."""
-
-    def test_finds_a_window_between_probes(self):
-        f = lambda x: 1e-4 - (x - 0.7) ** 2  # f > 0 on (0.69, 0.71)
-        probes = [(x, f(x)) for x in (1.0, 0.9, 0.5, 0.0)]
-        x, f_x, b, f_b = _positive_near_peak(f, probes)
-        assert f_x == f(x) > 0.0 >= f_b == f(b)
-        assert 0.69 < x < b
-
-    def test_no_window_below_zero(self):
-        f = lambda x: -1e-3 - (x - 0.7) ** 2
-        assert _positive_near_peak(f, [(x, f(x)) for x in (1.0, 0.9, 0.5, 0.0)]) is None
-
-    def test_peak_at_the_last_probe_is_not_bracketed(self):
-        f = lambda x: -x
-        assert _positive_near_peak(f, [(x, f(x)) for x in (1.0, 0.9, 0.5)]) is None

@@ -122,6 +122,15 @@ class TestClassifyCommand:
         assert certs[0] == 1.034319852339364e-06
         assert rel_err(certs[0], 1e-6 * certs[1]) < 1e-15
 
+    def test_underflowing_d_pair_exits_2_naming_its_range(self, capsys):
+        # R1**2 and R2**2 underflow to 0, yet R2/R1 = 2 puts the pair off
+        # d = 0, so it is refused with d's range, as its x1e50 twin is with
+        # a certificate; it used to take the d = 0 chart and exit 3.
+        code, out, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "1",
+                                 "--r1", "1e-200", "--z1", "1e-200", "--r2", "2e-200", "--z2", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: d = ") and "not a normal float" in err
+
     def test_missing_state_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "2.0")
         assert code == 2

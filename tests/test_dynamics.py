@@ -40,7 +40,8 @@ from filcol import (
     reduced_field,
     theta_star,
 )
-from filcol.dynamics import Regime, k_sign, log_tail, monotone_approach, time_to_axis
+from filcol.dynamics import (Regime, _coplanar_saddle, k_sign, log_tail, monotone_approach,
+                             time_to_axis)
 from filcol.verify import mid_subcritical_gamma
 
 from conftest import closed_form_time, level_w, nonzero_d_states, quadrature_time, rel_err
@@ -199,6 +200,22 @@ class TestReduction:
         assert type(scaled) is type(base) is (ReducedState if zero_d else HyperbolicState)
         assert abs(scaled.theta - (math.log(lam) if zero_d else 0.0) - base.theta) < 1e-12
 
+    @pytest.mark.parametrize("r1,r2,chart", [
+        (1e-200, 2e-200, None),                      # d underflows to 0
+        (1e-160, 2e-160, None),                      # d is subnormal
+        (1e-150, 2e-150, HyperbolicState),           # d = -3e-300 is normal
+        (1e-200, 1e-200, ReducedState),              # d = 0 on any scale
+    ])
+    def test_tiny_radii_keep_the_chart_or_are_refused(self, r1, r2, chart):
+        # The d = 0 cut reads R2/R1, so squares that underflow cannot move a
+        # d != 0 pair onto d = 0; a d that is not a normal float is refused.
+        s, p = FullState(r1, 0.5, r2, 0.0), Params(0.2, 1.0)
+        if chart is None:
+            with pytest.raises(DomainError, match="not a normal float"):
+                reduce_state(s, p)
+        else:
+            assert type(reduce_state(s, p)) is chart
+
     @given(case=nonzero_d_states())
     @settings(max_examples=200)
     def test_chart_round_trip_property(self, case):
@@ -208,6 +225,55 @@ class TestReduction:
         r1b, r2b = hyperbolic_radii(hs, p)
         assert rel_err(r1b, s.r1) < 1e-12
         assert rel_err(r2b, s.r2) < 1e-12
+
+
+class TestCoplanarSaddle:
+    """The d > 0 chart's equilibrium on W = 0, right of the contact angle."""
+
+    @staticmethod
+    def w_rate(p, theta, d):
+        """W' at (theta, 0) over its self-induction part, which it cancels at the saddle."""
+        self_induction = p.gamma * p.sqrt_gamma / math.cosh(theta) + 1.0 / math.sinh(theta)
+        return hyperbolic_field(p, d)(theta, 0.0)[1] * math.sqrt(d) / self_induction
+
+    @pytest.mark.parametrize("alpha,gamma", [(0.2, 2.0), (0.5, 2.5), (0.9, 4.0), (0.05, 1.2)])
+    def test_the_field_rests_where_the_coplanar_energy_is_least(self, alpha, gamma):
+        p = Params(alpha, gamma)
+        theta_m = _coplanar_saddle(p)
+        assert math.atanh(1.0 / p.sqrt_gamma) < theta_m < math.inf
+        for d in (0.01, 1.0, 30.0):  # d scales the energy and leaves the saddle
+            assert abs(self.w_rate(p, theta_m, d)) < 1e-12
+            energy = hyperbolic_energy(p, d)
+            e_m = energy(theta_m, 0.0)
+            assert energy(theta_m * (1 - 1e-3), 0.0) > e_m < energy(theta_m * (1 + 1e-3), 0.0)
+
+    @pytest.mark.parametrize("alpha,gamma", [(0.5, 1.01), (0.5, 1.5), (0.2, 1.0)])
+    def test_no_saddle_where_the_coplanar_energy_only_falls(self, alpha, gamma):
+        p = Params(alpha, gamma)
+        assert _coplanar_saddle(p) == math.inf
+        if gamma > 1.0:
+            theta_c = math.atanh(1.0 / p.sqrt_gamma)
+            assert all(self.w_rate(p, theta_c + k / 8, 1.0) > 0.0 for k in range(1, 120))
+
+    def test_matches_a_bisection_of_the_field(self):
+        # W' > 0 right of the contact angle up to the saddle, < 0 after it.
+        rng = random.Random(5)
+        found = 0
+        for _ in range(300):
+            p = Params(rng.uniform(0.02, 0.98), rng.uniform(1.0, 6.0))
+            theta_c = math.atanh(1.0 / p.sqrt_gamma)
+            lo, hi = theta_c * (1 + 1e-9), 20.0
+            if self.w_rate(p, hi, 1.0) > 0.0:
+                assert _coplanar_saddle(p) > hi
+                continue
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if self.w_rate(p, mid, 1.0) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert rel_err(_coplanar_saddle(p), lo) < 1e-9
+            found += 1
+        assert found > 200
 
 
 class TestReducedField:

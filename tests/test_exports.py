@@ -124,6 +124,32 @@ def test_each_series_has_one_copy():
     assert sites == [("dynamics.py", "_artanh_tail", None)]
 
 
+def test_the_certificate_reads_the_one_energy_formula():
+    # no_collision_certificate evaluates the d != 0 energy only through the
+    # chart's closure, dynamics.hyperbolic_energy, looked up on the module so
+    # that every evaluation can be counted; hyperbolic_kinetic enters only the
+    # bound.  analysis writes none of the energy's parts itself: no hypot
+    # (the separation), atan (the kinetic part), sinh or cosh (the chart).
+    # A faster search cannot fork the one energy formula.
+    tree = ast.parse((SOURCES[0].parent / "analysis.py").read_text(encoding="utf-8"))
+    cert = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "no_collision_certificate")
+    inside = {id(node) for node in ast.walk(cert)}
+    energy = [node for node in ast.walk(tree)
+              if "hyperbolic_energy" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         *(alias.name for alias in getattr(node, "names", [])))]
+    assert [ast.unparse(node) for node in energy] == ["dynamics.hyperbolic_energy"]
+    assert id(energy[0]) in inside
+    kinetic = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "hyperbolic_kinetic"]
+    bound = cert.body[-1]
+    assert len(kinetic) == 1 and isinstance(bound, ast.Return)
+    assert id(kinetic[0]) in {id(node) for node in ast.walk(bound)}
+    parts = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("math.hypot", "math.atan", "math.sinh", "math.cosh")]
+    assert parts == []
+
+
 def test_every_exact_time_is_the_time_to_the_axis():
     # _formula has one EXACT return, and its time is a dynamics.time_to_axis
     # call: no exact collision time is written out a second time.
