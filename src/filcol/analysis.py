@@ -267,7 +267,7 @@ def classify(rs0: ReducedState, p: Params) -> MotionClass:
     if regime is _EQUAL and w0 == 0.0:
         raise OnSingularLine("W = 0 is excluded for gamma = 1")
     try:
-        u, _, z, _ = dynamics._on_level(p, th0, w0)
+        u, _, z = dynamics._on_level(p, th0, w0)
         # v as W0*exp(-theta0): W0/u may round to the other side of v_star.
         h0, v = p.mu * z / u, w0 * math.exp(-th0)
     except (NumericalFailure, OverflowError):
@@ -318,7 +318,7 @@ def _formula(mc: MotionClass) -> tuple[EstimateKind, float, dict[str, float]]:
     if branch is _SUB_H0_ZERO:
         constants = {"m0": mu * mu * math.sqrt(p.k) / (alpha * alpha * p.gamma)}
     elif branch is not _G1_H0_ZERO:
-        u, opz, z, _ = dynamics._on_level(p, th0, w0)
+        u, opz, z = dynamics._on_level(p, th0, w0)
         s = u / mu  # a time is s*(s*T)
         if branch is _G1_H0_NONZERO:  # alpha - h0*W0 = mu*exp(-theta0)*W0 = mu*v
             v = w0 / u

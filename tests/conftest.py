@@ -57,9 +57,13 @@ def closed_form_time(p, theta, w):
     from the closed form in mpmath, whose exponents do not overflow: with v =
     W/u, -(W**2/alpha)*(log(y) - x)/x**2, x = y - 1, y = mu*v/alpha, at equal
     circulation, else (a2g/h**2)*[F(m) - F(mu)], F(m) = -artanh(q/sqrt(a2g))/
-    sqrt(a2g) + mu*q/(a2g*m), on the law's level (K = 0 in the critical band).  Its terms cancel to O(z**2), so the digits grow with |log v|
-    and, near the zero level, with |log z|."""
-    dps = 50 + 5 * int(abs(math.log10(w) - theta / math.log(10.0)))
+    sqrt(a2g) + mu*q/(a2g*m), on the law's level (K = 0 in the critical band).
+    At the state, with delta = sqrt(offset2 + v**2), m = sqrt(a2g)/delta, q =
+    m*v and 1 - q/sqrt(a2g) = offset2/(delta*(delta + v)), so artanh takes no
+    digits as q/sqrt(a2g) nears 1.  Its terms cancel to O(z**2), so the digits
+    grow with |log z|: a pass whose z is not resolved to 30 digits is repeated
+    with the digits that z asks for."""
+    dps = 64
     while True:
         with mpmath.workdps(dps):
             u, w_mp = mpmath.exp(mpmath.mpf(theta)), mpmath.mpf(w)
@@ -67,6 +71,8 @@ def closed_form_time(p, theta, w):
             if p.c == 0.0:
                 y = mu * v / p.alpha
                 small = y - 1
+                if not small:  # the zero level: (log(y) - x)/x**2 -> -1/2
+                    return w_mp ** 2 / (2 * p.alpha)
                 t = -(w_mp ** 2 / p.alpha) * (mpmath.log(y) - small) / small ** 2
             else:
                 c2 = mpmath.mpf(p.offset) ** 2
@@ -74,15 +80,15 @@ def closed_form_time(p, theta, w):
                 a2g = c2 * mu * mu + k2
                 sa, delta = mpmath.sqrt(a2g), mpmath.sqrt(c2 + v * v)
                 small = (k2 - mu * mu * v * v) / (mu * delta * (sa + mu * delta))
-
-                def f(m, q):
-                    return -mpmath.atanh(q / sa) / sa + mu * q / (a2g * m)
-
-                t = (u / (small * mu)) ** 2 * a2g * (
-                    f(mu * (1 + small), sa * v / delta) - f(mu, mpmath.sqrt(k2)))
-            if abs(small) > mpmath.mpf(10) ** (30 - dps // 2):
+                gap = c2 / (delta * (delta + v))  # 1 - q/sa at the state
+                f_state = -mpmath.log((2 - gap) / gap) / (2 * sa) + mu * v / a2g
+                k = mpmath.sqrt(k2)
+                f_rest = -mpmath.atanh(k / sa) / sa + k / a2g
+                t = (u / (small * mu)) ** 2 * a2g * (f_state - f_rest)
+            if small and abs(small) > mpmath.mpf(10) ** (30 - dps // 2):
                 return t
-        dps *= 2
+            need = 64 + 2 * int(-mpmath.log10(abs(small))) if small else 2 * dps
+        dps = max(need, dps + 16)
 
 
 def energy_40(p, theta: float, w: float):

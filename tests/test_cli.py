@@ -131,6 +131,20 @@ class TestClassifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: d = ") and "not a normal float" in err
 
+    def test_overflowing_d_pair(self, capsys):
+        # gamma*R1**2 and R2**2 overflow.  On d = 0 (R2/R1 = sqrt(2)) the chart
+        # is still a float and the pair classifies as its x1e-100 copy does;
+        # off d = 0 the pair is refused, as d is not a float.
+        base = ("classify", "--alpha", "0.2", "--gamma", "2", "--r1", "1e200", "--z1", "1")
+        code, out, _ = run_cli(capsys, *base, "--r2", "1.4142135623730951e200", "--z2", "0")
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["verdict"] == "global-pass-through"
+        assert rec["theta0"] == 460.51701859880916 == math.log(1e200)
+        code, out, err = run_cli(capsys, *base, "--r2", "1e200", "--z2", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: d = ") and "not representable" in err
+
     def test_missing_state_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--alpha", "0.2", "--gamma", "2.0")
         assert code == 2

@@ -10,7 +10,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -395,9 +395,45 @@ def _level_state(p, h, u):
     return theta, level_w(theta, p, h)
 
 
+@st.composite
+def axis_states(draw):
+    """(branch, p, theta, W): a d = 0 state, W >= 0, whose level reaches the axis,
+    theta in [-3, 3] and alpha in (0.01, 0.99), on one of six branches, by v = W/u:
+    gamma = 1; subcritical (gamma a fraction 0.05 to 0.95 of the way to
+    gamma_star) with h0 < 0 (v > v0), with h0 > 0 left of theta_star (v* < v < v0),
+    with W rising first (0 <= v < v*), or with |v - v0|/v0 in [1e-12, 0.1]; and
+    the critical ratio."""
+    branch = draw(st.sampled_from(("gamma1", "subcritical-h-neg", "subcritical-h-pos",
+                                   "w-rises-first", "near-zero-level", "critical")))
+    alpha = draw(st.floats(0.01, 0.99))
+    theta = draw(st.floats(-3.0, 3.0))
+    gs = gamma_star(alpha)
+    if branch == "gamma1":
+        p = Params(alpha, 1.0)
+        v = alpha / p.mu * 10.0 ** draw(st.floats(-6.0, 6.0))
+    elif branch == "critical":
+        p = Params(alpha, gs)
+        assume(p.regime is Regime.CRITICAL)
+        v = p.offset * 10.0 ** draw(st.floats(-6.0, 6.0))
+    else:
+        p = Params(alpha, 1.0 + draw(st.floats(0.05, 0.95)) * (gs - 1.0))
+        v0, vs = p.v0, p.v_star
+        if branch == "subcritical-h-neg":
+            v = v0 * (1.0 + 10.0 ** draw(st.floats(-3.0, 3.0)))
+        elif branch == "subcritical-h-pos":
+            v = vs + draw(st.floats(0.001, 0.999)) * (v0 - vs)
+        elif branch == "w-rises-first":
+            v = vs * draw(st.floats(0.0, 0.999))
+        else:
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+            v = v0 * (1.0 + sign * 10.0 ** draw(st.floats(-12.0, -1.0)))
+    return branch, p, theta, v * math.exp(theta)
+
+
 class TestTimeToAxis:
-    # z = h*u/mu runs log-stratified over [1e-12, 0.999]: near 0 the two
-    # O(z) terms of the closed form cancel, near 1 the h < 0 level's m(u)
+    # z = h*u/mu runs log-stratified over [1e-12, 0.999]: near 0, where v
+    # nears v_f = sqrt(K)/mu, the antiderivative's bracket G(v_f) - G(v) and
+    # g(v)**2 both vanish as (v_f - v)**2; near 1 the h < 0 level's m(u)
     # nears 0.  Each level is posed as a float state, and the reference is
     # taken on that state's own level.
     @staticmethod
@@ -495,6 +531,26 @@ class TestTimeToAxis:
         assert traj.outcome is Outcome.STEP_COLLAPSED
         assert rel_err(traj.t_final, got) < 1e-10
 
+    @given(case=axis_states())
+    @settings(max_examples=200)
+    @example(case=("critical", Params(0.3603329315891951, gamma_star(0.3603329315891951)),
+                   -1.064421528649878, 0.014510633693760502))
+    @example(case=("subcritical-h-neg", Params(0.03680763356834348, 1.0374783496927085),
+                   -291.3326430388195, 9.212217716724395e178))
+    @example(case=("subcritical-h-neg", Params(0.05722481711940921, 1.0588361222688987),
+                   -73.75766274052717, 6.368939024748073e275))
+    def test_within_1e_14_of_the_closed_form(self, case):
+        # The reference is the F(m) form in mpmath (conftest), which shares no
+        # step with the antiderivative.  Pinned: a critical-ratio state and two
+        # far ones (time 2.9e243 for the last), which a form that cancelled
+        # its O(z) terms by hand missed by 3.4e-14, 7.2e-13 and 2.1e-12.
+        branch, p, theta, w = case
+        if branch in ("subcritical-h-pos", "w-rises-first"):
+            assert monotone_approach(p, theta, w) is (branch == "subcritical-h-pos")
+        want = closed_form_time(p, theta, w)
+        got = time_to_axis(p, theta, w)
+        assert float(abs(got - want) / want) < 1e-14, (p, theta, w, got)
+
     def test_from_a_coplanar_state(self):
         # W = 0 on a subcritical level, the turning point of a W0 < 0 orbit:
         # no radicand is formed.  At equal circulation and at rest on the
@@ -562,6 +618,40 @@ class TestTimeToAxisAtTheExtremes:
                 outcomes.add("time")
                 assert float(abs(t - want) / want) < 1e-13, (p, theta, w, t, want)
         assert outcomes == {"numerical-failure", "underflow", "time"}
+
+    def test_every_normal_float_time_is_reached(self):
+        # 1,000 states, theta in [-700, 700], v = W/u log-uniform over
+        # [1e-300, 1e300] and W a normal float, at gamma = 1, subcritical and
+        # critical: where the closed form's time is a normal float it is
+        # answered within 1e-13, where it overflows refused, and 0.0 only
+        # where it underflows.  A time of 0.0 or a refusal for a far state
+        # whose time is a float (1.1e265, say) fails here.
+        rng = random.Random(9)
+        seen, n = set(), 0
+        while n < 1000:
+            alpha = rng.uniform(0.01, 0.99)
+            gs = gamma_star(alpha)
+            gamma = (1.0, 1.0 + rng.uniform(0.0, 1.0) * (gs - 1.0), gs)[n % 3]
+            theta = rng.uniform(-700.0, 700.0)
+            w = math.exp(theta) * 10.0 ** rng.uniform(-300.0, 300.0)
+            if not sys.float_info.min <= w < math.inf:
+                continue
+            n += 1
+            p = Params(alpha, gamma)
+            want = closed_form_time(p, theta, w)
+            if want > sys.float_info.max:
+                seen.add("overflow")
+                with pytest.raises(NumericalFailure):
+                    time_to_axis(p, theta, w)
+                continue
+            got = time_to_axis(p, theta, w)
+            if want >= sys.float_info.min:
+                seen.add("normal")
+                assert float(abs(got - want) / want) < 1e-13, (p, theta, w, got, want)
+            else:
+                seen.add("underflow")
+                assert got < sys.float_info.min, (p, theta, w, got, want)
+        assert seen == {"normal", "overflow", "underflow"}
 
     def test_a_nan_state_decides_nothing(self):
         for p in (Params(0.2, 1.0), Params(0.2, 1.1), Params(0.2, gamma_star(0.2))):
