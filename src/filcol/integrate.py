@@ -6,16 +6,16 @@ a ReducedState, the d != 0 chart for a HyperbolicState.  The error-per-step
 is controlled in a mixed max norm with per-component scale
 abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
 standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
-Each attempt is straight-line scalar code for the state's fixed dimension:
-one stepper for the 2-D (theta, W) charts and one for the 4-D full system,
-with the vector field called on scalars.  A caller may pass one stop
-predicate, checked at the initial point and at every accepted point: it
-names the rule that holds there, or returns None.  The run ends at the
-first point where a rule holds; nothing is interpolated.  The conserved
-quantity of the chosen system (d for the full system, the energy for the
-planar charts) is kept with the run and its drift computed on read, so any
-run doubles as a conservation audit, and every run counts its attempts,
-rejections and field evaluations in ``Trajectory.stats``.
+Each attempt is straight-line scalar code for the state's fixed dimension,
+with the vector field called on scalars; one template builds the 2-D (theta,
+W) and the 4-D steppers, with the same term order and zero weights.  A caller
+may pass one stop predicate, checked at the initial point and at every
+accepted point: it names the rule that holds there, or returns None.  The run
+ends at the first point where a rule holds; nothing is interpolated.  The
+conserved quantity of the chosen system (d for the full system, the energy
+for the planar charts) is kept with the run and its drift computed on read,
+so any run doubles as a conservation audit, and every run counts its
+attempts, rejections and field evaluations in ``Trajectory.stats``.
 
 Finite-time blow-up (the collision singularity) is not integrated into.
 ``simulate_until_collision`` owns the stop rules of a d = 0 run.  It
@@ -33,6 +33,7 @@ singularity, never with a NaN state.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -191,115 +192,47 @@ _FIELD_ERRORS = (FilcolError, ValueError, ZeroDivisionError, OverflowError)
 # component never replaces the 0.0 it starts from).
 
 
-def _step_2d(f, h, y, k1, abs_tol, rel_tol):
-    a, b = y
-    k1a, k1b = k1
-    try:
-        k2a, k2b = f(
-            a + h * (_A21 * k1a),
-            b + h * (_A21 * k1b),
-        )
-        k3a, k3b = f(
-            a + h * (_A31 * k1a + _A32 * k2a),
-            b + h * (_A31 * k1b + _A32 * k2b),
-        )
-        k4a, k4b = f(
-            a + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
-            b + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b),
-        )
-        k5a, k5b = f(
-            a + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-            b + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-        )
-        k6a, k6b = f(
-            a + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-            b + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-        )
-        a1 = a + h * (_B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
-        b1 = b + h * (_B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-        k7 = f(a1, b1)
-    except _FIELD_ERRORS:
-        return y, k1, math.inf
-    y_new = (a1, b1)
-    k7a, k7b = k7
-    finite = math.isfinite
-    if not (finite(a1) and finite(b1) and finite(k7a) and finite(k7b)):
-        return y_new, k7, math.inf
-    ea = h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-    sa, sa1 = (a if a >= 0.0 else -a), (a1 if a1 >= 0.0 else -a1)
-    ea = (ea if ea >= 0.0 else -ea) / (abs_tol + rel_tol * (sa if sa >= sa1 else sa1))
-    eb = h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
-    sb, sb1 = (b if b >= 0.0 else -b), (b1 if b1 >= 0.0 else -b1)
-    eb = (eb if eb >= 0.0 else -eb) / (abs_tol + rel_tol * (sb if sb >= sb1 else sb1))
-    err = ea if ea > 0.0 else 0.0
-    return y_new, k7, eb if eb > err else err
+def _attempt(n: int):
+    """The stepper ``_step_<n>d`` of an n-component state: straight-line source
+    written from the tableau's names (_Aij, _Bj, _Ej), compiled in this module's
+    globals, and registered with ``linecache`` so that tracebacks and
+    ``inspect.getsource`` show it."""
+    cs, name = "abcd"[:n], f"_step_{n}d"
+
+    def each(fmt: str, sep: str = ", ") -> str:  # fmt once per component c
+        return sep.join(fmt.format(c=c) for c in cs)
+
+    def stage(w: str, m: int, c: str) -> str:  # h * (w1 * k1c + ... + wm * kmc)
+        return "h * (" + " + ".join(f"{w}{j} * k{j}{c}" for j in range(1, m + 1)) + ")"
+
+    src = [f"def {name}(f, h, y, k1, abs_tol, rel_tol):",
+           f"    {each('{c}')} = y", f"    {each('k1{c}')} = k1", "    try:"]
+    for i in range(2, 7):
+        args = "".join(f"\n            {c} + {stage(f'_A{i}', i - 1, c)}," for c in cs)
+        src.append(f"        {each(f'k{i}{{c}}')} = f({args}\n        )")
+    src += [f"        {c}1 = {c} + {stage('_B', 6, c)}" for c in cs]
+    src += [f"        k7 = f({each('{c}1')})", "    except _FIELD_ERRORS:",
+            "        return y, k1, math.inf", f"    y_new = ({each('{c}1')})",
+            f"    {each('k7{c}')} = k7", "    finite = math.isfinite",
+            f"    if not ({each('finite({c}1)', ' and ')} and {each('finite(k7{c})', ' and ')}):",
+            "        return y_new, k7, math.inf"]
+    for c in cs:
+        src += [f"    e{c} = {stage('_E', 7, c)}",
+                f"    s{c}, s{c}1 = ({c} if {c} >= 0.0 else -{c}),"
+                f" ({c}1 if {c}1 >= 0.0 else -{c}1)",
+                f"    e{c} = (e{c} if e{c} >= 0.0 else -e{c})"
+                f" / (abs_tol + rel_tol * (s{c} if s{c} >= s{c}1 else s{c}1))"]
+    src += ["    err = ea if ea > 0.0 else 0.0"]
+    src += [f"    err = e{c} if e{c} > err else err" for c in cs[1:-1]]
+    src += [f"    return y_new, k7, e{cs[-1]} if e{cs[-1]} > err else err"]
+    text, filename = "\n".join(src) + "\n", f"<filcol.integrate.{name}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(keepends=True), filename)
+    namespace: dict = {}
+    exec(compile(text, filename, "exec"), globals(), namespace)
+    return namespace[name]
 
 
-def _step_4d(f, h, y, k1, abs_tol, rel_tol):
-    a, b, c, d = y
-    k1a, k1b, k1c, k1d = k1
-    try:
-        k2a, k2b, k2c, k2d = f(
-            a + h * (_A21 * k1a),
-            b + h * (_A21 * k1b),
-            c + h * (_A21 * k1c),
-            d + h * (_A21 * k1d),
-        )
-        k3a, k3b, k3c, k3d = f(
-            a + h * (_A31 * k1a + _A32 * k2a),
-            b + h * (_A31 * k1b + _A32 * k2b),
-            c + h * (_A31 * k1c + _A32 * k2c),
-            d + h * (_A31 * k1d + _A32 * k2d),
-        )
-        k4a, k4b, k4c, k4d = f(
-            a + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
-            b + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b),
-            c + h * (_A41 * k1c + _A42 * k2c + _A43 * k3c),
-            d + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d),
-        )
-        k5a, k5b, k5c, k5d = f(
-            a + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-            b + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-            c + h * (_A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c),
-            d + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d),
-        )
-        k6a, k6b, k6c, k6d = f(
-            a + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-            b + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-            c + h * (_A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c),
-            d + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d),
-        )
-        a1 = a + h * (_B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
-        b1 = b + h * (_B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-        c1 = c + h * (_B1 * k1c + _B2 * k2c + _B3 * k3c + _B4 * k4c + _B5 * k5c + _B6 * k6c)
-        d1 = d + h * (_B1 * k1d + _B2 * k2d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
-        k7 = f(a1, b1, c1, d1)
-    except _FIELD_ERRORS:
-        return y, k1, math.inf
-    y_new = (a1, b1, c1, d1)
-    k7a, k7b, k7c, k7d = k7
-    finite = math.isfinite
-    if not (
-        finite(a1) and finite(b1) and finite(c1) and finite(d1)
-        and finite(k7a) and finite(k7b) and finite(k7c) and finite(k7d)
-    ):
-        return y_new, k7, math.inf
-    ea = h * (_E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-    sa, sa1 = (a if a >= 0.0 else -a), (a1 if a1 >= 0.0 else -a1)
-    ea = (ea if ea >= 0.0 else -ea) / (abs_tol + rel_tol * (sa if sa >= sa1 else sa1))
-    eb = h * (_E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
-    sb, sb1 = (b if b >= 0.0 else -b), (b1 if b1 >= 0.0 else -b1)
-    eb = (eb if eb >= 0.0 else -eb) / (abs_tol + rel_tol * (sb if sb >= sb1 else sb1))
-    ec = h * (_E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c + _E5 * k5c + _E6 * k6c + _E7 * k7c)
-    sc, sc1 = (c if c >= 0.0 else -c), (c1 if c1 >= 0.0 else -c1)
-    ec = (ec if ec >= 0.0 else -ec) / (abs_tol + rel_tol * (sc if sc >= sc1 else sc1))
-    ed = h * (_E1 * k1d + _E2 * k2d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * k7d)
-    sd, sd1 = (d if d >= 0.0 else -d), (d1 if d1 >= 0.0 else -d1)
-    ed = (ed if ed >= 0.0 else -ed) / (abs_tol + rel_tol * (sd if sd >= sd1 else sd1))
-    err = ea if ea > 0.0 else 0.0
-    err = eb if eb > err else err
-    err = ec if ec > err else err
-    return y_new, k7, ed if ed > err else err
+_step_2d, _step_4d = _attempt(2), _attempt(4)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2

@@ -653,6 +653,28 @@ class TestTimeToAxisAtTheExtremes:
                 assert got < sys.float_info.min, (p, theta, w, got, want)
         assert seen == {"normal", "overflow", "underflow"}
 
+    def test_gamma1_time_where_y_is_below_the_normal_range(self):
+        # At gamma = 1 the time reads log(y), y = mu*exp(-theta)*W/alpha.
+        # Where y is subnormal or 0, log(y) is log(mu/alpha) + log(W) - theta,
+        # not the log of y's few digits.  Two far-scan states whose times
+        # lost digits that way, then a seeded sample with log(y) in [-800,
+        # -708.4] and W a normal float.
+        states = [(Params(0.5180096086472702, 1.0), 424.62798073367594, 2.749636712494256e-138),
+                  (Params(0.6585698635938698, 1.0), 455.6437527322207, 2.9870836646854804e-118)]
+        rng = random.Random(33)
+        while len(states) < 200:
+            p, log_w = Params(rng.uniform(0.01, 0.99), 1.0), rng.uniform(-340.0, 340.0)
+            theta = math.log(p.mu / p.alpha) + log_w - rng.uniform(-800.0, -708.4)
+            states.append((p, theta, math.exp(log_w)))
+        seen = set()
+        for p, theta, w in states:
+            y = p.mu * math.exp(-theta) * w / p.alpha
+            assert y < sys.float_info.min, (p, theta, w)
+            seen.add("zero" if y == 0.0 else "subnormal")
+            want = closed_form_time(p, theta, w)
+            assert float(abs(time_to_axis(p, theta, w) - want) / want) < 1e-13, (p, theta, w)
+        assert seen == {"zero", "subnormal"}
+
     def test_a_nan_state_decides_nothing(self):
         for p in (Params(0.2, 1.0), Params(0.2, 1.1), Params(0.2, gamma_star(0.2))):
             assert monotone_approach(p, math.nan, 1.0) is False

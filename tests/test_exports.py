@@ -205,14 +205,29 @@ def test_the_zero_energy_cut_has_one_copy():
 def test_the_steppers_call_no_abs_max_or_min():
     # Every attempt forms its error norm with conditional expressions: a
     # builtin call per component was a measurable share of a 2-D attempt.
-    tree = ast.parse((SOURCES[0].parent / "integrate.py").read_text(encoding="utf-8"))
-    steppers = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name in ("_step_2d", "_step_4d")]
+    # The steppers are built at import, so their source is read from them.
+    integrate = importlib.import_module("filcol.integrate")
+    steppers = [node for name in ("_step_2d", "_step_4d")
+                for node in ast.parse(inspect.getsource(getattr(integrate, name))).body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
     assert len(steppers) == 2
     called = {ast.unparse(node.func) for func in steppers
               for node in ast.walk(func) if isinstance(node, ast.Call)}
     assert called & {"abs", "max", "min"} == set()
     assert "f" in called
+
+
+def test_only_the_stepper_builder_compiles_source():
+    # integrate._attempt writes the steppers' source and compiles it once at
+    # import; nothing else in the package runs text as code.
+    sites = sorted(
+        (path.name, getattr(stmt, "name", None), node.func.id)
+        for path in SOURCES for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    )
+    assert sites == [("integrate.py", "_attempt", "compile"), ("integrate.py", "_attempt", "exec")]
 
 
 def restated_integration_defaults(path: Path, values: set) -> list[str]:
