@@ -204,32 +204,32 @@ def _integration_config(args) -> IntegrationConfig:
     )
 
 
-def _has_reduced(args) -> bool:
-    return args.theta0 is not None and args.w0 is not None
-
-
-def _has_full(args) -> bool:
-    return all(getattr(args, k) is not None for k in ("r1", "z1", "r2", "z2"))
-
-
-def _initial_reduced(args) -> tuple[_Frame, ReducedState]:
-    """Resolve the initial state of a collision command to the d=0 chart."""
-    if not (_has_reduced(args) or _has_full(args)):
-        raise ConfigInvalid("need an initial state: --theta0/--w0 or --r1/--z1/--r2/--z2")
+def _initial_state(args, system="auto") -> tuple[_Frame, ReducedState | FullState | HyperbolicState]:
+    """The frame and initial state of a command; the state's type names its system: a
+    ReducedState for "auto" (a d != 0 pair is refused with its certificate), a FullState
+    for "full" and a HyperbolicState for "hyperbolic"."""
+    reduced = system == "auto" and args.theta0 is not None and args.w0 is not None
+    if not (reduced or all(getattr(args, k) is not None for k in ("r1", "z1", "r2", "z2"))):
+        raise ConfigInvalid(f"--system {system} needs --r1/--z1/--r2/--z2" if system != "auto"
+                            else "need an initial state: --theta0/--w0 or --r1/--z1/--r2/--z2")
     frame = _frame(args.alpha, args.gamma)
-    if _has_reduced(args):
+    if reduced:
         return frame, frame.reduced(args.theta0, args.w0)
-    full = frame.full(args.r1, args.z1, args.r2, args.z2)
-    reduced = dynamics.reduce_state(full, frame.params)
-    if isinstance(reduced, HyperbolicState):
-        cert = analysis.no_collision_certificate(reduced, frame.params)
+    state = frame.full(args.r1, args.z1, args.r2, args.z2)
+    if system == "full":
+        return frame, state
+    state = dynamics.reduce_state(state, frame.params)
+    if system == "hyperbolic" and not isinstance(state, HyperbolicState):
+        raise ConfigInvalid("conserved d is zero within tolerance; use --system auto")
+    if system == "auto" and isinstance(state, HyperbolicState):
+        cert = analysis.no_collision_certificate(state, frame.params)
         raise ConfigInvalid(
-            f"conserved d = {reduced.d!r} is nonzero: this pair can never "
+            f"conserved d = {state.d!r} is nonzero: this pair can never "
             f"collide (separation stays >= {cert.min_separation!r}); "
             "collision analysis needs d = 0. Integrate it with "
             "`simulate --system hyperbolic`."
         )
-    return frame, reduced
+    return frame, state
 
 
 def _record_table(payload: dict, header: list[str]) -> tuple[list[str], list[list]]:
@@ -270,7 +270,7 @@ def _cmd_theta_star(args) -> None:
 
 
 def _cmd_classify(args) -> None:
-    frame, rs = _initial_reduced(args)
+    frame, rs = _initial_state(args)
     p = frame.params
     mc = classify_state(rs, p)
     payload = {
@@ -302,30 +302,17 @@ def _cmd_classify(args) -> None:
 
 def _cmd_simulate(args) -> None:
     cfg = _integration_config(args)
-    system = args.system
-
-    if system == "auto":
-        frame, rs = _initial_reduced(args)
-        result, traj = simulate_until_collision(
-            rs, frame.params, cfg, t_end=frame.horizon(args.t_end, cfg.h_min)
-        )
+    frame, y0 = _initial_state(args, args.system)
+    t_end = frame.horizon(args.t_end, cfg.h_min)
+    if isinstance(y0, ReducedState):
+        result, traj = simulate_until_collision(y0, frame.params, cfg, t_end=t_end)
         status, t_stop = result.status.value, result.time
         # The closed-form part of a collision time; the rest was integrated.
         t_rem = result.remaining_time if result.collided else None
-        state_header = ["t", "theta", "w"]
-    else:  # full, or hyperbolic: the d != 0 chart of the full state
-        if not _has_full(args):
-            raise ConfigInvalid(f"--system {system} needs --r1/--z1/--r2/--z2")
-        frame = _frame(args.alpha, args.gamma)
-        y0 = frame.full(args.r1, args.z1, args.r2, args.z2)
-        state_header = ["t", "r1", "z1", "r2", "z2"]
-        if system == "hyperbolic":
-            y0 = dynamics.reduce_state(y0, frame.params)
-            if not isinstance(y0, HyperbolicState):
-                raise ConfigInvalid("conserved d is zero within tolerance; use --system auto")
-            state_header = ["t", "theta", "w"]
-        traj = integrate(y0, frame.params, frame.horizon(args.t_end, cfg.h_min), cfg)
+    else:
+        traj = integrate(y0, frame.params, t_end, cfg)
         status, t_stop, t_rem = traj.outcome.value, traj.t_final, None
+    header = ["t", "r1", "z1", "r2", "z2"] if isinstance(y0, FullState) else ["t", "theta", "w"]
 
     times = [frame.input_time(t, args.t_end) for t in traj.times]
     outcome = {"status": status, "time": frame.input_time(t_stop, args.t_end)}
@@ -359,7 +346,7 @@ def _cmd_simulate(args) -> None:
         ),
     }
     points = zip(times, traj.states)
-    table = (state_header, [[t, *y] for t, y in points]) if args.format == "csv" else None
+    table = (header, [[t, *y] for t, y in points]) if args.format == "csv" else None
     print(f"outcome: {outcome['status']} at t = {_fmt(outcome['time'])}", file=sys.stderr)
     _emit(args, payload, table)
 
@@ -392,10 +379,8 @@ def _cmd_sweep(args) -> None:
         columns = [node[2:] for node in grid]  # verdict, h0, t_est, oracle, agrees, reason
         header += ["oracle", "agrees", "oracle_reason"]
     else:
-        columns = []
-        for th0, w0 in nodes:
-            mc, t_est = verify.classify_node(frame.reduced(th0, w0), frame.params)
-            columns.append((mc.verdict.value, mc.h0, t_est))
+        columns = [verify.classify_node(frame.reduced(th0, w0), frame.params)
+                   for th0, w0 in nodes]
     rows = [
         [th0, w0, verdict, h0, None if t_est is None else frame.input_time(t_est), *oracle]
         for (th0, w0), (verdict, h0, t_est, *oracle) in zip(nodes, columns)

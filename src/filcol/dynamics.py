@@ -483,17 +483,22 @@ def time_to_axis(p: Params, theta: float, w: float) -> float:
     r*(r_f + r)/((v_f + v)*(v_f - v)).  Where |a| <= 3/4 its O(a) terms cancel, and it is
     read through b = a/g and (asinh(a) - a)/a**3 = (2*S(a/s1)/s1 - 1)/s1**2, s1 = 1 +
     hypot(1, a), S = ``_artanh_tail``.  At equal circulation G = alpha*log(v) - 2*v and the
-    time is -(W**2/alpha)*log_tail(y), y = mu*exp(-theta)*W/alpha (W/(mu*exp(-theta)) where
-    y overflows; log(y) + 1, log(y) = log(mu/alpha) + log(W) - theta, where y is subnormal or
-    0).  Within 2.5e-15 of a 40-digit reference on 4,000 random states of every
-    branch.  Finite and >= 0 (0.0 only where it underflows), or NumericalFailure.
+    time is -(W**2/alpha)*log_tail(y), y = mu*exp(-theta)*W/alpha (mu*h*(h*W)/alpha, h =
+    exp(-theta/2), where exp(-theta) is subnormal or 0; W/(mu*exp(-theta)) where y overflows;
+    log(y) + 1, log(y) = log(mu/alpha) + log(W) - theta, where y is subnormal or 0).  Within
+    2.5e-15 of a 40-digit reference on 4,000 random states of every branch.  Finite and >= 0
+    (0.0 only where it underflows), or NumericalFailure.
     """
     if not w >= 0.0:
         raise NumericalFailure(f"the time to the axis needs W >= 0, got {w!r}")
     try:
         if p.c == 0.0:  # equal circulation, where mu = gamma + 1
             mu, e = p.mu, math.exp(-theta)
-            y = mu * e * w / p.alpha
+            if e < sys.float_info.min:  # subnormal e keeps few digits: two normal halves
+                h = math.exp(-0.5 * theta)
+                y = mu * h * (h * w) / p.alpha
+            else:
+                y = mu * e * w / p.alpha
             if y < sys.float_info.min:  # y - 1 rounds to -1: log_tail(y) = log(y) + 1
                 t = -(w * (math.log(mu / p.alpha) + math.log(w) - theta + 1.0)) * (w / p.alpha)
             else:

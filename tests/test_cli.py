@@ -380,6 +380,21 @@ class TestSimulateCommand:
         last = (tmp_path / "run.csv").read_text().splitlines()[-1]
         assert last.split(",")[0] == "7.0"
 
+    @pytest.mark.parametrize("system", ["full", "hyperbolic"])
+    def test_full_or_hyperbolic_system_without_a_full_state_exits_2(self, capsys, system):
+        # A reduced state does not stand in for the full one these systems need.
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", "2",
+                                 "--theta0", "0", "--w0", "1", "--system", system)
+        assert (code, out) == (2, "")
+        assert err == f"error: --system {system} needs --r1/--z1/--r2/--z2\n"
+
+    def test_hyperbolic_system_on_a_zero_d_pair_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.5", "--gamma", "1",
+                                 "--r1", "4", "--z1", "0.5", "--r2", "4", "--z2", "-0.5",
+                                 "--system", "hyperbolic")
+        assert (code, out) == (2, "")
+        assert err == "error: conserved d is zero within tolerance; use --system auto\n"
+
     def test_horizon_at_or_below_the_step_floor_exits_2(self, capsys):
         # Such a horizon would take no step: it is rejected, not "reached".
         code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", "2",
@@ -640,6 +655,15 @@ class TestSweepCommand:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("bounds", [
+        ("--theta-min", "1", "--theta-max", "1", "--w-min", "-1", "--w-max", "1"),
+        ("--theta-min", "-1", "--theta-max", "1", "--w-min", "1", "--w-max", "-1"),
+    ])
+    def test_empty_range_exits_2(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "sweep", "--alpha", "0.2", "--gamma", "2.0", *bounds)
+        assert (code, out) == (2, "")
+        assert err == "error: need theta_max > theta_min and w_max > w_min\n"
+
     def test_unrepresentable_node_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--alpha", "0.2", "--gamma", "1.1",
                                  "--theta-min", "0", "--theta-max", "800",
@@ -777,6 +801,32 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
         assert code == 2
         assert "--alpha" in err
+
+
+    def test_unreadable_config_exits_2(self, capsys, tmp_path):
+        for path in (tmp_path / "absent.cfg", tmp_path):
+            code, out, err = run_cli(capsys, "gamma-star", "--config", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read config file {path}: ")
+
+    def test_comment_lines_and_the_key_value_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment line\n\nalpha 0.5\n  # indented\ngamma 1.0  # inline\n"
+                       "theta0 0.0\nw0 -1\n")
+        payload = run_json(capsys, tmp_path, "classify", "--config", str(cfg))
+        assert (payload["alpha"], payload["gamma"]) == (0.5, 1.0)
+        assert payload["verdict"] == "no-collision-gamma1"
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha", "3: expected 'key = value'"),
+        ("= 0.5", "3: empty key"),
+    ])
+    def test_malformed_config_line_exits_2(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# header\ngamma = 1.0\n{line}\n")
+        code, out, err = run_cli(capsys, "classify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:{message}\n"
 
 
 class TestConfigRoute:

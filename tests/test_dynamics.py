@@ -675,6 +675,27 @@ class TestTimeToAxisAtTheExtremes:
             assert float(abs(time_to_axis(p, theta, w) - want) / want) < 1e-13, (p, theta, w)
         assert seen == {"zero", "subnormal"}
 
+    def test_gamma1_time_where_exp_minus_theta_is_subnormal(self):
+        # Above theta = 708.4, exp(-theta) is subnormal or 0 while y =
+        # mu*exp(-theta)*W/alpha is normal: y is formed from two normal
+        # halves, exp(-theta/2), not from the few digits of exp(-theta).  A
+        # state that was 1.3e-3 off that way, then a seeded sample with theta
+        # in [700, 745], y normal and the time a normal float.
+        states = [(Params(0.19701321179777176, 1.0), 744.9454936842565, 7.448955891413663e151)]
+        rng = random.Random(34)
+        while len(states) < 500:
+            p, theta = Params(rng.uniform(0.01, 0.99), 1.0), rng.uniform(700.0, 745.0)
+            log_w = rng.uniform(theta - 708.0 - math.log(p.mu / p.alpha), 354.0)
+            states.append((p, theta, math.exp(log_w)))
+        subnormal = 0
+        for p, theta, w in states:
+            subnormal += math.exp(-theta) < sys.float_info.min
+            want = closed_form_time(p, theta, w)
+            if not sys.float_info.min <= want <= sys.float_info.max:
+                continue
+            assert float(abs(time_to_axis(p, theta, w) - want) / want) < 1e-13, (p, theta, w)
+        assert subnormal > 400
+
     def test_a_nan_state_decides_nothing(self):
         for p in (Params(0.2, 1.0), Params(0.2, 1.1), Params(0.2, gamma_star(0.2))):
             assert monotone_approach(p, math.nan, 1.0) is False

@@ -288,3 +288,17 @@ def test_the_integrator_defaults_have_one_home():
         assert params["cfg"].default is integrate.DEFAULT_CONFIG
         if runner is not integrate.integrate:
             assert params["t_end"].default == integrate.DEFAULT_T_END
+
+
+def test_the_cli_resolves_every_initial_state_in_one_place():
+    # cli._initial_state is the one path from the state flags to an initial
+    # state, for classify and for every --system of simulate: no handler
+    # maps a full state into the frame or reduces it on its own.
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    sites = sorted(
+        (getattr(stmt, "name", None), ast.unparse(node.func))
+        for stmt in tree.body for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("reduce_state", "full")
+    )
+    assert sites == [("_initial_state", "dynamics.reduce_state"), ("_initial_state", "frame.full")]

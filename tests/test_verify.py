@@ -64,11 +64,13 @@ def test_one_energy_walk_per_node(monkeypatch):
 
     monkeypatch.setattr(verify.dynamics, "_on_level", counting)
     rs, p = verify.ReducedState(0.0, 0.5), Params(0.5, 1.0)
-    mc, t_est = verify.classify_node(rs, p)
-    assert mc.formula_tag is verify.analysis.FormulaTag.GAMMA1_H0_NONZERO and t_est is not None
+    _, _, t_est = verify.classify_node(rs, p)
+    assert t_est is not None
     assert len(calls) == 2
     calls.clear()
-    assert verify.collision_time(rs, p).value == t_est
+    est = verify.collision_time(rs, p)
+    assert est.formula_tag is verify.analysis.FormulaTag.GAMMA1_H0_NONZERO
+    assert est.value == t_est
     assert len(calls) == 2
 
 
