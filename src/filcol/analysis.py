@@ -160,7 +160,6 @@ class LinearCorridor:
 class NoCollisionCertificate:
     """Positive lower bound on the separation over an energy level set."""
 
-    h_level: float
     min_separation: float
 
 
@@ -484,4 +483,4 @@ def no_collision_certificate(hs0: HyperbolicState, p: Params) -> NoCollisionCert
     # The lo side slightly undershoots the crossing, keeping the bound
     # conservative.
     lo = _last_positive(gap, lo, g_lo, hi, g_hi)
-    return NoCollisionCertificate(h0, asq / (h0 - hyperbolic_kinetic(lo, d, p.gamma)))
+    return NoCollisionCertificate(asq / (h0 - hyperbolic_kinetic(lo, d, p.gamma)))

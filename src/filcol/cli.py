@@ -21,7 +21,7 @@ checked against --h-min as typed.
 
 Outputs are CSV or JSON with shortest round-trip float formatting, written
 atomically (temp file + rename).  Exit codes: 0 success, 2 validation
-error, 3 numerical failure.  FILCOL_THREADS caps sweep parallelism.
+error, 3 numerical failure.  Oracle sweeps run a worker per CPU in the CPU set.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from . import analysis, dynamics, verify
 from .analysis import classify as classify_state
 from .analysis import gamma_star, theta_star
 from .dynamics import FullState, HyperbolicState, Params, ReducedState
-from .errors import ConfigInvalid, NumericalError, NumericalFailure, ValidationError
+from .errors import ConfigInvalid, NumericalError, NumericalFailure, RegimeError, ValidationError
 from .integrate import _KAPPA, DEFAULT_T_END, IntegrationConfig
 from .integrate import integrate, simulate_until_collision
 
@@ -257,12 +257,21 @@ def _cmd_gamma_star(args) -> None:
 
 def _cmd_theta_star(args) -> None:
     frame = _frame(args.alpha, args.gamma)
+    try:
+        value = theta_star(frame.params, args.h0)
+    except RegimeError as exc:
+        if not frame.swapped:
+            raise
+        raise RegimeError(  # the range of the ratio as typed, not of its renaming
+            f"need gamma strictly inside (1/gamma_star={1.0 / gamma_star(args.alpha)}, 1), "
+            f"got {frame.gamma_input}"
+        ) from exc
     payload = {
         "command": "theta-star",
         "alpha": args.alpha,
         "gamma": frame.params.gamma,
         "h0": args.h0,
-        "theta_star": theta_star(frame.params, args.h0),
+        "theta_star": value,
         "gamma_normalized": frame.swapped,
         **frame.fields("filaments renamed; theta_star is in the renamed frame"),
     }

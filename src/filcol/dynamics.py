@@ -93,12 +93,12 @@ class Params:
              ``cli._Frame``).
 
     The other fields are formed once, at construction:
-    equal_circulation -- gamma = 1 as the arithmetic sees it: sqrt(gamma) == 1,
-             one ulp above too.
     mu     -- self-induction coefficient gamma + gamma**-1/2 of the axial gap.
     offset -- sqrt(gamma) - 1, formed as (gamma - 1)/(sqrt(gamma) + 1) so nothing
              cancels; 0 at equal circulation.  offset2 = offset**2.
-    regime, c, k -- the d = 0 regime, drawn from ``k_sign``; c = offset2*mu**2 and
+    regime, c, k -- the d = 0 regime: equal circulation where sqrt(gamma) == 1
+             (gamma = 1 as the arithmetic sees it, one ulp above too), else
+             drawn from ``k_sign``; c = offset2*mu**2 and
              K = alpha**2*gamma - c (0 in the critical band, < 0 above it), so
              a2g = c + K.
     v_star -- a state collides iff W0 > 0 and v = W0*exp(-theta0) >= v_star =
@@ -111,7 +111,6 @@ class Params:
     alpha: float
     gamma: float
     sqrt_gamma: float = _derived()
-    equal_circulation: bool = _derived()
     mu: float = _derived()
     offset: float = _derived()
     offset2: float = _derived()
@@ -151,9 +150,9 @@ class Params:
                 regime, v_star = Regime.SUPERCRITICAL, math.inf
             else:
                 regime, k = Regime.CRITICAL, 0.0
-        derived = dict(sqrt_gamma=sqg, equal_circulation=equal, mu=mu, offset=offset,
-                       offset2=offset * offset, regime=regime, c=c, k=k,
-                       rho_minus_1=rho_minus_1, v_star=v_star, v0=math.sqrt(max(k, 0.0)) / mu)
+        derived = dict(sqrt_gamma=sqg, mu=mu, offset=offset, offset2=offset * offset,
+                       regime=regime, c=c, k=k, rho_minus_1=rho_minus_1, v_star=v_star,
+                       v0=math.sqrt(max(k, 0.0)) / mu)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 

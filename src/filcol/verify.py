@@ -62,19 +62,9 @@ def _cpus() -> tuple[int, ...]:
 
 
 def worker_count() -> int:
-    """Parallel workers for grid sweeps: the CPUs this process may use.
-
-    FILCOL_THREADS caps the budget.
-    """
-    cpus = len(_cpus()) or os.cpu_count() or 1
-    raw = os.environ.get("FILCOL_THREADS", "").strip()
-    if not raw:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"FILCOL_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(cpus, cap))
+    """Parallel workers for grid sweeps: one per CPU of the process's CPU set,
+    which ``taskset`` narrows; where the platform cannot say, one per CPU."""
+    return len(_cpus()) or os.cpu_count() or 1
 
 
 def mid_subcritical_gamma(alpha: float) -> float:
@@ -130,11 +120,14 @@ def sample_critical(p: Params, n: int, rng: random.Random) -> list[ReducedState]
     ]
 
 
-def _detect_collision_time(
-    rs: ReducedState, p: Params, cfg: IntegrationConfig, t_end: float
-) -> float | None:
-    result, _ = simulate_until_collision(rs, p, cfg, t_end=t_end)
-    return result.time if result.status is SimStatus.COLLIDED else None
+def _oracle_time(
+    rs: ReducedState, p: Params, cfg: IntegrationConfig
+) -> tuple[analysis.CollisionTimeEstimate, float | None]:
+    """A colliding state's estimate, and the oracle's collision time or None.
+    Its horizon, 4*estimate + 20, lies past the stop rule of every battery run."""
+    est = collision_time(rs, p)
+    result, _ = simulate_until_collision(rs, p, cfg, t_end=4.0 * est.value + 20.0)
+    return est, (result.time if result.status is SimStatus.COLLIDED else None)
 
 
 # --------------------------------------------------------------------------
@@ -333,9 +326,9 @@ def _check_gamma_star(alpha: float, cfg: IntegrationConfig, samples: int, grid: 
 def _check_gamma1_exact(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     p = Params(0.5, 1.0)
     rs = ReducedState(math.log(4.0), 1.0)
-    derived = collision_time(rs, p).value  # W0**2/(2*alpha)
+    est, detected = _oracle_time(rs, p, cfg)
+    derived = est.value  # W0**2/(2*alpha)
     printed = 2.0 * rs.w ** 2 / p.alpha
-    detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * derived + 10.0)
     ok = detected is not None and abs(detected - derived) <= 1e-5 * derived
     return {
         "passed": ok,
@@ -364,9 +357,7 @@ def _check_gamma1_implicit(
         if abs(energy(th0, w0)) < 1e-3:
             continue  # stay clear of the zero-energy branch boundary
         used += 1
-        rs = ReducedState(th0, w0)
-        est = collision_time(rs, p)
-        detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * est.value + 10.0)
+        est, detected = _oracle_time(ReducedState(th0, w0), p, cfg)
         if detected is None or est.kind is not analysis.EstimateKind.EXACT:
             failed = {"failed_state": [th0, w0], "estimate_kind": est.kind.value}
             return {"passed": False, "measured": {**failed, "detected": detected}}
@@ -383,10 +374,9 @@ def _check_subcritical_h0zero(
     p = Params(alpha, mid_subcritical_gamma(alpha))
     th0 = 0.5
     rs = ReducedState(th0, h0_zero_w(p, th0))
-    est = collision_time(rs, p)
+    est, detected = _oracle_time(rs, p, cfg)
     derived = est.value
     printed = 0.5 * derived  # exp(2*theta0)/(4*m0)
-    detected = _detect_collision_time(rs, p, cfg, t_end=4.0 * derived + 10.0)
     ok = (
         est.formula_tag is analysis.FormulaTag.SUBCRITICAL_H0_ZERO
         and detected is not None
@@ -407,12 +397,10 @@ def _check_subcritical_h0zero(
 
 def _check_critical_bound(alpha: float, cfg: IntegrationConfig, samples: int, grid: int) -> dict:
     p = Params(alpha, gamma_star(alpha))
-    rs = ReducedState(0.3, 1.0)
-    est = collision_time(rs, p)
+    est, detected = _oracle_time(ReducedState(0.3, 1.0), p, cfg)
     bound_derived = est.value
     # The alpha**(7/4) variant of the same constant.
     bound_printed = bound_derived * alpha ** 0.25
-    detected = _detect_collision_time(rs, p, cfg, t_end=4.0 * bound_derived + 10.0)
     derived_ok = detected is not None and detected <= bound_derived
     printed_ok = detected is not None and detected <= bound_printed
     return {
@@ -443,8 +431,7 @@ def _check_bound_domination(
     for label, (p, states) in branches.items():
         worst = math.inf
         for rs in states:
-            est = collision_time(rs, p)
-            detected = _detect_collision_time(rs, p, cfg, t_end=2.0 * est.value + 20.0)
+            est, detected = _oracle_time(rs, p, cfg)
             bound = est.kind is analysis.EstimateKind.UPPER_BOUND
             if detected is None or detected > est.value or not bound:
                 failures.append(

@@ -38,6 +38,11 @@ def subprocess_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def cpu_set(monkeypatch, cpus):
+    """This process's CPU set reads as `cpus`: the worker budget of a grid."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
 def run_json(capsys, tmp_path, *argv, name="out.json"):
     path = tmp_path / name
     code, out, err = run_cli(capsys, *argv, "--output", str(path))
@@ -601,6 +606,10 @@ class TestSweepCommand:
         assert code == 0, err
         assert horizons == [pytest.approx(30.0 * 0.8, rel=1e-12)]
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="a two-worker pool needs two CPUs in the CPU set",
+    )
     def test_oracle_sweep_exits_with_its_pool_alive(self, capsys, tmp_path, monkeypatch):
         # The pooled grid leaves its worker pool running; interpreter exit
         # must still end it promptly, and the rows must be the serial ones.
@@ -608,13 +617,13 @@ class TestSweepCommand:
                 "--theta-max", "1", "--w-min", "-1", "--w-max", "1", "--n-theta", "6",
                 "--n-w", "6", "--with-oracle", "--t-end", "30", "--format", "csv"]
         pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
-        env = {**subprocess_env(), "FILCOL_THREADS": "2"}
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys; from filcol import cli, verify; code = cli.main(sys.argv[1:]); "
+             "import os, sys; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+             "from filcol import cli, verify; code = cli.main(sys.argv[1:]); "
              "print(*(p.pid for p, _ in verify._pool)); sys.exit(code)",
              *argv, "--output", str(pooled)],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         workers = [int(pid) for pid in proc.stdout.split()]
@@ -622,7 +631,7 @@ class TestSweepCommand:
         for pid in workers:  # terminated and reaped before the interpreter exited
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-        monkeypatch.setenv("FILCOL_THREADS", "1")
+        cpu_set(monkeypatch, {0})
         code, _, err = run_cli(capsys, *argv, "--output", str(serial))
         assert code == 0, err
         assert pooled.read_bytes() == serial.read_bytes()
@@ -634,12 +643,28 @@ class TestSweepCommand:
                 "--theta-max", "2", "--w-min", "-2", "--w-max", "2", "--n-theta", "5",
                 "--n-w", "7", "--with-oracle", "--t-end", "60", "--format", fmt]
         out = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FILCOL_THREADS", threads)
-            out[threads] = tmp_path / f"sweep-{threads}.{fmt}"
-            code, _, err = run_cli(capsys, *argv, "--output", str(out[threads]))
+        for cpus in (1, 2):
+            cpu_set(monkeypatch, range(cpus))
+            out[cpus] = tmp_path / f"sweep-{cpus}.{fmt}"
+            code, _, err = run_cli(capsys, *argv, "--output", str(out[cpus]))
             assert code == 0, err
-        assert out["2"].read_bytes() == out["1"].read_bytes()
+        assert out[2].read_bytes() == out[1].read_bytes()
+
+    def test_one_cpu_runs_the_oracle_grid_without_a_worker_set(self, capsys, tmp_path,
+                                                               monkeypatch):
+        verify._discard_pool()
+        cpu_set(monkeypatch, {0})
+        payload = run_json(
+            capsys, tmp_path, "sweep", "--alpha", "0.3", "--gamma", "1.15", "--theta-min", "-2",
+            "--theta-max", "2", "--w-min", "-2", "--w-max", "2", "--n-theta", "5", "--n-w", "7",
+            "--with-oracle", "--t-end", "60", "--format", "json",
+        )
+        assert verify._pool == []
+        serial = verify.classifier_oracle_grid(
+            Params(0.3, 1.15), cli._linspace(-2.0, 2.0, 5), cli._linspace(-2.0, 2.0, 7),
+            t_end=60.0, workers=1,
+        )
+        assert [list(row.values()) for row in payload["rows"]] == [list(row) for row in serial]
 
     def test_renamed_oracle_horizon_below_the_step_floor_names_the_typed_values(self, capsys):
         code, out, err = run_cli(
@@ -1167,22 +1192,6 @@ class TestRatioNormalization:
         assert "gamma" in err
 
 
-class TestWorkerBudget:
-    def test_env_cap(self, monkeypatch):
-        from filcol.verify import worker_count
-
-        monkeypatch.setenv("FILCOL_THREADS", "1")
-        assert worker_count() == 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        from filcol.errors import ConfigInvalid
-        from filcol.verify import worker_count
-
-        monkeypatch.setenv("FILCOL_THREADS", "many")
-        with pytest.raises(ConfigInvalid):
-            worker_count()
-
-
 class TestThetaStarCommand:
     def test_value_matches_library(self, capsys, tmp_path):
         from filcol import Params, theta_star
@@ -1197,3 +1206,12 @@ class TestThetaStarCommand:
         code, _, _ = run_cli(capsys, "theta-star", "--alpha", "0.2", "--gamma", "2.0",
                              "--h0", "0.1")
         assert code == 2
+
+    def test_renamed_ratio_out_of_regime_names_the_typed_ratio(self, capsys):
+        # 0.8 renames to 1.25, above gamma_star(0.2); the message gives the
+        # input frame's range (1/gamma_star, 1) and the ratio as typed.
+        code, out, err = run_cli(capsys, "theta-star", "--alpha", "0.2", "--gamma", "0.8",
+                                 "--h0", "0.01")
+        assert code == 2 and out == ""
+        assert err == ("error: need gamma strictly inside "
+                       "(1/gamma_star=0.820583184747081, 1), got 0.8\n")

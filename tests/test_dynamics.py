@@ -87,8 +87,9 @@ class TestParams:
             assert [getattr(q, name) for name in derived] == values
             if sys.version_info >= (3, 11):  # pickling a frozen slotted dataclass
                 assert [getattr(pickle.loads(pickle.dumps(p)), name) for name in derived] == values
-            assert p.equal_circulation == (gamma < 1.1)
-            assert sign_of[p.regime] == (None if p.equal_circulation else k_sign(p))
+            equal = p.regime is Regime.EQUAL_CIRCULATION
+            assert equal == (gamma < 1.1)
+            assert sign_of[p.regime] == (None if equal else k_sign(p))
             if p.k > 0.0:
                 assert p.v_star < p.v0
 

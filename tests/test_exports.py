@@ -47,6 +47,19 @@ def test_module_imports_only_the_stdlib_and_the_package(path):
     assert foreign == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    # Every setting is a flag, an argument or a config-file line; the worker
+    # budget is the CPU set, which taskset narrows.
+    found = [
+        node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "environb", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "environb", "getenv"))
+    ]
+    assert found == []
+
+
 def equal_circulation_tests(path: Path) -> list[int]:
     """Lines of each == or != test of a `gamma` or `sqrt_gamma` name or attribute
     against the constant 1, outside the Params class."""
@@ -76,8 +89,8 @@ def equal_circulation_tests(path: Path) -> list[int]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_equal_circulation_is_tested_only_in_params(path):
-    # Params.equal_circulation is the one gamma = 1 predicate; everything
-    # else reads it (through Params.regime), so no two modules can disagree on
+    # The local `equal` behind Params.regime is the one gamma = 1 predicate;
+    # everything else reads Params.regime, so no two modules can disagree on
     # the ratio one ulp above 1.
     assert equal_circulation_tests(path) == []
 
@@ -302,3 +315,15 @@ def test_the_cli_resolves_every_initial_state_in_one_place():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("reduce_state", "full")
     )
     assert sites == [("_initial_state", "dynamics.reduce_state"), ("_initial_state", "frame.full")]
+
+
+def test_the_battery_runs_the_oracle_in_one_place():
+    # The grid node and _oracle_time are the only oracle runs in verify, so
+    # the battery's checks share one horizon rule: 4*estimate + 20.
+    tree = ast.parse((SOURCES[0].parent / "verify.py").read_text(encoding="utf-8"))
+    callers = sorted(
+        stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "simulate_until_collision"
+    )
+    assert callers == ["_grid_node", "_oracle_time"]

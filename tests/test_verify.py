@@ -35,7 +35,7 @@ def test_gamma1_exact_horizon_follows_derived_time(monkeypatch):
     assert check["passed"]
     assert measured["derived_value"] == 1.0
     assert measured["printed_value"] == 4.0  # the stated constant stays reported
-    assert horizons == [2.0 * measured["derived_value"] + 10.0]
+    assert horizons == [4.0 * measured["derived_value"] + 20.0]  # _oracle_time's one rule
 
 
 def test_odd_grid_is_rejected_only_with_the_oracle(monkeypatch):
@@ -330,14 +330,10 @@ def test_a_narrowed_cpu_set_builds_a_new_pool(monkeypatch):
 
 
 def test_worker_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("FILCOL_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert verify.worker_count() == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert verify.worker_count() == 3
-    monkeypatch.setenv("FILCOL_THREADS", "2")
-    assert verify.worker_count() == 2
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.delenv("FILCOL_THREADS")
     assert verify.worker_count() == 64
