@@ -2,46 +2,51 @@
 
 A Dormand-Prince 5(4) pair (FSAL) advances the system that the initial
 state's type names: the full system for a FullState, the d = 0 reduction for
-a ReducedState, the d != 0 chart for a HyperbolicState.  The error-per-step
+a ReducedState, its scalar flow in Sundman time for a FlowState, the d != 0
+chart for a HyperbolicState.  The error-per-step
 is controlled in a mixed max norm with per-component scale
 abs_tol + rel_tol*max(|y|, |y_new|); the step-size controller is the
 standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension,
 with the vector field called on scalars; one template builds the 2-D (theta,
-W) and the 4-D steppers, with the same term order and zero weights.  A caller
-may pass one stop predicate, checked at the initial point and at every
-accepted point: it names the rule that holds there, or returns None.  The run
-ends at the first point where a rule holds; nothing is interpolated.  The
-conserved quantity of the chosen system (d for the full system, the energy
-for the planar charts) is kept with the run and its drift computed on read,
-so any run doubles as a conservation audit, and every run counts its
-attempts, rejections and field evaluations in ``Trajectory.stats``.
+W), the 3-D (v, theta, t) and the 4-D steppers, with the same term order and
+zero weights.  A caller may pass one stop predicate, checked at the initial
+point and at every accepted point: it names the rule that holds there, or
+returns None.  The run ends at the first point where a rule holds; nothing is
+interpolated.  The conserved quantity of the chosen system (d for the full
+system, the energy for the planar charts and the flow) is kept with the run
+and its drift computed on read, so any run doubles as a conservation audit,
+and every run counts its attempts, rejections and field evaluations in
+``Trajectory.stats``.
 
-Finite-time blow-up (the collision singularity) is not integrated into.
-``simulate_until_collision`` owns the stop rules of a d = 0 run.  It
-stops at the first accepted point where the separation D =
-sqrt(offset2*exp(2*theta) + W**2) has fallen to a quarter of its initial
-value on a branch of the energy level that reaches D = 0, and adds the
-closed-form time to the axis (``dynamics.time_to_axis``) from that state,
-along its own level; it stops a run undecided where W rises first, and,
-when asked, at its survival witness, a point on a branch of the level that
-provably never returns to the axis.  A run that meets the singularity any other way ends by step
-collapse: the controller drives the step below the floor and the run ends
-with outcome StepCollapsed at the last representable time before the
-singularity, never with a NaN state.
+The collision oracle (``simulate_until_collision`` for one d = 0 state,
+``oracle_verdicts`` for a set sharing one Params) runs on the flow of
+v = W*exp(-theta) in Sundman time (``dynamics.flow_field``).  By the scale
+law a state's verdict depends on v alone, and v moves monotonically, so the
+rules are facts of v (``_Oracle``): W rose (``w-rose``) where the path met
+|v| < v_star, the rings separate for good (``survival-witness``) once v < 0
+where g(v) < 0, and a run collided where the separation has fallen to a
+quarter of its start with K >= 0 and v > 0 (``separation-below``), at that
+time plus the closed-form time to the axis (``dynamics.time_to_axis``) from
+there.  Every state whose v lies on one run's path is read off that run.  The
+collision singularity itself is never integrated into: a run that the
+controller cannot continue ends by step collapse, undecided, never with a
+NaN state.
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import sys
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable
 
 from . import dynamics
-from .dynamics import FullState, HyperbolicState, Params, ReducedState, Regime
+from .dynamics import FlowState, FullState, HyperbolicState, Params, ReducedState, Regime
 from .errors import (
     ConfigInvalid,
     FilcolError,
@@ -60,12 +65,15 @@ __all__ = [
     "SimStatus",
     "CollisionResult",
     "simulate_until_collision",
+    "oracle_verdicts",
+    "oracle_groups",
 ]
 
 
 class SystemKind(Enum):
     FULL = "full"
     REDUCED = "reduced"
+    FLOW = "flow"
     HYPERBOLIC = "hyperbolic"
 
 
@@ -86,8 +94,8 @@ class IntegrationConfig:
             raise ConfigInvalid("need 0 < h_min < h_init")
 
 
-#: The settings and the collision oracle's horizon where a caller gives none;
-#: the CLI's defaults and the verify battery's are read from these too.
+#: The settings and the collision oracle's physical horizon where a caller gives
+#: none; the CLI's defaults and the verify battery's are read from these too.
 DEFAULT_CONFIG = IntegrationConfig()
 DEFAULT_T_END = 200.0
 
@@ -232,7 +240,8 @@ def _attempt(n: int):
     return namespace[name]
 
 
-_step_2d, _step_4d = _attempt(2), _attempt(4)
+_step_2d, _step_3d, _step_4d = _attempt(2), _attempt(3), _attempt(4)
+_STEPPERS = {2: _step_2d, 3: _step_3d, 4: _step_4d}
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -248,11 +257,25 @@ def _make_field(y0, p: Params):
                 lambda r1, z1, r2, z2: gamma * r1 * r1 - r2 * r2)
     if isinstance(y0, ReducedState):
         return SystemKind.REDUCED, dynamics.reduced_field(p), "H", dynamics.reduced_energy(p)
+    if isinstance(y0, FlowState):
+        energy, exp = dynamics.reduced_energy(p), math.exp
+        # h = exp(-theta)*g(v), with g(v) the energy at theta = 0.
+        return (SystemKind.FLOW, dynamics.flow_field(p), "H",
+                lambda v, theta, t: energy(0.0, v) * exp(-theta))
     if isinstance(y0, HyperbolicState):
         d = y0.d
         return (SystemKind.HYPERBOLIC, dynamics.hyperbolic_field(p, d), "H",
                 dynamics.hyperbolic_energy(p, d))
     raise InvalidInitialState(f"initial state must be a state dataclass, got {y0!r}")
+
+
+def _check_horizon(t_end, cfg: IntegrationConfig, largest: float) -> None:
+    """Reject a horizon that is not a real in (cfg.h_min, largest]."""
+    if not (isinstance(t_end, (int, float)) and 0.0 < t_end <= largest):
+        kind = "finite real" if largest < math.inf else "real or inf"
+        raise InvalidInitialState(f"t_end must be a positive {kind}, got {t_end}")
+    if t_end <= cfg.h_min:
+        raise InvalidInitialState(f"t_end must exceed h_min = {cfg.h_min}, got {t_end}")
 
 
 def integrate(
@@ -265,24 +288,23 @@ def integrate(
     """Advance y0 to t_end, or to the first point where a stop rule holds,
     or to step collapse.
 
-    The system is the one y0's type names (FullState, ReducedState or
-    HyperbolicState).  ``stop``, checked at y0 and at every accepted point,
-    returns the name of the rule that holds there, or None; the first point
+    The system is the one y0's type names (FullState, ReducedState, FlowState
+    or HyperbolicState); a FlowState's independent variable is Sundman time.
+    ``stop``, checked at y0 and at every accepted point, returns the name of
+    the rule that holds there, or None; the first point
     where one holds is the run's last point, and its name is
     ``Trajectory.stop``.  t_end must exceed ``cfg.h_min``, the step floor,
-    so that a run takes at least one step; a run that reaches its horizon
+    so that a run takes at least one step; it may be inf, for a run that only
+    a stop rule or step collapse ends.  A run that reaches its horizon
     ends at exactly t_end, its last step taking whatever is left once the
     remainder would fall below the floor.  Returns a Trajectory; raises
     InvalidInitialState when y0 or t_end is rejected and StepLimitExceeded
     when max_steps attempts are exhausted.
     """
-    if not (isinstance(t_end, (int, float)) and math.isfinite(t_end) and t_end > 0.0):
-        raise InvalidInitialState(f"t_end must be a positive finite real, got {t_end}")
-    if t_end <= cfg.h_min:
-        raise InvalidInitialState(f"t_end must exceed h_min = {cfg.h_min}, got {t_end}")
+    _check_horizon(t_end, cfg, math.inf)
     system, f, inv_name, inv = _make_field(y0, p)
     y = y0.astuple()
-    step = _step_4d if system is SystemKind.FULL else _step_2d
+    step = _STEPPERS[len(y)]
     try:
         k1 = f(*y)
         inv0 = inv(*y)
@@ -387,6 +409,235 @@ class CollisionResult:
 
 #: Fraction of the initial separation at which a colliding run stops.
 _KAPPA = 0.25
+_LOG_KAPPA = math.log(_KAPPA)
+#: The status a rule that holds at a node's start gives it.
+_RULE_STATUS = {"survival-witness": SimStatus.SURVIVED, "w-rose": SimStatus.INCONCLUSIVE,
+                "reached-t-end": SimStatus.SURVIVED}
+
+
+def _scaled(x: float, e: float) -> float:
+    """x*exp(e) for x >= 0, inf (or 0.0 for x = 0) where exp(e) overflows."""
+    return x * math.exp(e) if e < 709.0 else (math.inf if x else 0.0)
+
+
+class _Oracle:
+    """The d = 0 collision oracle of one Params, on the flow of v (``FlowState``).
+
+    Node i is the state (th0[i], W0[i]), with v[i] = W0*exp(-theta0).  Every
+    rule reads v alone, with g(v) = sa/r(v) - mu, r(v) = hypot(offset, v) and
+    sa = alpha*sqrt(gamma):
+    - "survival-witness" (when watched): v < 0 where g(v) < 0, or v < 0 at equal
+      circulation.  v then only falls, exp(-theta) with it, and the rings
+      separate for good.
+    - "w-rose" (below gamma_star): dW/dt has the sign of g(v) - sa*v**2/r**3 =
+      sa*offset2/r**3 - mu, positive exactly where |v| < v_star; so W rose once
+      a node's path met that band: at its start, or at a point past -v_star, or
+      past v = 0, which a rising run may step over.  No slack is needed.
+    - "separation-below" (unless supercritical; the critical band is armed):
+      v > 0 and D <= _KAPPA*D0, with log D = theta + log r(v).  The node
+      collided, at the time of that point plus ``dynamics.time_to_axis`` from it.
+    - "reached-t-end": the node's own time has reached t_end, undecided; it
+      survived at t_end.  At equal circulation, v < 0 with the witness
+      unwatched is decided so at its start: W only falls, and v reaches 0,
+      where t = inf, in finite Sundman time, which no run can follow.
+    Those that hold at a node's start decide it with no step.  The others move
+    with v: where g(v) > 0 up toward v0, else down (toward v0, or to -inf
+    where v < 0 or the ratio is supercritical).  One run per moving group
+    starts at its first node's (v, theta0, 0).  Every other node starts where
+    the run passes its v, at (theta_n, t_n) interpolated linearly between the
+    accepted points around it, which only its separation level, its horizon
+    and its time read; by the scale law it is then at theta0 + theta - theta_n
+    and its time is exp(2*(theta0 - theta_n))*(t - t_n).  The run's stop rule
+    walks its nodes with a pointer in v order and keeps the separation levels
+    and horizons in sorted lists, next due last, so a point costs O(1) but for
+    the nodes it starts or decides.
+    """
+
+    def __init__(self, p: Params, states, cfg: IntegrationConfig, t_end: float,
+                 survival_witness: bool) -> None:
+        _check_horizon(t_end, cfg, sys.float_info.max)
+        for rs in states:
+            if not isinstance(rs, ReducedState):
+                raise ConfigInvalid(
+                    f"the collision driver needs a ReducedState (d = 0), got {rs!r}")
+        self.p, self.cfg, self.t_end, self.witness = p, cfg, t_end, survival_witness
+        self.equal = p.regime is Regime.EQUAL_CIRCULATION
+        self.rise_armed = p.regime is Regime.SUBCRITICAL
+        self.sep_armed = p.regime is not Regime.SUPERCRITICAL
+        self.sa, self.mu, self.offset = p.alpha * p.sqrt_gamma, p.mu, p.offset
+        self.th0 = [rs.theta for rs in states]
+        try:
+            self.v = [rs.w * math.exp(-rs.theta) for rs in states]
+        except OverflowError as exc:
+            raise InvalidInitialState(f"initial state rejected: {exc}") from exc
+        self.result: list = [None] * len(states)  # (CollisionResult, reason) per node
+        self.trajs: dict[int, Trajectory] = {}  # each run, by its first node
+
+    def g(self, v: float) -> float:
+        r = math.hypot(self.offset, v)
+        return self.sa / r - self.mu if r > 0.0 else math.inf
+
+    def rises(self, v: float) -> bool:
+        r = math.hypot(self.offset, v)
+        return self.sa * self.p.offset2 > self.mu * (r * r * r)
+
+    def start_rule(self, v: float) -> str | None:
+        """The rule that decides a node at its start, or None."""
+        if v < 0.0 and self.equal and not self.witness:
+            return "reached-t-end"
+        if self.witness and v < 0.0 and (self.equal or self.g(v) < 0.0):
+            return "survival-witness"
+        if self.rise_armed and self.rises(v):
+            return "w-rose"
+        return None
+
+    def groups(self) -> list[list[int]]:
+        """The nodes decided at their start, then each moving group in run order:
+        g > 0 from the lowest v up, then g < 0 with v >= 0 and with v < 0 from the
+        highest down; a node at a rest point of g runs alone."""
+        decided, up, down, below, alone = [], [], [], [], []
+        for i, v in enumerate(self.v):
+            g = self.g(v)
+            if self.start_rule(v) is not None:
+                decided.append(i)
+            elif g > 0.0:
+                up.append(i)
+            elif g < 0.0:
+                (down if v >= 0.0 else below).append(i)
+            else:
+                alone.append([i])
+        up.sort(key=self.v.__getitem__)
+        down.sort(key=self.v.__getitem__, reverse=True)
+        below.sort(key=self.v.__getitem__, reverse=True)
+        return [decided] + [grp for grp in (up, down, below) if grp] + alone
+
+    def decide(self) -> list:
+        """Every node's (CollisionResult, reason)."""
+        decided, *moving = self.groups()
+        for i in decided:
+            rule = self.start_rule(self.v[i])
+            t = self.t_end if rule == "reached-t-end" else 0.0
+            self.result[i] = (CollisionResult(_RULE_STATUS[rule], t), rule)
+        for group in moving:
+            self.run(group)
+        return self.result
+
+    def run(self, order: list[int]) -> None:
+        """One flow run from order[0], deciding every node of order it passes;
+        a node it never reaches runs on its own."""
+        p, th0, vs, result, t_end = self.p, self.th0, self.v, self.result, self.t_end
+        up = self.g(vs[order[0]]) > 0.0
+        witness, equal, rise_armed, sep_armed = (self.witness, self.equal, self.rise_armed,
+                                                 self.sep_armed)
+        offset, log, hypot, inf = self.offset, math.log, math.hypot, math.inf
+        starts: dict[int, tuple[float, float]] = {}
+        live: dict[int, None] = {}  # started and undecided, in start order
+        sep: list = [(-inf, -1)]  # (log separation level, node), the highest last
+        horizon: list = [(-inf, -1)]  # (-t at the node's horizon, node), the soonest last
+        climbing: list[int] = []  # live nodes with v < 0 on a rising run
+        prev, last = None, ""  # the previous accepted point; the last rule that held
+        k, n = 0, len(order)
+        upcoming = vs[order[0]]  # v of the next node to start
+
+        def finish(i: int, status: SimStatus, reason: str, y) -> None:
+            nonlocal last
+            v, theta, t = y
+            theta_n, t_n = starts[i]
+            t, rem = _scaled(t - t_n, 2.0 * (th0[i] - theta_n)), 0.0
+            if reason == "separation-below":
+                theta += th0[i] - theta_n
+                try:
+                    rem = dynamics.time_to_axis(p, theta, v * math.exp(theta))
+                except (NumericalFailure, OverflowError):  # no time in floats from there
+                    rem = inf
+                if t + rem < inf:
+                    t, status = t + rem, SimStatus.COLLIDED
+                else:
+                    rem = 0.0
+            elif reason == "reached-t-end":
+                t = t_end
+            result[i] = (CollisionResult(status, t, rem), reason)
+            live.pop(i, None)
+            last = reason
+
+        def stop(y):
+            nonlocal k, prev, upcoming
+            v, theta, t = y
+            while v >= upcoming if up else v <= upcoming:
+                i = order[k]
+                k += 1
+                upcoming = vs[order[k]] if k < n else (inf if up else -inf)
+                if prev is None:
+                    starts[i] = theta_n, t_n = theta, t
+                else:
+                    s = (vs[i] - prev[0]) / (v - prev[0])
+                    starts[i] = theta_n, t_n = (prev[1] + s * (theta - prev[1]),
+                                                prev[2] + s * (t - prev[2]))
+                rule = self.start_rule(vs[i])
+                if rule is not None:
+                    finish(i, _RULE_STATUS[rule], rule, (vs[i], theta_n, t_n))
+                    continue
+                live[i] = None
+                insort(horizon, (-t_n - _scaled(t_end, 2.0 * (theta_n - th0[i])), i))
+                if sep_armed:
+                    insort(sep, (theta_n + log(hypot(offset, vs[i])) + _LOG_KAPPA, i))
+                if rise_armed and vs[i] < 0.0:
+                    climbing.append(i)
+            prev = y
+            while -horizon[-1][0] <= t:
+                i = horizon.pop()[1]
+                if i in live:
+                    finish(i, SimStatus.SURVIVED, "reached-t-end", y)
+            if climbing and (v >= 0.0 or self.rises(v)):
+                for i in climbing:
+                    if i in live:
+                        finish(i, SimStatus.INCONCLUSIVE, "w-rose", y)
+                climbing.clear()
+            if witness and v < 0.0 and live and (equal or self.g(v) < 0.0):
+                for i in list(live):
+                    finish(i, SimStatus.SURVIVED, "survival-witness", y)
+            if v > 0.0 and sep[-1][0] > -inf:
+                level = theta + log(hypot(offset, v))
+                while sep[-1][0] >= level:
+                    i = sep.pop()[1]
+                    if i in live:
+                        finish(i, SimStatus.INCONCLUSIVE, "separation-below", y)
+            return last if k == n and not live else None
+
+        traj = integrate(FlowState(vs[order[0]], th0[order[0]]), p, math.inf, self.cfg, stop)
+        self.trajs[order[0]] = traj
+        for i in list(live):  # the run ended by step collapse
+            finish(i, SimStatus.INCONCLUSIVE, traj.outcome.value, traj.state_final)
+        for i in order[k:]:  # a node past the point the run settled on
+            self.run([i])
+
+
+def oracle_groups(p: Params, states, *, survival_witness: bool = False) -> list[list[int]]:
+    """The indices of the states ``oracle_verdicts`` decides at their start, then
+    one list per shared run, each in the order its run passes them.  Verdicts of a
+    subset made of whole lists are those of the full set."""
+    return _Oracle(p, states, DEFAULT_CONFIG, DEFAULT_T_END, survival_witness).groups()
+
+
+def oracle_verdicts(
+    p: Params,
+    states,
+    cfg: IntegrationConfig = DEFAULT_CONFIG,
+    t_end: float = DEFAULT_T_END,
+    *,
+    survival_witness: bool = False,
+) -> list[tuple[SimStatus, str]]:
+    """The collision oracle's status, and the rule or outcome that decided it,
+    for every d = 0 state of a set that shares p (see ``_Oracle`` for the rules).
+
+    Each state's verdict is that of ``simulate_until_collision`` on it alone:
+    one flow run passes every state of its group, and decides each as the
+    state's own run would.  t_end is each state's own physical horizon.
+    Raises ConfigInvalid for a state that is not a ReducedState, and what
+    ``integrate`` raises for a run.
+    """
+    results = _Oracle(p, states, cfg, t_end, survival_witness).decide()
+    return [(result.status, reason) for result, reason in results]
 
 
 def simulate_until_collision(
@@ -397,106 +648,46 @@ def simulate_until_collision(
     *,
     survival_witness: bool = False,
 ) -> tuple[CollisionResult, Trajectory]:
-    """Integrate the reduced system and decide collided/survived.
+    """Integrate the d = 0 state rs0 on the flow of v and decide collided/survived.
 
-    The run stops at the first accepted point where the separation has
-    fallen to _KAPPA of its initial value on a branch of the energy level
-    that reaches the axis (the "separation-below" rule).  It collided if,
-    on the stop point's own level, W falls with s all the way to the axis
-    (``dynamics.monotone_approach`` of the stop state).  The collision time
-    is the stop point's time plus the closed-form time to the axis from the
-    stop state (``dynamics.time_to_axis``), reported as ``remaining_time``;
-    where that time cannot be formed in floats the run is inconclusive.  A
-    run that ends by step collapse on such a branch collided too where the
-    time left is below ``cfg.h_min``, the step floor.  A run that reaches
-    t_end survived.  With ``survival_witness`` the "survival-witness" rule
-    is watched too, and a run it stops survived at the witness time: from
-    there the rings only separate.  A run stopped where W rose (the
-    "w-rose" rule: an orbit that reaches the singularity after a rise is no
-    collision in the defined sense), or by any other stop, such as step
-    collapse off an armed branch, is inconclusive.  The rules are armed from
-    ``p.regime``: the separation and rise rules unless the ratio is
-    supercritical, and the witness's W = 0 edge at equal circulation.
-    Raises ConfigInvalid for a state that is not a ReducedState.
+    The oracle's one-state case (``oracle_verdicts``; rules in ``_Oracle``).
+    The run starts at (v0, theta0, 0) and stops at the first accepted point
+    where a rule holds: at the separation stop it collided, at the time of that point
+    plus the closed-form time to the axis from it, reported as
+    ``remaining_time`` (inconclusive where that time is not a float); with
+    ``survival_witness`` it survived at the witness; where W rose it is
+    inconclusive.  A run still undecided at t_end survived there; one that
+    ends by step collapse is inconclusive.  The Trajectory is the run with
+    W = v*exp(theta) in place of v, its stop the rule that ended it (None,
+    with outcome REACHED_T_END, at the horizon, whose point is the first one
+    past it).
+    The flow cannot carry two kinds of state, and their run goes in the
+    (theta, W) chart with no rule, to t_end (SURVIVED there, else
+    INCONCLUSIVE): a receding state at equal circulation with the witness
+    unwatched (decided at its start, see ``_Oracle``), and one where the
+    flow's field is not finite at v0 (at equal circulation, |v0| below
+    about 1.4e-108).  Raises ConfigInvalid for a state that is not
+    a ReducedState, and InvalidInitialState for one the chart rejects too.
     """
-    if not isinstance(rs0, ReducedState):
-        raise ConfigInvalid(f"the collision driver needs a ReducedState (d = 0), got {rs0!r}")
-    regime = p.regime
-    armed, equal = regime is not Regime.SUPERCRITICAL, regime is Regime.EQUAL_CIRCULATION
-    c2 = p.offset2
-    th0, w0 = rs0.theta, rs0.w
-    try:
-        # At gamma = 1, offset2 = 0 and D = |W|: exp(theta) alone may overflow.
-        thr2 = _KAPPA * _KAPPA * ((c2 * math.exp(2.0 * th0) if c2 else 0.0) + w0 * w0)
-        witness = survival_witness and (
-            equal or dynamics.level_sign(dynamics._on_level(p, th0, w0)[2]) < 0
-        )
-    except _FIELD_ERRORS as exc:
-        raise InvalidInitialState(f"initial state rejected: {exc}") from exc
-    slack = 1e-9 * (1.0 + abs(w0))
-    w_witness = 0.0 if equal else -slack
-    w_last = w0
-
-    def stop(y):
-        """The rule that holds at y: "w-rose", "separation-below",
-        "survival-witness" or None.
-
-        The rise rule holds where W exceeds the previous accepted point's W
-        by more than slack = 1e-9*(1 + |W0|).  Checked first, it leaves no
-        separation stop after a rise.
-
-        The separation rule holds where W > 0 and D**2 = offset2*exp(2*theta)
-        + W**2 is at most (_KAPPA*D0)**2 (a NaN D**2 counts as reached).  On
-        the run's energy level h0 the bracket at s = exp(theta) is K -
-        offset2*h0*s*(2*mu + h0*s) = a**2*W**2 with a = h0 + mu/s > 0, so it
-        is nonnegative at the state itself.  It is monotone in s (its slope
-        is -2*offset2*h0*m(s) with m(s) = mu + h0*s = a*s > 0), so its
-        minimum over (0, u] is the smaller of K and a**2*W**2: the W > 0
-        branch reaches the axis exactly where K >= 0.  The rule is armed
-        unless the record's regime is supercritical; the critical band,
-        where the sign of K is undecided, is armed.
-
-        The survival witness holds where W is at most -slack; at equal
-        circulation (the record's regime) where W <= 0, as every W < 0 falls.
-        On level h0, with m(s) = mu + h0*s, W**2 = s**2*bracket(s)/m(s)**2
-        and D = alpha*sqrt(gamma)*s/m(s), while dtheta/dt =
-        -alpha*sqrt(gamma)*W/D**3 > 0 where W < 0.  With h0 <= 0, m does not
-        rise and the bracket does not fall as s grows (its slope is
-        -2*offset2*h0*m), so on the W < 0 branch |W| and D only grow: it
-        never returns to W = 0, nor to the axis.  At equal circulation,
-        dW/dt = -2*exp(-theta) < 0 whatever h0.  So the witness is armed
-        once, from rs0: at equal circulation, or where the level of rs0, the
-        one ``time_to_axis`` reads, lies below the zero-energy cut
-        (``dynamics.level_sign``).  K < 0 puts every level below zero, so
-        every supercritical run is armed.  Neither theta_star nor gamma_star enters.
-        """
-        nonlocal w_last
-        th, w = y
-        if armed:
-            if w > w_last + slack:
-                return "w-rose"
-            w_last = w
-            if w > 0.0:
-                u = math.exp(th) if c2 else 0.0
-                if not c2 * u * u + w * w > thr2:
-                    return "separation-below"
-        if witness and w <= w_witness:
-            return "survival-witness"
-        return None
-
-    traj = integrate(rs0, p, t_end, cfg, stop)
-    if traj.outcome is Outcome.REACHED_T_END or traj.stop == "survival-witness":
-        return CollisionResult(SimStatus.SURVIVED, traj.t_final), traj
-    inconclusive = CollisionResult(SimStatus.INCONCLUSIVE, traj.t_final), traj
-    theta, w = traj.state_final
-    if traj.stop == "w-rose" or not (w > 0.0 and armed):  # a separation stop is neither
-        return inconclusive
-    try:
-        if not dynamics.monotone_approach(p, theta, w):
-            return inconclusive
-        t_rem = dynamics.time_to_axis(p, theta, w)
-    except NumericalFailure:  # the stop point's level has no time in floats
-        return inconclusive
-    if traj.outcome is Outcome.STEP_COLLAPSED and not t_rem < cfg.h_min:
-        return inconclusive
-    return CollisionResult(SimStatus.COLLIDED, traj.t_final + t_rem, t_rem), traj
+    oracle = _Oracle(p, [rs0], cfg, t_end, survival_witness)
+    if oracle.start_rule(oracle.v[0]) != "reached-t-end":
+        try:
+            oracle.run([0])
+        except InvalidInitialState:  # the flow's field at v0
+            pass
+    if not oracle.trajs:  # a state the flow cannot carry: no rule, to t_end
+        traj = integrate(rs0, p, t_end, cfg)
+        status = SimStatus.SURVIVED if traj.outcome is Outcome.REACHED_T_END else (
+            SimStatus.INCONCLUSIVE)
+        return CollisionResult(status, traj.t_final), traj
+    (result, reason), flow = oracle.result[0], oracle.trajs[0]
+    states = [(rs0.theta, rs0.w)] + [(theta, v * math.exp(theta))
+                                     for v, theta, _ in flow.states[1:]]
+    outcome, stop = flow.outcome, flow.stop
+    if reason == "reached-t-end":
+        outcome, stop = Outcome.REACHED_T_END, None
+    times = [t for _, _, t in flow.states]
+    traj = Trajectory(system=SystemKind.REDUCED, times=times, states=states, stop=stop,
+                      invariant=("H", dynamics.reduced_energy(p), flow.invariant[2]),
+                      outcome=outcome, stats=flow.stats)
+    return result, traj

@@ -279,14 +279,14 @@ class TestRegimeBoundaries:
     @pytest.mark.parametrize("theta0, w0", [(-2.0, 2.0), (0.0, 1.0)])
     def test_just_above_gamma_star_passes_through(self, excess, theta0, w0):
         # K < 0 here, so the W > 0 branch of the level never reaches the
-        # axis.  The oracle's separation event stays unarmed, so it reports
-        # no collision (these runs end undecided, by step collapse at a
-        # separation of about 4e-9*D0).
+        # axis.  The oracle's separation rule stays unarmed, so it reports
+        # no collision: the pair passes (v falls through 0) and survives to
+        # the horizon.
         p = Params(0.2, gamma_star(0.2) + excess)
         rs = ReducedState(theta0, w0)
         assert classify(rs, p).verdict is Verdict.GLOBAL_PASS_THROUGH
         result, _ = simulate_until_collision(rs, p, CFG)
-        assert result.status is not SimStatus.COLLIDED
+        assert result.status is SimStatus.SURVIVED
 
     @pytest.mark.parametrize("gamma", [1e155, 1e200, 1e300])
     def test_ratios_whose_quartic_overflows_pass_through(self, gamma):
@@ -517,8 +517,12 @@ class TestClassifier:
         assert mc.verdict is Verdict.NO_COLLISION_SUBCRITICAL
         result, traj = simulate_until_collision(state, p, CFG, t_end=200.0)
         assert result.status is not SimStatus.COLLIDED
-        ws = [s[1] for s in traj.states]
-        assert max(ws) > ws[0] + 1e-6  # the gap rises before any later fall
+        # The gap rises before any later fall: W rises at the start, where the
+        # run stops (rule "w-rose"), and a plain run shows the rise.
+        assert traj.stop == "w-rose" and traj.times == [0.0]
+        assert reduced_field(p)(state.theta, state.w)[1] > 0.0
+        ws = [s[1] for s in integrate(state, p, 1.0, CFG).states]
+        assert max(ws) > ws[0] + 1e-6
 
     def test_verdict_invariant_under_common_field_rescaling(self):
         # Multiplying both components of the planar field by a constant

@@ -316,18 +316,16 @@ class TestSimulateCommand:
             assert payload["events"][0]["time"] == payload["times"][-1]
 
     @pytest.mark.parametrize("w0", ["1e-100", "1e-107"])
-    def test_collision_below_the_step_floor_agrees_with_classify(self, capsys, tmp_path, w0):
-        # Every step is rejected at t = 0, but the time to the axis is below
-        # --h-min: the run collided, at classify's time.
+    def test_collision_below_the_step_floor_is_undecided(self, capsys, tmp_path, w0):
+        # Every step is rejected at t = 0: classify's time is below --h-min,
+        # but no rule held, so the run is undecided, with no remaining time.
         state = ("--alpha", "0.5", "--gamma", "1", "--theta0", "0", "--w0", w0)
         payload = run_json(capsys, tmp_path, "simulate", *state)
         estimate = run_json(capsys, tmp_path, "classify", *state, name="c.json")
-        outcome = payload["outcome"]
         assert payload["integration"]["outcome"] == "step-collapsed"
-        assert outcome["status"] == "collided"
-        assert math.isfinite(outcome["time"]) and outcome["time"] > 0.0
-        assert outcome["remaining_time"] == outcome["time"]
-        assert rel_err(outcome["time"], estimate["t_estimate"]) < 1e-12
+        assert payload["outcome"] == {"status": "inconclusive", "time": 0.0}
+        assert payload["times"] == [0.0] and payload["events"] == []
+        assert 0.0 < estimate["t_estimate"] < 1e-14
 
     def test_full_system_csv(self, capsys, tmp_path):
         path = tmp_path / "traj.csv"
@@ -367,7 +365,11 @@ class TestSimulateCommand:
         assert payload["gamma_normalized"] is True
         assert payload["outcome"]["status"] in ("reached-t-end", "survived")
         assert payload["outcome"]["time"] == pytest.approx(20.0, rel=1e-12)
-        assert payload["times"][-1] == pytest.approx(20.0, rel=1e-12)
+        if system == "auto":  # the flow's run ends at its first point past the horizon
+            assert payload["times"][-2] < 20.0 <= payload["times"][-1]
+            assert payload["integration"]["outcome"] == "reached-t-end"
+        else:
+            assert payload["times"][-1] == pytest.approx(20.0, rel=1e-12)
 
     def test_t_end_is_reported_exactly_when_gamma_below_one(self, capsys, tmp_path):
         # (7 / scale) * scale is one ulp below 7 at gamma 0.7; a run that
@@ -377,13 +379,13 @@ class TestSimulateCommand:
         payload = run_json(capsys, tmp_path, *argv)
         assert payload["gamma_normalized"] is True
         assert payload["outcome"] == {"status": "survived", "time": 7.0}
-        assert payload["times"][-1] == 7.0
+        assert payload["times"][-2] < 7.0 <= payload["times"][-1]  # the flow's first point past it
         code, _, err = run_cli(capsys, *argv, "--format", "csv",
                                "--output", str(tmp_path / "run.csv"))
         assert code == 0
         assert "survived at t = 7.0\n" in err
         last = (tmp_path / "run.csv").read_text().splitlines()[-1]
-        assert last.split(",")[0] == "7.0"
+        assert float(last.split(",")[0]) == payload["times"][-1]
 
     @pytest.mark.parametrize("system", ["full", "hyperbolic"])
     def test_full_or_hyperbolic_system_without_a_full_state_exits_2(self, capsys, system):

@@ -199,14 +199,14 @@ def cut_sites(path: Path) -> tuple[list[tuple[str, str]], list[str]]:
 
 def test_the_zero_energy_cut_has_one_copy():
     # dynamics.level_sign holds the cut |z| <= 1e-12 on the level z =
-    # h0*exp(theta)/mu; classify, the bounds and the oracle's witness read
-    # the sign from it, and none of them evaluates the energy itself.
+    # h0*exp(theta)/mu; classify and the bounds read the sign from it, and
+    # neither evaluates the energy itself.  The oracle needs no cut: its
+    # witness is the sign of g(v) on the flow.
     found = [cut_sites(path) for path in SOURCES
              if path.name in ("analysis.py", "dynamics.py", "integrate.py")]
     assert [site for sites, _ in found for site in sites] == [("dynamics.py", "level_sign")]
     assert [name for _, names in found for name in names] == []
-    for module, name in (("analysis", "classify"), ("analysis", "_formula"),
-                         ("integrate", "simulate_until_collision")):
+    for module, name in (("analysis", "classify"), ("analysis", "_formula")):
         tree = ast.parse((SOURCES[0].parent / f"{module}.py").read_text(encoding="utf-8"))
         func = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -318,12 +318,22 @@ def test_the_cli_resolves_every_initial_state_in_one_place():
 
 
 def test_the_battery_runs_the_oracle_in_one_place():
-    # The grid node and _oracle_time are the only oracle runs in verify, so
-    # the battery's checks share one horizon rule: 4*estimate + 20.
+    # _oracle_time is the one single-state oracle run in verify, so the
+    # battery's checks share one horizon rule, 4*estimate + 20; the grid's
+    # rows are the one call of the many-state oracle.
     tree = ast.parse((SOURCES[0].parent / "verify.py").read_text(encoding="utf-8"))
-    callers = sorted(
-        stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "simulate_until_collision"
-    )
-    assert callers == ["_grid_node", "_oracle_time"]
+
+    def callers(name):
+        return sorted(
+            stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        )
+
+    assert callers("simulate_until_collision") == ["_oracle_time"]
+    assert callers("oracle_verdicts") == ["_grid_part"]
+    # No second d = 0 oracle: only the flow's driver in integrate builds stop rules.
+    integrate_tree = ast.parse((SOURCES[0].parent / "integrate.py").read_text(encoding="utf-8"))
+    stops = sorted(node.name for node in ast.walk(integrate_tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "stop")
+    assert stops == ["stop"]

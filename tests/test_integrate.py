@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -15,6 +16,7 @@ from scipy.integrate import quad, solve_ivp
 
 import filcol.dynamics as dynamics
 from filcol import (
+    CollisionResult,
     ConfigInvalid,
     DomainError,
     FilcolError,
@@ -45,7 +47,9 @@ from filcol.dynamics import (
     time_to_axis,
 )
 from filcol.integrate import _step_2d, _step_4d
-from filcol.verify import h0_zero_w, mid_subcritical_gamma
+
+integrate_module = sys.modules["filcol.integrate"]
+from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
 from conftest import log_slope, rel_err
 
@@ -223,6 +227,17 @@ class TestBlowUp:
         _, traj = simulate_until_collision(ReducedState(0.0, 1e-100), P_BENCH, CFG, t_end=20.0)
         assert traj.outcome is Outcome.STEP_COLLAPSED and traj.stop is None
 
+    def test_an_unbounded_run_ends_by_a_rule_or_collapse(self):
+        # t_end = inf: no horizon, so the separation rule ends the run; with
+        # no rule it runs on into the singularity and collapses.
+        traj = integrate(RS_BENCH, P_BENCH, math.inf, CFG, separation_stop(RS_BENCH, P_BENCH, 0.5))
+        assert_separation_stop(traj, P_BENCH, 0.5)
+        traj = integrate(RS_BENCH, P_BENCH, math.inf, CFG)
+        assert traj.outcome is Outcome.STEP_COLLAPSED and abs(traj.t_final - T_BENCH) < 1e-8
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(InvalidInitialState):
+                integrate(RS_BENCH, P_BENCH, bad, CFG)
+
 
 class TestReflectionSymmetry:
     def test_reversal_reproduces_trajectory(self):
@@ -256,7 +271,9 @@ class TestCollisionDriver:
     @pytest.mark.parametrize("theta0", [400.0, 720.0])
     def test_gamma1_runs_where_exp_theta_overflows(self, theta0):
         # D = |W| at gamma = 1: exp(2*theta0), and at 720 exp(theta0) too,
-        # overflow, but neither enters the separation rule.
+        # overflow.  v = W*exp(-theta0) is below 1.4e-108, where the flow's
+        # field is not finite, so the run goes in the (theta, W) chart with no
+        # rule, to its horizon.
         result, traj = simulate_until_collision(ReducedState(theta0, 1.0), P_BENCH, CFG,
                                                 t_end=5.0)
         assert result.status is SimStatus.SURVIVED and result.time == 5.0
@@ -319,10 +336,9 @@ class TestCollisionDriver:
                     worst = max(worst, rel_err(result.time, want))
         assert worst < 1e-9
 
-    def test_rise_before_the_event_is_inconclusive(self, monkeypatch):
-        # Right of the separatrix the gap first opens: the run stops at the
-        # rise, undecided, even where the stop point's level would pass the
-        # monotone witness.
+    def test_rise_before_the_event_is_inconclusive(self):
+        # Right of the separatrix the gap first opens: 0 < v < v_star, so W
+        # rises at the start, and the run stops there, undecided, with no step.
         p = Params(0.2, 1.1)
         th0 = 3.5
         rs = ReducedState(th0, 0.2 * h0_zero_w(p, th0))
@@ -331,24 +347,23 @@ class TestCollisionDriver:
         result, traj = simulate_until_collision(rs, p, CFG, t_end=2000.0)
         assert traj.outcome is Outcome.EVENT_TERMINATED and traj.stop == "w-rose"
         assert result.status is SimStatus.INCONCLUSIVE
-        assert result.time == traj.t_final
-        monkeypatch.setattr(dynamics, "monotone_approach", lambda p, theta, w: True)
-        assert simulate_until_collision(rs, p, CFG, t_end=2000.0) == (result, traj)
+        assert result.time == traj.t_final == 0.0 and traj.stats.attempts == 0
 
-    def test_band_state_stops_at_the_rise(self):
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    def test_band_state_stops_at_the_rise(self, fraction):
         # -v0 < v < 0: the receding branch turns back, crosses W = 0 and
-        # blows up at the axis, no collision in the defined sense.  The run
-        # ends where W first rises (before the rise rule it ran about 190
-        # attempts on to the separation stop, and was undecided there).
+        # blows up at the axis, no collision in the defined sense.  Inside
+        # the band |v| < v_star, W rises at once (the run ends at its start);
+        # nearer -v0 it first falls, and the run ends at the first accepted
+        # point where it rises.
         p = Params(0.2, mid_subcritical_gamma(0.2))
-        rs = ReducedState(0.5, -0.5 * h0_zero_w(p, 0.5))
+        rs = ReducedState(0.5, -fraction * h0_zero_w(p, 0.5))
         result, traj = simulate_until_collision(rs, p, CFG, survival_witness=True)
         assert traj.stop == "w-rose" and result.status is SimStatus.INCONCLUSIVE
-        assert traj.stats.attempts < 10
-        slack = 1e-9 * (1.0 + abs(rs.w))
-        ws = [s[1] for s in traj.states]
-        rises = [b > a + slack for a, b in zip(ws, ws[1:])]
-        assert rises[-1] and not any(rises[:-1])
+        field = reduced_field(p)
+        rising = [field(*y)[1] > 0.0 for y in traj.states]
+        assert rising[-1] and not any(rising[:-1])
+        assert (traj.stats.attempts == 0) is (fraction * p.v0 < p.v_star)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.1, None])
     def test_remaining_time_from_the_last_accepted_point(self, gamma):
@@ -370,13 +385,24 @@ class TestCollisionDriver:
         undecided, _ = simulate_until_collision(rs, p, CFG, t_end=2000.0)
         assert undecided.status is SimStatus.INCONCLUSIVE and undecided.remaining_time == 0.0
 
-    def test_stop_point_off_the_monotone_branch_is_inconclusive(self, monkeypatch):
-        # The integrated part cannot show that W keeps falling below the
-        # stop point; a stop point that fails the rule leaves the run undecided.
-        monkeypatch.setattr(dynamics, "monotone_approach", lambda p, theta, w: False)
-        result, traj = simulate_until_collision(RS_BENCH, P_BENCH, CFG, t_end=20.0)
-        assert traj.outcome is Outcome.EVENT_TERMINATED
-        assert result.status is SimStatus.INCONCLUSIVE and result.time == traj.t_final
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.7])
+    def test_the_rise_rule_is_the_v_star_band(self, alpha):
+        # dW/dt > 0 exactly where |v| < v_star: a node a thousandth inside
+        # the band rose at its start, with no step; one a thousandth above it
+        # collides, and one a thousandth below -v_star rises after a few
+        # steps.  Below -v0 the node is witnessed at its start.
+        p = Params(alpha, mid_subcritical_gamma(alpha))
+        for v, want, steps in ((0.999 * p.v_star, "w-rose", False),
+                               (-0.999 * p.v_star, "w-rose", False),
+                               (1.001 * p.v_star, "separation-below", True),
+                               (-1.001 * p.v_star, "w-rose", True),
+                               (-1.001 * p.v0, "survival-witness", False)):
+            rs = ReducedState(0.4, v * math.exp(0.4))
+            result, traj = simulate_until_collision(rs, p, CFG, survival_witness=True)
+            assert traj.stop == want, (alpha, v)
+            assert (reduced_field(p)(rs.theta, rs.w)[1] > 0.0) is (want == "w-rose" and not steps)
+            assert result.collided is (want == "separation-below")
+            assert (traj.stats.attempts > 0) is steps and (result.time > 0.0) is steps
 
     def test_stop_point_without_a_time_in_floats_is_inconclusive(self, monkeypatch):
         # Where the time left from the stop point cannot be formed, the run
@@ -389,28 +415,29 @@ class TestCollisionDriver:
         assert traj.outcome is Outcome.EVENT_TERMINATED
         assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
 
-    def test_collision_below_the_step_floor(self):
-        # dtheta/dt = alpha/W**2 is about 5e199 at W0 = 1e-100: every
-        # attempt is rejected and the run collapses at t = 0, but the time
-        # left on the level, 4.557e-198, is below h_min, so it collided.
+    def test_collision_below_the_step_floor_is_undecided(self):
+        # dphi/dtau = -alpha/v**2 is about -5e199 at v0 = 1e-100: every
+        # attempt is rejected and the run collapses at t = 0.  The time left
+        # on the level, 4.557e-198, is below h_min, but no rule held: the run
+        # is undecided, as every step collapse is.
         p, rs = Params(0.5, 1.0), ReducedState(0.0, 1e-100)
         result, traj = simulate_until_collision(rs, p, CFG, t_end=20.0)
         assert traj.outcome is Outcome.STEP_COLLAPSED and traj.times == [0.0]
-        assert result.status is SimStatus.COLLIDED
-        assert result.time == result.remaining_time < CFG.h_min
-        assert rel_err(result.time, collision_time(rs, p).value) < 1e-12
+        assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
+        assert result.time == 0.0 and collision_time(rs, p).value < CFG.h_min
 
-    def test_other_step_collapses_stay_inconclusive(self, monkeypatch):
-        # The same collapse is no collision at a W < 0 state, off the armed
-        # branch, nor where the time left is not below the step floor.
+    def test_receding_state_at_equal_circulation_runs_in_the_chart(self):
+        # Without the witness, v < 0 at gamma = 1 reaches v = 0, where t = inf,
+        # in finite Sundman time: the run goes in the (theta, W) chart to its
+        # horizon, as a plain integration does.
         p = Params(0.5, 1.0)
         result, traj = simulate_until_collision(ReducedState(0.0, -1e-100), p, CFG, t_end=20.0)
         assert traj.outcome is Outcome.STEP_COLLAPSED
         assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
-        monkeypatch.setattr(dynamics, "time_to_axis", lambda p, theta, w: CFG.h_min)
-        result, traj = simulate_until_collision(ReducedState(0.0, 1e-100), p, CFG, t_end=20.0)
-        assert traj.outcome is Outcome.STEP_COLLAPSED
-        assert result.status is SimStatus.INCONCLUSIVE and result.time == 0.0
+        rs = ReducedState(0.5, -0.1)
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=20.0)
+        assert result == CollisionResult(SimStatus.SURVIVED, 20.0)
+        assert traj.times == integrate(rs, p, 20.0, CFG).times
 
 
 @st.composite
@@ -615,18 +642,19 @@ class TestSurvivalWitness:
         assert traj.times == [0.0] and hit.state == (0.0, -1.0)
         assert traj.stats.attempts == 0
 
-    def test_w_within_slack_of_zero_is_not_witnessed(self):
-        # Supercritical, so armed: W0 = -1e-12 is inside the slack
-        # 1e-9*(1 + |W0|), and the run goes on until W has fallen below
-        # -slack; a horizon that ends first records no witness.
+    def test_w_just_below_zero_is_witnessed_at_the_start(self):
+        # Supercritical, so g(v) < 0 everywhere: W0 = -1e-12 needs no slack,
+        # and the run ends at t = 0; without the witness it runs to its
+        # horizon, the first accepted point at or past t_end.
         p = Params(0.2, 2.0)
         rs = ReducedState(0.0, -1e-12)
         result, traj, hit = witnessed(rs, p, 200.0)
-        assert result.status is SimStatus.SURVIVED
-        assert hit.time > 0.0 and hit.state[1] < -1e-9 and len(traj.times) > 1
-        result, traj, hit = witnessed(rs, p, 1e-12)
-        assert result.status is SimStatus.SURVIVED and result.time == 1e-12
-        assert hit is None and traj.outcome is Outcome.REACHED_T_END
+        assert result.status is SimStatus.SURVIVED and result.time == 0.0
+        assert hit.state == (0.0, -1e-12) and traj.stats.attempts == 0
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=1e-3)
+        assert result == CollisionResult(SimStatus.SURVIVED, 1e-3)
+        assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
+        assert traj.times[-2] < 1e-3 <= traj.times[-1]
 
     @pytest.mark.parametrize("w0", [-1e-12, -1e-9])
     def test_tiny_negative_w_at_gamma_one_is_witnessed(self, w0):
@@ -662,10 +690,11 @@ class TestSurvivalWitness:
     ])
     def test_positive_energy_survivors_still_run_to_the_horizon(self, alpha, gamma, th0, w0):
         # Subcritical orbits with h0 > 0, from the seeded benchmark grids:
-        # their W < 0 branch turns back, so no witness is armed.  Those whose
-        # W turns up before the horizon (the first, fourth and sixth) end at
-        # the rise, undecided; before the rise rule they ran on to t_end and
-        # were called SURVIVED.  The others still survive at the horizon.
+        # their W < 0 branch turns back (-v0 < v < 0), so no witness holds.
+        # Those whose W turns up before the horizon (the first, fourth and
+        # sixth) end at the rise, undecided; before the rise rule they ran on
+        # to t_end and were called SURVIVED.  The others rise later than t =
+        # 200 and still survive at the horizon.
         p = Params(alpha, gamma)
         rs = ReducedState(th0, w0)
         assert dynamics.reduced_energy(p)(th0, w0) > 0.0
@@ -680,7 +709,8 @@ class TestSurvivalWitness:
             assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
         else:
             assert result.status is SimStatus.INCONCLUSIVE and traj.stop == "w-rose"
-            assert traj.times == plain.times[:rise + 1]
+            rising = [reduced_field(p)(*y)[1] > 0.0 for y in traj.states]
+            assert rising[-1] and not any(rising[:-1])
 
     def test_colliding_and_undecided_runs_never_meet_the_witness(self):
         # Criterion 04's nodes at alpha 0.5 (every fourth of its grid): with
@@ -697,6 +727,68 @@ class TestSurvivalWitness:
                         assert hit is None, (g, rs)
                     if hit is None:
                         assert (result, traj.times) == (plain, plain_traj.times)
+
+
+class TestSharedOrbit:
+    def test_the_flow_is_the_scalar_flow_of_v(self):
+        # dv/dtau = g(v) = sa/r - mu, dtheta/dtau = -sa*v/r**3, dt/dtau =
+        # exp(2*theta), composed from the reduced field at theta = 0; and
+        # by the scale law dv/dt and dtheta/dt of the (theta, W) chart.
+        rng = random.Random(22)
+        for _ in range(400):
+            p = regime_params(rng.uniform(0.01, 0.99), rng.choice(REGIMES), rng.random())
+            v, theta = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+            sa, r = p.alpha * p.sqrt_gamma, math.hypot(p.offset, v)
+            dv, dth, dt = dynamics.flow_field(p)(v, theta, 0.0)
+            assert abs(dv - (sa / r - p.mu)) <= 1e-15 * (p.mu + sa / r)
+            assert rel_err(dth, -sa * v / r ** 3) <= 1e-15 and dt == math.exp(2.0 * theta)
+            w = v * math.exp(theta)
+            dtheta_dt, dw_dt = reduced_field(p)(theta, w)
+            assert rel_err(dth / dt, dtheta_dt) <= 1e-13
+            assert abs((dv + v * dth) * math.exp(theta) / dt - dw_dt) <= 1e-13 * (
+                abs(dw_dt) + p.mu * math.exp(-theta))
+
+    @pytest.mark.parametrize("excess", [2e-11, 1e-10, 5e-10])
+    @pytest.mark.parametrize("theta0, w0", [(-2.0, 2.0), (0.0, 1.0)])
+    def test_just_above_gamma_star_the_flow_passes_through(self, excess, theta0, w0):
+        # The physical-time run ended by step collapse at about 4e-9*D0 on
+        # these orbits, undecided (543 to 651 attempts).  On the flow v falls
+        # through 0, W = 0 being the pass, and the witness holds once v < 0.
+        p = Params(0.2, gamma_star(0.2) + excess)
+        result, traj = simulate_until_collision(ReducedState(theta0, w0), p, CFG,
+                                                survival_witness=True)
+        assert result.status is SimStatus.SURVIVED and traj.stop == "survival-witness"
+        assert traj.stats.attempts <= 600
+        assert traj.state_final[1] < 0.0
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_unwatched_verdicts_are_the_one_node_runs(self, regime):
+        # Without the witness receding nodes run to their horizon, and at
+        # equal circulation, where the flow cannot reach it, are decided there
+        # at their start; simulate_until_collision runs them in the chart.
+        p = regime_params(0.3, regime, 0.5)
+        states = [ReducedState(th, w) for th in (-1.0, 0.5) for w in (-1.5, -0.1, 0.05, 1.2)]
+        verdicts = integrate_module.oracle_verdicts(p, states, CFG, 30.0)
+        for rs, (status, reason) in zip(states, verdicts):
+            result, traj = simulate_until_collision(rs, p, CFG, t_end=30.0)
+            assert (status, reason) == (result.status, traj.stop or traj.outcome.value), rs
+
+    @given(alpha=st.floats(0.01, 0.99), regime=st.sampled_from(REGIMES), u=st.floats(0.0, 1.0),
+           thetas=st.lists(st.floats(-2.5, 2.5), min_size=2, max_size=3),
+           ws=st.lists(st.floats(-2.5, 2.5).filter(lambda w: abs(w) > 1e-3),
+                       min_size=3, max_size=4))
+    @settings(max_examples=120)
+    def test_grid_rows_are_the_one_node_runs(self, alpha, regime, u, thetas, ws):
+        # The grid's oracle reads every node off one run per group; each
+        # row's status, agreement and reason are those of the node's own run.
+        p = regime_params(alpha, regime, u)
+        rows = classifier_oracle_grid(p, thetas, ws, CFG, workers=1)
+        for th0, w0, _, _, t_est, status, agrees, reason in rows:
+            result, traj = simulate_until_collision(ReducedState(th0, w0), p, CFG,
+                                                    survival_witness=True)
+            one = (result.status.value, (t_est is not None) == result.collided,
+                   traj.stop or traj.outcome.value)
+            assert (status, agrees, reason) == one, (p, th0, w0)
 
 
 class TestDriftReport:

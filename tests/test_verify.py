@@ -98,17 +98,42 @@ def test_classifier_oracle_tallies_at_alpha_0_2():
     )
 
 
-def test_oracle_grid_rows_identical_serial_and_pooled():
+# A mid-subcritical grid (v0 = 0.0874, v_star = 0.0393) whose nodes fall in
+# every group of the oracle: v < -v0 and |v| < v_star are decided at their
+# start, -v0 < v <= -v_star and v_star <= v < v0 rise toward v0 on one run,
+# and v > v0 falls toward it on another.
+THREE_GROUPS = ([0.0, 0.2], [-0.5, -0.06, 0.02, 0.06, 0.5])
+
+
+def test_the_three_group_grid_has_every_group():
     p = Params(0.2, verify.mid_subcritical_gamma(0.2))
-    nodes = [-2.0 + 4.0 * k / 3 for k in range(4)]
-    serial = verify.classifier_oracle_grid(p, nodes, nodes, workers=1)
-    pooled = verify.classifier_oracle_grid(p, nodes, nodes, workers=2)
-    assert len(serial) == 16
-    assert pooled == serial
+    thetas, ws = THREE_GROUPS
+    states = [verify.ReducedState(th, w) for th in thetas for w in ws]
+    decided, *runs = verify.oracle_groups(p, states, survival_witness=True)
+    assert decided == [0, 2, 5, 7]
+    assert runs == [[1, 6, 8, 3], [4, 9]]  # rising from the lowest v, falling from the highest
+    # Two workers: the longer, rising run to the last; the falling run, the
+    # nodes decided at their start and every node's classification to the first.
+    nodes = [s.astuple() for s in states]
+    assert verify._share(p, nodes, 0, 2) == (True, [0, 2, 4, 5, 7, 9])
+    assert verify._share(p, nodes, 1, 2) == (False, [1, 3, 6, 8])
+
+
+@pytest.mark.parametrize("grid", [([-2.0 + 4.0 * k / 3 for k in range(4)],) * 2, THREE_GROUPS],
+                         ids=["criterion-04-4x4", "three-groups"])
+def test_oracle_grid_rows_identical_serial_and_pooled(grid):
+    p = Params(0.2, verify.mid_subcritical_gamma(0.2))
+    thetas, ws = grid
+    serial = verify.classifier_oracle_grid(p, thetas, ws, workers=1)
+    assert len(serial) == len(thetas) * len(ws)
+    for workers in (2, 3):
+        assert verify.classifier_oracle_grid(p, thetas, ws, workers=workers) == serial
     reasons = [row[7] for row in serial]
-    assert [row[7] for row in pooled] == reasons
     assert set(reasons) <= {"separation-below", "survival-witness", "w-rose",
                             "reached-t-end", "step-collapsed"}
+    if grid is THREE_GROUPS:
+        assert reasons == ["survival-witness", "w-rose", "w-rose", "separation-below",
+                           "separation-below"] * 2
 
 
 def test_conservation_reports_its_fixed_tolerances():
@@ -157,12 +182,15 @@ def test_grid_reruns_on_a_fresh_pool_after_a_worker_is_killed():
     assert len(worker_pids()) == 2 and not worker_pids() & pids
 
 
-def test_changing_workers_rebuilds_the_pool():
-    serial = grid(1)
+@pytest.mark.parametrize("nodes", [(NODES, NODES), THREE_GROUPS],
+                         ids=["criterion-04-4x4", "three-groups"])
+def test_changing_workers_rebuilds_the_pool(nodes):
+    serial = verify.classifier_oracle_grid(P_MID, *nodes, workers=1)
     replaced = 0
+    verify._discard_pool()
     for workers in (2, 1, 3, 2):
         old = [proc for proc, _ in verify._pool]
-        assert grid(workers) == serial
+        assert verify.classifier_oracle_grid(P_MID, *nodes, workers=workers) == serial
         if workers > 1:
             assert len(worker_pids()) == workers
             if old and len(old) != workers:  # the old set was stopped and reaped
@@ -172,12 +200,12 @@ def test_changing_workers_rebuilds_the_pool():
 
 
 def test_uneven_batches_keep_row_major_order():
-    # 16 nodes over 3 workers: checkerboard colours of 6, 5 and 5 nodes.
+    # 16 nodes over 3 workers: two runs of 8 nodes, and the third worker idle.
     assert grid(3) == grid(1)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4, 6), (5, 3)])
-def test_checkerboard_rows_are_the_serial_rows(shape):
+def test_grid_shapes_keep_the_serial_rows(shape):
     n_theta, n_w = shape
     thetas = [-2.0 + 4.0 * i / (n_theta - 1) for i in range(n_theta)]
     ws = [-2.0 + 4.0 * j / (n_w - 1) for j in range(n_w)]
@@ -187,8 +215,8 @@ def test_checkerboard_rows_are_the_serial_rows(shape):
 
 
 def test_pooled_node_error_is_the_serial_one():
-    # W0 = 0 is excluded at gamma = 1, so the grid's W0 = 0 column fails, in
-    # both checkerboard colours of a 2-worker set.
+    # W0 = 0 is excluded at gamma = 1, so the grid's W0 = 0 column fails
+    # classify, in whichever worker's share it falls.
     p = Params(0.2, 1.0)
     ws = [-0.5, 0.0, 0.5]
     raised = []
@@ -200,22 +228,22 @@ def test_pooled_node_error_is_the_serial_one():
     assert grid(2) == grid(1)  # every reply was read: the set is still in step
 
 
-@pytest.mark.parametrize("ws, first", [([1e-120, 0.0, 0.5], 0), ([0.5, 1e-120, 0.0], 1)])
-def test_first_failure_in_row_major_order_wins_from_either_worker(ws, first):
-    # At gamma = 1, W0 = 1e-120 is rejected by the field (its cube
-    # underflows) and W0 = 0 by classify, with errors that tell them apart.
-    # Both workers' batches fail: node (0, j) is worker j's, so the first
-    # failure in row-major order, (0, first), is worker first's, and the
-    # other worker's first failure is a later W0 = 0 node.
+@pytest.mark.parametrize("ws, error", [([1e-120, 0.0, 0.5], OnSingularLine),
+                                       ([0.5, 1e-120], InvalidInitialState)],
+                         ids=["classify-first", "oracle-run"])
+def test_first_failure_in_row_major_order_wins_from_either_worker(ws, error):
+    # At gamma = 1, W0 = 1e-120 is rejected by the flow's field (its cube
+    # underflows) and W0 = 0 by classify.  Every node is classified, in
+    # row-major order, before the oracle runs, so a W0 = 0 node fails first
+    # wherever it stands; without one the run from W0 = 1e-120 fails.  A
+    # pooled grid raises what the serial one raises.
     p = Params(0.2, 1.0)
-    assert ws.index(1e-120) == first
     raised = []
     for workers in (1, 2):
-        with pytest.raises((OnSingularLine, InvalidInitialState)) as info:
+        with pytest.raises(error) as info:
             verify.classifier_oracle_grid(p, NODES, ws, workers=workers)
-        raised.append((type(info.value), str(info.value)))
+        raised.append(str(info.value))
     assert raised[0] == raised[1]
-    assert raised[0][0] is InvalidInitialState and "1e-120" in raised[0][1]
     assert grid(2) == grid(1)
 
 
