@@ -29,14 +29,12 @@ from .analysis import (
 )
 from .dynamics import (
     Derivative,
-    FlowState,
     FullState,
     HyperbolicState,
     Params,
     ReducedState,
     ansatz_residual,
     conserved_d,
-    flow_field,
     full_field,
     hyperbolic_energy,
     hyperbolic_field,

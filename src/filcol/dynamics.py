@@ -47,7 +47,6 @@ __all__ = [
     "quartic",
     "k_sign",
     "level_sign",
-    "monotone_approach",
     "log_tail",
     "time_to_axis",
     "ansatz_residual",
@@ -507,18 +506,6 @@ def level_sign(z: float) -> int:
     if not abs(z) > 1e-12:
         return 0
     return 1 if z > 0.0 else -1
-
-
-def monotone_approach(p: Params, theta: float, w: float) -> bool:
-    """Whether W rises with s over (0, u], u = exp(theta), on the W > 0 branch of
-    the level of the d = 0 state (theta, w), so that the run from it falls to the
-    axis with W falling.  On the level d(W**2)/ds = 2*s*(a2g*mu/m**3 - offset2),
-    m = mu + h*s, positive on (0, u) exactly where it is at u: with z = m(u)/mu - 1
-    (``_on_level``), c*z*(3 + 3*z + z**2) < K.  It holds for every h < 0 once K >= 0
-    and at equal circulation (c = 0), fails on the critical rest line (K = 0,
-    W = 0), and is theta < theta_star on an h > 0 level.  A NaN z gives False."""
-    z = _on_level(p, theta, w)[2]
-    return p.c * z * (3.0 + z * (3.0 + z)) < p.k
 
 
 def time_to_axis(p: Params, theta: float, w: float) -> float:

@@ -28,7 +28,9 @@ rules are facts of v (``_Oracle``): W rose (``w-rose``) where the path met
 where g(v) < 0, and a run collided where the separation has fallen to a
 quarter of its start with K >= 0 and v > 0 (``separation-below``), at that
 time plus the closed-form time to the axis (``dynamics.time_to_axis``) from
-there.  Every state whose v lies on one run's path is read off that run.  The
+there.  Every state whose v lies on one run's path is read off that run; a
+one-state run that reaches its horizon is finished in the (theta, W) chart,
+so that its trajectory ends at t_end.  The
 collision singularity itself is never integrated into: a run that the
 controller cannot continue ends by step collapse, undecided, never with a
 NaN state.
@@ -40,7 +42,7 @@ import linecache
 import math
 import sys
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -111,8 +113,10 @@ class IntegrationStats:
     """Work counts of one integration run.
 
     Every attempt is accepted or rejected.  f_evals is one evaluation at
-    the start plus six per attempt (FSAL); an attempt cut short by a field
-    that raises is counted in full.
+    the start plus six per attempt (FSAL) in each ``integrate`` call; an
+    attempt cut short by a field that raises is counted in full.  A
+    collision-oracle run that the (theta, W) chart finishes at its horizon
+    counts both calls.
     """
 
     attempts: int = 0
@@ -411,8 +415,7 @@ class CollisionResult:
 _KAPPA = 0.25
 _LOG_KAPPA = math.log(_KAPPA)
 #: The status a rule that holds at a node's start gives it.
-_RULE_STATUS = {"survival-witness": SimStatus.SURVIVED, "w-rose": SimStatus.INCONCLUSIVE,
-                "reached-t-end": SimStatus.SURVIVED}
+_RULE_STATUS = {"survival-witness": SimStatus.SURVIVED, "w-rose": SimStatus.INCONCLUSIVE}
 
 
 def _scaled(x: float, e: float) -> float:
@@ -437,9 +440,7 @@ class _Oracle:
       v > 0 and D <= _KAPPA*D0, with log D = theta + log r(v).  The node
       collided, at the time of that point plus ``dynamics.time_to_axis`` from it.
     - "reached-t-end": the node's own time has reached t_end, undecided; it
-      survived at t_end.  At equal circulation, v < 0 with the witness
-      unwatched is decided so at its start: W only falls, and v reaches 0,
-      where t = inf, in finite Sundman time, which no run can follow.
+      survived at t_end.
     Those that hold at a node's start decide it with no step.  The others move
     with v: where g(v) > 0 up toward v0, else down (toward v0, or to -inf
     where v < 0 or the ratio is supercritical).  One run per moving group
@@ -450,7 +451,9 @@ class _Oracle:
     and its time is exp(2*(theta0 - theta_n))*(t - t_n).  The run's stop rule
     walks its nodes with a pointer in v order and keeps the separation levels
     and horizons in sorted lists, next due last, so a point costs O(1) but for
-    the nodes it starts or decides.
+    the nodes it starts or decides.  A node the run never reaches, and every
+    undecided node of a run that fails (its step budget spent, say), runs on
+    its own, with the whole config (``solo``).
     """
 
     def __init__(self, p: Params, states, cfg: IntegrationConfig, t_end: float,
@@ -461,6 +464,7 @@ class _Oracle:
                 raise ConfigInvalid(
                     f"the collision driver needs a ReducedState (d = 0), got {rs!r}")
         self.p, self.cfg, self.t_end, self.witness = p, cfg, t_end, survival_witness
+        self.states = states
         self.equal = p.regime is Regime.EQUAL_CIRCULATION
         self.rise_armed = p.regime is Regime.SUBCRITICAL
         self.sep_armed = p.regime is not Regime.SUPERCRITICAL
@@ -483,8 +487,6 @@ class _Oracle:
 
     def start_rule(self, v: float) -> str | None:
         """The rule that decides a node at its start, or None."""
-        if v < 0.0 and self.equal and not self.witness:
-            return "reached-t-end"
         if self.witness and v < 0.0 and (self.equal or self.g(v) < 0.0):
             return "survival-witness"
         if self.rise_armed and self.rises(v):
@@ -512,19 +514,51 @@ class _Oracle:
         return [decided] + [grp for grp in (up, down, below) if grp] + alone
 
     def decide(self) -> list:
-        """Every node's (CollisionResult, reason)."""
-        decided, *moving = self.groups()
+        """Every node's (CollisionResult, reason); raises the failure of the first
+        node, in the order given, whose own run fails."""
+        decided, *pending = self.groups()
         for i in decided:
             rule = self.start_rule(self.v[i])
-            t = self.t_end if rule == "reached-t-end" else 0.0
-            self.result[i] = (CollisionResult(_RULE_STATUS[rule], t), rule)
-        for group in moving:
-            self.run(group)
+            self.result[i] = (CollisionResult(_RULE_STATUS[rule], 0.0), rule)
+        failed: dict[int, FilcolError] = {}
+        while pending:
+            order = pending.pop()
+            try:
+                if len(order) == 1:
+                    self.solo(order[0])
+                else:
+                    pending += [[i] for i in self.run(order)]
+            except FilcolError as exc:
+                if len(order) == 1:
+                    failed[order[0]] = exc
+                else:
+                    pending += [[i] for i in order if self.result[i] is None]
+        if failed:
+            raise failed[min(failed)]
         return self.result
 
-    def run(self, order: list[int]) -> None:
+    def solo(self, i: int) -> None:
+        """Decide node i by a run of its own: on the flow, or, for a state the flow
+        cannot carry, in the (theta, W) chart with no rule, to t_end (SURVIVED there,
+        else INCONCLUSIVE).  Those are a receding state at equal circulation with
+        the witness unwatched, whose v reaches 0, where t = inf, in finite Sundman
+        time, and one where the flow's field is not finite at v0 (at equal
+        circulation, |v0| below about 1.4e-108)."""
+        if not (self.v[i] < 0.0 and self.equal and not self.witness):
+            try:
+                self.run([i])
+                return
+            except InvalidInitialState:  # the flow's field at v0
+                pass
+        traj = integrate(self.states[i], self.p, self.t_end, self.cfg)
+        self.trajs[i] = traj
+        status = SimStatus.SURVIVED if traj.outcome is Outcome.REACHED_T_END else (
+            SimStatus.INCONCLUSIVE)
+        self.result[i] = (CollisionResult(status, traj.t_final), traj.outcome.value)
+
+    def run(self, order: list[int]) -> list[int]:
         """One flow run from order[0], deciding every node of order it passes;
-        a node it never reaches runs on its own."""
+        returns the nodes it never reached."""
         p, th0, vs, result, t_end = self.p, self.th0, self.v, self.result, self.t_end
         up = self.g(vs[order[0]]) > 0.0
         witness, equal, rise_armed, sep_armed = (self.witness, self.equal, self.rise_armed,
@@ -608,15 +642,14 @@ class _Oracle:
         self.trajs[order[0]] = traj
         for i in list(live):  # the run ended by step collapse
             finish(i, SimStatus.INCONCLUSIVE, traj.outcome.value, traj.state_final)
-        for i in order[k:]:  # a node past the point the run settled on
-            self.run([i])
+        return order[k:]  # past the point the run settled on
 
 
-def oracle_groups(p: Params, states, *, survival_witness: bool = False) -> list[list[int]]:
+def oracle_groups(p: Params, states) -> list[list[int]]:
     """The indices of the states ``oracle_verdicts`` decides at their start, then
     one list per shared run, each in the order its run passes them.  Verdicts of a
     subset made of whole lists are those of the full set."""
-    return _Oracle(p, states, DEFAULT_CONFIG, DEFAULT_T_END, survival_witness).groups()
+    return _Oracle(p, states, DEFAULT_CONFIG, DEFAULT_T_END, True).groups()
 
 
 def oracle_verdicts(
@@ -624,19 +657,21 @@ def oracle_verdicts(
     states,
     cfg: IntegrationConfig = DEFAULT_CONFIG,
     t_end: float = DEFAULT_T_END,
-    *,
-    survival_witness: bool = False,
 ) -> list[tuple[SimStatus, str]]:
     """The collision oracle's status, and the rule or outcome that decided it,
-    for every d = 0 state of a set that shares p (see ``_Oracle`` for the rules).
+    for every d = 0 state of a set that shares p (see ``_Oracle`` for the rules),
+    with the survival witness watched.
 
-    Each state's verdict is that of ``simulate_until_collision`` on it alone:
-    one flow run passes every state of its group, and decides each as the
-    state's own run would.  t_end is each state's own physical horizon.
-    Raises ConfigInvalid for a state that is not a ReducedState, and what
-    ``integrate`` raises for a run.
+    Each state's verdict is that of ``simulate_until_collision`` on it alone, with
+    ``survival_witness=True``: one flow run passes every state of its group, and
+    decides each as the state's own run would.  t_end is each state's own
+    physical horizon, and cfg.max_steps bounds each state's own run: a shared
+    run that spends it leaves its undecided states to runs of their own.
+    Raises ConfigInvalid for a state that is not a ReducedState,
+    InvalidInitialState for one whose v overflows, and otherwise what the
+    first state, in the order given, whose own run fails raises.
     """
-    results = _Oracle(p, states, cfg, t_end, survival_witness).decide()
+    results = _Oracle(p, states, cfg, t_end, True).decide()
     return [(result.status, reason) for result, reason in results]
 
 
@@ -658,36 +693,37 @@ def simulate_until_collision(
     ``survival_witness`` it survived at the witness; where W rose it is
     inconclusive.  A run still undecided at t_end survived there; one that
     ends by step collapse is inconclusive.  The Trajectory is the run with
-    W = v*exp(theta) in place of v, its stop the rule that ended it (None,
-    with outcome REACHED_T_END, at the horizon, whose point is the first one
-    past it).
-    The flow cannot carry two kinds of state, and their run goes in the
-    (theta, W) chart with no rule, to t_end (SURVIVED there, else
-    INCONCLUSIVE): a receding state at equal circulation with the witness
-    unwatched (decided at its start, see ``_Oracle``), and one where the
-    flow's field is not finite at v0 (at equal circulation, |v0| below
-    about 1.4e-108).  Raises ConfigInvalid for a state that is not
-    a ReducedState, and InvalidInitialState for one the chart rejects too.
+    W = v*exp(theta) in place of v, its stop the rule that ended it.  At the
+    horizon the flow's points past t_end are dropped and the (theta, W)
+    chart, with no rule, carries the run from the last point before t_end to
+    t_end itself (stop None, outcome REACHED_T_END); its stats add that run's
+    counts.  A state the flow cannot carry runs in the chart alone
+    (``_Oracle.solo``).  Raises ConfigInvalid for a state that is not a
+    ReducedState, and InvalidInitialState for one the chart rejects too.
     """
     oracle = _Oracle(p, [rs0], cfg, t_end, survival_witness)
-    if oracle.start_rule(oracle.v[0]) != "reached-t-end":
-        try:
-            oracle.run([0])
-        except InvalidInitialState:  # the flow's field at v0
-            pass
-    if not oracle.trajs:  # a state the flow cannot carry: no rule, to t_end
-        traj = integrate(rs0, p, t_end, cfg)
-        status = SimStatus.SURVIVED if traj.outcome is Outcome.REACHED_T_END else (
-            SimStatus.INCONCLUSIVE)
-        return CollisionResult(status, traj.t_final), traj
+    oracle.solo(0)
     (result, reason), flow = oracle.result[0], oracle.trajs[0]
+    if flow.system is SystemKind.REDUCED:  # the chart's own run
+        return result, flow
+    times = [t for _, _, t in flow.states]
     states = [(rs0.theta, rs0.w)] + [(theta, v * math.exp(theta))
                                      for v, theta, _ in flow.states[1:]]
-    outcome, stop = flow.outcome, flow.stop
+    outcome, stop, stats = flow.outcome, flow.stop, flow.stats
     if reason == "reached-t-end":
-        outcome, stop = Outcome.REACHED_T_END, None
-    times = [t for _, _, t in flow.states]
+        j = len(times) - 1
+        while not t_end - times[j] > cfg.h_min:
+            j -= 1
+        tail = integrate(ReducedState(*states[j]), p, t_end - times[j], cfg)
+        tail_times = [times[j] + s for s in tail.times[1:]]
+        if tail.outcome is Outcome.REACHED_T_END:
+            tail_times[-1] = t_end  # t_j + (t_end - t_j) may round off t_end
+        kept = [m for m, t in enumerate(tail_times) if t < t_end or m == len(tail_times) - 1]
+        times = times[:j + 1] + [tail_times[m] for m in kept]
+        states = states[:j + 1] + [tail.states[m + 1] for m in kept]
+        outcome, stop = tail.outcome, None
+        stats = IntegrationStats(*map(sum, zip(astuple(stats), astuple(tail.stats))))
     traj = Trajectory(system=SystemKind.REDUCED, times=times, states=states, stop=stop,
                       invariant=("H", dynamics.reduced_energy(p), flow.invariant[2]),
-                      outcome=outcome, stats=flow.stats)
+                      outcome=outcome, stats=stats)
     return result, traj

@@ -153,10 +153,21 @@ def _rows(nodes, columns, verdicts) -> list:
 def _grid_part(p: Params, nodes, t_end: float, cfg: IntegrationConfig, classify: bool, checked):
     """Every node's classify_node columns, in order (None unless classify), and the
     oracle's (status, reason) of nodes[i] for i in checked, whose groups share their
-    runs (``integrate.oracle_verdicts``)."""
-    columns = [classify_node(ReducedState(*node), p) for node in nodes] if classify else None
-    verdicts = oracle_verdicts(p, [ReducedState(*nodes[i]) for i in checked], cfg, t_end,
-                               survival_witness=True)
+    runs (``integrate.oracle_verdicts``).  A failure raises that of the first
+    failing node in order, classify's before the oracle's at one node."""
+    columns, failure = None, None
+    if classify:
+        columns = []
+        for node in nodes:
+            try:
+                columns.append(classify_node(ReducedState(*node), p))
+            except Exception as exc:
+                failure = exc
+                break
+        checked = [i for i in checked if i < len(columns)]  # the nodes before it
+    verdicts = oracle_verdicts(p, [ReducedState(*nodes[i]) for i in checked], cfg, t_end)
+    if failure is not None:
+        raise failure
     return columns, [(status.value, reason) for status, reason in verdicts]
 
 
@@ -171,8 +182,7 @@ def _share(p: Params, nodes, k: int, n: int) -> tuple[bool, list[int]]:
     CPU per grid by a quarter against the first worker.  Every worker forms the
     same split, so the caller does no per-node work.
     """
-    decided, *runs = oracle_groups(p, [ReducedState(*node) for node in nodes],
-                                   survival_witness=True)
+    decided, *runs = oracle_groups(p, [ReducedState(*node) for node in nodes])
     load, owned = [0] * n, [[] for _ in range(n)]
 
     def least_loaded() -> int:
@@ -319,8 +329,8 @@ def classifier_oracle_grid(
     one (``_share``), so its rows are the serial ones.  Pooled grids share
     one worker set per process (see ``_shared_pool``), and if a worker dies
     the grid runs once more on a fresh set.  A grid with a failing node
-    raises what a serial run raises: the first node, in row-major order,
-    that classify rejects, else the failure of an oracle run.
+    raises what a serial run raises: the failure of the first failing node
+    in row-major order, classify's before the oracle's at one node.
     """
     nodes = [(th0, w0) for th0 in theta_vals for w0 in w_vals]
     if workers is None:

@@ -33,6 +33,18 @@ def level_w(theta: float, p, h0: float) -> float:
     return math.sqrt(max(bracket, 0.0)) / a
 
 
+def w_falls_all_the_way(p, theta: float, w: float) -> bool:
+    """Whether W falls all the way to the axis from the d = 0 state (theta, w):
+    W > 0 and v = w*exp(-theta) >= v_star, outside the band where W rises first
+    (the fact the collision oracle reads).  Compared in logs, so that v may
+    overflow; a NaN state gives False."""
+    if not w > 0.0:
+        return False
+    if p.v_star == 0.0:
+        return not math.isnan(theta)
+    return math.log(w) - theta >= math.log(p.v_star)
+
+
 def quadrature_time(p, theta, w, critical=False):
     """int_0^u a2g*s ds/(m**2*sqrt(K - offset2*h*s*(2*mu + h*s))), m = mu + h*s,
     to 40 digits on the own level of the float state (theta, w), u =

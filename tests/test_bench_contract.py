@@ -115,9 +115,11 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
     # perfbench/tracing.py counts attempts as (field calls - 1)/6 per
     # integrate call, through the dynamics field factories.  So every call of
     # the field made during an oracle run must be one of integrate's own: one
-    # at the start and six per attempt, none from a stop rule.
+    # at the start and six per attempt in each call, none from a stop rule.
+    # A run to the horizon makes two calls: the flow's, and the chart's to t_end.
     calls = []
     in_stop = [False]
+    runs = []
     real_field, real_integrate = fc.dynamics.reduced_field, fc.integrate.integrate
 
     def counting_field(p):
@@ -137,12 +139,17 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
             finally:
                 in_stop[0] = False
 
-        return real_integrate(y0, p, t_end, cfg, None if stop is None else stop_spy)
+        before = len(calls)
+        traj = real_integrate(y0, p, t_end, cfg, None if stop is None else stop_spy)
+        runs.append((len(calls) - before, traj.stats))
+        return traj
 
     monkeypatch.setattr(fc.dynamics, "reduced_field", counting_field)
     monkeypatch.setattr(fc.integrate, "integrate", watched)
     p = fc.dynamics.Params(alpha, gamma)
     result, traj = fc.integrate.simulate_until_collision(
         fc.dynamics.ReducedState(theta0, w0), p, survival_witness=witness)
-    assert len(calls) == 1 + 6 * traj.stats.attempts == traj.stats.f_evals
+    assert all(made == 1 + 6 * stats.attempts == stats.f_evals for made, stats in runs)
+    assert 1 <= len(runs) <= 2
+    assert len(calls) == traj.stats.f_evals == sum(stats.f_evals for _, stats in runs)
     assert not any(calls)

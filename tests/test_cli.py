@@ -365,11 +365,7 @@ class TestSimulateCommand:
         assert payload["gamma_normalized"] is True
         assert payload["outcome"]["status"] in ("reached-t-end", "survived")
         assert payload["outcome"]["time"] == pytest.approx(20.0, rel=1e-12)
-        if system == "auto":  # the flow's run ends at its first point past the horizon
-            assert payload["times"][-2] < 20.0 <= payload["times"][-1]
-            assert payload["integration"]["outcome"] == "reached-t-end"
-        else:
-            assert payload["times"][-1] == pytest.approx(20.0, rel=1e-12)
+        assert payload["times"][-1] == pytest.approx(20.0, rel=1e-12)
 
     def test_t_end_is_reported_exactly_when_gamma_below_one(self, capsys, tmp_path):
         # (7 / scale) * scale is one ulp below 7 at gamma 0.7; a run that
@@ -379,13 +375,13 @@ class TestSimulateCommand:
         payload = run_json(capsys, tmp_path, *argv)
         assert payload["gamma_normalized"] is True
         assert payload["outcome"] == {"status": "survived", "time": 7.0}
-        assert payload["times"][-2] < 7.0 <= payload["times"][-1]  # the flow's first point past it
+        assert payload["times"][-1] == 7.0
         code, _, err = run_cli(capsys, *argv, "--format", "csv",
                                "--output", str(tmp_path / "run.csv"))
         assert code == 0
         assert "survived at t = 7.0\n" in err
         last = (tmp_path / "run.csv").read_text().splitlines()[-1]
-        assert float(last.split(",")[0]) == payload["times"][-1]
+        assert last.split(",")[0] == "7.0"
 
     @pytest.mark.parametrize("system", ["full", "hyperbolic"])
     def test_full_or_hyperbolic_system_without_a_full_state_exits_2(self, capsys, system):

@@ -40,11 +40,11 @@ from filcol import (
     reduced_field,
     theta_star,
 )
-from filcol.dynamics import (Regime, _coplanar_saddle, k_sign, log_tail, monotone_approach,
-                             time_to_axis)
+from filcol.dynamics import Regime, _coplanar_saddle, k_sign, log_tail, time_to_axis
 from filcol.verify import mid_subcritical_gamma
 
-from conftest import closed_form_time, level_w, nonzero_d_states, quadrature_time, rel_err
+from conftest import (closed_form_time, level_w, nonzero_d_states, quadrature_time, rel_err,
+                      w_falls_all_the_way)
 
 
 class TestParams:
@@ -468,7 +468,7 @@ class TestTimeToAxis:
     def test_matches_a_40_digit_quadrature(self):
         worst = {}
         for name, p, theta, w in self._cases():
-            assert monotone_approach(p, theta, w), (name, p, theta, w)
+            assert w_falls_all_the_way(p, theta, w), (name, p, theta, w)
             want = quadrature_time(p, theta, w, critical=name == "critical")
             got = time_to_axis(p, theta, w)
             assert math.isfinite(got)
@@ -517,14 +517,14 @@ class TestTimeToAxis:
     @pytest.mark.parametrize("frac", [0.3, 0.7])
     def test_where_w_rises_first(self, alpha, frac):
         # A W0 > 0 state with 0 < v < v* (v = W0*exp(-theta0)) fails
-        # monotone_approach: W rises on the way, yet its branch reaches the
+        # w_falls_all_the_way: W rises on the way, yet its branch reaches the
         # axis (K > 0) and the closed form gives the time: the band's axis
         # blow-up times rest on this.  The plain run ends by step collapse
         # at the blow-up.
         p = Params(alpha, mid_subcritical_gamma(alpha))
         theta = 0.5
         w = frac * p.v_star * math.exp(theta)
-        assert not monotone_approach(p, theta, w)
+        assert not w_falls_all_the_way(p, theta, w)
         got = time_to_axis(p, theta, w)
         assert rel_err(got, quadrature_time(p, theta, w)) < 1e-14
         traj = integrate(ReducedState(theta, w), p, 2.0 * got + 10.0,
@@ -547,7 +547,7 @@ class TestTimeToAxis:
         # its O(z) terms by hand missed by 3.4e-14, 7.2e-13 and 2.1e-12.
         branch, p, theta, w = case
         if branch in ("subcritical-h-pos", "w-rises-first"):
-            assert monotone_approach(p, theta, w) is (branch == "subcritical-h-pos")
+            assert w_falls_all_the_way(p, theta, w) is (branch == "subcritical-h-pos")
         want = closed_form_time(p, theta, w)
         got = time_to_axis(p, theta, w)
         assert float(abs(got - want) / want) < 1e-14, (p, theta, w, got)
@@ -601,7 +601,7 @@ class TestTimeToAxisAtTheExtremes:
         outcomes = set()
         for p, theta, w in self._states():
             try:
-                monotone = monotone_approach(p, theta, w)
+                monotone = w_falls_all_the_way(p, theta, w)
                 assert monotone in (True, False)
             except NumericalFailure:
                 monotone = False
@@ -699,8 +699,8 @@ class TestTimeToAxisAtTheExtremes:
 
     def test_a_nan_state_decides_nothing(self):
         for p in (Params(0.2, 1.0), Params(0.2, 1.1), Params(0.2, gamma_star(0.2))):
-            assert monotone_approach(p, math.nan, 1.0) is False
-            assert monotone_approach(p, 0.0, math.nan) is False
+            assert w_falls_all_the_way(p, math.nan, 1.0) is False
+            assert w_falls_all_the_way(p, 0.0, math.nan) is False
             with pytest.raises(NumericalFailure):
                 time_to_axis(p, 0.0, math.nan)
 

@@ -42,7 +42,6 @@ from filcol.dynamics import (
     full_field,
     hyperbolic_field,
     k_sign,
-    monotone_approach,
     reduced_field,
     time_to_axis,
 )
@@ -51,7 +50,7 @@ from filcol.integrate import _step_2d, _step_4d
 integrate_module = sys.modules["filcol.integrate"]
 from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
 
-from conftest import log_slope, rel_err
+from conftest import log_slope, rel_err, w_falls_all_the_way
 
 CFG = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -457,7 +456,7 @@ def approach_point(p: Params, theta: float, w: float):
     return p, theta, w, dynamics.reduced_energy(p)(theta, w)
 
 
-class TestMonotoneApproach:
+class TestTheBandWhereWRises:
     @given(case=armed_approach_points())
     @example(case=approach_point(Params(0.2, 1.1), 3.5, 0.05))  # right of theta_star
     @settings(max_examples=150)
@@ -485,7 +484,7 @@ class TestMonotoneApproach:
             m = mu + hq * s
             return s * s * (a2g / (m * m) - c2)
 
-        if monotone_approach(p, theta, w):
+        if w_falls_all_the_way(p, theta, w):
             values = [w2(uq * Fraction(i, 64)) for i in range(1, 65)]
             assert all(b > a for a, b in zip(values, values[1:]))
         else:
@@ -499,15 +498,15 @@ class TestMonotoneApproach:
         for theta, w, want in ((0.0, 0.05, True), (3.5, 0.05, False), (0.0, 1.0, True)):
             mc = classify(ReducedState(theta, w), p)
             assert (mc.theta_star is None or theta <= mc.theta_star) is want
-            assert monotone_approach(p, theta, w) is want
+            assert w_falls_all_the_way(p, theta, w) is want
         # gamma = 1, the level h = 1e6 at s = 10: W = alpha/(h + mu/s).
-        assert monotone_approach(Params(0.2, 1.0), math.log(10.0), 0.2 / (1e6 + 0.2))
+        assert w_falls_all_the_way(Params(0.2, 1.0), math.log(10.0), 0.2 / (1e6 + 0.2))
         # The critical level's rest line, W = 0 throughout, is no approach;
         # W = 1e-150 at s = 1 puts the state on the level h = -9.8e-299, just below.
         critical = Params(0.2, gamma_star(0.2))
         assert k_sign(critical) == 0
-        assert not monotone_approach(critical, 0.0, 0.0)
-        assert monotone_approach(critical, 0.0, 1e-150)
+        assert not w_falls_all_the_way(critical, 0.0, 0.0)
+        assert w_falls_all_the_way(critical, 0.0, 1e-150)
 
 
 REGIMES = ("gamma1", "subcritical", "critical", "supercritical")
@@ -761,17 +760,35 @@ class TestSharedOrbit:
         assert traj.stats.attempts <= 600
         assert traj.state_final[1] < 0.0
 
-    @pytest.mark.parametrize("regime", REGIMES)
-    def test_unwatched_verdicts_are_the_one_node_runs(self, regime):
-        # Without the witness receding nodes run to their horizon, and at
-        # equal circulation, where the flow cannot reach it, are decided there
-        # at their start; simulate_until_collision runs them in the chart.
-        p = regime_params(0.3, regime, 0.5)
-        states = [ReducedState(th, w) for th in (-1.0, 0.5) for w in (-1.5, -0.1, 0.05, 1.2)]
-        verdicts = integrate_module.oracle_verdicts(p, states, CFG, 30.0)
-        for rs, (status, reason) in zip(states, verdicts):
-            result, traj = simulate_until_collision(rs, p, CFG, t_end=30.0)
-            assert (status, reason) == (result.status, traj.stop or traj.outcome.value), rs
+    @pytest.mark.parametrize("p, rs, witness", [
+        (Params(0.2, 2.0), ReducedState(0.0, -1.0), False),
+        (Params(0.2, 1.1), ReducedState(3.0, 3.0), True),
+        (Params(0.2, 1.1), ReducedState(3.0, 1.5), False),
+    ], ids=["supercritical-receding", "subcritical-falling", "subcritical-rising"])
+    def test_a_run_to_the_horizon_ends_at_t_end(self, p, rs, witness):
+        # The flow's points past t_end are dropped, and the (theta, W) chart
+        # carries the run from the last point before it to t_end itself.
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=7.0, survival_witness=witness)
+        assert result == CollisionResult(SimStatus.SURVIVED, 7.0)
+        assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
+        assert traj.times[-1] == 7.0
+        assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
+        chart = integrate(rs, p, 7.0, CFG)
+        assert traj.state_final == pytest.approx(chart.state_final, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("ws, first", [([1e-120, 0.0, 0.5], 0), ([0.5, 0.0, 1e-120], 1)])
+    def test_the_first_failing_state_in_order_raises(self, ws, first):
+        # W0 = 1e-120 and W0 = 0 at gamma = 1 are rejected by the flow's field
+        # and by the chart, whose error names W.  The shared rising run starts
+        # at W0 = 0 and fails; its states then run alone, and the first in the
+        # order given that fails decides the error.
+        p = Params(0.2, 1.0)
+        states = [ReducedState(0.0, w) for w in ws]
+        with pytest.raises(InvalidInitialState) as info:
+            integrate_module.oracle_verdicts(p, states, CFG)
+        with pytest.raises(InvalidInitialState) as own:
+            simulate_until_collision(states[first], p, CFG, survival_witness=True)
+        assert str(info.value) == str(own.value)
 
     @given(alpha=st.floats(0.01, 0.99), regime=st.sampled_from(REGIMES), u=st.floats(0.0, 1.0),
            thetas=st.lists(st.floats(-2.5, 2.5), min_size=2, max_size=3),

@@ -6,6 +6,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 
 import pytest
 
@@ -109,7 +110,7 @@ def test_the_three_group_grid_has_every_group():
     p = Params(0.2, verify.mid_subcritical_gamma(0.2))
     thetas, ws = THREE_GROUPS
     states = [verify.ReducedState(th, w) for th in thetas for w in ws]
-    decided, *runs = verify.oracle_groups(p, states, survival_witness=True)
+    decided, *runs = verify.oracle_groups(p, states)
     assert decided == [0, 2, 5, 7]
     assert runs == [[1, 6, 8, 3], [4, 9]]  # rising from the lowest v, falling from the highest
     # Two workers: the longer, rising run to the last; the falling run, the
@@ -228,22 +229,22 @@ def test_pooled_node_error_is_the_serial_one():
     assert grid(2) == grid(1)  # every reply was read: the set is still in step
 
 
-@pytest.mark.parametrize("ws, error", [([1e-120, 0.0, 0.5], OnSingularLine),
-                                       ([0.5, 1e-120], InvalidInitialState)],
-                         ids=["classify-first", "oracle-run"])
-def test_first_failure_in_row_major_order_wins_from_either_worker(ws, error):
-    # At gamma = 1, W0 = 1e-120 is rejected by the flow's field (its cube
-    # underflows) and W0 = 0 by classify.  Every node is classified, in
-    # row-major order, before the oracle runs, so a W0 = 0 node fails first
-    # wherever it stands; without one the run from W0 = 1e-120 fails.  A
-    # pooled grid raises what the serial one raises.
+@pytest.mark.parametrize("ws, first", [([1e-120, 0.0, 0.5], 0), ([0.5, 1e-120, 0.0], 1)])
+def test_first_failure_in_row_major_order_wins_from_either_worker(ws, first):
+    # At gamma = 1, W0 = 1e-120 is rejected by the oracle's runs (its cube
+    # underflows) and W0 = 0 by classify, with errors that tell them apart.
+    # Node (0, first), the first failure in row-major order, is a W0 = 1e-120
+    # node, and every later row holds a W0 = 0 node that classify rejects: the
+    # grid raises the oracle's failure, serially and pooled.
     p = Params(0.2, 1.0)
+    assert ws.index(1e-120) == first
     raised = []
     for workers in (1, 2):
-        with pytest.raises(error) as info:
+        with pytest.raises((OnSingularLine, InvalidInitialState)) as info:
             verify.classifier_oracle_grid(p, NODES, ws, workers=workers)
-        raised.append(str(info.value))
+        raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
+    assert raised[0][0] is InvalidInitialState and "1e-120" in raised[0][1]
     assert grid(2) == grid(1)
 
 
@@ -255,6 +256,27 @@ def test_grid_nodes_run_with_the_whole_config():
         with pytest.raises(StepLimitExceeded):
             verify.classifier_oracle_grid(P_MID, NODES, NODES, cfg, workers=workers)
     assert grid(2) == grid(1)  # every reply was read: the set is still in step
+
+
+def test_a_step_budget_bounds_each_node_not_a_shared_run():
+    # The 4x4 grid's rising run passes eight nodes in about 150 attempts, and
+    # each node's own run takes fewer than 40.  With a budget of 60 the shared
+    # run stops short; its undecided nodes then run alone, so every row is
+    # still the one its node's own run gives.
+    states = [verify.ReducedState(th, w) for th in NODES for w in NODES]
+    oracle = sys.modules["filcol.integrate"]._Oracle(P_MID, states, IntegrationConfig(),
+                                                     200.0, True)
+    oracle.decide()
+    assert max(traj.stats.attempts for traj in oracle.trajs.values()) > 60
+    cfg = IntegrationConfig(max_steps=60)
+    own = []
+    for rs in states:
+        result, traj = verify.simulate_until_collision(rs, P_MID, cfg, survival_witness=True)
+        own.append((result.status.value, traj.stop or traj.outcome.value))
+    for workers in (1, 2):
+        rows = verify.classifier_oracle_grid(P_MID, NODES, NODES, cfg, workers=workers)
+        assert [(row[5], row[7]) for row in rows] == own
+        assert rows == grid(1)
 
 
 def test_interrupted_dispatch_discards_the_pool(monkeypatch):
