@@ -75,7 +75,9 @@ class _Frame:
         return FullState(r2, -z2, r1, -z1) if self.swapped else FullState(r1, z1, r2, z2)
 
     def horizon(self, t_end: float, h_min: float) -> float:
-        """--t-end in the frame's time, checked against --h-min as typed."""
+        """--t-end in the frame's time, finite and checked against --h-min as typed."""
+        if not math.isfinite(t_end):
+            raise ConfigInvalid(f"t_end must be a positive finite real, got {t_end}")
         if self.swapped and not t_end / self.scale > h_min:
             raise ConfigInvalid(
                 f"t_end must exceed h_min / gamma = {h_min} / {self.gamma_input} "

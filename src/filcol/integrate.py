@@ -23,14 +23,15 @@ The collision oracle (``simulate_until_collision`` for one d = 0 state,
 ``oracle_verdicts`` for a set sharing one Params) runs on the flow of
 v = W*exp(-theta) in Sundman time (``dynamics.flow_field``).  By the scale
 law a state's verdict depends on v alone, and v moves monotonically, so the
-rules are facts of v (``_Oracle``): W rose (``w-rose``) where the path met
-|v| < v_star, the rings separate for good (``survival-witness``) once v < 0
-where g(v) < 0, and a run collided where the separation has fallen to a
-quarter of its start with K >= 0 and v > 0 (``separation-below``), at that
-time plus the closed-form time to the axis (``dynamics.time_to_axis``) from
-there.  Every state whose v lies on one run's path is read off that run; a
-one-state run that reaches its horizon is finished in the (theta, W) chart,
-so that its trajectory ends at t_end.  The
+rules are facts of v (``_Oracle``), one set for every run: W rose (``w-rose``)
+where the path met |v| < v_star, the rings separate for good
+(``survival-witness``) once v < 0 where g(v) < 0 or at equal circulation,
+and a run collided where the separation has fallen to a quarter of its start
+with K >= 0 and v > 0 (``separation-below``), at that time plus the
+closed-form time to the axis (``dynamics.time_to_axis``) from there.  Every
+state whose v lies on one run's path is read off that run; a one-state run
+that reaches its horizon is finished in the (theta, W) chart, so that its
+trajectory ends at t_end.  The
 collision singularity itself is never integrated into: a run that the
 controller cannot continue ends by step collapse, undecided, never with a
 NaN state.
@@ -429,7 +430,7 @@ class _Oracle:
     Node i is the state (th0[i], W0[i]), with v[i] = W0*exp(-theta0).  Every
     rule reads v alone, with g(v) = sa/r(v) - mu, r(v) = hypot(offset, v) and
     sa = alpha*sqrt(gamma):
-    - "survival-witness" (when watched): v < 0 where g(v) < 0, or v < 0 at equal
+    - "survival-witness": v < 0 where g(v) < 0, or v < 0 at equal
       circulation.  v then only falls, exp(-theta) with it, and the rings
       separate for good.
     - "w-rose" (below gamma_star): dW/dt has the sign of g(v) - sa*v**2/r**3 =
@@ -442,8 +443,8 @@ class _Oracle:
     - "reached-t-end": the node's own time has reached t_end, undecided; it
       survived at t_end.
     Those that hold at a node's start decide it with no step.  The others move
-    with v: where g(v) > 0 up toward v0, else down (toward v0, or to -inf
-    where v < 0 or the ratio is supercritical).  One run per moving group
+    with v: where g(v) > 0 up, else down from v >= 0 (toward v0, or to -inf
+    where the ratio is supercritical).  One run per moving group
     starts at its first node's (v, theta0, 0).  Every other node starts where
     the run passes its v, at (theta_n, t_n) interpolated linearly between the
     accepted points around it, which only its separation level, its horizon
@@ -456,14 +457,13 @@ class _Oracle:
     its own, with the whole config (``solo``).
     """
 
-    def __init__(self, p: Params, states, cfg: IntegrationConfig, t_end: float,
-                 survival_witness: bool) -> None:
+    def __init__(self, p: Params, states, cfg: IntegrationConfig, t_end: float) -> None:
         _check_horizon(t_end, cfg, sys.float_info.max)
         for rs in states:
             if not isinstance(rs, ReducedState):
                 raise ConfigInvalid(
                     f"the collision driver needs a ReducedState (d = 0), got {rs!r}")
-        self.p, self.cfg, self.t_end, self.witness = p, cfg, t_end, survival_witness
+        self.p, self.cfg, self.t_end = p, cfg, t_end
         self.states = states
         self.equal = p.regime is Regime.EQUAL_CIRCULATION
         self.rise_armed = p.regime is Regime.SUBCRITICAL
@@ -475,7 +475,6 @@ class _Oracle:
         except OverflowError as exc:
             raise InvalidInitialState(f"initial state rejected: {exc}") from exc
         self.result: list = [None] * len(states)  # (CollisionResult, reason) per node
-        self.trajs: dict[int, Trajectory] = {}  # each run, by its first node
 
     def g(self, v: float) -> float:
         r = math.hypot(self.offset, v)
@@ -487,7 +486,7 @@ class _Oracle:
 
     def start_rule(self, v: float) -> str | None:
         """The rule that decides a node at its start, or None."""
-        if self.witness and v < 0.0 and (self.equal or self.g(v) < 0.0):
+        if v < 0.0 and (self.equal or self.g(v) < 0.0):
             return "survival-witness"
         if self.rise_armed and self.rises(v):
             return "w-rose"
@@ -495,9 +494,10 @@ class _Oracle:
 
     def groups(self) -> list[list[int]]:
         """The nodes decided at their start, then each moving group in run order:
-        g > 0 from the lowest v up, then g < 0 with v >= 0 and with v < 0 from the
-        highest down; a node at a rest point of g runs alone."""
-        decided, up, down, below, alone = [], [], [], [], []
+        g > 0 from the lowest v up, then g < 0 (where v >= 0, as the witness
+        decides the rest) from the highest down; a node at a rest point of g
+        runs alone."""
+        decided, up, down, alone = [], [], [], []
         for i, v in enumerate(self.v):
             g = self.g(v)
             if self.start_rule(v) is not None:
@@ -505,64 +505,57 @@ class _Oracle:
             elif g > 0.0:
                 up.append(i)
             elif g < 0.0:
-                (down if v >= 0.0 else below).append(i)
+                down.append(i)
             else:
                 alone.append([i])
         up.sort(key=self.v.__getitem__)
         down.sort(key=self.v.__getitem__, reverse=True)
-        below.sort(key=self.v.__getitem__, reverse=True)
-        return [decided] + [grp for grp in (up, down, below) if grp] + alone
+        return [decided] + [grp for grp in (up, down) if grp] + alone
 
     def decide(self) -> list:
         """Every node's (CollisionResult, reason); raises the failure of the first
         node, in the order given, whose own run fails."""
-        decided, *pending = self.groups()
+        decided, *runs = self.groups()
         for i in decided:
             rule = self.start_rule(self.v[i])
             self.result[i] = (CollisionResult(_RULE_STATUS[rule], 0.0), rule)
         failed: dict[int, FilcolError] = {}
-        while pending:
-            order = pending.pop()
-            try:
-                if len(order) == 1:
-                    self.solo(order[0])
-                else:
-                    pending += [[i] for i in self.run(order)]
-            except FilcolError as exc:
-                if len(order) == 1:
-                    failed[order[0]] = exc
-                else:
-                    pending += [[i] for i in order if self.result[i] is None]
+        for order in runs:
+            if len(order) > 1:
+                try:
+                    self.run(order)
+                except FilcolError:  # its undecided nodes run alone, below
+                    pass
+            for i in order:  # a lone node, or one the shared run did not decide
+                if self.result[i] is None:
+                    try:
+                        self.solo(i)
+                    except FilcolError as exc:
+                        failed[i] = exc
         if failed:
             raise failed[min(failed)]
         return self.result
 
-    def solo(self, i: int) -> None:
-        """Decide node i by a run of its own: on the flow, or, for a state the flow
-        cannot carry, in the (theta, W) chart with no rule, to t_end (SURVIVED there,
-        else INCONCLUSIVE).  Those are a receding state at equal circulation with
-        the witness unwatched, whose v reaches 0, where t = inf, in finite Sundman
-        time, and one where the flow's field is not finite at v0 (at equal
-        circulation, |v0| below about 1.4e-108)."""
-        if not (self.v[i] < 0.0 and self.equal and not self.witness):
-            try:
-                self.run([i])
-                return
-            except InvalidInitialState:  # the flow's field at v0
-                pass
-        traj = integrate(self.states[i], self.p, self.t_end, self.cfg)
-        self.trajs[i] = traj
+    def solo(self, i: int) -> Trajectory:
+        """Decide node i by a run of its own, and return the run: on the flow, or,
+        where the flow's field is not finite at v0 (at equal circulation, |v0|
+        below about 1.4e-108), in the (theta, W) chart with no rule, to t_end
+        (SURVIVED there, else INCONCLUSIVE)."""
+        try:
+            return self.run([i])
+        except InvalidInitialState:  # the flow's field at v0
+            traj = integrate(self.states[i], self.p, self.t_end, self.cfg)
         status = SimStatus.SURVIVED if traj.outcome is Outcome.REACHED_T_END else (
             SimStatus.INCONCLUSIVE)
         self.result[i] = (CollisionResult(status, traj.t_final), traj.outcome.value)
+        return traj
 
-    def run(self, order: list[int]) -> list[int]:
-        """One flow run from order[0], deciding every node of order it passes;
-        returns the nodes it never reached."""
+    def run(self, order: list[int]) -> Trajectory:
+        """One flow run from order[0], deciding every node of order it passes (the
+        rest stay undecided); returns the run."""
         p, th0, vs, result, t_end = self.p, self.th0, self.v, self.result, self.t_end
         up = self.g(vs[order[0]]) > 0.0
-        witness, equal, rise_armed, sep_armed = (self.witness, self.equal, self.rise_armed,
-                                                 self.sep_armed)
+        equal, rise_armed, sep_armed = self.equal, self.rise_armed, self.sep_armed
         offset, log, hypot, inf = self.offset, math.log, math.hypot, math.inf
         starts: dict[int, tuple[float, float]] = {}
         live: dict[int, None] = {}  # started and undecided, in start order
@@ -627,7 +620,7 @@ class _Oracle:
                     if i in live:
                         finish(i, SimStatus.INCONCLUSIVE, "w-rose", y)
                 climbing.clear()
-            if witness and v < 0.0 and live and (equal or self.g(v) < 0.0):
+            if v < 0.0 and live and (equal or self.g(v) < 0.0):
                 for i in list(live):
                     finish(i, SimStatus.SURVIVED, "survival-witness", y)
             if v > 0.0 and sep[-1][0] > -inf:
@@ -639,17 +632,16 @@ class _Oracle:
             return last if k == n and not live else None
 
         traj = integrate(FlowState(vs[order[0]], th0[order[0]]), p, math.inf, self.cfg, stop)
-        self.trajs[order[0]] = traj
         for i in list(live):  # the run ended by step collapse
             finish(i, SimStatus.INCONCLUSIVE, traj.outcome.value, traj.state_final)
-        return order[k:]  # past the point the run settled on
+        return traj
 
 
 def oracle_groups(p: Params, states) -> list[list[int]]:
     """The indices of the states ``oracle_verdicts`` decides at their start, then
     one list per shared run, each in the order its run passes them.  Verdicts of a
     subset made of whole lists are those of the full set."""
-    return _Oracle(p, states, DEFAULT_CONFIG, DEFAULT_T_END, True).groups()
+    return _Oracle(p, states, DEFAULT_CONFIG, DEFAULT_T_END).groups()
 
 
 def oracle_verdicts(
@@ -659,19 +651,18 @@ def oracle_verdicts(
     t_end: float = DEFAULT_T_END,
 ) -> list[tuple[SimStatus, str]]:
     """The collision oracle's status, and the rule or outcome that decided it,
-    for every d = 0 state of a set that shares p (see ``_Oracle`` for the rules),
-    with the survival witness watched.
+    for every d = 0 state of a set that shares p (see ``_Oracle`` for the rules).
 
-    Each state's verdict is that of ``simulate_until_collision`` on it alone, with
-    ``survival_witness=True``: one flow run passes every state of its group, and
-    decides each as the state's own run would.  t_end is each state's own
+    Each state's verdict is that of ``simulate_until_collision`` on it alone: one
+    flow run passes every state of its group, and decides each as the state's
+    own run would.  t_end is each state's own
     physical horizon, and cfg.max_steps bounds each state's own run: a shared
     run that spends it leaves its undecided states to runs of their own.
     Raises ConfigInvalid for a state that is not a ReducedState,
     InvalidInitialState for one whose v overflows, and otherwise what the
     first state, in the order given, whose own run fails raises.
     """
-    results = _Oracle(p, states, cfg, t_end, True).decide()
+    results = _Oracle(p, states, cfg, t_end).decide()
     return [(result.status, reason) for result, reason in results]
 
 
@@ -680,18 +671,15 @@ def simulate_until_collision(
     p: Params,
     cfg: IntegrationConfig = DEFAULT_CONFIG,
     t_end: float = DEFAULT_T_END,
-    *,
-    survival_witness: bool = False,
 ) -> tuple[CollisionResult, Trajectory]:
     """Integrate the d = 0 state rs0 on the flow of v and decide collided/survived.
 
     The oracle's one-state case (``oracle_verdicts``; rules in ``_Oracle``).
-    The run starts at (v0, theta0, 0) and stops at the first accepted point
-    where a rule holds: at the separation stop it collided, at the time of that point
-    plus the closed-form time to the axis from it, reported as
-    ``remaining_time`` (inconclusive where that time is not a float); with
-    ``survival_witness`` it survived at the witness; where W rose it is
-    inconclusive.  A run still undecided at t_end survived there; one that
+    The run starts at (v0, theta0, 0) and stops at the first point, the start
+    included, where a rule holds: at the separation stop it collided, at the
+    time of that point plus the closed-form time to the axis from it, reported
+    as ``remaining_time`` (inconclusive where that time is not a float); at the
+    survival witness it survived; where W rose it is inconclusive.  A run still undecided at t_end survived there; one that
     ends by step collapse is inconclusive.  The Trajectory is the run with
     W = v*exp(theta) in place of v, its stop the rule that ended it.  At the
     horizon the flow's points past t_end are dropped and the (theta, W)
@@ -701,9 +689,9 @@ def simulate_until_collision(
     (``_Oracle.solo``).  Raises ConfigInvalid for a state that is not a
     ReducedState, and InvalidInitialState for one the chart rejects too.
     """
-    oracle = _Oracle(p, [rs0], cfg, t_end, survival_witness)
-    oracle.solo(0)
-    (result, reason), flow = oracle.result[0], oracle.trajs[0]
+    oracle = _Oracle(p, [rs0], cfg, t_end)
+    flow = oracle.solo(0)
+    result, reason = oracle.result[0]
     if flow.system is SystemKind.REDUCED:  # the chart's own run
         return result, flow
     times = [t for _, _, t in flow.states]

@@ -246,7 +246,7 @@ class TestRegimeBoundaries:
                 p = Params(alpha, gamma)
                 assert (k_sign(p) == 0) == side.startswith("in"), (side, n)
                 mc = classify(rs, p)
-                result, _ = simulate_until_collision(rs, p, CFG, t_end=5.0, survival_witness=True)
+                result, _ = simulate_until_collision(rs, p, CFG, t_end=5.0)
                 if side == "above":
                     assert mc.verdict is Verdict.GLOBAL_PASS_THROUGH and mc.formula_tag is None
                     assert result.status is not SimStatus.COLLIDED
@@ -325,7 +325,7 @@ class TestRegimeBoundaries:
         # gamma == 1 exactly; like every node of criterion 04's grid it now
         # ends as at gamma = 1, with the same time.
         rs = ReducedState(0.3157894736842106, -0.10526315789473695)
-        result, _ = simulate_until_collision(rs, p, CFG, survival_witness=True)
+        result, _ = simulate_until_collision(rs, p, CFG)
         assert result.status is SimStatus.SURVIVED
         nodes = linspace(-2.0, 2.0, 20)
         rows = classifier_oracle_grid(p, nodes, nodes, CFG, workers=1)

@@ -94,29 +94,32 @@ def test_trajectory(fc, tmp_path):
     assert tracer.calls(tracing.FIELD) > 0 and tracer.calls(tracing.ENERGY) > 0
 
 
-# States of every oracle ending: a collision, a witness, a rise at the start
-# and after steps, a pass-through above gamma_star, a horizon, and a start
-# the flow cannot carry (the (theta, W) chart's run).
+# States of every oracle ending: a collision, a witness at the start, a rise
+# at the start and after steps, a pass-through above gamma_star to the
+# witness, a horizon, and a start the flow cannot carry (the (theta, W)
+# chart's run).
 ORACLE_CASES = [
-    (0.5, 1.0, 0.0, 1.0, False),
-    (0.2, 1.1, 0.3, 0.8, True),
-    (0.2, 2.0, 0.0, -1.0, True),
-    (0.2, 1.1, 3.5, 0.01, True),
-    (0.2, 1.1, 0.5, -0.13, True),
-    (0.2, 1.2199, -2.0, 2.0, True),
-    (0.2, 2.0, 0.0, 1.0, False),
-    (0.5, 1.0, 0.0, -1.0, False),
+    (0.5, 1.0, 0.0, 1.0),
+    (0.2, 1.1, 0.3, 0.8),
+    (0.2, 2.0, 0.0, -1.0),
+    (0.2, 1.1, 3.5, 0.01),
+    (0.2, 1.1, 0.5, -0.13),
+    (0.2, 1.2199, -2.0, 2.0),
+    (0.2, 2.0, 6.0, 1.0),
+    (0.5, 1.0, 400.0, 1.0),
 ]
 
 
-@pytest.mark.parametrize("alpha, gamma, theta0, w0, witness", ORACLE_CASES)
+@pytest.mark.parametrize("alpha, gamma, theta0, w0", ORACLE_CASES)
 def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
-        fc, monkeypatch, alpha, gamma, theta0, w0, witness):
+        fc, monkeypatch, alpha, gamma, theta0, w0):
     # perfbench/tracing.py counts attempts as (field calls - 1)/6 per
     # integrate call, through the dynamics field factories.  So every call of
     # the field made during an oracle run must be one of integrate's own: one
     # at the start and six per attempt in each call, none from a stop rule.
     # A run to the horizon makes two calls: the flow's, and the chart's to t_end.
+    # A start the flow's field rejects costs that one call, and no attempt,
+    # before the chart's run.
     calls = []
     in_stop = [False]
     runs = []
@@ -140,16 +143,21 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
                 in_stop[0] = False
 
         before = len(calls)
-        traj = real_integrate(y0, p, t_end, cfg, None if stop is None else stop_spy)
+        try:
+            traj = real_integrate(y0, p, t_end, cfg, None if stop is None else stop_spy)
+        except fc.integrate.InvalidInitialState:
+            assert len(calls) - before == 1
+            raise
         runs.append((len(calls) - before, traj.stats))
         return traj
 
     monkeypatch.setattr(fc.dynamics, "reduced_field", counting_field)
     monkeypatch.setattr(fc.integrate, "integrate", watched)
     p = fc.dynamics.Params(alpha, gamma)
-    result, traj = fc.integrate.simulate_until_collision(
-        fc.dynamics.ReducedState(theta0, w0), p, survival_witness=witness)
+    result, traj = fc.integrate.simulate_until_collision(fc.dynamics.ReducedState(theta0, w0), p)
     assert all(made == 1 + 6 * stats.attempts == stats.f_evals for made, stats in runs)
     assert 1 <= len(runs) <= 2
-    assert len(calls) == traj.stats.f_evals == sum(stats.f_evals for _, stats in runs)
+    rejected = len(calls) - sum(made for made, _ in runs)
+    assert rejected == (theta0 == 400.0)
+    assert len(calls) - rejected == traj.stats.f_evals == sum(stats.f_evals for _, stats in runs)
     assert not any(calls)

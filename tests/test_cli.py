@@ -352,11 +352,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("system,state", [
         ("full", ("--r1", "1", "--z1", "0.6", "--r2", "1.1", "--z2", "0")),
         ("hyperbolic", ("--r1", "1", "--z1", "0.6", "--r2", "1.1", "--z2", "0")),
-        ("auto", ("--theta0", "0", "--w0", "0.5")),
+        ("auto", ("--theta0", "5", "--w0", "0.5")),
     ])
     def test_t_end_is_in_the_input_frame(self, capsys, tmp_path, system, state):
         # gamma < 1 runs in the renamed frame, whose time is the input
         # time divided by the 1/gamma scale; the horizon is an input time.
+        # The auto state is far out, so no oracle rule decides it by then.
         gamma = "0.4" if system == "auto" else "0.8"
         payload = run_json(
             capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", gamma,
@@ -369,9 +370,10 @@ class TestSimulateCommand:
 
     def test_t_end_is_reported_exactly_when_gamma_below_one(self, capsys, tmp_path):
         # (7 / scale) * scale is one ulp below 7 at gamma 0.7; a run that
-        # ends at its horizon reports --t-end itself.
-        argv = ("simulate", "--alpha", "0.2", "--gamma", "0.7", "--theta0", "0",
-                "--w0", "-0.5", "--t-end", "7")
+        # ends at its horizon reports --t-end itself.  The state approaches
+        # from far out, so no oracle rule decides it before t = 7.
+        argv = ("simulate", "--alpha", "0.2", "--gamma", "0.7", "--theta0", "5",
+                "--w0", "1", "--t-end", "7")
         payload = run_json(capsys, tmp_path, *argv)
         assert payload["gamma_normalized"] is True
         assert payload["outcome"] == {"status": "survived", "time": 7.0}
@@ -420,6 +422,23 @@ class TestSimulateCommand:
                                  "--theta0", "0", "--w0", "0.5", "--t-end", "1.5e-14")
         assert code == 2
         assert out == "" and "1.5e-14" in err and "7.5e-15" not in err
+
+    @pytest.mark.parametrize("system, state", [
+        ("auto", ("--theta0", "0", "--w0", "1")),
+        ("full", HYPERBOLIC_PAIR),
+        ("hyperbolic", HYPERBOLIC_PAIR),
+    ], ids=["auto", "full", "hyperbolic"])
+    @pytest.mark.parametrize("gamma", ["2", "0.5"])
+    @pytest.mark.parametrize("t_end", ["inf", "nan"])
+    def test_t_end_must_be_finite(self, capsys, system, state, gamma, t_end):
+        # A full or hyperbolic run to t_end = inf would go on for up to
+        # --max-steps attempts and record every state.  Every system refuses
+        # a horizon that is not finite before the run, with one message.
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", gamma,
+                                 *state, "--system", system, "--t-end", t_end,
+                                 "--max-steps", "100")
+        assert code == 2 and out == ""
+        assert err == f"error: t_end must be a positive finite real, got {t_end}\n"
 
     @pytest.mark.parametrize("system", ["full", "hyperbolic"])
     def test_reached_run_ends_exactly_at_t_end(self, capsys, tmp_path, system):
@@ -586,6 +605,34 @@ class TestSweepCommand:
         lines = path.read_text().splitlines()
         assert lines[0] == "theta0,w0,verdict,h0,t_estimate,oracle,agrees,oracle_reason"
         assert all(line.split(",")[6:] == ["true", "survival-witness"] for line in lines[1:])
+
+    @pytest.mark.parametrize("t_end", ["inf", "nan"])
+    def test_oracle_horizon_must_be_finite(self, capsys, t_end):
+        # The message simulate gives, in the renamed frame too.
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha", "0.2", "--gamma", "0.8", "--theta-min", "-0.5",
+            "--theta-max", "0.5", "--w-min", "-1", "--w-max", "1", "--with-oracle",
+            "--t-end", t_end,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: t_end must be a positive finite real, got {t_end}\n"
+
+    @pytest.mark.parametrize("gamma", [1.0, verify.mid_subcritical_gamma(0.2), gamma_star(0.2),
+                                       2.0], ids=["equal", "mid", "critical", "super"])
+    def test_simulate_gives_each_node_its_oracle_row(self, capsys, tmp_path, gamma):
+        # The oracle has one rule set: a node's own simulate run ends as its
+        # sweep row says, in status and in the rule or outcome that ended it.
+        sweep = run_json(
+            capsys, tmp_path, "sweep", "--alpha", "0.2", "--gamma", repr(gamma),
+            "--theta-min", "-2", "--theta-max", "2", "--w-min", "-2", "--w-max", "2",
+            "--n-theta", "4", "--n-w", "4", "--with-oracle", "--format", "json",
+        )
+        for row in sweep["rows"]:
+            run = run_json(capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma",
+                           repr(gamma), "--theta0", repr(row["theta0"]), "--w0", repr(row["w0"]),
+                           name="run.json")
+            ended = run["events"][0]["kind"] if run["events"] else run["integration"]["outcome"]
+            assert (run["outcome"]["status"], ended) == (row["oracle"], row["oracle_reason"]), row
 
     def test_oracle_horizon_is_in_the_input_frame(self, capsys, tmp_path, monkeypatch):
         horizons = []

@@ -102,9 +102,8 @@ class TestConfig:
         p = Params(0.2, 1.4)
         full = FullState(1.0, 0.8, 1.2, 0.0)
         for y0 in (full, reduce_state(full, p)):
-            for survival_witness in (False, True):
-                with pytest.raises(ConfigInvalid):
-                    simulate_until_collision(y0, p, CFG, survival_witness=survival_witness)
+            with pytest.raises(ConfigInvalid):
+                simulate_until_collision(y0, p, CFG)
         # Without a stop rule the full chart runs and records no stop.
         traj = integrate(full, p, 1.0, CFG)
         assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
@@ -263,9 +262,10 @@ class TestCollisionDriver:
         assert result.time <= est.value
 
     def test_receding_rings_survive(self):
-        result, _ = simulate_until_collision(ReducedState(0.0, -1.0), P_BENCH, CFG, t_end=50.0)
-        assert result.status is SimStatus.SURVIVED
-        assert result.time == 50.0
+        # W0 < 0 at equal circulation: the witness holds at the start.
+        result, traj = simulate_until_collision(ReducedState(0.0, -1.0), P_BENCH, CFG, t_end=50.0)
+        assert result == CollisionResult(SimStatus.SURVIVED, 0.0)
+        assert traj.stop == "survival-witness" and traj.times == [0.0]
 
     @pytest.mark.parametrize("theta0", [400.0, 720.0])
     def test_gamma1_runs_where_exp_theta_overflows(self, theta0):
@@ -293,11 +293,12 @@ class TestCollisionDriver:
         # Just above gamma_star the orbit passes the axis (at D/D0 = 3.0e-5
         # for excess 1e-3): D falls through 0.25*D0, and 1e-3*D0, while W
         # is still positive, but the level never reaches D = 0, so the
-        # separation rule stays unarmed and the pair threads through.
+        # separation rule stays unarmed and the pair threads through, to
+        # recede for good: the witness ends the run once W < 0.
         p = Params(0.2, gamma_star(0.2) + excess)
         result, traj = simulate_until_collision(ReducedState(-2.0, 2.0), p, CFG, t_end=400.0)
-        assert result.status is SimStatus.SURVIVED
-        assert result.time == 400.0 and traj.stop is None
+        assert result.status is SimStatus.SURVIVED and traj.stop == "survival-witness"
+        assert result.time == traj.t_final < 400.0 and traj.state_final[1] < 0.0
         c = math.sqrt(p.offset2)
         seps = [math.hypot(c * math.exp(th), w) for th, w in traj.states]
         assert any(d < 1e-3 * seps[0] and s[1] > 0.0 for d, s in zip(seps, traj.states))
@@ -357,7 +358,7 @@ class TestCollisionDriver:
         # point where it rises.
         p = Params(0.2, mid_subcritical_gamma(0.2))
         rs = ReducedState(0.5, -fraction * h0_zero_w(p, 0.5))
-        result, traj = simulate_until_collision(rs, p, CFG, survival_witness=True)
+        result, traj = simulate_until_collision(rs, p, CFG)
         assert traj.stop == "w-rose" and result.status is SimStatus.INCONCLUSIVE
         field = reduced_field(p)
         rising = [field(*y)[1] > 0.0 for y in traj.states]
@@ -397,7 +398,7 @@ class TestCollisionDriver:
                                (-1.001 * p.v_star, "w-rose", True),
                                (-1.001 * p.v0, "survival-witness", False)):
             rs = ReducedState(0.4, v * math.exp(0.4))
-            result, traj = simulate_until_collision(rs, p, CFG, survival_witness=True)
+            result, traj = simulate_until_collision(rs, p, CFG)
             assert traj.stop == want, (alpha, v)
             assert (reduced_field(p)(rs.theta, rs.w)[1] > 0.0) is (want == "w-rose" and not steps)
             assert result.collided is (want == "separation-below")
@@ -425,18 +426,14 @@ class TestCollisionDriver:
         assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
         assert result.time == 0.0 and collision_time(rs, p).value < CFG.h_min
 
-    def test_receding_state_at_equal_circulation_runs_in_the_chart(self):
-        # Without the witness, v < 0 at gamma = 1 reaches v = 0, where t = inf,
-        # in finite Sundman time: the run goes in the (theta, W) chart to its
-        # horizon, as a plain integration does.
-        p = Params(0.5, 1.0)
-        result, traj = simulate_until_collision(ReducedState(0.0, -1e-100), p, CFG, t_end=20.0)
-        assert traj.outcome is Outcome.STEP_COLLAPSED
-        assert result.status is SimStatus.INCONCLUSIVE and result.remaining_time == 0.0
-        rs = ReducedState(0.5, -0.1)
-        result, traj = simulate_until_collision(rs, p, CFG, t_end=20.0)
-        assert result == CollisionResult(SimStatus.SURVIVED, 20.0)
-        assert traj.times == integrate(rs, p, 20.0, CFG).times
+    @pytest.mark.parametrize("w0", [-1e-100, -0.1])
+    def test_receding_state_at_equal_circulation_is_witnessed_at_its_start(self, w0):
+        # v < 0 at gamma = 1 only falls: the run ends at its start with no
+        # step, even where dtheta/dt = alpha/W**2 would collapse the steps.
+        result, traj = simulate_until_collision(ReducedState(0.5, w0), Params(0.5, 1.0), CFG)
+        assert result == CollisionResult(SimStatus.SURVIVED, 0.0)
+        assert traj.stop == "survival-witness" and traj.outcome is Outcome.EVENT_TERMINATED
+        assert traj.states == [(0.5, w0)] and traj.stats.attempts == 0
 
 
 @st.composite
@@ -559,8 +556,8 @@ class WitnessHit(NamedTuple):
 
 
 def witnessed(rs: ReducedState, p: Params, t_end: float):
-    """The grid oracle's run of rs: (result, trajectory, witness hit or None)."""
-    result, traj = simulate_until_collision(rs, p, CFG, t_end=t_end, survival_witness=True)
+    """The oracle's run of rs: (result, trajectory, witness hit or None)."""
+    result, traj = simulate_until_collision(rs, p, CFG, t_end=t_end)
     if traj.stop != "survival-witness":
         return result, traj, None
     return result, traj, WitnessHit(traj.t_final, traj.state_final)
@@ -598,9 +595,9 @@ class TestSurvivalWitness:
     def test_witnessed_runs_only_separate_after_the_witness(self, alpha):
         # Criterion 04's nodes (every third of its 20x20 grid over [-2, 2])
         # in its four regimes, and a seeded sample of states at this alpha:
-        # continued from the witness point to the original horizon without
-        # the witness, every run reaches that horizon and its separation
-        # never falls below the witness point's.
+        # continued from the witness point to the original horizon in the
+        # (theta, W) chart with no rule, every run reaches that horizon and
+        # its separation only grows.
         nodes = [-2.0 + 4.0 * i / 19 for i in range(0, 20, 3)]
         cases = [
             (Params(alpha, g), ReducedState(th0, w0))
@@ -623,13 +620,10 @@ class TestSurvivalWitness:
             n_witnessed += 1
             assert result.status is SimStatus.SURVIVED and result.time == hit.time
             assert (traj.t_final, traj.state_final) == (hit.time, hit.state)
-            rest, tail = simulate_until_collision(
-                ReducedState(*hit.state), p, CFG, t_end=t_end - hit.time
-            )
-            assert rest.status is SimStatus.SURVIVED, (p, rs)
+            tail = integrate(ReducedState(*hit.state), p, t_end - hit.time, CFG)
             assert tail.outcome is Outcome.REACHED_T_END, (p, rs)
-            d_witness = separation(p, hit.state)
-            assert min(separation(p, y) for y in tail.states) >= d_witness * (1.0 - 1e-9)
+            seps = [separation(p, y) for y in tail.states]
+            assert all(b >= a * (1.0 - 1e-9) for a, b in zip(seps, seps[1:])), (p, rs)
         assert n_witnessed > len(cases) // 3
 
     def test_witness_at_the_initial_point(self):
@@ -643,17 +637,12 @@ class TestSurvivalWitness:
 
     def test_w_just_below_zero_is_witnessed_at_the_start(self):
         # Supercritical, so g(v) < 0 everywhere: W0 = -1e-12 needs no slack,
-        # and the run ends at t = 0; without the witness it runs to its
-        # horizon, the first accepted point at or past t_end.
+        # and the run ends at t = 0.
         p = Params(0.2, 2.0)
         rs = ReducedState(0.0, -1e-12)
         result, traj, hit = witnessed(rs, p, 200.0)
         assert result.status is SimStatus.SURVIVED and result.time == 0.0
         assert hit.state == (0.0, -1e-12) and traj.stats.attempts == 0
-        result, traj = simulate_until_collision(rs, p, CFG, t_end=1e-3)
-        assert result == CollisionResult(SimStatus.SURVIVED, 1e-3)
-        assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
-        assert traj.times[-2] < 1e-3 <= traj.times[-1]
 
     @pytest.mark.parametrize("w0", [-1e-12, -1e-9])
     def test_tiny_negative_w_at_gamma_one_is_witnessed(self, w0):
@@ -712,20 +701,21 @@ class TestSurvivalWitness:
             assert rising[-1] and not any(rising[:-1])
 
     def test_colliding_and_undecided_runs_never_meet_the_witness(self):
-        # Criterion 04's nodes at alpha 0.5 (every fourth of its grid): with
-        # or without the witness, every run not witnessed ends identically.
+        # Criterion 04's nodes at alpha 0.5 (every fourth of its grid): a node
+        # the classifier calls colliding collides, never witnessed, and a
+        # witnessed node is one it calls a survivor.
         nodes = [-2.0 + 4.0 * i / 19 for i in range(0, 20, 4)]
+        n_witnessed = 0
         for g in (1.0, mid_subcritical_gamma(0.5), gamma_star(0.5), 2.0):
             p = Params(0.5, g)
             for th0 in nodes:
                 for w0 in nodes:
                     rs = ReducedState(th0, w0)
-                    plain, plain_traj = simulate_until_collision(rs, p, CFG)
-                    result, traj, hit = witnessed(rs, p, 200.0)
-                    if plain.status is not SimStatus.SURVIVED:
-                        assert hit is None, (g, rs)
-                    if hit is None:
-                        assert (result, traj.times) == (plain, plain_traj.times)
+                    result, _, hit = witnessed(rs, p, 200.0)
+                    if classify(rs, p).predicts_collision:
+                        assert result.collided and hit is None, (g, rs)
+                    n_witnessed += hit is not None
+        assert n_witnessed > 0
 
 
 class TestSharedOrbit:
@@ -754,21 +744,20 @@ class TestSharedOrbit:
         # these orbits, undecided (543 to 651 attempts).  On the flow v falls
         # through 0, W = 0 being the pass, and the witness holds once v < 0.
         p = Params(0.2, gamma_star(0.2) + excess)
-        result, traj = simulate_until_collision(ReducedState(theta0, w0), p, CFG,
-                                                survival_witness=True)
+        result, traj = simulate_until_collision(ReducedState(theta0, w0), p, CFG)
         assert result.status is SimStatus.SURVIVED and traj.stop == "survival-witness"
         assert traj.stats.attempts <= 600
         assert traj.state_final[1] < 0.0
 
-    @pytest.mark.parametrize("p, rs, witness", [
-        (Params(0.2, 2.0), ReducedState(0.0, -1.0), False),
-        (Params(0.2, 1.1), ReducedState(3.0, 3.0), True),
-        (Params(0.2, 1.1), ReducedState(3.0, 1.5), False),
-    ], ids=["supercritical-receding", "subcritical-falling", "subcritical-rising"])
-    def test_a_run_to_the_horizon_ends_at_t_end(self, p, rs, witness):
+    @pytest.mark.parametrize("p, rs", [
+        (Params(0.2, 2.0), ReducedState(3.0, 1.0)),
+        (Params(0.2, 1.1), ReducedState(3.0, 3.0)),
+        (Params(0.2, 1.1), ReducedState(3.0, 1.5)),
+    ], ids=["supercritical-approaching", "subcritical-falling", "subcritical-rising"])
+    def test_a_run_to_the_horizon_ends_at_t_end(self, p, rs):
         # The flow's points past t_end are dropped, and the (theta, W) chart
         # carries the run from the last point before it to t_end itself.
-        result, traj = simulate_until_collision(rs, p, CFG, t_end=7.0, survival_witness=witness)
+        result, traj = simulate_until_collision(rs, p, CFG, t_end=7.0)
         assert result == CollisionResult(SimStatus.SURVIVED, 7.0)
         assert traj.outcome is Outcome.REACHED_T_END and traj.stop is None
         assert traj.times[-1] == 7.0
@@ -787,7 +776,7 @@ class TestSharedOrbit:
         with pytest.raises(InvalidInitialState) as info:
             integrate_module.oracle_verdicts(p, states, CFG)
         with pytest.raises(InvalidInitialState) as own:
-            simulate_until_collision(states[first], p, CFG, survival_witness=True)
+            simulate_until_collision(states[first], p, CFG)
         assert str(info.value) == str(own.value)
 
     @given(alpha=st.floats(0.01, 0.99), regime=st.sampled_from(REGIMES), u=st.floats(0.0, 1.0),
@@ -801,8 +790,7 @@ class TestSharedOrbit:
         p = regime_params(alpha, regime, u)
         rows = classifier_oracle_grid(p, thetas, ws, CFG, workers=1)
         for th0, w0, _, _, t_est, status, agrees, reason in rows:
-            result, traj = simulate_until_collision(ReducedState(th0, w0), p, CFG,
-                                                    survival_witness=True)
+            result, traj = simulate_until_collision(ReducedState(th0, w0), p, CFG)
             one = (result.status.value, (t_est is not None) == result.collided,
                    traj.stop or traj.outcome.value)
             assert (status, agrees, reason) == one, (p, th0, w0)

@@ -264,14 +264,13 @@ def test_a_step_budget_bounds_each_node_not_a_shared_run():
     # run stops short; its undecided nodes then run alone, so every row is
     # still the one its node's own run gives.
     states = [verify.ReducedState(th, w) for th in NODES for w in NODES]
-    oracle = sys.modules["filcol.integrate"]._Oracle(P_MID, states, IntegrationConfig(),
-                                                     200.0, True)
-    oracle.decide()
-    assert max(traj.stats.attempts for traj in oracle.trajs.values()) > 60
+    oracle = sys.modules["filcol.integrate"]._Oracle(P_MID, states, IntegrationConfig(), 200.0)
+    _, *runs = oracle.groups()
+    assert max(oracle.run(order).stats.attempts for order in runs if len(order) > 1) > 60
     cfg = IntegrationConfig(max_steps=60)
     own = []
     for rs in states:
-        result, traj = verify.simulate_until_collision(rs, P_MID, cfg, survival_witness=True)
+        result, traj = verify.simulate_until_collision(rs, P_MID, cfg)
         own.append((result.status.value, traj.stop or traj.outcome.value))
     for workers in (1, 2):
         rows = verify.classifier_oracle_grid(P_MID, NODES, NODES, cfg, workers=workers)
