@@ -52,7 +52,6 @@ __all__ = [
     "ansatz_residual",
     "full_field",
     "reduced_field",
-    "flow_field",
     "hyperbolic_field",
     "reduced_energy",
     "hyperbolic_energy",
@@ -206,8 +205,19 @@ class ReducedState:
 
 @dataclass(frozen=True)
 class FlowState:
-    """(v, theta, t) of the d = 0 reduction in Sundman time (``flow_field``):
-    v = W*exp(-theta) in place of W, with the time t as a component.
+    """(v, theta, t) of the d = 0 reduction in Sundman time tau,
+    dt = exp(2*theta)*dtau: v = W*exp(-theta) in place of W, with the time t
+    as a component.  Its field is
+
+        dv/dtau = g(v) = -mu + alpha*sqrt(gamma)/r(v),  r(v) = hypot(offset, v),
+        dtheta/dtau = -alpha*sqrt(gamma)*v/r(v)**3,  dt/dtau = exp(2*theta),
+
+    and v obeys a flow of its own: it moves monotonically, toward +v0 or away
+    from -v0 below gamma_star and down everywhere above it.  The first two are
+    the reduced field read at theta = 0, where v = W: dv/dtau = W'(0, v) -
+    v*theta'(0, v) and dtheta/dtau = theta'(0, v), with its errors at W = 0
+    for gamma = 1.  ``integrate``'s stepper for this state writes that rule
+    out and calls the ``reduced_field`` closure once per stage.
 
     By the scale law a run from (v0, theta0, 0) is the run from (v0, 0, 0)
     with theta shifted by theta0 and t scaled by exp(2*theta0): what it
@@ -404,31 +414,6 @@ def reduced_energy(p: Params) -> Callable[[float, float], float]:
         return -mu * math.exp(-theta) + alpha * sqg / math.sqrt(d2)
 
     return energy
-
-
-def flow_field(p: Params) -> Callable[[float, float, float], Derivative]:
-    """Return the (v, theta, t) vector field of the d = 0 reduction in Sundman
-    time tau, dt = exp(2*theta)*dtau (``FlowState``):
-
-        dv/dtau = g(v) = -mu + alpha*sqrt(gamma)/r(v),  r(v) = hypot(offset, v),
-        dtheta/dtau = -alpha*sqrt(gamma)*v/r(v)**3,  dt/dtau = exp(2*theta).
-
-    v obeys a flow of its own: it moves monotonically, toward +v0 or away from
-    -v0 below gamma_star and down everywhere above it.  By the scale law the
-    first two are the reduced field read at theta = 0, where v = W:
-    dv/dtau = W'(0, v) - v*theta'(0, v) and dtheta/dtau = theta'(0, v).  So each
-    evaluation makes one call of the closure ``reduced_field`` returns (looked
-    up here by its module name, so a wrapper around it sees every call), with
-    its errors at W = 0 for gamma = 1.
-    """
-    f = reduced_field(p)
-    exp = math.exp
-
-    def field(v: float, theta: float, t: float) -> Derivative:
-        dtheta, dw = f(0.0, v)
-        return (dw - v * dtheta, dtheta, exp(2.0 * theta))
-
-    return field
 
 
 def quartic(eta: float, alpha: float) -> float:

@@ -10,9 +10,10 @@ standard proportional rule with safety 0.9 and growth clamp [0.2, 5.0].
 Each attempt is straight-line scalar code for the state's fixed dimension,
 with the vector field called on scalars; one template builds the 2-D (theta,
 W), the 3-D (v, theta, t) and the 4-D steppers, with the same term order and
-zero weights.  A caller may pass one stop predicate, checked at the initial
-point and at every accepted point: it names the rule that holds there, or
-returns None.  The run ends at the first point where a rule holds; nothing is
+zero weights.  The 3-D attempt carries the flow's rule itself and calls the
+(theta, W) chart closure once per stage.  A caller may pass one stop
+predicate, checked at the initial point and at every accepted point: it
+names the rule that holds there, or returns None.  The run ends at the first point where a rule holds; nothing is
 interpolated.  The conserved quantity of the chosen system (d for the full
 system, the energy for the planar charts and the flow) is kept with the run
 and its drift computed on read, so any run doubles as a conservation audit,
@@ -21,7 +22,7 @@ and every run counts its attempts, rejections and field evaluations in
 
 The collision oracle (``simulate_until_collision`` for one d = 0 state,
 ``oracle_verdicts`` for a set sharing one Params) runs on the flow of
-v = W*exp(-theta) in Sundman time (``dynamics.flow_field``).  By the scale
+v = W*exp(-theta) in Sundman time (``dynamics.FlowState``).  By the scale
 law a state's verdict depends on v alone, and v moves monotonically, so the
 rules are facts of v (``_Oracle``), one set for every run: W rose (``w-rose``)
 where the path met |v| < v_star, the rings separate for good
@@ -31,8 +32,8 @@ with K >= 0 and v > 0 (``separation-below``), at that time plus the
 closed-form time to the axis (``dynamics.time_to_axis``) from there.  Every
 state whose v lies on one run's path is read off that run; a one-state run
 that reaches its horizon is finished in the (theta, W) chart, so that its
-trajectory ends at t_end.  The
-collision singularity itself is never integrated into: a run that the
+trajectory ends at t_end, and so is one whose start the flow's field
+rejects.  The collision singularity itself is never integrated into: a run that the
 controller cannot continue ends by step collapse, undecided, never with a
 NaN state.
 """
@@ -43,7 +44,7 @@ import linecache
 import math
 import sys
 from bisect import insort
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -117,7 +118,8 @@ class IntegrationStats:
     the start plus six per attempt (FSAL) in each ``integrate`` call; an
     attempt cut short by a field that raises is counted in full.  A
     collision-oracle run that the (theta, W) chart finishes at its horizon
-    counts both calls.
+    counts both calls, and one whose start the flow's field rejects counts
+    that one evaluation too.
     """
 
     attempts: int = 0
@@ -192,23 +194,29 @@ _FIELD_ERRORS = (FilcolError, ValueError, ZeroDivisionError, OverflowError)
 
 # The fixed-dimension steppers make one Dormand-Prince attempt of size h
 # from state y with FSAL derivative k1.  Both tuples are unpacked to scalars
-# (a, b for (theta, W); a, b, c, d for (R1, z1, R2, z2)), the field is called
-# with scalars, and the result is (y_new, k7, err_norm): the fifth-order
-# state, the field there, and the max over components of the embedded error
-# estimate relative to abs_tol + rel_tol*max(|y|, |y_new|).  A field that
-# raises or a non-finite y_new or k7 gives err_norm = inf, so the controller
-# backs off instead of propagating a NaN state.  Every stage sum adds its
-# terms left to right in tableau order with the zero weights kept:
-# 0.0 * inf is nan, so a non-finite stage always reaches y_new.  The norm
-# takes |x| and the maxima with conditional expressions, not abs() and
-# max() calls, and gives their values bit for bit (a signed zero or a NaN
-# component never replaces the 0.0 it starts from).
+# (a, b for (theta, W); a, b, c for the flow's (v, theta, t); a, b, c, d for
+# (R1, z1, R2, z2)), the field is called with scalars, and the result is
+# (y_new, k7, err_norm): the fifth-order state, the field there, and the max
+# over components of the embedded error estimate relative to
+# abs_tol + rel_tol*max(|y|, |y_new|).  A field that raises or a non-finite
+# y_new or k7 gives err_norm = inf, so the controller backs off instead of
+# propagating a NaN state.  Every stage sum adds its terms left to right in
+# tableau order with the zero weights kept: 0.0 * inf is nan, so a non-finite
+# stage always reaches y_new.  The norm takes |x| and the maxima with
+# conditional expressions, not abs() and max() calls, and gives their values
+# bit for bit (a signed zero or a NaN component never replaces the 0.0 it
+# starts from).
+#
+# The flow's stepper carries the flow's rule (``FlowState``): f is the chart
+# closure of ``dynamics.reduced_field``, called once per stage at theta = 0,
+# and no stage argument is formed for t, which no rate reads.
 
 
 def _attempt(n: int):
-    """The stepper ``_step_<n>d`` of an n-component state: straight-line source
-    written from the tableau's names (_Aij, _Bj, _Ej), compiled in this module's
-    globals, and registered with ``linecache`` so that tracebacks and
+    """The stepper ``_step_<n>d`` of an n-component state and ``_rate_<n>d``, its
+    field at one point (for the first k1): straight-line source written from the
+    tableau's names (_Aij, _Bj, _Ej) and one field rule, compiled in this
+    module's globals, and registered with ``linecache`` so that tracebacks and
     ``inspect.getsource`` show it."""
     cs, name = "abcd"[:n], f"_step_{n}d"
 
@@ -218,13 +226,21 @@ def _attempt(n: int):
     def stage(w: str, m: int, c: str) -> str:  # h * (w1 * k1c + ... + wm * kmc)
         return "h * (" + " + ".join(f"{w}{j} * k{j}{c}" for j in range(1, m + 1)) + ")"
 
+    def field(k: str, args: list[str], pad: str) -> list[str]:  # k = the field at args
+        if n != 3:
+            return [f"{pad}{k} = f(" + "".join(f"\n{pad}    {x}," for x in args) + f"\n{pad})"]
+        v, theta, _ = args
+        return [f"{pad}v = {v}", f"{pad}dth, dw = f(0.0, v)",
+                f"{pad}{k} = dw - v * dth, dth, math.exp(2.0 * ({theta}))"]
+
     src = [f"def {name}(f, h, y, k1, abs_tol, rel_tol):",
            f"    {each('{c}')} = y", f"    {each('k1{c}')} = k1", "    try:"]
     for i in range(2, 7):
-        args = "".join(f"\n            {c} + {stage(f'_A{i}', i - 1, c)}," for c in cs)
-        src.append(f"        {each(f'k{i}{{c}}')} = f({args}\n        )")
+        src += field(each(f"k{i}{{c}}"), [f"{c} + {stage(f'_A{i}', i - 1, c)}" for c in cs],
+                     " " * 8)
     src += [f"        {c}1 = {c} + {stage('_B', 6, c)}" for c in cs]
-    src += [f"        k7 = f({each('{c}1')})", "    except _FIELD_ERRORS:",
+    src += field("k7", [f"{c}1" for c in cs], " " * 8)
+    src += ["    except _FIELD_ERRORS:",
             "        return y, k1, math.inf", f"    y_new = ({each('{c}1')})",
             f"    {each('k7{c}')} = k7", "    finite = math.isfinite",
             f"    if not ({each('finite({c}1)', ' and ')} and {each('finite(k7{c})', ' and ')}):",
@@ -237,16 +253,19 @@ def _attempt(n: int):
                 f" / (abs_tol + rel_tol * (s{c} if s{c} >= s{c}1 else s{c}1))"]
     src += ["    err = ea if ea > 0.0 else 0.0"]
     src += [f"    err = e{c} if e{c} > err else err" for c in cs[1:-1]]
-    src += [f"    return y_new, k7, e{cs[-1]} if e{cs[-1]} > err else err"]
+    src += [f"    return y_new, k7, e{cs[-1]} if e{cs[-1]} > err else err", "",
+            f"def _rate_{n}d(f, y):", f"    {each('{c}')} = y", *field("k", list(cs), "    "),
+            "    return k"]
     text, filename = "\n".join(src) + "\n", f"<filcol.integrate.{name}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(keepends=True), filename)
     namespace: dict = {}
     exec(compile(text, filename, "exec"), globals(), namespace)
-    return namespace[name]
+    return namespace[name], namespace[f"_rate_{n}d"]
 
 
-_step_2d, _step_3d, _step_4d = _attempt(2), _attempt(3), _attempt(4)
-_STEPPERS = {2: _step_2d, 3: _step_3d, 4: _step_4d}
+#: Each dimension's stepper and its field at one point.
+_STEPPERS = {n: _attempt(n) for n in (2, 3, 4)}
+_step_2d, _step_3d, _step_4d = (step for step, _ in _STEPPERS.values())
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -264,8 +283,8 @@ def _make_field(y0, p: Params):
         return SystemKind.REDUCED, dynamics.reduced_field(p), "H", dynamics.reduced_energy(p)
     if isinstance(y0, FlowState):
         energy, exp = dynamics.reduced_energy(p), math.exp
-        # h = exp(-theta)*g(v), with g(v) the energy at theta = 0.
-        return (SystemKind.FLOW, dynamics.flow_field(p), "H",
+        # The chart closure (see _step_3d); h = exp(-theta)*g(v), g(v) the energy at theta = 0.
+        return (SystemKind.FLOW, dynamics.reduced_field(p), "H",
                 lambda v, theta, t: energy(0.0, v) * exp(-theta))
     if isinstance(y0, HyperbolicState):
         d = y0.d
@@ -309,9 +328,9 @@ def integrate(
     _check_horizon(t_end, cfg, math.inf)
     system, f, inv_name, inv = _make_field(y0, p)
     y = y0.astuple()
-    step = _STEPPERS[len(y)]
+    step, rate = _STEPPERS[len(y)]
     try:
-        k1 = f(*y)
+        k1 = rate(f, y)
         inv0 = inv(*y)
     except _FIELD_ERRORS as exc:
         raise InvalidInitialState(f"initial state rejected: {exc}") from exc
@@ -538,16 +557,24 @@ class _Oracle:
 
     def solo(self, i: int) -> Trajectory:
         """Decide node i by a run of its own, and return the run: on the flow, or,
-        where the flow's field is not finite at v0 (at equal circulation, |v0|
-        below about 1.4e-108), in the (theta, W) chart with no rule, to t_end
-        (SURVIVED there, else INCONCLUSIVE)."""
+        where the flow's field rejects v0 (at equal circulation, |v0| below about
+        1.4e-108), in the (theta, W) chart at (theta0, W0): a one-point run where
+        a start rule decides the node, else a run with no rule to t_end (SURVIVED
+        there, else INCONCLUSIVE).  Its stats count the flow's rejected call."""
         try:
             return self.run([i])
-        except InvalidInitialState:  # the flow's field at v0
-            traj = integrate(self.states[i], self.p, self.t_end, self.cfg)
+        except InvalidInitialState:  # the flow's field at v0, one call
+            rule = self.start_rule(self.v[i])
+        if rule is not None:
+            self.result[i] = (CollisionResult(_RULE_STATUS[rule], 0.0), rule)
+            energy, y = dynamics.reduced_energy(self.p), self.states[i].astuple()
+            return Trajectory(SystemKind.REDUCED, [0.0], [y], rule, ("H", energy, energy(*y)),
+                              Outcome.EVENT_TERMINATED, IntegrationStats(f_evals=1))
+        traj = integrate(self.states[i], self.p, self.t_end, self.cfg)
         status = SimStatus.SURVIVED if traj.outcome is Outcome.REACHED_T_END else (
             SimStatus.INCONCLUSIVE)
         self.result[i] = (CollisionResult(status, traj.t_final), traj.outcome.value)
+        traj.stats = replace(traj.stats, f_evals=traj.stats.f_evals + 1)
         return traj
 
     def run(self, order: list[int]) -> Trajectory:
@@ -685,9 +712,10 @@ def simulate_until_collision(
     horizon the flow's points past t_end are dropped and the (theta, W)
     chart, with no rule, carries the run from the last point before t_end to
     t_end itself (stop None, outcome REACHED_T_END); its stats add that run's
-    counts.  A state the flow cannot carry runs in the chart alone
-    (``_Oracle.solo``).  Raises ConfigInvalid for a state that is not a
-    ReducedState, and InvalidInitialState for one the chart rejects too.
+    counts.  A state whose start the flow's field rejects is decided in the
+    chart (``_Oracle.solo``).  Raises ConfigInvalid for a state that is not a
+    ReducedState, and InvalidInitialState for one that no start rule decides
+    and the chart rejects too.
     """
     oracle = _Oracle(p, [rs0], cfg, t_end)
     flow = oracle.solo(0)

@@ -119,7 +119,7 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
     # at the start and six per attempt in each call, none from a stop rule.
     # A run to the horizon makes two calls: the flow's, and the chart's to t_end.
     # A start the flow's field rejects costs that one call, and no attempt,
-    # before the chart's run.
+    # before the chart's run, and the oracle's stats count it.
     calls = []
     in_stop = [False]
     runs = []
@@ -159,5 +159,5 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
     assert 1 <= len(runs) <= 2
     rejected = len(calls) - sum(made for made, _ in runs)
     assert rejected == (theta0 == 400.0)
-    assert len(calls) - rejected == traj.stats.f_evals == sum(stats.f_evals for _, stats in runs)
+    assert len(calls) == traj.stats.f_evals == sum(stats.f_evals for _, stats in runs) + rejected
     assert not any(calls)

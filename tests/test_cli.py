@@ -496,6 +496,18 @@ class TestSimulateCommand:
             "W = 0 is excluded for gamma = 1\n"
         )
 
+    def test_receding_gap_below_the_gamma1_singular_line_survives(self, capsys, tmp_path):
+        # classify says no-collision-gamma1; the flow's field cannot be
+        # evaluated at W0 = -1e-110, but the witness decides the state at its
+        # start, as it does at -1e-3: one point, exit 0.
+        tiny, small = (run_json(capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", "1",
+                                "--theta0", "0", "--w0", w0, name=f"{w0}.json")
+                       for w0 in ("-1e-110", "-1e-3"))
+        assert tiny["outcome"] == {"status": "survived", "time": 0.0}
+        assert tiny["events"] == [{"time": 0.0, "kind": "survival-witness", "threshold": None}]
+        assert tiny["states"] == [[0.0, -1e-110]]
+        assert {**tiny, "states": None} == {**small, "states": None}
+
     def test_gamma1_state_far_out_runs_to_its_horizon(self, capsys, tmp_path):
         # classify calls this state a head-on collision; simulate runs it
         # although exp(2*theta0) overflows.

@@ -220,10 +220,10 @@ def test_the_steppers_call_no_abs_max_or_min():
     # builtin call per component was a measurable share of a 2-D attempt.
     # The steppers are built at import, so their source is read from them.
     integrate = importlib.import_module("filcol.integrate")
-    steppers = [node for name in ("_step_2d", "_step_4d")
+    steppers = [node for name in ("_step_2d", "_step_3d", "_step_4d")
                 for node in ast.parse(inspect.getsource(getattr(integrate, name))).body
                 if isinstance(node, ast.FunctionDef) and node.name == name]
-    assert len(steppers) == 2
+    assert len(steppers) == 3
     called = {ast.unparse(node.func) for func in steppers
               for node in ast.walk(func) if isinstance(node, ast.Call)}
     assert called & {"abs", "max", "min"} == set()

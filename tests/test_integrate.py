@@ -23,8 +23,10 @@ from filcol import (
     FullState,
     HyperbolicState,
     IntegrationConfig,
+    IntegrationStats,
     InvalidInitialState,
     NumericalFailure,
+    OnSingularLine,
     Outcome,
     Params,
     ReducedState,
@@ -45,7 +47,7 @@ from filcol.dynamics import (
     reduced_field,
     time_to_axis,
 )
-from filcol.integrate import _step_2d, _step_4d
+from filcol.integrate import _STEPPERS, _step_2d, _step_3d, _step_4d
 
 integrate_module = sys.modules["filcol.integrate"]
 from filcol.verify import classifier_oracle_grid, h0_zero_w, mid_subcritical_gamma
@@ -267,6 +269,21 @@ class TestCollisionDriver:
         assert result == CollisionResult(SimStatus.SURVIVED, 0.0)
         assert traj.stop == "survival-witness" and traj.times == [0.0]
 
+    @pytest.mark.parametrize("w0", [-1e-3, -1e-110])
+    def test_receding_gamma1_start_has_one_answer(self, w0):
+        # Below |v| of about 1.4e-108 the flow's field rejects the start, but
+        # the witness decides it there: the same one-point run as at -1e-3,
+        # with the verdict the grid gives.  Its one field call is counted.
+        p, rs = Params(0.2, 1.0), ReducedState(0.0, w0)
+        result, traj = simulate_until_collision(rs, p, CFG)
+        assert result == CollisionResult(SimStatus.SURVIVED, 0.0)
+        assert traj.system is SystemKind.REDUCED
+        assert traj.times == [0.0] and traj.states == [(0.0, w0)]
+        assert traj.stop == "survival-witness" and traj.outcome is Outcome.EVENT_TERMINATED
+        assert traj.stats == IntegrationStats(f_evals=1)
+        assert integrate_module.oracle_verdicts(p, [rs], CFG) == [
+            (SimStatus.SURVIVED, "survival-witness")]
+
     @pytest.mark.parametrize("theta0", [400.0, 720.0])
     def test_gamma1_runs_where_exp_theta_overflows(self, theta0):
         # D = |W| at gamma = 1: exp(2*theta0), and at 720 exp(theta0) too,
@@ -277,6 +294,8 @@ class TestCollisionDriver:
                                                 t_end=5.0)
         assert result.status is SimStatus.SURVIVED and result.time == 5.0
         assert traj.stop is None
+        # The flow's rejected start adds its one field call to the chart's.
+        assert traj.stats.f_evals == 1 + 1 + 6 * traj.stats.attempts
 
     def test_collision_time_matches_exact_value(self):
         # The run stops at D = 0.25*D0; the closed-form time to the axis
@@ -721,14 +740,15 @@ class TestSurvivalWitness:
 class TestSharedOrbit:
     def test_the_flow_is_the_scalar_flow_of_v(self):
         # dv/dtau = g(v) = sa/r - mu, dtheta/dtau = -sa*v/r**3, dt/dtau =
-        # exp(2*theta), composed from the reduced field at theta = 0; and
+        # exp(2*theta), composed from the reduced field at theta = 0 by the
+        # rule the flow's stepper writes out (its first k1 here); and
         # by the scale law dv/dt and dtheta/dt of the (theta, W) chart.
         rng = random.Random(22)
         for _ in range(400):
             p = regime_params(rng.uniform(0.01, 0.99), rng.choice(REGIMES), rng.random())
             v, theta = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
             sa, r = p.alpha * p.sqrt_gamma, math.hypot(p.offset, v)
-            dv, dth, dt = dynamics.flow_field(p)(v, theta, 0.0)
+            dv, dth, dt = _rate_3d(reduced_field(p), (v, theta, 0.0))
             assert abs(dv - (sa / r - p.mu)) <= 1e-15 * (p.mu + sa / r)
             assert rel_err(dth, -sa * v / r ** 3) <= 1e-15 and dt == math.exp(2.0 * theta)
             w = v * math.exp(theta)
@@ -996,6 +1016,39 @@ def _assert_same_attempt(f, h, y):
     return got
 
 
+# The 3-D stepper is the flow's own attempt: it takes the (theta, W) chart
+# closure and writes the flow's rule out per stage.  Its reference is the
+# generic attempt on the flow's right-hand side, written here once more.
+_rate_3d = _STEPPERS[3][1]
+
+
+def _flow_rhs(chart):
+    def rhs(v, theta, t):
+        dtheta, dw = chart(0.0, v)
+        return (dw - v * dtheta, dtheta, math.exp(2.0 * theta))
+
+    return rhs
+
+
+def _assert_same_flow_attempt(chart, h, y):
+    rhs = _flow_rhs(chart)
+    k1 = rhs(*y)
+    got = _step_3d(chart, h, y, k1, _ABS_TOL, _REL_TOL)
+    want = _reference_attempt(rhs, h, y, k1)
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits(got[1]) == _bits(want[1])
+    assert float.hex(got[2]) == float.hex(want[2])
+    return got
+
+
+_FLOW_CASES = {
+    "gamma=1": (Params(0.2, 1.0), (0.8, 0.3, 2.0)),
+    "subcritical": (Params(0.2, 1.1), (-0.6, -0.4, 0.5)),
+    "critical": (Params(0.2, gamma_star(0.2)), (1.2, 0.1, 0.0)),
+    "supercritical": (Params(0.2, 2.0), (-0.3, 1.0, 7.0)),
+}
+
+
 def _hyperbolic(full):
     hs = reduce_state(full, Params(0.2, 2.0))
     return hyperbolic_field(Params(0.2, 2.0), hs.d), hs.astuple()
@@ -1181,6 +1234,52 @@ class TestUnrolledSteppers:
         assert got[2] == want[2] == math.inf
         assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])
         assert not all(math.isfinite(v) for v in got[0] + got[1])
+
+    @pytest.mark.parametrize("case", sorted(_FLOW_CASES))
+    @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.05, 0.4])
+    def test_flow_attempt_bit_identical_to_generic_sweep(self, case, h):
+        p, y = _FLOW_CASES[case]
+        chart, calls = reduced_field(p), []
+        k1 = _flow_rhs(chart)(*y)
+        assert _bits(_rate_3d(chart, y)) == _bits(k1)
+        _, _, err_norm = _assert_same_flow_attempt(chart, h, y)
+        assert 0.0 <= err_norm < math.inf
+
+        def counted(*args):
+            calls.append(args)
+            return chart(*args)
+
+        _step_3d(counted, h, y, k1, _ABS_TOL, _REL_TOL)
+        assert len(calls) == 6 and all(theta == 0.0 for theta, _ in calls)
+
+    @pytest.mark.parametrize("call", [1, 3, 6])
+    def test_flow_attempt_through_a_raising_chart_gives_infinite_error(self, call):
+        p, y = _FLOW_CASES["gamma=1"]
+        chart = _raising_at(call, reduced_field(p), OnSingularLine)
+        k1 = _flow_rhs(reduced_field(p))(*y)
+        got = _step_3d(chart, 1e-3, y, k1, _ABS_TOL, _REL_TOL)
+        want = _reference_attempt(_flow_rhs(_raising_at(call, reduced_field(p), OnSingularLine)),
+                                  1e-3, y, k1)
+        assert got[2] == want[2] == math.inf
+        assert got[0] == want[0] == y and got[1] == want[1] == k1
+
+    def test_flow_attempt_across_the_exp_overflow_gives_infinite_error(self):
+        # theta rises at 0.8 per unit from 354.8, and exp(2*theta) overflows
+        # past theta = 354.89: k1 is finite, a later stage's rate is not.
+        y = (-0.5, 354.8, 0.0)
+        got = _assert_same_flow_attempt(reduced_field(Params(0.2, 1.0)), 0.4, y)
+        assert got[2] == math.inf and got[0] == y
+
+    def test_flow_attempt_with_a_non_finite_zero_weight_stage_gives_infinite_error(self):
+        # k2 has propagation weight zero: 0.0 * inf is nan, so it still
+        # reaches y_new and the attempt is rejected.
+        p, y = _FLOW_CASES["subcritical"]
+        k1 = _flow_rhs(reduced_field(p))(*y)
+        got = _step_3d(_infinite_at(1, reduced_field(p)), 1e-3, y, k1, _ABS_TOL, _REL_TOL)
+        want = _reference_attempt(_flow_rhs(_infinite_at(1, reduced_field(p))), 1e-3, y, k1)
+        assert got[2] == want[2] == math.inf
+        assert _bits(got[0] + got[1]) == _bits(want[0] + want[1])
+        assert not all(math.isfinite(v) for v in got[0])
 
     @pytest.mark.parametrize("dim", [2, 4])
     @pytest.mark.parametrize("h", [0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6])

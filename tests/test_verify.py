@@ -17,7 +17,10 @@ from filcol import (
     InvalidInitialState,
     OnSingularLine,
     Params,
+    ReducedState,
     StepLimitExceeded,
+    gamma_star,
+    simulate_until_collision,
 )
 
 
@@ -135,6 +138,70 @@ def test_oracle_grid_rows_identical_serial_and_pooled(grid):
     if grid is THREE_GROUPS:
         assert reasons == ["survival-witness", "w-rose", "w-rose", "separation-below",
                            "separation-below"] * 2
+
+
+# The oracle's answers on one 4x4 grid per regime at alpha 0.2, pinned bit for
+# bit, so that a change to the integrator's arithmetic cannot move them
+# unseen: each node's status and reason in its grid row, the time of the
+# node's own run (float.hex), and "!" where the row disagrees with the
+# classifier (at gamma_star the two horizon-bound nodes, ROADMAP item 3).
+TRIPWIRE_NODES = (-1.0, 1.0, 2.5, 4.0), (-1.0, -0.2, 0.2, 1.0)
+TRIPWIRE = {
+    "gamma1": [
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.c8b7d6c2c374ap-6", "collided separation-below 0x1.55c3d8d8ba648p-3",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.f3f0ae83b5f17p-4", "collided separation-below 0x1.eaf5a37f883cap-1",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.1ca87626c73c9p-2", "collided separation-below 0x1.6c383d9b6e050p+1",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.0291baab4b9ecp-1", "collided separation-below 0x1.a650ae31d1b25p+2",
+    ],
+    "subcritical": [
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.c453d3f9a8f3ap-6", "collided separation-below 0x1.4c86d819cdce4p-3",
+        "survived survival-witness 0x0.0p+0", "inconclusive w-rose 0x1.3fe6fb7b4a0e4p+1",
+        "collided separation-below 0x1.84225298cd261p-3", "collided separation-below 0x1.ee484a9d929cep-1",
+        "survived reached-t-end 0x1.9000000000000p+7", "inconclusive w-rose 0x0.0p+0",
+        "inconclusive w-rose 0x0.0p+0", "collided separation-below 0x1.076721cfc9751p+2",
+        "inconclusive w-rose 0x0.0p+0", "inconclusive w-rose 0x0.0p+0",
+        "inconclusive w-rose 0x0.0p+0", "inconclusive w-rose 0x0.0p+0",
+    ],
+    "critical": [
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.d894a0959721ap-6", "collided separation-below 0x1.455bef4ae977ep-3",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.0b253c166a516p-1", "collided separation-below 0x1.10d34a3888aebp+0",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "collided separation-below 0x1.f70d1bf299d9fp+4", "collided separation-below 0x1.468456fd56f5dp+3",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "survived reached-t-end 0x1.9000000000000p+7 !", "survived reached-t-end 0x1.9000000000000p+7 !",
+    ],
+    "supercritical": [
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "survived survival-witness 0x1.f12e774055ff8p-6", "survived survival-witness 0x1.0fbf5f800e276p-3",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "survived survival-witness 0x1.1daaaa82fa723p-2", "survived survival-witness 0x1.380a0bb9d448cp+0",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "survived survival-witness 0x1.962f84f5d3b7cp+0", "survived survival-witness 0x1.9806b2c4ed670p+2",
+        "survived survival-witness 0x0.0p+0", "survived survival-witness 0x0.0p+0",
+        "survived survival-witness 0x1.27b48e86b8a0bp+3", "survived survival-witness 0x1.fcec49a361fedp+4",
+    ],
+}
+
+
+def test_oracle_answers_are_pinned_bit_for_bit():
+    gammas = {"gamma1": 1.0, "subcritical": verify.mid_subcritical_gamma(0.2),
+              "critical": gamma_star(0.2), "supercritical": 2.0}
+    for regime, want in TRIPWIRE.items():
+        p = Params(0.2, gammas[regime])
+        got = []
+        for th0, w0, _, _, _, status, agree, reason in verify.classifier_oracle_grid(
+                p, *TRIPWIRE_NODES, workers=1):
+            result, _ = simulate_until_collision(ReducedState(th0, w0), p)
+            assert result.status.value == status
+            got.append(f"{status} {reason} {result.time.hex()}" + ("" if agree else " !"))
+        assert got == want, regime
 
 
 def test_conservation_reports_its_fixed_tolerances():
