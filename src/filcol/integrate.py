@@ -119,7 +119,7 @@ class IntegrationStats:
     attempt cut short by a field that raises is counted in full.  A
     collision-oracle run that the (theta, W) chart finishes at its horizon
     counts both calls, and one whose start the flow's field rejects counts
-    that one evaluation too.
+    that one evaluation too; a start rule's one-point run counts none.
     """
 
     attempts: int = 0
@@ -461,10 +461,10 @@ class _Oracle:
       collided, at the time of that point plus ``dynamics.time_to_axis`` from it.
     - "reached-t-end": the node's own time has reached t_end, undecided; it
       survived at t_end.
-    Those that hold at a node's start decide it with no step.  The others move
-    with v: where g(v) > 0 up, else down from v >= 0 (toward v0, or to -inf
-    where the ratio is supercritical).  One run per moving group
-    starts at its first node's (v, theta0, 0).  Every other node starts where
+    Those that hold at a node's start decide it with no run (``at_start``).  The
+    others move with v: where g(v) > 0 up, else down from v >= 0 (toward v0, or
+    to -inf where the ratio is supercritical).  One run per moving group starts
+    at its first node's (v, theta0, 0).  Every other node starts where
     the run passes its v, at (theta_n, t_n) interpolated linearly between the
     accepted points around it, which only its separation level, its horizon
     and its time read; by the scale law it is then at theta0 + theta - theta_n
@@ -493,6 +493,8 @@ class _Oracle:
             self.v = [rs.w * math.exp(-rs.theta) for rs in states]
         except OverflowError as exc:
             raise InvalidInitialState(f"initial state rejected: {exc}") from exc
+        if not all(map(math.isfinite, self.v)):
+            raise InvalidInitialState("initial state rejected: v = W0*exp(-theta0) is not finite")
         self.result: list = [None] * len(states)  # (CollisionResult, reason) per node
 
     def g(self, v: float) -> float:
@@ -531,45 +533,45 @@ class _Oracle:
         down.sort(key=self.v.__getitem__, reverse=True)
         return [decided] + [grp for grp in (up, down) if grp] + alone
 
+    def at_start(self, i: int) -> str | None:
+        """Record and name the rule that decides node i at its start, or None."""
+        rule = self.start_rule(self.v[i])
+        if rule is not None:
+            self.result[i] = (CollisionResult(_RULE_STATUS[rule], 0.0), rule)
+        return rule
+
     def decide(self) -> list:
         """Every node's (CollisionResult, reason); raises the failure of the first
         node, in the order given, whose own run fails."""
         decided, *runs = self.groups()
         for i in decided:
-            rule = self.start_rule(self.v[i])
-            self.result[i] = (CollisionResult(_RULE_STATUS[rule], 0.0), rule)
-        failed: dict[int, FilcolError] = {}
+            self.at_start(i)
         for order in runs:
             if len(order) > 1:
                 try:
                     self.run(order)
                 except FilcolError:  # its undecided nodes run alone, below
                     pass
-            for i in order:  # a lone node, or one the shared run did not decide
-                if self.result[i] is None:
-                    try:
-                        self.solo(i)
-                    except FilcolError as exc:
-                        failed[i] = exc
-        if failed:
-            raise failed[min(failed)]
+        for i, result in enumerate(self.result):
+            if result is None:  # a lone node, or one no shared run decided
+                self.solo(i)
         return self.result
 
     def solo(self, i: int) -> Trajectory:
-        """Decide node i by a run of its own, and return the run: on the flow, or,
-        where the flow's field rejects v0 (at equal circulation, |v0| below about
-        1.4e-108), in the (theta, W) chart at (theta0, W0): a one-point run where
-        a start rule decides the node, else a run with no rule to t_end (SURVIVED
-        there, else INCONCLUSIVE).  Its stats count the flow's rejected call."""
+        """Decide node i by a run of its own and return it: where a start rule
+        decides it, one (theta, W) point with no field call, H0 = g(v0)*exp(-theta0);
+        else the flow's run, or, where the flow's field rejects the start (gamma = 1
+        and |v0| below about 1.4e-108, or exp(2*theta0) overflowing), the chart's run
+        with no rule to t_end (SURVIVED there, else INCONCLUSIVE), counting that call."""
+        if (rule := self.at_start(i)) is not None:
+            energy = dynamics.reduced_energy(self.p)
+            h0 = energy(0.0, self.v[i]) * math.exp(-self.th0[i])
+            return Trajectory(SystemKind.REDUCED, [0.0], [self.states[i].astuple()], rule,
+                              ("H", energy, h0), Outcome.EVENT_TERMINATED)
         try:
             return self.run([i])
         except InvalidInitialState:  # the flow's field at v0, one call
-            rule = self.start_rule(self.v[i])
-        if rule is not None:
-            self.result[i] = (CollisionResult(_RULE_STATUS[rule], 0.0), rule)
-            energy, y = dynamics.reduced_energy(self.p), self.states[i].astuple()
-            return Trajectory(SystemKind.REDUCED, [0.0], [y], rule, ("H", energy, energy(*y)),
-                              Outcome.EVENT_TERMINATED, IntegrationStats(f_evals=1))
+            pass
         traj = integrate(self.states[i], self.p, self.t_end, self.cfg)
         status = SimStatus.SURVIVED if traj.outcome is Outcome.REACHED_T_END else (
             SimStatus.INCONCLUSIVE)
@@ -627,10 +629,6 @@ class _Oracle:
                     s = (vs[i] - prev[0]) / (v - prev[0])
                     starts[i] = theta_n, t_n = (prev[1] + s * (theta - prev[1]),
                                                 prev[2] + s * (t - prev[2]))
-                rule = self.start_rule(vs[i])
-                if rule is not None:
-                    finish(i, _RULE_STATUS[rule], rule, (vs[i], theta_n, t_n))
-                    continue
                 live[i] = None
                 insort(horizon, (-t_n - _scaled(t_end, 2.0 * (theta_n - th0[i])), i))
                 if sep_armed:
@@ -712,15 +710,15 @@ def simulate_until_collision(
     horizon the flow's points past t_end are dropped and the (theta, W)
     chart, with no rule, carries the run from the last point before t_end to
     t_end itself (stop None, outcome REACHED_T_END); its stats add that run's
-    counts.  A state whose start the flow's field rejects is decided in the
-    chart (``_Oracle.solo``).  Raises ConfigInvalid for a state that is not a
-    ReducedState, and InvalidInitialState for one that no start rule decides
-    and the chart rejects too.
+    counts.  A start rule's verdict is one point with no field call, and a start
+    the flow's field rejects runs in the chart (``_Oracle.solo``).  Raises
+    ConfigInvalid for a state that is not a ReducedState, and
+    InvalidInitialState for one whose v is not finite or that the chart rejects.
     """
     oracle = _Oracle(p, [rs0], cfg, t_end)
     flow = oracle.solo(0)
     result, reason = oracle.result[0]
-    if flow.system is SystemKind.REDUCED:  # the chart's own run
+    if flow.system is SystemKind.REDUCED:  # a start rule's point, or the chart's run
         return result, flow
     times = [t for _, _, t in flow.states]
     states = [(rs0.theta, rs0.w)] + [(theta, v * math.exp(theta))

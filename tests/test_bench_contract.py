@@ -97,7 +97,7 @@ def test_trajectory(fc, tmp_path):
 # States of every oracle ending: a collision, a witness at the start, a rise
 # at the start and after steps, a pass-through above gamma_star to the
 # witness, a horizon, and a start the flow cannot carry (the (theta, W)
-# chart's run).
+# chart's run).  A start rule decides the two in START_DECIDED with no run.
 ORACLE_CASES = [
     (0.5, 1.0, 0.0, 1.0),
     (0.2, 1.1, 0.3, 0.8),
@@ -108,6 +108,7 @@ ORACLE_CASES = [
     (0.2, 2.0, 6.0, 1.0),
     (0.5, 1.0, 400.0, 1.0),
 ]
+START_DECIDED = [(0.2, 2.0, 0.0, -1.0), (0.2, 1.1, 3.5, 0.01)]
 
 
 @pytest.mark.parametrize("alpha, gamma, theta0, w0", ORACLE_CASES)
@@ -119,7 +120,8 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
     # at the start and six per attempt in each call, none from a stop rule.
     # A run to the horizon makes two calls: the flow's, and the chart's to t_end.
     # A start the flow's field rejects costs that one call, and no attempt,
-    # before the chart's run, and the oracle's stats count it.
+    # before the chart's run, and the oracle's stats count it.  A state that
+    # a start rule decides makes no integrate call and no field call.
     calls = []
     in_stop = [False]
     runs = []
@@ -156,7 +158,10 @@ def test_each_oracle_run_makes_one_plus_six_field_calls_per_attempt(
     p = fc.dynamics.Params(alpha, gamma)
     result, traj = fc.integrate.simulate_until_collision(fc.dynamics.ReducedState(theta0, w0), p)
     assert all(made == 1 + 6 * stats.attempts == stats.f_evals for made, stats in runs)
-    assert 1 <= len(runs) <= 2
+    if (alpha, gamma, theta0, w0) in START_DECIDED:
+        assert runs == [] and calls == []
+    else:
+        assert 1 <= len(runs) <= 2
     rejected = len(calls) - sum(made for made, _ in runs)
     assert rejected == (theta0 == 400.0)
     assert len(calls) == traj.stats.f_evals == sum(stats.f_evals for _, stats in runs) + rejected

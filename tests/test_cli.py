@@ -508,6 +508,27 @@ class TestSimulateCommand:
         assert tiny["states"] == [[0.0, -1e-110]]
         assert {**tiny, "states": None} == {**small, "states": None}
 
+    @pytest.mark.parametrize("gamma, status, kind", [("2", "survived", "survival-witness"),
+                                                     ("1.1", "inconclusive", "w-rose")])
+    def test_far_state_a_start_rule_decides_exits_0(self, capsys, tmp_path, gamma, status, kind):
+        # exp(2*theta0) overflows at theta0 = 400, but v = W0*exp(-theta0) is
+        # about -1.9e-4 and a start rule decides the state: one point, no
+        # field call, the verdict the grid gives.
+        payload = run_json(capsys, tmp_path, "simulate", "--alpha", "0.2", "--gamma", gamma,
+                           "--theta0", "400", "--w0", "-1e170")
+        assert payload["outcome"] == {"status": status, "time": 0.0}
+        assert payload["events"] == [{"time": 0.0, "kind": kind, "threshold": None}]
+        assert payload["states"] == [[400.0, -1e170]]
+        assert payload["integration"]["f_evals"] == 0
+
+    def test_infinite_v_exits_2(self, capsys):
+        # v = W0*exp(-theta0) = 1e300*exp(100) is inf without overflowing exp.
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "0.2", "--gamma", "2",
+                                 "--theta0", "-100", "--w0", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: initial state rejected: ")
+
     def test_gamma1_state_far_out_runs_to_its_horizon(self, capsys, tmp_path):
         # classify calls this state a head-on collision; simulate runs it
         # although exp(2*theta0) overflows.
@@ -695,7 +716,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_oracle_rows_are_the_same_pooled_and_serial(self, capsys, tmp_path, monkeypatch, fmt):
-        # A 5 x 7 grid: the checkerboard colours cut every row and column.
+        # A 5 x 7 grid: its groups go whole to the two workers.
         argv = ["sweep", "--alpha", "0.3", "--gamma", "1.15", "--theta-min", "-2",
                 "--theta-max", "2", "--w-min", "-2", "--w-max", "2", "--n-theta", "5",
                 "--n-w", "7", "--with-oracle", "--t-end", "60", "--format", fmt]

@@ -337,3 +337,22 @@ def test_the_battery_runs_the_oracle_in_one_place():
     stops = sorted(node.name for node in ast.walk(integrate_tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "stop")
     assert stops == ["stop"]
+
+
+def test_the_oracle_reads_its_start_rules_in_one_place():
+    # A start rule decides a state before any run: groups lists those states
+    # and at_start records their verdicts, for a grid and a lone state alike,
+    # so no run's stop rule reads one.
+    tree = ast.parse((SOURCES[0].parent / "integrate.py").read_text(encoding="utf-8"))
+    oracle = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Oracle")
+    methods = {stmt.name: stmt for stmt in oracle.body if isinstance(stmt, ast.FunctionDef)}
+
+    def reads(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "start_rule"]
+
+    assert sorted(name for name, method in methods.items() if reads(method)) == [
+        "at_start", "groups"]
+    assert len(reads(tree)) == len(reads(methods["at_start"])) + len(reads(methods["groups"]))
+    assert reads(methods["run"]) == []

@@ -271,16 +271,16 @@ class TestCollisionDriver:
 
     @pytest.mark.parametrize("w0", [-1e-3, -1e-110])
     def test_receding_gamma1_start_has_one_answer(self, w0):
-        # Below |v| of about 1.4e-108 the flow's field rejects the start, but
-        # the witness decides it there: the same one-point run as at -1e-3,
-        # with the verdict the grid gives.  Its one field call is counted.
+        # Below |v| of about 1.4e-108 the flow's field would reject the start,
+        # but the witness decides it first: the same one-point run as at -1e-3,
+        # with the verdict the grid gives and no field call.
         p, rs = Params(0.2, 1.0), ReducedState(0.0, w0)
         result, traj = simulate_until_collision(rs, p, CFG)
         assert result == CollisionResult(SimStatus.SURVIVED, 0.0)
         assert traj.system is SystemKind.REDUCED
         assert traj.times == [0.0] and traj.states == [(0.0, w0)]
         assert traj.stop == "survival-witness" and traj.outcome is Outcome.EVENT_TERMINATED
-        assert traj.stats == IntegrationStats(f_evals=1)
+        assert traj.stats == IntegrationStats()
         assert integrate_module.oracle_verdicts(p, [rs], CFG) == [
             (SimStatus.SURVIVED, "survival-witness")]
 
@@ -798,6 +798,50 @@ class TestSharedOrbit:
         with pytest.raises(InvalidInitialState) as own:
             simulate_until_collision(states[first], p, CFG)
         assert str(info.value) == str(own.value)
+
+    def test_a_rest_point_of_g_runs_alone(self):
+        # At these W0, g(v0) is 0.0 exactly: neither up nor down, so each
+        # state is its own group, and its verdict is that of its own run,
+        # alone or among other states.
+        p, w = Params(0.2, 1.1), 0.08973502753208089
+        rest = [ReducedState(0.0, w), ReducedState(0.0, -w)]
+        oracle = integrate_module._Oracle(p, rest, CFG, 200.0)
+        assert [oracle.g(v) for v in oracle.v] == [0.0, 0.0]
+        others = [ReducedState(0.0, 1.0), ReducedState(0.5, 0.3), ReducedState(1.0, -1.0),
+                  ReducedState(0.0, 0.05), ReducedState(0.0, -0.05)]
+        states = others[:2] + rest + others[2:]
+        groups = integrate_module.oracle_groups(p, states)
+        assert [2] in groups and [3] in groups
+        assert sum(len(group) for group in groups) == len(states)
+        expected = [(SimStatus.COLLIDED, "separation-below"),
+                    (SimStatus.SURVIVED, "reached-t-end")]
+        own = [simulate_until_collision(rs, p, CFG) for rs in rest]
+        assert [(res.status, traj.stop or traj.outcome.value) for res, traj in own] == expected
+        assert integrate_module.oracle_verdicts(p, rest, CFG) == expected
+        assert integrate_module.oracle_verdicts(p, states, CFG)[2:4] == expected
+
+    @pytest.mark.parametrize("gamma, verdict", [
+        (2.0, (SimStatus.SURVIVED, "survival-witness")),
+        (1.1, (SimStatus.INCONCLUSIVE, "w-rose")),
+    ])
+    def test_a_far_state_a_start_rule_decides_takes_the_grid_path(self, gamma, verdict):
+        # exp(2*theta0) overflows at theta0 = 400, so neither the flow's field
+        # nor the chart's energy can be read there; v0 is about -1.9e-4, and
+        # the start rule decides the state before either is asked.
+        p, rs = Params(0.2, gamma), ReducedState(400.0, -1e170)
+        assert integrate_module.oracle_verdicts(p, [rs], CFG) == [verdict]
+        result, traj = simulate_until_collision(rs, p, CFG)
+        assert (result.status, traj.stop) == verdict and result.time == 0.0
+        assert traj.times == [0.0] and traj.states == [(400.0, -1e170)]
+        assert traj.stats == IntegrationStats() and traj.drift == {"H": 0.0}
+
+    def test_an_infinite_v_is_an_invalid_initial_state(self):
+        # 1e300*exp(100) is inf, although exp(100) is not.
+        p, rs = Params(0.2, 2.0), ReducedState(-100.0, 1e300)
+        with pytest.raises(InvalidInitialState, match="initial state rejected"):
+            integrate_module.oracle_verdicts(p, [ReducedState(0.0, 1.0), rs], CFG)
+        with pytest.raises(InvalidInitialState, match="initial state rejected"):
+            simulate_until_collision(rs, p, CFG)
 
     @given(alpha=st.floats(0.01, 0.99), regime=st.sampled_from(REGIMES), u=st.floats(0.0, 1.0),
            thetas=st.lists(st.floats(-2.5, 2.5), min_size=2, max_size=3),
